@@ -8,7 +8,7 @@ binding cached vs re-established per element.
 
 from __future__ import annotations
 
-from repro.harness.ablations import compare_cert_caching
+from repro.harness.design_choices import compare_cert_caching
 from repro.harness.report import render_table
 
 

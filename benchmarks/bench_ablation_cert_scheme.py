@@ -7,7 +7,7 @@ global freshness interval).
 
 from __future__ import annotations
 
-from repro.harness.ablations import compare_cert_schemes
+from repro.harness.design_choices import compare_cert_schemes
 from repro.harness.report import render_table
 
 

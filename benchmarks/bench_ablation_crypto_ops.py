@@ -7,7 +7,7 @@ required by SSL." Measured on real RSA-2048.
 
 from __future__ import annotations
 
-from repro.harness.ablations import measure_crypto_ops
+from repro.harness.design_choices import measure_crypto_ops
 from repro.harness.report import render_table
 
 

@@ -8,7 +8,7 @@ cold ones, r-OSFS clients must re-validate *everything* at the hot rate.
 
 from __future__ import annotations
 
-from repro.harness.ablations import compare_freshness_granularity
+from repro.harness.design_choices import compare_freshness_granularity
 from repro.harness.report import render_table
 
 

@@ -7,7 +7,7 @@ records per replica in the tree.
 
 from __future__ import annotations
 
-from repro.harness.ablations import compare_location_lookup
+from repro.harness.design_choices import compare_location_lookup
 from repro.harness.report import render_table
 
 

@@ -9,7 +9,7 @@ everywhere forever (static-everywhere).
 
 from __future__ import annotations
 
-from repro.harness.ablations import compare_replication_strategies
+from repro.harness.design_choices import compare_replication_strategies
 from repro.harness.report import render_table
 
 

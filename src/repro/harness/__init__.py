@@ -1,14 +1,22 @@
-"""Experiment harness: regenerates every table and figure of §4.
+"""Experiment harness: the paper's §4 tables and figures, plus the gated
+benches that guard everything built on top of them.
 
 * :mod:`~repro.harness.experiment` — testbed wiring (topology, services,
-  servers, client stacks).
-* :mod:`~repro.harness.table1` — the experimental-setting table.
-* :mod:`~repro.harness.fig4` — security-overhead-vs-size experiment.
-* :mod:`~repro.harness.fig567` — GlobeDoc vs Apache vs Apache+SSL.
-* :mod:`~repro.harness.ablations` — design-choice ablations.
-* :mod:`~repro.harness.report` — text rendering of result tables.
+  servers, replica placement, client stacks).
+* :mod:`~repro.harness.table1`, :mod:`~repro.harness.fig4`,
+  :mod:`~repro.harness.fig567` — the paper's Table 1 and Figures 4–7.
+* :mod:`~repro.harness.design_choices` — the paper's design-choice
+  comparisons (cert schemes, location lookup, caching, replication).
+* :mod:`~repro.harness.loadsim` — the §1 flash-crowd load simulator.
+* :mod:`~repro.harness.kernel` — the bench registry, the gate evaluator,
+  the report envelope and the one bench runner.
+* the registered benches, one module each: ``security_bench``,
+  ``chaos``, ``revocation_bench``, ``recovery``, ``convergence``,
+  ``monitor``, ``profile_bench``.
+* :mod:`~repro.harness.report` — text rendering of result tables and
+  the ``bench-report`` summary.
 
-Run ``python -m repro.harness <table1|fig4|fig5|fig6|fig7|all>``.
+Run ``python -m repro.harness <target>``; see :mod:`repro.harness.__main__`.
 """
 
 from repro.harness.experiment import Testbed, ClientStack, PublishedObject

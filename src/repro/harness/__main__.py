@@ -1,31 +1,39 @@
-"""CLI: regenerate the paper's tables and figures.
+"""CLI: regenerate the paper's tables and figures, run the gated benches.
 
 Usage::
 
     python -m repro.harness table1
     python -m repro.harness fig4 [--repeats N]
     python -m repro.harness fig5|fig6|fig7 [--repeats N]
-    python -m repro.harness bench-security [--quick] [--out PATH]
-    python -m repro.harness chaos [--quick] [--out PATH]
-    python -m repro.harness trace [--quick] [--out PATH]
-    python -m repro.harness revocation [--quick] [--out PATH]
-    python -m repro.harness recovery [--quick] [--out PATH]
-    python -m repro.harness convergence [--quick] [--out PATH]
-    python -m repro.harness monitor [--quick] [--out PATH]
-    python -m repro.harness profile [--quick] [--out PATH]
-    python -m repro.harness bench-report
     python -m repro.harness all
+    python -m repro.harness loadtest
+    python -m repro.harness <bench> [--quick] [--seed N] [--out PATH]
+    python -m repro.harness benches [--quick] [--seed N] [--out DIR]
+    python -m repro.harness bench-report
+
+``<bench>`` is any target in :data:`repro.harness.kernel.REGISTRY`:
+bench-security, chaos, revocation, recovery, convergence, monitor,
+profile. ``benches`` runs them all in that order and exits non-zero if
+any gate fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import pathlib
 import sys
 
 from repro.harness.fig4 import run_fig4
 from repro.harness.fig567 import FIGURE_OF_CLIENT, run_fig567_for_client
-from repro.harness.report import render_fig4, render_fig567, render_table
+from repro.harness.kernel import REGISTRY, REPO_ROOT, run_target
+from repro.harness.report import (
+    aggregate_bench_reports,
+    render_bench_summary,
+    render_fig4,
+    render_fig567,
+    render_table,
+)
 from repro.harness.table1 import TABLE1_COLUMNS, table1_rows
 
 _CLIENT_OF_FIGURE = {f"fig{num}": client for client, num in FIGURE_OF_CLIENT.items()}
@@ -34,29 +42,40 @@ _CLIENT_OF_FIGURE = {f"fig{num}": client for client, num in FIGURE_OF_CLIENT.ite
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
-        description="Regenerate the paper's tables and figures.",
+        description="Regenerate the paper's tables and figures; run the gated benches.",
     )
     parser.add_argument(
         "target",
         choices=[
-            "table1", "fig4", "fig5", "fig6", "fig7", "loadtest",
-            "bench-security", "chaos", "trace", "revocation", "recovery",
-            "convergence", "monitor", "profile", "bench-report", "all",
+            "table1", "fig4", "fig5", "fig6", "fig7", "all", "loadtest",
+            *REGISTRY, "benches", "bench-report",
         ],
-        help="which artifact to regenerate",
+        help="which artifact to regenerate or bench to run",
     )
     parser.add_argument("--repeats", type=int, default=3, help="samples per point")
     parser.add_argument("--seed", type=int, default=0, help="content seed")
     parser.add_argument(
         "--quick", action="store_true",
-        help="bench-security/chaos/trace: fewer iterations (CI smoke mode)",
+        help="gated benches: fewer iterations (CI smoke mode)",
     )
     parser.add_argument(
         "--out", type=pathlib.Path, default=None,
-        help="bench-security/chaos/trace: where to write the JSON report "
-        "(default: BENCH_*.json in the repo root)",
+        help="gated benches: where to write the JSON report, a directory for "
+        "`benches` (default: BENCH_*.json in the repo root)",
     )
     args = parser.parse_args(argv)
+
+    if args.target in REGISTRY:
+        return run_target(REGISTRY[args.target], args.quick, args.seed, args.out)
+    if args.target == "benches":
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+        code = 0
+        for target in REGISTRY.values():
+            out = args.out / target.report_name if args.out is not None else None
+            code |= run_target(target, args.quick, args.seed, out)
+            print()
+        return code
 
     targets = (
         ["table1", "fig4", "fig5", "fig6", "fig7"] if args.target == "all" else [args.target]
@@ -69,41 +88,9 @@ def main(argv=None) -> int:
             rows = run_fig4(repeats=args.repeats, seed=args.seed)
             print(render_fig4(rows))
         elif target == "loadtest":
-            _run_loadtest(seed=args.seed)
-        elif target == "bench-security":
-            code = _run_bench_security(quick=args.quick, seed=args.seed, out=args.out)
-            if code:
-                return code
-        elif target == "chaos":
-            code = _run_chaos(quick=args.quick, seed=args.seed, out=args.out)
-            if code:
-                return code
-        elif target == "trace":
-            code = _run_trace(quick=args.quick, seed=args.seed, out=args.out)
-            if code:
-                return code
-        elif target == "revocation":
-            code = _run_revocation(quick=args.quick, seed=args.seed, out=args.out)
-            if code:
-                return code
-        elif target == "recovery":
-            code = _run_recovery(quick=args.quick, seed=args.seed, out=args.out)
-            if code:
-                return code
-        elif target == "convergence":
-            code = _run_convergence(quick=args.quick, seed=args.seed, out=args.out)
-            if code:
-                return code
-        elif target == "monitor":
-            code = _run_monitor(quick=args.quick, seed=args.seed, out=args.out)
-            if code:
-                return code
-        elif target == "profile":
-            code = _run_profile(quick=args.quick, seed=args.seed, out=args.out)
-            if code:
-                return code
+            _loadtest()
         elif target == "bench-report":
-            _run_bench_report()
+            print(render_bench_summary(aggregate_bench_reports(REPO_ROOT)))
         else:
             client = _CLIENT_OF_FIGURE[target]
             rows = run_fig567_for_client(client, repeats=args.repeats, seed=args.seed)
@@ -112,221 +99,9 @@ def main(argv=None) -> int:
     return 0
 
 
-def _run_bench_security(quick: bool, seed: int, out=None) -> int:
-    """Baseline-vs-fastpath + sequential-vs-pipelined security benchmark.
-
-    Runs the access pipeline in both modes (concurrent scheduler enabled
-    and disabled) and gates on the criteria: pipelined throughput at
-    least the concurrency target over sequential, zero unverified bytes,
-    and the adversarial conformance matrix green in both modes.
-    """
-    from repro.harness.security_bench import (
-        REPORT_NAME,
-        check_report,
-        render_security_bench,
-        run_security_bench,
-        write_report,
-    )
-
-    report = run_security_bench(quick=quick, seed=seed)
-    if out is None:
-        out = pathlib.Path(__file__).resolve().parents[3] / REPORT_NAME
-    write_report(report, out)
-    print(render_security_bench(report))
-    problems = check_report(report)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"\nall security gates passed; report written to {out}")
-    return 0
-
-
-def _run_chaos(quick: bool, seed: int, out=None) -> int:
-    """Resilience sweep: availability under faults, genuineness always."""
-    from repro.harness.chaos import (
-        REPORT_NAME,
-        check_report,
-        render_chaos,
-        run_chaos,
-        write_report,
-    )
-
-    report = run_chaos(quick=quick, seed=seed)
-    if out is None:
-        out = pathlib.Path(__file__).resolve().parents[3] / REPORT_NAME
-    write_report(report, out)
-    print(render_chaos(report))
-    problems = check_report(report)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"\nall resilience gates passed; report written to {out}")
-    return 0
-
-
-def _run_trace(quick: bool, seed: int, out=None) -> int:
-    """Access-pipeline trace profile: span breakdown + rejection census."""
-    from repro.harness.trace_profile import (
-        REPORT_NAME,
-        check_report,
-        render_trace,
-        run_trace,
-        write_report,
-    )
-
-    report = run_trace(quick=quick, seed=seed)
-    if out is None:
-        out = pathlib.Path(__file__).resolve().parents[3] / REPORT_NAME
-    write_report(report, out)
-    print(render_trace(report))
-    problems = check_report(report)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"\nall trace gates passed; report written to {out}")
-    return 0
-
-
-def _run_revocation(quick: bool, seed: int, out=None) -> int:
-    """Compromise-to-containment latency + steady-state feed overhead."""
-    from repro.harness.revocation_bench import (
-        REPORT_NAME,
-        check_report,
-        render_revocation,
-        run_revocation,
-        write_report,
-    )
-
-    report = run_revocation(quick=quick, seed=seed)
-    if out is None:
-        out = pathlib.Path(__file__).resolve().parents[3] / REPORT_NAME
-    write_report(report, out)
-    print(render_revocation(report))
-    problems = check_report(report)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"\nall revocation gates passed; report written to {out}")
-    return 0
-
-
-def _run_recovery(quick: bool, seed: int, out=None) -> int:
-    """Crash recovery: kill/restart gates + fail-closed tamper gates."""
-    from repro.harness.recovery import (
-        REPORT_NAME,
-        check_report,
-        render_recovery,
-        run_recovery,
-        write_report,
-    )
-
-    report = run_recovery(quick=quick, seed=seed)
-    if out is None:
-        out = pathlib.Path(__file__).resolve().parents[3] / REPORT_NAME
-    write_report(report, out)
-    print(render_recovery(report))
-    problems = check_report(report)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"\nall recovery gates passed; report written to {out}")
-    return 0
-
-
-def _run_convergence(quick: bool, seed: int, out=None) -> int:
-    """Multi-writer convergence: partition/heal, tamper matrix, recovery."""
-    from repro.harness.convergence import (
-        REPORT_NAME,
-        check_report,
-        render_convergence,
-        run_convergence,
-        write_report,
-    )
-
-    report = run_convergence(quick=quick, seed=seed)
-    if out is None:
-        out = pathlib.Path(__file__).resolve().parents[3] / REPORT_NAME
-    write_report(report, out)
-    print(render_convergence(report))
-    problems = check_report(report)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"\nall convergence gates passed; report written to {out}")
-    return 0
-
-
-def _run_monitor(quick: bool, seed: int, out=None) -> int:
-    """Monitor plane: metrics scrape cadence + SLO alert lifecycle."""
-    from repro.harness.monitor import (
-        REPORT_NAME,
-        check_report,
-        render_monitor,
-        run_monitor,
-        write_report,
-    )
-
-    report = run_monitor(quick=quick, seed=seed)
-    if out is None:
-        out = pathlib.Path(__file__).resolve().parents[3] / REPORT_NAME
-    write_report(report, out)
-    print(render_monitor(report))
-    problems = check_report(report)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"\nall monitor gates passed; report written to {out}")
-    return 0
-
-
-def _run_profile(quick: bool, seed: int, out=None) -> int:
-    """Causal observability plane: cross-process stitching, critical-path
-    attribution, SLO burn-rate lifecycle."""
-    from repro.harness.profile_bench import (
-        REPORT_NAME,
-        check_report,
-        render_profile,
-        run_profile,
-        write_report,
-    )
-
-    report = run_profile(quick=quick, seed=seed)
-    if out is None:
-        out = pathlib.Path(__file__).resolve().parents[3] / REPORT_NAME
-    write_report(report, out)
-    print(render_profile(report))
-    problems = check_report(report)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    print(f"\nall profile gates passed; report written to {out}")
-    return 0
-
-
-def _run_bench_report() -> None:
-    """One summary over every BENCH_*.json present in the repo root."""
-    from repro.harness.report import aggregate_bench_reports, render_bench_summary
-
-    root = pathlib.Path(__file__).resolve().parents[3]
-    print(render_bench_summary(aggregate_bench_reports(root)))
-
-
-def _run_loadtest(seed: int = 0) -> None:
+def _loadtest() -> None:
     """The §1 flash-crowd load study (see bench_flash_crowd.py)."""
-    import importlib.util
-    import pathlib
-
-    bench_path = (
-        pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "bench_flash_crowd.py"
-    )
+    bench_path = REPO_ROOT / "benchmarks" / "bench_flash_crowd.py"
     if bench_path.exists():
         spec = importlib.util.spec_from_file_location("bench_flash_crowd", bench_path)
         module = importlib.util.module_from_spec(spec)

@@ -26,27 +26,30 @@ Run with ``python -m repro.harness chaos [--quick]``; writes
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.crypto.keys import KeyPair
-from repro.globedoc.element import PageElement
-from repro.globedoc.owner import DocumentOwner
-from repro.harness.experiment import SERVICES_HOST, Testbed
-from repro.net.address import ContactAddress, Endpoint
+from repro.harness.experiment import SERVICES_HOST, PublishedObject, Testbed
+from repro.harness.kernel import BenchTarget, Criterion, gate
+from repro.net.address import Endpoint
 from repro.net.faults import FaultPlan, FlakyTransport
 from repro.net.health import ReplicaHealthTracker
 from repro.net.retry import RetryPolicy
-from repro.net.rpc import RpcClient
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from repro.sim.random import derive_seed
 
-__all__ = ["ChaosPoint", "ChaosReport", "run_chaos", "render_chaos", "write_report", "REPORT_NAME"]
+__all__ = [
+    "ChaosPoint",
+    "ChaosReport",
+    "run_chaos",
+    "criteria",
+    "render_chaos",
+    "TARGET",
+]
 
-REPORT_NAME = "BENCH_chaos_resilience.json"
+#: Gate: resilient availability must stay at or above this at every
+#: drop rate up to :data:`AVAILABILITY_MAX_DROP`.
+AVAILABILITY_TARGET = 0.99
+AVAILABILITY_MAX_DROP = 0.2
 
 #: The three-replica deployment: primary plus two remote sites.
 REPLICA_SITES = {
@@ -98,14 +101,12 @@ class ChaosPoint:
 class ChaosReport:
     """The full sweep: resilient vs baseline at every rate."""
 
-    seed: int
     replicas: int
     resilient: List[ChaosPoint] = field(default_factory=list)
     baseline: List[ChaosPoint] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
             "replicas": self.replicas,
             "resilient": [
                 dict(asdict(p), availability=p.availability) for p in self.resilient
@@ -116,33 +117,14 @@ class ChaosReport:
         }
 
 
-def _build_world(seed: int) -> Tuple[Testbed, object]:
+def _build_world() -> Tuple[Testbed, PublishedObject]:
     """A testbed with the document replicated at all three sites."""
     testbed = Testbed()
-    owner = DocumentOwner(
-        "vu.nl/chaos",
-        keys=KeyPair.generate(1024),
-        clock=testbed.clock,
-    )
-    for name, content in ELEMENTS.items():
-        owner.put_element(PageElement(name, content))
+    owner = testbed.document_owner("vu.nl/chaos", ELEMENTS)
     published = testbed.publish(owner, validity=7 * 24 * 3600.0)
-
-    admin_rpc = RpcClient(testbed.network.transport_for(CLIENT_HOST))
     for site, host in REPLICA_SITES.items():
-        if host == SERVICES_HOST:
-            continue  # the primary replica already exists
-        server = ObjectServer(host=host, site=site, clock=testbed.clock)
-        server.keystore.authorize(owner.name, owner.public_key)
-        testbed.network.register(
-            Endpoint(host, "objectserver"), server.rpc_server().handle_frame
-        )
-        admin = AdminClient(
-            admin_rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock
-        )
-        result = admin.create_replica(published.document)
-        address = ContactAddress.from_dict(result["address"])
-        testbed.location_service.tree.insert(owner.oid.hex, site, address)
+        if host != SERVICES_HOST:  # the primary replica already exists
+            testbed.add_replica(published, host, site)
     return testbed, published
 
 
@@ -159,7 +141,7 @@ def _run_point(
     crash every resilient claim must survive while two genuine replicas
     remain.
     """
-    testbed, published = _build_world(seed)
+    testbed, published = _build_world()
     plan = FaultPlan(
         drop_probability=drop,
         corrupt_probability=corrupt,
@@ -230,22 +212,16 @@ def _run_point(
     )
 
 
-def run_chaos(
-    quick: bool = False,
-    seed: int = 0,
-    drop_rates: Optional[Sequence[float]] = None,
-    corrupt_rate: float = CORRUPT_RATE,
-) -> ChaosReport:
+def run_chaos(quick: bool = False, seed: int = 0) -> ChaosReport:
     """The full sweep: each rate once resilient, once baseline."""
-    rates = tuple(drop_rates) if drop_rates is not None else DROP_RATES
     requests = 40 if quick else 120
-    report = ChaosReport(seed=seed, replicas=len(REPLICA_SITES))
-    for drop in rates:
+    report = ChaosReport(replicas=len(REPLICA_SITES))
+    for drop in DROP_RATES:
         report.resilient.append(
-            _run_point(drop, corrupt_rate, requests, seed, resilient=True)
+            _run_point(drop, CORRUPT_RATE, requests, seed, resilient=True)
         )
         report.baseline.append(
-            _run_point(drop, corrupt_rate, requests, seed, resilient=False)
+            _run_point(drop, CORRUPT_RATE, requests, seed, resilient=False)
         )
     return report
 
@@ -290,33 +266,43 @@ def render_chaos(report: ChaosReport) -> str:
     return f"{header}\n{table}"
 
 
-def write_report(report: ChaosReport, path: pathlib.Path) -> None:
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def check_report(report: ChaosReport) -> List[str]:
-    """CI-gate violations (empty = pass).
+def criteria(report: ChaosReport) -> List[Criterion]:
+    """The CI gates.
 
     * zero unverified bytes anywhere (the invariant);
     * resilient availability ≥ 99 % at drop ≤ 0.2;
     * resilient beats baseline in aggregate (the layer does the work).
     """
-    problems: List[str] = []
-    for point in report.resilient + report.baseline:
-        if point.unverified_bytes:
-            problems.append(
-                f"unverified bytes served at drop={point.drop_probability}"
-            )
-    for point in report.resilient:
-        if point.drop_probability <= 0.2 and point.availability < 0.99:
-            problems.append(
-                f"resilient availability {point.availability:.3f} < 0.99 "
-                f"at drop={point.drop_probability}"
-            )
+    out = [
+        gate(
+            f"unverified_bytes[{flavour},drop={point.drop_probability}]",
+            point.unverified_bytes, "==", 0,
+            f"unverified bytes served at drop={point.drop_probability}",
+        )
+        for flavour in ("resilient", "baseline")
+        for point in getattr(report, flavour)
+    ]
+    out += [
+        gate(
+            f"availability[drop={point.drop_probability}]",
+            point.availability, ">=", AVAILABILITY_TARGET,
+            f"resilient availability {point.availability:.3f} < {AVAILABILITY_TARGET} "
+            f"at drop={point.drop_probability}",
+        )
+        for point in report.resilient
+        if point.drop_probability <= AVAILABILITY_MAX_DROP
+    ]
     total_res = sum(p.ok for p in report.resilient)
     total_base = sum(p.ok for p in report.baseline)
-    if total_res <= total_base:
-        problems.append(
-            f"resilience layer earned nothing: {total_res} ok vs baseline {total_base}"
+    out.append(
+        gate(
+            "resilient_ok_over_baseline", total_res, ">", total_base,
+            f"resilience layer earned nothing: {total_res} ok vs baseline {total_base}",
         )
-    return problems
+    )
+    return out
+
+
+TARGET = BenchTarget(
+    "chaos", "BENCH_chaos_resilience.json", run_chaos, criteria, render_chaos
+)

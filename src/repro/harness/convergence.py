@@ -20,33 +20,29 @@ The multi-writer gate for CI (``python -m repro.harness convergence
   a CRC-valid rewrite of a stored delta aborts recovery with
   :class:`~repro.errors.RecoveryIntegrityError` (fail closed).
 
-Writes ``BENCH_convergence.json``; ``check_report`` returns the gate
-violations (empty = pass).
+Writes ``BENCH_convergence.json``; :func:`criteria` declares the gates.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import random
 import shutil
 import tempfile
 import time
-import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 from repro.crypto.keys import KeyPair
 from repro.errors import RecoveryIntegrityError
 from repro.globedoc.oid import ObjectId
+from repro.harness.kernel import BenchTarget, Criterion, gate, verdict
+from repro.harness.recovery import deface_wal
 from repro.net.rpc import RpcClient
 from repro.net.transport import LoopbackTransport
 from repro.proxy.checks import SecurityChecker
 from repro.server.objectserver import ObjectServer
 from repro.sim.clock import SimClock
-from repro.storage.wal import FRAME_HEADER
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
 from repro.util.stats import percentile
 from repro.versioning import (
     DeltaDag,
@@ -63,13 +59,10 @@ __all__ = [
     "RecoveryGate",
     "ConvergenceReport",
     "run_convergence",
+    "criteria",
     "render_convergence",
-    "write_report",
-    "check_report",
-    "REPORT_NAME",
+    "TARGET",
 ]
-
-REPORT_NAME = "BENCH_convergence.json"
 
 SERVER_HOSTS = ("ginger.cs.vu.nl", "canardo.inria.fr")
 
@@ -117,8 +110,6 @@ class RecoveryGate:
 class ConvergenceReport:
     """Everything the CI gate and the bench-report digest consume."""
 
-    seed: int
-    quick: bool
     partitioned: PartitionedConvergence = field(
         default_factory=PartitionedConvergence
     )
@@ -127,14 +118,7 @@ class ConvergenceReport:
     recovery: RecoveryGate = field(default_factory=RecoveryGate)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "quick": self.quick,
-            "partitioned_convergence": asdict(self.partitioned),
-            "merge_cost": asdict(self.merge),
-            "adversarial": list(self.adversarial),
-            "recovery": asdict(self.recovery),
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -286,43 +270,6 @@ def _run_merge_cost(quick: bool, deltas: List[SignedDelta]) -> MergeCost:
 # ----------------------------------------------------------------------
 
 
-def _deface_delta_records(wal_path: str) -> int:
-    """CRC-valid rewrite of stored delta content (the attacker's edit)."""
-    with open(wal_path, "rb") as fh:
-        data = fh.read()
-    out = bytearray()
-    offset = 0
-    defaced = 0
-
-    def deface(obj):
-        nonlocal defaced
-        if isinstance(obj, dict):
-            for key, value in obj.items():
-                if key == "content" and isinstance(value, (bytes, bytearray)) and value:
-                    obj[key] = b"\x00defaced\x00" + bytes(value)[10:]
-                    defaced += 1
-                else:
-                    deface(value)
-        elif isinstance(obj, list):
-            for value in obj:
-                deface(value)
-
-    while offset < len(data):
-        length, _ = FRAME_HEADER.unpack_from(data, offset)
-        start = offset + FRAME_HEADER.size
-        record = from_canonical_bytes(data[start:start + length])
-        inner = record.get("__record__") if isinstance(record, dict) else None
-        if isinstance(inner, dict) and inner.get("op") == "delta":
-            deface(inner)
-        payload = canonical_bytes(record)
-        out += FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        out += payload
-        offset = start + length
-    with open(wal_path, "wb") as fh:
-        fh.write(bytes(out))
-    return defaced
-
-
 def _run_recovery_gate(quick: bool, seed: int, scratch: str) -> RecoveryGate:
     result = RecoveryGate()
     data_dir = os.path.join(scratch, "primary")
@@ -364,8 +311,9 @@ def _run_recovery_gate(quick: bool, seed: int, scratch: str) -> RecoveryGate:
 
     # Tamper at rest (CRC recomputed, so checksums cannot see it): the
     # next recovery must abort, never serve.
-    defaced = _deface_delta_records(
-        os.path.join(data_dir, "versioning", "wal.log")
+    defaced = deface_wal(
+        os.path.join(data_dir, "versioning", "wal.log"),
+        lambda record: record if record.get("op") == "delta" else None,
     )
     if defaced:
         try:
@@ -388,7 +336,7 @@ def _run_recovery_gate(quick: bool, seed: int, scratch: str) -> RecoveryGate:
 def run_convergence(quick: bool = False, seed: int = 0) -> ConvergenceReport:
     from repro.attacks.scenarios import run_versioning_matrix
 
-    report = ConvergenceReport(seed=seed, quick=quick)
+    report = ConvergenceReport()
     scratch = tempfile.mkdtemp(prefix="repro-convergence-")
     try:
         report.partitioned, all_deltas = _run_partitioned(quick, seed)
@@ -406,12 +354,10 @@ def render_convergence(report: ConvergenceReport) -> str:
     part = report.partitioned
     merge = report.merge
     recovery = report.recovery
-    adversarial_ok = bool(report.adversarial) and all(
-        verdict["ok"] for verdict in report.adversarial
-    )
+    gates = criteria(report)
     rejected = ", ".join(
-        f"{verdict['scenario']}:{verdict['failure_type'] or 'MISSED'}"
-        for verdict in report.adversarial
+        f"{cell['scenario']}:{cell['failure_type'] or 'MISSED'}"
+        for cell in report.adversarial
     )
     rows = [
         [
@@ -420,88 +366,106 @@ def render_convergence(report: ConvergenceReport) -> str:
             f"gossip {part.gossip_pulled}p/{part.gossip_pushed}q, "
             f"{part.elements} elements, "
             + ("byte-identical" if part.byte_identical else "DIVERGED"),
-            "PASS" if part.byte_identical else "FAIL",
+            verdict(gates, "partitioned."),
         ],
         [
             "merge cost",
             f"{merge.deltas} deltas: p50 {merge.p50_us:.0f} us, "
             f"p99 {merge.p99_us:.0f} us over {merge.samples} runs",
-            "PASS" if merge.samples > 0 else "FAIL",
+            verdict(gates, "merge."),
         ],
         [
             "adversarial matrix",
             rejected or "no verdicts",
-            "PASS" if adversarial_ok else "FAIL",
+            verdict(gates, "adversarial"),
         ],
         [
             "crash recovery",
             f"{recovery.recovered_deltas}/{recovery.deltas_published} deltas "
             f"({recovery.reverified_deltas} re-verified), "
             f"tamper: {recovery.tamper_error or 'NOT REJECTED'}",
-            "PASS"
-            if recovery.digest_intact and recovery.tamper_failed_closed
-            else "FAIL",
+            verdict(gates, "recovery."),
         ],
     ]
-    lines = [
-        f"Convergence bench — seed {report.seed}"
-        + (" (quick)" if report.quick else ""),
-        render_table(["scenario", "outcome", "gate"], rows),
-    ]
-    return "\n".join(lines)
+    return "Convergence bench\n" + render_table(["scenario", "outcome", "gate"], rows)
 
 
-def write_report(report: ConvergenceReport, path: pathlib.Path) -> None:
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def check_report(report: ConvergenceReport) -> List[str]:
-    """CI-gate violations (empty = pass)."""
-    problems: List[str] = []
+def criteria(report: ConvergenceReport) -> List[Criterion]:
+    """The CI gates, scenario by scenario."""
     part = report.partitioned
-    if not part.byte_identical:
-        problems.append(
-            "replicas/readers diverged after healing: "
-            f"servers {part.server_digests}, readers {part.reader_digests}"
-        )
-    if part.deltas < part.writers:
-        problems.append("fewer deltas published than writers — bench under-ran")
-    if part.gossip_pulled + part.gossip_pushed == 0:
-        problems.append("partition never exchanged deltas — gossip did not run")
-
-    if report.merge.samples <= 0:
-        problems.append("merge cost was never sampled")
-
-    if not report.adversarial:
-        problems.append("adversarial matrix did not run")
-    for verdict in report.adversarial:
-        if verdict.get("unverified_bytes_leaked"):
-            problems.append(
-                f"scenario {verdict['scenario']}: attacker bytes reached the "
-                "caller or the cache"
-            )
-        if not verdict.get("ok"):
-            problems.append(
-                f"scenario {verdict['scenario']}: expected "
-                f"{verdict['expected_error']}, got "
-                f"{verdict['failure_type'] or 'no rejection'}"
-            )
-
     recovery = report.recovery
-    if recovery.recovered_deltas != recovery.deltas_published:
-        problems.append(
+    out = [
+        gate(
+            "partitioned.byte_identical", part.byte_identical, "==", True,
+            "replicas/readers diverged after healing: "
+            f"servers {part.server_digests}, readers {part.reader_digests}",
+        ),
+        gate(
+            "partitioned.deltas", part.deltas, ">=", part.writers,
+            "fewer deltas published than writers — bench under-ran",
+        ),
+        gate(
+            "partitioned.gossip_exchanged",
+            part.gossip_pulled + part.gossip_pushed, ">", 0,
+            "partition never exchanged deltas — gossip did not run",
+        ),
+        gate(
+            "merge.samples", report.merge.samples, ">", 0,
+            "merge cost was never sampled",
+        ),
+        gate(
+            "adversarial.scenarios", len(report.adversarial), ">", 0,
+            "adversarial matrix did not run",
+        ),
+    ]
+    for cell in report.adversarial:
+        scenario = cell["scenario"]
+        out += [
+            gate(
+                f"adversarial[{scenario}].no_leak",
+                bool(cell.get("unverified_bytes_leaked")), "==", False,
+                f"scenario {scenario}: attacker bytes reached the caller or the cache",
+            ),
+            gate(
+                f"adversarial[{scenario}].exact_error",
+                bool(cell.get("ok")), "==", True,
+                f"scenario {scenario}: expected {cell['expected_error']}, got "
+                f"{cell['failure_type'] or 'no rejection'}",
+            ),
+        ]
+    out += [
+        gate(
+            "recovery.recovered_deltas",
+            recovery.recovered_deltas, "==", recovery.deltas_published,
             f"recovery lost deltas: {recovery.recovered_deltas}/"
-            f"{recovery.deltas_published}"
-        )
-    if recovery.reverified_deltas != recovery.recovered_deltas:
-        problems.append("recovered deltas were not all re-verified")
-    if not recovery.digest_intact:
-        problems.append("recovered DAG merges to different bytes than before crash")
-    if not recovery.frontier_cert_recovered:
-        problems.append("frontier certificate did not survive the restart")
-    if not recovery.tamper_failed_closed:
-        problems.append(
+            f"{recovery.deltas_published}",
+        ),
+        gate(
+            "recovery.reverified_deltas",
+            recovery.reverified_deltas, "==", recovery.recovered_deltas,
+            "recovered deltas were not all re-verified",
+        ),
+        gate(
+            "recovery.digest_intact", recovery.digest_intact, "==", True,
+            "recovered DAG merges to different bytes than before crash",
+        ),
+        gate(
+            "recovery.frontier_cert", recovery.frontier_cert_recovered, "==", True,
+            "frontier certificate did not survive the restart",
+        ),
+        gate(
+            "recovery.tamper_failed_closed", recovery.tamper_failed_closed, "==", True,
             "tampered (CRC-valid) delta store was accepted — recovery served "
-            "unproven bytes"
-        )
-    return problems
+            "unproven bytes",
+        ),
+    ]
+    return out
+
+
+TARGET = BenchTarget(
+    "convergence",
+    "BENCH_convergence.json",
+    run_convergence,
+    criteria,
+    render_convergence,
+)

@@ -1,4 +1,6 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""The paper's design-choice comparisons DESIGN.md calls out: certificate
+schemes, location lookup, certificate caching, replication strategies,
+freshness granularity, crypto-operation costs.
 
 Each function isolates one design decision and returns a small result
 record; the corresponding ``benchmarks/bench_ablation_*.py`` runs it

@@ -11,8 +11,9 @@ WAN:
   (:class:`ClientStack`) whose verification CPU is charged to that
   host.
 
-The same wiring is reused by the figure experiments, the ablations, the
-attack tests (which swap in adversarial components), and the examples.
+The same wiring is reused by the figure experiments, the design-choice
+comparisons, the gated benches, the attack tests (which swap in
+adversarial components), and the examples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from typing import Dict, List, Optional
 from repro.baselines.plainhttp import StaticHttpServer
 from repro.baselines.ssl_channel import SslClient, SslServer
 from repro.crypto.identity import CertificateAuthority, TrustStore
+from repro.crypto.keys import KeyPair
 from repro.crypto.verifycache import VerificationCache
+from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner, SignedDocument
 from repro.globedoc.urls import HybridUrl
 from repro.location.service import LocationClient, LocationService
@@ -42,7 +45,9 @@ from repro.proxy.binding import Binder
 from repro.proxy.checks import SecurityChecker
 from repro.proxy.clientproxy import GlobeDocProxy
 from repro.proxy.pipeline import AccessScheduler, PipelineConfig, PrefetchingRpcClient
+from repro.replication.coordinator import ReplicationCoordinator, SitePort
 from repro.revocation.checker import RevocationChecker
+from repro.revocation.statement import RevocationStatement
 from repro.server.admin import AdminClient
 from repro.server.objectserver import ObjectServer
 from repro.sim.clock import SimClock
@@ -58,6 +63,9 @@ HOST_SITE = {
 }
 
 SERVICES_HOST = "ginger.cs.vu.nl"
+
+#: Where document owners push from (the secondary VU host).
+OWNER_HOST = "sporty.cs.vu.nl"
 
 
 @dataclass
@@ -200,6 +208,8 @@ class Testbed:
             ),
             storage_sync=self.storage_sync,
         )
+        #: Object servers by host; :meth:`add_replica` starts more.
+        self.servers: Dict[str, ObjectServer] = {SERVICES_HOST: self.object_server}
         self.http_server = StaticHttpServer(host=SERVICES_HOST)
         self.ssl_server = SslServer(
             host=SERVICES_HOST, compute_context=services_host.compute_native
@@ -262,6 +272,15 @@ class Testbed:
     # Publishing
     # ------------------------------------------------------------------
 
+    def document_owner(self, name: str, elements: Dict[str, bytes]) -> DocumentOwner:
+        """An owner on this testbed's clock with *elements* (name →
+        bytes) staged. Its key is 1024-bit: era-faithful, and fast
+        enough to generate one per bench document."""
+        owner = DocumentOwner(name, keys=KeyPair.generate(1024), clock=self.clock)
+        for element_name, content in elements.items():
+            owner.put_element(PageElement(element_name, content))
+        return owner
+
     def publish(
         self,
         owner: DocumentOwner,
@@ -278,23 +297,8 @@ class Testbed:
         document = owner.publish(
             validity=validity, per_element_expiry=per_element_expiry
         )
-        self.object_server.keystore.authorize(owner.name, owner.public_key)
-
-        # Owner pushes from the secondary VU host (as in the paper: the
-        # owner workstation is not the serving host).
-        admin = AdminClient(
-            RpcClient(self.network.transport_for("sporty.cs.vu.nl")),
-            self.objectserver_endpoint,
-            owner.keys,
-            self.clock,
-        )
-        result = admin.create_replica(document)
-        address = ContactAddress.from_dict(result["address"])
-
-        site = HOST_SITE[SERVICES_HOST]
-        # Through the service surface (not the raw tree) so a durable
-        # testbed journals the insert.
-        self.location_service.insert(owner.oid.hex, site, address.to_dict())
+        published = PublishedObject(owner=owner, document=document, name=owner.name)
+        self.add_replica(published, SERVICES_HOST, HOST_SITE[SERVICES_HOST])
         self.naming.register(OidRecord(name=owner.name, oid=owner.oid, ttl=ttl))
 
         for name, element in document.elements.items():
@@ -302,17 +306,66 @@ class Testbed:
             self.http_server.put_file(path, element.content)
             self.ssl_server.put_file(path, element.content)
 
-        published = PublishedObject(
-            owner=owner,
-            document=document,
-            name=owner.name,
-            replica_addresses={site: address},
-        )
         self._published[owner.oid.hex] = published
         return published
 
-    def published(self, oid_hex: str) -> PublishedObject:
-        return self._published[oid_hex]
+    def add_replica(
+        self,
+        published: PublishedObject,
+        host: str,
+        site: str,
+        *,
+        metrics=None,
+        tracer=None,
+    ) -> ObjectServer:
+        """Place a replica of *published* on *host*'s object server and
+        register its contact address at *site*.
+
+        The first replica on a host starts that host's object server
+        (wired to ``metrics``/``tracer``); later ones reuse it. The
+        owner pushes from the secondary VU host (as in the paper: the
+        owner workstation is not the serving host), and the address goes
+        in through the location *service* surface (not the raw tree) so
+        a durable testbed journals the insert.
+        """
+        owner = published.owner
+        endpoint = Endpoint(host, "objectserver")
+        server = self.servers.get(host)
+        if server is None:
+            server = self.servers[host] = ObjectServer(
+                host=host, site=site, clock=self.clock, metrics=metrics, tracer=tracer
+            )
+            self.network.register(endpoint, server.rpc_server().handle_frame)
+        server.keystore.authorize(owner.name, owner.public_key)
+        admin = AdminClient(
+            RpcClient(self.network.transport_for(OWNER_HOST)),
+            endpoint,
+            owner.keys,
+            self.clock,
+        )
+        result = admin.create_replica(published.document)
+        address = ContactAddress.from_dict(result["address"])
+        self.location_service.insert(owner.oid.hex, site, address.to_dict())
+        published.replica_addresses[site] = address
+        return server
+
+    def publish_revocation(self, owner: DocumentOwner, reason: str) -> List[str]:
+        """The compromise: *owner* revokes its object key and the
+        owner-side coordinator pushes the statement to the revocation
+        feed on ginger — and nowhere else, so replicas on other servers
+        never hear of it. Returns the sites the statement reached."""
+        statement = RevocationStatement.revoke_key(
+            owner.keys, owner.oid, serial=1, issued_at=self.clock.now(), reason=reason
+        )
+        rpc = RpcClient(self.network.transport_for(OWNER_HOST))
+        location = LocationClient(
+            rpc, self.location_endpoint, origin_site=HOST_SITE[OWNER_HOST],
+            clock=self.clock,
+        )
+        coordinator = ReplicationCoordinator(location, metrics=self.metrics)
+        admin = AdminClient(rpc, self.objectserver_endpoint, owner.keys, self.clock)
+        coordinator.add_site(SitePort(site=HOST_SITE[SERVICES_HOST], admin=admin))
+        return coordinator.publish_revocation(statement)
 
     # ------------------------------------------------------------------
     # Client stacks

@@ -19,7 +19,7 @@ fixed sim-clock cadence, and injects three sequential faults:
    abandons the revoked document the trailing window drains and the
    alert resolves.
 
-The run asserts three gates (see :func:`check_report`): the alert
+The run asserts three gates (see :func:`criteria`): the alert
 timeline fires/resolves in exactly that order with clock-charged
 latencies, the registry's access-time histogram agrees with the
 per-response :class:`~repro.proxy.metrics.AccessMetrics` totals within
@@ -31,41 +31,32 @@ Run with ``python -m repro.harness monitor [--quick]``; writes
 
 from __future__ import annotations
 
-import json
-import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.keys import KeyPair
-from repro.globedoc.element import PageElement
-from repro.globedoc.owner import DocumentOwner
-from repro.globedoc.urls import HybridUrl
-from repro.harness.experiment import ClientStack, Testbed
-from repro.location.service import LocationClient
+from repro.harness.experiment import (
+    SERVICES_HOST,
+    ClientStack,
+    PublishedObject,
+    Testbed,
+)
+from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.naming.records import OidRecord
-from repro.net.address import ContactAddress, Endpoint
+from repro.net.address import Endpoint
 from repro.net.health import ReplicaHealthTracker
 from repro.net.retry import RetryPolicy
-from repro.net.rpc import RpcClient
 from repro.obs import AlertEngine, MetricsRegistry, RateRule, ThresholdRule
 from repro.proxy.contentcache import ContentCache
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
-from repro.revocation.statement import RevocationStatement
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from repro.sim.clock import SimClock
 
 __all__ = [
     "MonitorReport",
     "run_monitor",
+    "criteria",
     "render_monitor",
-    "write_report",
-    "check_report",
-    "REPORT_NAME",
+    "TARGET",
     "CONSISTENCY_TOLERANCE",
 ]
-
-REPORT_NAME = "BENCH_monitor_plane.json"
 
 #: Gate (a): |registry histogram sum / summed AccessMetrics totals - 1|
 #: must stay within this. The proxy observes exactly the totals it
@@ -82,8 +73,6 @@ REPLICA_SITES = {
 }
 
 CLIENT_HOSTS = ("canardo.inria.fr", "ensamble02.cornell.edu")
-
-OWNER_HOST = "sporty.cs.vu.nl"
 
 #: Scrape cadence (simulated seconds): the alert engine evaluates — and
 #: every collector-driven gauge refreshes — on this fixed grid.
@@ -116,6 +105,41 @@ REJECTION_WINDOW = 30.0
 #: that the steady-state workload still exercises the hit path.
 CACHE_TTL = 8.0
 
+#: Every alert transition the run must show, in injection order:
+#: latency key -> (rule, transition, the fault it is measured from,
+#: latency bound). Detection is bounded by one content-cache expiry +
+#: one failed access + one scrape; resolution adds the quarantine
+#: window / poll interval the mechanism waits out.
+ALERT_TRANSITIONS = {
+    "circuit_fire_after_kill": (
+        "replica_circuit_open", "fired_at", "replica_killed_at",
+        CACHE_TTL + 3 * SCRAPE_INTERVAL,
+    ),
+    "circuit_resolve_after_restore": (
+        "replica_circuit_open", "resolved_at", "replica_restored_at",
+        QUARANTINE_SECONDS + 3 * SCRAPE_INTERVAL,
+    ),
+    "staleness_fire_after_feed_kill": (
+        "revocation_staleness_high", "fired_at", "feed_killed_at",
+        STALENESS_WARN + 3 * SCRAPE_INTERVAL,
+    ),
+    "staleness_resolve_after_restore": (
+        "revocation_staleness_high", "resolved_at", "feed_restored_at",
+        MAX_STALENESS / 2.0 + 3 * SCRAPE_INTERVAL,
+    ),
+    "rejections_fire_after_publish": (
+        "revocation_rejections", "fired_at", "revocation_published_at",
+        MAX_STALENESS / 2.0 + 3 * SCRAPE_INTERVAL,
+    ),
+    "rejections_resolve_after_abandon": (
+        "revocation_rejections", "resolved_at", "revoked_doc_abandoned_at",
+        REJECTION_WINDOW + 3 * SCRAPE_INTERVAL,
+    ),
+}
+
+#: Gate: the scrape cadence must have run at least this many times.
+MIN_SCRAPES = 10
+
 DOC_ELEMENTS = {
     "index.html": b"<html><body>monitor-plane workload page</body></html>",
     "logo.gif": b"GIF89a-monitor-bench-bytes",
@@ -134,23 +158,11 @@ class FaultTimes:
     revocation_published_at: float = -1.0
     revoked_doc_abandoned_at: float = -1.0
 
-    def to_dict(self) -> dict:
-        return {
-            "replica_killed_at": self.replica_killed_at,
-            "replica_restored_at": self.replica_restored_at,
-            "feed_killed_at": self.feed_killed_at,
-            "feed_restored_at": self.feed_restored_at,
-            "revocation_published_at": self.revocation_published_at,
-            "revoked_doc_abandoned_at": self.revoked_doc_abandoned_at,
-        }
-
 
 @dataclass
 class MonitorReport:
     """Everything the monitor run measured, as written to JSON."""
 
-    seed: int
-    quick: bool
     scrape_interval: float
     scrapes: int
     rules: List[str]
@@ -180,78 +192,19 @@ class MonitorReport:
 
     def alert_latencies(self) -> Dict[str, Optional[float]]:
         """Clock-charged fire/resolve latencies against the injections."""
-
-        def delta(rule: str, key: str, origin: float) -> Optional[float]:
-            stamp = self.fire_resolve.get(rule, {}).get(key)
-            if stamp is None or origin < 0:
-                return None
-            return stamp - origin
-
-        return {
-            "circuit_fire_after_kill": delta(
-                "replica_circuit_open", "fired_at", self.faults.replica_killed_at
-            ),
-            "circuit_resolve_after_restore": delta(
-                "replica_circuit_open",
-                "resolved_at",
-                self.faults.replica_restored_at,
-            ),
-            "staleness_fire_after_feed_kill": delta(
-                "revocation_staleness_high",
-                "fired_at",
-                self.faults.feed_killed_at,
-            ),
-            "staleness_resolve_after_restore": delta(
-                "revocation_staleness_high",
-                "resolved_at",
-                self.faults.feed_restored_at,
-            ),
-            "rejections_fire_after_publish": delta(
-                "revocation_rejections",
-                "fired_at",
-                self.faults.revocation_published_at,
-            ),
-            "rejections_resolve_after_abandon": delta(
-                "revocation_rejections",
-                "resolved_at",
-                self.faults.revoked_doc_abandoned_at,
-            ),
-        }
+        latencies: Dict[str, Optional[float]] = {}
+        for key, (rule, transition, fault, _) in ALERT_TRANSITIONS.items():
+            stamp = self.fire_resolve.get(rule, {}).get(transition)
+            origin = getattr(self.faults, fault)
+            latencies[key] = None if stamp is None or origin < 0 else stamp - origin
+        return latencies
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "quick": self.quick,
-            "scrape_interval": self.scrape_interval,
-            "scrapes": self.scrapes,
-            "rules": self.rules,
-            "timeline": self.timeline,
-            "fire_resolve": self.fire_resolve,
-            "alert_latencies": self.alert_latencies(),
-            "faults": self.faults.to_dict(),
-            "workload": {
-                "accesses": self.accesses,
-                "ok": self.ok,
-                "rejected": self.rejected,
-                "other_failures": self.other_failures,
-                "request_outcomes": self.request_outcomes,
-            },
-            "consistency": {
-                "harness_access_seconds": self.harness_access_seconds,
-                "registry_access_seconds": self.registry_access_seconds,
-                "registry_access_count": self.registry_access_count,
-                "ratio": self.consistency_ratio,
-                "tolerance": CONSISTENCY_TOLERANCE,
-            },
-            "worst_staleness_seconds": self.worst_staleness_seconds,
-            "worst_serial_lag": self.worst_serial_lag,
-            "idle_scrape": {
-                "text_identical": self.idle_text_identical,
-                "json_identical": self.idle_json_identical,
-            },
-            "series_count": self.series_count,
-            "final_firing": self.final_firing,
-        }
+        return dict(
+            asdict(self),
+            alert_latencies=self.alert_latencies(),
+            consistency_ratio=self.consistency_ratio,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +222,7 @@ class _MonitorWorld:
         self.registry = MetricsRegistry(clock=self.clock)
         self.testbed = Testbed(clock=self.clock, metrics=self.registry)
         self.seed = seed
-        self.servers: Dict[str, ObjectServer] = {}
-        self._handlers: Dict[Endpoint, object] = {}
-        self.owners: Dict[str, DocumentOwner] = {}
+        self.documents: Dict[str, PublishedObject] = {}
         self._publish_documents()
         self.stacks: List[ClientStack] = [
             self._client_stack(host) for host in CLIENT_HOSTS
@@ -291,36 +242,17 @@ class _MonitorWorld:
 
     def _publish_documents(self) -> None:
         testbed = self.testbed
-        admin_rpc = RpcClient(testbed.network.transport_for(OWNER_HOST))
-        for site, host in REPLICA_SITES.items():
-            server = ObjectServer(
-                host=host, site=site, clock=self.clock, metrics=self.registry
-            )
-            self.servers[host] = server
-            handler = server.rpc_server().handle_frame
-            endpoint = Endpoint(host, "objectserver")
-            self._handlers[endpoint] = handler
-            testbed.network.register(endpoint, handler)
         for label in ("healthy", "victim"):
-            owner = DocumentOwner(
-                f"vu.nl/mon-{label}", keys=KeyPair.generate(1024), clock=self.clock
+            owner = testbed.document_owner(f"vu.nl/mon-{label}", DOC_ELEMENTS)
+            published = PublishedObject(
+                owner, owner.publish(validity=7 * 24 * 3600.0), owner.name
             )
-            for name, content in DOC_ELEMENTS.items():
-                owner.put_element(PageElement(name, content))
-            document = owner.publish(validity=7 * 24 * 3600.0)
             for site, host in REPLICA_SITES.items():
-                server = self.servers[host]
-                server.keystore.authorize(owner.name, owner.public_key)
-                admin = AdminClient(
-                    admin_rpc, Endpoint(host, "objectserver"), owner.keys, self.clock
-                )
-                result = admin.create_replica(document)
-                address = ContactAddress.from_dict(result["address"])
-                testbed.location_service.tree.insert(owner.oid.hex, site, address)
+                testbed.add_replica(published, host, site, metrics=self.registry)
             testbed.naming.register(
                 OidRecord(name=owner.name, oid=owner.oid, ttl=7 * 24 * 3600.0)
             )
-            self.owners[label] = owner
+            self.documents[label] = published
 
     def _client_stack(self, host: str) -> ClientStack:
         health = ReplicaHealthTracker(
@@ -410,54 +342,20 @@ class _MonitorWorld:
 
     # -- fault injection ------------------------------------------------
 
-    def kill_endpoint(self, host: str, service: str = "objectserver") -> None:
-        self.testbed.network.unregister(Endpoint(host, service))
+    def kill_server(self, host: str) -> None:
+        """Take *host*'s object server (on ginger: the feed) off the net."""
+        self.testbed.network.unregister(Endpoint(host, "objectserver"))
 
-    def restore_endpoint(self, host: str, service: str = "objectserver") -> None:
-        endpoint = Endpoint(host, service)
-        self.testbed.network.register(endpoint, self._handlers[endpoint])
-
-    def kill_feed(self) -> None:
-        self.testbed.network.unregister(self.testbed.objectserver_endpoint)
-
-    def restore_feed(self) -> None:
+    def restore_server(self, host: str) -> None:
         self.testbed.network.register(
-            self.testbed.objectserver_endpoint,
-            self.testbed.object_server.rpc_server().handle_frame,
+            Endpoint(host, "objectserver"),
+            self.testbed.servers[host].rpc_server().handle_frame,
         )
-
-    def publish_revocation(self) -> float:
-        """Revoke the victim document's key through the owner-side
-        coordinator (feed on ginger only; the replicas never hear)."""
-        owner = self.owners["victim"]
-        statement = RevocationStatement.revoke_key(
-            owner.keys,
-            owner.oid,
-            serial=1,
-            issued_at=self.clock.now(),
-            reason="monitor bench: key compromise",
-        )
-        rpc = RpcClient(self.testbed.network.transport_for(OWNER_HOST))
-        location = LocationClient(
-            rpc,
-            self.testbed.location_endpoint,
-            origin_site="root/europe/vu",
-            clock=self.clock,
-        )
-        coordinator = ReplicationCoordinator(location, metrics=self.registry)
-        admin = AdminClient(
-            rpc, self.testbed.objectserver_endpoint, owner.keys, self.clock
-        )
-        coordinator.add_site(SitePort(site="root/europe/vu", admin=admin))
-        at = self.clock.now()
-        coordinator.publish_revocation(statement)
-        return at
 
     # -- workload -------------------------------------------------------
 
     def _access(self, stack: ClientStack, label: str, element: str) -> None:
-        url = HybridUrl.for_name(self.owners[label].name, element).raw
-        response = stack.proxy.handle(url)
+        response = stack.proxy.handle(self.documents[label].url(element))
         self.counts["accesses"] += 1
         if response.ok:
             self.counts["ok"] += 1
@@ -528,13 +426,13 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
     # Phase 1 — replica kill. The inria client is bound to the inria
     # replica; killing it forces retry → circuit open → failover.
     faults.replica_killed_at = world.clock.now()
-    world.kill_endpoint("canardo.inria.fr")
+    world.kill_server("canardo.inria.fr")
     world.drive(
         30.0,
         stop_when=lambda: engine.state_of("replica_circuit_open") == "firing",
     )
     faults.replica_restored_at = world.clock.now()
-    world.restore_endpoint("canardo.inria.fr")
+    world.restore_server("canardo.inria.fr")
     # Quarantine expiry (+ scrape) resolves the alert: the collector
     # re-reads breaker state, open → half-open once the window passes.
     world.drive(
@@ -545,13 +443,13 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
     # Phase 2 — feed outage: staleness crosses the warning bound but
     # stays inside max_staleness, so nothing fails closed.
     faults.feed_killed_at = world.clock.now()
-    world.kill_feed()
+    world.kill_server(SERVICES_HOST)
     world.drive(
         STALENESS_WARN + 2 * SCRAPE_INTERVAL,
         stop_when=lambda: engine.state_of("revocation_staleness_high") == "firing",
     )
     faults.feed_restored_at = world.clock.now()
-    world.restore_feed()
+    world.restore_server(SERVICES_HOST)
     world.drive(
         3 * SCRAPE_INTERVAL,
         stop_when=lambda: engine.state_of("revocation_staleness_high")
@@ -560,7 +458,10 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
 
     # Phase 3 — key revocation: published to the (restored) feed; the
     # serving replicas never hear of it — client polling contains it.
-    faults.revocation_published_at = world.publish_revocation()
+    faults.revocation_published_at = world.clock.now()
+    world.testbed.publish_revocation(
+        world.documents["victim"].owner, "monitor bench: key compromise"
+    )
     world.drive(
         MAX_STALENESS,
         stop_when=lambda: engine.state_of("revocation_rejections") == "firing",
@@ -586,8 +487,6 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
     snapshot = world.registry.snapshot()
     access_series = snapshot.get("proxy_access_seconds", {}).get("series", [])
     report = MonitorReport(
-        seed=seed,
-        quick=quick,
         scrape_interval=SCRAPE_INTERVAL,
         scrapes=world.scrapes,
         rules=[rule.name for rule in engine.rules],
@@ -625,8 +524,8 @@ def _series_of(snapshot: dict, name: str) -> List[Tuple[dict, float]]:
 # ----------------------------------------------------------------------
 
 
-def check_report(report: MonitorReport) -> List[str]:
-    """CI-gate violations (empty = pass).
+def criteria(report: MonitorReport) -> List[Criterion]:
+    """The CI gates.
 
     * every alert fired exactly when its fault was live and resolved
       afterwards, in injection order (circuit → staleness → rejections);
@@ -638,68 +537,73 @@ def check_report(report: MonitorReport) -> List[str]:
     * nothing is left firing, and the workload saw no failures other
       than the revocation rejections the scenario demands.
     """
-    problems: List[str] = []
-    order = [
-        ("replica_circuit_open", "fired_at"),
-        ("replica_circuit_open", "resolved_at"),
-        ("revocation_staleness_high", "fired_at"),
-        ("revocation_staleness_high", "resolved_at"),
-        ("revocation_rejections", "fired_at"),
-        ("revocation_rejections", "resolved_at"),
+    reached = [
+        (rule, transition, report.fire_resolve.get(rule, {}).get(transition))
+        for rule, transition, _, _ in ALERT_TRANSITIONS.values()
     ]
-    stamps: List[float] = []
-    for rule, key in order:
-        stamp = report.fire_resolve.get(rule, {}).get(key)
-        if stamp is None:
-            problems.append(f"alert {rule} never reached {key}")
-        else:
-            stamps.append(stamp)
-    if len(stamps) == len(order) and stamps != sorted(stamps):
-        problems.append(
-            "alert timeline out of order: "
-            + ", ".join(f"{r}.{k}={s:.1f}" for (r, k), s in zip(order, stamps))
+    out = [
+        gate(
+            f"reached[{rule}.{transition}]", stamp is not None, "==", True,
+            f"alert {rule} never reached {transition}",
         )
-    latencies = report.alert_latencies()
-    bounds = {
-        # Detection: ≤ one content-cache expiry + one failed access +
-        # one scrape; resolution adds the quarantine window / poll
-        # interval the mechanism waits out.
-        "circuit_fire_after_kill": CACHE_TTL + 3 * SCRAPE_INTERVAL,
-        "circuit_resolve_after_restore": QUARANTINE_SECONDS + 3 * SCRAPE_INTERVAL,
-        "staleness_fire_after_feed_kill": STALENESS_WARN + 3 * SCRAPE_INTERVAL,
-        "staleness_resolve_after_restore": MAX_STALENESS / 2.0 + 3 * SCRAPE_INTERVAL,
-        "rejections_fire_after_publish": MAX_STALENESS / 2.0 + 3 * SCRAPE_INTERVAL,
-        "rejections_resolve_after_abandon": REJECTION_WINDOW + 3 * SCRAPE_INTERVAL,
-    }
-    for key, bound in bounds.items():
-        latency = latencies.get(key)
+        for rule, transition, stamp in reached
+    ]
+    stamps = [stamp for _, _, stamp in reached]
+    if None not in stamps:
+        out.append(
+            gate(
+                "timeline_in_order", stamps == sorted(stamps), "==", True,
+                "alert timeline out of order: "
+                + ", ".join(f"{r}.{t}={stamp:.1f}" for r, t, stamp in reached),
+            )
+        )
+    for key, latency in report.alert_latencies().items():
         if latency is None:
             continue  # already reported as a missing transition
-        if latency < 0:
-            problems.append(f"{key}: negative latency {latency:.2f}s")
-        elif latency > bound:
-            problems.append(f"{key}: {latency:.1f}s exceeds bound {bound:.1f}s")
+        bound = ALERT_TRANSITIONS[key][3]
+        out += [
+            gate(
+                f"latency_nonnegative[{key}]", latency, ">=", 0,
+                f"{key}: negative latency {latency:.2f}s",
+            ),
+            gate(
+                f"latency[{key}]", latency, "<=", bound,
+                f"{key}: {latency:.1f}s exceeds bound {bound:.1f}s",
+            ),
+        ]
     ratio = report.consistency_ratio
-    if abs(ratio - 1.0) > CONSISTENCY_TOLERANCE:
-        problems.append(
+    out += [
+        gate(
+            "consistency_drift", abs(ratio - 1.0), "<=", CONSISTENCY_TOLERANCE,
             f"registry/AccessMetrics consistency ratio {ratio:.4f} outside "
-            f"1 ± {CONSISTENCY_TOLERANCE}"
-        )
-    if not report.idle_text_identical:
-        problems.append("idle Prometheus-text scrapes differ")
-    if not report.idle_json_identical:
-        problems.append("idle JSON snapshots differ")
-    if report.final_firing:
-        problems.append(f"alerts still firing at end of run: {report.final_firing}")
-    if report.rejected <= 0:
-        problems.append("scenario produced no revocation rejections")
-    if report.other_failures:
-        problems.append(
-            f"{report.other_failures} non-revocation failures in the workload"
-        )
-    if report.scrapes < 10:
-        problems.append(f"only {report.scrapes} scrapes — cadence did not run")
-    return problems
+            f"1 ± {CONSISTENCY_TOLERANCE}",
+        ),
+        gate(
+            "idle_text_identical", report.idle_text_identical, "==", True,
+            "idle Prometheus-text scrapes differ",
+        ),
+        gate(
+            "idle_json_identical", report.idle_json_identical, "==", True,
+            "idle JSON snapshots differ",
+        ),
+        gate(
+            "final_firing", report.final_firing, "==", [],
+            f"alerts still firing at end of run: {report.final_firing}",
+        ),
+        gate(
+            "rejected", report.rejected, ">", 0,
+            "scenario produced no revocation rejections",
+        ),
+        gate(
+            "other_failures", report.other_failures, "==", 0,
+            f"{report.other_failures} non-revocation failures in the workload",
+        ),
+        gate(
+            "scrapes", report.scrapes, ">=", MIN_SCRAPES,
+            f"only {report.scrapes} scrapes — cadence did not run",
+        ),
+    ]
+    return out
 
 
 def render_monitor(report: MonitorReport) -> str:
@@ -736,5 +640,6 @@ def render_monitor(report: MonitorReport) -> str:
     )
 
 
-def write_report(report: MonitorReport, path: pathlib.Path) -> None:
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+TARGET = BenchTarget(
+    "monitor", "BENCH_monitor_plane.json", run_monitor, criteria, render_monitor
+)

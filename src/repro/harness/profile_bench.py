@@ -1,16 +1,14 @@
 """Profile bench: cross-process causal traces, critical paths, SLOs.
 
-Where ``python -m repro.harness trace`` shares **one** tracer across
-the whole testbed (a single process's view), this harness gives every
-simulated process its own tracer — the ginger services, a peer object
-server at INRIA, and each client proxy — so the only thing holding a
-trace together is the propagated trace context in the RPC envelopes.
-That is exactly the paper's measurement problem at fleet scale: the
-Fig. 4 "timers in various parts of the proxy and server code" only
-compose into one end-to-end picture if the server's work can be causally
-attributed to the client access that caused it.
+Every simulated process has its own tracer — the ginger services, a peer
+object server at INRIA, and each client proxy — so the only thing
+holding a trace together is the propagated trace context in the RPC
+envelopes. That is exactly the paper's measurement problem at fleet
+scale: the Fig. 4 "timers in various parts of the proxy and server code"
+only compose into one end-to-end picture if the server's work can be
+causally attributed to the client access that caused it.
 
-The workload mixes the three traffic classes of a live GlobeDoc fleet:
+The workload mixes the traffic classes of a live GlobeDoc fleet:
 
 * **reads** — honest proxy accesses (verification fast path + content
   cache) from the Amsterdam client;
@@ -24,31 +22,47 @@ The workload mixes the three traffic classes of a live GlobeDoc fleet:
 * **SLO breach + recovery** — a lossy-transport phase whose retry
   backoff pushes accesses over the latency objective, driving the
   fast burn-rate alert through pending → firing → resolved once the
-  fault clears and the window drains.
+  fault clears and the window drains;
+* **adversarial probes** — one per violated security property
+  (authenticity, consistency, freshness), each expected to close the
+  responsible ``check.*`` span with error status.
+
+A separate **pipeline comparison** replays the document through the
+sequential and the concurrent access pipeline (one shared tracer each)
+and attributes every ``rpc.attempt`` to the ``proxy.handle`` it blocked.
 
 ``BENCH_profile.json`` records the stitching health (cross-process
 stitch rate must be 1.0 — every server/gossip span reachable from its
-client root), the critical-path attribution per cost category (must sum
-to each trace's duration within 1%), critical-path p50/p99, the top-5
-hottest span families, and the SLO verdicts with the alert timeline.
+client root), the per-span-name latency table, the critical-path
+attribution per cost category (must sum to each trace's duration within
+1%), critical-path p50/p99, the top-5 hottest span families, the SLO
+verdicts with the alert timeline, the census of which check rejected
+what, a consistency cross-check (the sim clock only advances inside
+timer phases, bar the content cache's own ~1 % lookup charge, so the
+summed ``proxy.handle`` span time must equal the summed end-to-end
+:class:`~repro.proxy.metrics.AccessMetrics` totals) and the
+pipelined-vs-sequential in-handle ``rpc.attempt`` share.
 
 Run with ``python -m repro.harness profile [--quick]``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import shutil
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.attacks.adversary import AttackOutcome, run_attack_probe
+from repro.attacks.malicious_server import (
+    ElementSwapBehavior,
+    MaliciousReplica,
+    TamperBehavior,
+)
 from repro.crypto.keys import KeyPair
 from repro.crypto.verifycache import VerificationCache
-from repro.globedoc.element import PageElement
 from repro.globedoc.oid import ObjectId
-from repro.globedoc.owner import DocumentOwner
-from repro.harness.experiment import HOST_SITE, SERVICES_HOST, Testbed
+from repro.harness.experiment import HOST_SITE, SERVICES_HOST, ClientStack, Testbed
+from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.net.address import Endpoint
 from repro.net.faults import FaultPlan, FlakyTransport
 from repro.net.retry import RetryPolicy
@@ -60,12 +74,14 @@ from repro.obs import (
     MetricsRegistry,
     RingBufferSink,
     SloPlane,
+    SpanStats,
     Tracer,
     TraceAssembler,
 )
 from repro.obs.alerts import STATE_FIRING, STATE_PENDING, STATE_RESOLVED
 from repro.obs.slo import AvailabilityObjective, BurnWindow
 from repro.proxy.contentcache import ContentCache
+from repro.proxy.pipeline import PipelineConfig
 from repro.server.objectserver import ObjectServer
 from repro.sim.clock import SimClock
 from repro.sim.random import derive_seed
@@ -73,14 +89,12 @@ from repro.versioning import DeltaDag, SignedDelta, WriterGrant
 from repro.versioning.writer import DocumentWriter
 
 __all__ = [
-    "REPORT_NAME",
     "run_profile",
-    "check_report",
+    "run_pipeline_comparison",
+    "criteria",
     "render_profile",
-    "write_report",
+    "TARGET",
 ]
-
-REPORT_NAME = "BENCH_profile.json"
 
 READ_HOST = "sporty.cs.vu.nl"
 WRITER_HOST = "ensamble02.cornell.edu"
@@ -100,12 +114,23 @@ ALLOWED_ROOTS = frozenset(
     {"proxy.handle", "session.publish", "gossip.run", "revocation.refresh"}
 )
 
-#: Span families the mixed workload must produce somewhere in the fleet.
+#: Span families the mixed workload must produce somewhere in the fleet
+#: — one per instrumented pipeline layer, plus the server-side families
+#: that only a stitched trace can attribute. A missing name means an
+#: instrumentation point was unplugged.
 EXPECTED_SPANS = (
     "proxy.handle",
+    "session.establish",
+    "session.fetch",
+    "bind.resolve",
+    "bind.locate",
+    "check.public_key",
     "check.certificate",
+    "check.consistency",
     "check.element_hash",
+    "check.freshness",
     "cache.get",
+    "cache.put",
     "rpc.call",
     "server.handle",
     "gossip.run",
@@ -113,6 +138,21 @@ EXPECTED_SPANS = (
     "storage.journal",
     "revocation.refresh",
 )
+
+#: Spans only the concurrent pipeline produces.
+PIPELINE_SPANS = ("pipeline.schedule", "pipeline.prefetch", "pipeline.batch_verify")
+
+#: Adversarial probes: every violated property must be rejected by its
+#: own check's span (name → expected error type).
+EXPECTED_REJECTIONS = {
+    "check.element_hash": "AuthenticityError",
+    "check.consistency": "ConsistencyError",
+    "check.freshness": "FreshnessError",
+}
+
+#: Summed ``proxy.handle`` span time vs summed AccessMetrics totals must
+#: agree to this relative tolerance.
+SPAN_CONSISTENCY_TOLERANCE = 0.05
 
 #: Cost categories the critical-path aggregate must cover.
 EXPECTED_CATEGORIES = ("cache", "crypto", "merge", "proxy", "rpc", "storage")
@@ -128,19 +168,15 @@ LATENCY_THRESHOLD_S = 0.25
 
 SESSION_DROP_EVERY = 6
 
-
-def _tracer(clock: SimClock, origin: str, rings: Dict[str, RingBufferSink]) -> Tracer:
-    """One per-process tracer; its ring is registered under *origin*
-    but only attached (traced) once the workload starts."""
-    rings[origin] = RingBufferSink(capacity=65536)
-    return Tracer(clock=clock, origin=origin)
-
-
-def _attach_sinks(tracers: Dict[str, Tracer], rings: Dict[str, RingBufferSink]) -> None:
-    """Start recording: setup spans (publish, grants) stay untraced so
-    every recorded root belongs to the workload."""
-    for origin, tracer in tracers.items():
-        tracer.add_sink(rings[origin])
+#: The simulated processes, one tracer each.
+PROCESSES = (
+    "server-ginger",
+    "server-inria",
+    "proxy-sporty",
+    "proxy-inria",
+    "proxy-cornell",
+    "writer-cornell",
+)
 
 
 def run_profile(quick: bool = False, seed: int = 0) -> dict:
@@ -162,13 +198,11 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     clock = SimClock()
     clock.advance(100.0)
     metrics = MetricsRegistry(clock=clock)
-    rings: Dict[str, RingBufferSink] = {}
-    tracers: Dict[str, Tracer] = {}
-    tracers["server-ginger"] = _tracer(clock, "server-ginger", rings)
-    tracers["server-inria"] = _tracer(clock, "server-inria", rings)
-    tracers["proxy-sporty"] = _tracer(clock, "proxy-sporty", rings)
-    tracers["writer-cornell"] = _tracer(clock, "writer-cornell", rings)
-    tracers["proxy-cornell"] = _tracer(clock, "proxy-cornell", rings)
+    # One tracer and one ring per simulated process; one SpanStats over
+    # all of them for the per-name table and the rejection census.
+    tracers = {origin: Tracer(clock=clock, origin=origin) for origin in PROCESSES}
+    rings = {origin: RingBufferSink(capacity=65536) for origin in PROCESSES}
+    stats = SpanStats()
 
     # ---------------------------------------------------------- testbed
     # data_dir turns on durable versioning journaling, so delta
@@ -195,12 +229,19 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         Endpoint(PEER_HOST, "objectserver"), peer_server.rpc_server().handle_frame
     )
 
-    owner = DocumentOwner(
-        "vu.nl/profile", keys=KeyPair.generate(1024), clock=clock
+    published = testbed.publish(
+        testbed.document_owner("vu.nl/profile", ELEMENTS), validity=7 * 24 * 3600.0
     )
-    for element_name, content in ELEMENTS.items():
-        owner.put_element(PageElement(element_name, content))
-    published = testbed.publish(owner, validity=7 * 24 * 3600.0)
+    # The freshness probe's document: one element entry lapses a minute
+    # from now (the certificate itself stays valid); the probe runs
+    # after the recovery phase, many simulated minutes later.
+    stale = testbed.publish(
+        testbed.document_owner(
+            "vu.nl/profile-stale", {"index.html": ELEMENTS["index.html"]}
+        ),
+        validity=7 * 24 * 3600.0,
+        per_element_expiry={"index.html": clock.now() + 60.0},
+    )
 
     # Versioned object + grants on both servers (setup, untraced).
     owner_keys = KeyPair.generate(1024)
@@ -244,8 +285,20 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         slow=None,
     )
 
-    _attach_sinks(tracers, rings)  # ---- recording starts here ----
+    # Recording starts here: setup spans (publish, grants) stay untraced
+    # so every recorded root belongs to the workload.
+    for origin, tracer in tracers.items():
+        tracer.add_sink(rings[origin])
+        tracer.add_sink(stats)
     workload: Dict[str, object] = {}
+    access_seconds = 0.0  # summed AccessMetrics totals (consistency gate)
+
+    def access(stack: ClientStack, url: str) -> bool:
+        nonlocal access_seconds
+        response = stack.proxy.handle(url)
+        if response.metrics is not None:
+            access_seconds += response.metrics.total
+        return response.ok
 
     # ------------------------------------------------------------ reads
     read_stack = testbed.client_stack(
@@ -265,7 +318,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     for i in range(reads):
         if i % SESSION_DROP_EVERY == 0:
             read_stack.proxy.drop_all_sessions()
-        if read_stack.proxy.handle(published.url(names[i % len(names)])).ok:
+        if access(read_stack, published.url(names[i % len(names)])):
             read_ok += 1
         if i % 8 == 0:
             engine.evaluate()
@@ -376,7 +429,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     for i in range(breach_requests):
         if i % SESSION_DROP_EVERY == 0:
             breach_stack.proxy.drop_all_sessions()
-        if breach_stack.proxy.handle(published.url(names[i % len(names)])).ok:
+        if access(breach_stack, published.url(names[i % len(names)])):
             breach_ok += 1
         if i % 4 == 3:
             engine.evaluate()
@@ -387,7 +440,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     # burn windows to drain their bad samples.
     recovery_ok = 0
     for i in range(recovery_requests):
-        if read_stack.proxy.handle(published.url(names[i % len(names)])).ok:
+        if access(read_stack, published.url(names[i % len(names)])):
             recovery_ok += 1
         clock.advance(10.0)
         engine.evaluate()
@@ -396,6 +449,43 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         engine.evaluate()
     workload["recovery_requests"] = recovery_requests
     workload["recovery_ok"] = recovery_ok
+
+    # ------------------------------------------------ adversarial probes
+    # Last, because from here on malicious replicas hijack the INRIA and
+    # Cornell lookup rings for the profiled document: a tampering
+    # replica at the Paris client's own site (authenticity), an
+    # element-swapping one at Cornell's (consistency), then the stale
+    # element entry published at setup (freshness).
+    for host, behavior in (
+        (PEER_HOST, TamperBehavior(target="index.html")),
+        (
+            BREACH_HOST,
+            ElementSwapBehavior(when_asked_for="index.html", serve_instead="style.css"),
+        ),
+    ):
+        evil = MaliciousReplica(
+            host=host, document=published.document, behavior=behavior, service="evil"
+        )
+        testbed.network.register(evil.endpoint, evil.rpc_server().handle_frame)
+        testbed.location_service.tree.insert(
+            published.oid_hex, HOST_SITE[host], evil.contact_address()
+        )
+    probes: Dict[str, str] = {}
+    for label, host, origin, url in (
+        ("tamper", PEER_HOST, "proxy-inria", published.url("index.html")),
+        ("element_swap", BREACH_HOST, "proxy-cornell", published.url("index.html")),
+        ("stale_element", READ_HOST, "proxy-sporty", stale.url("index.html")),
+    ):
+        stack = testbed.client_stack(host, max_rebinds=0, tracer=tracers[origin])
+        result = run_attack_probe(stack.proxy, url, ELEMENTS["index.html"])
+        probes[label] = (
+            result.failure_type
+            if result.outcome is AttackOutcome.DETECTED
+            else str(result.outcome)
+        )
+        if result.response.metrics is not None:
+            access_seconds += result.response.metrics.total
+    workload["probes"] = probes
 
     # --------------------------------------------------------- assemble
     assembler = TraceAssembler()
@@ -407,10 +497,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
 
     root_names: Dict[str, int] = {}
     bad_roots: List[str] = []
-    span_names: Dict[str, int] = {}
     for trace in traces:
-        for span in trace.spans:
-            span_names[span.name] = span_names.get(span.name, 0) + 1
         for root in trace.roots:
             root_names[root.name] = root_names.get(root.name, 0) + 1
             if root.name not in ALLOWED_ROOTS:
@@ -426,25 +513,141 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
                 trace_profile.attribution_error / trace_profile.duration,
             )
 
+    phases = stats.stats()
+    span_seconds = phases.get("proxy.handle", {}).get("total_s", 0.0)
     report = {
-        "name": "profile",
-        "quick": quick,
-        "seed": seed,
         "workload": workload,
         "stitching": stitching,
         "roots": root_names,
         "bad_roots": bad_roots,
-        "span_names": span_names,
+        "phases": phases,
         "profile": profiler.aggregate(top=5),
         "max_relative_attribution_error": max_rel_error,
         "slo": slo.report(),
         "latency_compliance": latency.compliance(metrics),
         "alert_evaluations": engine.evaluations,
+        "security_rejections": stats.error_census("check."),
+        "consistency": {
+            "span_total_s": span_seconds,
+            "metrics_total_s": access_seconds,
+            "ratio": span_seconds / access_seconds if access_seconds else 0.0,
+        },
+        "pipeline_comparison": run_pipeline_comparison(quick=quick, seed=seed),
     }
     peer_server.close()
     testbed.close_stores()
-    report["criteria"] = {"problems": check_report(report)}
     return report
+
+
+# ----------------------------------------------------------------------
+# Pipeline comparison (sequential vs concurrent, one shared tracer each)
+# ----------------------------------------------------------------------
+
+
+def _attempt_share(ring: RingBufferSink) -> Dict[str, float]:
+    """How much ``rpc.attempt`` time sits *inside* ``proxy.handle``.
+
+    Spans carry parent links, so each attempt can be attributed: an
+    attempt whose ancestor chain reaches ``proxy.handle`` blocked an
+    access being served; one under ``pipeline.schedule``'s prefetch ran
+    off the serving path. The *share* is in-handle attempt time over
+    total handle time — the fraction of request handling spent waiting
+    on the wire, which is exactly what the concurrent pipeline exists to
+    shrink.
+    """
+    spans = ring.spans
+    by_id = {span.span_id: span for span in spans}
+    handle_total = 0.0
+    attempt_total = 0.0
+    attempt_in_handle = 0.0
+    for span in spans:
+        if span.name == "proxy.handle":
+            handle_total += span.duration
+        elif span.name == "rpc.attempt":
+            attempt_total += span.duration
+            parent = span.parent_id
+            while parent is not None:
+                ancestor = by_id.get(parent)
+                if ancestor is None:
+                    break
+                if ancestor.name == "proxy.handle":
+                    attempt_in_handle += span.duration
+                    break
+                parent = ancestor.parent_id
+    return {
+        "handle_total_s": handle_total,
+        "rpc_attempt_total_s": attempt_total,
+        "rpc_attempt_in_handle_s": attempt_in_handle,
+        "rpc_attempt_share": (
+            attempt_in_handle / handle_total if handle_total else 0.0
+        ),
+    }
+
+
+def _run_pipeline_mode(pipelined: bool, waves: int, seed: int) -> Dict[str, object]:
+    """One mode of the pipeline comparison: same document, same waves,
+    fresh testbed/clock/tracer, retry layer enabled in both."""
+    ring = RingBufferSink(capacity=8192)
+    stats = SpanStats()
+    clock = SimClock()
+    tracer = Tracer(clock=clock, sinks=(ring, stats))
+    testbed = Testbed(clock=clock, tracer=tracer)
+    published = testbed.publish(
+        testbed.document_owner("vu.nl/profile-pipe", ELEMENTS),
+        validity=7 * 24 * 3600.0,
+    )
+    stack = testbed.client_stack(
+        READ_HOST,
+        verification_cache=VerificationCache(),
+        retry_policy=RetryPolicy(
+            max_attempts=3, base_delay=0.02, seed=derive_seed(seed, "pipe-retry")
+        ),
+        tracer=tracer,
+        pipeline=PipelineConfig() if pipelined else None,
+    )
+    urls = [published.url(name) for name in ELEMENTS]
+    ok = 0
+    start = clock.now()
+    for _ in range(waves):
+        responses = stack.proxy.handle_many(urls)
+        ok += sum(1 for response in responses if response.ok)
+        stack.proxy.drop_all_sessions()
+    elapsed = clock.now() - start
+    phases = stats.stats()
+    result: Dict[str, object] = {
+        "pipelined": pipelined,
+        "requests": waves * len(urls),
+        "ok": ok,
+        "elapsed_s": elapsed,
+        "pipeline_spans": {
+            name: phases[name]["count"] for name in PIPELINE_SPANS if name in phases
+        },
+    }
+    result.update(_attempt_share(ring))
+    return result
+
+
+def run_pipeline_comparison(quick: bool = False, seed: int = 0) -> Dict[str, object]:
+    """Sequential vs concurrent pipeline over the profiled document."""
+    waves = 3 if quick else 6
+    sequential = _run_pipeline_mode(pipelined=False, waves=waves, seed=seed)
+    pipelined = _run_pipeline_mode(pipelined=True, waves=waves, seed=seed)
+    return {
+        "waves": waves,
+        "requests_per_wave": len(ELEMENTS),
+        "sequential": sequential,
+        "pipelined": pipelined,
+        "speedup": (
+            sequential["elapsed_s"] / pipelined["elapsed_s"]
+            if pipelined["elapsed_s"]
+            else float("inf")
+        ),
+    }
+
+
+# ----------------------------------------------------------------------
+# Gates / rendering
+# ----------------------------------------------------------------------
 
 
 def _lifecycle_complete(timeline: List[dict], rule: str) -> bool:
@@ -462,75 +665,163 @@ def _lifecycle_complete(timeline: List[dict], rule: str) -> bool:
     return False
 
 
-def check_report(report: dict) -> List[str]:
-    """CI-gate violations (empty = pass)."""
-    problems: List[str] = []
-    workload = report.get("workload", {})
+def criteria(report: dict) -> List[Criterion]:
+    """The CI gates: workload health, stitching, span coverage,
+    critical-path attribution, the SLO lifecycle, the rejection census,
+    span/metrics consistency and the pipeline comparison."""
+    workload = report["workload"]
+    out: List[Criterion] = []
     for phase, ok_key in (("reads", "read_ok"), ("recovery_requests", "recovery_ok")):
-        if workload.get(ok_key) != workload.get(phase):
-            problems.append(
-                f"{phase} degraded: {workload.get(ok_key)}/{workload.get(phase)} ok"
+        out.append(
+            gate(
+                f"{phase}_ok", workload[ok_key], "==", workload[phase],
+                f"{phase} degraded: {workload[ok_key]}/{workload[phase]} ok",
             )
-    if not workload.get("converged"):
-        problems.append("servers did not converge after gossip")
-    if workload.get("gossip_pulled", 0) + workload.get("gossip_pushed", 0) == 0:
-        problems.append("gossip exchanged no deltas")
-
-    stitching = report.get("stitching", {})
-    if stitching.get("stitch_rate") != 1.0:
-        problems.append(
-            f"cross-process stitch rate {stitching.get('stitch_rate')} != 1.0 "
-            f"({stitching.get('orphan_spans')} orphan spans)"
         )
+    out += [
+        gate(
+            "converged", bool(workload["converged"]), "==", True,
+            "servers did not converge after gossip",
+        ),
+        gate(
+            "gossip_exchanged",
+            workload["gossip_pulled"] + workload["gossip_pushed"], ">", 0,
+            "gossip exchanged no deltas",
+        ),
+    ]
+
+    stitching = report["stitching"]
+    out.append(
+        gate(
+            "stitch_rate", stitching["stitch_rate"], "==", 1.0,
+            f"cross-process stitch rate {stitching['stitch_rate']} != 1.0 "
+            f"({stitching['orphan_spans']} orphan spans)",
+        )
+    )
     for key in ("orphan_spans", "skewed_spans", "spans_dropped", "duplicate_refs"):
-        if stitching.get(key, 0):
-            problems.append(f"{key} = {stitching.get(key)} (expected 0)")
-    if not stitching.get("cross_process_spans"):
-        problems.append("no spans were adopted across processes")
-    if not stitching.get("cross_process_traces"):
-        problems.append("no trace spanned more than one process")
-    if report.get("bad_roots"):
-        problems.append(
+        out.append(
+            gate(key, stitching[key], "==", 0, f"{key} = {stitching[key]} (expected 0)")
+        )
+    out += [
+        gate(
+            "cross_process_spans", stitching["cross_process_spans"], ">", 0,
+            "no spans were adopted across processes",
+        ),
+        gate(
+            "cross_process_traces", stitching["cross_process_traces"], ">", 0,
+            "no trace spanned more than one process",
+        ),
+        gate(
+            "bad_roots", report["bad_roots"], "==", [],
             "server/gossip spans surfaced as trace roots instead of joining "
-            f"their causing trace: {report['bad_roots'][:5]}"
-        )
+            f"their causing trace: {report['bad_roots'][:5]}",
+        ),
+    ]
 
-    span_names = report.get("span_names", {})
+    phases = report["phases"]
     for name in EXPECTED_SPANS:
-        if not span_names.get(name):
-            problems.append(f"no {name!r} spans recorded")
+        count = phases.get(name, {}).get("count", 0)
+        out.append(gate(f"spans[{name}]", count, ">", 0, f"no {name!r} spans recorded"))
 
-    profile = report.get("profile", {})
-    if not profile.get("traces_profiled"):
-        problems.append("no traces were profiled")
-    if profile.get("rootless_traces"):
-        problems.append(f"{profile['rootless_traces']} traces had no unique root")
-    rel_error = report.get("max_relative_attribution_error", 1.0)
-    if rel_error > ATTRIBUTION_TOLERANCE:
-        problems.append(
+    profile = report["profile"]
+    rel_error = report["max_relative_attribution_error"]
+    out += [
+        gate(
+            "traces_profiled", profile["traces_profiled"], ">", 0,
+            "no traces were profiled",
+        ),
+        gate(
+            "rootless_traces", profile["rootless_traces"], "==", 0,
+            f"{profile['rootless_traces']} traces had no unique root",
+        ),
+        gate(
+            "attribution_error", rel_error, "<=", ATTRIBUTION_TOLERANCE,
             f"category attribution missed trace duration by {rel_error:.4%} "
-            f"(tolerance {ATTRIBUTION_TOLERANCE:.0%})"
-        )
-    categories = profile.get("categories", {})
+            f"(tolerance {ATTRIBUTION_TOLERANCE:.0%})",
+        ),
+    ]
     for category in EXPECTED_CATEGORIES:
-        if category not in categories:
-            problems.append(f"no critical-path time attributed to {category!r}")
-    if len(profile.get("hottest", [])) < 5:
-        problems.append(
-            f"fewer than 5 hot span families: {len(profile.get('hottest', []))}"
+        out.append(
+            gate(
+                f"category[{category}]", category in profile["categories"], "==", True,
+                f"no critical-path time attributed to {category!r}",
+            )
         )
+    hottest = len(profile["hottest"])
+    out.append(
+        gate("hottest", hottest, ">=", 5, f"fewer than 5 hot span families: {hottest}")
+    )
 
-    slo = report.get("slo", {})
-    timeline = slo.get("alert_timeline", [])
-    if not _lifecycle_complete(timeline, "access_latency:fast_burn"):
-        problems.append(
+    slo = report["slo"]
+    out += [
+        gate(
+            "fast_burn_lifecycle",
+            _lifecycle_complete(slo["alert_timeline"], "access_latency:fast_burn"),
+            "==", True,
             "seeded SLO breach did not drive access_latency:fast_burn through "
-            "pending → firing → resolved"
+            "pending → firing → resolved",
+        ),
+        gate(
+            "latency_objective_reported",
+            "access_latency" in {v["objective"] for v in slo["objectives"]}, "==", True,
+            "latency objective missing from SLO verdicts",
+        ),
+    ]
+
+    rejections = report["security_rejections"]
+    for span_name, error_type in EXPECTED_REJECTIONS.items():
+        out.append(
+            gate(
+                f"rejection[{span_name}]",
+                error_type in rejections.get(span_name, {}), "==", True,
+                f"expected {span_name!r} to reject with {error_type}, "
+                f"got {rejections.get(span_name)}",
+            )
         )
-    verdicts = {v["objective"]: v for v in slo.get("objectives", [])}
-    if "access_latency" not in verdicts:
-        problems.append("latency objective missing from SLO verdicts")
-    return problems
+    ratio = report["consistency"]["ratio"]
+    out.append(
+        gate(
+            "span_consistency_drift",
+            abs(ratio - 1.0), "<=", SPAN_CONSISTENCY_TOLERANCE,
+            f"span/metrics consistency ratio {ratio:.4f} outside "
+            f"1 ± {SPAN_CONSISTENCY_TOLERANCE}",
+        )
+    )
+
+    sequential = report["pipeline_comparison"]["sequential"]
+    pipelined = report["pipeline_comparison"]["pipelined"]
+    for label, mode in (("sequential", sequential), ("pipelined", pipelined)):
+        out.append(
+            gate(
+                f"pipeline_ok[{label}]", mode["ok"], "==", mode["requests"],
+                f"pipeline-comparison workload degraded "
+                f"({label}: {mode['ok']}/{mode['requests']} ok)",
+            )
+        )
+    out += [
+        gate(
+            "pipelined_attempt_share",
+            pipelined["rpc_attempt_share"], "<", sequential["rpc_attempt_share"],
+            "pipelined rpc.attempt share of proxy.handle did not shrink: "
+            f"{pipelined['rpc_attempt_share']:.3f} vs sequential "
+            f"{sequential['rpc_attempt_share']:.3f}",
+        ),
+        gate(
+            "pipelined_elapsed_s",
+            pipelined["elapsed_s"], "<=", sequential["elapsed_s"],
+            "pipelined workload slower than sequential: "
+            f"{pipelined['elapsed_s']:.3f} s vs {sequential['elapsed_s']:.3f} s",
+        ),
+    ]
+    for name in PIPELINE_SPANS:
+        out.append(
+            gate(
+                f"pipelined_spans[{name}]",
+                pipelined["pipeline_spans"].get(name, 0), ">", 0,
+                f"no {name!r} spans recorded in pipelined mode",
+            )
+        )
+    return out
 
 
 def render_profile(report: dict) -> str:
@@ -564,6 +855,26 @@ def render_profile(report: dict) -> str:
         f"{stitching['cross_process_spans']} cross-process spans over "
         f"{stitching['traces']} traces ({stitching['orphan_spans']} orphans)"
     )
+    lines.append("security rejections:")
+    for span_name, census in sorted(report["security_rejections"].items()):
+        for error_type, count in sorted(census.items()):
+            lines.append(f"  {span_name}: {error_type} x{count}")
+    consistency = report["consistency"]
+    lines.append(
+        f"consistency: span {consistency['span_total_s']:.3f} s vs "
+        f"metrics {consistency['metrics_total_s']:.3f} s "
+        f"(ratio {consistency['ratio']:.4f})"
+    )
+    comparison = report["pipeline_comparison"]
+    lines.append("pipeline comparison (same waves, retry on, simulated time):")
+    for label in ("sequential", "pipelined"):
+        mode = comparison[label]
+        lines.append(
+            f"  {label:<11}{mode['elapsed_s']:8.3f} s elapsed,"
+            f" rpc.attempt in-handle share {mode['rpc_attempt_share']:.3f}"
+            f" ({mode['ok']}/{mode['requests']} ok)"
+        )
+    lines.append(f"  speedup: {comparison['speedup']:.2f}x")
     for verdict in report["slo"]["objectives"]:
         states = ", ".join(
             f"{rule.split(':')[-1]}={state}"
@@ -577,5 +888,6 @@ def render_profile(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, path: pathlib.Path) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+TARGET = BenchTarget(
+    "profile", "BENCH_profile.json", run_profile, criteria, render_profile
+)

@@ -31,9 +31,7 @@ Run with ``python -m repro.harness recovery [--quick]``; writes
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import shutil
 import tempfile
 import time
@@ -42,9 +40,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import FeedRegressionError, RecoveryIntegrityError, TransportError
-from repro.globedoc.element import PageElement
-from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
+from repro.harness.kernel import BenchTarget, Criterion, gate, verdict
 from repro.revocation.checker import RevocationChecker
 from repro.revocation.feed import RevocationFeed
 from repro.revocation.statement import RevocationStatement
@@ -58,13 +55,11 @@ __all__ = [
     "TamperFailClosed",
     "RecoveryReport",
     "run_recovery",
+    "deface_wal",
+    "criteria",
     "render_recovery",
-    "write_report",
-    "check_report",
-    "REPORT_NAME",
+    "TARGET",
 ]
-
-REPORT_NAME = "BENCH_recovery.json"
 
 MAX_STALENESS = 60.0
 
@@ -127,22 +122,13 @@ class TamperFailClosed:
 class RecoveryReport:
     """Everything the CI gate and the bench-report digest consume."""
 
-    seed: int
-    quick: bool
     replica: ReplicaRecovery = field(default_factory=ReplicaRecovery)
     revocation: RevocationResume = field(default_factory=RevocationResume)
     torn: TornTail = field(default_factory=TornTail)
     tamper: TamperFailClosed = field(default_factory=TamperFailClosed)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "quick": self.quick,
-            "replica_recovery": asdict(self.replica),
-            "revocation_resume": asdict(self.revocation),
-            "torn_tail": asdict(self.torn),
-            "tamper_fail_closed": asdict(self.tamper),
-        }
+        return asdict(self)
 
 
 # ----------------------------------------------------------------------
@@ -165,10 +151,9 @@ def _documents(quick: bool, seed: int) -> Dict[str, Dict[str, bytes]]:
 
 def _populate(testbed: Testbed, contents: Dict[str, Dict[str, bytes]]) -> None:
     for name, elements in contents.items():
-        owner = DocumentOwner(name, keys=_keys(), clock=testbed.clock)
-        for element_name, content in elements.items():
-            owner.put_element(PageElement(element_name, content))
-        testbed.publish(owner, validity=7 * 24 * 3600.0)
+        testbed.publish(
+            testbed.document_owner(name, elements), validity=7 * 24 * 3600.0
+        )
 
 
 def _keys():
@@ -177,13 +162,16 @@ def _keys():
     return KeyPair.generate(1024)
 
 
-def _restart(testbed: Testbed, data_dir: str) -> Testbed:
+def _restart(testbed: Testbed, data_dir: str, damage=None) -> Testbed:
     """The kill/restart primitive: close the stores, rebuild the world
     from nothing but the directory (clock and zone keys are the
-    operator's configuration and survive out of band)."""
+    operator's configuration and survive out of band). ``damage()``, if
+    given, is what happens to the directory while the world is down."""
     zone_keys = testbed.zone_keys
     clock = testbed.clock
     testbed.close_stores()
+    if damage is not None:
+        damage()
     return Testbed(
         clock=clock, data_dir=data_dir, storage_sync=False, zone_keys=zone_keys
     )
@@ -378,21 +366,14 @@ def _run_torn_tail(quick: bool, seed: int, data_dir: str) -> TornTail:
     contents = _documents(quick, seed + 2000)
     testbed = Testbed(data_dir=data_dir, storage_sync=False)
     _populate(testbed, contents)
-    testbed.close_stores()
 
-    # The crash mid-append: half a frame lands after the valid log.
-    wal_path = os.path.join(data_dir, "objectserver", "server", "wal.log")
-    garbage = FRAME_HEADER.pack(4096, 0xDEADBEEF) + b"\x17" * 100
-    with open(wal_path, "ab") as fh:
-        fh.write(garbage)
+    def tear() -> None:
+        # The crash mid-append: half a frame lands after the valid log.
+        wal_path = os.path.join(data_dir, "objectserver", "server", "wal.log")
+        with open(wal_path, "ab") as fh:
+            fh.write(FRAME_HEADER.pack(4096, 0xDEADBEEF) + b"\x17" * 100)
 
-    zone_keys = testbed.zone_keys
-    testbed = Testbed(
-        clock=testbed.clock,
-        data_dir=data_dir,
-        storage_sync=False,
-        zone_keys=zone_keys,
-    )
+    testbed = _restart(testbed, data_dir, damage=tear)
     result = TornTail(
         torn_bytes_dropped=testbed.object_server.state_store.store.wal.torn_bytes_dropped,
         recovered_replicas=testbed.object_server.recovered_replicas,
@@ -410,42 +391,64 @@ def _run_torn_tail(quick: bool, seed: int, data_dir: str) -> TornTail:
 # ----------------------------------------------------------------------
 
 
-def _run_tamper(seed: int, data_dir: str) -> TamperFailClosed:
-    contents = _documents(True, seed + 3000)
-    testbed = Testbed(data_dir=data_dir, storage_sync=False)
-    _populate(testbed, contents)
-    zone_keys = testbed.zone_keys
-    clock = testbed.clock
-    testbed.close_stores()
-
-    # Rewrite every stored element's bytes and re-checksum the frames:
-    # the framing layer sees a perfectly healthy log.
-    wal_path = os.path.join(data_dir, "objectserver", "server", "wal.log")
+def deface_wal(wal_path: str, target) -> int:
+    """CRC-valid rewrite of stored content — the attack checksums cannot
+    see. ``target(record)`` picks the part of each journal record to
+    deface (``None`` leaves the record alone); every non-empty
+    ``content`` bytes value under it is overwritten, and every frame is
+    re-checksummed, so the framing layer sees a perfectly healthy log.
+    Returns how many values were defaced."""
     with open(wal_path, "rb") as fh:
         data = fh.read()
     out = bytearray()
     offset = 0
+    defaced = 0
+
+    def deface(obj) -> None:
+        nonlocal defaced
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                if key == "content" and isinstance(value, (bytes, bytearray)) and value:
+                    obj[key] = b"\x00defaced\x00" + bytes(value)[10:]
+                    defaced += 1
+                else:
+                    deface(value)
+        elif isinstance(obj, list):
+            for value in obj:
+                deface(value)
+
     while offset < len(data):
         length, _ = FRAME_HEADER.unpack_from(data, offset)
         start = offset + FRAME_HEADER.size
         record = from_canonical_bytes(data[start : start + length])
-        document = record.get("__record__", {}).get("document")
-        if document:
-            for element in document.get("elements", []):
-                element["content"] = b"\x00defaced\x00" + element["content"][10:]
+        inner = record.get("__record__") if isinstance(record, dict) else None
+        if isinstance(inner, dict):
+            deface(target(inner))
         payload = canonical_bytes(record)
         out += FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
         out += payload
         offset = start + length
     with open(wal_path, "wb") as fh:
         fh.write(bytes(out))
+    return defaced
+
+
+def _run_tamper(seed: int, data_dir: str) -> TamperFailClosed:
+    contents = _documents(True, seed + 3000)
+    testbed = Testbed(data_dir=data_dir, storage_sync=False)
+    _populate(testbed, contents)
+
+    def deface() -> None:
+        # Rewrite every stored element's bytes.
+        deface_wal(
+            os.path.join(data_dir, "objectserver", "server", "wal.log"),
+            lambda record: record.get("document"),
+        )
 
     result = TamperFailClosed()
     try:
-        tampered = Testbed(
-            clock=clock, data_dir=data_dir, storage_sync=False, zone_keys=zone_keys
-        )
-        tampered.close_stores()  # recovery was (wrongly) accepted
+        # Reaching close_stores means recovery was (wrongly) accepted.
+        _restart(testbed, data_dir, damage=deface).close_stores()
     except RecoveryIntegrityError as exc:
         result.failed_closed = True
         result.error_type = type(exc).__name__
@@ -460,7 +463,7 @@ def _run_tamper(seed: int, data_dir: str) -> TamperFailClosed:
 
 def run_recovery(quick: bool = False, seed: int = 0) -> RecoveryReport:
     """All four scenarios, each in its own scratch directory."""
-    report = RecoveryReport(seed=seed, quick=quick)
+    report = RecoveryReport()
     scratch = tempfile.mkdtemp(prefix="repro-recovery-")
     try:
         report.replica = _run_replica_recovery(
@@ -482,135 +485,154 @@ def render_recovery(report: RecoveryReport) -> str:
     replica = report.replica
     revocation = report.revocation
     torn = report.torn
-    tamper = report.tamper
+    gates = criteria(report)
     rows = [
         [
             "replica recovery",
             f"{replica.recovered_replicas}/{replica.documents} replicas "
             f"({replica.reverified_replicas} re-verified), "
             f"{replica.accesses_ok}/{replica.accesses_after_restart} accesses ok",
-            "PASS"
-            if replica.content_intact and replica.post_restart_publish_ok
-            else "FAIL",
+            verdict(gates, "replica."),
         ],
         [
             "revocation resume",
             f"cursor {revocation.cursor_statements_recovered} stmt, rejected "
             f"from disk after {max(0, revocation.refreshes_at_rejection)} RPCs, "
             f"feed head {revocation.feed_head_before}->{revocation.feed_head_after}",
-            "PASS"
-            if revocation.revoked_rejected_from_disk and revocation.regression_detected
-            else "FAIL",
+            verdict(gates, "revocation."),
         ],
         [
             "torn tail",
             f"{torn.torn_bytes_dropped} B dropped, "
             f"{torn.recovered_replicas}/{torn.expected_replicas} replicas, "
             f"{torn.accesses_ok}/{torn.accesses_after_restart} accesses ok",
-            "PASS" if torn.recovered_replicas == torn.expected_replicas else "FAIL",
+            verdict(gates, "torn."),
         ],
         [
             "tamper fail-closed",
-            tamper.error_type or "recovery accepted tampered bytes",
-            "PASS" if tamper.failed_closed else "FAIL",
+            report.tamper.error_type or "recovery accepted tampered bytes",
+            verdict(gates, "tamper."),
         ],
     ]
     lines = [
-        f"Recovery bench — seed {report.seed}"
-        + (" (quick)" if report.quick else "")
-        + f", {replica.restart_cycles} restart cycle(s), "
+        f"Recovery bench — {replica.restart_cycles} restart cycle(s), "
         f"last recovery {replica.recovery_wall_seconds * 1e3:.1f} ms wall",
         render_table(["scenario", "outcome", "gate"], rows),
     ]
     return "\n".join(lines)
 
 
-def write_report(report: RecoveryReport, path: pathlib.Path) -> None:
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def check_report(report: RecoveryReport) -> List[str]:
-    """CI-gate violations (empty = pass)."""
-    problems: List[str] = []
+def criteria(report: RecoveryReport) -> List[Criterion]:
+    """The CI gates, scenario by scenario."""
     replica = report.replica
-    if replica.recovered_replicas != replica.documents:
-        problems.append(
-            f"recovered {replica.recovered_replicas} of {replica.documents} replicas"
-        )
-    if replica.reverified_replicas != replica.recovered_replicas:
-        problems.append(
-            f"only {replica.reverified_replicas} of {replica.recovered_replicas} "
-            "recovered replicas were re-verified"
-        )
-    if replica.naming_records_recovered < replica.documents:
-        problems.append(
-            f"naming recovered {replica.naming_records_recovered} records "
-            f"for {replica.documents} documents"
-        )
-    if replica.location_addresses_recovered < replica.documents:
-        problems.append(
-            f"location recovered {replica.location_addresses_recovered} addresses "
-            f"for {replica.documents} documents"
-        )
-    if replica.accesses_ok != replica.accesses_after_restart:
-        problems.append(
-            f"{replica.accesses_after_restart - replica.accesses_ok} accesses "
-            "failed after restart"
-        )
-    if not replica.content_intact:
-        problems.append("recovered content did not byte-compare equal")
-    if not replica.post_restart_publish_ok:
-        problems.append("write path broken after restart (new publish failed)")
-
     revocation = report.revocation
-    if revocation.feed_head_after != revocation.feed_head_before:
-        problems.append(
-            f"feed head changed across restart: {revocation.feed_head_before} "
-            f"-> {revocation.feed_head_after}"
-        )
-    if revocation.cursor_statements_recovered < 1:
-        problems.append("checker cursor recovered no statements")
-    if not revocation.revoked_rejected_from_disk:
-        problems.append(
-            "restarted client served (or mis-failed) a revoked OID before syncing"
-        )
-    if revocation.refreshes_at_rejection != 0:
-        problems.append(
-            f"rejection needed {revocation.refreshes_at_rejection} feed RPCs; "
-            "the fail-open window is supposed to be zero"
-        )
-    if revocation.rejection_error != "RevokedKeyError":
-        problems.append(
-            f"post-restart rejection attributed to {revocation.rejection_error!r}, "
-            "not RevokedKeyError"
-        )
-    if not revocation.staleness_reset:
-        problems.append(
-            "recovered cursor claims freshness — it must not vouch without a sync"
-        )
-    if not revocation.clean_access_ok_after_sync:
-        problems.append("clean OID inaccessible after restart + sync")
-    if revocation.head_after_sync < revocation.feed_head_after:
-        problems.append(
-            f"checker resumed at head {revocation.head_after_sync}, behind the "
-            f"feed's {revocation.feed_head_after}"
-        )
-    if not revocation.regression_detected:
-        problems.append("feed head regression was not detected by the consumer")
-
     torn = report.torn
-    if torn.torn_bytes_dropped <= 0:
-        problems.append("torn-tail scenario dropped no bytes (scenario broken)")
-    if torn.recovered_replicas != torn.expected_replicas:
-        problems.append(
+    return [
+        gate(
+            "replica.recovered", replica.recovered_replicas, "==", replica.documents,
+            f"recovered {replica.recovered_replicas} of {replica.documents} replicas",
+        ),
+        gate(
+            "replica.reverified",
+            replica.reverified_replicas, "==", replica.recovered_replicas,
+            f"only {replica.reverified_replicas} of {replica.recovered_replicas} "
+            "recovered replicas were re-verified",
+        ),
+        gate(
+            "replica.naming_records",
+            replica.naming_records_recovered, ">=", replica.documents,
+            f"naming recovered {replica.naming_records_recovered} records "
+            f"for {replica.documents} documents",
+        ),
+        gate(
+            "replica.location_addresses",
+            replica.location_addresses_recovered, ">=", replica.documents,
+            f"location recovered {replica.location_addresses_recovered} addresses "
+            f"for {replica.documents} documents",
+        ),
+        gate(
+            "replica.accesses_ok",
+            replica.accesses_ok, "==", replica.accesses_after_restart,
+            f"{replica.accesses_after_restart - replica.accesses_ok} accesses "
+            "failed after restart",
+        ),
+        gate(
+            "replica.content_intact", replica.content_intact, "==", True,
+            "recovered content did not byte-compare equal",
+        ),
+        gate(
+            "replica.post_restart_publish", replica.post_restart_publish_ok, "==", True,
+            "write path broken after restart (new publish failed)",
+        ),
+        gate(
+            "revocation.feed_head",
+            revocation.feed_head_after, "==", revocation.feed_head_before,
+            f"feed head changed across restart: {revocation.feed_head_before} "
+            f"-> {revocation.feed_head_after}",
+        ),
+        gate(
+            "revocation.cursor_statements",
+            revocation.cursor_statements_recovered, ">=", 1,
+            "checker cursor recovered no statements",
+        ),
+        gate(
+            "revocation.rejected_from_disk",
+            revocation.revoked_rejected_from_disk, "==", True,
+            "restarted client served (or mis-failed) a revoked OID before syncing",
+        ),
+        gate(
+            "revocation.refreshes_at_rejection",
+            revocation.refreshes_at_rejection, "==", 0,
+            f"rejection needed {revocation.refreshes_at_rejection} feed RPCs; "
+            "the fail-open window is supposed to be zero",
+        ),
+        gate(
+            "revocation.rejection_error",
+            revocation.rejection_error, "==", "RevokedKeyError",
+            f"post-restart rejection attributed to {revocation.rejection_error!r}, "
+            "not RevokedKeyError",
+        ),
+        gate(
+            "revocation.staleness_reset", revocation.staleness_reset, "==", True,
+            "recovered cursor claims freshness — it must not vouch without a sync",
+        ),
+        gate(
+            "revocation.clean_access_after_sync",
+            revocation.clean_access_ok_after_sync, "==", True,
+            "clean OID inaccessible after restart + sync",
+        ),
+        gate(
+            "revocation.head_after_sync",
+            revocation.head_after_sync, ">=", revocation.feed_head_after,
+            f"checker resumed at head {revocation.head_after_sync}, behind the "
+            f"feed's {revocation.feed_head_after}",
+        ),
+        gate(
+            "revocation.regression_detected",
+            revocation.regression_detected, "==", True,
+            "feed head regression was not detected by the consumer",
+        ),
+        gate(
+            "torn.bytes_dropped", torn.torn_bytes_dropped, ">", 0,
+            "torn-tail scenario dropped no bytes (scenario broken)",
+        ),
+        gate(
+            "torn.recovered", torn.recovered_replicas, "==", torn.expected_replicas,
             f"torn tail cost {torn.expected_replicas - torn.recovered_replicas} "
-            "valid replicas (must cost only the torn suffix)"
-        )
-    if torn.accesses_ok != torn.accesses_after_restart:
-        problems.append("accesses failed after torn-tail recovery")
+            "valid replicas (must cost only the torn suffix)",
+        ),
+        gate(
+            "torn.accesses_ok", torn.accesses_ok, "==", torn.accesses_after_restart,
+            "accesses failed after torn-tail recovery",
+        ),
+        gate(
+            "tamper.failed_closed", report.tamper.failed_closed, "==", True,
+            "tampered (CRC-valid) store was accepted — recovery served unproven "
+            "bytes",
+        ),
+    ]
 
-    if not report.tamper.failed_closed:
-        problems.append(
-            "tampered (CRC-valid) store was accepted — recovery served unproven bytes"
-        )
-    return problems
+
+TARGET = BenchTarget(
+    "recovery", "BENCH_recovery.json", run_recovery, criteria, render_recovery
+)

@@ -16,11 +16,6 @@ __all__ = [
     "render_fig567",
     "aggregate_bench_reports",
     "render_bench_summary",
-    "render_monitor_plane_section",
-    "render_concurrency_section",
-    "render_recovery_section",
-    "render_convergence_section",
-    "render_profile_section",
 ]
 
 
@@ -97,296 +92,49 @@ def aggregate_bench_reports(root: pathlib.Path) -> Dict[str, dict]:
     return reports
 
 
+def _cell(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    text = str(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def render_bench_summary(reports: Dict[str, dict]) -> str:
-    """One table over every collected bench report, plus a monitor-plane
-    digest (alert timeline and worst observed staleness) when the
-    ``monitor`` target has run."""
+    """One table over every collected bench report: a row per criterion
+    of each report's envelope (see :func:`repro.harness.kernel.write_envelope`),
+    so a new bench shows up here with no further wiring."""
     if not reports:
         return "no BENCH_*.json reports found (run the bench targets first)"
     rows = []
+    failing = 0
     for name, report in sorted(reports.items()):
         if "error" in report:
-            rows.append([name, "unreadable", report["error"]])
+            rows.append([name, "-", "unreadable", report["error"], "-", "FAIL"])
+            failing += 1
             continue
-        top_level = ", ".join(
-            k for k, v in report.items() if isinstance(v, (list, dict))
-        )
-        rows.append([name, "ok", top_level or "-"])
-    summary = "Collected bench reports\n" + render_table(
-        ["bench", "status", "sections"], rows
+        mode = "quick" if report.get("quick") else "full"
+        criteria = report.get("criteria")
+        if not isinstance(criteria, list):
+            rows.append([name, mode, "no criteria envelope", "-", "-", "FAIL"])
+            failing += 1
+            continue
+        for criterion in criteria:
+            ok = bool(criterion.get("ok"))
+            failing += not ok
+            rows.append(
+                [
+                    name,
+                    mode,
+                    str(criterion.get("name", "?")),
+                    _cell(criterion.get("value")),
+                    _cell(criterion.get("threshold")),
+                    "PASS" if ok else f"FAIL: {criterion.get('message', '')}",
+                ]
+            )
+    table = render_table(
+        ["bench", "mode", "criterion", "value", "threshold", "verdict"], rows
     )
-    monitor = reports.get("monitor_plane")
-    if monitor is not None and "error" not in monitor:
-        summary += "\n\n" + render_monitor_plane_section(monitor)
-    concurrency = render_concurrency_section(reports)
-    if concurrency:
-        summary += "\n\n" + concurrency
-    recovery = render_recovery_section(reports)
-    if recovery:
-        summary += "\n\n" + recovery
-    convergence = render_convergence_section(reports)
-    if convergence:
-        summary += "\n\n" + convergence
-    profile = render_profile_section(reports)
-    if profile:
-        summary += "\n\n" + profile
-    return summary
-
-
-def render_convergence_section(reports: Dict[str, dict]) -> str:
-    """Digest of the multi-writer convergence bench: writer/delta scale,
-    merge latency, and the convergence + fail-closed verdicts.
-
-    Returns an empty string when ``BENCH_convergence.json`` is absent
-    (the target has not run), so callers can append conditionally.
-    Tolerant of partial reports throughout.
-    """
-    report = reports.get("convergence")
-    if not isinstance(report, dict) or "error" in report:
-        return ""
-    lines: List[str] = []
-    part = report.get("partitioned_convergence") or {}
-    if part:
-        digests = set(part.get("server_digests", {}).values()) | set(
-            part.get("reader_digests", {}).values()
-        )
-        verdict = (
-            "byte-identical"
-            if part.get("byte_identical")
-            else f"DIVERGED ({len(digests)} distinct digests)"
-        )
-        lines.append(
-            f"writers: {part.get('writers', 0)} over "
-            f"{part.get('rounds', 0)} partitioned round(s), "
-            f"{part.get('deltas', 0)} deltas "
-            f"(gossip {part.get('gossip_pulled', 0)} pulled / "
-            f"{part.get('gossip_pushed', 0)} pushed) — {verdict}"
-        )
-    merge = report.get("merge_cost") or {}
-    if merge:
-        lines.append(
-            f"merge: p50 {merge.get('p50_us', 0.0):.0f} us, "
-            f"p99 {merge.get('p99_us', 0.0):.0f} us over "
-            f"{merge.get('deltas', 0)} deltas x {merge.get('samples', 0)} runs"
-        )
-    adversarial = report.get("adversarial") or []
-    if adversarial:
-        rejected = sum(1 for v in adversarial if v.get("ok"))
-        lines.append(
-            f"adversarial matrix: {rejected}/{len(adversarial)} scenarios "
-            + ("rejected fail-closed" if rejected == len(adversarial) else "REJECTED")
-        )
-    recovery = report.get("recovery") or {}
-    if recovery:
-        lines.append(
-            f"recovery: {recovery.get('recovered_deltas', 0)}/"
-            f"{recovery.get('deltas_published', 0)} deltas re-verified, tamper "
-            + (
-                f"failed closed ({recovery.get('tamper_error', '?')})"
-                if recovery.get("tamper_failed_closed")
-                else "ACCEPTED TAMPERED BYTES"
-            )
-        )
-    if not lines:
-        return ""
-    return "Multi-writer convergence\n" + "\n".join(f"  {line}" for line in lines)
-
-
-def render_profile_section(reports: Dict[str, dict]) -> str:
-    """Digest of the causal-profile bench: stitching health, critical-path
-    category attribution, and the SLO verdicts.
-
-    Returns an empty string when ``BENCH_profile.json`` is absent (the
-    target has not run), so callers can append conditionally. Tolerant
-    of partial reports throughout.
-    """
-    report = reports.get("profile")
-    if not isinstance(report, dict) or "error" in report:
-        return ""
-    lines: List[str] = []
-    stitching = report.get("stitching") or {}
-    if stitching:
-        lines.append(
-            f"stitching: rate {stitching.get('stitch_rate', 0.0):.3f} over "
-            f"{stitching.get('traces', 0)} traces, "
-            f"{stitching.get('cross_process_spans', 0)} cross-process spans, "
-            f"{stitching.get('orphan_spans', 0)} orphans"
-        )
-    profile = report.get("profile") or {}
-    critical = profile.get("critical_path_s") or {}
-    if critical:
-        lines.append(
-            f"critical path: p50 {critical.get('p50', 0.0) * 1e3:.1f} ms, "
-            f"p99 {critical.get('p99', 0.0) * 1e3:.1f} ms over "
-            f"{profile.get('traces_profiled', 0)} traces"
-        )
-    categories = profile.get("categories") or {}
-    if categories:
-        top = sorted(
-            categories.items(), key=lambda kv: -kv[1].get("critical_s", 0.0)
-        )[:3]
-        lines.append(
-            "top categories: "
-            + ", ".join(
-                f"{name} {entry.get('fraction', 0.0):.1%}" for name, entry in top
-            )
-        )
-    slo = report.get("slo") or {}
-    for verdict in slo.get("objectives", []):
-        lines.append(
-            f"SLO {verdict.get('objective', '?')}: compliance "
-            f"{verdict.get('compliance', 0.0):.4f} vs target "
-            f"{verdict.get('target', 0.0):.2f} "
-            + ("(met)" if verdict.get("met") else "(missed)")
-        )
-    if not lines:
-        return ""
-    return "Causal profile\n" + "\n".join(f"  {line}" for line in lines)
-
-
-def render_recovery_section(reports: Dict[str, dict]) -> str:
-    """Digest of the crash-recovery bench: what a kill/restart cost and
-    whether the fail-closed gates held.
-
-    Returns an empty string when ``BENCH_recovery.json`` is absent (the
-    target has not run), so callers can append conditionally. Tolerant
-    of partial reports throughout.
-    """
-    report = reports.get("recovery")
-    if not isinstance(report, dict) or "error" in report:
-        return ""
-    lines: List[str] = []
-    replica = report.get("replica_recovery") or {}
-    if replica:
-        lines.append(
-            f"replicas: {replica.get('recovered_replicas', 0)} recovered, "
-            f"{replica.get('reverified_replicas', 0)} re-verified, over "
-            f"{replica.get('restart_cycles', 0)} restart cycle(s) "
-            f"({replica.get('recovery_wall_seconds', 0.0) * 1e3:.1f} ms last)"
-        )
-    revocation = report.get("revocation_resume") or {}
-    if revocation:
-        window = (
-            "zero fail-open window"
-            if revocation.get("revoked_rejected_from_disk")
-            and revocation.get("refreshes_at_rejection") == 0
-            else "FAIL-OPEN WINDOW OBSERVED"
-        )
-        lines.append(
-            f"revocation cursor: {revocation.get('cursor_statements_recovered', 0)} "
-            f"statement(s) recovered, head "
-            f"{revocation.get('feed_head_before', 0)} -> "
-            f"{revocation.get('feed_head_after', 0)} across restart — {window}"
-        )
-    torn = report.get("torn_tail") or {}
-    if torn:
-        lines.append(
-            f"torn tail: {torn.get('torn_bytes_dropped', 0)} B dropped, "
-            f"{torn.get('recovered_replicas', 0)}/{torn.get('expected_replicas', 0)} "
-            "replicas kept"
-        )
-    tamper = report.get("tamper_fail_closed") or {}
-    if tamper:
-        lines.append(
-            "tamper: "
-            + (
-                f"failed closed ({tamper.get('error_type', '?')})"
-                if tamper.get("failed_closed")
-                else "ACCEPTED TAMPERED BYTES"
-            )
-        )
-    if not lines:
-        return ""
-    return "Crash recovery\n" + "\n".join(f"  {line}" for line in lines)
-
-
-def render_concurrency_section(reports: Dict[str, dict]) -> str:
-    """Digest of the concurrent access pipeline across bench reports:
-    the security bench's throughput multiple and coalesce ratio, and the
-    trace profile's in-handle ``rpc.attempt`` share per mode.
-
-    Returns an empty string when neither report carries pipeline data
-    (older reports, or the targets have not run), so callers can append
-    conditionally. Tolerant of partial reports throughout.
-    """
-    lines: List[str] = []
-    security = reports.get("security_pipeline") or {}
-    concurrency = security.get("concurrency")
-    if isinstance(concurrency, dict):
-        pipelined = concurrency.get("pipelined") or {}
-        sequential = concurrency.get("sequential") or {}
-        multiple = concurrency.get("throughput_multiple")
-        if multiple is not None:
-            lines.append(
-                f"throughput multiple: {multiple:.2f}x "
-                f"({sequential.get('accesses_per_s', 0.0):.1f} -> "
-                f"{pipelined.get('accesses_per_s', 0.0):.1f} accesses/s)"
-            )
-        ratio = pipelined.get("coalesce_ratio")
-        if ratio is not None:
-            counters = pipelined.get("counters") or {}
-            lines.append(
-                f"coalesce ratio: {ratio:.2f} "
-                f"({counters.get('coalesced_calls', 0)} calls + "
-                f"{counters.get('coalesced_responses', 0)} responses over "
-                f"{pipelined.get('accesses', 0)} accesses)"
-            )
-        unverified = concurrency.get("unverified_responses")
-        if unverified is not None:
-            lines.append(f"unverified responses: {unverified}")
-    trace = reports.get("trace_profile") or {}
-    comparison = trace.get("pipeline_comparison")
-    if isinstance(comparison, dict):
-        sequential = comparison.get("sequential") or {}
-        pipelined = comparison.get("pipelined") or {}
-        seq_share = sequential.get("rpc_attempt_share")
-        pipe_share = pipelined.get("rpc_attempt_share")
-        if seq_share is not None and pipe_share is not None:
-            lines.append(
-                f"rpc.attempt in-handle share: {seq_share:.3f} sequential -> "
-                f"{pipe_share:.3f} pipelined"
-            )
-        speedup = comparison.get("speedup")
-        if speedup is not None:
-            lines.append(f"trace-workload speedup: {speedup:.2f}x")
-    if not lines:
-        return ""
-    return "Concurrent access pipeline\n" + "\n".join(f"  {line}" for line in lines)
-
-
-def render_monitor_plane_section(report: dict) -> str:
-    """The operator's at-a-glance view of the last monitor run: the SLO
-    alert timeline in firing order, then the staleness high-water mark.
-
-    Tolerant of partial reports (hand-edited or from an older run):
-    missing keys render as absent rows rather than raising.
-    """
-    lines = ["Monitor plane — alert timeline"]
-    timeline = report.get("timeline") or []
-    if timeline:
-        rows = [
-            [
-                f"{event.get('at', 0.0):10.2f}",
-                str(event.get("rule", "?")),
-                str(event.get("state", "?")),
-                str(event.get("severity", "-")),
-            ]
-            for event in timeline
-        ]
-        lines.append(render_table(["t (s)", "rule", "state", "severity"], rows))
-    else:
-        lines.append("  (no alert transitions recorded)")
-    latencies = report.get("alert_latencies") or {}
-    fired = {k: v for k, v in latencies.items() if v is not None}
-    if fired:
-        lines.append(
-            "alert latencies: "
-            + ", ".join(f"{k}={v:.1f}s" for k, v in sorted(fired.items()))
-        )
-    worst = report.get("worst_staleness_seconds")
-    if worst is not None:
-        lines.append(f"worst revocation-view staleness: {worst:.1f} s")
-    lag = report.get("worst_serial_lag")
-    if lag is not None:
-        lines.append(f"worst feed serial lag: {lag:.0f}")
-    return "\n".join(lines)
+    return (
+        f"Collected bench reports\n{table}\n"
+        f"{len(reports)} reports, {len(rows)} criteria, {failing} failing"
+    )

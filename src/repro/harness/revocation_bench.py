@@ -16,8 +16,8 @@ servers that never receive the revocation (a compromised or lagging
 server keeps serving — exactly the case client-side checking exists
 for), while the proxies pull the feed from the ginger object server,
 which hosts no replica. Distribution to the feed goes through
-:meth:`~repro.replication.coordinator.ReplicationCoordinator.publish_revocation`,
-the owner-side path.
+:meth:`~repro.harness.experiment.Testbed.publish_revocation`, the
+owner-side coordinator path.
 
 Run with ``python -m repro.harness revocation [--quick]``; writes
 ``BENCH_revocation.json`` for the CI gate.
@@ -25,24 +25,12 @@ Run with ``python -m repro.harness revocation [--quick]``; writes
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.crypto.keys import KeyPair
-from repro.globedoc.element import PageElement
-from repro.globedoc.owner import DocumentOwner
-from repro.globedoc.urls import HybridUrl
-from repro.harness.experiment import ClientStack, Testbed
-from repro.location.service import LocationClient
+from repro.harness.experiment import ClientStack, PublishedObject, Testbed
+from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.naming.records import OidRecord
-from repro.net.address import ContactAddress, Endpoint
-from repro.net.rpc import RpcClient
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
-from repro.revocation.statement import RevocationStatement
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from repro.util.stats import percentile, summarize
 
 __all__ = [
@@ -50,13 +38,10 @@ __all__ = [
     "OverheadPoint",
     "RevocationReport",
     "run_revocation",
+    "criteria",
     "render_revocation",
-    "write_report",
-    "check_report",
-    "REPORT_NAME",
+    "TARGET",
 ]
-
-REPORT_NAME = "BENCH_revocation.json"
 
 #: Replica servers that keep serving after the compromise (they never
 #: see the revocation) — the case the client-side check exists for.
@@ -66,8 +51,6 @@ REPLICA_SITES = {
 }
 
 CLIENT_HOSTS = ("sporty.cs.vu.nl", "canardo.inria.fr", "ensamble02.cornell.edu")
-
-OWNER_HOST = "sporty.cs.vu.nl"
 
 ELEMENTS = {
     "index.html": b"<html><body>soon to be revoked, genuine until then</body></html>",
@@ -86,6 +69,16 @@ THINK_TIME = 1.0
 
 #: Grace on the containment gate: probe quantisation plus access costs.
 CONTAINMENT_SLACK = 5.0
+
+#: Gate: the feed's steady-state cost must stay below this multiple of
+#: the baseline while actually polling (at least
+#: :data:`MIN_STEADY_REFRESHES`) — the poll must not dominate the access
+#: pipeline it protects. (The refresh is one extra RPC per poll interval
+#: against ~3 ms cached accesses, so the measured ratio sits near
+#: 1.5–1.9; the gate leaves headroom for the host noise in clock-charged
+#: crypto times, not for regressions.)
+MAX_OVERHEAD_RATIO = 2.5
+MIN_STEADY_REFRESHES = 2
 
 
 @dataclass
@@ -121,7 +114,6 @@ class OverheadPoint:
 class RevocationReport:
     """Containment sweep + overhead comparison, as written to JSON."""
 
-    seed: int
     proxies: int
     feed_sites_reached: List[str]
     containment: List[ProxyContainment] = field(default_factory=list)
@@ -156,7 +148,6 @@ class RevocationReport:
             else {"contained": 0, "proxies": self.proxies}
         )
         return {
-            "seed": self.seed,
             "proxies": self.proxies,
             "feed_sites_reached": self.feed_sites_reached,
             "containment": [asdict(p) for p in self.containment],
@@ -172,53 +163,18 @@ class RevocationReport:
 # ----------------------------------------------------------------------
 
 
-def _build_world(seed: int) -> Tuple[Testbed, DocumentOwner]:
+def _build_world() -> Tuple[Testbed, PublishedObject]:
     """A testbed whose replicas live *off* the feed server: documents at
     inria and cornell, the revocation feed (and nothing else) on ginger."""
     testbed = Testbed()
-    owner = DocumentOwner(
-        "vu.nl/revocation",
-        keys=KeyPair.generate(1024),
-        clock=testbed.clock,
+    owner = testbed.document_owner("vu.nl/revocation", ELEMENTS)
+    published = PublishedObject(
+        owner, owner.publish(validity=7 * 24 * 3600.0), owner.name
     )
-    for name, content in ELEMENTS.items():
-        owner.put_element(PageElement(name, content))
-    document = owner.publish(validity=7 * 24 * 3600.0)
-
-    admin_rpc = RpcClient(testbed.network.transport_for(OWNER_HOST))
     for site, host in REPLICA_SITES.items():
-        server = ObjectServer(host=host, site=site, clock=testbed.clock)
-        server.keystore.authorize(owner.name, owner.public_key)
-        testbed.network.register(
-            Endpoint(host, "objectserver"), server.rpc_server().handle_frame
-        )
-        admin = AdminClient(
-            admin_rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock
-        )
-        result = admin.create_replica(document)
-        address = ContactAddress.from_dict(result["address"])
-        testbed.location_service.tree.insert(owner.oid.hex, site, address)
+        testbed.add_replica(published, host, site)
     testbed.naming.register(OidRecord(name=owner.name, oid=owner.oid, ttl=3600.0))
-    return testbed, owner
-
-
-def _feed_coordinator(
-    testbed: Testbed, owner: DocumentOwner
-) -> ReplicationCoordinator:
-    """The owner-side coordinator, pointed at the feed server's site."""
-    rpc = RpcClient(testbed.network.transport_for(OWNER_HOST))
-    location = LocationClient(
-        rpc,
-        testbed.location_endpoint,
-        origin_site="root/europe/vu",
-        clock=testbed.clock,
-    )
-    coordinator = ReplicationCoordinator(location)
-    admin = AdminClient(
-        rpc, testbed.objectserver_endpoint, owner.keys, testbed.clock
-    )
-    coordinator.add_site(SitePort(site="root/europe/vu", admin=admin))
-    return coordinator
+    return testbed, published
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +182,9 @@ def _feed_coordinator(
 # ----------------------------------------------------------------------
 
 
-def _run_overhead(quick: bool, seed: int, enabled: bool) -> OverheadPoint:
+def _run_overhead(quick: bool, enabled: bool) -> OverheadPoint:
     """One stack flavour through the fixed schedule; nothing revoked."""
-    testbed, owner = _build_world(seed)
+    testbed, published = _build_world()
     kwargs = {"revocation_max_staleness": BASE_STALENESS} if enabled else {}
     stack = testbed.client_stack("canardo.inria.fr", **kwargs)
     accesses = 30 if quick else 120
@@ -237,8 +193,7 @@ def _run_overhead(quick: bool, seed: int, enabled: bool) -> OverheadPoint:
     ok = 0
     for i in range(accesses):
         testbed.clock.advance(THINK_TIME)
-        url = HybridUrl.for_name(owner.name, names[i % len(names)]).raw
-        response = stack.proxy.handle(url)
+        response = stack.proxy.handle(published.url(names[i % len(names)]))
         if response.ok:
             ok += 1
         if response.metrics is not None:
@@ -261,10 +216,8 @@ def _run_overhead(quick: bool, seed: int, enabled: bool) -> OverheadPoint:
 # ----------------------------------------------------------------------
 
 
-def _run_containment(
-    quick: bool, seed: int
-) -> Tuple[List[ProxyContainment], List[str]]:
-    testbed, owner = _build_world(seed)
+def _run_containment(quick: bool) -> Tuple[List[ProxyContainment], List[str]]:
+    testbed, published = _build_world()
     count = 3 if quick else 8
     fleet: List[Tuple[ProxyContainment, ClientStack]] = []
     for i in range(count):
@@ -278,25 +231,17 @@ def _run_containment(
         )
         fleet.append((record, stack))
 
-    url = HybridUrl.for_name(owner.name, "index.html").raw
+    url = published.url("index.html")
     # Warm every proxy: session bound, feed synced, caches hot.
     for record, stack in fleet:
         response = stack.proxy.handle(url)
         if not response.ok:
             record.other_failures += 1
 
-    # The compromise: the owner revokes the object key; the coordinator
-    # pushes the statement to the feed. The serving replicas never hear
-    # of it — only the proxies' polling can contain them.
-    statement = RevocationStatement.revoke_key(
-        owner.keys,
-        owner.oid,
-        serial=1,
-        issued_at=testbed.clock.now(),
-        reason="bench: key compromise",
-    )
+    # The compromise: the serving replicas never hear of it — only the
+    # proxies' polling can contain them.
     t0 = testbed.clock.now()
-    reached = _feed_coordinator(testbed, owner).publish_revocation(statement)
+    reached = testbed.publish_revocation(published.owner, "bench: key compromise")
 
     deadline = t0 + max(r.max_staleness for r, _ in fleet) + 3 * CONTAINMENT_SLACK
     while any(not r.contained for r, _ in fleet) and testbed.clock.now() < deadline:
@@ -333,16 +278,18 @@ def _run_containment(
 
 
 def run_revocation(quick: bool = False, seed: int = 0) -> RevocationReport:
-    """The full bench: containment sweep, then the overhead comparison."""
-    containment, reached = _run_containment(quick, seed)
+    """The full bench: containment sweep, then the overhead comparison.
+
+    The schedule is fixed, so *seed* changes nothing; it is accepted for
+    the registry's ``run(quick, seed)`` shape."""
+    containment, reached = _run_containment(quick)
     report = RevocationReport(
-        seed=seed,
         proxies=len(containment),
         feed_sites_reached=reached,
         containment=containment,
     )
-    report.baseline = _run_overhead(quick, seed, enabled=False)
-    report.enabled = _run_overhead(quick, seed, enabled=True)
+    report.baseline = _run_overhead(quick, enabled=False)
+    report.enabled = _run_overhead(quick, enabled=True)
     return report
 
 
@@ -401,55 +348,76 @@ def render_revocation(report: RevocationReport) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: RevocationReport, path: pathlib.Path) -> None:
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-
-
-def check_report(report: RevocationReport) -> List[str]:
-    """CI-gate violations (empty = pass).
+def criteria(report: RevocationReport) -> List[Criterion]:
+    """The CI gates.
 
     * every proxy contained, each within its staleness window (+ slack),
       rejecting with the dedicated :class:`RevokedKeyError`;
     * containment is permanent — no access succeeds afterwards;
     * no spurious non-security failures during the sweep;
-    * the feed's steady-state cost stays below 2.5× the baseline while
-      actually polling (≥ 2 refreshes) — the poll must not dominate the
-      access pipeline it protects. (The refresh is one extra RPC per
-      poll interval against ~3 ms cached accesses, so the measured
-      ratio sits near 1.5–1.9; the gate leaves headroom for the host
-      noise in clock-charged crypto times, not for regressions.)
+    * both overhead schedules fully succeed, and the feed's steady-state
+      cost stays below :data:`MAX_OVERHEAD_RATIO` while actually polling.
     """
-    problems: List[str] = []
-    for p in report.containment:
+    out: List[Criterion] = []
+    for index, p in enumerate(report.containment):
+        tag = f"[{index}:{p.host}]"
+        out.append(
+            gate(
+                f"contained{tag}", p.contained, "==", True,
+                f"proxy on {p.host} (staleness {p.max_staleness}) never contained",
+            )
+        )
         if not p.contained:
-            problems.append(f"proxy on {p.host} (staleness {p.max_staleness}) never contained")
             continue
-        if p.containment_seconds > p.max_staleness + CONTAINMENT_SLACK:
-            problems.append(
+        out += [
+            gate(
+                f"containment_seconds{tag}",
+                p.containment_seconds, "<=", p.max_staleness + CONTAINMENT_SLACK,
                 f"containment took {p.containment_seconds:.1f}s on {p.host}, "
-                f"past its {p.max_staleness:.0f}s staleness window"
-            )
-        if p.rejection_error != "RevokedKeyError":
-            problems.append(
+                f"past its {p.max_staleness:.0f}s staleness window",
+            ),
+            gate(
+                f"rejection_error{tag}", p.rejection_error, "==", "RevokedKeyError",
                 f"rejection on {p.host} attributed to {p.rejection_error!r}, "
-                "not RevokedKeyError"
+                "not RevokedKeyError",
+            ),
+            gate(
+                f"post_containment_ok{tag}", p.post_containment_ok, "==", 0,
+                f"revoked content served after containment on {p.host}",
+            ),
+            gate(
+                f"other_failures{tag}", p.other_failures, "==", 0,
+                f"{p.other_failures} non-security failures on {p.host}",
+            ),
+        ]
+    schedules = (("baseline", report.baseline), ("feed-enabled", report.enabled))
+    for label, point in schedules:
+        if point is not None:
+            out.append(
+                gate(
+                    f"schedule_ok[{label}]", point.ok, ">=", point.accesses,
+                    f"{label} schedule had failing accesses",
+                )
             )
-        if p.post_containment_ok:
-            problems.append(f"revoked content served after containment on {p.host}")
-        if p.other_failures:
-            problems.append(
-                f"{p.other_failures} non-security failures on {p.host}"
+    if report.enabled is not None:
+        refreshes = report.enabled.feed_refreshes
+        out.append(
+            gate(
+                "feed_refreshes", refreshes, ">=", MIN_STEADY_REFRESHES,
+                f"feed polled only {refreshes} times — "
+                "overhead number is not steady-state",
             )
-    if report.baseline is not None and report.baseline.ok < report.baseline.accesses:
-        problems.append("baseline schedule had failing accesses")
-    if report.enabled is not None and report.enabled.ok < report.enabled.accesses:
-        problems.append("feed-enabled schedule had failing accesses")
-    if report.enabled is not None and report.enabled.feed_refreshes < 2:
-        problems.append(
-            f"feed polled only {report.enabled.feed_refreshes} times — "
-            "overhead number is not steady-state"
         )
     ratio = report.overhead_ratio
-    if ratio > 2.5:
-        problems.append(f"steady-state feed overhead ratio {ratio:.3f} > 2.5")
-    return problems
+    out.append(
+        gate(
+            "overhead_ratio", ratio, "<=", MAX_OVERHEAD_RATIO,
+            f"steady-state feed overhead ratio {ratio:.3f} > {MAX_OVERHEAD_RATIO}",
+        )
+    )
+    return out
+
+
+TARGET = BenchTarget(
+    "revocation", "BENCH_revocation.json", run_revocation, criteria, render_revocation
+)

@@ -31,9 +31,7 @@ because it is cheap for real.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.crypto.hashes import SHA1
@@ -46,6 +44,7 @@ from repro.globedoc.integrity import IntegrityCertificate
 from repro.globedoc.oid import ObjectId
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
+from repro.harness.kernel import BenchTarget, Criterion, gate, verdict
 from repro.proxy.metrics import AccessTimer
 from repro.proxy.pipeline import PipelineConfig
 from repro.sim.random import make_rng
@@ -58,12 +57,11 @@ __all__ = [
     "run_security_bench",
     "run_concurrency_bench",
     "run_conformance_bench",
-    "evaluate_criteria",
-    "check_report",
-    "write_report",
+    "criteria",
+    "render_security_bench",
     "WARM_SPEEDUP_TARGET",
     "CONCURRENCY_TARGET",
-    "REPORT_NAME",
+    "TARGET",
 ]
 
 #: Acceptance threshold: warm certificate verification must beat cold
@@ -73,9 +71,6 @@ WARM_SPEEDUP_TARGET = 5.0
 #: Acceptance threshold: the concurrent pipeline must deliver at least
 #: this many times the sequential path's accesses/second.
 CONCURRENCY_TARGET = 2.0
-
-#: Default report file name (written at the repository root by the CLI).
-REPORT_NAME = "BENCH_security_pipeline.json"
 
 #: Paper-era client host for the pipeline scenario (Paris).
 PIPELINE_CLIENT = "canardo.inria.fr"
@@ -490,12 +485,8 @@ def run_conformance_bench(quick: bool = False) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 
-def evaluate_criteria(
-    pipeline: Dict[str, object],
-    concurrency: Optional[Dict[str, object]] = None,
-    conformance: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """The pass/fail gate over one bench run's results.
+def criteria(report: Dict[str, object]) -> List[Criterion]:
+    """The pass/fail gates over one bench run's results.
 
     Pure so the gate logic is unit-testable without running the bench:
     warm certificate verification must beat cold by
@@ -505,72 +496,42 @@ def evaluate_criteria(
     with zero unverified bytes, and the adversarial matrix must be
     green in both pipeline modes.
     """
-    warm_speedup = pipeline["warm"]["speedup"]  # type: ignore[index]
-    fastpath_total = pipeline["fastpath"]["total_ms_mean"]  # type: ignore[index]
-    baseline_total = pipeline["baseline"]["total_ms_mean"]  # type: ignore[index]
-    criteria: Dict[str, object] = {
-        "warm_speedup": warm_speedup,
-        "warm_speedup_target": WARM_SPEEDUP_TARGET,
-        "warm_speedup_ok": warm_speedup >= WARM_SPEEDUP_TARGET,
-        "fastpath_total_ms": fastpath_total,
-        "baseline_total_ms": baseline_total,
-        "fastpath_not_slower": fastpath_total <= baseline_total,
-    }
-    if concurrency is not None:
-        multiple = concurrency["throughput_multiple"]
-        criteria.update(
-            {
-                "concurrency_multiple": multiple,
-                "concurrency_target": CONCURRENCY_TARGET,
-                "concurrency_multiple_ok": multiple >= CONCURRENCY_TARGET,
-                "zero_unverified_bytes": (
-                    concurrency["unverified_responses"] == 0
-                    and concurrency["failures"] == 0
-                ),
-            }
-        )
-    if conformance is not None:
-        for label in ("sequential", "pipelined"):
-            mode = conformance[label]
-            criteria[f"conformance_{label}_ok"] = (
-                mode["passed"] == mode["cells"]
-                and mode["unverified_bytes_leaked"] == 0
-            )
-    return criteria
-
-
-def check_report(report: Dict[str, object]) -> List[str]:
-    """Every failed gate in *report*, as human-readable problems."""
-    criteria = report["criteria"]
-    problems: List[str] = []
-
-    def gate(key: str, message: str) -> None:
-        if key in criteria and not criteria[key]:
-            problems.append(message)
-
-    gate(
-        "warm_speedup_ok",
-        f"warm verification speedup {criteria['warm_speedup']:.1f}x "
-        f"below target {WARM_SPEEDUP_TARGET:.0f}x",
-    )
-    gate("fastpath_not_slower", "fast-path run slower than baseline")
-    if "concurrency_multiple_ok" in criteria:
+    pipeline = report["pipeline"]
+    concurrency = report["concurrency"]
+    warm_speedup = pipeline["warm"]["speedup"]
+    multiple = concurrency["throughput_multiple"]
+    out = [
         gate(
-            "concurrency_multiple_ok",
-            f"pipeline throughput multiple "
-            f"{criteria['concurrency_multiple']:.2f}x below target "
+            "warm_speedup", warm_speedup, ">=", WARM_SPEEDUP_TARGET,
+            f"warm verification speedup {warm_speedup:.1f}x "
+            f"below target {WARM_SPEEDUP_TARGET:.0f}x",
+        ),
+        gate(
+            "fastpath_not_slower",
+            pipeline["fastpath"]["total_ms_mean"], "<=",
+            pipeline["baseline"]["total_ms_mean"],
+            "fast-path run slower than baseline",
+        ),
+        gate(
+            "concurrency_multiple", multiple, ">=", CONCURRENCY_TARGET,
+            f"pipeline throughput multiple {multiple:.2f}x below target "
             f"{CONCURRENCY_TARGET:.1f}x",
-        )
+        ),
         gate(
             "zero_unverified_bytes",
+            concurrency["unverified_responses"] + concurrency["failures"], "==", 0,
             "unverified or failed responses in the concurrency workload",
+        ),
+    ]
+    for label, mode in report["conformance"].items():
+        green = mode["passed"] == mode["cells"] and not mode["unverified_bytes_leaked"]
+        out.append(
+            gate(
+                f"conformance_{label}", green, "==", True,
+                f"conformance matrix not green with pipeline {label}",
+            )
         )
-    for label in ("sequential", "pipelined"):
-        gate(
-            f"conformance_{label}_ok",
-            f"conformance matrix not green with pipeline {label}",
-        )
-    return problems
+    return out
 
 
 def run_security_bench(quick: bool = False, seed: int = 0) -> Dict[str, object]:
@@ -580,29 +541,23 @@ def run_security_bench(quick: bool = False, seed: int = 0) -> Dict[str, object]:
     concurrency = run_concurrency_bench(quick=quick, seed=seed)
     conformance = run_conformance_bench(quick=quick)
     return {
-        "name": "security_pipeline",
-        "generated_by": "python -m repro.harness bench-security",
-        "quick": quick,
         "micro": micro,
         "pipeline": pipeline,
         "concurrency": concurrency,
         "conformance": conformance,
-        "criteria": evaluate_criteria(
-            pipeline, concurrency=concurrency, conformance=conformance
-        ),
     }
-
-
-def write_report(report: Dict[str, object], path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def render_security_bench(report: Dict[str, object]) -> str:
     """Human-readable summary for the CLI."""
     micro = report["micro"]
     pipeline = report["pipeline"]
-    criteria = report["criteria"]
     warm = pipeline["warm"]
+    concurrency = report["concurrency"]
+    sequential = concurrency["sequential"]
+    pipelined = concurrency["pipelined"]
+    counters = pipelined.get("counters", {})
+    gates = criteria(report)
     lines = [
         "Security pipeline benchmark — baseline vs verification fast path",
         "",
@@ -627,65 +582,40 @@ def render_security_bench(report: Dict[str, object]) -> str:
         f"  {warm['warm_verify_certificate_ms']*1e3:8.1f} us warm"
         f"    ({warm['speedup']:.1f}x)",
         "",
-        f"  criteria: warm speedup {criteria['warm_speedup']:.1f}x"
-        f" (target {criteria['warm_speedup_target']:.0f}x)"
-        f" -> {'PASS' if criteria['warm_speedup_ok'] else 'FAIL'};"
-        f" fastpath not slower -> "
-        f"{'PASS' if criteria['fastpath_not_slower'] else 'FAIL'}",
+        f"  concurrency ({concurrency['objects']} objects x "
+        f"{concurrency['elements_per_object']} elements x "
+        f"{concurrency['element_bytes'] // KB} KB"
+        f" + {concurrency['hot_duplicates']} hot duplicates,"
+        f" {sequential['waves']} waves, simulated time):",
+        f"    sequential             {sequential['accesses_per_s']:8.1f} accesses/s",
+        f"    pipelined              {pipelined['accesses_per_s']:8.1f} accesses/s"
+        f"    ({concurrency['throughput_multiple']:.2f}x)",
+        f"    prefetch hits/parked   {counters.get('prefetch_hits', 0):8d}"
+        f"  /{counters.get('prefetched', 0):8d}"
+        f"   coalesced {counters.get('coalesced_calls', 0)} calls"
+        f" + {counters.get('coalesced_responses', 0)} responses"
+        f"  (ratio {pipelined.get('coalesce_ratio', 0.0):.2f})",
+        f"    unverified responses   {concurrency['unverified_responses']:8d}"
+        f"   failures {concurrency['failures']}",
+        "",
+        "  conformance matrix (cold + warm, every tamper mode):",
     ]
-    concurrency = report.get("concurrency")
-    if concurrency is not None:
-        sequential = concurrency["sequential"]
-        pipelined = concurrency["pipelined"]
-        counters = pipelined.get("counters", {})
-        lines += [
-            "",
-            f"  concurrency ({concurrency['objects']} objects x "
-            f"{concurrency['elements_per_object']} elements x "
-            f"{concurrency['element_bytes'] // KB} KB"
-            f" + {concurrency['hot_duplicates']} hot duplicates,"
-            f" {sequential['waves']} waves, simulated time):",
-            f"    sequential             {sequential['accesses_per_s']:8.1f}"
-            " accesses/s",
-            f"    pipelined              {pipelined['accesses_per_s']:8.1f}"
-            " accesses/s"
-            f"    ({concurrency['throughput_multiple']:.2f}x)",
-            f"    prefetch hits/parked   {counters.get('prefetch_hits', 0):8d}"
-            f"  /{counters.get('prefetched', 0):8d}"
-            f"   coalesced {counters.get('coalesced_calls', 0)} calls"
-            f" + {counters.get('coalesced_responses', 0)} responses"
-            f"  (ratio {pipelined.get('coalesce_ratio', 0.0):.2f})",
-            f"    unverified responses   "
-            f"{concurrency['unverified_responses']:8d}"
-            f"   failures {concurrency['failures']}",
-        ]
-    conformance = report.get("conformance")
-    if conformance is not None:
-        lines.append("")
-        lines.append("  conformance matrix (cold + warm, every tamper mode):")
-        for label in ("sequential", "pipelined"):
-            mode = conformance[label]
-            verdict = (
-                "PASS"
-                if mode["passed"] == mode["cells"]
-                and mode["unverified_bytes_leaked"] == 0
-                else "FAIL"
-            )
-            lines.append(
-                f"    {label:<11}{mode['passed']:>3}/{mode['cells']} cells,"
-                f" {mode['unverified_bytes_leaked']} leaks -> {verdict}"
-            )
-    gates = [
-        ("concurrency_multiple_ok", "throughput multiple"),
-        ("zero_unverified_bytes", "zero unverified bytes"),
-        ("conformance_sequential_ok", "matrix sequential"),
-        ("conformance_pipelined_ok", "matrix pipelined"),
+    for label, mode in report["conformance"].items():
+        lines.append(
+            f"    {label:<11}{mode['passed']:>3}/{mode['cells']} cells,"
+            f" {mode['unverified_bytes_leaked']} leaks"
+        )
+    lines += [
+        "",
+        "  gates: " + "; ".join(f"{c.name} -> {verdict([c])}" for c in gates),
     ]
-    extra = [
-        f"{name} -> {'PASS' if criteria[key] else 'FAIL'}"
-        for key, name in gates
-        if key in criteria
-    ]
-    if extra:
-        lines += ["", "  gates: " + "; ".join(extra)]
     return "\n".join(lines)
+
+
+TARGET = BenchTarget(
+    "bench-security",
+    "BENCH_security_pipeline.json",
+    run_security_bench,
+    criteria,
+    render_security_bench,
+)

@@ -27,9 +27,9 @@ near-zero-cost way to report *where an access spends its time* and
 * SLOs (:mod:`repro.obs.slo`) — latency/availability objectives over
   registry metrics with burn-rate rules feeding the alert engine.
 
-See ``python -m repro.harness trace`` for the end-to-end profile built
-on the spans, ``python -m repro.harness profile`` for cross-process
-critical-path attribution and SLO verdicts, ``python -m repro.harness
+See ``python -m repro.harness profile`` for the end-to-end profile built
+on the spans (per-span table, rejection census, cross-process
+critical-path attribution and SLO verdicts), ``python -m repro.harness
 monitor`` for the standing metrics/alerts plane, and DESIGN.md
 §4d/§4f/§4j for the span taxonomy, metric naming conventions, and the
 causal-tracing design.

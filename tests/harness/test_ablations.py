@@ -1,10 +1,11 @@
-"""Ablation experiments: each must reproduce its design claim."""
+"""Design-choice comparisons (``harness/design_choices.py``): each must
+reproduce its design claim."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness.ablations import (
+from repro.harness.design_choices import (
     compare_cert_caching,
     compare_cert_schemes,
     compare_location_lookup,

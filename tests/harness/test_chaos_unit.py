@@ -13,13 +13,18 @@ import json
 from repro.harness.chaos import (
     ELEMENTS,
     REPLICA_SITES,
+    TARGET,
     ChaosPoint,
     ChaosReport,
     _build_world,
-    check_report,
+    criteria,
     render_chaos,
-    write_report,
 )
+from repro.harness.kernel import problems, write_envelope
+
+
+def failed_gates(report: ChaosReport):
+    return problems(criteria(report))
 
 
 def make_point(
@@ -48,7 +53,7 @@ def make_point(
 
 
 def make_report(resilient, baseline) -> ChaosReport:
-    return ChaosReport(seed=0, replicas=3, resilient=resilient, baseline=baseline)
+    return ChaosReport(replicas=3, resilient=resilient, baseline=baseline)
 
 
 class TestChaosPoint:
@@ -66,7 +71,7 @@ class TestChaosReportDict:
             [make_point(ok=40)], [make_point(ok=20, retries=0, failovers=0)]
         )
         data = report.to_dict()
-        assert data["seed"] == 0 and data["replicas"] == 3
+        assert data["replicas"] == 3
         assert data["resilient"][0]["availability"] == 1.0
         assert data["baseline"][0]["availability"] == 0.5
         assert data["resilient"][0]["drop_probability"] == 0.1
@@ -74,9 +79,10 @@ class TestChaosReportDict:
     def test_write_report_round_trips(self, tmp_path):
         report = make_report([make_point()], [make_point(ok=30)])
         out = tmp_path / "chaos.json"
-        write_report(report, out)
+        write_envelope(out, TARGET, report, criteria(report), True, 0)
         loaded = json.loads(out.read_text())
-        assert loaded["resilient"][0]["ok"] == 40
+        assert loaded["body"]["resilient"][0]["ok"] == 40
+        assert all(c["ok"] for c in loaded["criteria"])
 
 
 class TestCheckReport:
@@ -86,13 +92,13 @@ class TestCheckReport:
             [make_point(drop=0.0, ok=38), make_point(drop=0.2, ok=25),
              make_point(drop=0.3, ok=15)],
         )
-        assert check_report(report) == []
+        assert failed_gates(report) == []
 
     def test_unverified_bytes_always_fatal(self):
         report = make_report(
             [make_point()], [make_point(ok=20, unverified_bytes=512)]
         )
-        problems = check_report(report)
+        problems = failed_gates(report)
         assert any("unverified bytes" in p for p in problems)
 
     def test_low_availability_at_moderate_drop_fails(self):
@@ -100,7 +106,7 @@ class TestCheckReport:
             [make_point(drop=0.2, ok=39)],  # 97.5% < 99%
             [make_point(drop=0.2, ok=20)],
         )
-        problems = check_report(report)
+        problems = failed_gates(report)
         assert any("availability" in p for p in problems)
 
     def test_high_drop_rate_exempt_from_availability_gate(self):
@@ -109,19 +115,19 @@ class TestCheckReport:
         report = make_report(
             [make_point(drop=0.3, ok=25)], [make_point(drop=0.3, ok=10)]
         )
-        assert check_report(report) == []
+        assert failed_gates(report) == []
 
     def test_resilience_must_beat_baseline(self):
         report = make_report(
             [make_point(ok=40)], [make_point(ok=40, retries=0, failovers=0)]
         )
-        problems = check_report(report)
+        problems = failed_gates(report)
         assert any("earned nothing" in p for p in problems)
 
 
 class TestBuildWorld:
     def test_three_replica_deployment(self):
-        testbed, published = _build_world(seed=0)
+        testbed, published = _build_world()
         oid_hex = published.owner.oid.hex
         for site in REPLICA_SITES:
             addresses = testbed.location_service.tree.addresses_at(oid_hex, site)

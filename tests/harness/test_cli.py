@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.harness.__main__ import main
+from repro.harness.kernel import REGISTRY, BenchTarget, gate
+
+ENVELOPE_KEYS = {"name", "seed", "quick", "env", "criteria", "body"}
 
 
 class TestCli:
@@ -30,48 +36,86 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_trace_target_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["trace", "--quick"])
+
     def test_seed_changes_nothing_structural(self, capsys):
         assert main(["fig4", "--repeats", "1", "--seed", "7"]) == 0
         assert "Figure 4" in capsys.readouterr().out
 
-    def test_chaos_quick_passes_gates(self, capsys, tmp_path):
-        out_path = tmp_path / "chaos.json"
-        assert main(["chaos", "--quick", "--out", str(out_path)]) == 0
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_quick_run_passes_gates(
+        self, name, quick_report, capsys, tmp_path, monkeypatch
+    ):
+        """Every registered bench through the CLI: exit 0, the success
+        line, and a six-key envelope whose criteria all hold. The run
+        itself is the session's shared quick report."""
+        target, report = REGISTRY[name], quick_report(name)
+        shared = dataclasses.replace(target, run=lambda quick, seed: report)
+        monkeypatch.setitem(REGISTRY, name, shared)
+        out_path = tmp_path / target.report_name
+        assert main([name, "--quick", "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert "Chaos sweep" in out
-        assert "all resilience gates passed" in out
-        assert out_path.exists()
+        assert f"{name} gates passed" in out and "FAIL:" not in out
+        envelope = json.loads(out_path.read_text())
+        assert set(envelope) == ENVELOPE_KEYS
+        assert envelope["name"] == name
+        assert envelope["quick"] is True and envelope["seed"] == 0
+        assert set(envelope["env"]) == {"python", "platform", "cryptography"}
+        assert envelope["criteria"] and all(c["ok"] for c in envelope["criteria"])
 
-    def test_recovery_quick_passes_gates(self, capsys, tmp_path):
-        out_path = tmp_path / "recovery.json"
-        assert main(["recovery", "--quick", "--out", str(out_path)]) == 0
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_gate_failure_exits_nonzero(
+        self, name, quick_report, capsys, tmp_path, monkeypatch
+    ):
+        """A red gate must fail the process (that is what CI keys on),
+        print its ``FAIL:`` line, and still leave the report behind."""
+        target, report = REGISTRY[name], quick_report(name)
+        first, *rest = target.criteria(report)
+        broken = dataclasses.replace(
+            target,
+            run=lambda quick, seed: report,
+            criteria=lambda report: [dataclasses.replace(first, ok=False), *rest],
+        )
+        monkeypatch.setitem(REGISTRY, name, broken)
+        out_path = tmp_path / target.report_name
+        assert main([name, "--quick", "--out", str(out_path)]) == 1
         out = capsys.readouterr().out
-        assert "Recovery bench" in out
-        assert "all recovery gates passed" in out
-        assert out_path.exists()
+        assert f"FAIL: {first.message}" in out
+        assert "gates passed" not in out
+        envelope = json.loads(out_path.read_text())
+        assert [c["ok"] for c in envelope["criteria"]].count(False) == 1
 
-    def test_convergence_quick_passes_gates(self, capsys, tmp_path):
-        out_path = tmp_path / "convergence.json"
-        assert main(["convergence", "--quick", "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "Convergence bench" in out
-        assert "all convergence gates passed" in out
-        assert out_path.exists()
-
-    def test_convergence_gate_failure_exits_nonzero(
+    def test_benches_runs_registry_in_order_and_fails_if_any_gate_does(
         self, capsys, tmp_path, monkeypatch
     ):
-        """A red gate must fail the process (that is what CI keys on)."""
-        import repro.harness.convergence as convergence
+        ran = []
 
-        def diverged(quick=False, seed=0):
-            report = convergence.ConvergenceReport(seed=seed, quick=quick)
-            report.partitioned.byte_identical = False
-            return report
+        def fake(name: str, ok: bool) -> BenchTarget:
+            return BenchTarget(
+                name,
+                f"BENCH_{name}.json",
+                run=lambda quick, seed: ran.append((name, quick, seed)) or {"n": name},
+                criteria=lambda report: [gate("fine", ok, "==", True, f"{name} red")],
+                render=lambda report: f"ran {report['n']}",
+            )
 
-        monkeypatch.setattr(convergence, "run_convergence", diverged)
-        out_path = tmp_path / "convergence.json"
-        assert main(["convergence", "--quick", "--out", str(out_path)]) == 1
+        fakes = (fake("first", True), fake("second", False), fake("third", True))
+        monkeypatch.setattr(
+            "repro.harness.__main__.REGISTRY", {target.name: target for target in fakes}
+        )
+        out_dir = tmp_path / "reports"
+        assert main(["benches", "--quick", "--seed", "5", "--out", str(out_dir)]) == 1
+        assert ran == [("first", True, 5), ("second", True, 5), ("third", True, 5)]
+        assert "FAIL: second red" in capsys.readouterr().out
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "BENCH_first.json", "BENCH_second.json", "BENCH_third.json",
+        ]
+
+    def test_bench_report_tabulates_the_committed_reports(self, capsys):
+        assert main(["bench-report"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL:" in out and "diverged" in out
-        assert out_path.exists()  # the report is written even on failure
+        assert "Collected bench reports" in out
+        assert "trace_profile" not in out
+        assert " 0 failing" in out

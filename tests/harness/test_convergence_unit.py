@@ -10,14 +10,19 @@ from __future__ import annotations
 import json
 
 from repro.harness.convergence import (
+    TARGET,
     ConvergenceReport,
     MergeCost,
     PartitionedConvergence,
     RecoveryGate,
-    check_report,
+    criteria,
     render_convergence,
-    write_report,
 )
+from repro.harness.kernel import problems, write_envelope
+
+
+def failed_gates(report: ConvergenceReport):
+    return problems(criteria(report))
 
 
 def clean_verdict(scenario="forged_delta", **overrides) -> dict:
@@ -37,8 +42,6 @@ def clean_verdict(scenario="forged_delta", **overrides) -> dict:
 
 def clean_report(**overrides) -> ConvergenceReport:
     report = ConvergenceReport(
-        seed=0,
-        quick=True,
         partitioned=PartitionedConvergence(
             writers=3,
             rounds=2,
@@ -70,29 +73,29 @@ def clean_report(**overrides) -> ConvergenceReport:
 
 class TestGates:
     def test_clean_report_passes(self):
-        assert check_report(clean_report()) == []
+        assert failed_gates(clean_report()) == []
 
     def test_divergence_fails(self):
         report = clean_report()
         report.partitioned.byte_identical = False
-        assert any("diverged" in p.lower() for p in check_report(report))
+        assert any("diverged" in p.lower() for p in failed_gates(report))
 
     def test_missing_gossip_fails(self):
         report = clean_report()
         report.partitioned.gossip_pulled = 0
         report.partitioned.gossip_pushed = 0
-        assert any("gossip" in p for p in check_report(report))
+        assert any("gossip" in p for p in failed_gates(report))
 
     def test_empty_adversarial_matrix_fails(self):
         assert any(
-            "adversarial" in p for p in check_report(clean_report(adversarial=[]))
+            "adversarial" in p for p in failed_gates(clean_report(adversarial=[]))
         )
 
     def test_leaked_bytes_fail(self):
         report = clean_report(
             adversarial=[clean_verdict(unverified_bytes_leaked=True)]
         )
-        assert any("attacker bytes" in p for p in check_report(report))
+        assert any("attacker bytes" in p for p in failed_gates(report))
 
     def test_wrong_error_class_fails(self):
         report = clean_report(
@@ -102,27 +105,27 @@ class TestGates:
                 )
             ]
         )
-        assert any("forged_delta" in p for p in check_report(report))
+        assert any("forged_delta" in p for p in failed_gates(report))
 
     def test_lost_delta_fails(self):
         report = clean_report()
         report.recovery.recovered_deltas = 2
-        assert any("lost deltas" in p for p in check_report(report))
+        assert any("lost deltas" in p for p in failed_gates(report))
 
     def test_unreverified_recovery_fails(self):
         report = clean_report()
         report.recovery.reverified_deltas = 0
-        assert any("re-verified" in p for p in check_report(report))
+        assert any("re-verified" in p for p in failed_gates(report))
 
     def test_accepted_tamper_fails(self):
         report = clean_report()
         report.recovery.tamper_failed_closed = False
-        assert any("tamper" in p.lower() for p in check_report(report))
+        assert any("tamper" in p.lower() for p in failed_gates(report))
 
     def test_changed_digest_fails(self):
         report = clean_report()
         report.recovery.digest_intact = False
-        assert any("different bytes" in p for p in check_report(report))
+        assert any("different bytes" in p for p in failed_gates(report))
 
 
 class TestRendering:
@@ -143,8 +146,9 @@ class TestRendering:
 
     def test_report_roundtrips_as_json(self, tmp_path):
         path = tmp_path / "BENCH_convergence.json"
-        write_report(clean_report(), path)
-        data = json.loads(path.read_text())
-        assert data["partitioned_convergence"]["byte_identical"] is True
+        report = clean_report()
+        write_envelope(path, TARGET, report, criteria(report), True, 0)
+        data = json.loads(path.read_text())["body"]
+        assert data["partitioned"]["byte_identical"] is True
         assert data["recovery"]["tamper_error"] == "RecoveryIntegrityError"
         assert data["adversarial"][0]["scenario"] == "forged_delta"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
-from repro.harness.experiment import HOST_SITE, Testbed
+from repro.harness.experiment import HOST_SITE, SERVICES_HOST, Testbed
 from tests.conftest import fast_keys
 
 
@@ -67,3 +67,23 @@ class TestWiring:
         client = testbed.ssl_client("canardo.inria.fr")
         body = client.get(f"{published.name}/index.html")
         assert body == b"<html>hello</html>"
+
+
+class TestAddReplica:
+    def test_replica_served_from_its_own_site_and_server_reused(self):
+        testbed = Testbed()
+        site, host = HOST_SITE["canardo.inria.fr"], "canardo.inria.fr"
+        servers = []
+        for name in ("vu.nl/a", "vu.nl/b"):
+            owner = DocumentOwner(name, keys=fast_keys(), clock=testbed.clock)
+            owner.put_element(PageElement("index.html", name.encode()))
+            published = testbed.publish(owner)
+            servers.append(testbed.add_replica(published, host, site))
+            assert set(published.replica_addresses) == {HOST_SITE[SERVICES_HOST], site}
+            assert testbed.location_service.tree.addresses_at(published.oid_hex, site)
+        # One object server per host, however many documents it hosts.
+        assert servers[0] is servers[1] is testbed.servers[host]
+        # With ginger gone, the Paris client is served by its local replica.
+        testbed.network.unregister(testbed.objectserver_endpoint)
+        response = testbed.client_stack(host).proxy.handle(published.url("index.html"))
+        assert response.ok and response.content == b"vu.nl/b"

@@ -9,17 +9,22 @@ from __future__ import annotations
 
 import json
 
+from repro.harness.kernel import problems, write_envelope
 from repro.harness.monitor import (
     CACHE_TTL,
     QUARANTINE_SECONDS,
     SCRAPE_INTERVAL,
+    TARGET,
     FaultTimes,
     MonitorReport,
-    check_report,
+    criteria,
     render_monitor,
-    write_report,
 )
-from repro.harness.report import render_monitor_plane_section
+from repro.harness.report import render_bench_summary
+
+
+def failed_gates(report: MonitorReport):
+    return problems(criteria(report))
 
 
 def clean_report(**overrides) -> MonitorReport:
@@ -44,8 +49,6 @@ def clean_report(**overrides) -> MonitorReport:
     ]
     timeline.sort(key=lambda event: event["at"])
     fields = dict(
-        seed=0,
-        quick=True,
         scrape_interval=SCRAPE_INTERVAL,
         scrapes=40,
         rules=list(fire_resolve),
@@ -72,19 +75,19 @@ def clean_report(**overrides) -> MonitorReport:
 
 class TestGates:
     def test_clean_report_passes(self):
-        assert check_report(clean_report()) == []
+        assert failed_gates(clean_report()) == []
 
     def test_missing_transition_flagged(self):
         report = clean_report()
         report.fire_resolve["replica_circuit_open"]["resolved_at"] = None
-        assert any("never reached resolved_at" in p for p in check_report(report))
+        assert any("never reached resolved_at" in p for p in failed_gates(report))
 
     def test_out_of_order_timeline_flagged(self):
         report = clean_report()
         # The staleness alert firing before the circuit alert resolves.
         report.fire_resolve["revocation_staleness_high"]["fired_at"] = 60.0
         report.faults.feed_killed_at = 55.0
-        assert any("out of order" in p for p in check_report(report))
+        assert any("out of order" in p for p in failed_gates(report))
 
     def test_slow_detection_flagged(self):
         report = clean_report()
@@ -92,47 +95,47 @@ class TestGates:
         report.fire_resolve["replica_circuit_open"]["fired_at"] = (
             report.faults.replica_killed_at + bound + 1.0
         )
-        assert any("circuit_fire_after_kill" in p for p in check_report(report))
+        assert any("circuit_fire_after_kill" in p for p in failed_gates(report))
 
     def test_negative_latency_flagged(self):
         report = clean_report()
         report.fire_resolve["replica_circuit_open"]["fired_at"] = 10.0
-        assert any("negative latency" in p for p in check_report(report))
+        assert any("negative latency" in p for p in failed_gates(report))
 
     def test_consistency_drift_flagged(self):
         report = clean_report(registry_access_seconds=52.0)  # 4% off
-        assert any("consistency ratio" in p for p in check_report(report))
+        assert any("consistency ratio" in p for p in failed_gates(report))
 
     def test_nondeterministic_scrapes_flagged(self):
         assert any(
             "text scrapes differ" in p
-            for p in check_report(clean_report(idle_text_identical=False))
+            for p in failed_gates(clean_report(idle_text_identical=False))
         )
         assert any(
             "JSON snapshots differ" in p
-            for p in check_report(clean_report(idle_json_identical=False))
+            for p in failed_gates(clean_report(idle_json_identical=False))
         )
 
     def test_stuck_alert_flagged(self):
         report = clean_report(final_firing=["revocation_rejections"])
-        assert any("still firing" in p for p in check_report(report))
+        assert any("still firing" in p for p in failed_gates(report))
 
     def test_missing_rejections_flagged(self):
         assert any(
             "no revocation rejections" in p
-            for p in check_report(clean_report(rejected=0))
+            for p in failed_gates(clean_report(rejected=0))
         )
 
     def test_spurious_failures_flagged(self):
         assert any(
             "non-revocation failures" in p
-            for p in check_report(clean_report(other_failures=2))
+            for p in failed_gates(clean_report(other_failures=2))
         )
 
     def test_missing_cadence_flagged(self):
         assert any(
             "cadence did not run" in p
-            for p in check_report(clean_report(scrapes=3))
+            for p in failed_gates(clean_report(scrapes=3))
         )
 
 
@@ -157,15 +160,16 @@ class TestReportShape:
 
     def test_to_dict_is_wire_clean(self):
         data = clean_report().to_dict()
-        assert data["consistency"]["ratio"] > 0
-        assert data["workload"]["accesses"] == 120
+        assert data["consistency_ratio"] > 0
+        assert data["accesses"] == 120 and data["faults"]["feed_killed_at"] == 100.0
         assert len(data["timeline"]) == 6
         json.dumps(data)
 
     def test_write_report_roundtrips(self, tmp_path):
         path = tmp_path / "BENCH_monitor_plane.json"
-        write_report(clean_report(), path)
-        assert json.loads(path.read_text())["scrapes"] == 40
+        report = clean_report()
+        write_envelope(path, TARGET, report, criteria(report), True, 0)
+        assert json.loads(path.read_text())["body"]["scrapes"] == 40
 
     def test_render_names_every_rule(self):
         out = render_monitor(clean_report())
@@ -176,13 +180,19 @@ class TestReportShape:
 
 
 class TestAggregateSection:
-    def test_monitor_plane_section_renders_timeline(self):
-        section = render_monitor_plane_section(clean_report().to_dict())
-        assert "alert timeline" in section
-        assert "replica_circuit_open" in section
-        assert "worst revocation-view staleness: 48.0 s" in section
-        assert "worst feed serial lag: 1" in section
+    """The monitor plane's rows in the ``bench-report`` table."""
+
+    def test_monitor_plane_section_renders_timeline(self, tmp_path):
+        report = clean_report(final_firing=["revocation_rejections"])
+        envelope = write_envelope(
+            tmp_path / "m.json", TARGET, report, criteria(report), True, 0
+        )
+        section = render_bench_summary({"monitor_plane": envelope})
+        for rule in report.rules:
+            assert f"reached[{rule}.fired_at]" in section
+        assert "latency[circuit_fire_after_kill]" in section
+        assert "FAIL: alerts still firing at end of run" in section
 
     def test_monitor_plane_section_tolerates_partial_report(self):
-        section = render_monitor_plane_section({})
-        assert "no alert transitions recorded" in section
+        section = render_bench_summary({"monitor_plane": {"timeline": []}})
+        assert "no criteria envelope" in section

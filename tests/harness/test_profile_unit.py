@@ -1,8 +1,8 @@
 """Profile-bench gates and report shape.
 
-One quick integration run per module (the same configuration CI
-executes) backs every assertion; mutation tests then pin that each gate
-actually detects the regression it names.
+The session's shared quick run (the same configuration CI executes)
+backs every assertion; mutation tests then pin that each gate actually
+detects the regression it names.
 """
 
 from __future__ import annotations
@@ -12,27 +12,30 @@ import json
 
 import pytest
 
+from repro.harness.kernel import problems, write_envelope
 from repro.harness.profile_bench import (
     ALLOWED_ROOTS,
     EXPECTED_CATEGORIES,
     EXPECTED_SPANS,
-    check_report,
+    TARGET,
+    criteria,
     render_profile,
-    run_profile,
-    write_report,
 )
-from repro.harness.report import render_bench_summary, render_profile_section
+from repro.harness.report import render_bench_summary
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_profile(quick=True, seed=0)
+def report(quick_report):
+    return quick_report("profile")
+
+
+def failed_gates(report: dict):
+    return problems(criteria(report))
 
 
 class TestQuickRunPassesGates:
     def test_no_problems(self, report):
-        assert check_report(report) == []
-        assert report["criteria"]["problems"] == []
+        assert failed_gates(report) == []
 
     def test_stitching_is_total(self, report):
         stitching = report["stitching"]
@@ -50,7 +53,7 @@ class TestQuickRunPassesGates:
 
     def test_expected_span_families_present(self, report):
         for name in EXPECTED_SPANS:
-            assert report["span_names"].get(name, 0) > 0, name
+            assert report["phases"][name]["count"] > 0, name
 
     def test_attribution_closes_and_covers_categories(self, report):
         profile = report["profile"]
@@ -75,7 +78,7 @@ class TestQuickRunPassesGates:
 
     def test_report_is_json_serialisable(self, report, tmp_path):
         out = tmp_path / "BENCH_profile.json"
-        write_report(report, out)
+        write_envelope(out, TARGET, report, criteria(report), True, 0)
         assert json.loads(out.read_text())["name"] == "profile"
 
 
@@ -83,32 +86,32 @@ class TestGatesDetectRegressions:
     def test_stitch_rate_below_one_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["stitching"]["stitch_rate"] = 0.98
-        assert any("stitch rate" in p for p in check_report(broken))
+        assert any("stitch rate" in p for p in failed_gates(broken))
 
     def test_dropped_spans_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["stitching"]["spans_dropped"] = 3
-        assert any("spans_dropped" in p for p in check_report(broken))
+        assert any("spans_dropped" in p for p in failed_gates(broken))
 
     def test_bad_root_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["bad_roots"] = ["server.handle (server-ginger:9)"]
-        assert any("trace roots" in p for p in check_report(broken))
+        assert any("trace roots" in p for p in failed_gates(broken))
 
     def test_missing_span_family_flagged(self, report):
         broken = copy.deepcopy(report)
-        del broken["span_names"]["gossip.run"]
-        assert any("gossip.run" in p for p in check_report(broken))
+        del broken["phases"]["gossip.run"]
+        assert any("gossip.run" in p for p in failed_gates(broken))
 
     def test_attribution_error_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["max_relative_attribution_error"] = 0.05
-        assert any("attribution" in p for p in check_report(broken))
+        assert any("attribution" in p for p in failed_gates(broken))
 
     def test_missing_category_flagged(self, report):
         broken = copy.deepcopy(report)
         del broken["profile"]["categories"]["storage"]
-        assert any("'storage'" in p for p in check_report(broken))
+        assert any("'storage'" in p for p in failed_gates(broken))
 
     def test_incomplete_alert_lifecycle_flagged(self, report):
         broken = copy.deepcopy(report)
@@ -120,12 +123,12 @@ class TestGatesDetectRegressions:
                 and event["state"] == "resolved"
             )
         ]
-        assert any("pending" in p for p in check_report(broken))
+        assert any("pending" in p for p in failed_gates(broken))
 
     def test_degraded_reads_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["workload"]["read_ok"] = broken["workload"]["reads"] - 1
-        assert any("reads degraded" in p for p in check_report(broken))
+        assert any("reads degraded" in p for p in failed_gates(broken))
 
 
 class TestRendering:
@@ -136,13 +139,15 @@ class TestRendering:
         assert "SLO access_latency" in text
         assert "hottest span families" in text
 
-    def test_bench_summary_includes_profile_section(self, report):
-        section = render_profile_section({"profile": report})
-        assert "Causal profile" in section
-        assert "stitching: rate 1.000" in section
-        summary = render_bench_summary({"profile": report})
-        assert "Causal profile" in summary
+    def test_bench_summary_includes_profile_section(self, report, tmp_path):
+        envelope = write_envelope(
+            tmp_path / "p.json", TARGET, report, criteria(report), True, 0
+        )
+        summary = render_bench_summary({"profile": envelope})
+        assert "stitch_rate" in summary and "attribution_error" in summary
+        assert "span_consistency_drift" in summary
+        assert " 0 failing" in summary
 
     def test_section_absent_without_report(self):
-        assert render_profile_section({}) == ""
-        assert render_profile_section({"profile": {"error": "missing"}}) == ""
+        assert "profile" not in render_bench_summary({})
+        assert "unreadable" in render_bench_summary({"profile": {"error": "missing"}})

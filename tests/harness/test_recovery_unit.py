@@ -9,22 +9,21 @@ from __future__ import annotations
 
 import json
 
+from repro.harness.kernel import problems as failed_gates, write_envelope
 from repro.harness.recovery import (
+    TARGET,
     RecoveryReport,
     ReplicaRecovery,
     RevocationResume,
     TamperFailClosed,
     TornTail,
-    check_report,
+    criteria,
     render_recovery,
-    write_report,
 )
 
 
 def clean_report(**overrides) -> RecoveryReport:
     report = RecoveryReport(
-        seed=0,
-        quick=True,
         replica=ReplicaRecovery(
             documents=2,
             recovered_replicas=2,
@@ -69,7 +68,7 @@ def clean_report(**overrides) -> RecoveryReport:
 
 
 def problems(**overrides):
-    return check_report(clean_report(**overrides))
+    return failed_gates(criteria(clean_report(**overrides)))
 
 
 class TestGates:
@@ -161,12 +160,13 @@ class TestGates:
 class TestReportShape:
     def test_round_trips_through_json(self, tmp_path):
         path = tmp_path / "BENCH_recovery.json"
-        write_report(clean_report(), path)
-        data = json.loads(path.read_text())
-        assert data["replica_recovery"]["recovered_replicas"] == 2
-        assert data["revocation_resume"]["refreshes_at_rejection"] == 0
-        assert data["torn_tail"]["torn_bytes_dropped"] == 108
-        assert data["tamper_fail_closed"]["failed_closed"] is True
+        report = clean_report()
+        write_envelope(path, TARGET, report, criteria(report), True, 0)
+        data = json.loads(path.read_text())["body"]
+        assert data["replica"]["recovered_replicas"] == 2
+        assert data["revocation"]["refreshes_at_rejection"] == 0
+        assert data["torn"]["torn_bytes_dropped"] == 108
+        assert data["tamper"]["failed_closed"] is True
 
     def test_render_marks_pass_and_fail(self):
         text = render_recovery(clean_report())
@@ -180,13 +180,20 @@ class TestReportShape:
             render_bench_summary,
         )
 
-        write_report(clean_report(), tmp_path / "BENCH_recovery.json")
+        report = clean_report(revocation__refreshes_at_rejection=1)
+        write_envelope(
+            tmp_path / "BENCH_recovery.json", TARGET, report, criteria(report), True, 0
+        )
         summary = render_bench_summary(aggregate_bench_reports(tmp_path))
-        assert "Crash recovery" in summary
-        assert "zero fail-open window" in summary
+        assert "revocation.rejected_from_disk" in summary
+        assert "FAIL: rejection needed 1 feed RPCs" in summary
+        assert "1 reports, 20 criteria, 1 failing" in summary
 
-    def test_digest_absent_without_report(self):
-        from repro.harness.report import render_recovery_section
+    def test_digest_absent_without_report(self, tmp_path):
+        from repro.harness.report import (
+            aggregate_bench_reports,
+            render_bench_summary,
+        )
 
-        assert render_recovery_section({}) == ""
-        assert render_recovery_section({"recovery": {"error": "boom"}}) == ""
+        summary = render_bench_summary(aggregate_bench_reports(tmp_path))
+        assert "recovery" not in summary

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.harness.fig4 import Fig4Row
 from repro.harness.fig567 import Fig567Row
 from repro.harness.report import render_fig4, render_fig567, render_table
@@ -99,66 +101,76 @@ class TestBenchAggregation:
         )
 
         (tmp_path / "BENCH_revocation.json").write_text(
-            '{"containment": [], "overhead_ratio": 1.4}'
+            json.dumps(
+                {
+                    "name": "revocation",
+                    "quick": True,
+                    "criteria": [
+                        {"name": "overhead_ratio", "ok": True, "value": 1.4771234,
+                         "threshold": 2.5, "message": "ratio too high"},
+                    ],
+                }
+            )
         )
+        (tmp_path / "BENCH_legacy.json").write_text('{"containment": []}')
         (tmp_path / "BENCH_broken.json").write_text("{not json")
         out = render_bench_summary(aggregate_bench_reports(tmp_path))
-        assert "revocation" in out and "ok" in out
+        assert "revocation" in out and "overhead_ratio" in out
+        assert "1.477" in out and "2.5" in out and "PASS" in out
+        assert "legacy" in out and "no criteria envelope" in out
         assert "broken" in out and "unreadable" in out
-        assert "containment" in out  # section listing
+        assert "3 reports, 3 criteria, 2 failing" in out
 
 
 class TestConvergenceSection:
-    """The bench-report digest of BENCH_convergence.json."""
+    """The convergence bench's rows in the ``bench-report`` table."""
 
-    def section(self, report: dict) -> str:
-        from repro.harness.report import render_convergence_section
+    def section(self, report) -> str:
+        from repro.harness.convergence import TARGET, criteria
+        from repro.harness.report import render_bench_summary
 
-        return render_convergence_section({"convergence": report})
+        return render_bench_summary(
+            {
+                "convergence": {
+                    "name": TARGET.name,
+                    "quick": False,
+                    "criteria": [vars(c) for c in criteria(report)],
+                }
+            }
+        )
+
+    def report(self):
+        from tests.harness.test_convergence_unit import clean_report
+
+        return clean_report()
 
     def test_absent_report_renders_nothing(self):
-        from repro.harness.report import render_convergence_section
+        from repro.harness.report import render_bench_summary
 
-        assert render_convergence_section({}) == ""
-        assert render_convergence_section({"convergence": {"error": "x"}}) == ""
+        assert "convergence" not in render_bench_summary({})
+        out = render_bench_summary({"convergence": {"error": "x"}})
+        assert "unreadable" in out and "PASS" not in out
 
     def test_full_report_digest(self):
-        out = self.section(
-            {
-                "partitioned_convergence": {
-                    "writers": 5, "rounds": 4, "deltas": 20,
-                    "gossip_pulled": 8, "gossip_pushed": 12,
-                    "server_digests": {"a": "d1", "b": "d1"},
-                    "reader_digests": {"a": "d1", "b": "d1"},
-                    "byte_identical": True,
-                },
-                "merge_cost": {"deltas": 20, "samples": 100,
-                               "p50_us": 129.0, "p99_us": 197.0},
-                "adversarial": [{"ok": True}, {"ok": True}],
-                "recovery": {"deltas_published": 5, "recovered_deltas": 5,
-                             "tamper_failed_closed": True,
-                             "tamper_error": "RecoveryIntegrityError"},
-            }
-        )
-        assert "byte-identical" in out
-        assert "p50 129 us" in out
-        assert "2/2 scenarios rejected fail-closed" in out
-        assert "RecoveryIntegrityError" in out
+        out = self.section(self.report())
+        assert "partitioned.byte_identical" in out
+        assert "adversarial[forged_delta].exact_error" in out
+        assert "recovery.tamper_failed_closed" in out
+        assert "FAIL" not in out and "full" in out
 
     def test_divergence_and_tamper_acceptance_shout(self):
-        out = self.section(
-            {
-                "partitioned_convergence": {
-                    "byte_identical": False,
-                    "server_digests": {"a": "d1", "b": "d2"},
-                    "reader_digests": {},
-                },
-                "recovery": {"tamper_failed_closed": False},
-            }
-        )
-        assert "DIVERGED" in out
-        assert "ACCEPTED TAMPERED BYTES" in out
+        report = self.report()
+        report.partitioned.byte_identical = False
+        report.recovery.tamper_failed_closed = False
+        out = self.section(report)
+        assert "FAIL: replicas/readers diverged after healing" in out
+        assert "FAIL: tampered (CRC-valid) delta store was accepted" in out
+        assert "2 failing" in out
 
     def test_partial_report_tolerated(self):
-        assert self.section({"merge_cost": {"p50_us": 1.0}}) != ""
-        assert self.section({}) == ""
+        from repro.harness.report import render_bench_summary
+
+        out = render_bench_summary({"convergence": {"merge_cost": {"p50_us": 1.0}}})
+        assert "no criteria envelope" in out
+        out = render_bench_summary({"convergence": {"criteria": [{"name": "x"}]}})
+        assert "FAIL" in out

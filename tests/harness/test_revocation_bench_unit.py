@@ -9,15 +9,20 @@ from __future__ import annotations
 
 import json
 
+from repro.harness.kernel import problems, write_envelope
 from repro.harness.revocation_bench import (
     CONTAINMENT_SLACK,
+    TARGET,
     OverheadPoint,
     ProxyContainment,
     RevocationReport,
-    check_report,
+    criteria,
     render_revocation,
-    write_report,
 )
+
+
+def failed_gates(report: RevocationReport):
+    return problems(criteria(report))
 
 
 def contained_proxy(
@@ -54,7 +59,6 @@ def overhead(enabled, mean=0.005, ok=30, refreshes=3) -> OverheadPoint:
 
 def clean_report() -> RevocationReport:
     return RevocationReport(
-        seed=0,
         proxies=2,
         feed_sites_reached=["root/europe/vu"],
         containment=[
@@ -71,53 +75,53 @@ def clean_report() -> RevocationReport:
 
 class TestGates:
     def test_clean_report_passes(self):
-        assert check_report(clean_report()) == []
+        assert failed_gates(clean_report()) == []
 
     def test_uncontained_proxy_flagged(self):
         report = clean_report()
         report.containment[0] = contained_proxy(
             contained=False, containment_seconds=-1.0, rejection_error=""
         )
-        assert any("never contained" in p for p in check_report(report))
+        assert any("never contained" in p for p in failed_gates(report))
 
     def test_late_containment_flagged(self):
         report = clean_report()
         report.containment[0] = contained_proxy(
             containment_seconds=20.0 + CONTAINMENT_SLACK + 1.0
         )
-        assert any("past its" in p for p in check_report(report))
+        assert any("past its" in p for p in failed_gates(report))
 
     def test_wrong_rejection_error_flagged(self):
         report = clean_report()
         report.containment[0] = contained_proxy(
             rejection_error="AuthenticityError"
         )
-        assert any("not RevokedKeyError" in p for p in check_report(report))
+        assert any("not RevokedKeyError" in p for p in failed_gates(report))
 
     def test_post_containment_serve_flagged(self):
         report = clean_report()
         report.containment[0] = contained_proxy(post_containment_ok=1)
-        assert any("after containment" in p for p in check_report(report))
+        assert any("after containment" in p for p in failed_gates(report))
 
     def test_spurious_failures_flagged(self):
         report = clean_report()
         report.containment[0] = contained_proxy(other_failures=2)
-        assert any("non-security failures" in p for p in check_report(report))
+        assert any("non-security failures" in p for p in failed_gates(report))
 
     def test_overhead_ratio_gated(self):
         report = clean_report()
         report.enabled = overhead(True, mean=0.013)  # 2.6× the baseline
-        assert any("overhead ratio" in p for p in check_report(report))
+        assert any("overhead ratio" in p for p in failed_gates(report))
 
     def test_idle_feed_not_steady_state(self):
         report = clean_report()
         report.enabled = overhead(True, mean=0.007, refreshes=1)
-        assert any("steady-state" in p for p in check_report(report))
+        assert any("steady-state" in p for p in failed_gates(report))
 
     def test_failing_schedules_flagged(self):
         report = clean_report()
         report.baseline = overhead(False, ok=29)
-        assert any("baseline schedule" in p for p in check_report(report))
+        assert any("baseline schedule" in p for p in failed_gates(report))
 
 
 class TestReportShape:
@@ -131,15 +135,16 @@ class TestReportShape:
         json.dumps(data)  # wire-clean
 
     def test_empty_containment_summary(self):
-        report = RevocationReport(seed=0, proxies=0, feed_sites_reached=[])
+        report = RevocationReport(proxies=0, feed_sites_reached=[])
         data = report.to_dict()
         assert data["containment_summary"] == {"contained": 0, "proxies": 0}
         assert data["overhead_ratio"] == 0.0
 
     def test_write_report_roundtrips(self, tmp_path):
         path = tmp_path / "BENCH_revocation.json"
-        write_report(clean_report(), path)
-        assert json.loads(path.read_text())["proxies"] == 2
+        report = clean_report()
+        write_envelope(path, TARGET, report, criteria(report), True, 0)
+        assert json.loads(path.read_text())["body"]["proxies"] == 2
 
     def test_render_names_every_proxy(self):
         report = clean_report()

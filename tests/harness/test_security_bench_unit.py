@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.kernel import problems
 from repro.harness.security_bench import (
+    CONCURRENCY_TARGET,
     WARM_SPEEDUP_TARGET,
     _best_of,
     _summarize_run,
-    evaluate_criteria,
+    criteria,
     render_security_bench,
 )
 
@@ -96,71 +98,100 @@ def make_pipeline(warm_speedup=20.0, fastpath_total=5.0, baseline_total=9.0):
     }
 
 
+def make_report(multiple=6.0, unverified=0, leaks=0, **pipeline_kwargs):
+    mode = {"waves": 2, "accesses_per_s": 20.0, "accesses": 42}
+    matrix = {"cells": 22, "passed": 22, "unverified_bytes_leaked": 0}
+    return {
+        "micro": {
+            "rsa_verify_cold_us": 500.0,
+            "rsa_verify_cached_us": 5.0,
+            "rsa_cached_speedup": 100.0,
+            "canonical_encode_us": 40.0,
+            "wire_size_memo_us": 0.5,
+            "encode_memo_speedup": 80.0,
+            "element_hash_cold_us": 20.0,
+            "element_hash_memo_us": 0.3,
+            "cert_roundtrip_cold_us": 600.0,
+            "cert_roundtrip_warm_us": 30.0,
+            "cert_warm_speedup": 20.0,
+        },
+        "pipeline": make_pipeline(**pipeline_kwargs),
+        "concurrency": {
+            "objects": 3,
+            "elements_per_object": 6,
+            "element_bytes": 8192,
+            "hot_duplicates": 3,
+            "sequential": dict(mode),
+            "pipelined": dict(mode, accesses_per_s=20.0 * multiple),
+            "throughput_multiple": multiple,
+            "unverified_responses": unverified,
+            "failures": 0,
+        },
+        "conformance": {
+            "sequential": dict(matrix),
+            "pipelined": dict(matrix, unverified_bytes_leaked=leaks),
+        },
+    }
+
+
+def gates(**kwargs):
+    return {c.name: c for c in criteria(make_report(**kwargs))}
+
+
 class TestEvaluateCriteria:
     def test_passing_pipeline(self):
-        criteria = evaluate_criteria(make_pipeline())
-        assert criteria["warm_speedup_ok"] is True
-        assert criteria["fastpath_not_slower"] is True
-        assert criteria["warm_speedup_target"] == WARM_SPEEDUP_TARGET
+        assert problems(criteria(make_report())) == []
+        assert gates()["warm_speedup"].threshold == WARM_SPEEDUP_TARGET
+        assert gates()["concurrency_multiple"].threshold == CONCURRENCY_TARGET
 
     def test_slow_warm_path_fails_speedup_gate(self):
-        criteria = evaluate_criteria(
-            make_pipeline(warm_speedup=WARM_SPEEDUP_TARGET - 0.1)
-        )
-        assert criteria["warm_speedup_ok"] is False
-        assert criteria["fastpath_not_slower"] is True
+        report = make_report(warm_speedup=WARM_SPEEDUP_TARGET - 0.1)
+        assert problems(criteria(report)) == [
+            "warm verification speedup 4.9x below target 5x"
+        ]
 
     def test_speedup_exactly_at_target_passes(self):
-        criteria = evaluate_criteria(make_pipeline(warm_speedup=WARM_SPEEDUP_TARGET))
-        assert criteria["warm_speedup_ok"] is True
+        assert gates(warm_speedup=WARM_SPEEDUP_TARGET)["warm_speedup"].ok
 
     def test_fastpath_slower_than_baseline_fails(self):
-        criteria = evaluate_criteria(
-            make_pipeline(fastpath_total=9.5, baseline_total=9.0)
-        )
-        assert criteria["fastpath_not_slower"] is False
-        assert criteria["fastpath_total_ms"] == 9.5
-        assert criteria["baseline_total_ms"] == 9.0
+        found = gates(fastpath_total=9.5, baseline_total=9.0)["fastpath_not_slower"]
+        assert not found.ok
+        assert (found.value, found.threshold) == (9.5, 9.0)
+        assert found.message == "fast-path run slower than baseline"
 
-
-def make_report(**pipeline_kwargs):
-    pipeline = make_pipeline(**pipeline_kwargs)
-    micro = {
-        "rsa_verify_cold_us": 500.0,
-        "rsa_verify_cached_us": 5.0,
-        "rsa_cached_speedup": 100.0,
-        "canonical_encode_us": 40.0,
-        "wire_size_memo_us": 0.5,
-        "encode_memo_speedup": 80.0,
-        "element_hash_cold_us": 20.0,
-        "element_hash_memo_us": 0.3,
-        "cert_roundtrip_cold_us": 600.0,
-        "cert_roundtrip_warm_us": 30.0,
-        "cert_warm_speedup": 20.0,
-    }
-    return {
-        "name": "security_pipeline",
-        "quick": True,
-        "micro": micro,
-        "pipeline": pipeline,
-        "criteria": evaluate_criteria(pipeline),
-    }
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"multiple": 1.9},
+                "pipeline throughput multiple 1.90x below target 2.0x",
+            ),
+            (
+                {"unverified": 1},
+                "unverified or failed responses in the concurrency workload",
+            ),
+            ({"leaks": 1}, "conformance matrix not green with pipeline pipelined"),
+        ],
+    )
+    def test_pipeline_gates_fail_with_their_messages(self, kwargs, message):
+        assert problems(criteria(make_report(**kwargs))) == [message]
 
 
 class TestRenderSecurityBench:
     def test_passing_report_says_pass_twice(self):
+        """Once for each of the two fast-path gates (and no FAIL at all)."""
         text = render_security_bench(make_report())
-        assert text.count("PASS") == 2
+        assert "warm_speedup -> PASS; fastpath_not_slower -> PASS" in text
         assert "FAIL" not in text
         assert "canardo.inria.fr" in text
 
     def test_failing_speedup_renders_fail(self):
         text = render_security_bench(make_report(warm_speedup=1.5))
-        assert "FAIL" in text
+        assert "warm_speedup -> FAIL" in text
         assert "1.5x" in text
 
     def test_slower_fastpath_renders_fail(self):
         text = render_security_bench(
             make_report(fastpath_total=9.5, baseline_total=9.0)
         )
-        assert "fastpath not slower -> FAIL" in text
+        assert "fastpath_not_slower -> FAIL" in text

@@ -1,38 +1,37 @@
-"""The trace-profile harness: span coverage, rejection census, gates.
+"""The trace gates of the profile bench: span coverage, rejection
+census, span/metrics consistency, pipelined-vs-sequential attempt share.
 
-Runs the quick workload once (module-scoped — it replays ~40 accesses)
-and asserts the report satisfies its own CI gates, plus the structural
-claims the gates rest on: every instrumented layer produced spans, each
-adversarial probe was rejected by the right check, and the summed
-``proxy.handle`` span time reproduces the summed access metrics.
+These were the ``trace`` target's gates before it was folded into
+``profile``. The session's shared quick profile run backs the structural
+claims; mutated copies then pin that each folded gate still fails with
+its original message.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
-from repro.harness.__main__ import main
-from repro.harness.trace_profile import (
-    CONSISTENCY_TOLERANCE,
+from repro.harness.kernel import problems, write_envelope
+from repro.harness.profile_bench import (
     EXPECTED_REJECTIONS,
     EXPECTED_SPANS,
-    check_report,
-    render_trace,
-    run_trace,
-    write_report,
+    SPAN_CONSISTENCY_TOLERANCE,
+    TARGET,
+    criteria,
+    render_profile,
 )
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_trace(quick=True)
+def report(quick_report):
+    return quick_report("profile")
 
 
 def test_all_gates_pass(report):
-    assert check_report(report) == []
-    assert report["criteria"]["problems"] == []
+    assert problems(criteria(report)) == []
 
 
 def test_every_instrumented_layer_produced_spans(report):
@@ -45,7 +44,7 @@ def test_every_instrumented_layer_produced_spans(report):
 
 def test_honest_workload_fully_succeeds(report):
     workload = report["workload"]
-    assert workload["honest_ok"] == workload["honest_requests"]
+    assert workload["read_ok"] == workload["reads"]
 
 
 def test_rejection_census_matches_probes(report):
@@ -62,40 +61,75 @@ def test_rejection_census_matches_probes(report):
 def test_span_time_reproduces_access_metrics(report):
     consistency = report["consistency"]
     assert consistency["metrics_total_s"] > 0.0
-    assert abs(consistency["ratio"] - 1.0) <= CONSISTENCY_TOLERANCE
+    assert abs(consistency["ratio"] - 1.0) <= SPAN_CONSISTENCY_TOLERANCE
 
 
-def test_slowest_spans_are_valid_span_dicts(report):
-    slowest = report["slowest_spans"]
-    assert slowest
-    for span in slowest:
-        assert span["end"] >= span["start"]
-    durations = [s["end"] - s["start"] for s in slowest]
-    assert durations == sorted(durations, reverse=True)
+def test_pipelining_moves_attempts_off_the_serving_path(report):
+    comparison = report["pipeline_comparison"]
+    sequential, pipelined = comparison["sequential"], comparison["pipelined"]
+    assert pipelined["rpc_attempt_share"] < sequential["rpc_attempt_share"]
+    assert pipelined["elapsed_s"] <= sequential["elapsed_s"]
+    assert comparison["speedup"] >= 1.0
 
 
 def test_render_mentions_spans_and_rejections(report):
-    text = render_trace(report)
-    assert "proxy.handle" in text
-    assert "check.element_hash" in text
-    assert "AuthenticityError" in text
+    text = render_profile(report)
+    assert "check.element_hash: AuthenticityError" in text
+    assert "check.freshness: FreshnessError" in text
     assert "ratio" in text
+    assert "rpc.attempt in-handle share" in text
 
 
 def test_report_round_trips_as_json(report, tmp_path):
-    out = tmp_path / "trace.json"
-    write_report(report, out)
+    out = tmp_path / "profile.json"
+    write_envelope(out, TARGET, report, criteria(report), True, 0)
     loaded = json.loads(out.read_text())
-    assert loaded["name"] == "trace_profile"
-    assert loaded["criteria"]["problems"] == []
+    assert loaded["name"] == "profile"
+    assert loaded["body"]["security_rejections"] == report["security_rejections"]
 
 
-class TestCli:
-    def test_trace_quick_passes_gates(self, capsys, tmp_path):
-        out_path = tmp_path / "trace.json"
-        assert main(["trace", "--quick", "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "Trace profile" in out
-        assert out_path.exists()
-        loaded = json.loads(out_path.read_text())
-        assert loaded["criteria"]["problems"] == []
+def mutate(report, path, value):
+    broken = copy.deepcopy(report)
+    node = broken
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return problems(criteria(broken))
+
+
+class TestFoldedGatesDetectRegressions:
+    def test_wrong_check_rejecting_flagged(self, report):
+        found = mutate(
+            report, ("security_rejections", "check.element_hash"),
+            {"ConsistencyError": 1},
+        )
+        assert found == [
+            "expected 'check.element_hash' to reject with AuthenticityError, "
+            "got {'ConsistencyError': 1}"
+        ]
+
+    def test_consistency_drift_flagged(self, report):
+        found = mutate(report, ("consistency", "ratio"), 1.06)
+        assert found == ["span/metrics consistency ratio 1.0600 outside 1 ± 0.05"]
+
+    def test_attempt_share_not_shrinking_flagged(self, report):
+        share = report["pipeline_comparison"]["sequential"]["rpc_attempt_share"]
+        found = mutate(
+            report, ("pipeline_comparison", "pipelined", "rpc_attempt_share"), share
+        )
+        assert len(found) == 1
+        assert "pipelined rpc.attempt share of proxy.handle did not shrink" in found[0]
+
+    def test_slower_pipeline_flagged(self, report):
+        found = mutate(report, ("pipeline_comparison", "pipelined", "elapsed_s"), 9.0)
+        assert any("pipelined workload slower than sequential" in p for p in found)
+
+    def test_degraded_comparison_workload_flagged(self, report):
+        found = mutate(report, ("pipeline_comparison", "sequential", "ok"), 0)
+        assert any("pipeline-comparison workload degraded (sequential" in p for p in found)
+
+    def test_missing_pipeline_spans_flagged(self, report):
+        found = mutate(
+            report, ("pipeline_comparison", "pipelined", "pipeline_spans"), {}
+        )
+        assert "no 'pipeline.prefetch' spans recorded in pipelined mode" in found

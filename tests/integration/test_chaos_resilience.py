@@ -11,13 +11,10 @@ import pytest
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import SERVICES_HOST, Testbed
-from repro.net.address import ContactAddress, Endpoint
+from repro.net.address import Endpoint
 from repro.net.faults import FaultPlan, FlakyTransport
 from repro.net.health import ReplicaHealthTracker
 from repro.net.retry import RetryPolicy
-from repro.net.rpc import RpcClient
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from repro.sim.random import derive_seed
 from tests.conftest import fast_keys
 
@@ -36,20 +33,8 @@ def build_world():
     owner = DocumentOwner("vu.nl/chaotic", keys=fast_keys(), clock=testbed.clock)
     owner.put_element(PageElement("index.html", GENUINE))
     published = testbed.publish(owner, validity=7 * 24 * 3600.0)
-    admin_rpc = RpcClient(testbed.network.transport_for(CLIENT_HOST))
     for site, host in EXTRA_SITES:
-        server = ObjectServer(host=host, site=site, clock=testbed.clock)
-        server.keystore.authorize(owner.name, owner.public_key)
-        testbed.network.register(
-            Endpoint(host, "objectserver"), server.rpc_server().handle_frame
-        )
-        admin = AdminClient(
-            admin_rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock
-        )
-        result = admin.create_replica(published.document)
-        testbed.location_service.tree.insert(
-            owner.oid.hex, site, ContactAddress.from_dict(result["address"])
-        )
+        testbed.add_replica(published, host, site)
     return testbed, published
 
 

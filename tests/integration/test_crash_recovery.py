@@ -17,17 +17,17 @@ import pytest
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.harness.recovery import check_report, run_recovery
+from repro.harness.kernel import problems
+from repro.harness.recovery import criteria
 from tests.conftest import fast_keys
 
 
 class TestRecoveryBench:
-    def test_quick_bench_passes_every_gate(self):
-        report = run_recovery(quick=True, seed=3)
-        assert check_report(report) == []
+    def test_quick_bench_passes_every_gate(self, quick_report):
+        assert problems(criteria(quick_report("recovery"))) == []
 
-    def test_report_counts_are_live(self):
-        report = run_recovery(quick=True, seed=4)
+    def test_report_counts_are_live(self, quick_report):
+        report = quick_report("recovery")
         assert report.replica.recovered_replicas == report.replica.documents == 2
         assert report.torn.torn_bytes_dropped > 0
         assert report.tamper.error_type == "RecoveryIntegrityError"
