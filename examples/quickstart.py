@@ -7,7 +7,8 @@ testbed:
 1. an owner creates a document (key pair → self-certifying OID),
 2. signs and publishes it (replica + naming + location registration),
 3. a client in Paris browses it through the secure proxy,
-4. the proxy's timing decomposition (the paper's Fig. 4 metric) is shown,
+4. the access's timing decomposition (the paper's Fig. 4 metric) is
+   derived from the spans the proxy emitted,
 5. a tampering replica is demonstrated to be detected.
 
 Run: ``python examples/quickstart.py``
@@ -20,6 +21,7 @@ from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.net.address import Endpoint
+from repro.obs import RingBufferSink, Tracer
 
 
 def main() -> None:
@@ -44,15 +46,19 @@ def main() -> None:
           f"{len(published.document.elements)} elements, version {published.document.version}")
 
     # -- 3. Client side: secure browsing from Paris ---------------------
-    stack = testbed.client_stack("canardo.inria.fr")
+    # Pass a tracer: every phase of the access closes a span into `sink`.
+    sink = RingBufferSink()
+    stack = testbed.client_stack(
+        "canardo.inria.fr", tracer=Tracer(clock=testbed.clock, sinks=(sink,))
+    )
     url = published.url("index.html")
     print(f"\nParis client requests {url}")
-    response = stack.proxy.handle(url)
+    # measured_access = proxy.handle(url) + AccessMetrics.from_spans(sink.spans)
+    response, metrics = testbed.measured_access(stack.proxy, url, sink)
     assert response.ok
     print(f"  -> {response.status}, {len(response.content)} bytes, verified")
 
     # -- 4. The Fig. 4 decomposition ------------------------------------
-    metrics = response.metrics
     print("\nAccess timing decomposition:")
     for phase, seconds in metrics.phases:
         print(f"  {phase:28s} {seconds*1000:8.3f} ms")

@@ -35,6 +35,7 @@ from repro.net.address import Endpoint
 from repro.net.faults import FaultPlan, FlakyTransport
 from repro.net.health import ReplicaHealthTracker
 from repro.net.retry import RetryPolicy
+from repro.obs import SpanStats, Tracer
 from repro.sim.random import derive_seed
 
 __all__ = [
@@ -148,6 +149,7 @@ def _run_point(
         seed=derive_seed(seed, "faults", int(drop * 1000), int(resilient)),
     )
     flaky = FlakyTransport(testbed.network.transport_for(CLIENT_HOST), plan)
+    spans = SpanStats()
     if resilient:
         health = ReplicaHealthTracker(
             clock=testbed.clock, failure_threshold=3, quarantine_seconds=600.0
@@ -161,7 +163,11 @@ def _run_point(
             seed=derive_seed(seed, "retry", int(drop * 1000)),
         )
         stack = testbed.client_stack(
-            CLIENT_HOST, transport=flaky, retry_policy=policy, health=health
+            CLIENT_HOST,
+            transport=flaky,
+            retry_policy=policy,
+            health=health,
+            tracer=Tracer(clock=testbed.clock, sinks=(spans,)),
         )
     else:
         health = None
@@ -169,8 +175,6 @@ def _run_point(
     proxy = stack.proxy
 
     ok = failed = unverified = 0
-    retries = failovers = quarantines = 0
-    backoff = 0.0
     names = list(ELEMENTS)
     for i in range(requests):
         if i == requests // 2:
@@ -189,12 +193,11 @@ def _run_point(
                 unverified += len(response.content)
         else:
             failed += 1
-        stats = response.metrics.resilience if response.metrics else None
-        if stats is not None:
-            retries += stats.retries
-            failovers += stats.failovers
-            quarantines += stats.quarantines
-            backoff += stats.backoff_seconds
+    # The resilience work of the whole run, off the counters the stack
+    # already keeps; a failover is a ``session.failover`` span that
+    # closed ok (an error one found no replica left to rebind to).
+    counters = getattr(stack.rpc, "counters", None)
+    rebinds = spans.get("session.failover")
     return ChaosPoint(
         drop_probability=drop,
         corrupt_probability=corrupt,
@@ -202,10 +205,10 @@ def _run_point(
         ok=ok,
         failed=failed,
         unverified_bytes=unverified,
-        retries=retries,
-        failovers=failovers,
-        quarantines=quarantines,
-        backoff_seconds=backoff,
+        retries=counters.retries if counters is not None else 0,
+        failovers=rebinds.count - rebinds.errors if rebinds is not None else 0,
+        quarantines=health.quarantines if health is not None else 0,
+        backoff_seconds=counters.backoff_seconds if counters is not None else 0.0,
         transport_requests=flaky.stats.requests,
         drops_injected=flaky.drops,
         corruptions_injected=flaky.corruptions,

@@ -19,7 +19,7 @@ adversarial components), and the examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.plainhttp import StaticHttpServer
 from repro.baselines.ssl_channel import SslClient, SslServer
@@ -41,9 +41,11 @@ from repro.net.retry import RetryingRpcClient, RetryPolicy
 from repro.net.rpc import RpcClient
 from repro.net.simnet import SimHost, SimNetwork
 from repro.net.topology import WanTopology, paper_testbed
+from repro.obs import RingBufferSink
 from repro.proxy.binding import Binder
 from repro.proxy.checks import SecurityChecker
-from repro.proxy.clientproxy import GlobeDocProxy
+from repro.proxy.clientproxy import GlobeDocProxy, ProxyResponse
+from repro.proxy.metrics import AccessMetrics
 from repro.proxy.pipeline import AccessScheduler, PipelineConfig, PrefetchingRpcClient
 from repro.replication.coordinator import ReplicationCoordinator, SitePort
 from repro.revocation.checker import RevocationChecker
@@ -518,9 +520,25 @@ class Testbed:
     def charge_client_overhead(self) -> float:
         """The fixed browser→proxy cost per access (non-security).
 
-        Advances the clock; returns the seconds charged so callers can
-        record it as a timer phase.
+        Advances the clock; returns the seconds charged.
         """
         overhead = self.topology.client_overhead
         self.clock.advance(overhead)
         return overhead
+
+    def measured_access(
+        self, proxy: GlobeDocProxy, url: str, sink: RingBufferSink
+    ) -> Tuple[ProxyResponse, AccessMetrics]:
+        """One §4-style access and its Fig. 4 decomposition.
+
+        *proxy* must come from a :meth:`client_stack` built with a
+        ``tracer=`` that delivers to *sink*. The browser→proxy charge is
+        emitted as a ``client_processing`` span next to the
+        ``proxy.handle`` root, and the decomposition is derived from
+        exactly the spans this access produced.
+        """
+        sink.clear()
+        with proxy.tracer.span("client_processing"):
+            self.charge_client_overhead()
+        response = proxy.handle(url)
+        return response, AccessMetrics.from_spans(sink.spans)

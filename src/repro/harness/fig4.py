@@ -2,7 +2,7 @@
 
 Methodology mirrors §4: single-element objects of 1 KB–1 MB, one
 replica on the Amsterdam primary, accessed from the Amsterdam
-secondary, Paris, and Ithaca; timers decompose each access into
+secondary, Paris, and Ithaca; spans decompose each access into
 security-specific operations (key fetch + OID check, certificate fetch
 + verify, element hash) and everything else (name resolution, location
 lookup, element transfer, client processing). The paper averaged a 24 h
@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.harness.experiment import Testbed
-from repro.proxy.metrics import AccessTimer
+from repro.obs import RingBufferSink, Tracer
 from repro.util.sizes import format_size
 from repro.util.stats import summarize
 from repro.workloads.generator import make_document_owner
@@ -58,6 +58,8 @@ def run_fig4(
     if repeats < 1:
         raise ReproError("repeats must be at least 1")
     testbed = Testbed()
+    sink = RingBufferSink()
+    tracer = Tracer(clock=testbed.clock, sinks=(sink,))
     clients = dict(clients or CLIENT_HOSTS)
     wanted_sizes = set(sizes if sizes is not None else FIG4_ELEMENT_SIZES)
 
@@ -75,17 +77,15 @@ def run_fig4(
             for _ in range(repeats):
                 # A fresh stack per access: the paper's wget runs were
                 # independent accesses, each paying the full flow.
-                stack = testbed.client_stack(host_name)
-                timer = AccessTimer(testbed.clock)
-                timer.charge("client_processing", testbed.charge_client_overhead())
-                response = stack.proxy.handle(obj.url("image.png"), timer=timer)
+                stack = testbed.client_stack(host_name, tracer=tracer)
+                response, metrics = testbed.measured_access(
+                    stack.proxy, obj.url("image.png"), sink
+                )
                 if not response.ok:
                     raise ReproError(
                         f"fig4 access failed: {response.status} "
                         f"{response.security_failure}"
                     )
-                metrics = response.metrics
-                assert metrics is not None
                 overheads.append(metrics.overhead_percent)
                 totals.append(metrics.total)
                 security.append(metrics.security_time)

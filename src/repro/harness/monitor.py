@@ -22,7 +22,7 @@ fixed sim-clock cadence, and injects three sequential faults:
 The run asserts three gates (see :func:`criteria`): the alert
 timeline fires/resolves in exactly that order with clock-charged
 latencies, the registry's access-time histogram agrees with the
-per-response :class:`~repro.proxy.metrics.AccessMetrics` totals within
+harness's own clock readings around each ``proxy.handle`` within
 1%, and two idle scrapes are byte-identical in both exposition formats.
 
 Run with ``python -m repro.harness monitor [--quick]``; writes
@@ -58,10 +58,11 @@ __all__ = [
     "CONSISTENCY_TOLERANCE",
 ]
 
-#: Gate (a): |registry histogram sum / summed AccessMetrics totals - 1|
-#: must stay within this. The proxy observes exactly the totals it
-#: returns, so the measured ratio is 1.0 to float precision; the 1%
-#: bound is the regression guard, not an accuracy estimate.
+#: Gate (a): |registry histogram sum / the harness's own clock-measured
+#: access time - 1| must stay within this. Both observers read the one
+#: sim clock around ``proxy.handle``, so the measured ratio is 1.0 to
+#: float precision; the 1% bound is the regression guard, not an
+#: accuracy estimate.
 CONSISTENCY_TOLERANCE = 0.01
 
 #: Replica servers for the monitored documents (the feed — and nothing
@@ -229,8 +230,8 @@ class _MonitorWorld:
         ]
         self._wire_serial_lag()
         self.engine = self._build_engine()
-        # Consistency-gate accumulator: the summed AccessMetrics totals
-        # of every response the workload received.
+        # Consistency-gate accumulator: clock time around every
+        # ``proxy.handle`` the workload issued.
         self.harness_access_seconds = 0.0
         self.counts = {"accesses": 0, "ok": 0, "rejected": 0, "other": 0}
         self.worst_staleness = 0.0
@@ -355,7 +356,9 @@ class _MonitorWorld:
     # -- workload -------------------------------------------------------
 
     def _access(self, stack: ClientStack, label: str, element: str) -> None:
+        started = self.clock.now()
         response = stack.proxy.handle(self.documents[label].url(element))
+        self.harness_access_seconds += self.clock.now() - started
         self.counts["accesses"] += 1
         if response.ok:
             self.counts["ok"] += 1
@@ -363,8 +366,6 @@ class _MonitorWorld:
             self.counts["rejected"] += 1
         else:
             self.counts["other"] += 1
-        if response.metrics is not None:
-            self.harness_access_seconds += response.metrics.total
 
     def _scrape_if_due(self) -> None:
         while self.clock.now() >= self._next_scrape:
@@ -531,8 +532,8 @@ def criteria(report: MonitorReport) -> List[Criterion]:
       afterwards, in injection order (circuit → staleness → rejections);
     * fire/resolve latencies are clock-charged and bounded by the
       detection mechanics (scrape cadence, poll interval, quarantine);
-    * the registry's access-seconds histogram matches the summed
-      per-response AccessMetrics totals within 1%;
+    * the registry's access-seconds histogram matches the harness's
+      own clock-measured access time within 1%;
     * two idle scrapes are byte-identical (text and JSON);
     * nothing is left firing, and the workload saw no failures other
       than the revocation rejections the scenario demands.
@@ -630,7 +631,7 @@ def render_monitor(report: MonitorReport) -> str:
             table,
             "alert latencies (clock-charged):",
             *lat_lines,
-            f"consistency ratio (registry vs AccessMetrics): "
+            f"consistency ratio (registry vs harness clock): "
             f"{report.consistency_ratio:.6f}",
             f"worst feed staleness: {report.worst_staleness_seconds:.1f} s; "
             f"worst serial lag: {report.worst_serial_lag:.0f}",

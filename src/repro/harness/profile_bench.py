@@ -37,11 +37,7 @@ client root), the per-span-name latency table, the critical-path
 attribution per cost category (must sum to each trace's duration within
 1%), critical-path p50/p99, the top-5 hottest span families, the SLO
 verdicts with the alert timeline, the census of which check rejected
-what, a consistency cross-check (the sim clock only advances inside
-timer phases, bar the content cache's own ~1 % lookup charge, so the
-summed ``proxy.handle`` span time must equal the summed end-to-end
-:class:`~repro.proxy.metrics.AccessMetrics` totals) and the
-pipelined-vs-sequential in-handle ``rpc.attempt`` share.
+what, and the pipelined-vs-sequential in-handle ``rpc.attempt`` share.
 
 Run with ``python -m repro.harness profile [--quick]``.
 """
@@ -61,7 +57,7 @@ from repro.attacks.malicious_server import (
 from repro.crypto.keys import KeyPair
 from repro.crypto.verifycache import VerificationCache
 from repro.globedoc.oid import ObjectId
-from repro.harness.experiment import HOST_SITE, SERVICES_HOST, ClientStack, Testbed
+from repro.harness.experiment import HOST_SITE, SERVICES_HOST, Testbed
 from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.net.address import Endpoint
 from repro.net.faults import FaultPlan, FlakyTransport
@@ -149,10 +145,6 @@ EXPECTED_REJECTIONS = {
     "check.consistency": "ConsistencyError",
     "check.freshness": "FreshnessError",
 }
-
-#: Summed ``proxy.handle`` span time vs summed AccessMetrics totals must
-#: agree to this relative tolerance.
-SPAN_CONSISTENCY_TOLERANCE = 0.05
 
 #: Cost categories the critical-path aggregate must cover.
 EXPECTED_CATEGORIES = ("cache", "crypto", "merge", "proxy", "rpc", "storage")
@@ -291,14 +283,6 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         tracer.add_sink(rings[origin])
         tracer.add_sink(stats)
     workload: Dict[str, object] = {}
-    access_seconds = 0.0  # summed AccessMetrics totals (consistency gate)
-
-    def access(stack: ClientStack, url: str) -> bool:
-        nonlocal access_seconds
-        response = stack.proxy.handle(url)
-        if response.metrics is not None:
-            access_seconds += response.metrics.total
-        return response.ok
 
     # ------------------------------------------------------------ reads
     read_stack = testbed.client_stack(
@@ -318,7 +302,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     for i in range(reads):
         if i % SESSION_DROP_EVERY == 0:
             read_stack.proxy.drop_all_sessions()
-        if access(read_stack, published.url(names[i % len(names)])):
+        if read_stack.proxy.handle(published.url(names[i % len(names)])).ok:
             read_ok += 1
         if i % 8 == 0:
             engine.evaluate()
@@ -429,7 +413,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     for i in range(breach_requests):
         if i % SESSION_DROP_EVERY == 0:
             breach_stack.proxy.drop_all_sessions()
-        if access(breach_stack, published.url(names[i % len(names)])):
+        if breach_stack.proxy.handle(published.url(names[i % len(names)])).ok:
             breach_ok += 1
         if i % 4 == 3:
             engine.evaluate()
@@ -440,7 +424,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     # burn windows to drain their bad samples.
     recovery_ok = 0
     for i in range(recovery_requests):
-        if access(read_stack, published.url(names[i % len(names)])):
+        if read_stack.proxy.handle(published.url(names[i % len(names)])).ok:
             recovery_ok += 1
         clock.advance(10.0)
         engine.evaluate()
@@ -483,8 +467,6 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
             if result.outcome is AttackOutcome.DETECTED
             else str(result.outcome)
         )
-        if result.response.metrics is not None:
-            access_seconds += result.response.metrics.total
     workload["probes"] = probes
 
     # --------------------------------------------------------- assemble
@@ -513,25 +495,18 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
                 trace_profile.attribution_error / trace_profile.duration,
             )
 
-    phases = stats.stats()
-    span_seconds = phases.get("proxy.handle", {}).get("total_s", 0.0)
     report = {
         "workload": workload,
         "stitching": stitching,
         "roots": root_names,
         "bad_roots": bad_roots,
-        "phases": phases,
+        "phases": stats.stats(),
         "profile": profiler.aggregate(top=5),
         "max_relative_attribution_error": max_rel_error,
         "slo": slo.report(),
         "latency_compliance": latency.compliance(metrics),
         "alert_evaluations": engine.evaluations,
         "security_rejections": stats.error_census("check."),
-        "consistency": {
-            "span_total_s": span_seconds,
-            "metrics_total_s": access_seconds,
-            "ratio": span_seconds / access_seconds if access_seconds else 0.0,
-        },
         "pipeline_comparison": run_pipeline_comparison(quick=quick, seed=seed),
     }
     peer_server.close()
@@ -667,8 +642,8 @@ def _lifecycle_complete(timeline: List[dict], rule: str) -> bool:
 
 def criteria(report: dict) -> List[Criterion]:
     """The CI gates: workload health, stitching, span coverage,
-    critical-path attribution, the SLO lifecycle, the rejection census,
-    span/metrics consistency and the pipeline comparison."""
+    critical-path attribution, the SLO lifecycle, the rejection census
+    and the pipeline comparison."""
     workload = report["workload"]
     out: List[Criterion] = []
     for phase, ok_key in (("reads", "read_ok"), ("recovery_requests", "recovery_ok")):
@@ -778,15 +753,6 @@ def criteria(report: dict) -> List[Criterion]:
                 f"got {rejections.get(span_name)}",
             )
         )
-    ratio = report["consistency"]["ratio"]
-    out.append(
-        gate(
-            "span_consistency_drift",
-            abs(ratio - 1.0), "<=", SPAN_CONSISTENCY_TOLERANCE,
-            f"span/metrics consistency ratio {ratio:.4f} outside "
-            f"1 ± {SPAN_CONSISTENCY_TOLERANCE}",
-        )
-    )
 
     sequential = report["pipeline_comparison"]["sequential"]
     pipelined = report["pipeline_comparison"]["pipelined"]
@@ -859,12 +825,6 @@ def render_profile(report: dict) -> str:
     for span_name, census in sorted(report["security_rejections"].items()):
         for error_type, count in sorted(census.items()):
             lines.append(f"  {span_name}: {error_type} x{count}")
-    consistency = report["consistency"]
-    lines.append(
-        f"consistency: span {consistency['span_total_s']:.3f} s vs "
-        f"metrics {consistency['metrics_total_s']:.3f} s "
-        f"(ratio {consistency['ratio']:.4f})"
-    )
     comparison = report["pipeline_comparison"]
     lines.append("pipeline comparison (same waves, retry on, simulated time):")
     for label in ("sequential", "pipelined"):

@@ -32,7 +32,7 @@ because it is cheap for real.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.hashes import SHA1
 from repro.crypto.keys import KeyPair
@@ -45,10 +45,10 @@ from repro.globedoc.oid import ObjectId
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.harness.kernel import BenchTarget, Criterion, gate, verdict
-from repro.proxy.metrics import AccessTimer
+from repro.obs import RingBufferSink, Tracer
 from repro.proxy.pipeline import PipelineConfig
 from repro.sim.random import make_rng
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import ENCODE_COUNTERS, canonical_bytes
 from repro.util.sizes import KB
 from repro.util.stats import summarize
 from repro.workloads.generator import make_content
@@ -181,43 +181,54 @@ def _run_accesses(
     accesses: int,
     verification_cache: Optional[VerificationCache],
     clear_intern_per_access: bool,
-) -> List[Dict[str, float]]:
-    """One client stack, *accesses* sequential fetches, per-access rows."""
+) -> Tuple[List[Dict[str, float]], Dict[str, float]]:
+    """One client stack, *accesses* sequential fetches.
+
+    Returns the per-access timing rows (derived from the access's spans)
+    and the run's fast-path counters: the verification cache is this
+    run's own, and the encode memo counter is read as a delta.
+    """
+    sink = RingBufferSink()
     stack = testbed.client_stack(
         PIPELINE_CLIENT,
         cache_binding=False,
         verification_cache=verification_cache,
+        tracer=Tracer(clock=testbed.clock, sinks=(sink,)),
     )
+    encode_hits_before = ENCODE_COUNTERS.hits
     rows: List[Dict[str, float]] = []
     for _ in range(accesses):
         if clear_intern_per_access:
             SignedEnvelope.clear_intern_pool()
-        timer = AccessTimer(testbed.clock)
-        timer.charge("client_processing", testbed.charge_client_overhead())
-        response = stack.proxy.handle(url, timer=timer)
+        response, metrics = testbed.measured_access(stack.proxy, url, sink)
         if not response.ok:
             raise ReproError(
                 f"bench access failed: {response.status} {response.security_failure}"
             )
-        metrics = response.metrics
-        assert metrics is not None
-        fastpath = metrics.fastpath
         rows.append(
             {
                 "total_ms": metrics.total * 1e3,
                 "security_ms": metrics.security_time * 1e3,
                 "verify_certificate_ms": metrics.phase_time("verify_certificate") * 1e3,
                 "verify_public_key_ms": metrics.phase_time("verify_public_key") * 1e3,
-                "verify_hits": float(fastpath.verify_hits) if fastpath else 0.0,
-                "verify_misses": float(fastpath.verify_misses) if fastpath else 0.0,
-                "encode_hits": float(fastpath.encode_hits) if fastpath else 0.0,
-                "saved_us": fastpath.saved_us if fastpath else 0.0,
             }
         )
-    return rows
+    hits, misses, saved_seconds = (
+        verification_cache.stats.snapshot()
+        if verification_cache is not None
+        else (0, 0, 0.0)
+    )
+    return rows, {
+        "verify_hits": float(hits),
+        "verify_misses": float(misses),
+        "encode_hits": float(ENCODE_COUNTERS.hits - encode_hits_before),
+        "saved_us": saved_seconds * 1e6,
+    }
 
 
-def _summarize_run(rows: List[Dict[str, float]]) -> Dict[str, float]:
+def _summarize_run(
+    rows: List[Dict[str, float]], counters: Dict[str, float]
+) -> Dict[str, float]:
     def mean(field: str) -> float:
         return summarize([row[field] for row in rows]).mean
 
@@ -227,10 +238,7 @@ def _summarize_run(rows: List[Dict[str, float]]) -> Dict[str, float]:
         "security_ms_mean": mean("security_ms"),
         "verify_certificate_ms_mean": mean("verify_certificate_ms"),
         "verify_public_key_ms_mean": mean("verify_public_key_ms"),
-        "verify_hits": sum(row["verify_hits"] for row in rows),
-        "verify_misses": sum(row["verify_misses"] for row in rows),
-        "encode_hits": sum(row["encode_hits"] for row in rows),
-        "saved_us": sum(row["saved_us"] for row in rows),
+        **counters,
     }
 
 
@@ -250,7 +258,7 @@ def run_pipeline_bench(quick: bool = False, seed: int = 0) -> Dict[str, object]:
     obj = _publish_bench_object(testbed, seed=seed)
     url = obj.url("image.png")
     SignedEnvelope.clear_intern_pool()
-    baseline_rows = _run_accesses(
+    baseline_rows, baseline_counters = _run_accesses(
         testbed, url, accesses, verification_cache=None, clear_intern_per_access=True
     )
 
@@ -260,7 +268,7 @@ def run_pipeline_bench(quick: bool = False, seed: int = 0) -> Dict[str, object]:
     obj = _publish_bench_object(testbed, seed=seed)
     url = obj.url("image.png")
     SignedEnvelope.clear_intern_pool()
-    fastpath_rows = _run_accesses(
+    fastpath_rows, fastpath_counters = _run_accesses(
         testbed,
         url,
         accesses,
@@ -269,8 +277,8 @@ def run_pipeline_bench(quick: bool = False, seed: int = 0) -> Dict[str, object]:
     )
     SignedEnvelope.clear_intern_pool()
 
-    baseline = _summarize_run(baseline_rows)
-    fastpath = _summarize_run(fastpath_rows)
+    baseline = _summarize_run(baseline_rows, baseline_counters)
+    fastpath = _summarize_run(fastpath_rows, fastpath_counters)
 
     # Warm comparison: every baseline access pays the cold cost; the
     # fast path's warm accesses are rows 1..N. Each phase time is a

@@ -1,13 +1,12 @@
 """Process-wide labeled metrics: the standing view of system health.
 
-The spans of :mod:`repro.obs.span` decompose *one* access; the
-per-response dataclasses (:class:`~repro.proxy.metrics.AccessMetrics`,
-``FastPathStats``, ``ResilienceStats``) vanish with the response that
-carried them. A :class:`MetricsRegistry` is the third leg of the
-observability stack: continuously aggregated, queryable counters,
-gauges, and fixed-bucket histograms that every layer of the stack
-reports into, scraped on a fixed cadence by the monitor harness and fed
-to the SLO rule engine (:mod:`repro.obs.alerts`).
+The spans of :mod:`repro.obs.span` decompose *one* access (and
+:class:`~repro.proxy.metrics.AccessMetrics` is a view of them). A
+:class:`MetricsRegistry` is the other leg of the observability stack:
+continuously aggregated, queryable counters, gauges, and fixed-bucket
+histograms that every layer of the stack reports into, scraped on a
+fixed cadence by the monitor harness and fed to the SLO rule engine
+(:mod:`repro.obs.alerts`).
 
 Three instrument kinds, deliberately Prometheus-shaped:
 

@@ -1,15 +1,15 @@
 """Spans and tracers: per-operation timing for the access pipeline.
 
 The paper measured its Fig. 4 numbers by "placing timers in various
-parts of the proxy and server code"; :class:`~repro.proxy.metrics.AccessTimer`
-reproduces those aggregate phase timers. A :class:`Tracer` goes one
-level deeper: it produces *nested* :class:`Span` records — one per
-operation, with attributes, an ok/error status, and start/end times
-charged to the injected :class:`~repro.sim.clock.Clock` — so a single
-access can be decomposed into the exact tree of RPCs, security checks,
-cache probes, retries, and failovers it executed. Under a ``SimClock``
-span durations are exact simulated time; under a ``RealClock`` they are
-wall time.
+parts of the proxy and server code". A :class:`Tracer` is those timers
+and one level more (:class:`~repro.proxy.metrics.AccessMetrics` derives
+the paper's phase totals from its output): it produces *nested*
+:class:`Span` records — one per operation, with attributes, an ok/error
+status, and start/end times charged to the injected
+:class:`~repro.sim.clock.Clock` — so a single access can be decomposed
+into the exact tree of RPCs, security checks, cache probes, retries, and
+failovers it executed. Under a ``SimClock`` span durations are exact
+simulated time; under a ``RealClock`` they are wall time.
 
 Spans are **causally linked across processes**: every span belongs to a
 ``trace_id`` minted at its root, and the RPC layer carries the active

@@ -8,7 +8,7 @@ proof, integrity-certificate signature, element hash, freshness and
 consistency. Regular HTTP URLs pass through untouched.
 """
 
-from repro.proxy.metrics import AccessMetrics, AccessTimer, FastPathStats, SECURITY_PHASES
+from repro.proxy.metrics import AccessMetrics, SECURITY_PHASES
 from repro.proxy.checks import SecurityChecker, VerifiedBinding
 from repro.proxy.binding import Binder, BoundObject
 from repro.proxy.session import SecureSession, FetchResult
@@ -17,8 +17,6 @@ from repro.proxy.contentcache import ContentCache, CachedElement
 
 __all__ = [
     "AccessMetrics",
-    "AccessTimer",
-    "FastPathStats",
     "SECURITY_PHASES",
     "SecurityChecker",
     "VerifiedBinding",

@@ -22,7 +22,6 @@ from repro.net.address import ContactAddress
 from repro.net.health import ReplicaHealthTracker
 from repro.net.rpc import RpcClient
 from repro.obs import NOOP_TRACER
-from repro.proxy.metrics import AccessTimer
 from repro.server.localrep import ProxyLR
 
 __all__ = ["Binder", "BoundObject"]
@@ -71,23 +70,20 @@ class Binder:
         if self.health is not None:
             self.health.record_failure(str(bound.address))
 
-    def resolve_oid(self, url: HybridUrl, timer: AccessTimer) -> ObjectId:
+    def resolve_oid(self, url: HybridUrl) -> ObjectId:
         """Phase 1a: the object's OID, from the URL or the naming service."""
         if url.oid is not None:
             return url.oid
         if url.object_name is None:
             raise BindingError(f"not a GlobeDoc URL: {url.raw!r}")
         with self.tracer.span("bind.resolve", name=url.object_name):
-            with timer.phase("resolve_name"):
-                result = self.resolver.resolve(url.object_name)
-        return result.oid
+            return self.resolver.resolve(url.object_name).oid
 
-    def bind(self, url: HybridUrl, timer: AccessTimer) -> BoundObject:
+    def bind(self, url: HybridUrl) -> BoundObject:
         """Full binding: find the object and install a forwarding LR."""
-        oid = self.resolve_oid(url, timer)
+        oid = self.resolve_oid(url)
         with self.tracer.span("bind.locate", oid=oid.hex[:16]) as span:
-            with timer.phase("find_replica"):
-                lookup = self.location.lookup(oid)
+            lookup = self.location.lookup(oid)
             span.set_attribute("candidates", len(lookup.addresses))
             if not lookup.addresses:
                 raise ObjectNotFound(

@@ -41,7 +41,7 @@ to the real RSA operation.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, ContextManager, List, Optional
 
@@ -61,10 +61,8 @@ from repro.errors import (
 from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import ElementEntry, IntegrityCertificate
 from repro.globedoc.oid import ObjectId
-from repro.obs import NOOP_METRICS, NOOP_TRACER
-from repro.proxy.metrics import AccessTimer, FastPathStats
+from repro.obs import NOOP_TRACER
 from repro.sim.clock import Clock
-from repro.util.encoding import ENCODE_COUNTERS
 from repro.versioning.dag import DeltaDag, Frontier
 from repro.versioning.delta import SignedDelta
 from repro.versioning.frontier import FrontierCertificate
@@ -132,54 +130,26 @@ class SecurityChecker:
         #: closes with error status names the check that rejected the
         #: response — the trace profile's rejection census keys on it.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        #: Per-check verdict accounting: every check increments exactly
-        #: one ``security_checks_total{check,outcome}`` series, so the
-        #: monitor plane sees *which* check is rejecting without parsing
-        #: spans.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self._m_checks = self.metrics.counter(
-            "security_checks_total",
-            "Security checks executed, by check name and verdict.",
-            labelnames=("check", "outcome"),
-        )
+        # ``metrics`` is accepted so every instrumented layer is built
+        # with the same ``tracer=``/``metrics=`` pair; the checker owns
+        # no series — per-check verdicts are the ``check.*`` spans.
 
-    @contextmanager
-    def _count(self, check: str):
-        """Count one check execution as ok/rejected around its body."""
-        try:
-            yield
-        except Exception:
-            self._m_checks.labels(check=check, outcome="rejected").inc()
-            raise
-        self._m_checks.labels(check=check, outcome="ok").inc()
+    def _cache_counts(self) -> Optional[tuple]:
+        """The verification cache's (hits, misses) before a check.
 
-    # ------------------------------------------------------------------
-    # Fast-path accounting
-    # ------------------------------------------------------------------
+        None without a cache — and with tracing off, where no span
+        would carry the per-check delta and the lookup is pure cost.
+        """
+        if self.verification_cache is None or self.tracer is NOOP_TRACER:
+            return None
+        return self.verification_cache.stats.snapshot()[:2]
 
-    def _fastpath_snapshot(self) -> tuple:
-        cache = self.verification_cache
-        verify = cache.stats.snapshot() if cache is not None else (0, 0, 0.0)
-        return verify + ENCODE_COUNTERS.snapshot()
-
-    def _record_fastpath(self, timer: AccessTimer, before: tuple) -> None:
-        after = self._fastpath_snapshot()
-        timer.record_fastpath(
-            FastPathStats(
-                verify_hits=after[0] - before[0],
-                verify_misses=after[1] - before[1],
-                saved_us=(after[2] - before[2]) * 1e6,
-                encode_hits=after[3] - before[3],
-                encode_misses=after[4] - before[4],
-            )
-        )
-
-    def _span_cache_attrs(self, span, before: tuple) -> None:
+    def _span_cache_attrs(self, span, before: Optional[tuple]) -> None:
         """Attach the VerificationCache outcome of one check to its span."""
-        if self.verification_cache is None:
+        if before is None:
             span.set_attribute("cache", "off")
             return
-        after = self._fastpath_snapshot()
+        after = self._cache_counts()
         hits = after[0] - before[0]
         misses = after[1] - before[1]
         span.set_attribute("verify_hits", hits)
@@ -189,22 +159,18 @@ class SecurityChecker:
         )
 
     # ------------------------------------------------------------------
-    # Individual checks (each charges its own timer phase)
+    # Individual checks (each is one ``check.*`` span)
     # ------------------------------------------------------------------
 
-    def check_public_key(
-        self, oid: ObjectId, key: PublicKey, timer: AccessTimer
-    ) -> PublicKey:
+    def check_public_key(self, oid: ObjectId, key: PublicKey) -> PublicKey:
         """Step 5 of Fig. 3: SHA-1(key) must equal the OID."""
         with self.tracer.span("check.public_key", oid=oid.hex[:16]):
-            with self._count("public_key"):
-                with timer.phase("verify_public_key"), self._compute():
-                    return oid.check_key(key)
+            with self._compute():
+                return oid.check_key(key)
 
     def check_revocation(
         self,
         oid: ObjectId,
-        timer: AccessTimer,
         element_name: Optional[str] = None,
         cert_version: Optional[int] = None,
     ) -> None:
@@ -222,11 +188,10 @@ class SecurityChecker:
         with self.tracer.span(
             "check.revocation", oid=oid.hex[:16], element=element_name or ""
         ) as span:
-            with self._count("revocation"):
-                with timer.phase("check_revocation"), self._compute():
-                    self.revocation_checker.check(
-                        oid, element_name=element_name, cert_version=cert_version
-                    )
+            with self._compute():
+                self.revocation_checker.check(
+                    oid, element_name=element_name, cert_version=cert_version
+                )
             staleness = self.revocation_checker.staleness
             if staleness is not None:
                 span.set_attribute("feed_staleness", round(staleness, 3))
@@ -237,7 +202,6 @@ class SecurityChecker:
         object_key: PublicKey,
         grants: List[WriterGrant],
         deltas: List[SignedDelta],
-        timer: AccessTimer,
         known_frontier: Optional[Frontier] = None,
         frontier_cert: Optional[FrontierCertificate] = None,
         served_ids: Optional[set] = None,
@@ -283,12 +247,11 @@ class SecurityChecker:
         with self.tracer.span(
             "check.frontier", oid=oid.hex[:16], deltas=len(deltas)
         ) as span:
-            with self._count("frontier"):
-                with timer.phase("verify_frontier"), self._compute():
-                    result = self._check_frontier(
-                        oid, object_key, grants, deltas,
-                        known_frontier, frontier_cert, served_ids,
-                    )
+            with self._compute():
+                result = self._check_frontier(
+                    oid, object_key, grants, deltas,
+                    known_frontier, frontier_cert, served_ids,
+                )
             span.set_attribute("heads", len(result.merged.frontier.heads))
             span.set_attribute("lamport", result.merged.lamport)
             return result
@@ -403,7 +366,6 @@ class SecurityChecker:
         self,
         key: PublicKey,
         certificates: List[IdentityCertificate],
-        timer: AccessTimer,
         require: bool = False,
     ) -> Optional[str]:
         """Step 7 of Fig. 3: find an identity proof from a trusted CA.
@@ -412,52 +374,47 @@ class SecurityChecker:
         missing proof raises (strict mode for e-commerce-grade use,
         §3.1.2); default is advisory, matching the paper's UI flow.
         """
-        before = self._fastpath_snapshot()
         with self.tracer.span(
             "check.identity", proofs=len(certificates), require=require
         ) as span:
-            with self._count("identity"):
-                with timer.phase("verify_identity_proofs"), self._compute():
-                    match = self.trust_store.first_match(
-                        certificates,
-                        clock=self.clock,
-                        expected_subject_key=key,
-                        cache=self.verification_cache,
-                    )
-                self._span_cache_attrs(span, before)
-                self._record_fastpath(timer, before)
-                if match is not None:
-                    span.set_attribute("certified_as", match.subject_name)
-                    return match.subject_name
-                if require:
-                    raise AuthenticityError(
-                        "no identity certificate from a trusted CA was presented"
-                    )
-                return None
+            before = self._cache_counts()
+            with self._compute():
+                match = self.trust_store.first_match(
+                    certificates,
+                    clock=self.clock,
+                    expected_subject_key=key,
+                    cache=self.verification_cache,
+                )
+            self._span_cache_attrs(span, before)
+            if match is not None:
+                span.set_attribute("certified_as", match.subject_name)
+                return match.subject_name
+            if require:
+                raise AuthenticityError(
+                    "no identity certificate from a trusted CA was presented"
+                )
+            return None
 
     def check_certificate(
         self,
         key: PublicKey,
         integrity: IntegrityCertificate,
         oid: ObjectId,
-        timer: AccessTimer,
     ) -> IntegrityCertificate:
         """Step 9 of Fig. 3: certificate signed by the object key, and
         issued for this OID (prevents cross-object certificate replay)."""
-        before = self._fastpath_snapshot()
         with self.tracer.span("check.certificate", oid=oid.hex[:16]) as span:
-            with self._count("certificate"):
-                with timer.phase("verify_certificate"), self._compute():
-                    integrity.verify_signature(
-                        key, cache=self.verification_cache, clock=self.clock
+            before = self._cache_counts()
+            with self._compute():
+                integrity.verify_signature(
+                    key, cache=self.verification_cache, clock=self.clock
+                )
+                if integrity.oid_hex != oid.hex:
+                    raise AuthenticityError(
+                        "integrity certificate was issued for a different object"
                     )
-                    if integrity.oid_hex != oid.hex:
-                        raise AuthenticityError(
-                            "integrity certificate was issued for a different object"
-                        )
-                self._span_cache_attrs(span, before)
-                self._record_fastpath(timer, before)
-                return integrity
+            self._span_cache_attrs(span, before)
+            return integrity
 
     def prewarm_certificates(self, pairs) -> int:
         """Batch-verify (key, integrity certificate) pairs into the cache.
@@ -500,42 +457,36 @@ class SecurityChecker:
         integrity: IntegrityCertificate,
         requested_name: str,
         element: PageElement,
-        timer: AccessTimer,
     ) -> ElementEntry:
         """Steps 11–13 of Fig. 3: hash, freshness, consistency.
 
-        Phase accounting separates the (size-proportional) hash from the
+        One span each separates the (size-proportional) hash from the
         (constant) freshness/consistency comparisons, matching the
         paper's observation that hashing dominates large transfers.
         """
         # Consistency: the right name, and part of the object.
         with self.tracer.span("check.consistency", element=requested_name):
-            with self._count("consistency"):
-                with timer.phase("check_consistency"):
-                    if element.name != requested_name:
-                        raise ConsistencyError(
-                            f"server returned {element.name!r} "
-                            f"for request {requested_name!r}"
-                        )
-                    entry = integrity.entry_for(requested_name)
+            if element.name != requested_name:
+                raise ConsistencyError(
+                    f"server returned {element.name!r} "
+                    f"for request {requested_name!r}"
+                )
+            entry = integrity.entry_for(requested_name)
         # Authenticity: content hash (the expensive, size-proportional part).
         with self.tracer.span(
             "check.element_hash", element=requested_name, size=element.size
         ):
-            with self._count("element_hash"):
-                with timer.phase("verify_element_hash"), self._compute():
-                    if element.content_hash(integrity.suite) != entry.content_hash:
-                        raise AuthenticityError(
-                            f"content hash mismatch for element {requested_name!r}"
-                        )
+            with self._compute():
+                if element.content_hash(integrity.suite) != entry.content_hash:
+                    raise AuthenticityError(
+                        f"content hash mismatch for element {requested_name!r}"
+                    )
         # Freshness: validity interval against retrieval time.
         with self.tracer.span("check.freshness", element=requested_name):
-            with self._count("freshness"):
-                with timer.phase("check_freshness"):
-                    now = self.clock.now()
-                    if now > entry.expires_at:
-                        raise FreshnessError(
-                            f"element {requested_name!r} expired at {entry.expires_at} "
-                            f"(retrieved at {now})"
-                        )
+            now = self.clock.now()
+            if now > entry.expires_at:
+                raise FreshnessError(
+                    f"element {requested_name!r} expired at {entry.expires_at} "
+                    f"(retrieved at {now})"
+                )
         return entry

@@ -37,7 +37,6 @@ from repro.net.rpc import RpcClient
 from repro.obs import NOOP_METRICS, NOOP_TRACER
 from repro.proxy.binding import Binder
 from repro.proxy.checks import SecurityChecker
-from repro.proxy.metrics import AccessMetrics, AccessTimer
 from repro.proxy.session import SecureSession
 
 __all__ = ["GlobeDocProxy", "ProxyResponse"]
@@ -69,7 +68,6 @@ class ProxyResponse:
     content: bytes
     content_type: str = "text/html"
     certified_as: Optional[str] = None
-    metrics: Optional[AccessMetrics] = None
     security_failure: str = ""
 
     @property
@@ -139,11 +137,6 @@ class GlobeDocProxy:
             "proxy_access_seconds",
             "Total per-access time (clock-charged seconds), every phase.",
         )
-        self._m_overhead = self.metrics.histogram(
-            "proxy_security_overhead_fraction",
-            "Security time as a fraction of total access time (Fig. 4).",
-            buckets=(0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0),
-        )
         self._m_cache_ratio = self.metrics.gauge(
             "proxy_cache_hit_ratio",
             "Hit ratio of the proxy's caches (content / verify), 0-1.",
@@ -155,7 +148,7 @@ class GlobeDocProxy:
     # Request handling
     # ------------------------------------------------------------------
 
-    def handle(self, url: str, timer: Optional[AccessTimer] = None) -> ProxyResponse:
+    def handle(self, url: str) -> ProxyResponse:
         """Serve one browser request (hybrid URL or plain HTTP)."""
         self.request_count += 1
         if (
@@ -172,7 +165,11 @@ class GlobeDocProxy:
             )
         if not parsed.is_globedoc:
             return self._passthrough(parsed)
-        return self._handle_globedoc(parsed, timer)
+        started = self.metrics.clock.now() if self.metrics.enabled else 0.0
+        response = self._handle_globedoc(parsed)
+        if self.metrics.enabled:
+            self._m_access.observe(self.metrics.clock.now() - started)
+        return response
 
     def handle_many(self, urls) -> list:
         """Serve a batch of browser requests; responses align with input.
@@ -187,13 +184,7 @@ class GlobeDocProxy:
             return self.scheduler.run(list(urls))
         return [self.handle(url) for url in urls]
 
-    def _handle_globedoc(
-        self, url: HybridUrl, timer: Optional[AccessTimer]
-    ) -> ProxyResponse:
-        own_timer = timer is None
-        if own_timer:
-            timer = AccessTimer(self.checker.clock)
-        assert timer is not None
+    def _handle_globedoc(self, url: HybridUrl) -> ProxyResponse:
         # The root span stays status=ok even on a rejected access: the
         # error belongs to the check/rpc span that raised it, while the
         # outcome is recorded here as the HTTP ``status`` attribute.
@@ -201,8 +192,8 @@ class GlobeDocProxy:
             hops = 0
             while True:
                 try:
-                    session = self._session_for(url, timer)
-                    result = session.fetch(url.element_name, timer)
+                    session = self._session_for(url)
+                    result = session.fetch(url.element_name)
                 except (
                     RevokedKeyError, ObjectNotFound, BindingError, ReplicaError
                 ) as exc:
@@ -211,7 +202,7 @@ class GlobeDocProxy:
                     # ReplicaError lands here when every server already
                     # tore the revoked object down (failover exhausted).
                     successor = (
-                        self._follow_forwarding(url, timer)
+                        self._follow_forwarding(url)
                         if hops < MAX_FORWARD_HOPS
                         else None
                     )
@@ -220,28 +211,22 @@ class GlobeDocProxy:
                         span.set_attribute("forward_hops", hops)
                         url = successor
                         continue
-                    return self._failure_response(span, exc, timer)
+                    return self._failure_response(span, exc)
                 except (
                     SecurityError, NamingError, LocationError, TransportError
                 ) as exc:
-                    return self._failure_response(span, exc, timer)
+                    return self._failure_response(span, exc)
                 span.set_attribute("status", 200)
                 self._m_requests.labels(outcome="ok").inc()
-                self._observe_access(result.metrics)
                 return ProxyResponse(
                     status=200,
                     content=result.element.content,
                     content_type=result.element.content_type,
                     certified_as=result.certified_as,
-                    metrics=result.metrics,
                 )
 
-    def _failure_response(
-        self, span, exc: Exception, timer: AccessTimer
-    ) -> ProxyResponse:
+    def _failure_response(self, span, exc: Exception) -> ProxyResponse:
         self.failure_count += 1
-        metrics = timer.finish()
-        self._observe_access(metrics)
         if isinstance(exc, SecurityError):
             # §3.3: failed checks render the Security Check Failed page.
             span.set_attribute("status", 403)
@@ -251,28 +236,11 @@ class GlobeDocProxy:
             return ProxyResponse(
                 status=403,
                 content=SECURITY_FAILED_HTML % str(exc).encode(),
-                metrics=metrics,
                 security_failure=type(exc).__name__,
             )
         span.set_attribute("status", 404)
         self._m_requests.labels(outcome="not_found").inc()
-        return ProxyResponse(
-            status=404,
-            content=NOT_FOUND_HTML % str(exc).encode(),
-            metrics=metrics,
-        )
-
-    def _observe_access(self, metrics: Optional[AccessMetrics]) -> None:
-        """Mirror one access's timer decomposition into the registry.
-
-        The monitor harness cross-checks the histogram's sum against the
-        per-response :class:`AccessMetrics` totals (consistency gate),
-        so exactly the totals returned to callers are observed here.
-        """
-        if metrics is None or not self.metrics.enabled:
-            return
-        self._m_access.observe(metrics.total)
-        self._m_overhead.observe(metrics.overhead_fraction)
+        return ProxyResponse(status=404, content=NOT_FOUND_HTML % str(exc).encode())
 
     def _collect_metrics(self) -> None:
         """Scrape-time refresh of the derived cache hit-ratio gauges."""
@@ -288,9 +256,7 @@ class GlobeDocProxy:
                 client=self.metrics_client, cache="verify"
             ).set(hits / total if total else 0.0)
 
-    def _follow_forwarding(
-        self, url: HybridUrl, timer: AccessTimer
-    ) -> Optional[HybridUrl]:
+    def _follow_forwarding(self, url: HybridUrl) -> Optional[HybridUrl]:
         """The OID-form URL of the re-keyed successor, or None.
 
         Never raises: forwarding is best-effort recovery on a path that
@@ -302,7 +268,7 @@ class GlobeDocProxy:
         if resolver is None or not hasattr(resolver, "resolve_forward"):
             return None
         try:
-            oid = self.binder.resolve_oid(url, timer)
+            oid = self.binder.resolve_oid(url)
         except ReproError:
             return None
         with self.tracer.span("proxy.forward", oid=oid.hex[:16]) as span:
@@ -318,7 +284,7 @@ class GlobeDocProxy:
             span.set_attribute("to_oid", record.to_oid.hex[:16])
         return HybridUrl.for_oid(record.to_oid, url.element_name)
 
-    def _session_for(self, url: HybridUrl, timer: AccessTimer) -> SecureSession:
+    def _session_for(self, url: HybridUrl) -> SecureSession:
         key = url.oid.hex if url.oid is not None else str(url.object_name)
         session = self._sessions.get(key)
         if (
@@ -329,7 +295,7 @@ class GlobeDocProxy:
         ):
             session = None  # stale binding: re-resolve and re-bind
         if session is None:
-            bound = self.binder.bind(url, timer)
+            bound = self.binder.bind(url)
             session = SecureSession(
                 binder=self.binder,
                 checker=self.checker,

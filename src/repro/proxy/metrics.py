@@ -1,28 +1,19 @@
 """Timing decomposition of a GlobeDoc access (§4, Fig. 4).
 
-The paper "placed timers in various parts of the proxy and server code,
-and measured, for each object access, the amount of time dedicated to
-security-specific operations". :class:`AccessTimer` is those timers: a
-phase-labelled stopwatch over the injected clock. Phases named in
-:data:`SECURITY_PHASES` count toward security overhead; everything else
-is base cost (name resolution, location lookup, element transfer).
+The paper's "timers in various parts of the proxy and server code" are
+the spans every access-path phase already opens; :class:`AccessMetrics`
+is a view derived from them, split by :data:`SECURITY_PHASES` into
+security overhead and base cost (naming, location, element transfer).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.sim.clock import Clock
+from repro.obs.span import Span
 
-__all__ = [
-    "AccessTimer",
-    "AccessMetrics",
-    "FastPathStats",
-    "ResilienceStats",
-    "SECURITY_PHASES",
-]
+__all__ = ["AccessMetrics", "SECURITY_PHASES", "SPAN_PHASES"]
 
 #: The security-specific operations enumerated in §4's methodology.
 SECURITY_PHASES = frozenset(
@@ -39,74 +30,57 @@ SECURITY_PHASES = frozenset(
     }
 )
 
-
-@dataclass(frozen=True)
-class FastPathStats:
-    """Verification fast-path counters attributed to one access.
-
-    ``verify_hits``/``verify_misses`` count signature-verification cache
-    lookups, ``encode_hits``/``encode_misses`` count canonical-encoding
-    memo lookups, and ``saved_us`` is the real RSA compute (in
-    microseconds) that cache hits avoided.
-    """
-
-    verify_hits: int = 0
-    verify_misses: int = 0
-    encode_hits: int = 0
-    encode_misses: int = 0
-    saved_us: float = 0.0
-
-    def __add__(self, other: "FastPathStats") -> "FastPathStats":
-        return FastPathStats(
-            verify_hits=self.verify_hits + other.verify_hits,
-            verify_misses=self.verify_misses + other.verify_misses,
-            encode_hits=self.encode_hits + other.encode_hits,
-            encode_misses=self.encode_misses + other.encode_misses,
-            saved_us=self.saved_us + other.saved_us,
-        )
-
-    @property
-    def verify_hit_rate(self) -> float:
-        total = self.verify_hits + self.verify_misses
-        return self.verify_hits / total if total else 0.0
+#: Span → paper phase; ``rpc.call`` spans are keyed ``rpc.call/<op>``.
+SPAN_PHASES: Dict[str, str] = {
+    "client_processing": "client_processing",
+    "bind.resolve": "resolve_name",
+    "bind.locate": "find_replica",
+    "rpc.call/globedoc.get_public_key": "get_public_key",
+    "rpc.call/globedoc.get_identity_certificates": "get_identity_proofs",
+    "rpc.call/globedoc.get_integrity_certificate": "get_integrity_certificate",
+    "rpc.call/globedoc.get_element": "get_page_element",
+    "rpc.call/versioning.fetch": "fetch_bundle",
+    "check.public_key": "verify_public_key",
+    "check.identity": "verify_identity_proofs",
+    "check.certificate": "verify_certificate",
+    "check.consistency": "check_consistency",
+    "check.element_hash": "verify_element_hash",
+    "check.freshness": "check_freshness",
+    "check.revocation": "check_revocation",
+    "check.frontier": "verify_frontier",
+    "cache.get": "content_cache_lookup",
+    "cache.put": "content_cache_store",
+}
 
 
-@dataclass(frozen=True)
-class ResilienceStats:
-    """Resilience-layer work attributed to one access.
-
-    ``retries`` counts re-issued RPC attempts, ``failovers`` counts
-    rebinds to a different replica, ``quarantines`` counts circuit
-    breakers opened, and ``backoff_seconds`` is clock time spent waiting
-    between attempts (charged to the simulation under a SimClock).
-    """
-
-    retries: int = 0
-    failovers: int = 0
-    quarantines: int = 0
-    backoff_seconds: float = 0.0
-
-    def __add__(self, other: "ResilienceStats") -> "ResilienceStats":
-        return ResilienceStats(
-            retries=self.retries + other.retries,
-            failovers=self.failovers + other.failovers,
-            quarantines=self.quarantines + other.quarantines,
-            backoff_seconds=self.backoff_seconds + other.backoff_seconds,
-        )
-
-    @property
-    def any_degradation(self) -> bool:
-        """Whether this access needed the resilience layer at all."""
-        return bool(self.retries or self.failovers or self.quarantines)
+def _phase_of(span: Span) -> Optional[str]:
+    op = f"/{span.attributes.get('op')}" if span.name == "rpc.call" else ""
+    return SPAN_PHASES.get(span.name + op)
 
 
 @dataclass(frozen=True)
 class AccessMetrics:
-    """The measured decomposition of one object access."""
+    """The measured decomposition of one (or several) object accesses."""
 
     phases: Tuple[Tuple[str, float], ...]
-    fastpath: Optional[FastPathStats] = None
-    resilience: Optional[ResilienceStats] = None
+
+    @classmethod
+    def from_spans(cls, spans: Iterable[Span]) -> "AccessMetrics":
+        """Derive the decomposition from closed spans (e.g. a sink's).
+
+        A span listed in :data:`SPAN_PHASES` counts its whole duration,
+        whatever its status, and hides everything nested below it
+        (``check.revocation`` ⊃ ``revocation.refresh`` ⊃ ``rpc.call``).
+        """
+        by_ref = {span.ref: span for span in spans}
+        phases = []
+        for span in by_ref.values():
+            phase, outer = _phase_of(span), by_ref.get(span.parent_ref)
+            while outer is not None and _phase_of(outer) is None:
+                outer = by_ref.get(outer.parent_ref)
+            if phase is not None and outer is None:  # not inside a counted span
+                phases.append((phase, span.duration))
+        return cls(phases=tuple(phases))
 
     @property
     def total(self) -> float:
@@ -122,10 +96,8 @@ class AccessMetrics:
 
     @property
     def overhead_fraction(self) -> float:
-        """Security time as a fraction of the total access time (Fig. 4's
-        y-axis, as a 0–1 fraction)."""
-        total = self.total
-        return self.security_time / total if total > 0 else 0.0
+        """Security share of the total access time (Fig. 4's y-axis, 0–1)."""
+        return self.security_time / self.total if self.total > 0 else 0.0
 
     @property
     def overhead_percent(self) -> float:
@@ -135,76 +107,4 @@ class AccessMetrics:
         return sum(t for n, t in self.phases if n == name)
 
     def by_phase(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for name, t in self.phases:
-            out[name] = out.get(name, 0.0) + t
-        return out
-
-    def merged_with(self, other: "AccessMetrics") -> "AccessMetrics":
-        """Concatenate two measurements (multi-element accesses)."""
-        if self.fastpath is None:
-            fastpath = other.fastpath
-        elif other.fastpath is None:
-            fastpath = self.fastpath
-        else:
-            fastpath = self.fastpath + other.fastpath
-        if self.resilience is None:
-            resilience = other.resilience
-        elif other.resilience is None:
-            resilience = self.resilience
-        else:
-            resilience = self.resilience + other.resilience
-        return AccessMetrics(
-            phases=self.phases + other.phases,
-            fastpath=fastpath,
-            resilience=resilience,
-        )
-
-
-class AccessTimer:
-    """Phase-labelled stopwatch over an injected clock.
-
-    Usage::
-
-        timer = AccessTimer(clock)
-        with timer.phase("resolve_name"):
-            resolver.resolve(name)
-        metrics = timer.finish()
-    """
-
-    def __init__(self, clock: Clock) -> None:
-        self.clock = clock
-        self._phases: List[Tuple[str, float]] = []
-        self._fastpath: Optional[FastPathStats] = None
-        self._resilience: Optional[ResilienceStats] = None
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = self.clock.now()
-        try:
-            yield
-        finally:
-            self._phases.append((name, self.clock.now() - start))
-
-    def charge(self, name: str, seconds: float) -> None:
-        """Record a phase duration directly (fixed modelled costs)."""
-        if seconds < 0:
-            raise ValueError(f"phase duration must be non-negative: {seconds}")
-        self._phases.append((name, seconds))
-
-    def record_fastpath(self, stats: FastPathStats) -> None:
-        """Accumulate verification fast-path counters for this access."""
-        self._fastpath = stats if self._fastpath is None else self._fastpath + stats
-
-    def record_resilience(self, stats: ResilienceStats) -> None:
-        """Accumulate retry/failover/quarantine counters for this access."""
-        self._resilience = (
-            stats if self._resilience is None else self._resilience + stats
-        )
-
-    def finish(self) -> AccessMetrics:
-        return AccessMetrics(
-            phases=tuple(self._phases),
-            fastpath=self._fastpath,
-            resilience=self._resilience,
-        )
+        return {n: self.phase_time(n) for n in dict.fromkeys(n for n, _ in self.phases)}

@@ -49,7 +49,6 @@ from repro.net.rpc import BatchCall, DEFAULT_WINDOW
 from repro.net.address import ContactAddress
 from repro.net.retry import is_idempotent
 from repro.obs import NOOP_METRICS, NOOP_TRACER
-from repro.proxy.metrics import AccessTimer
 from repro.util.encoding import canonical_bytes
 
 __all__ = [
@@ -389,7 +388,6 @@ class AccessScheduler:
     def _bind_phase(self, plans: List[_ObjectPlan]) -> None:
         proxy = self.proxy
         binder = proxy.binder
-        clock = proxy.checker.clock
         need_bind: List[_ObjectPlan] = []
         for plan in plans:
             session = self._live_session(plan.key)
@@ -414,9 +412,8 @@ class AccessScheduler:
             )
 
             def resolve_and_locate(plan=plan, url=url, hint=hint) -> None:
-                timer = AccessTimer(clock)
                 try:
-                    plan.oid = binder.resolve_oid(url, timer)
+                    plan.oid = binder.resolve_oid(url)
                     if hint is None or hint != plan.oid:
                         plan.addresses = binder.candidates(plan.oid)
                 except Exception as exc:

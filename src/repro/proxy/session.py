@@ -26,17 +26,15 @@ from repro.globedoc.element import PageElement
 from repro.obs import NOOP_TRACER
 from repro.proxy.binding import Binder, BoundObject
 from repro.proxy.checks import SecurityChecker, VerifiedBinding
-from repro.proxy.metrics import AccessMetrics, AccessTimer, ResilienceStats
 
 __all__ = ["SecureSession", "FetchResult"]
 
 
 @dataclass(frozen=True)
 class FetchResult:
-    """A verified element plus the access timing decomposition."""
+    """A verified element and who its object is certified as."""
 
     element: PageElement
-    metrics: AccessMetrics
     certified_as: Optional[str] = None
 
     @property
@@ -81,7 +79,7 @@ class SecureSession:
     # Secure binding (steps 4–9 of Fig. 3)
     # ------------------------------------------------------------------
 
-    def establish(self, timer: AccessTimer) -> VerifiedBinding:
+    def establish(self) -> VerifiedBinding:
         """Fetch + verify key, identity proofs, and integrity certificate.
 
         On a key/OID mismatch (malicious or wrong replica, possibly via
@@ -99,7 +97,7 @@ class SecureSession:
         ) as span:
             while True:
                 try:
-                    verified = self._establish_once(timer)
+                    verified = self._establish_once()
                     break
                 except RevocationError:
                     # Revocation condemns the *object*, not the replica:
@@ -141,27 +139,21 @@ class SecureSession:
         self._verified = None
         self.failovers += 1
 
-    def _establish_once(self, timer: AccessTimer) -> VerifiedBinding:
+    def _establish_once(self) -> VerifiedBinding:
         lr = self.bound.lr
-        with timer.phase("get_public_key"):
-            key = lr.get_public_key()
-        key = self.checker.check_public_key(self.bound.oid, key, timer)
+        key = self.checker.check_public_key(self.bound.oid, lr.get_public_key())
         # Seventh check, key scope — before paying for certificate
         # verification: a revoked key makes the rest of the pipeline moot.
-        self.checker.check_revocation(self.bound.oid, timer)
+        self.checker.check_revocation(self.bound.oid)
 
         certified_as = None
         if len(self.checker.trust_store) > 0 or self.require_identity:
-            with timer.phase("get_identity_proofs"):
-                proofs = lr.get_identity_certificates()
             certified_as = self.checker.check_identity(
-                key, proofs, timer, require=self.require_identity
+                key, lr.get_identity_certificates(), require=self.require_identity
             )
 
-        with timer.phase("get_integrity_certificate"):
-            integrity = lr.get_integrity_certificate()
         integrity = self.checker.check_certificate(
-            key, integrity, self.bound.oid, timer
+            key, lr.get_integrity_certificate(), self.bound.oid
         )
         return VerifiedBinding(
             oid=self.bound.oid,
@@ -174,7 +166,7 @@ class SecureSession:
     # Element retrieval (steps 10–13 of Fig. 3)
     # ------------------------------------------------------------------
 
-    def fetch(self, element_name: str, timer: Optional[AccessTimer] = None) -> FetchResult:
+    def fetch(self, element_name: str) -> FetchResult:
         """Retrieve and verify one element.
 
         Raises :class:`~repro.errors.SecurityError` subclasses on any
@@ -183,49 +175,32 @@ class SecureSession:
         a bad binding: rebind, *re-verify the full binding* against the
         new replica, and re-fetch the element there.
         """
-        own_timer = timer is None
-        if own_timer:
-            timer = AccessTimer(self.checker.clock)
-        assert timer is not None
-        snapshot = self._resilience_snapshot()
         with self.tracer.span("session.fetch", element=element_name):
-            try:
-                return self._fetch_once(element_name, timer, snapshot)
-            except BaseException:
-                # Even on a failing access the retry/failover work done
-                # on its behalf lands in the metrics the caller finishes.
-                self._record_resilience(timer, snapshot)
-                raise
+            return self._fetch_once(element_name)
 
-    def _fetch_once(
-        self, element_name: str, timer: AccessTimer, snapshot
-    ) -> FetchResult:
+    def _fetch_once(self, element_name: str) -> FetchResult:
         # Verified-content cache: a hit is servable with no network at
         # all — the owner's signed validity interval makes this safe.
         if self.content_cache is not None:
-            with timer.phase("content_cache_lookup"):
-                cached = self.content_cache.get(self.bound.oid.hex, element_name)
+            cached = self.content_cache.get(self.bound.oid.hex, element_name)
             if cached is not None:
                 # A cache hit skips the network, never the revocation
                 # check: the hit predates any revocation the feed may
                 # have published since (and the check's refresh purges
                 # this very cache on first sight of one).
                 self.checker.check_revocation(
-                    self.bound.oid, timer, element_name=element_name
+                    self.bound.oid, element_name=element_name
                 )
-                self._record_resilience(timer, snapshot)
                 return FetchResult(
                     element=cached,
-                    metrics=timer.finish(),
                     certified_as=(
                         self._verified.certified_as if self._verified else None
                     ),
                 )
         while True:
-            verified = self.establish(timer)
+            verified = self.establish()
             try:
-                with timer.phase("get_page_element"):
-                    element = self.bound.lr.get_element(element_name)
+                element = self.bound.lr.get_element(element_name)
                 break
             except (TransportError, RpcError, ReplicaError) as exc:
                 # The replica died (or was torn down) between binding
@@ -234,58 +209,18 @@ class SecureSession:
                 self._failover(exc)
         if not self.cache_binding:
             self._verified = None
-        entry = self.checker.check_element(
-            verified.integrity, element_name, element, timer
-        )
+        entry = self.checker.check_element(verified.integrity, element_name, element)
         # Element-scope revocation: now the certificate version is known,
         # so a statement condemning an older row lets a re-issued
         # (version-bumped) certificate through.
         self.checker.check_revocation(
             self.bound.oid,
-            timer,
             element_name=element_name,
             cert_version=verified.integrity.version,
         )
         if self.content_cache is not None:
             self.content_cache.put(self.bound.oid.hex, element, entry.expires_at)
-        self._record_resilience(timer, snapshot)
-        return FetchResult(
-            element=element,
-            metrics=timer.finish(),
-            certified_as=verified.certified_as,
-        )
-
-    # ------------------------------------------------------------------
-    # Resilience accounting
-    # ------------------------------------------------------------------
-
-    def _resilience_snapshot(self):
-        counters = getattr(self.binder.rpc, "counters", None)
-        health = self.binder.health
-        return (
-            counters.retries if counters is not None else 0,
-            counters.backoff_seconds if counters is not None else 0.0,
-            self.failovers,
-            health.quarantines if health is not None else 0,
-            counters is not None or health is not None,
-        )
-
-    def _record_resilience(self, timer: AccessTimer, snapshot) -> None:
-        retries0, backoff0, failovers0, quarantines0, tracked = snapshot
-        counters = getattr(self.binder.rpc, "counters", None)
-        health = self.binder.health
-        stats = ResilienceStats(
-            retries=(counters.retries - retries0) if counters is not None else 0,
-            backoff_seconds=(
-                (counters.backoff_seconds - backoff0) if counters is not None else 0.0
-            ),
-            failovers=self.failovers - failovers0,
-            quarantines=(
-                (health.quarantines - quarantines0) if health is not None else 0
-            ),
-        )
-        if tracked or stats.any_degradation:
-            timer.record_resilience(stats)
+        return FetchResult(element=element, certified_as=verified.certified_as)
 
     @property
     def verified(self) -> Optional[VerifiedBinding]:

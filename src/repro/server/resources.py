@@ -67,6 +67,9 @@ class ResourceAccountant:
         self.clock = clock
         self._disk_by_replica: Dict[str, int] = {}
         self._served: Deque[Tuple[float, int]] = deque()
+        #: Running sum of the sizes in ``_served``: the window total is
+        #: read on every serve, so it must not cost a pass over the deque.
+        self._served_bytes = 0
         self.bytes_served_total = 0
         self.rejections = 0
 
@@ -117,8 +120,8 @@ class ResourceAccountant:
     def _window_bytes(self, now: float) -> int:
         cutoff = now - self.limits.bandwidth_window
         while self._served and self._served[0][0] < cutoff:
-            self._served.popleft()
-        return sum(size for _, size in self._served)
+            self._served_bytes -= self._served.popleft()[1]
+        return self._served_bytes
 
     def bandwidth_in_use(self) -> float:
         """Current mean bytes/second over the window."""
@@ -137,6 +140,7 @@ class ResourceAccountant:
                 f"{self.limits.bandwidth_window:.0f} s window)"
             )
         self._served.append((now, nbytes))
+        self._served_bytes += nbytes
         self.bytes_served_total += nbytes
 
     # ------------------------------------------------------------------

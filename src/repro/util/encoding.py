@@ -40,8 +40,8 @@ class EncodeCacheCounters:
     """Process-wide counters for canonical-encoding memoization.
 
     Structures that cache their canonical bytes (signed envelopes,
-    certificates, ``wire_size`` properties) report here, so the proxy's
-    fast-path metrics can show how much re-serialization was avoided.
+    certificates, ``wire_size`` properties) report here, so the security
+    bench can show how much re-serialization was avoided.
     """
 
     hits: int = 0
@@ -52,18 +52,6 @@ class EncodeCacheCounters:
 
     def miss(self) -> None:
         self.misses += 1
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> tuple:
-        return (self.hits, self.misses)
 
     def reset(self) -> None:
         self.hits = 0

@@ -28,7 +28,6 @@ from repro.crypto.keys import PublicKey
 from repro.globedoc.oid import ObjectId
 from repro.proxy.checks import SecurityChecker, VerifiedFrontier
 from repro.proxy.contentcache import ContentCache
-from repro.proxy.metrics import AccessTimer
 from repro.versioning.dag import DeltaDag, Frontier
 from repro.versioning.delta import SignedDelta
 from repro.versioning.frontier import FrontierCertificate
@@ -43,7 +42,6 @@ class VersionedAccess:
     """One verified read: the merged document plus access accounting."""
 
     merged: MergedDocument
-    timer: AccessTimer
     #: Deltas fetched over the wire this access (0 on a no-news read).
     deltas_fetched: int = 0
     #: Cache entries purged because a strictly newer frontier bound.
@@ -88,14 +86,12 @@ class VersionedReader:
         for whatever is wrong with the response; on any raise the
         reader's verified baseline is untouched.
         """
-        timer = AccessTimer(self.checker.clock)
         known_dag = self._dags.get(oid.hex)
         have_ids = known_dag.delta_ids if known_dag is not None else None
 
-        with timer.phase("fetch_bundle"):
-            bundle = self.rpc.call(
-                endpoint, "versioning.fetch", oid_hex=oid.hex, have_ids=have_ids
-            )
+        bundle = self.rpc.call(
+            endpoint, "versioning.fetch", oid_hex=oid.hex, have_ids=have_ids
+        )
         object_key = PublicKey(der=bytes(bundle["object_key_der"]))
         grants = [WriterGrant.from_dict(g) for g in bundle.get("grants", [])]
         new_deltas = [SignedDelta.from_dict(d) for d in bundle.get("deltas", [])]
@@ -109,8 +105,8 @@ class VersionedReader:
         # Checks 1 and 7 first: a key that is not this object's, or an
         # OID the feed condemns (or cannot prove fresh), fails before
         # any delta verification CPU is spent.
-        self.checker.check_public_key(oid, object_key, timer)
-        self.checker.check_revocation(oid, timer)
+        self.checker.check_public_key(oid, object_key)
+        self.checker.check_revocation(oid)
 
         # The eighth check runs over the union of the retained verified
         # DAG and the newly fetched deltas: incremental fetches stay
@@ -137,7 +133,6 @@ class VersionedReader:
             object_key,
             grants,
             deltas,
-            timer,
             known_frontier=self._frontiers.get(oid.hex),
             frontier_cert=frontier_cert,
             served_ids=served_ids,
@@ -146,7 +141,6 @@ class VersionedReader:
         purged = self._bind(oid.hex, verified)
         return VersionedAccess(
             merged=verified.merged,
-            timer=timer,
             deltas_fetched=len(new_deltas),
             cache_purged=purged,
         )

@@ -276,11 +276,10 @@ PINNED_GATES = {
         "hottest": 5,
         "fast_burn_lifecycle": True,
         "latency_objective_reported": True,
-        # The three gates folded in from the former trace bench.
+        # The gates folded in from the former trace bench.
         "rejection[check.element_hash]": True,
         "rejection[check.consistency]": True,
         "rejection[check.freshness]": True,
-        "span_consistency_drift": 0.05,  # SPAN_CONSISTENCY_TOLERANCE
         "pipeline_ok[sequential]": RELATIVE,
         "pipeline_ok[pipelined]": RELATIVE,
         "pipelined_attempt_share": RELATIVE,

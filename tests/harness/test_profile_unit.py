@@ -145,7 +145,7 @@ class TestRendering:
         )
         summary = render_bench_summary({"profile": envelope})
         assert "stitch_rate" in summary and "attribution_error" in summary
-        assert "span_consistency_drift" in summary
+        assert "pipelined_attempt_share" in summary
         assert " 0 failing" in summary
 
     def test_section_absent_without_report(self):

@@ -47,12 +47,17 @@ class TestBestOf:
         assert best_us < spike_us / 2
 
 
-def make_row(total=10.0, security=4.0, hits=0.0, misses=1.0, saved=0.0):
+def make_row(total=10.0, security=4.0):
     return {
         "total_ms": total,
         "security_ms": security,
         "verify_certificate_ms": security / 2,
         "verify_public_key_ms": security / 4,
+    }
+
+
+def make_counters(hits=0.0, misses=1.0, saved=0.0):
+    return {
         "verify_hits": hits,
         "verify_misses": misses,
         "encode_hits": hits,
@@ -62,23 +67,20 @@ def make_row(total=10.0, security=4.0, hits=0.0, misses=1.0, saved=0.0):
 
 class TestSummarizeRun:
     def test_means_and_sums(self):
-        rows = [
-            make_row(total=10.0, security=4.0, hits=0.0, misses=1.0, saved=0.0),
-            make_row(total=6.0, security=2.0, hits=1.0, misses=0.0, saved=150.0),
-        ]
-        summary = _summarize_run(rows)
+        rows = [make_row(total=10.0, security=4.0), make_row(total=6.0, security=2.0)]
+        summary = _summarize_run(rows, make_counters(hits=1.0, misses=1.0, saved=150.0))
         assert summary["accesses"] == 2
         assert summary["total_ms_mean"] == pytest.approx(8.0)
         assert summary["security_ms_mean"] == pytest.approx(3.0)
         assert summary["verify_certificate_ms_mean"] == pytest.approx(1.5)
         assert summary["verify_public_key_ms_mean"] == pytest.approx(0.75)
-        # Counters are totals, not means.
+        # Counters are the run's totals, carried through untouched.
         assert summary["verify_hits"] == 1.0
         assert summary["verify_misses"] == 1.0
         assert summary["saved_us"] == 150.0
 
     def test_single_row(self):
-        summary = _summarize_run([make_row(total=3.0)])
+        summary = _summarize_run([make_row(total=3.0)], make_counters())
         assert summary["accesses"] == 1
         assert summary["total_ms_mean"] == pytest.approx(3.0)
 

@@ -1,5 +1,5 @@
 """The trace gates of the profile bench: span coverage, rejection
-census, span/metrics consistency, pipelined-vs-sequential attempt share.
+census, pipelined-vs-sequential attempt share.
 
 These were the ``trace`` target's gates before it was folded into
 ``profile``. The session's shared quick profile run backs the structural
@@ -18,7 +18,6 @@ from repro.harness.kernel import problems, write_envelope
 from repro.harness.profile_bench import (
     EXPECTED_REJECTIONS,
     EXPECTED_SPANS,
-    SPAN_CONSISTENCY_TOLERANCE,
     TARGET,
     criteria,
     render_profile,
@@ -58,10 +57,43 @@ def test_rejection_census_matches_probes(report):
     }
 
 
-def test_span_time_reproduces_access_metrics(report):
-    consistency = report["consistency"]
-    assert consistency["metrics_total_s"] > 0.0
-    assert abs(consistency["ratio"] - 1.0) <= SPAN_CONSISTENCY_TOLERANCE
+def test_span_time_reproduces_access_metrics():
+    """The property the former span/metrics consistency gate stood in
+    for, stated directly on the profile bench's read stack (verify
+    cache, content cache, revocation feed): the phases derived from an
+    access's spans account for its ``proxy.handle`` time."""
+    from repro.crypto.verifycache import VerificationCache
+    from repro.harness.experiment import Testbed
+    from repro.obs import RingBufferSink, Tracer
+    from repro.proxy.contentcache import ContentCache
+    from repro.proxy.metrics import AccessMetrics
+
+    testbed = Testbed()
+    published = testbed.publish(
+        testbed.document_owner("vu.nl/conserve", {"index.html": b"x" * 4096})
+    )
+    ring = RingBufferSink()
+    tracer = Tracer(clock=testbed.clock, sinks=(ring,))
+    host = "sporty.cs.vu.nl"
+    stack = testbed.client_stack(
+        host,
+        verification_cache=VerificationCache(),
+        content_cache=ContentCache(
+            clock=testbed.clock,
+            ttl=30.0,
+            tracer=tracer,
+            compute_context=testbed.network.host(host).compute,
+        ),
+        revocation_max_staleness=120.0,
+        tracer=tracer,
+    )
+    for i in range(6):  # cold bind, cache hits, then a feed re-poll
+        ring.clear()
+        assert stack.proxy.handle(published.url("index.html")).ok
+        (root,) = ring.named("proxy.handle")
+        derived = AccessMetrics.from_spans(ring.spans).total
+        assert derived == pytest.approx(root.duration, rel=0.01), f"access {i}"
+        testbed.clock.advance(25.0)
 
 
 def test_pipelining_moves_attempts_off_the_serving_path(report):
@@ -76,7 +108,6 @@ def test_render_mentions_spans_and_rejections(report):
     text = render_profile(report)
     assert "check.element_hash: AuthenticityError" in text
     assert "check.freshness: FreshnessError" in text
-    assert "ratio" in text
     assert "rpc.attempt in-handle share" in text
 
 
@@ -107,10 +138,6 @@ class TestFoldedGatesDetectRegressions:
             "expected 'check.element_hash' to reject with AuthenticityError, "
             "got {'ConsistencyError': 1}"
         ]
-
-    def test_consistency_drift_flagged(self, report):
-        found = mutate(report, ("consistency", "ratio"), 1.06)
-        assert found == ["span/metrics consistency ratio 1.0600 outside 1 ± 0.05"]
 
     def test_attempt_share_not_shrinking_flagged(self, report):
         share = report["pipeline_comparison"]["sequential"]["rpc_attempt_share"]

@@ -15,6 +15,7 @@ from repro.net.address import Endpoint
 from repro.net.faults import FaultPlan, FlakyTransport
 from repro.net.health import ReplicaHealthTracker
 from repro.net.retry import RetryPolicy
+from repro.obs import RingBufferSink, Tracer
 from repro.sim.random import derive_seed
 from tests.conftest import fast_keys
 
@@ -43,7 +44,10 @@ def world():
     return build_world()
 
 
-def resilient_stack(testbed, drop: float, corrupt: float = 0.0, seed: int = 0):
+def resilient_stack(
+    testbed, drop: float, corrupt: float = 0.0, seed: int = 0, ring=None
+):
+    """The resilient client stack; its spans land in *ring* when given."""
     plan = FaultPlan(
         drop_probability=drop,
         corrupt_probability=corrupt,
@@ -61,8 +65,9 @@ def resilient_stack(testbed, drop: float, corrupt: float = 0.0, seed: int = 0):
         jitter=0.1,
         seed=derive_seed(seed, "chaos-itest-retry"),
     )
+    tracer = Tracer(clock=testbed.clock, sinks=(ring,)) if ring is not None else None
     stack = testbed.client_stack(
-        CLIENT_HOST, transport=flaky, retry_policy=policy, health=health
+        CLIENT_HOST, transport=flaky, retry_policy=policy, health=health, tracer=tracer
     )
     return stack, flaky, health
 
@@ -85,23 +90,32 @@ class TestDroppedRequests:
 
     def test_retry_work_lands_in_access_metrics(self, world):
         testbed, published = world
-        stack, flaky, _ = resilient_stack(testbed, drop=0.3, seed=2)
+        ring = RingBufferSink(capacity=1 << 16)
+        stack, flaky, _ = resilient_stack(testbed, drop=0.3, seed=2, ring=ring)
         url = published.url("index.html")
-        totals = 0
         for i in range(24):
             if i % 6 == 0:
                 stack.proxy.drop_all_sessions()
-            response = stack.proxy.handle(url)
-            stats = response.metrics.resilience if response.metrics else None
-            if stats is not None:
-                totals += stats.retries
+            assert stack.proxy.handle(url).ok
         assert flaky.drops > 0
-        assert totals > 0  # the per-access counters saw the retries
         # Every drop hit an idempotent read and every access succeeded,
-        # so every drop was retried. Drops during the bind phase are
-        # attributed to the aggregate counters, not a single access.
+        # so every drop was retried...
         assert stack.rpc.counters.retries == flaky.drops
         assert stack.rpc.counters.giveups == 0
+        # ...and each retry is visible in the access's own trace: a
+        # failed ``rpc.attempt`` carrying its backoff, under the
+        # ``proxy.handle`` it delayed.
+        retried = [
+            span for span in ring.named("rpc.attempt")
+            if "backoff_s" in span.attributes
+        ]
+        assert len(retried) == flaky.drops
+        assert all(span.is_error for span in retried)
+        roots = {span.trace_id for span in ring.named("proxy.handle")}
+        assert {span.trace_id for span in retried} <= roots
+        assert sum(span.attributes["backoff_s"] for span in retried) == pytest.approx(
+            stack.rpc.counters.backoff_seconds
+        )
 
 
 class TestCorruptedFrames:
@@ -124,21 +138,22 @@ class TestReplicaCrash:
         wiser: client-side failover keeps serving genuine bytes from
         the surviving sites, and the breaker opens on the dead address."""
         testbed, published = build_world()  # private world: we break it
-        stack, _, health = resilient_stack(testbed, drop=0.0)
+        ring = RingBufferSink()
+        stack, _, health = resilient_stack(testbed, drop=0.0, ring=ring)
         url = published.url("index.html")
         for _ in range(3):
             assert stack.proxy.handle(url).ok
         primary = Endpoint(SERVICES_HOST, "objectserver")
         testbed.network.unregister(primary)
-        failovers = 0
         for i in range(6):
             if i == 3:
                 stack.proxy.drop_all_sessions()  # cold bind against the corpse
             response = stack.proxy.handle(url)
             assert response.ok
             assert response.content == GENUINE
-            stats = response.metrics.resilience if response.metrics else None
-            failovers += stats.failovers if stats else 0
-        assert failovers > 0
+        failovers = [
+            span for span in ring.named("session.failover") if not span.is_error
+        ]
+        assert len(failovers) > 0
         quarantined = health.quarantined_addresses()
         assert any(SERVICES_HOST in address for address in quarantined)

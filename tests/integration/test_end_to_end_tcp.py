@@ -18,9 +18,11 @@ from repro.naming.zone import Zone, ZoneKeys
 from repro.net.address import Endpoint
 from repro.net.rpc import RpcClient
 from repro.net.tcpnet import TcpEndpointServer, TcpTransport
+from repro.obs import RingBufferSink, Tracer
 from repro.proxy.binding import Binder
 from repro.proxy.checks import SecurityChecker
 from repro.proxy.clientproxy import GlobeDocProxy
+from repro.proxy.metrics import AccessMetrics
 from repro.server.admin import AdminClient
 from repro.server.objectserver import ObjectServer
 from repro.sim.clock import RealClock
@@ -80,33 +82,45 @@ def published(tcp_world):
 
 
 @pytest.fixture
-def proxy(tcp_world):
+def ring():
+    return RingBufferSink()
+
+
+@pytest.fixture
+def proxy(tcp_world, ring):
     clock, naming, _, _, transport = tcp_world
-    rpc = RpcClient(transport)
+    tracer = Tracer(clock=clock, sinks=(ring,))
+    rpc = RpcClient(transport, tracer=tracer)
     resolver = SecureResolver(
         rpc, Endpoint("server-host", "naming"), naming.root_key, clock=clock
     )
     location_client = LocationClient(
         rpc, Endpoint("server-host", "location"), origin_site="root/local", clock=clock
     )
-    checker = SecurityChecker(clock)
-    return GlobeDocProxy(Binder(resolver, location_client, rpc), checker, rpc)
+    checker = SecurityChecker(clock, tracer=tracer)
+    return GlobeDocProxy(
+        Binder(resolver, location_client, rpc, tracer=tracer), checker, rpc,
+        tracer=tracer,
+    )
 
 
 class TestTcpEndToEnd:
-    def test_secure_fetch(self, proxy, published):
+    def test_secure_fetch(self, proxy, published, ring):
         owner, _ = published
         response = proxy.handle("globe://vu.nl/tcpdemo!/index.html")
         assert response.ok
         assert response.content == b"<html>over real sockets</html>"
-        assert response.metrics is not None and response.metrics.total > 0
+        assert AccessMetrics.from_spans(ring.spans).total > 0
 
-    def test_second_element_reuses_binding(self, proxy, published):
+    def test_second_element_reuses_binding(self, proxy, published, ring):
         assert proxy.handle("globe://vu.nl/tcpdemo!/index.html").ok
+        ring.clear()
         response = proxy.handle("globe://vu.nl/tcpdemo!/style.css")
         assert response.ok
         assert response.content == b"body { color: blue }"
-        assert response.metrics.phase_time("get_public_key") == 0.0
+        metrics = AccessMetrics.from_spans(ring.spans)
+        assert metrics.phase_time("get_page_element") > 0
+        assert metrics.phase_time("get_public_key") == 0.0
 
     def test_oid_form_over_tcp(self, proxy, published):
         owner, _ = published

@@ -304,7 +304,6 @@ class TestMidFetchFailover:
         from repro.globedoc.urls import HybridUrl
         from repro.harness.experiment import Testbed
         from repro.proxy.binding import BoundObject
-        from repro.proxy.metrics import AccessTimer
         from repro.proxy.session import SecureSession
         from repro.server.localrep import ProxyLR
         from tests.conftest import fast_keys
@@ -319,9 +318,7 @@ class TestMidFetchFailover:
         published = testbed.publish(owner, validity=3600)
         stack = testbed.client_stack("canardo.inria.fr", tracer=client_tracer)
 
-        bound = stack.binder.bind(
-            HybridUrl.parse(published.url("index.html")), AccessTimer(clock)
-        )
+        bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")))
         session = SecureSession(
             binder=stack.binder, checker=stack.checker, bound=bound,
             tracer=client_tracer,

@@ -7,6 +7,7 @@ import pytest
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
+from repro.obs import RingBufferSink, Tracer
 from tests.conftest import fast_keys
 
 ELEMENTS = {
@@ -29,5 +30,14 @@ def published(testbed):
 
 
 @pytest.fixture
-def stack(testbed, published):
-    return testbed.client_stack("canardo.inria.fr")
+def ring():
+    """Where the ``stack`` fixture's spans land: phase assertions read
+    ``AccessMetrics.from_spans(ring.spans)``."""
+    return RingBufferSink()
+
+
+@pytest.fixture
+def stack(testbed, published, ring):
+    return testbed.client_stack(
+        "canardo.inria.fr", tracer=Tracer(clock=testbed.clock, sinks=(ring,))
+    )

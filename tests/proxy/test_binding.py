@@ -9,63 +9,55 @@ from repro.globedoc.urls import HybridUrl
 from repro.net.address import ContactAddress, Endpoint
 from repro.net.health import ReplicaHealthTracker
 from repro.proxy.binding import Binder
-from repro.proxy.metrics import AccessTimer
+from repro.proxy.metrics import AccessMetrics
 from tests.proxy.conftest import ELEMENTS
 
 
 class TestResolveOid:
-    def test_name_form_resolves(self, stack, published, testbed):
-        timer = AccessTimer(testbed.clock)
+    def test_name_form_resolves(self, stack, published, testbed, ring):
         url = HybridUrl.parse(published.url("index.html"))
-        oid = stack.binder.resolve_oid(url, timer)
+        oid = stack.binder.resolve_oid(url)
         assert oid == published.owner.oid
-        assert timer.finish().phase_time("resolve_name") > 0
+        assert AccessMetrics.from_spans(ring.spans).phase_time("resolve_name") > 0
 
-    def test_oid_form_skips_naming(self, stack, published, testbed):
-        timer = AccessTimer(testbed.clock)
+    def test_oid_form_skips_naming(self, stack, published, testbed, ring):
         url = HybridUrl.for_oid(published.owner.oid, "index.html")
-        oid = stack.binder.resolve_oid(url, timer)
+        oid = stack.binder.resolve_oid(url)
         assert oid == published.owner.oid
-        assert timer.finish().phase_time("resolve_name") == 0
+        assert AccessMetrics.from_spans(ring.spans).phase_time("resolve_name") == 0
 
     def test_passthrough_url_rejected(self, stack, testbed):
-        timer = AccessTimer(testbed.clock)
         with pytest.raises(BindingError):
-            stack.binder.resolve_oid(HybridUrl.parse("http://x.com/a"), timer)
+            stack.binder.resolve_oid(HybridUrl.parse("http://x.com/a"))
 
     def test_unknown_name(self, stack, testbed):
-        timer = AccessTimer(testbed.clock)
         with pytest.raises(NameNotFound):
-            stack.binder.resolve_oid(HybridUrl.for_name("ghost.example"), timer)
+            stack.binder.resolve_oid(HybridUrl.for_name("ghost.example"))
 
 
 class TestBind:
-    def test_bind_installs_lr(self, stack, published, testbed):
-        timer = AccessTimer(testbed.clock)
-        bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")), timer)
+    def test_bind_installs_lr(self, stack, published, testbed, ring):
+        bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")))
         assert bound.oid == published.owner.oid
         assert bound.lr.get_element("index.html").content == ELEMENTS["index.html"]
-        metrics = timer.finish()
+        metrics = AccessMetrics.from_spans(ring.spans)
         assert metrics.phase_time("find_replica") > 0
 
     def test_bind_unknown_oid(self, stack, testbed, shared_keys):
         from repro.globedoc.oid import ObjectId
 
-        timer = AccessTimer(testbed.clock)
         phantom = ObjectId.from_public_key(shared_keys.public)
         with pytest.raises(ObjectNotFound):
-            stack.binder.bind(HybridUrl.for_oid(phantom, "x.html"), timer)
+            stack.binder.bind(HybridUrl.for_oid(phantom, "x.html"))
 
     def test_rebind_without_alternative(self, stack, published, testbed):
-        timer = AccessTimer(testbed.clock)
-        bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")), timer)
+        bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")))
         assert not bound.has_alternative
         with pytest.raises(BindingError, match="exhausted"):
             stack.binder.rebind(bound)
 
     def test_rebind_moves_to_next_address(self, stack, published, testbed):
-        timer = AccessTimer(testbed.clock)
-        bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")), timer)
+        bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")))
         # Fabricate a second address as the location service would return.
         bound.addresses.append(bound.addresses[0])
         rebound = stack.binder.rebind(bound)
@@ -82,18 +74,14 @@ class TestHealthAwareBinding:
     def test_note_replica_failure_without_tracker_is_noop(
         self, stack, published, testbed
     ):
-        bound = stack.binder.bind(
-            HybridUrl.parse(published.url("index.html")), AccessTimer(testbed.clock)
-        )
+        bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")))
         stack.binder.note_replica_failure(bound)  # must not raise
 
     def test_note_replica_failure_charges_current_address(
         self, stack, published, testbed
     ):
         binder, health = self.health_binder(stack, testbed)
-        bound = binder.bind(
-            HybridUrl.parse(published.url("index.html")), AccessTimer(testbed.clock)
-        )
+        bound = binder.bind(HybridUrl.parse(published.url("index.html")))
         binder.note_replica_failure(bound)
         assert health.record(str(bound.address)).consecutive_failures == 1
 
@@ -104,11 +92,11 @@ class TestHealthAwareBinding:
         with a single replica the document must stay reachable."""
         binder, health = self.health_binder(stack, testbed)
         url = HybridUrl.parse(published.url("index.html"))
-        bound = binder.bind(url, AccessTimer(testbed.clock))
+        bound = binder.bind(url)
         for _ in range(3):
             binder.note_replica_failure(bound)
         assert health.is_quarantined(str(bound.address))
-        again = binder.bind(url, AccessTimer(testbed.clock))
+        again = binder.bind(url)
         assert str(again.address) == str(bound.address)
 
     def test_bind_sinks_quarantined_address(self, stack, published, testbed):
@@ -117,7 +105,7 @@ class TestHealthAwareBinding:
         binder, health = self.health_binder(stack, testbed)
         url = HybridUrl.parse(published.url("index.html"))
         oid = published.owner.oid
-        real = binder.bind(url, AccessTimer(testbed.clock)).address
+        real = binder.bind(url).address
         phantom = ContactAddress(
             endpoint=Endpoint("sporty.cs.vu.nl", "phantom-objectserver"),
             replica_id="phantom",
@@ -128,14 +116,14 @@ class TestHealthAwareBinding:
         try:
             for _ in range(3):
                 health.record_failure(str(real))
-            bound = binder.bind(url, AccessTimer(testbed.clock))
+            bound = binder.bind(url)
             assert str(bound.address) == str(phantom)
             assert len(bound.addresses) == 2  # the quarantined one stays listed
 
             health.reset()
             for _ in range(3):
                 health.record_failure(str(phantom))
-            bound = binder.bind(url, AccessTimer(testbed.clock))
+            bound = binder.bind(url)
             assert str(bound.address) == str(real)
         finally:
             binder.location.unregister_replica(oid, site, phantom)

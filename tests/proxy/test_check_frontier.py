@@ -18,7 +18,6 @@ from repro.errors import (
 from repro.globedoc.oid import ObjectId
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.checks import SecurityChecker
-from repro.proxy.metrics import AccessTimer
 from repro.sim.clock import SimClock
 from repro.versioning import DeltaDag, DocumentWriter, WriterGrant, merge_deltas
 
@@ -54,7 +53,6 @@ def world(owner_keys, oid, clock):
     return {
         "checker": checker, "writer": writer, "grant": grant, "dag": dag,
         "ring": ring, "owner_key": owner_keys.public, "oid": oid,
-        "timer": AccessTimer(clock),
     }
 
 
@@ -69,7 +67,6 @@ def run_check(world, **overrides):
     kwargs.update(overrides)
     return world["checker"].check_frontier(
         world["oid"], world["owner_key"], kwargs["grants"], kwargs["deltas"],
-        world["timer"],
         known_frontier=kwargs["known_frontier"],
         frontier_cert=kwargs["frontier_cert"],
         served_ids=kwargs["served_ids"],

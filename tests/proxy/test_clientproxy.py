@@ -5,16 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.globedoc.urls import HybridUrl
+from repro.proxy.metrics import AccessMetrics
 from tests.proxy.conftest import ELEMENTS
 
 
 class TestGlobedocRequests:
-    def test_name_form(self, stack, published):
+    def test_name_form(self, stack, published, ring):
         response = stack.proxy.handle(published.url("index.html"))
         assert response.ok
         assert response.content == ELEMENTS["index.html"]
         assert response.content_type == "text/html"
-        assert response.metrics is not None
+        assert AccessMetrics.from_spans(ring.spans).security_time > 0
 
     def test_oid_form(self, stack, published):
         url = HybridUrl.for_oid(published.owner.oid, "img/logo.png").raw
@@ -58,14 +59,16 @@ class TestGlobedocRequests:
 
 
 class TestPassthrough:
-    def test_plain_http_forwarded(self, testbed, stack, published):
+    def test_plain_http_forwarded(self, testbed, stack, published, ring):
         """§4: the proxy transparently handles regular HTTP requests."""
         response = stack.proxy.handle(
             f"http://ginger.cs.vu.nl/{published.name}/index.html"
         )
         assert response.ok
         assert response.content == ELEMENTS["index.html"]
-        assert response.metrics is None  # no security pipeline ran
+        # No security pipeline ran: one plain call, no access phases.
+        assert [span.name for span in ring.spans] == ["rpc.call"]
+        assert AccessMetrics.from_spans(ring.spans).phases == ()
 
     def test_passthrough_404(self, stack):
         response = stack.proxy.handle("http://ginger.cs.vu.nl/ghost")

@@ -8,7 +8,7 @@ from repro.errors import BindingError, TransportError
 from repro.globedoc.urls import HybridUrl
 from repro.net.address import ContactAddress, Endpoint
 from repro.proxy.binding import BoundObject
-from repro.proxy.metrics import AccessTimer
+from repro.proxy.metrics import AccessMetrics
 from repro.proxy.session import SecureSession
 from repro.server.localrep import ProxyLR
 from tests.proxy.conftest import ELEMENTS
@@ -22,9 +22,15 @@ DEAD = ContactAddress(
 
 
 def make_session(stack, published, testbed, **kwargs) -> SecureSession:
-    timer = AccessTimer(testbed.clock)
-    bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")), timer)
+    bound = stack.binder.bind(HybridUrl.parse(published.url("index.html")))
     return SecureSession(binder=stack.binder, checker=stack.checker, bound=bound, **kwargs)
+
+
+def measured(ring, call, *args):
+    """``call(*args)`` and the decomposition of exactly the spans it emitted."""
+    ring.clear()
+    result = call(*args)
+    return result, AccessMetrics.from_spans(ring.spans)
 
 
 def rebound(stack, bound: BoundObject, addresses, index: int) -> BoundObject:
@@ -40,19 +46,17 @@ def rebound(stack, bound: BoundObject, addresses, index: int) -> BoundObject:
 class TestEstablish:
     def test_establish_verifies_binding(self, stack, published, testbed):
         session = make_session(stack, published, testbed)
-        verified = session.establish(AccessTimer(testbed.clock))
+        verified = session.establish()
         assert verified.oid == published.owner.oid
         assert verified.public_key == published.owner.public_key
         verified.integrity.verify_signature(published.owner.public_key)
 
-    def test_cached_binding_reused(self, stack, published, testbed):
+    def test_cached_binding_reused(self, stack, published, testbed, ring):
         session = make_session(stack, published, testbed)
-        t1 = AccessTimer(testbed.clock)
-        first = session.establish(t1)
-        t2 = AccessTimer(testbed.clock)
-        second = session.establish(t2)
+        first = session.establish()
+        second, metrics = measured(ring, session.establish)
         assert first is second
-        assert t2.finish().total == 0.0  # no network activity on reuse
+        assert metrics.total == 0.0  # no network activity on reuse
 
     def test_uncached_repeats_exchange(self, stack, published, testbed):
         session = make_session(stack, published, testbed, cache_binding=False)
@@ -61,23 +65,23 @@ class TestEstablish:
 
 
 class TestFetch:
-    def test_fetch_verified_content(self, stack, published, testbed):
+    def test_fetch_verified_content(self, stack, published, testbed, ring):
         session = make_session(stack, published, testbed)
-        result = session.fetch("index.html")
+        result, metrics = measured(ring, session.fetch, "index.html")
         assert result.content == ELEMENTS["index.html"]
-        assert result.metrics.total > 0
-        assert result.metrics.security_time > 0
+        assert metrics.total > 0
+        assert metrics.security_time > 0
 
     def test_fetch_both_elements(self, stack, published, testbed):
         session = make_session(stack, published, testbed)
         assert session.fetch("img/logo.png").content == ELEMENTS["img/logo.png"]
         assert session.fetch("index.html").content == ELEMENTS["index.html"]
 
-    def test_second_fetch_cheaper_with_cache(self, stack, published, testbed):
+    def test_second_fetch_cheaper_with_cache(self, stack, published, testbed, ring):
         """The ~2 KB key+certificate exchange happens once per binding."""
         session = make_session(stack, published, testbed)
-        first = session.fetch("index.html").metrics
-        second = session.fetch("index.html").metrics
+        _, first = measured(ring, session.fetch, "index.html")
+        _, second = measured(ring, session.fetch, "index.html")
         assert second.total < first.total
         assert second.phase_time("get_public_key") == 0.0
         assert second.phase_time("get_integrity_certificate") == 0.0
@@ -89,12 +93,12 @@ class TestFetch:
         with pytest.raises((ConsistencyError, RpcError)):
             session.fetch("ghost.html")
 
-    def test_invalidate_forces_reestablish(self, stack, published, testbed):
+    def test_invalidate_forces_reestablish(self, stack, published, testbed, ring):
         session = make_session(stack, published, testbed)
         session.fetch("index.html")
         session.invalidate()
-        result = session.fetch("index.html")
-        assert result.metrics.phase_time("get_public_key") > 0
+        _, metrics = measured(ring, session.fetch, "index.html")
+        assert metrics.phase_time("get_public_key") > 0
 
 
 class TestFailover:
@@ -105,25 +109,31 @@ class TestFailover:
         session = make_session(stack, published, testbed)
         good = session.bound.addresses
         session.bound = rebound(stack, session.bound, [DEAD] + good, 0)
-        verified = session.establish(AccessTimer(testbed.clock))
+        verified = session.establish()
         assert verified.oid == published.owner.oid
         assert session.failovers == 1
         assert str(session.bound.address) == str(good[0])
 
-    def test_midfetch_failover_reverifies_binding(self, stack, published, testbed):
-        session = make_session(stack, published, testbed)
+    def test_midfetch_failover_reverifies_binding(
+        self, stack, published, testbed, ring
+    ):
+        session = make_session(stack, published, testbed, tracer=stack.proxy.tracer)
         session.fetch("index.html")  # warm: binding verified and cached
         good = session.bound.addresses
         session.bound = rebound(stack, session.bound, [DEAD] + good, 0)
-        result = session.fetch("index.html")
+        result, metrics = measured(ring, session.fetch, "index.html")
         assert result.content == ELEMENTS["index.html"]
         assert session.failovers == 1
         # The cached binding was NOT reused: the replacement replica's
         # key and certificate were fetched and verified afresh.
-        assert result.metrics.phase_time("get_public_key") > 0
-        assert result.metrics.phase_time("get_integrity_certificate") > 0
-        assert result.metrics.resilience is not None
-        assert result.metrics.resilience.failovers == 1
+        assert metrics.phase_time("get_public_key") > 0
+        assert metrics.phase_time("get_integrity_certificate") > 0
+        # ...and the failed element fetch against the dead replica is
+        # in the decomposition too, as an error-status call.
+        (failover,) = ring.named("session.failover")
+        assert failover.attributes["cause"] == "TransportError"
+        assert not failover.is_error
+        assert len(ring.named("rpc.call")) == 4  # dead fetch, key, cert, fetch
 
     def test_exhaustion_chains_binding_failure(self, stack, published, testbed):
         """Regression: when rebinding has nowhere left to go, the caller
@@ -135,7 +145,7 @@ class TestFailover:
         all_tried = list(session.bound.addresses) + [DEAD]
         session.bound = rebound(stack, session.bound, all_tried, len(all_tried) - 1)
         with pytest.raises(TransportError) as excinfo:
-            session.establish(AccessTimer(testbed.clock))
+            session.establish()
         assert isinstance(excinfo.value.__cause__, BindingError)
 
     def test_unexpected_rebind_error_propagates(
@@ -151,12 +161,12 @@ class TestFailover:
 
         monkeypatch.setattr(stack.binder, "rebind", broken_rebind)
         with pytest.raises(RuntimeError, match="rebind bug"):
-            session.establish(AccessTimer(testbed.clock))
+            session.establish()
 
     def test_max_rebinds_zero_disables_failover(self, stack, published, testbed):
         session = make_session(stack, published, testbed, max_rebinds=0)
         good = session.bound.addresses
         session.bound = rebound(stack, session.bound, [DEAD] + good, 0)
         with pytest.raises(TransportError):
-            session.establish(AccessTimer(testbed.clock))
+            session.establish()
         assert session.failovers == 0

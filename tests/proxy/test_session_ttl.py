@@ -9,6 +9,8 @@ from repro.globedoc.owner import DocumentOwner, SignedDocument
 from repro.harness.experiment import Testbed
 from repro.net.address import ContactAddress, Endpoint
 from repro.net.rpc import RpcClient
+from repro.obs import RingBufferSink, Tracer
+from repro.proxy.metrics import AccessMetrics
 from repro.server.admin import AdminClient
 from repro.server.objectserver import ObjectServer
 from tests.conftest import fast_keys
@@ -36,16 +38,22 @@ class TestSessionTtl:
 
     def test_expired_session_rebinds(self, world):
         testbed, owner, published = world
-        stack = testbed.client_stack("ensamble02.cornell.edu", location_ttl=1.0)
+        ring = RingBufferSink()
+        stack = testbed.client_stack(
+            "ensamble02.cornell.edu",
+            location_ttl=1.0,
+            tracer=Tracer(clock=testbed.clock, sinks=(ring,)),
+        )
         proxy = stack.fresh_proxy()
         proxy.session_ttl = 10.0
         first = proxy.handle(published.url("index.html"))
         assert first.ok
         testbed.clock.advance(11.0)
+        ring.clear()
         second = proxy.handle(published.url("index.html"))
         assert second.ok
         # Re-binding re-fetched the key/certificate.
-        assert second.metrics.phase_time("get_public_key") > 0
+        assert AccessMetrics.from_spans(ring.spans).phase_time("get_public_key") > 0
 
     def test_rebind_discovers_new_local_replica(self, world):
         """The property the load simulator depends on: after the session

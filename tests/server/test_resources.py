@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ResourceExceeded
@@ -87,6 +89,55 @@ class TestAccountant:
         quote = acct.quote()
         assert quote["disk_free"] is None
         assert quote["replica_slots_free"] is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_running_window_total_matches_brute_force(self, seed):
+        """The O(1) running total is the sum over the live window at
+        every step of a random serve/advance history — rejected serves
+        included, which must leave it untouched."""
+        window = 10.0
+        acct, clock = self.make(bandwidth_bytes_per_sec=60, bandwidth_window=window)
+        rng = random.Random(seed)
+        history = []  # (time, bytes) of every *accepted* serve
+        rejected = 0
+        for _ in range(400):
+            if rng.random() < 0.4:
+                # Whole-second steps land serves exactly on the cutoff.
+                clock.advance(rng.choice([0.0, 1.0, 2.5, window]))
+            nbytes = rng.randint(1, 200)
+            live = sum(b for t, b in history if t >= clock.now() - window)
+            try:
+                acct.charge_serve(nbytes)
+            except ResourceExceeded:
+                rejected += 1
+                assert live + nbytes > 60 * window
+            else:
+                assert live + nbytes <= 60 * window
+                history.append((clock.now(), nbytes))
+                live += nbytes
+            assert acct.bandwidth_in_use() == pytest.approx(live / window)
+        assert rejected > 10 and len(history) > 10  # both paths exercised
+        assert acct.rejections == rejected
+        assert acct.bytes_served_total == sum(b for _, b in history)
+
+    def test_serve_exactly_at_cutoff_still_counts(self):
+        acct, clock = self.make(bandwidth_bytes_per_sec=10, bandwidth_window=10.0)
+        acct.charge_serve(100)  # the whole budget, at t0
+        clock.advance(10.0)  # t0 == cutoff: not yet expired
+        with pytest.raises(ResourceExceeded):
+            acct.charge_serve(1)
+        assert acct.bandwidth_in_use() == pytest.approx(10.0)
+        clock.advance(0.001)  # now strictly older than the cutoff
+        acct.charge_serve(1)
+        assert acct.bandwidth_in_use() == pytest.approx(0.1)
+
+    def test_unlimited_bandwidth_still_meters_the_window(self):
+        acct, clock = self.make(bandwidth_window=5.0)
+        for _ in range(3):
+            acct.charge_serve(50)
+            clock.advance(2.0)
+        # Serves at t=0, 2, 4; now t=6, cutoff t=1: the first has expired.
+        assert acct.bandwidth_in_use() == pytest.approx(100 / 5.0)
 
 
 class TestServerEnforcement:
