@@ -9,97 +9,13 @@ and without the hotspot policy in the loop.
 
 from __future__ import annotations
 
-from repro.globedoc.element import PageElement
-from repro.globedoc.owner import DocumentOwner
-from repro.harness.experiment import Testbed
-from repro.harness.loadsim import LoadSimulator
-from repro.harness.report import render_table
-from repro.location.service import LocationClient
-from repro.naming.records import OidRecord
-from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
-from repro.replication.policy import RequestObservation
-from repro.replication.strategies import HotspotReplication, NoReplication
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
-from repro.workloads.trace import TraceConfig, generate_trace, inject_flash_crowd
-
-CROWD_SITE = "root/us/cornell"
-
-
-def run_crowd(policy_factory):
-    testbed = Testbed()
-    owner = DocumentOwner("vu.nl/hot", clock=testbed.clock)
-    owner.put_element(PageElement("index.html", b"<html>hot</html>" * 64))
-    document = owner.publish(validity=7200)
-    testbed.object_server.keystore.authorize("owner", owner.public_key)
-    testbed.naming.register(OidRecord(name=owner.name, oid=owner.oid))
-
-    cornell = ObjectServer(
-        host="ensamble02.cornell.edu", site=CROWD_SITE, clock=testbed.clock
-    )
-    cornell.keystore.authorize("owner", owner.public_key)
-    testbed.network.register(
-        Endpoint("ensamble02.cornell.edu", "objectserver"),
-        cornell.rpc_server().handle_frame,
-    )
-    rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-    coordinator = ReplicationCoordinator(
-        LocationClient(rpc, testbed.location_endpoint, "root/europe/vu", clock=testbed.clock)
-    )
-    for site, host in (("root/europe/vu", "ginger.cs.vu.nl"), (CROWD_SITE, "ensamble02.cornell.edu")):
-        coordinator.add_site(
-            SitePort(
-                site=site,
-                admin=AdminClient(rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock),
-            )
-        )
-    coordinator.manage(owner, document, policy_factory(), home_site="root/europe/vu")
-
-    trace = inject_flash_crowd(
-        generate_trace(
-            TraceConfig(
-                documents=(owner.name,), sites=("root/europe/vu", CROWD_SITE),
-                duration=120.0, rate=0.2, seed=5,
-            )
-        ),
-        document=owner.name, site=CROWD_SITE, start=30.0, duration=30.0,
-        rate=20.0, seed=6,
-    )
-    simulator = LoadSimulator(testbed, url_of=lambda e: f"globe://{e.document}!/index.html")
-    report = simulator.run(
-        trace,
-        on_request=lambda e: coordinator.observe_request(
-            owner.oid, RequestObservation(site=e.site, time=testbed.clock.now())
-        ),
-    )
-    return report
+from repro.harness.loadsim import CROWD_SITE, render_crowd_study, run_crowd_study
 
 
 def test_flash_crowd_relief(benchmark):
-    def run_both():
-        return (
-            run_crowd(NoReplication),
-            run_crowd(
-                lambda: HotspotReplication(
-                    create_rate=1.0, destroy_rate=0.01, window=15.0
-                )
-            ),
-        )
-
-    static, dynamic = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    rows = []
-    for label, start, end in (
-        ("pre-crowd (0-30 s)", 0.0, 30.0),
-        ("crowd peak (45-60 s)", 45.0, 60.0),
-    ):
-        s = static.latency_summary(site=CROWD_SITE, start=start, end=end)
-        d = dynamic.latency_summary(site=CROWD_SITE, start=start, end=end)
-        rows.append([label, f"{s.mean*1e3:.1f} ms", f"{d.mean*1e3:.1f} ms"])
+    static, dynamic = benchmark.pedantic(run_crowd_study, rounds=1, iterations=1)
     print()
-    print("Load study — flash crowd at Cornell (mean client latency)")
-    print(render_table(["Phase", "single server", "hotspot replication"], rows))
+    print(render_crowd_study(static, dynamic))
     peak_static = static.latency_summary(site=CROWD_SITE, start=45.0, end=60.0).mean
     peak_dynamic = dynamic.latency_summary(site=CROWD_SITE, start=45.0, end=60.0).mean
     print(f"crowd-peak relief: {peak_static/peak_dynamic:.0f}x")

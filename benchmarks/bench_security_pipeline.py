@@ -106,17 +106,6 @@ def test_envelope_reparse_interned(benchmark, object_keys, oid):
     SignedEnvelope.clear_intern_pool()
 
 
-def test_wire_size_memoized(benchmark, object_keys, oid):
-    """Transfer-accounting loops read wire_size repeatedly; it now costs
-    one dict lookup after the first serialization."""
-    elements = [PageElement(f"e{i}.png", bytes([i]) * 64) for i in range(11)]
-    cert = IntegrityCertificate.for_elements(
-        object_keys, oid.hex, elements, expires_at=1e12
-    )
-    _ = cert.wire_size
-    benchmark(lambda: cert.wire_size)
-
-
 def test_owner_publish_11_elements(benchmark, object_keys):
     """Owner-side cost of signing the paper's 11-element object."""
     from repro.globedoc.owner import DocumentOwner

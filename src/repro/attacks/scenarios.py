@@ -16,6 +16,7 @@ returns machine-checkable verdicts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -506,19 +507,11 @@ def build_versioning_world(
 
 def deploy_forged_delta(world: VersioningWorld) -> None:
     """Rewrite a genuine delta's content in flight: signature must break."""
-    from repro.util.encoding import canonical_bytes  # noqa: F401  (idiom anchor)
-
     template = world.bundle_now()
 
     def rewrite(answer: dict) -> dict:
-        forged = dict(template["deltas"][0])
-        # Tamper the signed payload's ops (both body copies, so whichever
-        # the decoder trusts carries the attacker bytes).
-        import copy
-
-        forged = copy.deepcopy(forged)
-        for body in (forged["body"], forged["envelope"]["payload"]["body"]):
-            body["ops"][0]["content"] = EVIL_MARKER
+        forged = copy.deepcopy(template["deltas"][0])
+        forged["envelope"]["payload"]["body"]["ops"][0]["content"] = EVIL_MARKER
         answer = dict(answer)
         answer["deltas"] = list(answer.get("deltas", [])) + [forged]
         return answer
@@ -571,7 +564,7 @@ def deploy_withheld_branch(world: VersioningWorld) -> None:
         answer = dict(answer)
         answer["deltas"] = [
             d for d in answer.get("deltas", [])
-            if d["body"]["writer_id"] != "bob"
+            if d["envelope"]["payload"]["body"]["writer_id"] != "bob"
         ]
         answer["peer_delta_ids"] = [
             i for i in answer.get("peer_delta_ids", []) if i not in bob_ids

@@ -5,6 +5,10 @@ declared type tag. GlobeDoc's integrity certificate
 (:mod:`repro.globedoc.integrity`) and CA identity certificates
 (:mod:`repro.crypto.identity`) are both built on this base, which keeps
 signature handling, expiry checks, and wire encoding in one place.
+
+A certificate *is* its signed envelope: type, body and validity window
+are read out of the signed payload, never stored beside it, so there is
+no second copy that could disagree with what the signature covers.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.signing import SignedEnvelope
 from repro.errors import CertificateError
 from repro.sim.clock import Clock
+from repro.util.encoding import canonical_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crypto.verifycache import VerificationCache
@@ -33,25 +38,23 @@ class Certificate:
     another (type is part of the signed payload).
     """
 
-    cert_type: str
-    body: Mapping[str, Any]
-    not_before: Optional[float]
-    not_after: Optional[float]
     envelope: SignedEnvelope
 
-    @staticmethod
-    def _payload(
-        cert_type: str,
-        body: Mapping[str, Any],
-        not_before: Optional[float],
-        not_after: Optional[float],
-    ) -> dict:
-        return {
-            "type": cert_type,
-            "body": dict(body),
-            "not_before": not_before,
-            "not_after": not_after,
-        }
+    @property
+    def cert_type(self) -> str:
+        return self.envelope.payload["type"]
+
+    @property
+    def body(self) -> Mapping[str, Any]:
+        return self.envelope.payload["body"]
+
+    @property
+    def not_before(self) -> Optional[float]:
+        return self.envelope.payload["not_before"]
+
+    @property
+    def not_after(self) -> Optional[float]:
+        return self.envelope.payload["not_after"]
 
     @classmethod
     def issue(
@@ -68,15 +71,13 @@ class Certificate:
             raise CertificateError(
                 f"validity window is empty: not_after {not_after} < not_before {not_before}"
             )
-        payload = cls._payload(cert_type, body, not_before, not_after)
-        envelope = SignedEnvelope.create(signer, payload, suite=suite)
-        return cls(
-            cert_type=cert_type,
-            body=dict(body),
-            not_before=not_before,
-            not_after=not_after,
-            envelope=envelope,
-        )
+        payload = {
+            "type": cert_type,
+            "body": dict(body),
+            "not_before": not_before,
+            "not_after": not_after,
+        }
+        return cls(SignedEnvelope.create(signer, payload, suite=suite))
 
     def verify(
         self,
@@ -88,8 +89,8 @@ class Certificate:
         """Check signature, type, and validity window; return the body.
 
         With a *cache*, the RSA verification is memoized (cache entries
-        expire with the certificate's ``not_after``); every other check
-        — type, field/envelope match, validity window — always runs.
+        expire with the certificate's ``not_after``); the type and
+        validity-window checks always run.
         Raises :class:`~repro.errors.CertificateError` on any failure.
         """
         if expected_type is not None and self.cert_type != expected_type:
@@ -97,7 +98,7 @@ class Certificate:
                 f"certificate type {self.cert_type!r} != expected {expected_type!r}"
             )
         try:
-            payload = self.envelope.verify(
+            self.envelope.verify(
                 key,
                 cache=cache,
                 now=clock.now() if clock is not None else None,
@@ -105,15 +106,6 @@ class Certificate:
             )
         except Exception as exc:
             raise CertificateError(f"certificate signature invalid: {exc}") from exc
-        # Defend against field/envelope mismatch: the authoritative values
-        # are the ones inside the signed payload.
-        if (
-            payload.get("type") != self.cert_type
-            or payload.get("not_before") != self.not_before
-            or payload.get("not_after") != self.not_after
-            or payload.get("body") != dict(self.body)
-        ):
-            raise CertificateError("certificate fields do not match signed payload")
         if clock is not None:
             now = clock.now()
             if self.not_before is not None and now < self.not_before:
@@ -127,43 +119,38 @@ class Certificate:
         return self.body
 
     def to_dict(self) -> dict:
-        """Wire representation."""
-        return {
-            "cert_type": self.cert_type,
-            "body": dict(self.body),
-            "not_before": self.not_before,
-            "not_after": self.not_after,
-            "envelope": self.envelope.to_dict(),
-        }
+        """Wire and at-rest form: the signed envelope under one key (why
+        the nesting is kept: DESIGN.md §6)."""
+        return {"envelope": self.envelope.to_dict()}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Certificate":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; validates the payload's shape.
+
+        Only ``data["envelope"]`` is read: a key beside it is unsigned
+        (records written when the fields were also stored outside the
+        envelope carry four) and ignored.
+        """
         try:
-            return cls(
-                cert_type=str(data["cert_type"]),
-                body=dict(data["body"]),
-                not_before=data["not_before"],
-                not_after=data["not_after"],
-                envelope=SignedEnvelope.from_dict(data["envelope"]),
+            envelope = SignedEnvelope.from_dict(data["envelope"])
+            payload = envelope.payload
+            well_formed = (
+                isinstance(payload["type"], str)
+                and isinstance(payload["body"], Mapping)
+                # A validity bound is absent or a real number (not bool).
+                and all(
+                    bound is None
+                    or (isinstance(bound, (int, float)) and not isinstance(bound, bool))
+                    for bound in (payload["not_before"], payload["not_after"])
+                )
             )
         except (KeyError, TypeError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from exc
+        if not well_formed:
+            raise CertificateError("malformed certificate: payload field has wrong type")
+        return cls(envelope)
 
     @property
     def wire_size(self) -> int:
-        """Approximate serialized size (bytes), for transfer accounting.
-
-        Memoized: the certificate is frozen, so the encoding cannot
-        change after construction.
-        """
-        from repro.util.encoding import ENCODE_COUNTERS, canonical_bytes
-
-        cached = self.__dict__.get("_wire_size")
-        if cached is not None:
-            ENCODE_COUNTERS.hit()
-            return cached
-        ENCODE_COUNTERS.miss()
-        size = len(canonical_bytes(self.to_dict()))
-        self.__dict__["_wire_size"] = size
-        return size
+        """Approximate serialized size (bytes), for transfer accounting."""
+        return len(canonical_bytes(self.to_dict()))

@@ -7,10 +7,9 @@ other. :class:`SignedEnvelope` bundles a payload with its signature for
 transport.
 
 Fast path: an envelope's payload is immutable once signed, so its
-canonical encoding (and the envelope's serialized size) are computed at
-most once per instance and memoized — ``wire_size`` in transfer
-accounting loops and repeated verifications stop re-serializing the same
-bytes. Verification can additionally consult a
+canonical encoding is computed at most once per instance and memoized —
+repeated verifications stop re-serializing the same bytes.
+Verification can additionally consult a
 :class:`~repro.crypto.verifycache.VerificationCache` to replay a
 previously successful RSA check without re-running the RSA operation.
 """
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional
 from repro.crypto.hashes import HashSuite, SHA1, suite_by_name
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import SignatureError
-from repro.util.encoding import ENCODE_COUNTERS, canonical_bytes
+from repro.util.encoding import canonical_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crypto.verifycache import VerificationCache
@@ -120,13 +119,10 @@ class SignedEnvelope:
     @property
     def signed_bytes(self) -> bytes:
         """The canonical encoding of the payload (memoized)."""
-        cached = self.__dict__.get("_signed_bytes")
-        if cached is not None:
-            ENCODE_COUNTERS.hit()
-            return cached
-        ENCODE_COUNTERS.miss()
-        data = canonical_bytes(self.payload)
-        self.__dict__["_signed_bytes"] = data
+        data = self.__dict__.get("_signed_bytes")
+        if data is None:
+            data = canonical_bytes(self.payload)
+            self.__dict__["_signed_bytes"] = data
         return data
 
     def payload_digest(self, suite: HashSuite) -> bytes:
@@ -176,8 +172,8 @@ class SignedEnvelope:
         Parsed envelopes are *interned*: re-parsing the same signed
         structure (same signature, suite, and byte-for-byte equal
         payload) returns the previously built instance, so its memoized
-        canonical encoding, payload digests, and wire size survive
-        round trips through the wire format. The full payload equality
+        canonical encoding and payload digests survive round trips
+        through the wire format. The full payload equality
         guard means a tampered payload can never alias a cached one —
         it simply constructs a fresh (and soon to fail) envelope.
         """
@@ -208,16 +204,5 @@ class SignedEnvelope:
 
     @property
     def wire_size(self) -> int:
-        """Approximate serialized size in bytes (for transfer accounting).
-
-        Memoized: transfer-accounting loops call this repeatedly, and the
-        envelope never changes after construction.
-        """
-        cached = self.__dict__.get("_wire_size")
-        if cached is not None:
-            ENCODE_COUNTERS.hit()
-            return cached
-        ENCODE_COUNTERS.miss()
-        size = len(canonical_bytes(self.to_dict()))
-        self.__dict__["_wire_size"] = size
-        return size
+        """Approximate serialized size in bytes (for transfer accounting)."""
+        return len(canonical_bytes(self.to_dict()))

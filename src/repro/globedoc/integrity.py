@@ -10,6 +10,7 @@ the paper contrasts with r-OSFS's single per-filesystem interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.crypto.certificates import Certificate
@@ -149,30 +150,26 @@ class IntegrityCertificate:
     def suite(self) -> HashSuite:
         return suite_by_name(self.certificate.envelope.suite_name)
 
+    @cached_property
+    def _entry_table(self) -> Dict[str, ElementEntry]:
+        """Name → entry map, parsed once: the signed body cannot change."""
+        return {
+            str(raw["name"]): ElementEntry.from_dict(raw)
+            for raw in self.certificate.body["entries"]
+        }
+
     @property
     def entries(self) -> Dict[str, ElementEntry]:
-        """Name → entry map (parsed once from the signed, frozen body).
-
-        Memoized: ``entry_for`` runs on every element check, and the
-        signed body cannot change after construction.
-        """
-        cached = self.__dict__.get("_entries")
-        if cached is None:
-            cached = {
-                str(raw["name"]): ElementEntry.from_dict(raw)
-                for raw in self.certificate.body["entries"]
-            }
-            self.__dict__["_entries"] = cached
-        return dict(cached)
+        """Name → entry map (a copy; the caller may mutate it)."""
+        return dict(self._entry_table)
 
     @property
     def element_names(self) -> list:
-        return sorted(self.entries)
+        return sorted(self._entry_table)
 
     def entry_for(self, name: str) -> ElementEntry:
         """The entry for *name*; ConsistencyError if the certificate has none."""
-        self.entries  # populate the memo
-        entry = self.__dict__["_entries"].get(name)
+        entry = self._entry_table.get(name)
         if entry is None:
             raise ConsistencyError(
                 f"element {name!r} is not part of object {self.oid_hex[:16]}…"

@@ -20,13 +20,13 @@ any gate fails.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import pathlib
 import sys
 
 from repro.harness.fig4 import run_fig4
 from repro.harness.fig567 import FIGURE_OF_CLIENT, run_fig567_for_client
 from repro.harness.kernel import REGISTRY, REPO_ROOT, run_target
+from repro.harness.loadsim import render_crowd_study, run_crowd_study
 from repro.harness.report import (
     aggregate_bench_reports,
     render_bench_summary,
@@ -88,7 +88,7 @@ def main(argv=None) -> int:
             rows = run_fig4(repeats=args.repeats, seed=args.seed)
             print(render_fig4(rows))
         elif target == "loadtest":
-            _loadtest()
+            print(render_crowd_study(*run_crowd_study()))
         elif target == "bench-report":
             print(render_bench_summary(aggregate_bench_reports(REPO_ROOT)))
         else:
@@ -97,31 +97,6 @@ def main(argv=None) -> int:
             print(render_fig567(rows, client))
         print()
     return 0
-
-
-def _loadtest() -> None:
-    """The §1 flash-crowd load study (see bench_flash_crowd.py)."""
-    bench_path = REPO_ROOT / "benchmarks" / "bench_flash_crowd.py"
-    if bench_path.exists():
-        spec = importlib.util.spec_from_file_location("bench_flash_crowd", bench_path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)  # type: ignore[union-attr]
-        from repro.replication.strategies import HotspotReplication, NoReplication
-
-        static = module.run_crowd(NoReplication)
-        dynamic = module.run_crowd(
-            lambda: HotspotReplication(create_rate=1.0, destroy_rate=0.01, window=15.0)
-        )
-        site = module.CROWD_SITE
-        print("Load study — flash crowd at Cornell (mean client latency)")
-        rows = []
-        for label, lo, hi in (("pre-crowd (0-30 s)", 0.0, 30.0), ("crowd peak (45-60 s)", 45.0, 60.0)):
-            s = static.latency_summary(site=site, start=lo, end=hi)
-            d = dynamic.latency_summary(site=site, start=lo, end=hi)
-            rows.append([label, f"{s.mean*1e3:.1f} ms", f"{d.mean*1e3:.1f} ms"])
-        print(render_table(["Phase", "single server", "hotspot replication"], rows))
-    else:  # installed without the benchmarks tree
-        print("loadtest requires the repository checkout (benchmarks/ present)")
 
 
 if __name__ == "__main__":

@@ -25,14 +25,29 @@ way it would be in practice).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.harness.experiment import Testbed
+from repro.globedoc.element import PageElement
+from repro.globedoc.owner import DocumentOwner
+from repro.harness.experiment import HOST_SITE, OWNER_HOST, SERVICES_HOST, Testbed
+from repro.harness.report import render_table
+from repro.location.service import LocationClient
+from repro.naming.records import OidRecord
+from repro.net.address import Endpoint
+from repro.net.rpc import RpcClient
+from repro.replication.coordinator import ReplicationCoordinator, SitePort
+from repro.replication.policy import ReplicationPolicy, RequestObservation
+from repro.replication.strategies import HotspotReplication, NoReplication
+from repro.server.admin import AdminClient
+from repro.server.objectserver import ObjectServer
 from repro.util.stats import Summary, summarize
-from repro.workloads.trace import RequestEvent
+from repro.workloads.trace import RequestEvent, TraceConfig, generate_trace, inject_flash_crowd
 
-__all__ = ["LoadSimulator", "LoadedRequest", "LoadReport", "SITE_HOSTS"]
+__all__ = [
+    "LoadSimulator", "LoadedRequest", "LoadReport", "SITE_HOSTS",
+    "CROWD_SITE", "run_crowd", "run_crowd_study", "render_crowd_study",
+]
 
 #: Default mapping from location-tree sites to client hosts.
 SITE_HOSTS = {
@@ -40,6 +55,9 @@ SITE_HOSTS = {
     "root/europe/inria": "canardo.inria.fr",
     "root/us/cornell": "ensamble02.cornell.edu",
 }
+
+#: Where the §1 flash crowd arrives — an ocean away from the home replica.
+CROWD_SITE = "root/us/cornell"
 
 
 @dataclass(frozen=True)
@@ -170,3 +188,80 @@ class LoadSimulator:
             if on_request is not None:
                 on_request(event)
         return report
+
+
+def run_crowd(policy_factory: Callable[[], ReplicationPolicy]) -> LoadReport:
+    """One flash crowd at :data:`CROWD_SITE` against a document homed at
+    the VU, with *policy_factory*'s policy deciding replica placement.
+
+    The Cornell object server starts empty: whether the document ever
+    gets a replica there is the policy's call, which is the comparison.
+    """
+    testbed = Testbed()
+    owner = DocumentOwner("vu.nl/hot", clock=testbed.clock)
+    owner.put_element(PageElement("index.html", b"<html>hot</html>" * 64))
+    document = owner.publish(validity=7200)
+    testbed.object_server.keystore.authorize("owner", owner.public_key)
+    testbed.naming.register(OidRecord(name=owner.name, oid=owner.oid))
+
+    home_site, crowd_host = HOST_SITE[SERVICES_HOST], SITE_HOSTS[CROWD_SITE]
+    cornell = ObjectServer(host=crowd_host, site=CROWD_SITE, clock=testbed.clock)
+    cornell.keystore.authorize("owner", owner.public_key)
+    testbed.network.register(
+        Endpoint(crowd_host, "objectserver"), cornell.rpc_server().handle_frame
+    )
+    rpc = RpcClient(testbed.network.transport_for(OWNER_HOST))
+    coordinator = ReplicationCoordinator(
+        LocationClient(rpc, testbed.location_endpoint, home_site, clock=testbed.clock)
+    )
+    for site, host in ((home_site, SERVICES_HOST), (CROWD_SITE, crowd_host)):
+        coordinator.add_site(
+            SitePort(
+                site=site,
+                admin=AdminClient(rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock),
+            )
+        )
+    coordinator.manage(owner, document, policy_factory(), home_site=home_site)
+
+    trace = inject_flash_crowd(
+        generate_trace(
+            TraceConfig(
+                documents=(owner.name,), sites=(home_site, CROWD_SITE),
+                duration=120.0, rate=0.2, seed=5,
+            )
+        ),
+        document=owner.name, site=CROWD_SITE, start=30.0, duration=30.0,
+        rate=20.0, seed=6,
+    )
+    simulator = LoadSimulator(testbed, url_of=lambda e: f"globe://{e.document}!/index.html")
+    return simulator.run(
+        trace,
+        on_request=lambda e: coordinator.observe_request(
+            owner.oid, RequestObservation(site=e.site, time=testbed.clock.now())
+        ),
+    )
+
+
+def run_crowd_study() -> Tuple[LoadReport, LoadReport]:
+    """The same crowd served by (a single server, hotspot replication)."""
+    return (
+        run_crowd(NoReplication),
+        run_crowd(
+            lambda: HotspotReplication(create_rate=1.0, destroy_rate=0.01, window=15.0)
+        ),
+    )
+
+
+def render_crowd_study(static: LoadReport, dynamic: LoadReport) -> str:
+    """Mean client latency at the crowd site, before and at the peak."""
+    rows = []
+    for label, start, end in (
+        ("pre-crowd (0-30 s)", 0.0, 30.0),
+        ("crowd peak (45-60 s)", 45.0, 60.0),
+    ):
+        s = static.latency_summary(site=CROWD_SITE, start=start, end=end)
+        d = dynamic.latency_summary(site=CROWD_SITE, start=start, end=end)
+        rows.append([label, f"{s.mean*1e3:.1f} ms", f"{d.mean*1e3:.1f} ms"])
+    return "Load study — flash crowd at Cornell (mean client latency)\n" + render_table(
+        ["Phase", "single server", "hotspot replication"], rows
+    )

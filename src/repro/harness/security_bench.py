@@ -48,7 +48,7 @@ from repro.harness.kernel import BenchTarget, Criterion, gate, verdict
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.pipeline import PipelineConfig
 from repro.sim.random import make_rng
-from repro.util.encoding import ENCODE_COUNTERS, canonical_bytes
+from repro.util.encoding import canonical_bytes
 from repro.util.sizes import KB
 from repro.util.stats import summarize
 from repro.workloads.generator import make_content
@@ -118,10 +118,8 @@ def run_micro_benches(quick: bool = False) -> Dict[str, float]:
         lambda: vcache.verify(keys.public, signature, data, SHA1), inner
     )
 
-    # Canonical encoding: fresh serialization vs the wire_size memo.
-    encode_cold_us = _best_of(lambda: canonical_bytes(payload), inner)
-    _ = envelope.wire_size
-    encode_memo_us = _best_of(lambda: envelope.wire_size, inner)
+    # Canonical encoding of the certificate payload.
+    encode_us = _best_of(lambda: canonical_bytes(payload), inner)
 
     # Element content hash: fresh instance vs the per-instance memo.
     content = elements[0].content
@@ -153,9 +151,7 @@ def run_micro_benches(quick: bool = False) -> Dict[str, float]:
         "rsa_verify_cold_us": rsa_cold_us,
         "rsa_verify_cached_us": rsa_cached_us,
         "rsa_cached_speedup": rsa_cold_us / rsa_cached_us,
-        "canonical_encode_us": encode_cold_us,
-        "wire_size_memo_us": encode_memo_us,
-        "encode_memo_speedup": encode_cold_us / encode_memo_us,
+        "canonical_encode_us": encode_us,
         "element_hash_cold_us": hash_cold_us,
         "element_hash_memo_us": hash_memo_us,
         "cert_roundtrip_cold_us": roundtrip_cold_us,
@@ -185,8 +181,8 @@ def _run_accesses(
     """One client stack, *accesses* sequential fetches.
 
     Returns the per-access timing rows (derived from the access's spans)
-    and the run's fast-path counters: the verification cache is this
-    run's own, and the encode memo counter is read as a delta.
+    and the run's fast-path counters, read off the verification cache,
+    which is this run's own.
     """
     sink = RingBufferSink()
     stack = testbed.client_stack(
@@ -195,7 +191,6 @@ def _run_accesses(
         verification_cache=verification_cache,
         tracer=Tracer(clock=testbed.clock, sinks=(sink,)),
     )
-    encode_hits_before = ENCODE_COUNTERS.hits
     rows: List[Dict[str, float]] = []
     for _ in range(accesses):
         if clear_intern_per_access:
@@ -221,7 +216,6 @@ def _run_accesses(
     return rows, {
         "verify_hits": float(hits),
         "verify_misses": float(misses),
-        "encode_hits": float(ENCODE_COUNTERS.hits - encode_hits_before),
         "saved_us": saved_seconds * 1e6,
     }
 
@@ -573,9 +567,7 @@ def render_security_bench(report: Dict[str, object]) -> str:
         f"    RSA verify             {micro['rsa_verify_cold_us']:8.1f} us cold"
         f"  {micro['rsa_verify_cached_us']:8.1f} us cached"
         f"  ({micro['rsa_cached_speedup']:.1f}x)",
-        f"    canonical encode       {micro['canonical_encode_us']:8.1f} us cold"
-        f"  {micro['wire_size_memo_us']:8.1f} us memo"
-        f"    ({micro['encode_memo_speedup']:.1f}x)",
+        f"    canonical encode       {micro['canonical_encode_us']:8.1f} us",
         f"    element hash (10KB)    {micro['element_hash_cold_us']:8.1f} us cold"
         f"  {micro['element_hash_memo_us']:8.1f} us memo",
         f"    cert parse+verify      {micro['cert_roundtrip_cold_us']:8.1f} us cold"

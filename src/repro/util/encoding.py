@@ -17,7 +17,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import EncodingError
@@ -30,36 +29,8 @@ __all__ = [
     "b64decode",
     "to_wire",
     "from_wire",
-    "EncodeCacheCounters",
-    "ENCODE_COUNTERS",
 ]
 
-
-@dataclass
-class EncodeCacheCounters:
-    """Process-wide counters for canonical-encoding memoization.
-
-    Structures that cache their canonical bytes (signed envelopes,
-    certificates, ``wire_size`` properties) report here, so the security
-    bench can show how much re-serialization was avoided.
-    """
-
-    hits: int = 0
-    misses: int = 0
-
-    def hit(self) -> None:
-        self.hits += 1
-
-    def miss(self) -> None:
-        self.misses += 1
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-#: The shared counter instance (single-threaded simulation: no locking).
-ENCODE_COUNTERS = EncodeCacheCounters()
 
 # Tag used to represent raw bytes inside JSON without ambiguity. A dict
 # with exactly this key is reserved; user maps containing it are rejected.

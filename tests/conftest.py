@@ -16,7 +16,6 @@ from repro.crypto.signing import SignedEnvelope
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.sim.clock import SimClock
-from repro.util.encoding import ENCODE_COUNTERS
 
 #: Readable test epoch: 2005-01-01-ish.
 EPOCH = 1_100_000_000.0
@@ -27,12 +26,10 @@ FAST_BITS = 1024
 
 @pytest.fixture(autouse=True)
 def _isolate_fastpath_state():
-    """Keep the envelope intern pool and encode counters test-local."""
+    """Keep the envelope intern pool test-local."""
     SignedEnvelope.clear_intern_pool()
-    ENCODE_COUNTERS.reset()
     yield
     SignedEnvelope.clear_intern_pool()
-    ENCODE_COUNTERS.reset()
 
 
 def fast_keys() -> KeyPair:

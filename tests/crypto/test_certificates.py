@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.certificates import Certificate
+from repro.crypto.signing import SignedEnvelope
 from repro.errors import CertificateError
 from repro.sim.clock import SimClock
 
@@ -58,41 +59,26 @@ class TestIssueVerify:
 
 
 class TestFieldBinding:
-    """The outer dataclass fields must match the signed payload — no
-    mix-and-match attacks."""
+    """Only the signed payload speaks: keys riding beside ``envelope``
+    on the wire are unsigned and ignored — no mix-and-match attacks."""
 
     def test_forged_window_rejected(self, cert, shared_keys):
-        forged = Certificate(
-            cert_type=cert.cert_type,
-            body=cert.body,
-            not_before=cert.not_before,
-            not_after=1e12,  # attacker extends validity outside the signature
-            envelope=cert.envelope,
-        )
-        with pytest.raises(CertificateError, match="do not match"):
-            forged.verify(shared_keys.public, clock=SimClock(150.0))
+        # Attacker extends validity outside the signature.
+        decoded = Certificate.from_dict({**cert.to_dict(), "not_after": 1e12})
+        assert decoded.not_after == 200.0
+        with pytest.raises(CertificateError, match="expired"):
+            decoded.verify(shared_keys.public, clock=SimClock(201.0))
 
     def test_forged_body_rejected(self, cert, shared_keys):
-        forged = Certificate(
-            cert_type=cert.cert_type,
-            body={"field": "evil"},
-            not_before=cert.not_before,
-            not_after=cert.not_after,
-            envelope=cert.envelope,
-        )
-        with pytest.raises(CertificateError):
-            forged.verify(shared_keys.public)
+        decoded = Certificate.from_dict({**cert.to_dict(), "body": {"field": "evil"}})
+        assert decoded == cert
+        assert decoded.verify(shared_keys.public) == {"field": "value"}
 
     def test_forged_type_rejected(self, cert, shared_keys):
-        forged = Certificate(
-            cert_type="admin/root",
-            body=cert.body,
-            not_before=cert.not_before,
-            not_after=cert.not_after,
-            envelope=cert.envelope,
-        )
-        with pytest.raises(CertificateError):
-            forged.verify(shared_keys.public)
+        decoded = Certificate.from_dict({**cert.to_dict(), "cert_type": "admin/root"})
+        assert decoded.cert_type == "test/type"
+        with pytest.raises(CertificateError, match="type"):
+            decoded.verify(shared_keys.public, expected_type="admin/root")
 
 
 class TestSerialization:
@@ -104,6 +90,34 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(CertificateError):
             Certificate.from_dict({"cert_type": "x"})
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"type": 7},
+            {"body": ["not", "a", "mapping"]},
+            {"not_before": "soon"},
+            {"not_after": "2038-01-19"},
+            {"not_after": True},
+        ],
+        ids=["type", "body", "not_before", "not_after", "bool_bound"],
+    )
+    def test_validly_signed_malformed_payload_rejected(self, shared_keys, override):
+        """A signature does not make a payload well-formed: the signer
+        may be the adversary. Decoding must fail with the typed error
+        (a str bound used to surface as TypeError inside verify)."""
+        payload = {"type": "t", "body": {}, "not_before": None, "not_after": None}
+        envelope = SignedEnvelope.create(shared_keys, {**payload, **override})
+        with pytest.raises(CertificateError, match="malformed"):
+            Certificate.from_dict({"envelope": envelope.to_dict()})
+
+    @pytest.mark.parametrize("missing", ["type", "body", "not_before", "not_after"])
+    def test_missing_payload_key_rejected(self, shared_keys, missing):
+        payload = {"type": "t", "body": {}, "not_before": None, "not_after": None}
+        del payload[missing]
+        envelope = SignedEnvelope.create(shared_keys, payload)
+        with pytest.raises(CertificateError, match="malformed"):
+            Certificate.from_dict({"envelope": envelope.to_dict()})
 
     def test_wire_size(self, cert):
         assert cert.wire_size > 100

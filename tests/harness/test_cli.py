@@ -32,6 +32,12 @@ class TestCli:
         assert "Figure 5" in out
         assert "globedoc" in out and "ssl" in out
 
+    def test_loadtest(self, capsys):
+        assert main(["loadtest"]) == 0
+        out = capsys.readouterr().out
+        assert "single server" in out and "hotspot replication" in out
+        assert "pre-crowd (0-30 s)" in out and "crowd peak (45-60 s)" in out
+
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig99"])

@@ -36,7 +36,6 @@ def test_report_structure(report):
         "rsa_verify_cold_us",
         "rsa_verify_cached_us",
         "canonical_encode_us",
-        "wire_size_memo_us",
         "cert_roundtrip_cold_us",
         "cert_roundtrip_warm_us",
     ):
@@ -46,7 +45,6 @@ def test_report_structure(report):
 def test_micro_memos_actually_faster(report):
     micro = report["micro"]
     assert micro["rsa_cached_speedup"] > 1.0
-    assert micro["encode_memo_speedup"] > 1.0
     assert micro["cert_warm_speedup"] > 1.0
 
 
@@ -74,7 +72,6 @@ def test_fastpath_counters_flow_into_report(report):
     assert fast["verify_misses"] >= 1
     assert fast["verify_hits"] >= pipeline["accesses"] - 1
     assert fast["saved_us"] > 0.0
-    assert fast["encode_hits"] > 0
 
 
 def test_report_round_trips_as_json(report, gates, tmp_path):

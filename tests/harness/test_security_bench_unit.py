@@ -60,7 +60,6 @@ def make_counters(hits=0.0, misses=1.0, saved=0.0):
     return {
         "verify_hits": hits,
         "verify_misses": misses,
-        "encode_hits": hits,
         "saved_us": saved,
     }
 
@@ -109,8 +108,6 @@ def make_report(multiple=6.0, unverified=0, leaks=0, **pipeline_kwargs):
             "rsa_verify_cached_us": 5.0,
             "rsa_cached_speedup": 100.0,
             "canonical_encode_us": 40.0,
-            "wire_size_memo_us": 0.5,
-            "encode_memo_speedup": 80.0,
             "element_hash_cold_us": 20.0,
             "element_hash_memo_us": 0.3,
             "cert_roundtrip_cold_us": 600.0,

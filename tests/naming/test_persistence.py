@@ -147,7 +147,7 @@ class TestForwardingRecovery:
             data = fh.read()
         length, _ = FRAME_HEADER.unpack_from(data, 0)
         frame = from_canonical_bytes(data[FRAME_HEADER.size : FRAME_HEADER.size + length])
-        body = frame["__record__"]["record"]["body"]
+        body = frame["__record__"]["record"]["envelope"]["payload"]["body"]
         body["to_oid"] = attacker_oid.to_dict()
         payload = canonical_bytes(frame)
         with open(wal_path, "wb") as fh:
@@ -156,7 +156,7 @@ class TestForwardingRecovery:
 
         fresh = build_service(zone_keys)
         store2 = DurableNamingStore(os.path.join(str(tmp_path), "naming"), sync=False)
-        with pytest.raises(RecoveryIntegrityError, match="tampered redirect"):
+        with pytest.raises(RecoveryIntegrityError, match="tampered redirect.*signature invalid"):
             store2.bind(fresh)
         store2.close()
 

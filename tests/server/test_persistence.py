@@ -145,6 +145,52 @@ class TestRecovery:
         assert restarted.revocation_feed.max_serial(doc.oid.hex) == 1
         restarted.close()
 
+    def test_records_journaled_with_outer_fields_still_recover(
+        self, tmp_path, clock, signed_doc
+    ):
+        """Stores written before a certificate became its envelope carry
+        ``cert_type``/``body``/``not_before``/``not_after`` beside every
+        ``envelope``. Those keys are unsigned and now ignored, so such a
+        data directory recovers and re-verifies unchanged."""
+        owner, doc = signed_doc
+        server = make_server(tmp_path, clock)
+        server.create_replica(doc, owner.public_key, "owner")
+        server.revocation_feed.publish(
+            RevocationStatement.revoke_element(
+                owner.keys, doc.oid, "a.png", cert_version=1, serial=1, issued_at=EPOCH
+            )
+        )
+        server.close()
+
+        def add_outer_fields(value):
+            if isinstance(value, list):
+                for item in value:
+                    add_outer_fields(item)
+            elif isinstance(value, dict):
+                for item in list(value.values()):
+                    add_outer_fields(item)
+                if "envelope" in value:
+                    payload = value["envelope"]["payload"]
+                    value.update(
+                        cert_type=payload["type"],
+                        body=payload["body"],
+                        not_before=payload["not_before"],
+                        not_after=payload["not_after"],
+                    )
+
+        for store in ("server", "feed"):
+            wal_path = os.path.join(str(tmp_path), store, "wal.log")
+            size = os.path.getsize(wal_path)
+            rewrite_wal(wal_path, add_outer_fields)
+            assert os.path.getsize(wal_path) > size
+
+        restarted = make_server(tmp_path, clock)
+        assert restarted.reverified_replicas == 1
+        assert restarted.revocation_feed.recovered == 1
+        hosted = restarted._replicas[restarted._by_oid[doc.oid.hex]]
+        assert hosted.lr.get_integrity_certificate() == doc.integrity
+        restarted.close()
+
     def test_recovery_survives_compaction(self, tmp_path, clock, make_owner):
         """State recovered from a snapshot (not just a journal replay)
         carries the same replicas, re-verified the same way."""
@@ -231,10 +277,12 @@ class TestFailClosed:
         def retarget(record):
             statement_dict = record.get("__record__", {}).get("statement")
             if statement_dict:
-                statement_dict["body"]["reason"] = "haha benign actually"
+                statement_dict["envelope"]["payload"]["body"]["reason"] = (
+                    "haha benign actually"
+                )
 
         rewrite_wal(os.path.join(str(tmp_path), "feed", "wal.log"), retarget)
-        with pytest.raises(RecoveryIntegrityError, match="poisoned log"):
+        with pytest.raises(RecoveryIntegrityError, match="poisoned log.*signature invalid"):
             make_server(tmp_path, clock)
 
     def test_torn_server_journal_recovers_prefix(self, tmp_path, clock, make_owner):

@@ -59,8 +59,7 @@ class TestVerify:
     def test_tampered_content_rejected(self, oid, clock):
         delta = build_delta(fast_keys(), oid, clock)
         data = delta.to_dict()
-        for body in (data["body"], data["envelope"]["payload"]["body"]):
-            body["ops"][0]["content"] = b"EVIL"
+        data["envelope"]["payload"]["body"]["ops"][0]["content"] = b"EVIL"
         with pytest.raises(DeltaForgeryError):
             SignedDelta.from_dict(data).verify(oid)
 
@@ -69,8 +68,7 @@ class TestVerify:
         # signature: the delta only ever verifies under its true signer.
         delta = build_delta(fast_keys(), oid, clock)
         data = delta.to_dict()
-        for body in (data["body"], data["envelope"]["payload"]["body"]):
-            body["writer_key_der"] = fast_keys().public.der
+        data["envelope"]["payload"]["body"]["writer_key_der"] = fast_keys().public.der
         with pytest.raises(DeltaForgeryError):
             SignedDelta.from_dict(data).verify(oid)
 

@@ -65,7 +65,6 @@ class TestVerify:
             owner_keys, oid, "alice", fast_keys().public, granted_at=clock.now()
         )
         data = grant.to_dict()
-        data["body"]["writer_id"] = "mallory"
         data["envelope"]["payload"]["body"]["writer_id"] = "mallory"
         with pytest.raises(SecurityError):
             WriterGrant.from_dict(data).verify(owner_keys.public, oid, clock=clock)

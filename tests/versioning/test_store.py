@@ -17,6 +17,7 @@ from repro.storage.wal import FRAME_HEADER
 from repro.util.encoding import canonical_bytes, from_canonical_bytes
 from repro.versioning import (
     DeltaDag,
+    SignedDelta,
     VersionedObjectStore,
     WriterGrant,
     merge_deltas,
@@ -70,7 +71,9 @@ class TestAdmission:
         assert store.put_delta(oid.hex, delta) is True
         assert store.put_delta(oid.hex, delta) is False
         bundle = store.fetch(oid.hex)
-        assert [d["body"]["writer_id"] for d in bundle["deltas"]] == ["alice"]
+        assert [
+            SignedDelta.from_dict(d).writer_id for d in bundle["deltas"]
+        ] == ["alice"]
 
     def test_ungranted_writer_refused(self, store, owner_keys, oid, clock):
         store.register_object(owner_keys.public)
@@ -90,7 +93,7 @@ class TestAdmission:
         store.put_delta(oid.hex, first)
         store.put_delta(oid.hex, second)
         bundle = store.fetch(oid.hex, have_ids=[first.delta_id])
-        assert [d["body"]["lamport"] for d in bundle["deltas"]] == [2]
+        assert [SignedDelta.from_dict(d).lamport for d in bundle["deltas"]] == [2]
 
 
 class TestFrontierCert:
@@ -322,8 +325,6 @@ class TestDurability:
         assert revived.reverified_deltas == 2
         assert revived.recovered_grants == 1
         bundle = revived.fetch(oid.hex)
-        from repro.versioning import SignedDelta
-
         merged = merge_deltas(
             [SignedDelta.from_dict(d) for d in bundle["deltas"]], oid_hex=oid.hex
         )
@@ -347,7 +348,6 @@ class TestDurability:
             record = from_canonical_bytes(data[start:start + length])
             inner = record.get("__record__") or {}
             if inner.get("op") == "delta":
-                inner["delta"]["body"]["ops"][0]["content"] = b"EVIL"
                 inner["delta"]["envelope"]["payload"]["body"]["ops"][0][
                     "content"
                 ] = b"EVIL"
@@ -357,7 +357,7 @@ class TestDurability:
             offset = start + length
         assert bytes(out) != data
         wal_path.write_bytes(bytes(out))
-        with pytest.raises(RecoveryIntegrityError):
+        with pytest.raises(RecoveryIntegrityError, match="signature invalid"):
             VersionedObjectStore(
                 clock=clock, store=DurableStore(str(tmp_path), sync=False)
             )
