@@ -25,7 +25,6 @@ from repro.attacks.scenarios import (
     Scenario,
     World,
     build_world,
-    run_matrix,
     run_scenario,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "Scenario",
     "World",
     "build_world",
-    "run_matrix",
     "run_scenario",
     "MaliciousReplica",
     "TamperBehavior",

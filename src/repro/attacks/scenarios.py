@@ -4,14 +4,14 @@ Every tamper mode of the §3.2.1 taxonomy — wire injection, content
 tampering, element swapping, stale replay, impostor keys, a lying
 location service, and a compromised-then-revoked key — paired with the
 exact :class:`~repro.errors.SecurityError` subclass and ``check.*`` span
-that must reject it. The integration tests parametrize over this list;
-the security benchmark replays the same matrix cold *and* warm, with the
-concurrent pipeline disabled *and* enabled, to prove the fast paths
-never convert a cached or prefetched artifact into a bypass.
+that must reject it. The integration tests parametrize over this list
+cold *and* warm, with the concurrent pipeline disabled *and* enabled, to
+prove the fast paths never convert a cached or prefetched artifact into
+a bypass.
 
 :func:`build_world` assembles one scenario universe (testbed, victim
-document, client stack); :func:`run_matrix` sweeps the whole matrix and
-returns machine-checkable verdicts.
+document, client stack); :func:`run_scenario` runs one matrix cell and
+returns a machine-checkable verdict.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "World",
     "build_world",
     "run_scenario",
-    "run_matrix",
     "VERSIONING_ELEMENTS",
     "VersioningScenario",
     "VERSIONING_SCENARIOS",
@@ -349,20 +348,6 @@ def run_scenario(
         "span_ok": span_ok,
         "ok": warmup_ok and detected and exact_error and not leaked and span_ok,
     }
-
-
-def run_matrix(
-    key_factory: Optional[Callable[[], KeyPair]] = None,
-    pipeline: Optional[PipelineConfig] = None,
-    warm_states: Sequence[bool] = (False, True),
-    scenarios: Sequence[Scenario] = SCENARIOS,
-) -> List[dict]:
-    """The full matrix (scenarios × cold/warm) in one pipeline mode."""
-    return [
-        run_scenario(scenario, warm, key_factory=key_factory, pipeline=pipeline)
-        for scenario in scenarios
-        for warm in warm_states
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ benches that guard everything built on top of them.
   servers, replica placement, client stacks).
 * :mod:`~repro.harness.table1`, :mod:`~repro.harness.fig4`,
   :mod:`~repro.harness.fig567` — the paper's Table 1 and Figures 4–7.
-* :mod:`~repro.harness.design_choices` — the paper's design-choice
-  comparisons (cert schemes, location lookup, caching, replication).
+* :mod:`~repro.harness.design_choices` — the paper's nine design-choice
+  comparisons (cert schemes, location lookup, caching, replication, …)
+  and the ``design-choices`` table over them.
 * :mod:`~repro.harness.loadsim` — the §1 flash-crowd load simulator.
 * :mod:`~repro.harness.kernel` — the bench registry, the gate evaluator,
   the report envelope and the one bench runner.

@@ -6,6 +6,7 @@ Usage::
     python -m repro.harness fig4 [--repeats N]
     python -m repro.harness fig5|fig6|fig7 [--repeats N]
     python -m repro.harness all
+    python -m repro.harness design-choices
     python -m repro.harness loadtest
     python -m repro.harness <bench> [--quick] [--seed N] [--out PATH]
     python -m repro.harness benches [--quick] [--seed N] [--out DIR]
@@ -23,6 +24,7 @@ import argparse
 import pathlib
 import sys
 
+from repro.harness.design_choices import render_design_choices, run_design_choices
 from repro.harness.fig4 import run_fig4
 from repro.harness.fig567 import FIGURE_OF_CLIENT, run_fig567_for_client
 from repro.harness.kernel import REGISTRY, REPO_ROOT, run_target
@@ -47,8 +49,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "target",
         choices=[
-            "table1", "fig4", "fig5", "fig6", "fig7", "all", "loadtest",
-            *REGISTRY, "benches", "bench-report",
+            "table1", "fig4", "fig5", "fig6", "fig7", "all", "design-choices",
+            "loadtest", *REGISTRY, "benches", "bench-report",
         ],
         help="which artifact to regenerate or bench to run",
     )
@@ -87,6 +89,8 @@ def main(argv=None) -> int:
         elif target == "fig4":
             rows = run_fig4(repeats=args.repeats, seed=args.seed)
             print(render_fig4(rows))
+        elif target == "design-choices":
+            print(render_design_choices(run_design_choices()))
         elif target == "loadtest":
             print(render_crowd_study(*run_crowd_study()))
         elif target == "bench-report":

@@ -43,7 +43,6 @@ __all__ = [
     "ChaosReport",
     "run_chaos",
     "criteria",
-    "render_chaos",
     "TARGET",
 ]
 
@@ -229,46 +228,6 @@ def run_chaos(quick: bool = False, seed: int = 0) -> ChaosReport:
     return report
 
 
-def render_chaos(report: ChaosReport) -> str:
-    """Human-readable sweep table."""
-    from repro.harness.report import render_table
-
-    rows = []
-    for res, base in zip(report.resilient, report.baseline):
-        rows.append(
-            [
-                f"{res.drop_probability:.2f}",
-                f"{100 * res.availability:.1f}%",
-                f"{100 * base.availability:.1f}%",
-                str(res.retries),
-                str(res.failovers),
-                str(res.quarantines),
-                f"{res.backoff_seconds:.2f} s",
-                str(res.unverified_bytes + base.unverified_bytes),
-            ]
-        )
-    table = render_table(
-        [
-            "drop rate",
-            "resilient",
-            "baseline",
-            "retries",
-            "failovers",
-            "quarantines",
-            "backoff",
-            "unverified bytes",
-        ],
-        rows,
-    )
-    header = (
-        f"Chaos sweep — {report.replicas} replicas, primary crashed mid-run, "
-        f"corrupt rate {report.resilient[0].corrupt_probability:.2f}"
-        if report.resilient
-        else "Chaos sweep"
-    )
-    return f"{header}\n{table}"
-
-
 def criteria(report: ChaosReport) -> List[Criterion]:
     """The CI gates.
 
@@ -306,6 +265,4 @@ def criteria(report: ChaosReport) -> List[Criterion]:
     return out
 
 
-TARGET = BenchTarget(
-    "chaos", "BENCH_chaos_resilience.json", run_chaos, criteria, render_chaos
-)
+TARGET = BenchTarget("chaos", "BENCH_chaos_resilience.json", run_chaos, criteria)

@@ -1,24 +1,21 @@
 """Convergence bench: N partitioned writers, one byte-identical document.
 
 The multi-writer gate for CI (``python -m repro.harness convergence
-[--quick]``), in four scenarios:
+[--quick]``), in two scenarios:
 
 * **Partitioned convergence** — N granted writers update the same
   object against two object servers that cannot see each other; after
   the partition heals (one anti-entropy round), both servers and an
   independent verified reader must hold *byte-identical* merged
   documents, proven by comparing state digests.
-* **Merge cost** — wall-clock latency of the deterministic merge over
-  the full delta set, p50/p99 across repeated runs.
-* **Adversarial matrix** — every multi-writer tamper mode (forged
-  delta, unauthorized writer, revoked writer, withheld branch, replayed
-  delta) rejected with its exact ``SecurityError`` subclass, zero
-  attacker bytes served or cached (reuses
-  :mod:`repro.attacks.scenarios`).
 * **Crash recovery** — an object server killed mid-stream recovers its
   delta DAG from the durable journal with every signature re-verified;
   a CRC-valid rewrite of a stored delta aborts recovery with
   :class:`~repro.errors.RecoveryIntegrityError` (fail closed).
+
+The multi-writer tamper matrix (``VERSIONING_SCENARIOS``) is decided by
+tier-1, ``tests/attacks/test_versioning_attacks.py``; what a merge
+costs in wall-clock time is ``perf/``'s ``versioning.merge_us_per_delta``.
 
 Writes ``BENCH_convergence.json``; :func:`criteria` declares the gates.
 """
@@ -29,21 +26,19 @@ import os
 import random
 import shutil
 import tempfile
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 from repro.crypto.keys import KeyPair
 from repro.errors import RecoveryIntegrityError
 from repro.globedoc.oid import ObjectId
-from repro.harness.kernel import BenchTarget, Criterion, gate, verdict
+from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.harness.recovery import deface_wal
 from repro.net.rpc import RpcClient
 from repro.net.transport import LoopbackTransport
 from repro.proxy.checks import SecurityChecker
 from repro.server.objectserver import ObjectServer
 from repro.sim.clock import SimClock
-from repro.util.stats import percentile
 from repro.versioning import (
     DeltaDag,
     DocumentWriter,
@@ -55,12 +50,10 @@ from repro.versioning.client import VersionedReader
 
 __all__ = [
     "PartitionedConvergence",
-    "MergeCost",
     "RecoveryGate",
     "ConvergenceReport",
     "run_convergence",
     "criteria",
-    "render_convergence",
     "TARGET",
 ]
 
@@ -80,16 +73,6 @@ class PartitionedConvergence:
     reader_digests: Dict[str, str] = field(default_factory=dict)
     byte_identical: bool = False
     elements: int = 0
-
-
-@dataclass
-class MergeCost:
-    """Deterministic merge latency over the full delta set."""
-
-    deltas: int = 0
-    samples: int = 0
-    p50_us: float = 0.0
-    p99_us: float = 0.0
 
 
 @dataclass
@@ -113,8 +96,6 @@ class ConvergenceReport:
     partitioned: PartitionedConvergence = field(
         default_factory=PartitionedConvergence
     )
-    merge: MergeCost = field(default_factory=MergeCost)
-    adversarial: List[dict] = field(default_factory=list)
     recovery: RecoveryGate = field(default_factory=RecoveryGate)
 
     def to_dict(self) -> dict:
@@ -180,11 +161,11 @@ class _Universe:
 
 
 # ----------------------------------------------------------------------
-# Scenario 1 + 2: partitioned convergence and merge cost
+# Scenario 1: partitioned convergence
 # ----------------------------------------------------------------------
 
 
-def _run_partitioned(quick: bool, seed: int):
+def _run_partitioned(quick: bool, seed: int) -> PartitionedConvergence:
     writer_count = 3 if quick else 5
     rounds = 2 if quick else 4
     rng = random.Random(seed)
@@ -229,7 +210,6 @@ def _run_partitioned(quick: bool, seed: int):
         writers=writer_count, rounds=rounds, deltas=deltas,
         gossip_pulled=gossip["pulled"], gossip_pushed=gossip["pushed"],
     )
-    all_deltas = None
     for server in universe.servers:
         served = [
             SignedDelta.from_dict(d)
@@ -238,7 +218,6 @@ def _run_partitioned(quick: bool, seed: int):
         merged = merge_deltas(served, oid_hex=universe.oid.hex)
         result.server_digests[server.host] = merged.digest_hex
         result.elements = len(merged.elements)
-        all_deltas = served
     for server in universe.servers:
         # Independent verified readers, one per replica: the digest each
         # one *proves* must match, not just the servers' own claims.
@@ -247,26 +226,11 @@ def _run_partitioned(quick: bool, seed: int):
     digests = set(result.server_digests.values()) | set(result.reader_digests.values())
     result.byte_identical = len(digests) == 1
     universe.close()
-    return result, all_deltas
-
-
-def _run_merge_cost(quick: bool, deltas: List[SignedDelta]) -> MergeCost:
-    samples = 20 if quick else 100
-    times = []
-    for _ in range(samples):
-        start = time.perf_counter()
-        merge_deltas(deltas)
-        times.append((time.perf_counter() - start) * 1e6)
-    return MergeCost(
-        deltas=len(deltas),
-        samples=samples,
-        p50_us=percentile(times, 50.0),
-        p99_us=percentile(times, 99.0),
-    )
+    return result
 
 
 # ----------------------------------------------------------------------
-# Scenario 4: crash recovery + tamper fail-closed
+# Scenario 2: crash recovery + tamper fail-closed
 # ----------------------------------------------------------------------
 
 
@@ -334,67 +298,21 @@ def _run_recovery_gate(quick: bool, seed: int, scratch: str) -> RecoveryGate:
 
 
 def run_convergence(quick: bool = False, seed: int = 0) -> ConvergenceReport:
-    from repro.attacks.scenarios import run_versioning_matrix
-
     report = ConvergenceReport()
     scratch = tempfile.mkdtemp(prefix="repro-convergence-")
     try:
-        report.partitioned, all_deltas = _run_partitioned(quick, seed)
-        report.merge = _run_merge_cost(quick, all_deltas or [])
-        report.adversarial = run_versioning_matrix(key_factory=_keys)
+        report.partitioned = _run_partitioned(quick, seed)
         report.recovery = _run_recovery_gate(quick, seed, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return report
 
 
-def render_convergence(report: ConvergenceReport) -> str:
-    from repro.harness.report import render_table
-
-    part = report.partitioned
-    merge = report.merge
-    recovery = report.recovery
-    gates = criteria(report)
-    rejected = ", ".join(
-        f"{cell['scenario']}:{cell['failure_type'] or 'MISSED'}"
-        for cell in report.adversarial
-    )
-    rows = [
-        [
-            "partitioned convergence",
-            f"{part.writers} writers x {part.rounds} rounds = {part.deltas} deltas, "
-            f"gossip {part.gossip_pulled}p/{part.gossip_pushed}q, "
-            f"{part.elements} elements, "
-            + ("byte-identical" if part.byte_identical else "DIVERGED"),
-            verdict(gates, "partitioned."),
-        ],
-        [
-            "merge cost",
-            f"{merge.deltas} deltas: p50 {merge.p50_us:.0f} us, "
-            f"p99 {merge.p99_us:.0f} us over {merge.samples} runs",
-            verdict(gates, "merge."),
-        ],
-        [
-            "adversarial matrix",
-            rejected or "no verdicts",
-            verdict(gates, "adversarial"),
-        ],
-        [
-            "crash recovery",
-            f"{recovery.recovered_deltas}/{recovery.deltas_published} deltas "
-            f"({recovery.reverified_deltas} re-verified), "
-            f"tamper: {recovery.tamper_error or 'NOT REJECTED'}",
-            verdict(gates, "recovery."),
-        ],
-    ]
-    return "Convergence bench\n" + render_table(["scenario", "outcome", "gate"], rows)
-
-
 def criteria(report: ConvergenceReport) -> List[Criterion]:
     """The CI gates, scenario by scenario."""
     part = report.partitioned
     recovery = report.recovery
-    out = [
+    return [
         gate(
             "partitioned.byte_identical", part.byte_identical, "==", True,
             "replicas/readers diverged after healing: "
@@ -409,31 +327,6 @@ def criteria(report: ConvergenceReport) -> List[Criterion]:
             part.gossip_pulled + part.gossip_pushed, ">", 0,
             "partition never exchanged deltas — gossip did not run",
         ),
-        gate(
-            "merge.samples", report.merge.samples, ">", 0,
-            "merge cost was never sampled",
-        ),
-        gate(
-            "adversarial.scenarios", len(report.adversarial), ">", 0,
-            "adversarial matrix did not run",
-        ),
-    ]
-    for cell in report.adversarial:
-        scenario = cell["scenario"]
-        out += [
-            gate(
-                f"adversarial[{scenario}].no_leak",
-                bool(cell.get("unverified_bytes_leaked")), "==", False,
-                f"scenario {scenario}: attacker bytes reached the caller or the cache",
-            ),
-            gate(
-                f"adversarial[{scenario}].exact_error",
-                bool(cell.get("ok")), "==", True,
-                f"scenario {scenario}: expected {cell['expected_error']}, got "
-                f"{cell['failure_type'] or 'no rejection'}",
-            ),
-        ]
-    out += [
         gate(
             "recovery.recovered_deltas",
             recovery.recovered_deltas, "==", recovery.deltas_published,
@@ -459,13 +352,6 @@ def criteria(report: ConvergenceReport) -> List[Criterion]:
             "unproven bytes",
         ),
     ]
-    return out
 
 
-TARGET = BenchTarget(
-    "convergence",
-    "BENCH_convergence.json",
-    run_convergence,
-    criteria,
-    render_convergence,
-)
+TARGET = BenchTarget("convergence", "BENCH_convergence.json", run_convergence, criteria)

@@ -1,14 +1,14 @@
 """Harness kernel: the bench registry, the gate evaluator, the report envelope.
 
 Every gated bench is one :class:`BenchTarget` — a name, a report file, and
-three functions: ``run(quick, seed)`` produces the bench's report,
+two functions: ``run(quick, seed)`` produces the bench's report and
 ``criteria(report)`` declares its gates as a list of :class:`Criterion`
-(built with :func:`gate`), ``render(report)`` is the human-readable
-digest. Everything else is shared and lives here once:
+(built with :func:`gate`). Everything else is shared and lives here once:
 :func:`run_target` runs a bench, writes the envelope (also on failure),
-prints the digest and the ``FAIL:`` lines and returns the exit code;
-:func:`write_envelope` is the only report writer; :data:`REGISTRY` is
-what the CLI, CI (``benches``) and ``bench-report`` iterate.
+prints the criteria table ``bench-report`` prints plus the ``FAIL:``
+lines and returns the exit code; :func:`write_envelope` is the only
+report writer; :data:`REGISTRY` is what the CLI, CI (``benches``) and
+``bench-report`` iterate.
 
 A new bench is a module with a ``TARGET`` plus one line in
 :data:`_BENCH_MODULES`.
@@ -26,6 +26,8 @@ from typing import Callable, Dict, List, Optional
 
 import cryptography
 
+from repro.harness.report import render_bench_summary
+
 __all__ = [
     "REPO_ROOT",
     "Criterion",
@@ -33,13 +35,11 @@ __all__ = [
     "REGISTRY",
     "gate",
     "problems",
-    "verdict",
     "write_envelope",
     "run_target",
 ]
 
-#: The repository checkout: reports are written here by default, and
-#: ``loadtest`` finds ``benchmarks/`` here.
+#: The repository checkout: reports are written here by default.
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 
 #: Bench modules in registry order (the order ``benches`` runs them).
@@ -84,11 +84,6 @@ def problems(criteria: List[Criterion]) -> List[str]:
     return [c.message for c in criteria if not c.ok]
 
 
-def verdict(criteria: List[Criterion], prefix: str = "") -> str:
-    """``PASS`` when every criterion whose name starts with *prefix* holds."""
-    return "PASS" if all(c.ok for c in criteria if c.name.startswith(prefix)) else "FAIL"
-
-
 @dataclass(frozen=True)
 class BenchTarget:
     """One gated bench, as the CLI and CI see it."""
@@ -97,7 +92,6 @@ class BenchTarget:
     report_name: str  #: ``BENCH_*.json`` file name under the repo root
     run: Callable[[bool, int], object]  #: ``run(quick, seed)`` -> report
     criteria: Callable[[object], List[Criterion]]
-    render: Callable[[object], str]
 
 
 def __getattr__(name: str):
@@ -151,8 +145,8 @@ def run_target(
     report = target.run(quick, seed)
     criteria = target.criteria(report)
     path = out if out is not None else REPO_ROOT / target.report_name
-    write_envelope(path, target, report, criteria, quick, seed)
-    print(target.render(report))
+    envelope = write_envelope(path, target, report, criteria, quick, seed)
+    print(render_bench_summary({target.name: envelope}))
     failed = problems(criteria)
     for problem in failed:
         print(f"FAIL: {problem}")

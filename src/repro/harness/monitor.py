@@ -53,7 +53,6 @@ __all__ = [
     "MonitorReport",
     "run_monitor",
     "criteria",
-    "render_monitor",
     "TARGET",
     "CONSISTENCY_TOLERANCE",
 ]
@@ -176,14 +175,10 @@ class MonitorReport:
     other_failures: int = 0
     harness_access_seconds: float = 0.0
     registry_access_seconds: float = 0.0
-    registry_access_count: float = 0.0
-    worst_staleness_seconds: float = 0.0
-    worst_serial_lag: float = 0.0
     idle_text_identical: bool = False
     idle_json_identical: bool = False
     series_count: int = 0
     final_firing: List[str] = field(default_factory=list)
-    request_outcomes: Dict[str, float] = field(default_factory=dict)
 
     @property
     def consistency_ratio(self) -> float:
@@ -228,14 +223,11 @@ class _MonitorWorld:
         self.stacks: List[ClientStack] = [
             self._client_stack(host) for host in CLIENT_HOSTS
         ]
-        self._wire_serial_lag()
         self.engine = self._build_engine()
         # Consistency-gate accumulator: clock time around every
         # ``proxy.handle`` the workload issued.
         self.harness_access_seconds = 0.0
         self.counts = {"accesses": 0, "ok": 0, "rejected": 0, "other": 0}
-        self.worst_staleness = 0.0
-        self.worst_serial_lag = 0.0
         self.scrapes = 0
         self._next_scrape = SCRAPE_INTERVAL
 
@@ -270,28 +262,6 @@ class _MonitorWorld:
             content_cache=ContentCache(clock=self.clock, ttl=CACHE_TTL),
             revocation_max_staleness=MAX_STALENESS,
         )
-
-    def _wire_serial_lag(self) -> None:
-        """Derived gauge: how many feed serials each client's view is
-        behind the most advanced published feed."""
-        lag = self.registry.gauge(
-            "revocation_serial_lag",
-            "Feed serials the client's revocation view is behind the "
-            "most advanced server feed.",
-            labelnames=("client",),
-        )
-        stacks = self.stacks
-
-        def collect() -> None:
-            heads = self.registry.series_values("revocation_feed_head", None)
-            feed_head = max(heads, default=0.0)
-            for stack in stacks:
-                if stack.revocation is not None:
-                    lag.labels(client=stack.host.name).set(
-                        feed_head - float(stack.revocation.head)
-                    )
-
-        self.registry.register_collector(collect)
 
     # -- alert engine ---------------------------------------------------
 
@@ -372,16 +342,6 @@ class _MonitorWorld:
             self.engine.evaluate()
             self.scrapes += 1
             self._next_scrape += SCRAPE_INTERVAL
-            staleness = self.registry.series_values(
-                "revocation_view_staleness_seconds", None
-            )
-            self.worst_staleness = max(
-                self.worst_staleness, max(staleness, default=0.0)
-            )
-            lag = self.registry.series_values("revocation_serial_lag", None)
-            self.worst_serial_lag = max(
-                self.worst_serial_lag, max(lag, default=0.0)
-            )
 
     def drive(
         self,
@@ -486,8 +446,7 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
     json_a, json_b = world.registry.to_json(), world.registry.to_json()
 
     snapshot = world.registry.snapshot()
-    access_series = snapshot.get("proxy_access_seconds", {}).get("series", [])
-    report = MonitorReport(
+    return MonitorReport(
         scrape_interval=SCRAPE_INTERVAL,
         scrapes=world.scrapes,
         rules=[rule.name for rule in engine.rules],
@@ -500,28 +459,15 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
         other_failures=world.counts["other"],
         harness_access_seconds=world.harness_access_seconds,
         registry_access_seconds=world.registry.total("proxy_access_seconds"),
-        registry_access_count=float(sum(s["count"] for s in access_series)),
-        worst_staleness_seconds=world.worst_staleness,
-        worst_serial_lag=world.worst_serial_lag,
         idle_text_identical=text_a == text_b,
         idle_json_identical=json_a == json_b,
         series_count=sum(len(m["series"]) for m in snapshot.values()),
         final_firing=engine.firing(),
     )
-    for labels, value in _series_of(snapshot, "proxy_requests_total"):
-        report.request_outcomes[labels.get("outcome", "")] = value
-    return report
-
-
-def _series_of(snapshot: dict, name: str) -> List[Tuple[dict, float]]:
-    metric = snapshot.get(name)
-    if metric is None:
-        return []
-    return [(s["labels"], s["value"]) for s in metric["series"]]
 
 
 # ----------------------------------------------------------------------
-# Gates / rendering / persistence
+# Gates
 # ----------------------------------------------------------------------
 
 
@@ -607,40 +553,4 @@ def criteria(report: MonitorReport) -> List[Criterion]:
     return out
 
 
-def render_monitor(report: MonitorReport) -> str:
-    """Human-readable alert timeline + gate summary."""
-    from repro.harness.report import render_table
-
-    rows = [
-        [f"{event['at']:10.2f}", event["rule"], event["state"],
-         f"{event['value']:.2f}", event["severity"]]
-        for event in report.timeline
-    ]
-    table = render_table(["t (s)", "rule", "state", "value", "severity"], rows)
-    latencies = report.alert_latencies()
-    lat_lines = [
-        f"  {key}: {value:.2f} s" if value is not None else f"  {key}: -"
-        for key, value in latencies.items()
-    ]
-    return "\n".join(
-        [
-            f"Monitor plane — {report.scrapes} scrapes every "
-            f"{report.scrape_interval:.0f} s, {report.accesses} accesses "
-            f"({report.ok} ok, {report.rejected} rejected), "
-            f"{report.series_count} series",
-            table,
-            "alert latencies (clock-charged):",
-            *lat_lines,
-            f"consistency ratio (registry vs harness clock): "
-            f"{report.consistency_ratio:.6f}",
-            f"worst feed staleness: {report.worst_staleness_seconds:.1f} s; "
-            f"worst serial lag: {report.worst_serial_lag:.0f}",
-            f"idle scrapes identical: text={report.idle_text_identical} "
-            f"json={report.idle_json_identical}",
-        ]
-    )
-
-
-TARGET = BenchTarget(
-    "monitor", "BENCH_monitor_plane.json", run_monitor, criteria, render_monitor
-)
+TARGET = BenchTarget("monitor", "BENCH_monitor_plane.json", run_monitor, criteria)

@@ -88,7 +88,6 @@ __all__ = [
     "run_profile",
     "run_pipeline_comparison",
     "criteria",
-    "render_profile",
     "TARGET",
 ]
 
@@ -790,64 +789,4 @@ def criteria(report: dict) -> List[Criterion]:
     return out
 
 
-def render_profile(report: dict) -> str:
-    """Human-readable digest: categories, hot spans, stitching, SLOs."""
-    from repro.harness.report import render_table
-
-    profile = report["profile"]
-    critical = profile["critical_path_s"]
-    rows = [
-        [category, f"{entry['critical_s'] * 1e3:.1f} ms", f"{entry['fraction']:.1%}"]
-        for category, entry in sorted(
-            profile["categories"].items(), key=lambda kv: -kv[1]["critical_s"]
-        )
-    ]
-    lines = [
-        "Profile bench — cross-process critical-path attribution",
-        render_table(["category", "critical time", "share"], rows),
-        "",
-        f"traces: {profile['traces_profiled']} profiled, critical path "
-        f"p50 {critical['p50'] * 1e3:.1f} ms / p99 {critical['p99'] * 1e3:.1f} ms",
-        "hottest span families:",
-    ]
-    for entry in profile["hottest"]:
-        lines.append(
-            f"  {entry['name']:<24} {entry['critical_s'] * 1e3:9.1f} ms "
-            f"({entry['category']}, {entry['traces']} traces)"
-        )
-    stitching = report["stitching"]
-    lines.append(
-        f"stitching: rate {stitching['stitch_rate']:.3f}, "
-        f"{stitching['cross_process_spans']} cross-process spans over "
-        f"{stitching['traces']} traces ({stitching['orphan_spans']} orphans)"
-    )
-    lines.append("security rejections:")
-    for span_name, census in sorted(report["security_rejections"].items()):
-        for error_type, count in sorted(census.items()):
-            lines.append(f"  {span_name}: {error_type} x{count}")
-    comparison = report["pipeline_comparison"]
-    lines.append("pipeline comparison (same waves, retry on, simulated time):")
-    for label in ("sequential", "pipelined"):
-        mode = comparison[label]
-        lines.append(
-            f"  {label:<11}{mode['elapsed_s']:8.3f} s elapsed,"
-            f" rpc.attempt in-handle share {mode['rpc_attempt_share']:.3f}"
-            f" ({mode['ok']}/{mode['requests']} ok)"
-        )
-    lines.append(f"  speedup: {comparison['speedup']:.2f}x")
-    for verdict in report["slo"]["objectives"]:
-        states = ", ".join(
-            f"{rule.split(':')[-1]}={state}"
-            for rule, state in sorted(verdict["alerts"].items())
-        )
-        lines.append(
-            f"SLO {verdict['objective']}: compliance {verdict['compliance']:.4f} "
-            f"vs target {verdict['target']:.2f} "
-            f"({'met' if verdict['met'] else 'MISSED'}; {states})"
-        )
-    return "\n".join(lines)
-
-
-TARGET = BenchTarget(
-    "profile", "BENCH_profile.json", run_profile, criteria, render_profile
-)
+TARGET = BenchTarget("profile", "BENCH_profile.json", run_profile, criteria)

@@ -34,14 +34,13 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import time
 import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import FeedRegressionError, RecoveryIntegrityError, TransportError
 from repro.harness.experiment import Testbed
-from repro.harness.kernel import BenchTarget, Criterion, gate, verdict
+from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.revocation.checker import RevocationChecker
 from repro.revocation.feed import RevocationFeed
 from repro.revocation.statement import RevocationStatement
@@ -57,7 +56,6 @@ __all__ = [
     "run_recovery",
     "deface_wal",
     "criteria",
-    "render_recovery",
     "TARGET",
 ]
 
@@ -78,7 +76,6 @@ class ReplicaRecovery:
     accesses_ok: int = 0
     content_intact: bool = False
     post_restart_publish_ok: bool = False
-    recovery_wall_seconds: float = -1.0
 
 
 @dataclass
@@ -212,9 +209,7 @@ def _run_replica_recovery(quick: bool, seed: int, data_dir: str) -> ReplicaRecov
     result = ReplicaRecovery(documents=len(contents))
     cycles = 1 if quick else 3
     for _ in range(cycles):
-        started = time.perf_counter()
         testbed = _restart(testbed, data_dir)
-        result.recovery_wall_seconds = time.perf_counter() - started
         result.restart_cycles += 1
     result.recovered_replicas = testbed.object_server.recovered_replicas
     result.reverified_replicas = testbed.object_server.reverified_replicas
@@ -479,49 +474,6 @@ def run_recovery(quick: bool = False, seed: int = 0) -> RecoveryReport:
     return report
 
 
-def render_recovery(report: RecoveryReport) -> str:
-    from repro.harness.report import render_table
-
-    replica = report.replica
-    revocation = report.revocation
-    torn = report.torn
-    gates = criteria(report)
-    rows = [
-        [
-            "replica recovery",
-            f"{replica.recovered_replicas}/{replica.documents} replicas "
-            f"({replica.reverified_replicas} re-verified), "
-            f"{replica.accesses_ok}/{replica.accesses_after_restart} accesses ok",
-            verdict(gates, "replica."),
-        ],
-        [
-            "revocation resume",
-            f"cursor {revocation.cursor_statements_recovered} stmt, rejected "
-            f"from disk after {max(0, revocation.refreshes_at_rejection)} RPCs, "
-            f"feed head {revocation.feed_head_before}->{revocation.feed_head_after}",
-            verdict(gates, "revocation."),
-        ],
-        [
-            "torn tail",
-            f"{torn.torn_bytes_dropped} B dropped, "
-            f"{torn.recovered_replicas}/{torn.expected_replicas} replicas, "
-            f"{torn.accesses_ok}/{torn.accesses_after_restart} accesses ok",
-            verdict(gates, "torn."),
-        ],
-        [
-            "tamper fail-closed",
-            report.tamper.error_type or "recovery accepted tampered bytes",
-            verdict(gates, "tamper."),
-        ],
-    ]
-    lines = [
-        f"Recovery bench — {replica.restart_cycles} restart cycle(s), "
-        f"last recovery {replica.recovery_wall_seconds * 1e3:.1f} ms wall",
-        render_table(["scenario", "outcome", "gate"], rows),
-    ]
-    return "\n".join(lines)
-
-
 def criteria(report: RecoveryReport) -> List[Criterion]:
     """The CI gates, scenario by scenario."""
     replica = report.replica
@@ -633,6 +585,4 @@ def criteria(report: RecoveryReport) -> List[Criterion]:
     ]
 
 
-TARGET = BenchTarget(
-    "recovery", "BENCH_recovery.json", run_recovery, criteria, render_recovery
-)
+TARGET = BenchTarget("recovery", "BENCH_recovery.json", run_recovery, criteria)

@@ -39,7 +39,6 @@ __all__ = [
     "RevocationReport",
     "run_revocation",
     "criteria",
-    "render_revocation",
     "TARGET",
 ]
 
@@ -293,61 +292,6 @@ def run_revocation(quick: bool = False, seed: int = 0) -> RevocationReport:
     return report
 
 
-def render_revocation(report: RevocationReport) -> str:
-    """Human-readable containment table + overhead summary."""
-    from repro.harness.report import render_table
-
-    rows = []
-    for p in report.containment:
-        rows.append(
-            [
-                p.host,
-                f"{p.max_staleness:.0f} s",
-                f"{p.poll_interval:.0f} s",
-                f"{p.containment_seconds:.1f} s" if p.contained else "NOT CONTAINED",
-                p.rejection_error or "-",
-                str(p.stale_serves),
-                str(p.post_containment_ok),
-                str(p.feed_refreshes),
-            ]
-        )
-    table = render_table(
-        [
-            "proxy host",
-            "max staleness",
-            "poll",
-            "containment",
-            "rejected as",
-            "stale serves",
-            "post-ok",
-            "refreshes",
-        ],
-        rows,
-    )
-    lines = [
-        f"Revocation sweep — {report.proxies} proxies, feed at "
-        f"{', '.join(report.feed_sites_reached) or 'nowhere'}",
-        table,
-    ]
-    latencies = report.containment_latencies
-    if latencies:
-        lines.append(
-            "containment latency: "
-            f"p50 {percentile(latencies, 50):.1f} s, "
-            f"p90 {percentile(latencies, 90):.1f} s, "
-            f"max {max(latencies):.1f} s"
-        )
-    if report.baseline and report.enabled:
-        lines.append(
-            "steady-state overhead: "
-            f"baseline {report.baseline.mean_access_seconds * 1e3:.2f} ms/access, "
-            f"with feed {report.enabled.mean_access_seconds * 1e3:.2f} ms/access "
-            f"(ratio {report.overhead_ratio:.3f}, "
-            f"{report.enabled.feed_refreshes} refreshes)"
-        )
-    return "\n".join(lines)
-
-
 def criteria(report: RevocationReport) -> List[Criterion]:
     """The CI gates.
 
@@ -418,6 +362,4 @@ def criteria(report: RevocationReport) -> List[Criterion]:
     return out
 
 
-TARGET = BenchTarget(
-    "revocation", "BENCH_revocation.json", run_revocation, criteria, render_revocation
-)
+TARGET = BenchTarget("revocation", "BENCH_revocation.json", run_revocation, criteria)

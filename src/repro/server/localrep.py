@@ -15,7 +15,7 @@ from typing import Any, List, Mapping, Optional
 
 from repro.crypto.identity import IdentityCertificate
 from repro.crypto.keys import PublicKey
-from repro.errors import ConsistencyError
+from repro.errors import AuthenticityError, ConsistencyError, CryptoError, EncodingError
 from repro.globedoc.document import DocumentState
 from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import IntegrityCertificate
@@ -23,6 +23,13 @@ from repro.net.address import ContactAddress
 from repro.net.rpc import RpcClient
 
 __all__ = ["ReplicaLR", "ProxyLR"]
+
+#: What re-hydrating an untrusted replica answer can raise.
+_DECODE_ERRORS = (CryptoError, EncodingError, KeyError, TypeError, ValueError)
+
+
+def _malformed(op: str, exc: Exception) -> AuthenticityError:
+    return AuthenticityError(f"replica returned a malformed {op} answer: {exc}")
 
 
 class ReplicaLR:
@@ -78,7 +85,10 @@ class ProxyLR:
     every method is an RPC to the replica's contact address. Payloads
     come back as wire dicts and are re-hydrated here; they remain
     *unverified* — the security pipeline operates on top of either LR
-    flavour identically.
+    flavour identically. An answer that does not re-hydrate is a
+    security violation like any other bad answer (the replica is
+    untrusted): it raises :class:`~repro.errors.AuthenticityError`, so
+    the session fails over and the proxy renders its 403 page.
     """
 
     def __init__(self, client: RpcClient, address: ContactAddress) -> None:
@@ -92,19 +102,31 @@ class ProxyLR:
 
     def get_public_key(self) -> PublicKey:
         der = self._call("globedoc.get_public_key")
-        return PublicKey(der=bytes(der))
+        try:
+            return PublicKey(der=bytes(der))
+        except _DECODE_ERRORS as exc:
+            raise _malformed("get_public_key", exc) from exc
 
     def get_identity_certificates(self) -> List[IdentityCertificate]:
         raw = self._call("globedoc.get_identity_certificates")
-        return [IdentityCertificate.from_dict(c) for c in raw]
+        try:
+            return [IdentityCertificate.from_dict(c) for c in raw]
+        except _DECODE_ERRORS as exc:
+            raise _malformed("get_identity_certificates", exc) from exc
 
     def get_integrity_certificate(self) -> IntegrityCertificate:
         raw = self._call("globedoc.get_integrity_certificate")
-        return IntegrityCertificate.from_dict(raw)
+        try:
+            return IntegrityCertificate.from_dict(raw)
+        except _DECODE_ERRORS as exc:
+            raise _malformed("get_integrity_certificate", exc) from exc
 
     def get_element(self, name: str) -> PageElement:
         raw = self._call("globedoc.get_element", name=name)
-        return PageElement.from_dict(raw)
+        try:
+            return PageElement.from_dict(raw)
+        except _DECODE_ERRORS as exc:
+            raise _malformed("get_element", exc) from exc
 
     def list_elements(self) -> List[str]:
         return list(self._call("globedoc.list_elements"))

@@ -18,7 +18,6 @@ from repro.harness.chaos import (
     ChaosReport,
     _build_world,
     criteria,
-    render_chaos,
 )
 from repro.harness.kernel import problems, write_envelope
 
@@ -137,18 +136,3 @@ class TestBuildWorld:
         response = stack.proxy.handle(published.url("index.html"))
         assert response.ok and response.content == ELEMENTS["index.html"]
 
-
-class TestRenderChaos:
-    def test_table_contains_sweep_columns(self):
-        report = make_report(
-            [make_point(drop=0.2)], [make_point(drop=0.2, ok=28)]
-        )
-        text = render_chaos(report)
-        assert "Chaos sweep" in text
-        assert "3 replicas" in text
-        for column in ("drop rate", "resilient", "baseline", "unverified bytes"):
-            assert column in text
-        assert "0.20" in text and "100.0%" in text and "70.0%" in text
-
-    def test_empty_report_renders_header_only(self):
-        assert render_chaos(make_report([], [])).startswith("Chaos sweep")

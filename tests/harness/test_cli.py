@@ -32,6 +32,15 @@ class TestCli:
         assert "Figure 5" in out
         assert "globedoc" in out and "ssl" in out
 
+    def test_design_choices(self, capsys):
+        assert main(["design-choices"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("Design choices")
+        assert lines[1].split() == ["Comparison", "Claim", "Measured"]
+        assert len(lines[3:]) == 9  # title, header, rule, then one row each
+        assert lines[3].startswith("crypto ops")
+        assert lines[-1].startswith("SSL connection reuse")
+
     def test_loadtest(self, capsys):
         assert main(["loadtest"]) == 0
         out = capsys.readouterr().out
@@ -63,7 +72,8 @@ class TestCli:
         out_path = tmp_path / target.report_name
         assert main([name, "--quick", "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert f"{name} gates passed" in out and "FAIL:" not in out
+        assert f"{name} gates passed" in out and "FAIL" not in out
+        assert f"{len(target.criteria(report))} criteria, 0 failing" in out
         envelope = json.loads(out_path.read_text())
         assert set(envelope) == ENVELOPE_KEYS
         assert envelope["name"] == name
@@ -104,7 +114,6 @@ class TestCli:
                 f"BENCH_{name}.json",
                 run=lambda quick, seed: ran.append((name, quick, seed)) or {"n": name},
                 criteria=lambda report: [gate("fine", ok, "==", True, f"{name} red")],
-                render=lambda report: f"ran {report['n']}",
             )
 
         fakes = (fake("first", True), fake("second", False), fake("third", True))

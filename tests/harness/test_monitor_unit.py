@@ -18,7 +18,6 @@ from repro.harness.monitor import (
     FaultTimes,
     MonitorReport,
     criteria,
-    render_monitor,
 )
 from repro.harness.report import render_bench_summary
 
@@ -61,9 +60,6 @@ def clean_report(**overrides) -> MonitorReport:
         other_failures=0,
         harness_access_seconds=50.0,
         registry_access_seconds=50.2,
-        registry_access_count=120.0,
-        worst_staleness_seconds=48.0,
-        worst_serial_lag=1.0,
         idle_text_identical=True,
         idle_json_identical=True,
         series_count=60,
@@ -170,13 +166,6 @@ class TestReportShape:
         report = clean_report()
         write_envelope(path, TARGET, report, criteria(report), True, 0)
         assert json.loads(path.read_text())["body"]["scrapes"] == 40
-
-    def test_render_names_every_rule(self):
-        out = render_monitor(clean_report())
-        assert "replica_circuit_open" in out
-        assert "revocation_staleness_high" in out
-        assert "revocation_rejections" in out
-        assert "consistency ratio" in out
 
 
 class TestAggregateSection:

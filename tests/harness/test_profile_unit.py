@@ -19,7 +19,6 @@ from repro.harness.profile_bench import (
     EXPECTED_SPANS,
     TARGET,
     criteria,
-    render_profile,
 )
 from repro.harness.report import render_bench_summary
 
@@ -132,13 +131,6 @@ class TestGatesDetectRegressions:
 
 
 class TestRendering:
-    def test_render_profile_mentions_the_headline_numbers(self, report):
-        text = render_profile(report)
-        assert "critical-path attribution" in text
-        assert "stitching: rate 1.000" in text
-        assert "SLO access_latency" in text
-        assert "hottest span families" in text
-
     def test_bench_summary_includes_profile_section(self, report, tmp_path):
         envelope = write_envelope(
             tmp_path / "p.json", TARGET, report, criteria(report), True, 0

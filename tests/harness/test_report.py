@@ -154,7 +154,7 @@ class TestConvergenceSection:
     def test_full_report_digest(self):
         out = self.section(self.report())
         assert "partitioned.byte_identical" in out
-        assert "adversarial[forged_delta].exact_error" in out
+        assert "recovery.recovered_deltas" in out
         assert "recovery.tamper_failed_closed" in out
         assert "FAIL" not in out and "full" in out
 
@@ -170,7 +170,7 @@ class TestConvergenceSection:
     def test_partial_report_tolerated(self):
         from repro.harness.report import render_bench_summary
 
-        out = render_bench_summary({"convergence": {"merge_cost": {"p50_us": 1.0}}})
+        out = render_bench_summary({"convergence": {"partitioned": {"deltas": 6}}})
         assert "no criteria envelope" in out
         out = render_bench_summary({"convergence": {"criteria": [{"name": "x"}]}})
         assert "FAIL" in out

@@ -17,7 +17,6 @@ from repro.harness.revocation_bench import (
     ProxyContainment,
     RevocationReport,
     criteria,
-    render_revocation,
 )
 
 
@@ -145,16 +144,3 @@ class TestReportShape:
         report = clean_report()
         write_envelope(path, TARGET, report, criteria(report), True, 0)
         assert json.loads(path.read_text())["body"]["proxies"] == 2
-
-    def test_render_names_every_proxy(self):
-        report = clean_report()
-        report.containment.append(
-            contained_proxy(
-                host="ensamble02.cornell.edu", contained=False,
-                containment_seconds=-1.0, rejection_error="",
-            )
-        )
-        out = render_revocation(report)
-        assert "canardo.inria.fr" in out and "sporty.cs.vu.nl" in out
-        assert "NOT CONTAINED" in out
-        assert "steady-state overhead" in out

@@ -30,22 +30,11 @@ def gates(report):
 
 
 def test_report_structure(report):
-    assert set(report) == {"micro", "pipeline", "concurrency", "conformance"}
-    micro = report["micro"]
-    for key in (
-        "rsa_verify_cold_us",
-        "rsa_verify_cached_us",
-        "canonical_encode_us",
-        "cert_roundtrip_cold_us",
-        "cert_roundtrip_warm_us",
-    ):
-        assert micro[key] > 0.0
-
-
-def test_micro_memos_actually_faster(report):
-    micro = report["micro"]
-    assert micro["rsa_cached_speedup"] > 1.0
-    assert micro["cert_warm_speedup"] > 1.0
+    assert set(report) == {"pipeline", "concurrency"}
+    assert set(report["pipeline"]) >= {"baseline", "fastpath", "warm", "accesses"}
+    assert set(report["concurrency"]) >= {
+        "sequential", "pipelined", "throughput_multiple", "unverified_responses",
+    }
 
 
 def test_warm_verification_meets_speedup_target(gates):

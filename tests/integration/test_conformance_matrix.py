@@ -13,9 +13,10 @@ responsible security check must close with error status and the same
 exception type, proving the rejection happened at the check the paper's
 §3.2.1 taxonomy assigns to that attack.
 
-The matrix itself lives in :mod:`repro.attacks.scenarios` so the
-security benchmark can replay the identical scenarios; this module is
-the pytest harness over it.
+The matrix itself lives in :mod:`repro.attacks.scenarios` so
+``test_pipeline_conformance.py`` can replay the identical scenarios with
+the pipeline enabled; this module is the pytest harness over it, and the
+only judge of the sequential matrix.
 """
 
 from __future__ import annotations

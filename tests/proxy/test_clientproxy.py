@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
+
 import pytest
 
+from repro.attacks.malicious_server import HonestBehavior, MaliciousReplica
+from repro.crypto.identity import TrustStore
 from repro.globedoc.urls import HybridUrl
+from repro.net.address import Endpoint
+from repro.net.message import Request, Response
+from repro.obs import RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
+from repro.proxy.pipeline import PipelineConfig
 from tests.proxy.conftest import ELEMENTS
 
 
@@ -103,3 +112,123 @@ class TestIdentityDisplay:
     def test_no_trust_store_no_certified_name(self, stack, published):
         response = stack.proxy.handle(published.url("index.html"))
         assert response.certified_as is None
+
+
+EVIL = b"EVIL-PAYLOAD"
+
+
+def _string_bound(certificate: dict) -> dict:
+    forged = copy.deepcopy(certificate)
+    forged["envelope"]["payload"]["not_before"] = "EVIL-PAYLOAD"
+    return forged
+
+
+#: id -> (op, what the genuine certificate becomes / the canned answer).
+MALFORMED_ANSWERS = {
+    "public_key_not_bytes": ("globedoc.get_public_key", lambda cert: "EVIL-PAYLOAD"),
+    "identity_without_envelope": (
+        "globedoc.get_identity_certificates", lambda cert: [{"body": EVIL}],
+    ),
+    "certificate_string_bound": ("globedoc.get_integrity_certificate", _string_bound),
+    "certificate_without_envelope": (
+        "globedoc.get_integrity_certificate", lambda cert: {"body": EVIL},
+    ),
+    "element_without_content": (
+        "globedoc.get_element", lambda cert: {"name": 5, "evil": EVIL},
+    ),
+}
+
+
+class TestMalformedReplicaAnswers:
+    """ROADMAP 4(d), the replica half: an answer that does not decode
+    is a typed rejection, never an exception out of the proxy."""
+
+    CLIENT = "canardo.inria.fr"
+    probe_ids = itertools.count()
+
+    @pytest.fixture
+    def world(self, testbed, session_ca):
+        """A document of the test's own on ginger (so the attack replica
+        is out of every other test's way), and ``deploy(case)``: a
+        replica of it at the client's own site, found first, honest
+        except for one malformed answer."""
+        name = f"vu.nl/probe{next(self.probe_ids)}"
+        published = testbed.publish(testbed.document_owner(name, ELEMENTS))
+
+        def deploy(case: str) -> None:
+            op, forge = MALFORMED_ANSWERS[case]
+            answer = forge(published.document.integrity.to_dict())
+            replica = MaliciousReplica(
+                host=self.CLIENT, document=published.document, behavior=HonestBehavior()
+            )
+            honest = replica.rpc_server().handle_frame
+
+            def handle_frame(frame: bytes) -> bytes:
+                if Request.from_bytes(frame).op == op:
+                    return Response.success(answer).to_bytes()
+                return honest(frame)
+
+            testbed.network.register(Endpoint(self.CLIENT, "objectserver"), handle_frame)
+            testbed.location_service.tree.insert(
+                published.oid_hex, "root/europe/inria", replica.contact_address()
+            )
+
+        def stack(ring=None, **kwargs):
+            # A non-empty trust store makes the session fetch identity
+            # certificates, so that answer is decoded too.
+            store = TrustStore()
+            store.add_ca(session_ca)
+            tracer = Tracer(clock=testbed.clock, sinks=(ring,)) if ring is not None else None
+            return testbed.client_stack(
+                self.CLIENT, trust_store=store, tracer=tracer, **kwargs
+            )
+
+        return published, deploy, stack
+
+    @staticmethod
+    def assert_rejected(response):
+        assert response.status == 403
+        assert response.security_failure == "AuthenticityError"
+        assert b"malformed" in response.content and EVIL not in response.content
+        assert not any(genuine in response.content for genuine in ELEMENTS.values())
+
+    @pytest.mark.parametrize("case", list(MALFORMED_ANSWERS))
+    def test_rejected_as_authenticity_error(self, world, case):
+        published, deploy, stack = world
+        deploy(case)
+        proxy = stack(max_rebinds=0).proxy  # fail closed: no way around it
+        self.assert_rejected(proxy.handle(published.url("index.html")))
+
+    @pytest.mark.parametrize("case", list(MALFORMED_ANSWERS))
+    def test_rejected_through_the_pipeline(self, world, case):
+        published, deploy, stack = world
+        deploy(case)
+        proxy = stack(max_rebinds=0, pipeline=PipelineConfig()).proxy
+        responses = proxy.handle_many(
+            [published.url("index.html"), published.url("img/logo.png")]
+        )
+        for response in responses:
+            self.assert_rejected(response)
+
+    @pytest.mark.parametrize(
+        "case", [c for c in MALFORMED_ANSWERS if c != "element_without_content"]
+    )
+    def test_binding_fails_over_to_an_honest_replica(self, world, case):
+        """Exactly as for a bad key: the malformed replica is escaped
+        via the genuine one on ginger, after one failover."""
+        published, deploy, stack = world
+        deploy(case)
+        ring = RingBufferSink()
+        response = stack(ring=ring).proxy.handle(published.url("index.html"))
+        assert response.status == 200
+        assert response.content == ELEMENTS["index.html"]
+        failovers = [span for span in ring.spans if span.name == "session.failover"]
+        assert len(failovers) == 1
+        assert failovers[0].attributes["cause"] == "AuthenticityError"
+
+    def test_malformed_element_is_not_retried_elsewhere(self, world):
+        """Exactly as for a tampered element: a verified binding that
+        then serves a bad element is a violation, not an outage."""
+        published, deploy, stack = world
+        deploy("element_without_content")
+        self.assert_rejected(stack().proxy.handle(published.url("index.html")))
