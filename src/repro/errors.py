@@ -162,9 +162,8 @@ class DeltaReplayError(VersioningError):
 
 
 class StorageError(ReproError):
-    """A durable-storage operation failed (unwritable log, snapshot
-    corruption outside the recoverable torn tail, misuse of a closed
-    store)."""
+    """A durable-storage operation failed (unwritable log, a directory
+    or log header this version cannot read, misuse of a closed store)."""
 
 
 class RecoveryIntegrityError(SecurityError):

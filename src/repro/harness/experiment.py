@@ -245,6 +245,14 @@ class Testbed:
             "nl/vu": self.vu_zone.keys,
         }
 
+    def compact_stores(self) -> None:
+        """Rewrite every durable log down to its live state."""
+        self.object_server.compact()
+        if self.naming_store is not None:
+            self.naming_store.compact()
+        if self.location_store is not None:
+            self.location_store.compact()
+
     def close_stores(self) -> None:
         """Flush and close every durable store (simulated crash or clean
         shutdown — the stores are crash-consistent either way)."""

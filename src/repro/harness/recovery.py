@@ -34,7 +34,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
@@ -44,8 +43,7 @@ from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.revocation.checker import RevocationChecker
 from repro.revocation.feed import RevocationFeed
 from repro.revocation.statement import RevocationStatement
-from repro.storage.wal import FRAME_HEADER
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.storage.wal import FRAME_HEADER, WriteAheadLog
 
 __all__ = [
     "ReplicaRecovery",
@@ -205,6 +203,7 @@ def _run_replica_recovery(quick: bool, seed: int, data_dir: str) -> ReplicaRecov
     contents = _documents(quick, seed)
     testbed = Testbed(data_dir=data_dir, storage_sync=False)
     _populate(testbed, contents)
+    testbed.compact_stores()  # what restarts read is a rewritten log
 
     result = ReplicaRecovery(documents=len(contents))
     cycles = 1 if quick else 3
@@ -390,13 +389,9 @@ def deface_wal(wal_path: str, target) -> int:
     """CRC-valid rewrite of stored content — the attack checksums cannot
     see. ``target(record)`` picks the part of each journal record to
     deface (``None`` leaves the record alone); every non-empty
-    ``content`` bytes value under it is overwritten, and every frame is
-    re-checksummed, so the framing layer sees a perfectly healthy log.
+    ``content`` bytes value under it is overwritten and the log written
+    back through the WAL itself, so its framing is perfectly healthy.
     Returns how many values were defaced."""
-    with open(wal_path, "rb") as fh:
-        data = fh.read()
-    out = bytearray()
-    offset = 0
     defaced = 0
 
     def deface(obj) -> None:
@@ -412,19 +407,11 @@ def deface_wal(wal_path: str, target) -> int:
             for value in obj:
                 deface(value)
 
-    while offset < len(data):
-        length, _ = FRAME_HEADER.unpack_from(data, offset)
-        start = offset + FRAME_HEADER.size
-        record = from_canonical_bytes(data[start : start + length])
-        inner = record.get("__record__") if isinstance(record, dict) else None
-        if isinstance(inner, dict):
-            deface(target(inner))
-        payload = canonical_bytes(record)
-        out += FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        out += payload
-        offset = start + length
-    with open(wal_path, "wb") as fh:
-        fh.write(bytes(out))
+    with WriteAheadLog(wal_path, sync=False) as wal:
+        records = wal.take_records()
+        for record in records:
+            deface(target(record))
+        wal.rewrite(records)
     return defaced
 
 
@@ -432,6 +419,7 @@ def _run_tamper(seed: int, data_dir: str) -> TamperFailClosed:
     contents = _documents(True, seed + 3000)
     testbed = Testbed(data_dir=data_dir, storage_sync=False)
     _populate(testbed, contents)
+    testbed.compact_stores()  # the tamper lands inside a rewritten log
 
     def deface() -> None:
         # Rewrite every stored element's bytes.

@@ -37,12 +37,7 @@ class DurableLocationStore:
     def bind(self, service) -> None:
         """Replay persisted addresses into *service*, then journal
         through it. Call after the domain tree's sites are attached."""
-        recovered = self.store.recover()
-        if recovered.snapshot is not None:
-            for entry in recovered.snapshot.get("entries", []):
-                key = (str(entry["oid"]), str(entry["site"]))
-                self._entries.setdefault(key, []).append(dict(entry["address"]))
-        for record in recovered.records:
+        for record in self.store.recover():
             self._reduce(record)
         for (oid, site), addresses in sorted(self._entries.items()):
             for address in addresses:
@@ -95,19 +90,18 @@ class DurableLocationStore:
     def _journal(self, record: dict) -> None:
         self._reduce(record)
         self.store.append(record)
-        self.store.maybe_compact(self._snapshot_state)
+        self.store.maybe_compact(self._live_records)
 
-    def _snapshot_state(self) -> dict:
-        return {
-            "entries": [
-                {"oid": oid, "site": site, "address": address}
-                for (oid, site), addresses in sorted(self._entries.items())
-                for address in addresses
-            ]
-        }
+    def _live_records(self) -> List[dict]:
+        """One ``insert`` per live address."""
+        return [
+            {"op": "insert", "oid": oid, "site": site, "address": address}
+            for (oid, site), addresses in sorted(self._entries.items())
+            for address in addresses
+        ]
 
     def compact(self) -> None:
-        self.store.compact(self._snapshot_state())
+        self.store.compact(self._live_records())
 
     def close(self) -> None:
         self.store.close()

@@ -19,7 +19,7 @@ a tampered store must not redirect clients to an attacker's OID.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import RecoveryIntegrityError, ReproError
 from repro.naming.forwarding import ForwardingRecord
@@ -37,7 +37,7 @@ class DurableNamingStore:
         self, directory, sync: bool = True, compact_every: Optional[int] = 128
     ) -> None:
         self.store = DurableStore(directory, sync=sync, compact_every=compact_every)
-        #: Reduced view for snapshots: name → record dict, oid → forward.
+        #: Reduced view: name → its ``record``, old OID → its ``forward``.
         self._records: Dict[str, dict] = {}
         self._forwards: Dict[str, dict] = {}
         self.recovered_records = 0
@@ -49,28 +49,24 @@ class DurableNamingStore:
         Call after the service's zones are attached (records re-register
         into the authoritative zone, which must exist to re-sign them).
         """
-        recovered = self.store.recover()
-        if recovered.snapshot is not None:
-            for data in recovered.snapshot.get("records", []):
-                self._records[str(data["name"])] = dict(data)
-            for data in recovered.snapshot.get("forwards", []):
-                self._forwards[self._forward_key(data)] = dict(data)
-        for record in recovered.records:
+        for record in self.store.recover():
             self._reduce(record)
-        for data in self._records.values():
+        for name, record in self._records.items():
             try:
-                service.register(OidRecord.from_dict(data))
+                service.register(OidRecord.from_dict(record["record"]))
             except ReproError as exc:
                 raise RecoveryIntegrityError(
-                    f"recovered naming record {data.get('name')!r} was "
+                    f"recovered naming record {name!r} was "
                     f"refused by the live zone: {exc}"
                 ) from exc
             self.recovered_records += 1
-        for data in self._forwards.values():
+        for record in self._forwards.values():
             try:
                 # register_forwarding re-runs record.verify(): the
                 # self-certifying signature is the integrity check.
-                service.register_forwarding(ForwardingRecord.from_dict(data))
+                service.register_forwarding(
+                    ForwardingRecord.from_dict(record["record"])
+                )
             except ReproError as exc:
                 raise RecoveryIntegrityError(
                     "recovered forwarding record no longer verifies — "
@@ -93,11 +89,9 @@ class DurableNamingStore:
     def _reduce(self, record: dict) -> None:
         op = record.get("op")
         if op == "record":
-            data = dict(record["record"])
-            self._records[str(data["name"])] = data
+            self._records[str(record["record"]["name"])] = record
         elif op == "forward":
-            data = dict(record["record"])
-            self._forwards[self._forward_key(data)] = data
+            self._forwards[self._forward_key(record["record"])] = record
         else:
             raise RecoveryIntegrityError(
                 f"naming journal holds an unknown operation {op!r}"
@@ -106,16 +100,16 @@ class DurableNamingStore:
     def _journal(self, record: dict) -> None:
         self._reduce(record)
         self.store.append(record)
-        self.store.maybe_compact(self._snapshot_state)
+        self.store.maybe_compact(self._live_records)
 
-    def _snapshot_state(self) -> dict:
-        return {
-            "records": [self._records[name] for name in sorted(self._records)],
-            "forwards": [self._forwards[key] for key in sorted(self._forwards)],
-        }
+    def _live_records(self) -> List[dict]:
+        """One ``record`` per live name, one ``forward`` per old OID."""
+        return [self._records[name] for name in sorted(self._records)] + [
+            self._forwards[key] for key in sorted(self._forwards)
+        ]
 
     def compact(self) -> None:
-        self.store.compact(self._snapshot_state())
+        self.store.compact(self._live_records())
 
     def close(self) -> None:
         self.store.close()

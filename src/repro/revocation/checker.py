@@ -161,26 +161,21 @@ class RevocationChecker:
         cursor store was tampered with, and trusting the head it came
         with would silently skip genuine revocations.
         """
-        recovered = self.store.recover()
-        head = 0
-        dicts = []
-        if recovered.snapshot is not None:
-            head = int(recovered.snapshot.get("head", 0))
-            dicts.extend(recovered.snapshot.get("statements", []))
-        for record in recovered.records:
+        for record in self.store.recover():
             op = record.get("op")
-            if op == "ingest":
-                dicts.append(record["statement"])
-            elif op == "head":
-                head = max(head, int(record["head"]))
-        for data in dicts:
+            if op == "head":
+                self._head = max(self._head, int(record["head"]))
+                continue
             try:
-                statement = RevocationStatement.from_dict(data)
+                if op != "ingest":
+                    raise ValueError(f"unknown operation {op!r}")
+                statement = RevocationStatement.from_dict(record["statement"])
                 statement.verify(clock=self.clock)
             except Exception as exc:
                 raise RecoveryIntegrityError(
-                    "revocation cursor store holds a statement that no "
-                    f"longer verifies — failing recovery closed: {exc}"
+                    "revocation cursor store holds a record that cannot be "
+                    "read or a statement that no longer verifies — failing "
+                    f"recovery closed: {exc}"
                 ) from exc
             known = self._by_oid.setdefault(statement.oid_hex, [])
             if any(s.serial == statement.serial for s in known):
@@ -188,25 +183,24 @@ class RevocationChecker:
             known.append(statement)
             self.stats.statements_recovered += 1
             self._purge_caches(statement)
-        self._head = head
         # _synced_at stays None: a recovered view proves what *was*
         # revoked, never that nothing new is — the first check still
         # refreshes (or fails closed on staleness) before vouching.
+
+    def _live_records(self) -> list:
+        """Every held statement as an ``ingest``, then the synced head."""
+        records = [
+            {"op": "ingest", "statement": s.to_dict()}
+            for statements in self._by_oid.values()
+            for s in statements
+        ]
+        return records + [{"op": "head", "head": self._head}]
 
     def _journal(self, record: dict) -> None:
         if self.store is None:
             return
         self.store.append(record)
-        self.store.maybe_compact(
-            lambda: {
-                "head": self._head,
-                "statements": [
-                    s.to_dict()
-                    for statements in self._by_oid.values()
-                    for s in statements
-                ],
-            }
-        )
+        self.store.maybe_compact(self._live_records)
 
     # ------------------------------------------------------------------
     # Feed synchronisation

@@ -68,21 +68,18 @@ class RevocationFeed:
 
     def _recover(self) -> None:
         """Replay the persisted log through the full publish discipline."""
-        recovered = self.store.recover()
-        dicts: List[Mapping] = []
-        if recovered.snapshot is not None:
-            dicts.extend(recovered.snapshot.get("statements", []))
-        for record in recovered.records:
-            if record.get("op") == "publish":
-                dicts.append(record["statement"])
-        for data in dicts:
+        for record in self.store.recover():
             try:
-                statement = RevocationStatement.from_dict(data)
-                self._publish_in_memory(statement)
+                if record.get("op") != "publish":
+                    raise ReproError(f"unknown operation {record.get('op')!r}")
+                self._publish_in_memory(
+                    RevocationStatement.from_dict(record["statement"])
+                )
             except ReproError as exc:
                 raise RecoveryIntegrityError(
-                    f"revocation feed store holds a statement that no longer "
-                    f"verifies — refusing to recover a poisoned log: {exc}"
+                    f"revocation feed store holds a record that cannot be read "
+                    f"or no longer verifies — refusing to recover a poisoned "
+                    f"log: {exc}"
                 ) from exc
             self.recovered += 1
 
@@ -140,16 +137,16 @@ class RevocationFeed:
         added = self._publish_in_memory(statement)
         if added and self.store is not None:
             self.store.append({"op": "publish", "statement": statement.to_dict()})
-            self.store.maybe_compact(self._snapshot_state)
+            self.store.maybe_compact(self._live_records)
         return added
 
-    def _snapshot_state(self) -> dict:
-        return {"statements": [s.to_dict() for s in self._log]}
+    def _live_records(self) -> List[dict]:
+        return [{"op": "publish", "statement": s.to_dict()} for s in self._log]
 
     def compact(self) -> None:
-        """Checkpoint the full log into a snapshot (explicit compaction)."""
+        """Rewrite the journal down to the live log (explicit compaction)."""
         if self.store is not None:
-            self.store.compact(self._snapshot_state())
+            self.store.compact(self._live_records())
 
     # ------------------------------------------------------------------
     # Consumption

@@ -32,7 +32,16 @@ from repro.revocation.statement import SCOPE_KEY, RevocationStatement
 from repro.server.admin import AdminCommand, AdminVerifier
 from repro.server.keystore import Keystore
 from repro.server.localrep import ReplicaLR
+from repro.server.persistence import (
+    ServerStateStore,
+    authorize_record,
+    create_record,
+    destroy_record,
+    revoke_record,
+    update_record,
+)
 from repro.sim.clock import Clock, RealClock
+from repro.storage.store import DurableStore
 from repro.versioning.delta import SignedDelta
 from repro.versioning.frontier import FrontierCertificate
 from repro.versioning.grant import WriterGrant
@@ -93,29 +102,22 @@ class ObjectServer:
         #: log. ``storage_sync=False`` skips per-append fsync (tests).
         self.data_dir = data_dir
         self.state_store = None
-        feed_store = None
+        state_store = feed_store = versioning_store = None
         if data_dir is not None:
-            from repro.server.persistence import ServerStateStore
-            from repro.storage.store import DurableStore
-
-            self.state_store = ServerStateStore(
+            state_store = ServerStateStore(
                 os.path.join(data_dir, "server"), sync=storage_sync
             )
             feed_store = DurableStore(
                 os.path.join(data_dir, "feed"), sync=storage_sync
+            )
+            versioning_store = DurableStore(
+                os.path.join(data_dir, "versioning"), sync=storage_sync
             )
         #: This server's copy of the replicated revocation feed
         #: (recovers its own log from the feed store when durable).
         self.revocation_feed = RevocationFeed(clock=self.clock, store=feed_store)
         #: Multi-writer surface: per-OID signed delta DAGs, durably
         #: journaled and re-verified on recovery (fail closed).
-        versioning_store = None
-        if data_dir is not None:
-            from repro.storage.store import DurableStore
-
-            versioning_store = DurableStore(
-                os.path.join(data_dir, "versioning"), sync=storage_sync
-            )
         self.versioning = VersionedObjectStore(
             clock=self.clock,
             store=versioning_store,
@@ -128,20 +130,19 @@ class ObjectServer:
         #: Recovery accounting for the recovery bench gates.
         self.recovered_replicas = 0
         self.reverified_replicas = 0
-        self._replaying = False
-        if self.state_store is not None:
-            self._recover_state()
+        if state_store is not None:
+            self._recover_state(state_store)
         # A revoked keystore entity must stop serving, not just stop
         # creating: drop its hosted replicas the moment it is removed.
         self.keystore.subscribe(self._on_entity_revoked)
         if self.state_store is not None:
-            # Journal hooks go in *after* recovery so the replay itself
-            # is not re-journaled.
+            # The revoke hook goes in *after* the teardown hook above: the
+            # ``revoke`` record must follow the destroys it caused.
             self.keystore.subscribe_authorize(
-                lambda label, key: self._journal_keystore("authorize", label, key)
+                lambda label, key: self._journal(authorize_record, label, key.der)
             )
             self.keystore.subscribe(
-                lambda label, key: self._journal_keystore("revoke", label, key)
+                lambda label, key: self._journal(revoke_record, key.der)
             )
         #: Server-side monitor instruments. Gauges are host-labeled (one
         #: registry watches many servers); the feed head lets the report
@@ -168,60 +169,61 @@ class ObjectServer:
     # Durable state
     # ------------------------------------------------------------------
 
-    def _recover_state(self) -> None:
+    def _recover_state(self, state_store: ServerStateStore) -> None:
         """Reload keystore + replicas from disk; every replica has been
         re-verified by the store (signatures checked, fail closed) before
-        it is installed here."""
-        state = self.state_store.recover()
-        self._replaying = True
-        try:
-            for label, key_der in state.keystore_entries:
-                self.keystore.authorize(label, PublicKey(der=key_der))
-            for replica in state.replicas:
-                self.create_replica(
-                    replica.document,
-                    PublicKey(der=replica.creator_key_der),
-                    replica.creator_label,
-                )
-        finally:
-            self._replaying = False
+        it is installed here. ``self.state_store`` is set only once the
+        replay is done, so the replay itself is not re-journaled."""
+        state = state_store.recover()
+        for label, key_der in state.keystore_entries:
+            self.keystore.authorize(label, PublicKey(der=key_der))
+        for replica in state.replicas:
+            self.create_replica(
+                replica.document,
+                PublicKey(der=replica.creator_key_der),
+                replica.creator_label,
+            )
         self.recovered_replicas = len(state.replicas)
         self.reverified_replicas = state.reverified
+        self.state_store = state_store
 
-    def _journal_keystore(self, op: str, label: str, key: PublicKey) -> None:
-        if self._replaying:
-            return
-        if op == "authorize":
-            self.state_store.journal_authorize(label, key.der)
-        else:
-            self.state_store.journal_revoke(key.der)
-        self._maybe_compact()
+    def _journal(self, record_fn, *args) -> None:
+        """Durably record one admin-surface mutation as ``record_fn(*args)``
+        (no-op in memory and during recovery); past the compaction
+        threshold, rewrite the log down to the live state."""
+        if self.state_store is not None:
+            self.state_store.store.append(record_fn(*args))
+            self.state_store.store.maybe_compact(self._durable_records)
 
-    def _maybe_compact(self) -> None:
-        self.state_store.maybe_compact(self._durable_state)
+    def _durable_records(self) -> List[dict]:
+        """The journal that rebuilds the live state — one ``authorize``
+        per keystore entry, one ``replica.create`` per hosted replica
+        (re-validated by ``SignedDocument.from_state`` on the way out)."""
+        return [
+            authorize_record(label, key_der)
+            for label, key_der in self.keystore.entries()
+        ] + [
+            create_record(
+                hosted.replica_id,
+                SignedDocument.from_state(hosted.lr.state),
+                hosted.creator_label,
+                hosted.creator_key_der,
+            )
+            for _, hosted in sorted(self._replicas.items())
+        ]
 
-    def _durable_state(self) -> dict:
-        """Whole-state snapshot for compaction (rebuilt from live state,
-        re-validated by ``SignedDocument.from_state`` on the way out)."""
-        return {
-            "keystore": [
-                [label, key_der] for label, key_der in self.keystore.entries()
-            ],
-            "replicas": [
-                {
-                    "replica_id": hosted.replica_id,
-                    "document": SignedDocument.from_state(hosted.lr.state).to_dict(),
-                    "creator_label": hosted.creator_label,
-                    "creator_key_der": hosted.creator_key_der,
-                }
-                for _, hosted in sorted(self._replicas.items())
-            ],
-        }
+    def compact(self) -> None:
+        """Rewrite every durable log this server owns down to its live
+        state (no-op when in-memory)."""
+        if self.state_store is not None:
+            self.state_store.store.compact(self._durable_records())
+        self.revocation_feed.compact()
+        self.versioning.compact()
 
     def close(self) -> None:
         """Flush and close the durable stores (no-op when in-memory)."""
         if self.state_store is not None:
-            self.state_store.close()
+            self.state_store.store.close()
         if self.revocation_feed.store is not None:
             self.revocation_feed.store.close()
         self.versioning.close()
@@ -268,11 +270,9 @@ class ObjectServer:
         )
         self._replicas[replica_id] = hosted
         self._by_oid[oid_hex] = replica_id
-        if self.state_store is not None and not self._replaying:
-            self.state_store.journal_replica_create(
-                replica_id, document, creator_label, creator_key.der
-            )
-            self._maybe_compact()
+        self._journal(
+            create_record, replica_id, document, creator_label, creator_key.der
+        )
         return hosted
 
     def destroy_replica(self, replica_id: str, requester_key: PublicKey) -> None:
@@ -288,9 +288,7 @@ class ObjectServer:
         del self._replicas[replica_id]
         self._by_oid.pop(hosted.oid_hex, None)
         self.resources.release_replica(replica_id)
-        if self.state_store is not None and not self._replaying:
-            self.state_store.journal_replica_destroy(replica_id)
-            self._maybe_compact()
+        self._journal(destroy_record, replica_id)
 
     def update_replica(
         self, document: SignedDocument, requester_key: PublicKey
@@ -305,9 +303,7 @@ class ObjectServer:
             raise AccessDenied("only the replica creator may update it")
         self.resources.resize_replica(replica_id, document.total_size)
         hosted.lr.update_state(document.state())
-        if self.state_store is not None and not self._replaying:
-            self.state_store.journal_replica_update(replica_id, document)
-            self._maybe_compact()
+        self._journal(update_record, replica_id, document)
         return hosted
 
     # ------------------------------------------------------------------
@@ -329,8 +325,12 @@ class ObjectServer:
                 del self._replicas[replica_id]
                 self._by_oid.pop(hosted.oid_hex, None)
                 self.resources.release_replica(replica_id)
-                if self.state_store is not None and not self._replaying:
-                    self.state_store.journal_replica_destroy(replica_id)
+                # Appended with no compaction check: the key is already out
+                # of the keystore, so a log rewritten mid-loop would keep the
+                # remaining replicas with no ``authorize`` left to re-revoke.
+                # The ``revoke`` record that follows makes the one check.
+                if self.state_store is not None:
+                    self.state_store.store.append(destroy_record(replica_id))
                 dropped.append(replica_id)
         self.notices.append(
             {

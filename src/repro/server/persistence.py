@@ -3,7 +3,7 @@
 The server journals every admin-surface mutation — keystore
 authorizations and revocations, replica create/update/destroy — through
 a :class:`~repro.storage.store.DurableStore`, and recovers by reducing
-the snapshot-plus-journal back to the final state.
+the journal back to the final state.
 
 Recovery-time re-verification
 -----------------------------
@@ -32,7 +32,11 @@ from repro.errors import RecoveryIntegrityError, ReproError
 from repro.globedoc.owner import SignedDocument
 from repro.storage.store import DurableStore
 
-__all__ = ["ServerStateStore", "RecoveredReplica", "RecoveredServerState"]
+__all__ = [
+    "ServerStateStore", "RecoveredReplica", "RecoveredServerState",
+    "authorize_record", "revoke_record", "create_record", "update_record",
+    "destroy_record",
+]
 
 
 @dataclass
@@ -55,12 +59,52 @@ class RecoveredServerState:
     #: Replicas that passed full re-verification (== len(replicas):
     #: recovery fails closed on the first one that does not).
     reverified: int = 0
-    torn_bytes_dropped: int = 0
-    cold: bool = True
+
+
+# ----------------------------------------------------------------------
+# The journal vocabulary: one record per admin-surface mutation. A
+# compaction rewrites the log as the ``authorize`` and ``replica.create``
+# records of the live state; :meth:`ServerStateStore._apply` reads all five.
+# ----------------------------------------------------------------------
+
+
+def authorize_record(label: str, key_der: bytes) -> dict:
+    return {"op": "authorize", "label": label, "key_der": key_der}
+
+
+def revoke_record(key_der: bytes) -> dict:
+    return {"op": "revoke", "key_der": key_der}
+
+
+def create_record(
+    replica_id: str,
+    document: SignedDocument,
+    creator_label: str,
+    creator_key_der: bytes,
+) -> dict:
+    return {
+        "op": "replica.create",
+        "replica_id": replica_id,
+        "document": document.to_dict(),
+        "creator_label": creator_label,
+        "creator_key_der": creator_key_der,
+    }
+
+
+def update_record(replica_id: str, document: SignedDocument) -> dict:
+    return {
+        "op": "replica.update",
+        "replica_id": replica_id,
+        "document": document.to_dict(),
+    }
+
+
+def destroy_record(replica_id: str) -> dict:
+    return {"op": "replica.destroy", "replica_id": replica_id}
 
 
 class ServerStateStore:
-    """Snapshot + journal persistence for one :class:`ObjectServer`."""
+    """Journal persistence for one :class:`ObjectServer`."""
 
     def __init__(
         self,
@@ -73,73 +117,17 @@ class ServerStateStore:
         )
 
     # ------------------------------------------------------------------
-    # Journaling (one record per admin-surface mutation)
-    # ------------------------------------------------------------------
-
-    def journal_authorize(self, label: str, key_der: bytes) -> None:
-        self.store.append({"op": "authorize", "label": label, "key_der": key_der})
-
-    def journal_revoke(self, key_der: bytes) -> None:
-        self.store.append({"op": "revoke", "key_der": key_der})
-
-    def journal_replica_create(
-        self,
-        replica_id: str,
-        document: SignedDocument,
-        creator_label: str,
-        creator_key_der: bytes,
-    ) -> None:
-        self.store.append(
-            {
-                "op": "replica.create",
-                "replica_id": replica_id,
-                "document": document.to_dict(),
-                "creator_label": creator_label,
-                "creator_key_der": creator_key_der,
-            }
-        )
-
-    def journal_replica_update(self, replica_id: str, document: SignedDocument) -> None:
-        self.store.append(
-            {
-                "op": "replica.update",
-                "replica_id": replica_id,
-                "document": document.to_dict(),
-            }
-        )
-
-    def journal_replica_destroy(self, replica_id: str) -> None:
-        self.store.append({"op": "replica.destroy", "replica_id": replica_id})
-
-    def maybe_compact(self, state_fn) -> bool:
-        return self.store.maybe_compact(state_fn)
-
-    def compact(self, state: dict) -> None:
-        self.store.compact(state)
-
-    def close(self) -> None:
-        self.store.close()
-
-    # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
 
     def recover(self) -> RecoveredServerState:
-        """Reduce snapshot + journal to final state; re-verify replicas."""
-        recovered = self.store.recover()
+        """Reduce the journal to final state; re-verify replicas."""
         keystore: Dict[bytes, str] = {}
         replicas: Dict[str, dict] = {}
-        if recovered.snapshot is not None:
-            for label, key_der in recovered.snapshot.get("keystore", []):
-                keystore[bytes(key_der)] = str(label)
-            for entry in recovered.snapshot.get("replicas", []):
-                replicas[str(entry["replica_id"])] = dict(entry)
-        for record in recovered.records:
+        for record in self.store.recover():
             self._apply(record, keystore, replicas)
         state = RecoveredServerState(
-            keystore_entries=[(label, der) for der, label in keystore.items()],
-            torn_bytes_dropped=recovered.torn_bytes_dropped,
-            cold=recovered.cold,
+            keystore_entries=[(label, der) for der, label in keystore.items()]
         )
         for entry in replicas.values():
             state.replicas.append(self._reverify(entry))

@@ -1,4 +1,4 @@
-"""Durable persistence: write-ahead logs, snapshots, crash recovery.
+"""Durable persistence: one checksummed journal per component, crash recovery.
 
 The storage layer gives every stateful service a crash-consistent
 backend with one invariant throughout: **recovered bytes are untrusted
@@ -8,8 +8,7 @@ subsystem re-verifies self-certification and signatures on load and
 fails closed on anything that does not prove out.
 """
 
-from repro.storage.snapshot import SnapshotStore
-from repro.storage.store import DurableStore, RecoveredState
+from repro.storage.store import DurableStore
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["DurableStore", "RecoveredState", "SnapshotStore", "WriteAheadLog"]
+__all__ = ["DurableStore", "WriteAheadLog"]

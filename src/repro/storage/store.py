@@ -1,68 +1,55 @@
-"""Snapshot + WAL composition: the durable backend every service uses.
+"""The durable backend every service uses: one journal, rewritten to compact.
 
-One :class:`DurableStore` owns a directory::
+One :class:`DurableStore` owns a directory holding exactly one file,
+``wal.log`` (:mod:`repro.storage.wal`). Writes are journaled through
+:meth:`append` *before* the in-memory mutation is considered durable.
+:meth:`compact` is a log rewrite: the owner supplies the shortest record
+list, *in its own journal vocabulary*, that rebuilds its live state, and
+that list atomically replaces the log — so there is one on-disk format
+and recovery has one input, whether or not the log was ever compacted.
 
-    <dir>/wal.log            the write-ahead log (mutation journal)
-    <dir>/snapshot-NNN.bin   whole-state checkpoints at WAL seq NNN
-
-Writes are journaled through :meth:`append` *before* the in-memory
-mutation is considered durable; :meth:`compact` checkpoints the current
-state and resets the journal. Sequence numbers are absolute (they count
-every record ever appended, across compactions), so a snapshot at seq
-*s* plus the journal suffix replays to exactly the live state.
+A rewritten log opens with one header frame carrying the absolute
+sequence number (``seq`` counts every :meth:`append` ever made; a
+rewrite is not one) and how many records the rewrite kept.
 
 Recovery contract
 -----------------
-:meth:`recover` returns the latest valid snapshot state (or None) and
-the journal records appended after it. **The store validates framing
-and checksums only.** Recovered payloads are untrusted input — exactly
-as untrusted as bytes fetched from a replica — and each subsystem must
-re-verify signatures / self-certification on everything it loads before
-serving it, failing closed (:class:`~repro.errors.RecoveryIntegrityError`)
-on anything that does not check out.
+:meth:`recover` returns the one input of every recovery: the records
+to replay, oldest first. **The store validates framing and checksums
+only.** Recovered payloads are untrusted input — exactly as untrusted
+as bytes fetched from a replica — and each subsystem must replay them
+through its admission path, re-verifying signatures /
+self-certification before serving anything, and fail closed
+(:class:`~repro.errors.RecoveryIntegrityError`) on a record it cannot
+read or that does not check out.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import StorageError
-from repro.storage.snapshot import SnapshotStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import TMP_SUFFIX, WriteAheadLog
 
-__all__ = ["DurableStore", "RecoveredState"]
+__all__ = ["DurableStore"]
 
 WAL_NAME = "wal.log"
 
-
-@dataclass
-class RecoveredState:
-    """What a subsystem gets back from :meth:`DurableStore.recover`."""
-
-    #: Latest valid snapshot state, or None (cold start / no snapshot).
-    snapshot: Optional[Any]
-    #: Journal records to replay on top of the snapshot, oldest first.
-    records: List[Any] = field(default_factory=list)
-    #: Bytes dropped from the journal's torn tail on open.
-    torn_bytes_dropped: int = 0
-
-    @property
-    def cold(self) -> bool:
-        """True when there was nothing on disk at all."""
-        return self.snapshot is None and not self.records
+#: Key of the header frame that opens a rewritten log.
+_HEADER = "wal.rewritten"
 
 
 class DurableStore:
-    """A directory-backed snapshot+journal store for one subsystem."""
+    """A directory-backed journal for one subsystem: ``seq`` is the
+    absolute number of the last appended record, ``journal_length`` the
+    appends since the last rewrite."""
 
     def __init__(
         self,
         directory,
         sync: bool = True,
         compact_every: Optional[int] = 256,
-        keep_snapshots: int = 2,
     ) -> None:
         if compact_every is not None and compact_every < 1:
             raise StorageError(
@@ -70,89 +57,65 @@ class DurableStore:
             )
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
+        foreign = set(os.listdir(self.directory)) - {WAL_NAME, WAL_NAME + TMP_SUFFIX}
+        if foreign:
+            raise StorageError(
+                f"{self.directory} holds {min(foreign)!r}, which is not this "
+                "store's log (a checkpoint file of the retired layout?) — "
+                "refusing to ignore state this version cannot read"
+            )
         self.compact_every = compact_every
-        self.snapshots = SnapshotStore(self.directory, keep=keep_snapshots)
         self.wal = WriteAheadLog(os.path.join(self.directory, WAL_NAME), sync=sync)
-        snapshot = self.snapshots.load_latest()
-        self._snapshot_seq = snapshot[0] if snapshot is not None else 0
-        self._snapshot_state = snapshot[1] if snapshot is not None else None
-        #: Absolute seq = snapshot seq + journal length. Journal records
-        #: carry their own seq so a stale journal (older than the
-        #: snapshot, e.g. after a crash between snapshot write and
-        #: journal truncate) is recognised and skipped on recover.
-        self._seq = self._snapshot_seq
-        for record in self.wal:
-            seq = self._record_seq(record)
-            if seq is not None and seq > self._seq:
-                self._seq = seq
-        self._recovered = False
+        self._records: Optional[List[Any]] = self.wal.take_records()
+        first = self._records[0] if self._records else None
+        if isinstance(first, dict) and _HEADER in first:
+            del self._records[0]
+            try:
+                seq, kept = (int(first[_HEADER][k]) for k in ("seq", "records"))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StorageError(f"malformed log header {first!r}") from exc
+            # A CRC failure inside the kept records (fewer came back
+            # than the header counts) loses them, not the appends made.
+            self.journal_length = max(0, len(self._records) - kept)
+            self.seq = seq + self.journal_length
+        else:
+            self.seq = self.journal_length = len(self._records)
 
-    @staticmethod
-    def _record_seq(record: Any) -> Optional[int]:
-        if isinstance(record, dict) and isinstance(record.get("__seq__"), int):
-            return record["__seq__"]
-        return None
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-
-    def recover(self) -> RecoveredState:
-        """Snapshot state + the journal suffix appended after it."""
-        records = []
-        for record in self.wal:
-            seq = self._record_seq(record)
-            if seq is None or seq > self._snapshot_seq:
-                records.append(
-                    record["__record__"] if seq is not None else record
-                )
-        self._recovered = True
-        return RecoveredState(
-            snapshot=self._snapshot_state,
-            records=records,
-            torn_bytes_dropped=self.wal.torn_bytes_dropped,
-        )
+    def recover(self) -> List[Any]:
+        """The records to replay, oldest first — handed over once (the
+        store keeps no decoded copy of its log); reopen the directory to
+        read them again. What a torn or corrupt tail cost is reported in
+        ``self.wal.torn_bytes_dropped``."""
+        if self._records is None:
+            raise StorageError(f"{self.directory} was already recovered")
+        records, self._records = self._records, None
+        return records
 
     # ------------------------------------------------------------------
     # Journaling
     # ------------------------------------------------------------------
 
-    @property
-    def seq(self) -> int:
-        """Absolute sequence number of the last appended record."""
-        return self._seq
-
-    @property
-    def journal_length(self) -> int:
-        return len(self.wal)
-
     def append(self, record: Any) -> int:
         """Durably journal *record*; returns its absolute seq."""
-        seq = self._seq + 1
-        self.wal.append({"__seq__": seq, "__record__": record})
-        self._seq = seq
-        return seq
+        self.wal.append(record)
+        self.seq += 1
+        self.journal_length += 1
+        return self.seq
 
-    def compact(self, state: Any) -> None:
-        """Checkpoint *state* at the current seq, then reset the journal.
+    def compact(self, records: List[Any]) -> None:
+        """Rewrite the log as *records* — what replays to the live state."""
+        header = {_HEADER: {"seq": self.seq, "records": len(records)}}
+        self.wal.rewrite([header, *records])
+        self.journal_length = 0
 
-        Order matters for crash consistency: the snapshot lands
-        atomically first; only then is the journal truncated. A crash
-        between the two leaves a journal whose records are all ≤ the
-        snapshot seq — recognised and skipped on the next recover.
-        """
-        self.snapshots.write(self._seq, state)
-        self._snapshot_seq = self._seq
-        self._snapshot_state = state
-        self.wal.truncate()
-
-    def maybe_compact(self, state_fn) -> bool:
-        """Compact via ``state_fn()`` when the journal hits the threshold."""
+    def maybe_compact(self, records_fn: Callable[[], List[Any]]) -> bool:
+        """Compact to ``records_fn()`` once ``compact_every`` appends
+        have accumulated since the last rewrite."""
         if self.compact_every is None:
             return False
-        if len(self.wal) < self.compact_every:
+        if self.journal_length < self.compact_every:
             return False
-        self.compact(state_fn())
+        self.compact(records_fn())
         return True
 
     def close(self) -> None:
@@ -166,6 +129,6 @@ class DurableStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DurableStore({self.directory!r}, seq={self._seq}, "
-            f"journal={len(self.wal)})"
+            f"DurableStore({self.directory!r}, seq={self.seq}, "
+            f"journal={self.journal_length})"
         )

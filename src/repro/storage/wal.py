@@ -35,6 +35,19 @@ Only the *suffix* is ever dropped — a valid prefix record is never
 discarded — and nothing past the checksum is interpreted, so torn bytes
 are never surfaced to callers.
 
+A failed CRC in the *middle* of the file costs the same thing — the
+suffix from that frame on, reported in ``torn_bytes_dropped`` — because
+nothing after a gap can be trusted to follow from what precedes it.
+
+Rewrite
+-------
+:meth:`WriteAheadLog.rewrite` replaces the whole log with a new record
+list: the frames go to ``<path>.tmp``, which is flushed and fsynced,
+``os.replace``\\ d onto the live name, and the directory entry is fsynced.
+Rename is atomic, so a crash leaves the whole old log or the whole new
+one; a stray ``.tmp`` found at open is a rewrite that never committed
+and is discarded.
+
 Checksums guard against *accidents* (torn writes, bit rot), not
 adversaries: a CRC-valid record is still untrusted input, and
 subsystems re-verify signatures on everything they recover (see
@@ -46,7 +59,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Any, Iterator, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import StorageError
 from repro.util.encoding import canonical_bytes, from_canonical_bytes
@@ -56,13 +69,27 @@ __all__ = ["WriteAheadLog", "FRAME_HEADER"]
 #: Frame header: payload length + CRC32, both unsigned 32-bit big-endian.
 FRAME_HEADER = struct.Struct(">II")
 
+#: Sibling a rewrite is staged in before it is renamed onto the log.
+TMP_SUFFIX = ".tmp"
+
 #: Refuse absurd lengths outright: a corrupted length prefix must not
 #: make the scanner try to allocate gigabytes before concluding "torn".
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 
+def _frame(record: Any) -> bytes:
+    """*record* as one on-disk frame (header + canonical payload)."""
+    payload = canonical_bytes(record)
+    if len(payload) > MAX_RECORD_BYTES:
+        raise StorageError(
+            f"WAL record of {len(payload)} bytes exceeds the "
+            f"{MAX_RECORD_BYTES}-byte frame limit"
+        )
+    return FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
 def _fsync_dir(path: str) -> None:
-    """Flush the directory entry so a fresh file survives a crash."""
+    """Flush the directory entry so a created or renamed file survives a crash."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # platform without directory fds — best effort
@@ -79,20 +106,26 @@ class WriteAheadLog:
     """An append-only record log with crash-consistent open semantics.
 
     Opening a log reads and validates every frame (truncating a torn
-    tail, see module docstring); the decoded records are available via
-    :meth:`records` and the log is then positioned for appends.
+    tail, see module docstring); the decoded records are handed over
+    once by :meth:`take_records` and the log is then positioned for
+    appends. It keeps a count of its frames, not decoded copies.
     """
 
     def __init__(self, path, sync: bool = True) -> None:
         self.path = str(path)
         self.sync = sync
-        self._records: List[Any] = []
         self.torn_bytes_dropped = 0
         self._closed = False
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
+        self._directory = os.path.dirname(self.path) or "."
+        os.makedirs(self._directory, exist_ok=True)
+        try:
+            os.remove(self.path + TMP_SUFFIX)  # a rewrite that never committed
+        except FileNotFoundError:
+            pass
         created = not os.path.exists(self.path)
+        self._records: List[Any] = []
         valid_end = self._scan_and_truncate()
+        self._count = len(self._records)
         self._fh = open(self.path, "ab")
         if self._fh.tell() != valid_end:  # pragma: no cover - defensive
             raise StorageError(
@@ -100,7 +133,7 @@ class WriteAheadLog:
                 f"found {self._fh.tell()}"
             )
         if created:
-            _fsync_dir(directory)
+            _fsync_dir(self._directory)
 
     # ------------------------------------------------------------------
     # Open-time scan
@@ -113,9 +146,8 @@ class WriteAheadLog:
         with open(self.path, "rb") as fh:
             data = fh.read()
         offset = 0
-        records: List[Any] = []
         while offset < len(data):
-            frame_end = self._try_frame(data, offset, records)
+            frame_end = self._try_frame(data, offset, self._records)
             if frame_end is None:
                 break
             offset = frame_end
@@ -125,7 +157,6 @@ class WriteAheadLog:
                 fh.truncate(offset)
                 fh.flush()
                 os.fsync(fh.fileno())
-        self._records = records
         return offset
 
     @staticmethod
@@ -152,27 +183,36 @@ class WriteAheadLog:
         return payload_end
 
     # ------------------------------------------------------------------
-    # Appending
+    # Writing
     # ------------------------------------------------------------------
 
     def append(self, record: Any) -> int:
         """Durably append *record*; returns its index in the log."""
         if self._closed:
             raise StorageError(f"WAL {self.path} is closed")
-        payload = canonical_bytes(record)
-        if len(payload) > MAX_RECORD_BYTES:
-            raise StorageError(
-                f"WAL record of {len(payload)} bytes exceeds the "
-                f"{MAX_RECORD_BYTES}-byte frame limit"
-            )
-        frame = FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        self._fh.write(frame)
-        self._fh.write(payload)
+        self._fh.write(_frame(record))
         self._fh.flush()
         if self.sync:
             os.fsync(self._fh.fileno())
-        self._records.append(record)
-        return len(self._records) - 1
+        self._count += 1
+        return self._count - 1
+
+    def rewrite(self, records: List[Any]) -> None:
+        """Atomically replace the whole log with *records* (see module
+        docstring): afterwards the file holds exactly their frames."""
+        if self._closed:
+            raise StorageError(f"WAL {self.path} is closed")
+        data = b"".join(_frame(record) for record in records)
+        tmp_path = self.path + TMP_SUFFIX
+        with open(tmp_path, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, self.path)
+        _fsync_dir(self._directory)
+        self._fh.close()
+        self._fh = open(self.path, "ab")
+        self._count = len(records)
 
     def flush(self) -> None:
         """Force buffered appends to disk (no-op when ``sync=True``)."""
@@ -185,25 +225,15 @@ class WriteAheadLog:
     # Reading and lifecycle
     # ------------------------------------------------------------------
 
-    def records(self) -> List[Any]:
-        """Every valid record, in append order (decoded copies)."""
-        return list(self._records)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(list(self._records))
+    def take_records(self) -> List[Any]:
+        """The valid records found at open, in append order — handed
+        over once, so a long-lived log does not pin its history."""
+        records, self._records = self._records, []
+        return records
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def truncate(self) -> None:
-        """Drop every record (post-compaction reset), durably."""
-        if self._closed:
-            raise StorageError(f"WAL {self.path} is closed")
-        self._fh.truncate(0)
-        self._fh.seek(0)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._records = []
+        """Frames in the file (found at open + appended since)."""
+        return self._count
 
     def close(self) -> None:
         if self._closed:
@@ -220,4 +250,4 @@ class WriteAheadLog:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"WriteAheadLog({self.path!r}, records={len(self._records)})"
+        return f"WriteAheadLog({self.path!r}, records={self._count})"

@@ -93,27 +93,9 @@ class VersionedObjectStore:
 
     def _recover(self) -> None:
         """Replay the journal through the full admission discipline."""
-        recovered = self.store.recover()
-        records: List[dict] = []
-        if recovered.snapshot is not None:
-            for obj in recovered.snapshot.get("objects", []):
-                records.append({"op": "register", "key_der": obj["key_der"]})
-                for grant in obj.get("grants", []):
-                    records.append(
-                        {"op": "grant", "oid": obj["oid"], "grant": grant}
-                    )
-                for delta in obj.get("deltas", []):
-                    records.append(
-                        {"op": "delta", "oid": obj["oid"], "delta": delta}
-                    )
-                if obj.get("frontier") is not None:
-                    records.append(
-                        {"op": "frontier", "oid": obj["oid"], "cert": obj["frontier"]}
-                    )
-        records.extend(recovered.records)
         replaying, self._replaying = getattr(self, "_replaying", False), True
         try:
-            for record in records:
+            for record in self.store.recover():
                 try:
                     op = record.get("op")
                     if op == "register":
@@ -136,10 +118,12 @@ class VersionedObjectStore:
                             str(record["oid"]),
                             FrontierCertificate.from_dict(record["cert"]),
                         )
+                    else:
+                        raise ReproError(f"unknown operation {op!r}")
                 except ReproError as exc:
                     raise RecoveryIntegrityError(
-                        "versioning store holds a record that no longer "
-                        f"verifies — failing recovery closed: {exc}"
+                        "versioning store holds a record that cannot be read "
+                        f"or no longer verifies — failing recovery closed: {exc}"
                     ) from exc
         finally:
             self._replaying = replaying
@@ -150,27 +134,32 @@ class VersionedObjectStore:
         with self.tracer.span("storage.journal", op=str(record.get("op", ""))):
             with self._compute():
                 self.store.append(record)
-                self.store.maybe_compact(self._snapshot_state)
+                self.store.maybe_compact(self._live_records)
 
-    def _snapshot_state(self) -> dict:
-        return {
-            "objects": [
-                {
-                    "oid": oid_hex,
-                    "key_der": state.object_key.der,
-                    "grants": [
-                        g.to_dict() for _, g in sorted(state.grants.items())
-                    ],
-                    "deltas": [d.to_dict() for d in state.dag.deltas],
-                    "frontier": (
-                        state.frontier_cert.to_dict()
-                        if state.frontier_cert is not None
-                        else None
-                    ),
-                }
-                for oid_hex, state in sorted(self._objects.items())
+    def _live_records(self) -> List[dict]:
+        """The shortest journal that replays to the live state: per
+        object its registration, every grant, the DAG parents-first,
+        then the one frontier certificate still held."""
+        records: List[dict] = []
+        for oid_hex, state in sorted(self._objects.items()):
+            records.append({"op": "register", "key_der": state.object_key.der})
+            records += [
+                {"op": "grant", "oid": oid_hex, "grant": g.to_dict()}
+                for _, g in sorted(state.grants.items())
             ]
-        }
+            records += [
+                {"op": "delta", "oid": oid_hex, "delta": d.to_dict()}
+                for d in state.dag.deltas
+            ]
+            if state.frontier_cert is not None:
+                cert = state.frontier_cert.to_dict()
+                records.append({"op": "frontier", "oid": oid_hex, "cert": cert})
+        return records
+
+    def compact(self) -> None:
+        """Rewrite the journal down to the live state (explicit compaction)."""
+        if self.store is not None:
+            self.store.compact(self._live_records())
 
     # ------------------------------------------------------------------
     # Admission (the untrusted write surface)

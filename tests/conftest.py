@@ -8,7 +8,10 @@ fixed epoch so expiry arithmetic in tests is readable.
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.crypto.identity import CertificateAuthority
 from repro.crypto.keys import KeyPair
@@ -22,6 +25,14 @@ EPOCH = 1_100_000_000.0
 
 #: Era-faithful and fast to generate; used for throwaway identities.
 FAST_BITS = 1024
+
+# The deep budget for the model-based (stateful) tests, run as a separate
+# CI job (``HYPOTHESIS_PROFILE=deep``). Without the variable nothing is
+# loaded: Hypothesis's own default stands for every property test, and
+# the state machines pin their own small tier-1 budget.
+settings.register_profile("deep", max_examples=1000, stateful_step_count=100)
+if "HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @pytest.fixture(autouse=True)

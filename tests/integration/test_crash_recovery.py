@@ -97,3 +97,69 @@ class TestTestbedRestart:
         # Condemned straight from the recovered cursor: no feed RPC ran.
         assert stack.revocation.stats.refreshes == 0
         restarted.close_stores()
+
+
+#: The six durable components, by where each keeps its log under the
+#: test's directory (the client's cursor lives beside the world).
+STORE_DIRS = {
+    "server": "world/objectserver/server",
+    "feed": "world/objectserver/feed",
+    "versioning": "world/objectserver/versioning",
+    "naming": "world/naming",
+    "location": "world/location",
+    "cursor": "cursor",
+}
+
+
+class TestUnreadableRecordFailsClosed:
+    @pytest.mark.parametrize("component", sorted(STORE_DIRS))
+    def test_unknown_op_behind_a_valid_history_refuses_to_recover(
+        self, tmp_path, component
+    ):
+        """A store that recovers *past* a record it cannot read restarts
+        short and vouches for nothing it lost: every component refuses."""
+        from repro.errors import RecoveryIntegrityError
+        from repro.revocation.statement import RevocationStatement
+        from repro.storage.store import DurableStore
+
+        data_dir = str(tmp_path / "world")
+        cursor_dir = str(tmp_path / "cursor")
+
+        def start(testbed):
+            return testbed.client_stack(
+                "sporty.cs.vu.nl",
+                revocation_max_staleness=60.0,
+                revocation_cursor_dir=cursor_dir,
+            )
+
+        # A valid history in all six logs.
+        testbed = Testbed(data_dir=data_dir, storage_sync=False)
+        owner = DocumentOwner("vu.nl/doc", keys=fast_keys(), clock=testbed.clock)
+        owner.put_element(PageElement("index.html", b"<html>fine</html>"))
+        owner.put_element(PageElement("old.html", b"<html>withdrawn</html>"))
+        published = testbed.publish(owner)
+        testbed.object_server.versioning.register_object(owner.public_key)
+        testbed.object_server.revocation_feed.publish(
+            RevocationStatement.revoke_element(
+                owner.keys, owner.oid, "old.html", cert_version=1, serial=1,
+                issued_at=testbed.clock.now(),
+            )
+        )
+        stack = start(testbed)
+        assert stack.proxy.handle(published.url("index.html")).ok
+        assert stack.revocation.head == 1
+        stack.revocation.store.close()
+        zone_keys, clock = testbed.zone_keys, testbed.clock
+        testbed.close_stores()
+
+        with DurableStore(str(tmp_path / STORE_DIRS[component]), sync=False) as store:
+            assert store.seq > 0
+            store.append({"op": "bogus"})
+
+        with pytest.raises(RecoveryIntegrityError, match="unknown operation 'bogus'"):
+            start(
+                Testbed(
+                    clock=clock, data_dir=data_dir, storage_sync=False,
+                    zone_keys=zone_keys,
+                )
+            )

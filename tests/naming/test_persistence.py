@@ -10,7 +10,6 @@ self-certifyingly or recovery fails closed.
 from __future__ import annotations
 
 import os
-import zlib
 
 import pytest
 
@@ -22,8 +21,7 @@ from repro.naming.records import OidRecord
 from repro.naming.service import NameService
 from repro.naming.zone import Zone, ZoneKeys
 from repro.naming.persistence import DurableNamingStore
-from repro.storage.wal import FRAME_HEADER
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.storage.wal import WriteAheadLog
 from tests.conftest import EPOCH, fast_keys
 
 
@@ -135,30 +133,32 @@ class TestForwardingRecovery:
     ):
         """A forwarding record whose redirect target was rewritten at
         rest would send every holder of the old OID to the attacker's
-        object — recovery must refuse it, not re-serve it."""
+        object — recovery must refuse it, not re-serve it, whether it
+        sits in the journal as published or inside a rewritten log."""
         record = self.forward(shared_keys, other_keys)
-        service, store = bound_store(tmp_path, zone_keys)
-        service.register_forwarding(record)
-        store.close()
-
         attacker_oid = ObjectId.from_public_key(fast_keys().public)
-        wal_path = os.path.join(str(tmp_path), "naming", "wal.log")
-        with open(wal_path, "rb") as fh:
-            data = fh.read()
-        length, _ = FRAME_HEADER.unpack_from(data, 0)
-        frame = from_canonical_bytes(data[FRAME_HEADER.size : FRAME_HEADER.size + length])
-        body = frame["__record__"]["record"]["envelope"]["payload"]["body"]
-        body["to_oid"] = attacker_oid.to_dict()
-        payload = canonical_bytes(frame)
-        with open(wal_path, "wb") as fh:
-            fh.write(FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
-            fh.write(payload)
+        for compacted in (False, True):
+            root = tmp_path / f"compacted-{compacted}"
+            service, store = bound_store(root, zone_keys)
+            service.register_forwarding(record)
+            if compacted:
+                store.compact()
+            store.close()
 
-        fresh = build_service(zone_keys)
-        store2 = DurableNamingStore(os.path.join(str(tmp_path), "naming"), sync=False)
-        with pytest.raises(RecoveryIntegrityError, match="tampered redirect.*signature invalid"):
-            store2.bind(fresh)
-        store2.close()
+            wal_path = os.path.join(str(root), "naming", "wal.log")
+            with WriteAheadLog(wal_path, sync=False) as wal:
+                records = wal.take_records()
+                for frame in records:
+                    if frame.get("op") == "forward":
+                        body = frame["record"]["envelope"]["payload"]["body"]
+                        body["to_oid"] = attacker_oid.to_dict()
+                wal.rewrite(records)  # CRC-valid: only the signature can tell
+
+            fresh = build_service(zone_keys)
+            store2 = DurableNamingStore(os.path.join(str(root), "naming"), sync=False)
+            with pytest.raises(RecoveryIntegrityError, match="tampered redirect.*signature invalid"):
+                store2.bind(fresh)
+            store2.close()
 
 
 class TestJournalHygiene:

@@ -28,7 +28,7 @@ from repro.revocation.checker import RevocationChecker
 from repro.revocation.feed import RevocationFeed
 from repro.revocation.statement import RevocationStatement
 from repro.storage.store import DurableStore
-from repro.storage.wal import FRAME_HEADER
+from repro.storage.wal import FRAME_HEADER, WriteAheadLog
 from repro.util.encoding import canonical_bytes, from_canonical_bytes
 from tests.conftest import EPOCH, fast_keys
 
@@ -91,6 +91,7 @@ class TestFeedPersistence:
             restarted.publish(revoke_key(shared_keys, oid, serial=3))
 
     def test_recovery_from_snapshot_plus_journal(self, tmp_path, shared_keys):
+        """A rewritten log plus what was appended to it since."""
         oid = ObjectId.from_public_key(shared_keys.public)
         feed = RevocationFeed(store=feed_store(tmp_path))
         feed.publish(revoke_key(shared_keys, oid, serial=1))
@@ -113,7 +114,7 @@ class TestFeedPersistence:
             data = fh.read()
         length, _ = FRAME_HEADER.unpack_from(data, 0)
         record = from_canonical_bytes(data[FRAME_HEADER.size : FRAME_HEADER.size + length])
-        record["__record__"]["statement"]["envelope"]["payload"]["body"]["serial"] = 99  # shadow a future serial
+        record["statement"]["envelope"]["payload"]["body"]["serial"] = 99  # shadow a future serial
         payload = canonical_bytes(record)
         with open(wal_path, "wb") as fh:
             fh.write(FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
@@ -224,16 +225,7 @@ class TestCheckerCursor:
         checker = self.make_checker(rpc, clock, tmp_path)
         feed.publish(revoke_key(shared_keys, oid))
         checker.refresh()
-        checker.store.compact(
-            {
-                "head": checker.head,
-                "statements": [
-                    s.to_dict()
-                    for statements in checker._by_oid.values()
-                    for s in statements
-                ],
-            }
-        )
+        checker.store.compact(checker._live_records())
         checker.store.close()
 
         rpc.down = True
@@ -244,38 +236,30 @@ class TestCheckerCursor:
 
     def test_tampered_cursor_fails_recovery_closed(self, tmp_path, clock, shared_keys):
         """A cursor store rewritten at rest must not be trusted: its head
-        would silently skip genuine revocations."""
+        would silently skip genuine revocations — whether the statement
+        sits in the journal as ingested or inside a rewritten log."""
         oid = ObjectId.from_public_key(shared_keys.public)
         feed = RevocationFeed()
         rpc = FeedRpc(feed)
-        checker = self.make_checker(rpc, clock, tmp_path)
         feed.publish(revoke_key(shared_keys, oid))
-        checker.refresh()
-        checker.store.close()
+        for name, compacted in (("journaled", False), ("rewritten", True)):
+            checker = self.make_checker(rpc, clock, tmp_path, name)
+            checker.refresh()
+            if compacted:
+                checker.store.compact(checker._live_records())
+            checker.store.close()
 
-        wal_path = os.path.join(str(tmp_path), "cursor", "wal.log")
-        with open(wal_path, "rb") as fh:
-            data = fh.read()
-        frames = []
-        offset = 0
-        while offset < len(data):
-            length, _ = FRAME_HEADER.unpack_from(data, offset)
-            start = offset + FRAME_HEADER.size
-            frames.append(from_canonical_bytes(data[start : start + length]))
-            offset = start + length
-        out = bytearray()
-        for record in frames:
-            statement = record.get("__record__", {}).get("statement")
-            if statement:
-                statement["envelope"]["payload"]["body"]["reason"] = "rewritten at rest"
-            payload = canonical_bytes(record)
-            out += FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-            out += payload
-        with open(wal_path, "wb") as fh:
-            fh.write(bytes(out))
+            wal_path = os.path.join(str(tmp_path), name, "wal.log")
+            with WriteAheadLog(wal_path, sync=False) as wal:
+                records = wal.take_records()
+                for record in records:
+                    if record.get("op") == "ingest":
+                        body = record["statement"]["envelope"]["payload"]["body"]
+                        body["reason"] = "rewritten at rest"
+                wal.rewrite(records)  # CRC-valid: only signatures can tell
 
-        with pytest.raises(RecoveryIntegrityError, match="failing recovery closed.*signature invalid"):
-            self.make_checker(rpc, clock, tmp_path)
+            with pytest.raises(RecoveryIntegrityError, match="failing recovery closed.*signature invalid"):
+                self.make_checker(rpc, clock, tmp_path, name)
 
 
 class TestHeadRegression:

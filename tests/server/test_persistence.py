@@ -8,7 +8,6 @@ disk, exactly as after a process kill.
 from __future__ import annotations
 
 import os
-import zlib
 
 import pytest
 
@@ -16,8 +15,7 @@ from repro.errors import RecoveryIntegrityError
 from repro.server.objectserver import ObjectServer
 from repro.server.persistence import ServerStateStore
 from repro.revocation.statement import RevocationStatement
-from repro.storage.wal import FRAME_HEADER
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.storage.wal import WriteAheadLog
 from tests.conftest import EPOCH, fast_keys
 
 
@@ -38,26 +36,14 @@ def signed_doc(make_owner):
 
 
 def rewrite_wal(path, mutate):
-    """Re-frame every WAL record after passing it through *mutate*.
-
-    Frames are rebuilt with correct lengths and CRCs, so the result is a
-    *CRC-valid* log — the tampering only the signature re-checks can see.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    out = bytearray()
-    offset = 0
-    while offset < len(data):
-        length, _ = FRAME_HEADER.unpack_from(data, offset)
-        start = offset + FRAME_HEADER.size
-        record = from_canonical_bytes(data[start : start + length])
-        mutate(record)
-        payload = canonical_bytes(record)
-        out += FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        out += payload
-        offset = start + length
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    """Pass every WAL record through *mutate* and write the log back
+    through the WAL itself, so the result is a *CRC-valid* log — the
+    tampering only the signature re-checks can see."""
+    with WriteAheadLog(path, sync=False) as wal:
+        records = wal.take_records()
+        for record in records:
+            mutate(record)
+        wal.rewrite(records)
 
 
 class TestRecovery:
@@ -130,6 +116,46 @@ class TestRecovery:
         assert restarted.recovered_replicas == 0
         restarted.close()
 
+    def test_crash_mid_revocation_leaves_the_entity_revocable(
+        self, tmp_path, clock, make_owner, monkeypatch
+    ):
+        """No compaction may land between an entity revocation's
+        ``replica.destroy`` records: the key is already out of the
+        keystore, so the rewritten log would keep the entity's remaining
+        replicas with no ``authorize`` — and after a crash nothing could
+        revoke them. The loop only appends; the ``revoke`` record that
+        follows it makes the one compaction check."""
+        creator = fast_keys()
+        server = make_server(tmp_path, clock)
+        server.keystore.authorize("creator", creator.public)
+        for i in range(3):
+            doc = make_owner(f"vu.nl/doc{i}").publish(validity=3600)
+            server.create_replica(doc, creator.public, "creator")
+        store = server.state_store.store
+        store.compact_every = 1  # any checked append now rewrites the log
+        real_append, appended = store.append, []
+
+        class Crash(Exception):
+            """The process died here."""
+
+        def dying_append(record):
+            if appended:  # one destroy is on disk; die before the second
+                raise Crash
+            appended.append(record)
+            return real_append(record)
+
+        monkeypatch.setattr(store, "append", dying_append)
+        with pytest.raises(Crash):
+            server.revoke_entity(creator.public)
+        assert appended[0]["op"] == "replica.destroy"
+        server.close()
+
+        restarted = make_server(tmp_path, clock)
+        assert restarted.recovered_replicas == 2
+        assert restarted.revoke_entity(creator.public) is True
+        assert restarted.replica_count == 0
+        restarted.close()
+
     def test_revocation_feed_survives_restart(self, tmp_path, clock, signed_doc):
         owner, doc = signed_doc
         server = make_server(tmp_path, clock)
@@ -192,15 +218,15 @@ class TestRecovery:
         restarted.close()
 
     def test_recovery_survives_compaction(self, tmp_path, clock, make_owner):
-        """State recovered from a snapshot (not just a journal replay)
-        carries the same replicas, re-verified the same way."""
+        """State recovered from a rewritten log carries the same
+        replicas as the journal it replaced, re-verified the same way."""
         server = make_server(tmp_path, clock)
         owners = []
         for i in range(3):
             owner = make_owner(f"vu.nl/doc{i}", {"p.html": f"page {i}".encode()})
             server.create_replica(owner.publish(validity=3600), owner.public_key, "o")
             owners.append(owner)
-        server.state_store.compact(server._durable_state())
+        server.compact()
         assert server.state_store.store.journal_length == 0
         server.close()
 
@@ -217,22 +243,27 @@ class TestFailClosed:
     def test_tampered_content_refused(self, tmp_path, clock, signed_doc):
         """CRC-valid tampering: the element bytes are swapped and every
         frame re-checksummed, so only the recovery-time signature check
-        stands between the attacker and the serve path. It must hold."""
+        stands between the attacker and the serve path. It must hold —
+        for the record as journaled and for the one a compaction wrote."""
         owner, doc = signed_doc
-        server = make_server(tmp_path, clock)
-        server.create_replica(doc, owner.public_key, "owner")
-        server.close()
 
         def swap_content(record):
-            document = record.get("__record__", {}).get("document")
+            document = record.get("document")
             if document:
                 for element in document["elements"]:
                     if element["name"] == "index.html":
                         element["content"] = b"evil!!!"
 
-        rewrite_wal(os.path.join(str(tmp_path), "server", "wal.log"), swap_content)
-        with pytest.raises(RecoveryIntegrityError, match="unproven bytes"):
-            make_server(tmp_path, clock)
+        for compacted in (False, True):
+            data_dir = tmp_path / f"compacted-{compacted}"
+            server = make_server(data_dir, clock)
+            server.create_replica(doc, owner.public_key, "owner")
+            if compacted:
+                server.compact()
+            server.close()
+            rewrite_wal(os.path.join(str(data_dir), "server", "wal.log"), swap_content)
+            with pytest.raises(RecoveryIntegrityError, match="unproven bytes"):
+                make_server(data_dir, clock)
 
     def test_swapped_public_key_refused(self, tmp_path, clock, signed_doc):
         """A key that does not hash to the OID breaks self-certification
@@ -245,7 +276,7 @@ class TestFailClosed:
         attacker = fast_keys()
 
         def swap_key(record):
-            document = record.get("__record__", {}).get("document")
+            document = record.get("document")
             if document:
                 document["public_key_der"] = attacker.public.der
 
@@ -256,11 +287,11 @@ class TestFailClosed:
     def test_unknown_journal_op_refused(self, tmp_path, clock):
         store = ServerStateStore(str(tmp_path), sync=False)
         store.store.append({"op": "install-backdoor"})
-        store.close()
+        store.store.close()
         reopened = ServerStateStore(str(tmp_path), sync=False)
         with pytest.raises(RecoveryIntegrityError, match="unknown operation"):
             reopened.recover()
-        reopened.close()
+        reopened.store.close()
 
     def test_tampered_feed_statement_refused(self, tmp_path, clock, signed_doc):
         """A revocation statement whose signature no longer verifies
@@ -272,10 +303,11 @@ class TestFailClosed:
             owner.keys, doc.oid, serial=1, issued_at=EPOCH, reason="compromise"
         )
         server.revocation_feed.publish(statement)
+        server.compact()  # the statement now sits inside a rewritten log
         server.close()
 
         def retarget(record):
-            statement_dict = record.get("__record__", {}).get("statement")
+            statement_dict = record.get("statement")
             if statement_dict:
                 statement_dict["envelope"]["payload"]["body"]["reason"] = (
                     "haha benign actually"

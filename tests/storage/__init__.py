@@ -1,1 +1,1 @@
-"""Durable storage layer: WAL, snapshots, and their composition."""
+"""Durable storage layer: the WAL and the per-component store over it."""

@@ -9,12 +9,18 @@ back wrong (bit rot, partial flush). This suite drives both models over
 * a valid prefix record is **never** discarded,
 * torn bytes are **never** surfaced to callers (no partially decoded
   record, no garbage record, nothing past the first bad frame).
+
+A compacted store is the same file in the same format, so the same
+contract holds for it: damage anywhere costs a suffix, reported — there
+is no older checkpoint to fall back to and so no way to come back with
+a hole in the middle (the defect the snapshot + journal layout had).
 """
 
 from __future__ import annotations
 
 import os
 
+from repro.storage.store import DurableStore
 from repro.storage.wal import FRAME_HEADER, WriteAheadLog
 from repro.util.encoding import canonical_bytes
 
@@ -69,7 +75,7 @@ class TestTruncationAtEveryOffset:
                 fh.write(data[:size])
             wal = WriteAheadLog(path, sync=False)
             keep = valid_prefix_count(boundaries, size)
-            assert wal.records() == RECORDS[:keep], f"truncated at {size}"
+            assert wal.take_records() == RECORDS[:keep], f"truncated at {size}"
             assert wal.torn_bytes_dropped == size - boundaries[keep], (
                 f"truncated at {size}: wrong torn accounting"
             )
@@ -84,11 +90,11 @@ class TestTruncationAtEveryOffset:
         with open(path, "wb") as fh:
             fh.write(data[: boundaries[3] + 5])  # record 3 torn mid-frame
         wal = WriteAheadLog(path, sync=False)
-        assert wal.records() == RECORDS[:3]
+        assert wal.take_records() == RECORDS[:3]
         wal.append({"i": "replacement"})
         wal.close()
         reopened = WriteAheadLog(path, sync=False)
-        assert reopened.records() == RECORDS[:3] + [{"i": "replacement"}]
+        assert reopened.take_records() == RECORDS[:3] + [{"i": "replacement"}]
         assert reopened.torn_bytes_dropped == 0
         reopened.close()
 
@@ -106,7 +112,7 @@ class TestCorruptionAtEveryOffset:
             with open(path, "wb") as fh:
                 fh.write(bytes(corrupted))
             wal = WriteAheadLog(path, sync=False)
-            records = wal.records()
+            records = wal.take_records()
             wal.close()
             assert records == RECORDS[:-1], f"flip at {offset}"
             # Nothing fabricated: the recovered list is a strict prefix of
@@ -125,7 +131,7 @@ class TestCorruptionAtEveryOffset:
         with open(path, "wb") as fh:
             fh.write(bytes(corrupted))
         wal = WriteAheadLog(path, sync=False)
-        assert wal.records() == RECORDS[:2]
+        assert wal.take_records() == RECORDS[:2]
         assert wal.torn_bytes_dropped == len(data) - boundaries[2]
         wal.close()
 
@@ -136,6 +142,36 @@ class TestCorruptionAtEveryOffset:
         with open(path, "wb") as fh:
             fh.write(bytes(corrupted))
         wal = WriteAheadLog(path, sync=False)
-        assert wal.records() == []
+        assert wal.take_records() == []
         assert wal.torn_bytes_dropped == len(data)
         wal.close()
+
+    def test_flip_every_byte_of_a_twice_compacted_store(self, tmp_path):
+        """Regression: with checkpoints in separate files, one flipped
+        byte in the newest made recovery fall back to its predecessor,
+        whose journal was already truncated — records 101–200 of 205
+        vanished with no error. In a rewritten log every byte, header
+        frame included, sits before everything that depends on it: any
+        flip yields a strict prefix of the model and says so."""
+        directory = str(tmp_path / "store")
+        model = []
+        with DurableStore(directory, sync=False) as store:
+            for i in range(12):
+                model.append({"op": "put", "i": i})
+                store.append(model[-1])
+                if i in (4, 9):  # the model is its own shortest journal
+                    store.compact(list(model))
+            assert store.seq == 12
+        path = os.path.join(directory, "wal.log")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for offset in range(len(data)):
+            corrupted = bytearray(data)
+            corrupted[offset] ^= 0xFF
+            with open(path, "wb") as fh:
+                fh.write(bytes(corrupted))
+            with DurableStore(directory, sync=False) as store:
+                records = store.recover()
+                assert store.wal.torn_bytes_dropped > 0, f"flip at {offset}: silent"
+                assert len(records) < len(model), f"flip at {offset}: full length"
+                assert records == model[: len(records)], f"flip at {offset}: hole"

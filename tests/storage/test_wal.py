@@ -27,9 +27,8 @@ class TestAppendAndReopen:
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
             for i, record in enumerate(RECORDS):
                 assert wal.append(record) == i
-            assert wal.records() == RECORDS
         reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
-        assert reopened.records() == RECORDS
+        assert reopened.take_records() == RECORDS
         assert reopened.torn_bytes_dropped == 0
         reopened.close()
 
@@ -38,20 +37,34 @@ class TestAppendAndReopen:
             wal.append(RECORDS[0])
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
             assert wal.append(RECORDS[1]) == 1
-            assert wal.records() == RECORDS[:2]
+        with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
+            assert wal.take_records() == RECORDS[:2]
 
     def test_iteration_and_len(self, tmp_path):
+        """``len`` counts frames — found at open plus appended since —
+        whether or not the decoded records are still held."""
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
-            for record in RECORDS:
+            for record in RECORDS[:2]:
                 wal.append(record)
-            assert list(wal) == RECORDS
+            assert len(wal) == 2
+        with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
+            assert list(wal.take_records()) == RECORDS[:2]
+            wal.append(RECORDS[2])
             assert len(wal) == len(RECORDS)
 
     def test_records_returns_copy(self, tmp_path):
+        """The records are handed over, not shared: the log keeps no
+        decoded copy — neither of what it read nor of what it appends —
+        so the caller's list is the only one."""
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
             wal.append(RECORDS[0])
-            wal.records().append("intruder")
-            assert wal.records() == [RECORDS[0]]
+        with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
+            taken = wal.take_records()
+            taken.append("intruder")
+            wal.append(RECORDS[1])
+            assert wal.take_records() == []
+        with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
+            assert wal.take_records() == RECORDS[:2]
 
     def test_creates_parent_directory(self, tmp_path):
         path = os.path.join(str(tmp_path), "deep", "nested", "wal.log")
@@ -62,7 +75,7 @@ class TestAppendAndReopen:
     def test_empty_file_is_empty_log(self, tmp_path):
         open(wal_path(tmp_path), "wb").close()
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
-            assert wal.records() == []
+            assert wal.take_records() == []
             assert wal.torn_bytes_dropped == 0
 
 
@@ -81,16 +94,29 @@ class TestDurabilityDiscipline:
         assert os.path.getsize(wal_path(tmp_path)) > 0
         wal.close()
 
-    def test_truncate_drops_everything_durably(self, tmp_path):
+    def test_rewrite_replaces_everything_atomically(self, tmp_path):
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
             for record in RECORDS:
                 wal.append(record)
-            wal.truncate()
-            assert wal.records() == []
-            assert os.path.getsize(wal_path(tmp_path)) == 0
-            wal.append(RECORDS[2])
+            wal.rewrite(RECORDS[:1])
+            assert len(wal) == 1
+            assert os.listdir(str(tmp_path)) == ["wal.log"]
+            expected = FRAME_HEADER.size + len(canonical_bytes(RECORDS[0]))
+            assert os.path.getsize(wal_path(tmp_path)) == expected
+            wal.append(RECORDS[2])  # lands in the new file, not the old inode
         reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
-        assert reopened.records() == [RECORDS[2]]
+        assert reopened.take_records() == [RECORDS[0], RECORDS[2]]
+        reopened.close()
+
+    def test_refused_rewrite_leaves_the_log_untouched(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.storage.wal.MAX_RECORD_BYTES", 64)
+        with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
+            wal.append(RECORDS[0])
+            with pytest.raises(StorageError, match="frame limit"):
+                wal.rewrite([RECORDS[1], {"blob": b"x" * 65}])
+            assert os.listdir(str(tmp_path)) == ["wal.log"]
+        reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
+        assert reopened.take_records() == [RECORDS[0]]
         reopened.close()
 
 
@@ -108,7 +134,7 @@ class TestLimitsAndLifecycle:
         with pytest.raises(StorageError, match="closed"):
             wal.append(RECORDS[0])
         with pytest.raises(StorageError, match="closed"):
-            wal.truncate()
+            wal.rewrite([])
 
     def test_double_close_is_noop(self, tmp_path):
         wal = WriteAheadLog(wal_path(tmp_path), sync=False)
@@ -127,7 +153,7 @@ class TestForeignBytes:
         with open(wal_path(tmp_path), "ab") as fh:
             fh.write(frame + garbage)
         reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
-        assert reopened.records() == [RECORDS[0]]
+        assert reopened.take_records() == [RECORDS[0]]
         assert reopened.torn_bytes_dropped == FRAME_HEADER.size + len(garbage)
         reopened.close()
 
@@ -137,6 +163,6 @@ class TestForeignBytes:
         with open(wal_path(tmp_path), "ab") as fh:
             fh.write(FRAME_HEADER.pack(0xFFFFFFFF, 0) + b"tiny")
         reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
-        assert reopened.records() == [RECORDS[0]]
+        assert reopened.take_records() == [RECORDS[0]]
         assert reopened.torn_bytes_dropped == FRAME_HEADER.size + 4
         reopened.close()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import zlib
-
 import pytest
 
 from repro.errors import (
@@ -13,8 +11,7 @@ from repro.errors import (
     UnauthorizedWriterError,
 )
 from repro.storage.store import DurableStore
-from repro.storage.wal import FRAME_HEADER
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.storage.wal import WriteAheadLog
 from repro.versioning import (
     DeltaDag,
     SignedDelta,
@@ -218,7 +215,7 @@ class TestRekey:
     def test_rekey_survives_compaction_and_recovery(
         self, clock, owner_keys, oid, make_writer, tmp_path
     ):
-        """Regression: the snapshot must retain the pre-re-key grant, or
+        """Regression: a compaction must retain the pre-re-key grant, or
         recovery replays the old-key deltas against the new grant alone
         and bricks startup with RecoveryIntegrityError."""
         store = VersionedObjectStore(
@@ -229,7 +226,7 @@ class TestRekey:
         store.put_delta(oid.hex, writer.put(dag, "body", b"old-key-history"))
         rekeyed = self.rekey_alice(store, owner_keys, oid, clock)
         store.put_delta(oid.hex, rekeyed.put(dag, "body", b"new-key-history"))
-        store.store.compact(store._snapshot_state())
+        store.compact()
         store.close()
         revived = VersionedObjectStore(
             clock=clock, store=DurableStore(str(tmp_path), sync=False)
@@ -301,7 +298,7 @@ class TestGossip:
 
 
 class TestDurability:
-    def publish(self, clock, owner_keys, oid, make_writer, data_dir):
+    def publish(self, clock, owner_keys, oid, make_writer, data_dir, compact=False):
         store = VersionedObjectStore(
             clock=clock, store=DurableStore(str(data_dir), sync=False)
         )
@@ -311,52 +308,53 @@ class TestDurability:
         store.put_delta(oid.hex, writer.put(dag, "body", b"durable-two"))
         merged = merge_deltas(dag.deltas, oid_hex=oid.hex)
         store.put_frontier_cert(oid.hex, writer.certify_frontier(merged))
+        if compact:
+            store.compact()
         store.close()
         return merged.digest_hex
 
     def test_restart_recovers_and_reverifies(
         self, clock, owner_keys, oid, make_writer, tmp_path
     ):
-        digest = self.publish(clock, owner_keys, oid, make_writer, tmp_path)
-        revived = VersionedObjectStore(
-            clock=clock, store=DurableStore(str(tmp_path), sync=False)
-        )
-        assert revived.recovered_deltas == 2
-        assert revived.reverified_deltas == 2
-        assert revived.recovered_grants == 1
-        bundle = revived.fetch(oid.hex)
-        merged = merge_deltas(
-            [SignedDelta.from_dict(d) for d in bundle["deltas"]], oid_hex=oid.hex
-        )
-        assert merged.digest_hex == digest
-        assert bundle["frontier_cert"] is not None
-        revived.close()
+        """The same DAG, grant and frontier certificate come back —
+        re-verified — from the journal and from its compacted rewrite."""
+        for compact in (False, True):
+            data_dir = tmp_path / f"compacted-{compact}"
+            digest = self.publish(clock, owner_keys, oid, make_writer, data_dir, compact)
+            revived = VersionedObjectStore(
+                clock=clock, store=DurableStore(str(data_dir), sync=False)
+            )
+            assert revived.recovered_deltas == 2
+            assert revived.reverified_deltas == 2
+            assert revived.recovered_grants == 1
+            bundle = revived.fetch(oid.hex)
+            merged = merge_deltas(
+                [SignedDelta.from_dict(d) for d in bundle["deltas"]], oid_hex=oid.hex
+            )
+            assert merged.digest_hex == digest
+            assert bundle["frontier_cert"] is not None
+            revived.close()
 
     def test_crc_valid_tamper_fails_closed(
         self, clock, owner_keys, oid, make_writer, tmp_path
     ):
         """An at-rest rewrite with a recomputed checksum must still be
-        caught: recovery re-verifies signatures, not just CRCs."""
-        self.publish(clock, owner_keys, oid, make_writer, tmp_path)
-        wal_path = tmp_path / "wal.log"
-        data = wal_path.read_bytes()
-        out = bytearray()
-        offset = 0
-        while offset < len(data):
-            length, _ = FRAME_HEADER.unpack_from(data, offset)
-            start = offset + FRAME_HEADER.size
-            record = from_canonical_bytes(data[start:start + length])
-            inner = record.get("__record__") or {}
-            if inner.get("op") == "delta":
-                inner["delta"]["envelope"]["payload"]["body"]["ops"][0][
-                    "content"
-                ] = b"EVIL"
-            payload = canonical_bytes(record)
-            out += FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-            out += payload
-            offset = start + length
-        assert bytes(out) != data
-        wal_path.write_bytes(bytes(out))
+        caught: recovery re-verifies signatures, not just CRCs — in the
+        journal as admitted and in the log a compaction rewrote."""
+        for compact in (False, True):
+            data_dir = tmp_path / f"compacted-{compact}"
+            self.publish(clock, owner_keys, oid, make_writer, data_dir, compact)
+            self.assert_tamper_fails_closed(clock, data_dir)
+
+    def assert_tamper_fails_closed(self, clock, tmp_path):
+        with WriteAheadLog(str(tmp_path / "wal.log"), sync=False) as wal:
+            records = wal.take_records()
+            deltas = [r for r in records if r.get("op") == "delta"]
+            assert deltas
+            for record in deltas:
+                body = record["delta"]["envelope"]["payload"]["body"]
+                body["ops"][0]["content"] = b"EVIL"
+            wal.rewrite(records)  # CRC-valid: only signatures can tell
         with pytest.raises(RecoveryIntegrityError, match="signature invalid"):
             VersionedObjectStore(
                 clock=clock, store=DurableStore(str(tmp_path), sync=False)
