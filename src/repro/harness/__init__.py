@@ -12,8 +12,9 @@ benches that guard everything built on top of them.
 * :mod:`~repro.harness.kernel` — the bench registry, the gate evaluator,
   the report envelope and the one bench runner.
 * the registered benches, one module each: ``security_bench``,
-  ``chaos``, ``revocation_bench``, ``recovery``, ``convergence``,
-  ``monitor``, ``profile_bench``.
+  ``chaos``, ``revocation_bench``, ``monitor``, ``profile_bench``
+  (crash recovery and multi-writer convergence are decided by tier-1
+  tests, not benched: see the rule in :mod:`~repro.harness.kernel`).
 * :mod:`~repro.harness.report` — text rendering of result tables and
   the ``bench-report`` summary.
 

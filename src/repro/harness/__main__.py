@@ -13,9 +13,8 @@ Usage::
     python -m repro.harness bench-report
 
 ``<bench>`` is any target in :data:`repro.harness.kernel.REGISTRY`:
-bench-security, chaos, revocation, recovery, convergence, monitor,
-profile. ``benches`` runs them all in that order and exits non-zero if
-any gate fails.
+bench-security, chaos, revocation, monitor, profile. ``benches`` runs
+them all in that order and exits non-zero if any gate fails.
 """
 
 from __future__ import annotations

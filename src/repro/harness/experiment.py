@@ -146,7 +146,7 @@ class Testbed:
         #: journals keystore + replicas + revocation feed under it, and
         #: the naming/location services journal their published records.
         #: A second Testbed pointed at the same directory recovers them
-        #: (the recovery harness's restart primitive).
+        #: (the restart primitive of ``tests/integration/test_crash_recovery.py``).
         self.data_dir = data_dir
         self.storage_sync = storage_sync
         #: Zone signing keys to reuse (restart): the key ceremony is

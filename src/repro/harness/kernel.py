@@ -11,7 +11,12 @@ report writer; :data:`REGISTRY` is what the CLI, CI (``benches``) and
 ``bench-report`` iterate.
 
 A new bench is a module with a ``TARGET`` plus one line in
-:data:`_BENCH_MODULES`.
+:data:`_BENCH_MODULES`. A bench measures, a test decides: a gate belongs
+here only if it thresholds a number the run *measures* (a speed-up, a
+throughput multiple, availability per drop rate, containment seconds,
+alert latency, attribution error). A yes/no on a deterministic run is a
+tier-1 assertion — ``tests/harness/test_kernel.py::PINNED_GATES`` names,
+for every gate retired under this rule, the test that decides it.
 """
 
 from __future__ import annotations
@@ -47,8 +52,6 @@ _BENCH_MODULES = (
     "security_bench",
     "chaos",
     "revocation_bench",
-    "recovery",
-    "convergence",
     "monitor",
     "profile_bench",
 )

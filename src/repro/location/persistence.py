@@ -37,8 +37,7 @@ class DurableLocationStore:
     def bind(self, service) -> None:
         """Replay persisted addresses into *service*, then journal
         through it. Call after the domain tree's sites are attached."""
-        for record in self.store.recover():
-            self._reduce(record)
+        self.store.replay(self._reduce)
         for (oid, site), addresses in sorted(self._entries.items()):
             for address in addresses:
                 try:

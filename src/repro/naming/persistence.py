@@ -49,8 +49,7 @@ class DurableNamingStore:
         Call after the service's zones are attached (records re-register
         into the authoritative zone, which must exist to re-sign them).
         """
-        for record in self.store.recover():
-            self._reduce(record)
+        self.store.replay(self._reduce)
         for name, record in self._records.items():
             try:
                 service.register(OidRecord.from_dict(record["record"]))

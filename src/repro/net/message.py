@@ -48,12 +48,10 @@ class Request:
             raise TransportError(f"undecodable request frame: {exc}") from exc
         if not isinstance(decoded, dict) or decoded.get("kind") != "request":
             raise TransportError("malformed request frame")
-        ctx = decoded.get("ctx")
-        return cls(
-            op=str(decoded["op"]),
-            args=dict(decoded.get("args", {})),
-            ctx=ctx if isinstance(ctx, dict) else None,
-        )
+        op, args, ctx = decoded.get("op"), decoded.get("args", {}), decoded.get("ctx")
+        if not isinstance(op, str) or not isinstance(args, dict):
+            raise TransportError("malformed request frame: op or args mistyped")
+        return cls(op=op, args=dict(args), ctx=ctx if isinstance(ctx, dict) else None)
 
     @property
     def wire_size(self) -> int:
@@ -101,8 +99,10 @@ class Response:
             raise TransportError(f"undecodable response frame: {exc}") from exc
         if not isinstance(decoded, dict) or decoded.get("kind") != "response":
             raise TransportError("malformed response frame")
+        if not isinstance(decoded.get("ok"), bool):
+            raise TransportError("malformed response frame: ok absent or mistyped")
         return cls(
-            ok=bool(decoded["ok"]),
+            ok=decoded["ok"],
             value=decoded.get("value"),
             error=str(decoded.get("error", "")),
             error_type=str(decoded.get("error_type", "")),

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.errors import RpcError, SecurityError, TransportError
 from repro.net.rpc import BatchCall, BatchOutcome, DEFAULT_WINDOW
@@ -74,10 +74,7 @@ class RetryPolicy:
     and spread by ``jitter`` (a ±fraction drawn from the seeded RNG, so
     a fleet of clients retrying the same dead replica decorrelates
     deterministically). ``deadline`` caps the *total* time (clock time,
-    including backoff) one logical call may consume across attempts;
-    ``call_timeout`` is advisory per-attempt budget for transports that
-    support interruption (the in-process transports are synchronous and
-    cannot be interrupted mid-call).
+    including backoff) one logical call may consume across attempts.
     """
 
     max_attempts: int = 3
@@ -86,7 +83,6 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.1
     deadline: Optional[float] = None
-    call_timeout: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -98,10 +94,8 @@ class RetryPolicy:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        for name in ("deadline", "call_timeout"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if self.deadline is not None and self.deadline <= 0:
+            raise ValueError(f"deadline must be positive, got {self.deadline}")
 
     def delay_for(self, attempt: int, rng) -> float:
         """Backoff before retry number *attempt* (1-based failed tries)."""
@@ -143,7 +137,6 @@ class RetryingRpcClient:
         policy: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
         health=None,
-        idempotent: Optional[Callable[[str], bool]] = None,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -151,7 +144,6 @@ class RetryingRpcClient:
         self.policy = policy if policy is not None else RetryPolicy()
         self.clock = clock if clock is not None else RealClock()
         self.health = health
-        self._idempotent = idempotent if idempotent is not None else is_idempotent
         self._rng = make_rng(self.policy.seed)
         self.counters = RetryCounters()
         #: Records one ``rpc.attempt`` span per try; a failed-but-retried
@@ -179,7 +171,7 @@ class RetryingRpcClient:
 
     def call(self, target, op: str, **args: Any) -> Any:
         policy = self.policy
-        retryable = self._idempotent(op)
+        retryable = is_idempotent(op)
         start = self.clock.now()
         attempt = 0
         while True:
@@ -270,7 +262,7 @@ class RetryingRpcClient:
                         continue
                     self._note_failure(call.target)
                     retryable = (
-                        self._idempotent(call.op) and attempt < policy.max_attempts
+                        is_idempotent(call.op) and attempt < policy.max_attempts
                     )
                     if retryable:
                         delay = policy.delay_for(attempt, self._rng)

@@ -176,6 +176,14 @@ _REHYDRATABLE = {
 }
 
 
+def _remote_error(response: Response) -> Exception:
+    """The exception a failure *response* transports, rehydrated."""
+    exc_cls = _REHYDRATABLE.get(response.error_type)
+    if exc_cls is not None:
+        return exc_cls(response.error)
+    return RpcError(f"{response.error_type or 'RemoteError'}: {response.error}")
+
+
 class RpcClient:
     """Client-side call helper over any :class:`Transport`.
 
@@ -235,10 +243,7 @@ class RpcClient:
                 self._m_calls.labels(op=op, outcome="ok").inc()
                 return response.value
             self._m_calls.labels(op=op, outcome="error").inc()
-            exc_cls = _REHYDRATABLE.get(response.error_type)
-            if exc_cls is not None:
-                raise exc_cls(response.error)
-            raise RpcError(f"{response.error_type or 'RemoteError'}: {response.error}")
+            raise _remote_error(response)
 
     # ------------------------------------------------------------------
     # Pipelined batches
@@ -322,10 +327,4 @@ class RpcClient:
             self._m_calls.labels(op=call.op, outcome="ok").inc()
             return BatchOutcome(call=call, value=response.value)
         self._m_calls.labels(op=call.op, outcome="error").inc()
-        exc_cls = _REHYDRATABLE.get(response.error_type)
-        if exc_cls is not None:
-            return BatchOutcome(call=call, error=exc_cls(response.error))
-        return BatchOutcome(
-            call=call,
-            error=RpcError(f"{response.error_type or 'RemoteError'}: {response.error}"),
-        )
+        return BatchOutcome(call=call, error=_remote_error(response))

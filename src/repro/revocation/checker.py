@@ -36,7 +36,6 @@ from typing import Dict, List, Optional
 from repro.errors import (
     FeedRegressionError,
     NetworkError,
-    RecoveryIntegrityError,
     RevocationStalenessError,
     RevokedElementError,
     RevokedKeyError,
@@ -161,28 +160,24 @@ class RevocationChecker:
         cursor store was tampered with, and trusting the head it came
         with would silently skip genuine revocations.
         """
-        for record in self.store.recover():
-            op = record.get("op")
+
+        def admit(record) -> None:
+            op = record["op"]
             if op == "head":
                 self._head = max(self._head, int(record["head"]))
-                continue
-            try:
-                if op != "ingest":
-                    raise ValueError(f"unknown operation {op!r}")
-                statement = RevocationStatement.from_dict(record["statement"])
-                statement.verify(clock=self.clock)
-            except Exception as exc:
-                raise RecoveryIntegrityError(
-                    "revocation cursor store holds a record that cannot be "
-                    "read or a statement that no longer verifies — failing "
-                    f"recovery closed: {exc}"
-                ) from exc
+                return
+            if op != "ingest":
+                raise ValueError(f"unknown operation {op!r}")
+            statement = RevocationStatement.from_dict(record["statement"])
+            statement.verify(clock=self.clock)
             known = self._by_oid.setdefault(statement.oid_hex, [])
             if any(s.serial == statement.serial for s in known):
-                continue
+                return
             known.append(statement)
             self.stats.statements_recovered += 1
             self._purge_caches(statement)
+
+        self.store.replay(admit)
         # _synced_at stays None: a recovered view proves what *was*
         # revoked, never that nothing new is — the first check still
         # refreshes (or fails closed on staleness) before vouching.

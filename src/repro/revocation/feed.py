@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.errors import RecoveryIntegrityError, ReproError
+from repro.errors import ReproError
 from repro.revocation.statement import RevocationStatement
 from repro.util.encoding import canonical_bytes
 
@@ -68,20 +68,14 @@ class RevocationFeed:
 
     def _recover(self) -> None:
         """Replay the persisted log through the full publish discipline."""
-        for record in self.store.recover():
-            try:
-                if record.get("op") != "publish":
-                    raise ReproError(f"unknown operation {record.get('op')!r}")
-                self._publish_in_memory(
-                    RevocationStatement.from_dict(record["statement"])
-                )
-            except ReproError as exc:
-                raise RecoveryIntegrityError(
-                    f"revocation feed store holds a record that cannot be read "
-                    f"or no longer verifies — refusing to recover a poisoned "
-                    f"log: {exc}"
-                ) from exc
+
+        def admit(record) -> None:
+            if record["op"] != "publish":
+                raise ReproError(f"unknown operation {record['op']!r}")
+            self._publish_in_memory(RevocationStatement.from_dict(record["statement"]))
             self.recovered += 1
+
+        self.store.replay(admit)
 
     # ------------------------------------------------------------------
     # Publishing

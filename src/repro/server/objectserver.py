@@ -127,7 +127,7 @@ class ObjectServer:
         #: Operational events for the admin interface (entity
         #: revocations with the replicas they tore down).
         self.notices: List[Dict[str, Any]] = []
-        #: Recovery accounting for the recovery bench gates.
+        #: Recovery accounting: what a restart reloaded and re-proved.
         self.recovered_replicas = 0
         self.reverified_replicas = 0
         if state_store is not None:

@@ -124,8 +124,7 @@ class ServerStateStore:
         """Reduce the journal to final state; re-verify replicas."""
         keystore: Dict[bytes, str] = {}
         replicas: Dict[str, dict] = {}
-        for record in self.store.recover():
-            self._apply(record, keystore, replicas)
+        self.store.replay(lambda record: self._apply(record, keystore, replicas))
         state = RecoveredServerState(
             keystore_entries=[(label, der) for der, label in keystore.items()]
         )

@@ -17,11 +17,12 @@ Recovery contract
 :meth:`recover` returns the one input of every recovery: the records
 to replay, oldest first. **The store validates framing and checksums
 only.** Recovered payloads are untrusted input — exactly as untrusted
-as bytes fetched from a replica — and each subsystem must replay them
-through its admission path, re-verifying signatures /
-self-certification before serving anything, and fail closed
-(:class:`~repro.errors.RecoveryIntegrityError`) on a record it cannot
-read or that does not check out.
+as bytes fetched from a replica — so each subsystem hands
+:meth:`replay` its admission path, which re-verifies signatures /
+self-certification before anything is served. A record that path
+cannot read (not a mapping, an unknown ``op``, a missing or mistyped
+field) or that does not check out fails the whole recovery closed with
+one exception, :class:`~repro.errors.RecoveryIntegrityError`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, List, Optional
 
-from repro.errors import StorageError
+from repro.errors import RecoveryIntegrityError, ReproError, StorageError
 from repro.storage.wal import TMP_SUFFIX, WriteAheadLog
 
 __all__ = ["DurableStore"]
@@ -90,6 +91,21 @@ class DurableStore:
             raise StorageError(f"{self.directory} was already recovered")
         records, self._records = self._records, None
         return records
+
+    def replay(self, admit: Callable[[Any], None]) -> None:
+        """:meth:`recover`, each record through the owner's *admit*; the
+        first one it cannot read or verify refuses the whole recovery."""
+        for record in self.recover():
+            try:
+                admit(record)
+            except RecoveryIntegrityError:
+                raise
+            except (ReproError, AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise RecoveryIntegrityError(
+                    f"{self.directory} holds a record that cannot be read or no "
+                    "longer verifies — failing recovery closed rather than "
+                    f"replay a poisoned log: {type(exc).__name__}: {exc}"
+                ) from exc
 
     # ------------------------------------------------------------------
     # Journaling

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.keys import PublicKey
 from repro.errors import (
-    RecoveryIntegrityError,
     ReplicaError,
     ReproError,
     UnauthorizedWriterError,
@@ -80,7 +79,7 @@ class VersionedObjectStore:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._compute = compute_context if compute_context is not None else nullcontext
         self._objects: Dict[str, _ObjectState] = {}
-        #: Recovery accounting for the convergence bench gates.
+        #: Recovery accounting: what a restart reloaded and re-proved.
         self.recovered_deltas = 0
         self.reverified_deltas = 0
         self.recovered_grants = 0
@@ -93,38 +92,35 @@ class VersionedObjectStore:
 
     def _recover(self) -> None:
         """Replay the journal through the full admission discipline."""
+
+        def admit(record) -> None:
+            op = record["op"]
+            if op == "register":
+                self.register_object(PublicKey(der=bytes(record["key_der"])))
+            elif op == "grant":
+                added = self.put_grant(
+                    str(record["oid"]), WriterGrant.from_dict(record["grant"])
+                )
+                if added:
+                    self.recovered_grants += 1
+            elif op == "delta":
+                added = self.put_delta(
+                    str(record["oid"]), SignedDelta.from_dict(record["delta"])
+                )
+                if added:
+                    self.recovered_deltas += 1
+                    self.reverified_deltas += 1
+            elif op == "frontier":
+                self.put_frontier_cert(
+                    str(record["oid"]),
+                    FrontierCertificate.from_dict(record["cert"]),
+                )
+            else:
+                raise ReproError(f"unknown operation {op!r}")
+
         replaying, self._replaying = getattr(self, "_replaying", False), True
         try:
-            for record in self.store.recover():
-                try:
-                    op = record.get("op")
-                    if op == "register":
-                        self.register_object(PublicKey(der=bytes(record["key_der"])))
-                    elif op == "grant":
-                        added = self.put_grant(
-                            str(record["oid"]), WriterGrant.from_dict(record["grant"])
-                        )
-                        if added:
-                            self.recovered_grants += 1
-                    elif op == "delta":
-                        added = self.put_delta(
-                            str(record["oid"]), SignedDelta.from_dict(record["delta"])
-                        )
-                        if added:
-                            self.recovered_deltas += 1
-                            self.reverified_deltas += 1
-                    elif op == "frontier":
-                        self.put_frontier_cert(
-                            str(record["oid"]),
-                            FrontierCertificate.from_dict(record["cert"]),
-                        )
-                    else:
-                        raise ReproError(f"unknown operation {op!r}")
-                except ReproError as exc:
-                    raise RecoveryIntegrityError(
-                        "versioning store holds a record that cannot be read "
-                        f"or no longer verifies — failing recovery closed: {exc}"
-                    ) from exc
+            self.store.replay(admit)
         finally:
             self._replaying = replaying
 
@@ -369,8 +365,9 @@ def gossip_once(
     Pulls the peer's grants and the deltas this store lacks (re-verified
     on admission — the peer is as untrusted as any replica), then pushes
     back everything the peer reported missing. After one round with a
-    reachable, honest peer both DAGs are equal; the convergence bench
-    asserts exactly that. Returns {pulled, pushed} counts.
+    reachable, honest peer both DAGs are equal
+    (``tests/versioning/test_convergence.py`` asserts exactly that over
+    generated histories). Returns {pulled, pushed} counts.
 
     ``tracer`` (optional) wraps the round in a ``gossip.run`` span —
     the root of a gossip trace, with every peer RPC (and, through the

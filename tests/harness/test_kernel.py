@@ -106,8 +106,7 @@ class TestRunTarget:
 class TestRegistry:
     def test_targets_in_ci_order(self):
         assert list(REGISTRY) == [
-            "bench-security", "chaos", "revocation", "recovery",
-            "convergence", "monitor", "profile",
+            "bench-security", "chaos", "revocation", "monitor", "profile",
         ]
 
     def test_names_and_report_files_are_distinct(self):
@@ -174,44 +173,63 @@ PINNED_GATES = {
         "feed_refreshes": 2,
         "overhead_ratio": 2.5,
     },
-    "recovery": {
-        "replica.recovered": RELATIVE,
-        "replica.reverified": RELATIVE,
-        "replica.naming_records": RELATIVE,
-        "replica.location_addresses": RELATIVE,
-        "replica.accesses_ok": RELATIVE,
-        "replica.content_intact": True,
-        "replica.post_restart_publish": True,
-        "revocation.feed_head": RELATIVE,
-        "revocation.cursor_statements": 1,
-        "revocation.rejected_from_disk": True,
-        "revocation.refreshes_at_rejection": 0,
-        "revocation.rejection_error": "RevokedKeyError",
-        "revocation.staleness_reset": True,
-        "revocation.clean_access_after_sync": True,
-        "revocation.head_after_sync": RELATIVE,
-        "revocation.regression_detected": True,
-        "torn.bytes_dropped": 0,
-        "torn.recovered": RELATIVE,
-        "torn.accesses_ok": RELATIVE,
-        "tamper.failed_closed": True,
-    },
-    "convergence": {
-        "partitioned.byte_identical": True,
-        "partitioned.deltas": RELATIVE,
-        "partitioned.gossip_exchanged": 0,
-        # No adversarial.scenarios / adversarial[<scenario>].no_leak /
-        # .exact_error gates: tests/attacks/test_versioning_attacks.py
-        # decides every VERSIONING_SCENARIOS cell (test_scenario_rejected_
-        # fail_closed) and that the matrix is complete (test_matrix_covers_
-        # every_scenario). No merge.samples gate: merge cost is perf/'s
-        # versioning.merge_us_per_delta.
-        "recovery.recovered_deltas": RELATIVE,
-        "recovery.reverified_deltas": RELATIVE,
-        "recovery.digest_intact": True,
-        "recovery.frontier_cert": True,
-        "recovery.tamper_failed_closed": True,
-    },
+    # No "recovery" bench (20 gates) and no "convergence" bench (8): each
+    # was a yes/no on a deterministic run, which a bench does not gate
+    # (the rule is in repro.harness.kernel). The tier-1 assertion that
+    # makes each gate's own comparison, under tests/:
+    #
+    # integration/test_crash_recovery.py::TestTestbedRestart::
+    # test_restarted_testbed_serves_identical_bytes (compacted logs,
+    # three restarts, the second over a torn tail), per restart:
+    #   replica.recovered           recovered_replicas == documents
+    #   replica.reverified          reverified_replicas == recovered_replicas
+    #   replica.naming_records      naming recovered_records >= documents
+    #   replica.location_addresses  location recovered_addresses >= documents
+    #   replica.accesses_ok         every element's response.ok
+    #   replica.content_intact      ... and content == what was published
+    #   replica.post_restart_publish  a new publish fetched back
+    #   torn.bytes_dropped          torn_bytes_dropped == 108 on the torn restart
+    #   torn.recovered, torn.accesses_ok  the same counts on that restart
+    # the per-store halves: server/test_persistence.py::TestRecovery
+    # (::test_recovery_survives_compaction), ::TestFailClosed::
+    # test_torn_server_journal_recovers_prefix, storage/test_torn_writes.py,
+    # naming/ and location/test_persistence.py (recovered_* counts).
+    #
+    # ...::TestTestbedRestart::test_restarted_client_rejects_revoked_
+    # before_any_rpc:
+    #   revocation.feed_head              feed.head == head before the kill
+    #   revocation.cursor_statements      statements_recovered == 1
+    #   revocation.staleness_reset        checker.staleness is None
+    #   revocation.rejected_from_disk     status == 403
+    #   revocation.rejection_error        security_failure == "RevokedKeyError"
+    #   revocation.refreshes_at_rejection refreshes == 0
+    #   revocation.clean_access_after_sync  the clean OID's response.ok
+    #   revocation.head_after_sync        checker.head == feed.head
+    # the per-store halves: revocation/test_persistence.py::TestCheckerCursor
+    # (no RPC with the feed down, no vouching without a sync, resuming from
+    # the persisted head), server/test_persistence.py::TestRecovery::
+    # test_revocation_feed_survives_restart.
+    #   revocation.regression_detected  revocation/test_persistence.py::
+    #     TestHeadRegression::test_refresh_fails_closed_on_regressed_head
+    #   tamper.failed_closed  server/test_persistence.py::TestFailClosed::
+    #     test_tampered_content_refused
+    #
+    # versioning/test_convergence.py::test_partitioned_writers_converge_
+    # after_one_gossip_round (generated writers x rounds x seed):
+    #   partitioned.byte_identical    one digest over servers and readers
+    #   partitioned.deltas            each server serves writers * rounds deltas
+    #   partitioned.gossip_exchanged  pulled + pushed > 0
+    # versioning/test_store.py::TestDurability::test_restart_recovers_and_
+    # reverifies (journal and compacted rewrite):
+    #   recovery.recovered_deltas, recovery.reverified_deltas,
+    #   recovery.digest_intact, recovery.frontier_cert
+    # ...::TestDurability::test_crc_valid_tamper_fails_closed:
+    #   recovery.tamper_failed_closed
+    #
+    # (The former convergence bench's adversarial.* gates:
+    # tests/attacks/test_versioning_attacks.py decides every
+    # VERSIONING_SCENARIOS cell; its merge.samples: perf/'s
+    # versioning.merge_us_per_delta.)
     "monitor": {
         **{
             f"reached[{rule}.{transition}]": True

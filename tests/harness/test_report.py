@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 from repro.harness.fig4 import Fig4Row
@@ -123,15 +124,17 @@ class TestBenchAggregation:
 
 
 class TestConvergenceSection:
-    """The convergence bench's rows in the ``bench-report`` table."""
+    """The partition/heal rows (``converged``, ``gossip_exchanged``) of
+    the bench that still runs one, ``profile``, in the ``bench-report``
+    table."""
 
     def section(self, report) -> str:
-        from repro.harness.convergence import TARGET, criteria
+        from repro.harness.profile_bench import TARGET, criteria
         from repro.harness.report import render_bench_summary
 
         return render_bench_summary(
             {
-                "convergence": {
+                "profile": {
                     "name": TARGET.name,
                     "quick": False,
                     "criteria": [vars(c) for c in criteria(report)],
@@ -139,38 +142,33 @@ class TestConvergenceSection:
             }
         )
 
-    def report(self):
-        from tests.harness.test_convergence_unit import clean_report
-
-        return clean_report()
-
     def test_absent_report_renders_nothing(self):
         from repro.harness.report import render_bench_summary
 
-        assert "convergence" not in render_bench_summary({})
-        out = render_bench_summary({"convergence": {"error": "x"}})
+        assert "profile" not in render_bench_summary({})
+        out = render_bench_summary({"profile": {"error": "x"}})
         assert "unreadable" in out and "PASS" not in out
 
-    def test_full_report_digest(self):
-        out = self.section(self.report())
-        assert "partitioned.byte_identical" in out
-        assert "recovery.recovered_deltas" in out
-        assert "recovery.tamper_failed_closed" in out
+    def test_full_report_digest(self, quick_report):
+        out = self.section(quick_report("profile"))
+        assert "converged" in out
+        assert "gossip_exchanged" in out
+        assert "rejection[check.element_hash]" in out
         assert "FAIL" not in out and "full" in out
 
-    def test_divergence_and_tamper_acceptance_shout(self):
-        report = self.report()
-        report.partitioned.byte_identical = False
-        report.recovery.tamper_failed_closed = False
+    def test_divergence_and_tamper_acceptance_shout(self, quick_report):
+        report = copy.deepcopy(quick_report("profile"))
+        report["workload"]["converged"] = False
+        del report["security_rejections"]["check.element_hash"]
         out = self.section(report)
-        assert "FAIL: replicas/readers diverged after healing" in out
-        assert "FAIL: tampered (CRC-valid) delta store was accepted" in out
+        assert "FAIL: servers did not converge after gossip" in out
+        assert "FAIL: expected 'check.element_hash' to reject with" in out
         assert "2 failing" in out
 
     def test_partial_report_tolerated(self):
         from repro.harness.report import render_bench_summary
 
-        out = render_bench_summary({"convergence": {"partitioned": {"deltas": 6}}})
+        out = render_bench_summary({"profile": {"workload": {"reads": 6}}})
         assert "no criteria envelope" in out
-        out = render_bench_summary({"convergence": {"criteria": [{"name": "x"}]}})
+        out = render_bench_summary({"profile": {"criteria": [{"name": "x"}]}})
         assert "FAIL" in out

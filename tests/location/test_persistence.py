@@ -95,7 +95,7 @@ class TestRecovery:
         assert [a["replica_id"] for a in answer["addresses"]] == ["replica@ginger"]
         store2.close()
 
-    def test_recovery_from_snapshot(self, tmp_path):
+    def test_recovery_from_compacted_log(self, tmp_path):
         service, store = bound_store(tmp_path)
         service.insert(OID, "root/europe/vu", address("ginger").to_dict())
         store.compact()

@@ -91,7 +91,7 @@ class TestRecordRecovery:
         assert restarted.zone("nl/vu").zone.lookup("vu.nl/doc").oid.hex == oid_b.hex
         store2.close()
 
-    def test_recovery_from_snapshot(self, tmp_path, zone_keys, shared_keys):
+    def test_recovery_from_compacted_log(self, tmp_path, zone_keys, shared_keys):
         oid = ObjectId.from_public_key(shared_keys.public)
         service, store = bound_store(tmp_path, zone_keys)
         service.register(OidRecord(name="vu.nl/doc", oid=oid, ttl=300.0))

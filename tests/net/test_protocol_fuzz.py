@@ -7,13 +7,13 @@ crash with anything other than the library's typed errors.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, TransportError, UrlError
 from repro.globedoc.urls import HybridUrl
 from repro.net.message import Request, Response
-from repro.util.encoding import from_canonical_bytes
+from repro.util.encoding import from_canonical_bytes, to_wire
 
 # Arguments that survive the canonical codec.
 _args = st.dictionaries(
@@ -53,6 +53,30 @@ class TestRequestFuzz:
             Response.from_bytes(junk)
         except TransportError:
             pass
+
+    @given(
+        st.sampled_from(["request", "response"]),
+        st.dictionaries(
+            st.sampled_from(["op", "args", "ctx", "ok", "value", "error", "error_type"]),
+            st.one_of(st.none(), st.booleans(), st.integers(0, 9), st.text(max_size=4), _args),
+        ),
+    )
+    @example("response", {})  # no ``ok``
+    @example("request", {})
+    @example("request", {"op": "x", "args": "ab"})
+    @settings(max_examples=150)
+    def test_well_formed_frame_with_absent_or_mistyped_fields(self, kind, fields):
+        """Bytes that *do* decode to a frame of the right kind: every
+        field may still be missing or of any type."""
+        frame = to_wire({"kind": kind, **fields})
+        try:
+            decoded = (Request if kind == "request" else Response).from_bytes(frame)
+        except TransportError:
+            return
+        if kind == "request":
+            assert isinstance(decoded.op, str) and isinstance(decoded.args, dict)
+        else:
+            assert isinstance(decoded.ok, bool)
 
 
 class TestResponseFuzz:

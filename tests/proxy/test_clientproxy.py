@@ -15,6 +15,7 @@ from repro.net.message import Request, Response
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
 from repro.proxy.pipeline import PipelineConfig
+from repro.util.encoding import to_wire
 from tests.proxy.conftest import ELEMENTS
 
 
@@ -155,9 +156,13 @@ class TestMalformedReplicaAnswers:
         name = f"vu.nl/probe{next(self.probe_ids)}"
         published = testbed.publish(testbed.document_owner(name, ELEMENTS))
 
-        def deploy(case: str) -> None:
+        def deploy(case: str, reply: bytes = None) -> None:
+            """``reply``, if given, is the whole frame the case's op is
+            answered with, in place of its malformed answer."""
             op, forge = MALFORMED_ANSWERS[case]
-            answer = forge(published.document.integrity.to_dict())
+            if reply is None:
+                answer = forge(published.document.integrity.to_dict())
+                reply = Response.success(answer).to_bytes()
             replica = MaliciousReplica(
                 host=self.CLIENT, document=published.document, behavior=HonestBehavior()
             )
@@ -165,7 +170,7 @@ class TestMalformedReplicaAnswers:
 
             def handle_frame(frame: bytes) -> bytes:
                 if Request.from_bytes(frame).op == op:
-                    return Response.success(answer).to_bytes()
+                    return reply
                 return honest(frame)
 
             testbed.network.register(Endpoint(self.CLIENT, "objectserver"), handle_frame)
@@ -209,6 +214,23 @@ class TestMalformedReplicaAnswers:
         )
         for response in responses:
             self.assert_rejected(response)
+
+    @pytest.mark.parametrize("case", ["public_key_not_bytes", "element_without_content"])
+    def test_response_frame_without_ok_is_the_same_failure_both_ways(self, world, case):
+        """A reply that is no response frame at all (at bind time, at
+        fetch time) is a transport failure of that replica — the same
+        typed failure response from ``handle`` and ``handle_many``."""
+        published, deploy, stack = world
+        deploy(case, reply=to_wire({"kind": "response"}))
+        urls = [published.url("index.html"), published.url("img/logo.png")]
+        sequential = stack(max_rebinds=0).proxy.handle(urls[0])
+        pipelined = stack(max_rebinds=0, pipeline=PipelineConfig()).proxy.handle_many(urls)
+        assert not sequential.ok and sequential.status >= 400
+        for response in (sequential, *pipelined):
+            assert (response.status, response.security_failure) == (
+                sequential.status, sequential.security_failure,
+            )
+            assert not any(genuine in response.content for genuine in ELEMENTS.values())
 
     @pytest.mark.parametrize(
         "case", [c for c in MALFORMED_ANSWERS if c != "element_without_content"]

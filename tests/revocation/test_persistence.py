@@ -90,7 +90,7 @@ class TestFeedPersistence:
         with pytest.raises(ReproError, match="not monotone"):
             restarted.publish(revoke_key(shared_keys, oid, serial=3))
 
-    def test_recovery_from_snapshot_plus_journal(self, tmp_path, shared_keys):
+    def test_recovery_from_compacted_log_plus_journal(self, tmp_path, shared_keys):
         """A rewritten log plus what was appended to it since."""
         oid = ObjectId.from_public_key(shared_keys.public)
         feed = RevocationFeed(store=feed_store(tmp_path))
