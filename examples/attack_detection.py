@@ -25,16 +25,8 @@ from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.harness.report import render_table
-from repro.location.service import LocationClient
-from repro.naming.service import SecureResolver
-from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
-from repro.proxy.binding import Binder
-from repro.proxy.checks import SecurityChecker
-from repro.proxy.clientproxy import GlobeDocProxy
 
 ATTACK_HOST = "canardo.inria.fr"
-ATTACK_SITE = "root/europe/inria"
 
 
 def fresh_world():
@@ -53,12 +45,7 @@ def deploy(testbed, published, behavior):
     replica = MaliciousReplica(
         host=ATTACK_HOST, document=published.document, behavior=behavior
     )
-    testbed.network.register(
-        Endpoint(ATTACK_HOST, "objectserver"), replica.rpc_server().handle_frame
-    )
-    testbed.location_service.tree.insert(
-        published.owner.oid.hex, ATTACK_SITE, replica.contact_address()
-    )
+    testbed.install_replica(replica, published.oid_hex)
     return replica
 
 
@@ -116,16 +103,7 @@ def main() -> None:
     testbed, owner, v1, published = fresh_world()
     inner = testbed.network.transport_for(ATTACK_HOST)
     mitm = MitmTransport(inner, MitmTransport.content_injector(b"<!-- pwn -->"))
-    rpc = RpcClient(mitm)
-    resolver = SecureResolver(
-        rpc, testbed.naming_endpoint, testbed.naming.root_key, clock=testbed.clock
-    )
-    location = LocationClient(
-        rpc, testbed.location_endpoint, ATTACK_SITE, clock=testbed.clock
-    )
-    proxy = GlobeDocProxy(
-        Binder(resolver, location, rpc), SecurityChecker(testbed.clock), rpc
-    )
+    proxy = testbed.client_stack(ATTACK_HOST, transport=mitm).proxy
     result = run_attack_probe(proxy, published.url("index.html"), genuine_v2)
     rows.append(["man-in-the-middle", "authenticity (hash)", result.outcome.value,
                  result.failure_type or "-"])

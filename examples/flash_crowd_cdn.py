@@ -14,16 +14,10 @@ from __future__ import annotations
 
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
-from repro.harness.experiment import HOST_SITE, Testbed
-from repro.location.service import LocationClient
-from repro.net.address import ContactAddress, Endpoint
-from repro.net.rpc import RpcClient
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
+from repro.harness.experiment import Testbed
 from repro.replication.flashcrowd import FlashCrowdDetector
 from repro.replication.policy import RequestObservation
 from repro.replication.strategies import HotspotReplication
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from repro.workloads.trace import TraceConfig, generate_trace, inject_flash_crowd
 
 CROWD_SITE = "root/us/cornell"
@@ -46,31 +40,8 @@ def main() -> None:
     owner.put_element(
         PageElement("index.html", b"<html><h1>Breaking story</h1></html>" + b"." * 8000)
     )
-    document = owner.publish(validity=7200)
-    testbed.publish(owner)
-    url = "globe://vu.nl/viral-story!/index.html"
-
-    # Object servers at the remote sites, keystore-authorised for the owner.
-    rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-    coordinator = ReplicationCoordinator(
-        LocationClient(
-            rpc, testbed.location_endpoint, "root/europe/vu", clock=testbed.clock
-        )
-    )
-    for host, site in (("canardo.inria.fr", "root/europe/inria"), (CROWD_HOST, CROWD_SITE)):
-        server = ObjectServer(host=host, site=site, clock=testbed.clock)
-        server.keystore.authorize("owner", owner.public_key)
-        testbed.network.register(
-            Endpoint(host, "objectserver"), server.rpc_server().handle_frame
-        )
-        coordinator.add_site(
-            SitePort(
-                site=site,
-                admin=AdminClient(
-                    rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock
-                ),
-            )
-        )
+    published = testbed.publish(owner)
+    url = published.url("index.html")
 
     print("Before the crowd, a Cornell access costs "
           f"{site_fetch_time(testbed, CROWD_HOST, url)*1000:.0f} ms (transatlantic)")
@@ -115,15 +86,7 @@ def main() -> None:
             RequestObservation(site=event.site, time=now), current_sites
         ):
             if action.kind.value == "create" and action.site == CROWD_SITE:
-                port_admin = AdminClient(
-                    rpc, Endpoint(CROWD_HOST, "objectserver"), owner.keys, testbed.clock
-                )
-                result = port_admin.create_replica(document)
-                testbed.location_service.tree.insert(
-                    owner.oid.hex,
-                    CROWD_SITE,
-                    ContactAddress.from_dict(result["address"]),
-                )
+                testbed.add_replica(published, CROWD_HOST, CROWD_SITE)
                 current_sites.append(CROWD_SITE)
                 placed_at = event.time
                 print(f"  t={event.time:6.1f}s  replica pushed to {CROWD_SITE} "

@@ -20,7 +20,6 @@ from repro.attacks.malicious_server import MaliciousReplica, TamperBehavior
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.net.address import Endpoint
 from repro.obs import RingBufferSink, Tracer
 
 
@@ -71,12 +70,7 @@ def main() -> None:
         document=published.document,
         behavior=TamperBehavior("index.html", payload=b"<script>steal()</script>"),
     )
-    testbed.network.register(
-        Endpoint("canardo.inria.fr", "objectserver"), evil.rpc_server().handle_frame
-    )
-    testbed.location_service.tree.insert(
-        owner.oid.hex, "root/europe/inria", evil.contact_address()
-    )
+    testbed.install_replica(evil, owner.oid.hex)
     victim_stack = testbed.client_stack("canardo.inria.fr")
     attacked = victim_stack.proxy.handle(url)
     print(f"\nTampering replica deployed at the client's own site:")

@@ -12,7 +12,7 @@ Quick tour (see ``examples/quickstart.py`` for the runnable version)::
     from repro.globedoc import DocumentOwner, PageElement
     from repro.harness import Testbed
 
-    testbed = Testbed()                       # the paper's 4-host WAN
+    testbed = Testbed()         # repro.deployment on the paper's 4-host WAN
     owner = DocumentOwner("vu.nl/research")   # keys generated here
     owner.put_element(PageElement("index.html", b"<html>...</html>"))
     published = testbed.publish(owner)        # sign, place, register
@@ -35,8 +35,9 @@ Package map:
 ``repro.dynamic``  §6 dynamic content: signed receipts, audit
 ``repro.baselines``   Apache/SSL/r-OSFS/Gemini comparators
 ``repro.attacks``  adversaries: tampering, replay, swap, lying services
+``repro.deployment`` the composition root: wires the stack, any transport
 ``repro.net``      RPC + simulated WAN + real TCP transports
-``repro.sim``      clocks, discrete events, seeded randomness
+``repro.sim``      clocks, seeded randomness
 ``repro.workloads`` the paper's objects, synthetic sites, traces
 ``repro.harness``  regenerates every table and figure of the paper
 =================  ====================================================

@@ -46,7 +46,6 @@ __all__ = [
     "ELEMENTS",
     "EVIL_MARKER",
     "CLIENT_HOST",
-    "ATTACK_SITE",
     "REVOCATION_STALENESS",
     "Scenario",
     "SCENARIOS",
@@ -71,7 +70,6 @@ ELEMENTS = {
 EVIL_MARKER = b"EVIL-PAYLOAD"
 
 CLIENT_HOST = "canardo.inria.fr"
-ATTACK_SITE = "root/europe/inria"
 
 #: Staleness window for the revocation scenario's stack (poll at half).
 REVOCATION_STALENESS = 30.0
@@ -108,12 +106,7 @@ class World:
         replica = MaliciousReplica(
             host=CLIENT_HOST, document=self.published.document, behavior=behavior
         )
-        self.testbed.network.register(
-            Endpoint(CLIENT_HOST, "objectserver"), replica.rpc_server().handle_frame
-        )
-        self.testbed.location_service.tree.insert(
-            self.published.owner.oid.hex, ATTACK_SITE, replica.contact_address()
-        )
+        self.testbed.install_replica(replica, self.published.oid_hex)
         return replica
 
     def handle(self, url: str):
@@ -424,14 +417,11 @@ class VersioningScenario:
 def build_versioning_world(
     key_factory: Optional[Callable[[], KeyPair]] = None,
 ) -> VersioningWorld:
+    from repro.deployment import ZONE_PATHS, Deployment
     from repro.globedoc.oid import ObjectId
-    from repro.net.rpc import RpcClient
+    from repro.naming.zone import ZoneKeys
     from repro.net.transport import LoopbackTransport
-    from repro.obs import Tracer
-    from repro.proxy.checks import SecurityChecker
     from repro.proxy.contentcache import ContentCache
-    from repro.revocation.checker import RevocationChecker
-    from repro.server.objectserver import ObjectServer
     from repro.sim.clock import SimClock
     from repro.versioning import DeltaDag, DocumentWriter, WriterGrant, merge_deltas
     from repro.versioning.client import VersionedReader
@@ -440,9 +430,12 @@ def build_versioning_world(
     clock = SimClock()
     clock.advance(100.0)
     transport = LoopbackTransport()
-    rpc = RewritingRpc(RpcClient(transport))
-    server = ObjectServer(host="ginger.cs.vu.nl", site="root/europe/vu", clock=clock)
-    transport.register(server.endpoint, server.rpc_server().handle_frame)
+    host = "ginger.cs.vu.nl"
+    deployment = Deployment(
+        clock, transport.register, lambda _: transport, host, {host: "root/europe/vu"},
+        zone_keys={zone: ZoneKeys(zone, keys()) for zone in ZONE_PATHS},
+    )
+    server = deployment.object_server
 
     owner_keys = keys()
     oid = ObjectId.from_public_key(owner_keys.public)
@@ -471,18 +464,15 @@ def build_versioning_world(
     ring = RingBufferSink()
     tracer = Tracer(clock=clock, sinks=(ring,))
     cache = ContentCache(clock=clock, ttl=300.0)
-    revocation = RevocationChecker(
-        rpc, server.endpoint, clock,
-        max_staleness=REVOCATION_STALENESS,
-        content_cache=cache,
-    )
-    checker = SecurityChecker(
-        clock,
+    stack = deployment.client_stack(
+        host,
         verification_cache=VerificationCache(),
-        revocation_checker=revocation,
+        content_cache=cache,
+        revocation_max_staleness=REVOCATION_STALENESS,
         tracer=tracer,
     )
-    reader = VersionedReader(rpc, checker, content_cache=cache)
+    rpc = RewritingRpc(stack.rpc)
+    reader = VersionedReader(rpc, stack.checker, content_cache=cache)
     return VersioningWorld(
         clock=clock, server=server, rpc=rpc, reader=reader, cache=cache,
         ring=ring, owner_keys=owner_keys, oid=oid,

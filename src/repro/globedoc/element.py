@@ -13,6 +13,7 @@ from typing import Any, Mapping, Optional
 
 from repro.crypto.hashes import HashSuite, SHA1
 from repro.errors import ReproError
+from repro.util.encoding import wire_bytes
 
 __all__ = ["PageElement", "validate_element_name", "guess_content_type"]
 
@@ -127,7 +128,7 @@ class PageElement:
     def from_dict(cls, data: Mapping[str, Any]) -> "PageElement":
         return cls(
             name=str(data["name"]),
-            content=bytes(data["content"]),
+            content=wire_bytes(data["content"]),
             content_type=str(data.get("content_type", "")),
             metadata=dict(data.get("metadata", {})),
         )

@@ -24,6 +24,7 @@ from repro.errors import (
 )
 from repro.globedoc.element import PageElement
 from repro.sim.clock import Clock
+from repro.util.encoding import wire_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crypto.verifycache import VerificationCache
@@ -52,7 +53,7 @@ class ElementEntry:
     def from_dict(cls, data: Mapping[str, Any]) -> "ElementEntry":
         return cls(
             name=str(data["name"]),
-            content_hash=bytes(data["hash"]),
+            content_hash=wire_bytes(data["hash"]),
             expires_at=float(data["expires_at"]),
         )
 

@@ -17,6 +17,7 @@ from typing import Optional
 from repro.crypto.hashes import HashSuite, SHA1, SHA256, suite_by_name
 from repro.crypto.keys import PublicKey
 from repro.errors import AuthenticityError, ReproError
+from repro.util.encoding import wire_bytes
 
 __all__ = ["ObjectId"]
 
@@ -100,7 +101,7 @@ class ObjectId:
 
     @classmethod
     def from_dict(cls, data) -> "ObjectId":
-        return cls(digest=bytes(data["digest"]), suite_name=str(data["suite"]))
+        return cls(digest=wire_bytes(data["digest"]), suite_name=str(data["suite"]))
 
     def __str__(self) -> str:
         return self.hex

@@ -22,6 +22,7 @@ from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import IntegrityCertificate
 from repro.globedoc.oid import ObjectId
 from repro.sim.clock import Clock, RealClock
+from repro.util.encoding import wire_bytes
 
 __all__ = ["DocumentOwner", "SignedDocument", "DEFAULT_VALIDITY"]
 
@@ -83,7 +84,7 @@ class SignedDocument:
         }
         return cls(
             oid=ObjectId.from_dict(data["oid"]),
-            public_key=PublicKey(der=bytes(data["public_key_der"])),
+            public_key=PublicKey(der=wire_bytes(data["public_key_der"])),
             elements=elements,
             integrity=IntegrityCertificate.from_dict(data["integrity"]),
             identity_certs=tuple(

@@ -30,17 +30,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
-from repro.harness.experiment import HOST_SITE, OWNER_HOST, SERVICES_HOST, Testbed
+from repro.harness.experiment import Testbed
 from repro.harness.report import render_table
-from repro.location.service import LocationClient
 from repro.naming.records import OidRecord
-from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
 from repro.replication.policy import ReplicationPolicy, RequestObservation
 from repro.replication.strategies import HotspotReplication, NoReplication
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from repro.util.stats import Summary, summarize
 from repro.workloads.trace import RequestEvent, TraceConfig, generate_trace, inject_flash_crowd
 
@@ -204,29 +198,15 @@ def run_crowd(policy_factory: Callable[[], ReplicationPolicy]) -> LoadReport:
     testbed.object_server.keystore.authorize("owner", owner.public_key)
     testbed.naming.register(OidRecord(name=owner.name, oid=owner.oid))
 
-    home_site, crowd_host = HOST_SITE[SERVICES_HOST], SITE_HOSTS[CROWD_SITE]
-    cornell = ObjectServer(host=crowd_host, site=CROWD_SITE, clock=testbed.clock)
+    cornell = testbed.start_server(SITE_HOSTS[CROWD_SITE])
     cornell.keystore.authorize("owner", owner.public_key)
-    testbed.network.register(
-        Endpoint(crowd_host, "objectserver"), cornell.rpc_server().handle_frame
-    )
-    rpc = RpcClient(testbed.network.transport_for(OWNER_HOST))
-    coordinator = ReplicationCoordinator(
-        LocationClient(rpc, testbed.location_endpoint, home_site, clock=testbed.clock)
-    )
-    for site, host in ((home_site, SERVICES_HOST), (CROWD_SITE, crowd_host)):
-        coordinator.add_site(
-            SitePort(
-                site=site,
-                admin=AdminClient(rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock),
-            )
-        )
-    coordinator.manage(owner, document, policy_factory(), home_site=home_site)
+    coordinator = testbed.coordinator(owner)
+    coordinator.manage(owner, document, policy_factory(), home_site=testbed.site)
 
     trace = inject_flash_crowd(
         generate_trace(
             TraceConfig(
-                documents=(owner.name,), sites=(home_site, CROWD_SITE),
+                documents=(owner.name,), sites=(testbed.site, CROWD_SITE),
                 duration=120.0, rate=0.2, seed=5,
             )
         ),

@@ -57,7 +57,7 @@ from repro.attacks.malicious_server import (
 from repro.crypto.keys import KeyPair
 from repro.crypto.verifycache import VerificationCache
 from repro.globedoc.oid import ObjectId
-from repro.harness.experiment import HOST_SITE, SERVICES_HOST, Testbed
+from repro.harness.experiment import SERVICES_HOST, Testbed
 from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.net.address import Endpoint
 from repro.net.faults import FaultPlan, FlakyTransport
@@ -78,7 +78,6 @@ from repro.obs.alerts import STATE_FIRING, STATE_PENDING, STATE_RESOLVED
 from repro.obs.slo import AvailabilityObjective, BurnWindow
 from repro.proxy.contentcache import ContentCache
 from repro.proxy.pipeline import PipelineConfig
-from repro.server.objectserver import ObjectServer
 from repro.sim.clock import SimClock
 from repro.sim.random import derive_seed
 from repro.versioning import DeltaDag, SignedDelta, WriterGrant
@@ -207,17 +206,11 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         data_dir=scratch,
         storage_sync=False,
     )
-    peer_server = ObjectServer(
-        host=PEER_HOST,
-        site=HOST_SITE[PEER_HOST],
-        clock=clock,
+    peer_server = testbed.start_server(
+        PEER_HOST,
         tracer=tracers["server-inria"],
         metrics=metrics,
-        storage_sync=False,
         compute_context=testbed.network.host(PEER_HOST).compute,
-    )
-    testbed.network.register(
-        Endpoint(PEER_HOST, "objectserver"), peer_server.rpc_server().handle_frame
     )
 
     published = testbed.publish(
@@ -449,10 +442,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         evil = MaliciousReplica(
             host=host, document=published.document, behavior=behavior, service="evil"
         )
-        testbed.network.register(evil.endpoint, evil.rpc_server().handle_frame)
-        testbed.location_service.tree.insert(
-            published.oid_hex, HOST_SITE[host], evil.contact_address()
-        )
+        testbed.install_replica(evil, published.oid_hex)
     probes: Dict[str, str] = {}
     for label, host, origin, url in (
         ("tamper", PEER_HOST, "proxy-inria", published.url("index.html")),

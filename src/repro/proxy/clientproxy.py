@@ -38,6 +38,7 @@ from repro.obs import NOOP_METRICS, NOOP_TRACER
 from repro.proxy.binding import Binder
 from repro.proxy.checks import SecurityChecker
 from repro.proxy.session import SecureSession
+from repro.util.encoding import DECODE_ERRORS, wire_bytes
 
 __all__ = ["GlobeDocProxy", "ProxyResponse"]
 
@@ -322,16 +323,19 @@ class GlobeDocProxy:
                 "http.get",
                 path=parts.path or "/",
             )
-        except ReproError as exc:
+            response = ProxyResponse(
+                status=int(answer["status"]),
+                content=wire_bytes(answer["body"]),
+                content_type=str(answer.get("content_type", "text/html")),
+            )
+        except (ReproError, *DECODE_ERRORS) as exc:
+            # The origin is as untrusted as a replica: an answer that
+            # does not decode is a bad gateway, not an exception.
             self.failure_count += 1
             self._m_requests.labels(outcome="not_found").inc()
             return ProxyResponse(status=502, content=NOT_FOUND_HTML % str(exc).encode())
         self._m_requests.labels(outcome="passthrough").inc()
-        return ProxyResponse(
-            status=int(answer["status"]),
-            content=bytes(answer["body"]),
-            content_type=str(answer.get("content_type", "text/html")),
-        )
+        return response
 
     # ------------------------------------------------------------------
     # Session management

@@ -15,17 +15,15 @@ from typing import Any, List, Mapping, Optional
 
 from repro.crypto.identity import IdentityCertificate
 from repro.crypto.keys import PublicKey
-from repro.errors import AuthenticityError, ConsistencyError, CryptoError, EncodingError
+from repro.errors import AuthenticityError, ConsistencyError
 from repro.globedoc.document import DocumentState
 from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import IntegrityCertificate
 from repro.net.address import ContactAddress
 from repro.net.rpc import RpcClient
+from repro.util.encoding import DECODE_ERRORS, wire_bytes
 
 __all__ = ["ReplicaLR", "ProxyLR"]
-
-#: What re-hydrating an untrusted replica answer can raise.
-_DECODE_ERRORS = (CryptoError, EncodingError, KeyError, TypeError, ValueError)
 
 
 def _malformed(op: str, exc: Exception) -> AuthenticityError:
@@ -103,29 +101,29 @@ class ProxyLR:
     def get_public_key(self) -> PublicKey:
         der = self._call("globedoc.get_public_key")
         try:
-            return PublicKey(der=bytes(der))
-        except _DECODE_ERRORS as exc:
+            return PublicKey(der=wire_bytes(der))
+        except DECODE_ERRORS as exc:
             raise _malformed("get_public_key", exc) from exc
 
     def get_identity_certificates(self) -> List[IdentityCertificate]:
         raw = self._call("globedoc.get_identity_certificates")
         try:
             return [IdentityCertificate.from_dict(c) for c in raw]
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise _malformed("get_identity_certificates", exc) from exc
 
     def get_integrity_certificate(self) -> IntegrityCertificate:
         raw = self._call("globedoc.get_integrity_certificate")
         try:
             return IntegrityCertificate.from_dict(raw)
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise _malformed("get_integrity_certificate", exc) from exc
 
     def get_element(self, name: str) -> PageElement:
         raw = self._call("globedoc.get_element", name=name)
         try:
             return PageElement.from_dict(raw)
-        except _DECODE_ERRORS as exc:
+        except DECODE_ERRORS as exc:
             raise _malformed("get_element", exc) from exc
 
     def list_elements(self) -> List[str]:

@@ -1,4 +1,4 @@
-"""Simulation kernel: injectable clocks, a discrete-event scheduler, RNG.
+"""Simulation kernel: injectable clocks and seeded RNG.
 
 Everything in the library that needs "now" — freshness checks, transfer
 timing, certificate validity — receives a :class:`~repro.sim.clock.Clock`
@@ -8,14 +8,11 @@ paper's WAN timings on a laptop.
 """
 
 from repro.sim.clock import Clock, RealClock, SimClock
-from repro.sim.events import Event, EventScheduler
 from repro.sim.random import make_rng
 
 __all__ = [
     "Clock",
     "RealClock",
     "SimClock",
-    "Event",
-    "EventScheduler",
     "make_rng",
 ]

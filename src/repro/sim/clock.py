@@ -35,11 +35,8 @@ class RealClock:
 
 
 class SimClock:
-    """A clock that advances only under explicit control.
-
-    The event scheduler advances it between events; model code advances
-    it directly to account for compute or transfer time.
-    """
+    """A clock that advances only under explicit control: model code
+    advances it to account for compute or transfer time."""
 
     __slots__ = ("_now",)
 

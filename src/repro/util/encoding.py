@@ -19,7 +19,7 @@ import json
 import math
 from typing import Any
 
-from repro.errors import EncodingError
+from repro.errors import CryptoError, EncodingError
 
 __all__ = [
     "canonical_json",
@@ -29,6 +29,8 @@ __all__ = [
     "b64decode",
     "to_wire",
     "from_wire",
+    "wire_bytes",
+    "DECODE_ERRORS",
 ]
 
 
@@ -124,3 +126,20 @@ def to_wire(value: Any) -> bytes:
 def from_wire(data: bytes) -> Any:
     """Decode a wire message produced by :func:`to_wire`."""
     return from_canonical_bytes(data)
+
+
+def wire_bytes(value: Any) -> bytes:
+    """A bytes-typed field of a decoded wire message, strictly: only
+    ``bytes``/``bytearray`` pass. ``bytes(value)`` is not a decoder —
+    handed an ``int`` from an untrusted answer it *allocates* that many
+    zero bytes."""
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value)
+    raise EncodingError(f"expected a bytes field, got {type(value).__name__}")
+
+
+#: What re-hydrating an untrusted answer (``from_dict`` over a decoded
+#: wire value of any shape) can raise.
+DECODE_ERRORS = (
+    CryptoError, EncodingError, AttributeError, KeyError, TypeError, ValueError
+)

@@ -25,9 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.crypto.keys import PublicKey
+from repro.errors import AuthenticityError
 from repro.globedoc.oid import ObjectId
 from repro.proxy.checks import SecurityChecker, VerifiedFrontier
 from repro.proxy.contentcache import ContentCache
+from repro.util.encoding import DECODE_ERRORS, wire_bytes
 from repro.versioning.dag import DeltaDag, Frontier
 from repro.versioning.delta import SignedDelta
 from repro.versioning.frontier import FrontierCertificate
@@ -92,15 +94,37 @@ class VersionedReader:
         bundle = self.rpc.call(
             endpoint, "versioning.fetch", oid_hex=oid.hex, have_ids=have_ids
         )
-        object_key = PublicKey(der=bytes(bundle["object_key_der"]))
-        grants = [WriterGrant.from_dict(g) for g in bundle.get("grants", [])]
-        new_deltas = [SignedDelta.from_dict(d) for d in bundle.get("deltas", [])]
-        cert_dict = bundle.get("frontier_cert")
-        frontier_cert = (
-            FrontierCertificate.from_dict(cert_dict)
-            if cert_dict is not None
-            else None
-        )
+        # The bundle is an untrusted answer: whatever fails to decode is
+        # an authenticity violation like any other bad answer, raised
+        # before any state is touched.
+        try:
+            object_key = PublicKey(der=wire_bytes(bundle["object_key_der"]))
+            grants = [WriterGrant.from_dict(g) for g in bundle.get("grants", [])]
+            new_deltas = [SignedDelta.from_dict(d) for d in bundle.get("deltas", [])]
+            cert_dict = bundle.get("frontier_cert")
+            frontier_cert = (
+                FrontierCertificate.from_dict(cert_dict)
+                if cert_dict is not None
+                else None
+            )
+            # What the server claims to serve — judged as such for the
+            # withholding comparison. The union with retained local state
+            # must NOT be used here, or a rolled-back server hides behind
+            # this reader's own copy of the branch it dropped. A bundle
+            # without the claimed-id list (a bare store, not the RPC
+            # surface) falls back to served_ids=None — DAG membership —
+            # rather than an empty claim, which would condemn every
+            # incremental no-news read as withholding.
+            peer_ids = bundle.get("peer_delta_ids")
+            if peer_ids is None:
+                served_ids = None
+            else:
+                served_ids = set(peer_ids)
+                served_ids.update(d.delta_id for d in new_deltas)
+        except DECODE_ERRORS as exc:
+            raise AuthenticityError(
+                f"server returned a malformed versioning.fetch answer: {exc}"
+            ) from exc
 
         # Checks 1 and 7 first: a key that is not this object's, or an
         # OID the feed condemns (or cannot prove fresh), fails before
@@ -114,20 +138,6 @@ class VersionedReader:
         # this reader has ever proven.
         deltas = list(known_dag.deltas) if known_dag is not None else []
         deltas.extend(new_deltas)
-        # What the server claims to serve — judged as such for the
-        # withholding comparison. The union with retained local state
-        # must NOT be used here, or a rolled-back server hides behind
-        # this reader's own copy of the branch it dropped. A bundle
-        # without the claimed-id list (a bare store, not the RPC
-        # surface) falls back to served_ids=None — DAG membership —
-        # rather than an empty claim, which would condemn every
-        # incremental no-news read as withholding.
-        peer_ids = bundle.get("peer_delta_ids")
-        if peer_ids is None:
-            served_ids = None
-        else:
-            served_ids = set(peer_ids)
-            served_ids.update(d.delta_id for d in new_deltas)
         verified: VerifiedFrontier = self.checker.check_frontier(
             oid,
             object_key,

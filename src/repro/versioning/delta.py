@@ -35,7 +35,7 @@ from repro.crypto.merkle import MerkleTree
 from repro.errors import CertificateError, DeltaForgeryError, DeltaReplayError
 from repro.globedoc.element import validate_element_name
 from repro.globedoc.oid import ObjectId
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import canonical_bytes, wire_bytes
 
 __all__ = ["DeltaOp", "SignedDelta", "DELTA_CERT_TYPE", "OP_PUT", "OP_DELETE"]
 
@@ -75,7 +75,7 @@ class DeltaOp:
         return cls(
             op=str(data["op"]),
             name=str(data["name"]),
-            content=bytes(data.get("content", b"")),
+            content=wire_bytes(data.get("content", b"")),
             content_type=str(data.get("content_type", "")),
         )
 

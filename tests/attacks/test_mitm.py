@@ -7,30 +7,23 @@ import pytest
 
 from repro.attacks.mitm import MitmTransport
 from repro.baselines.plainhttp import PlainHttpClient
-from repro.net.rpc import RpcClient
-from repro.proxy.binding import Binder
-from repro.proxy.checks import SecurityChecker
-from repro.proxy.clientproxy import GlobeDocProxy
-from repro.location.service import LocationClient
-from repro.naming.service import SecureResolver
 from tests.attacks.conftest import ELEMENTS
+
+CLIENT_HOST = "canardo.inria.fr"
+
+
+def mitm_client(testbed, rewrite):
+    """A Paris client stack whose transport passes through a MITM."""
+    mitm = MitmTransport(testbed.network.transport_for(CLIENT_HOST), rewrite)
+    return testbed.client_stack(CLIENT_HOST, transport=mitm), mitm
 
 
 @pytest.fixture
 def mitm_stack(testbed, victim):
-    """A Paris client whose transport passes through an injecting MITM."""
-    inner = testbed.network.transport_for("canardo.inria.fr")
-    mitm = MitmTransport(inner, MitmTransport.content_injector(b"<!-- injected -->"))
-    rpc = RpcClient(mitm)
-    resolver = SecureResolver(
-        rpc, testbed.naming_endpoint, testbed.naming.root_key, clock=testbed.clock
+    stack, mitm = mitm_client(
+        testbed, MitmTransport.content_injector(b"<!-- injected -->")
     )
-    location = LocationClient(
-        rpc, testbed.location_endpoint, origin_site="root/europe/inria", clock=testbed.clock
-    )
-    checker = SecurityChecker(testbed.clock)
-    proxy = GlobeDocProxy(Binder(resolver, location, rpc), checker, rpc)
-    return proxy, mitm, rpc
+    return stack.proxy, mitm, stack.rpc
 
 
 class TestMitm:
@@ -50,22 +43,8 @@ class TestMitm:
         assert body == ELEMENTS["index.html"] + b"<!-- injected -->"
 
     def test_passive_mitm_changes_nothing(self, testbed, victim):
-        inner = testbed.network.transport_for("canardo.inria.fr")
-        mitm = MitmTransport(inner, rewrite=None)
-        rpc = RpcClient(mitm)
-        resolver = SecureResolver(
-            rpc, testbed.naming_endpoint, testbed.naming.root_key, clock=testbed.clock
-        )
-        location = LocationClient(
-            rpc,
-            testbed.location_endpoint,
-            origin_site="root/europe/inria",
-            clock=testbed.clock,
-        )
-        proxy = GlobeDocProxy(
-            Binder(resolver, location, rpc), SecurityChecker(testbed.clock), rpc
-        )
-        response = proxy.handle(victim.url("index.html"))
+        stack, mitm = mitm_client(testbed, None)
+        response = stack.proxy.handle(victim.url("index.html"))
         assert response.ok
         assert response.content == ELEMENTS["index.html"]
         assert mitm.intercepted == 0
@@ -73,20 +52,8 @@ class TestMitm:
     def test_replayed_frame_degrades_to_error_not_content(self, testbed, victim):
         """Replacing responses with canned garbage causes failures, never
         acceptance of attacker content."""
-        inner = testbed.network.transport_for("canardo.inria.fr")
-        mitm = MitmTransport(inner, MitmTransport.response_replayer(b"\x00garbage"))
-        rpc = RpcClient(mitm)
-        resolver = SecureResolver(
-            rpc, testbed.naming_endpoint, testbed.naming.root_key, clock=testbed.clock
+        stack, _ = mitm_client(
+            testbed, MitmTransport.response_replayer(b"\x00garbage")
         )
-        location = LocationClient(
-            rpc,
-            testbed.location_endpoint,
-            origin_site="root/europe/inria",
-            clock=testbed.clock,
-        )
-        proxy = GlobeDocProxy(
-            Binder(resolver, location, rpc), SecurityChecker(testbed.clock), rpc
-        )
-        response = proxy.handle(victim.url("index.html"))
+        response = stack.proxy.handle(victim.url("index.html"))
         assert not response.ok

@@ -9,14 +9,8 @@ from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.harness.loadsim import LoadSimulator
-from repro.location.service import LocationClient
-from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
 from repro.replication.policy import RequestObservation
 from repro.replication.strategies import HotspotReplication, NoReplication
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from repro.workloads.trace import RequestEvent, TraceConfig, generate_trace, inject_flash_crowd
 from tests.conftest import fast_keys
 
@@ -34,34 +28,9 @@ def build_world(policy_factory):
     testbed.object_server.keystore.authorize("owner", owner.public_key)
     testbed.naming.register(OidRecord(name=owner.name, oid=owner.oid))
 
-    cornell = ObjectServer(
-        host="ensamble02.cornell.edu", site=CROWD_SITE, clock=testbed.clock
-    )
+    cornell = testbed.start_server("ensamble02.cornell.edu")
     cornell.keystore.authorize("owner", owner.public_key)
-    testbed.network.register(
-        Endpoint("ensamble02.cornell.edu", "objectserver"),
-        cornell.rpc_server().handle_frame,
-    )
-
-    rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-    coordinator = ReplicationCoordinator(
-        LocationClient(rpc, testbed.location_endpoint, "root/europe/vu", clock=testbed.clock)
-    )
-    coordinator.add_site(
-        SitePort(
-            site="root/europe/vu",
-            admin=AdminClient(rpc, testbed.objectserver_endpoint, owner.keys, testbed.clock),
-        )
-    )
-    coordinator.add_site(
-        SitePort(
-            site=CROWD_SITE,
-            admin=AdminClient(
-                rpc, Endpoint("ensamble02.cornell.edu", "objectserver"),
-                owner.keys, testbed.clock,
-            ),
-        )
-    )
+    coordinator = testbed.coordinator(owner)
     policy = policy_factory()
     coordinator.manage(owner, document, policy, home_site="root/europe/vu")
     return testbed, owner, coordinator

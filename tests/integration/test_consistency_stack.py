@@ -12,19 +12,13 @@ import pytest
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.location.service import LocationClient
 from repro.naming.records import OidRecord
-from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
 from repro.replication.consistency import (
     PushInvalidation,
     StalenessTracker,
     TtlConsistency,
 )
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
 from repro.replication.strategies import StaticReplication
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from tests.conftest import fast_keys
 
 REMOTE_SITE = "root/us/cornell"
@@ -39,24 +33,9 @@ def build(consistency):
     testbed.object_server.keystore.authorize("owner", owner.public_key)
     testbed.naming.register(OidRecord(name=owner.name, oid=owner.oid))
 
-    remote = ObjectServer(host=REMOTE_HOST, site=REMOTE_SITE, clock=testbed.clock)
+    remote = testbed.start_server(REMOTE_HOST)
     remote.keystore.authorize("owner", owner.public_key)
-    testbed.network.register(
-        Endpoint(REMOTE_HOST, "objectserver"), remote.rpc_server().handle_frame
-    )
-
-    rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-    coordinator = ReplicationCoordinator(
-        LocationClient(rpc, testbed.location_endpoint, "root/europe/vu", clock=testbed.clock),
-        consistency=consistency,
-    )
-    for site, host in (("root/europe/vu", "ginger.cs.vu.nl"), (REMOTE_SITE, REMOTE_HOST)):
-        coordinator.add_site(
-            SitePort(
-                site=site,
-                admin=AdminClient(rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock),
-            )
-        )
+    coordinator = testbed.coordinator(owner, consistency=consistency)
     coordinator.manage(
         owner, document, StaticReplication(sites=[REMOTE_SITE]), home_site="root/europe/vu"
     )

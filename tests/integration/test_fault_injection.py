@@ -6,17 +6,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SecurityError, TransportError
+from repro.errors import TransportError
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.location.service import LocationClient
-from repro.naming.service import SecureResolver
 from repro.net.faults import FaultPlan, FlakyTransport
-from repro.net.rpc import RpcClient
-from repro.proxy.binding import Binder
-from repro.proxy.checks import SecurityChecker
-from repro.proxy.clientproxy import GlobeDocProxy
 from tests.conftest import fast_keys
 
 GENUINE = b"<html>the one true content</html>"
@@ -31,20 +25,10 @@ def world():
     return testbed, published
 
 
-def flaky_proxy(testbed, plan: FaultPlan) -> GlobeDocProxy:
-    inner = testbed.network.transport_for("canardo.inria.fr")
-    flaky = FlakyTransport(inner, plan)
-    rpc = RpcClient(flaky)
-    resolver = SecureResolver(
-        rpc, testbed.naming_endpoint, testbed.naming.root_key, clock=testbed.clock
-    )
-    location = LocationClient(
-        rpc, testbed.location_endpoint, "root/europe/inria", clock=testbed.clock
-    )
-    proxy = GlobeDocProxy(
-        Binder(resolver, location, rpc), SecurityChecker(testbed.clock), rpc
-    )
-    return proxy
+def flaky_proxy(testbed, plan: FaultPlan):
+    host = "canardo.inria.fr"
+    flaky = FlakyTransport(testbed.network.transport_for(host), plan)
+    return testbed.client_stack(host, transport=flaky).proxy
 
 
 class TestFaultPlan:

@@ -23,31 +23,11 @@ def world():
     owner.put_element(PageElement("ticker.html", b"<html>AAPL 123.45</html>"))
     owner.put_element(PageElement("layout.css", b"body { margin: 0 }"))
     owner.put_element(PageElement("logo.png", b"\x89PNG-logo"))
-    now = testbed.clock.now()
-    document = owner.publish(
+    testbed.publish(
+        owner,
         validity=3600.0,  # cold default: one hour
-        per_element_expiry={"ticker.html": now + 60.0},  # hot: one minute
+        per_element_expiry={"ticker.html": testbed.clock.now() + 60.0},  # hot: one minute
     )
-    # publish() consumed version 1; push it manually through the testbed
-    # plumbing by re-publishing identical state is wrong — place this
-    # exact version instead.
-    testbed.object_server.keystore.authorize(owner.name, owner.public_key)
-    from repro.naming.records import OidRecord
-    from repro.net.address import ContactAddress
-    from repro.net.rpc import RpcClient
-    from repro.server.admin import AdminClient
-
-    admin = AdminClient(
-        RpcClient(testbed.network.transport_for("sporty.cs.vu.nl")),
-        testbed.objectserver_endpoint,
-        owner.keys,
-        testbed.clock,
-    )
-    result = admin.create_replica(document)
-    testbed.location_service.tree.insert(
-        owner.oid.hex, "root/europe/vu", ContactAddress.from_dict(result["address"])
-    )
-    testbed.naming.register(OidRecord(name=owner.name, oid=owner.oid))
     return testbed, owner
 
 

@@ -12,15 +12,9 @@ import pytest
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.location.service import LocationClient
-from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
 from repro.replication.flashcrowd import FlashCrowdDetector
 from repro.replication.policy import RequestObservation
 from repro.replication.strategies import HotspotReplication
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from tests.conftest import fast_keys
 
 CORNELL_HOST = "ensamble02.cornell.edu"
@@ -32,39 +26,11 @@ def world():
     testbed = Testbed()
     owner = DocumentOwner("vu.nl/viral", keys=fast_keys(), clock=testbed.clock)
     owner.put_element(PageElement("index.html", b"<html>viral story</html>" * 40))
-    document = owner.publish(validity=7200)
-    testbed.publish(owner)  # home replica on ginger + naming/location
-
-    # A Cornell object server the coordinator can push replicas to.
-    cornell_server = ObjectServer(host=CORNELL_HOST, site=CORNELL_SITE, clock=testbed.clock)
-    cornell_server.keystore.authorize("owner", owner.public_key)
-    testbed.network.register(
-        Endpoint(CORNELL_HOST, "objectserver"), cornell_server.rpc_server().handle_frame
-    )
-
-    rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-    location = LocationClient(
-        rpc, testbed.location_endpoint, origin_site="root/europe/vu", clock=testbed.clock
-    )
-    coordinator = ReplicationCoordinator(location)
-    coordinator.add_site(
-        SitePort(
-            site="root/europe/vu",
-            admin=AdminClient(
-                rpc, testbed.objectserver_endpoint, owner.keys, testbed.clock
-            ),
-        )
-    )
-    coordinator.add_site(
-        SitePort(
-            site=CORNELL_SITE,
-            admin=AdminClient(
-                rpc, Endpoint(CORNELL_HOST, "objectserver"), owner.keys, testbed.clock
-            ),
-        )
-    )
+    published = testbed.publish(owner)  # home replica on ginger + naming/location
+    # A Cornell object server, still empty, that replicas can be pushed to.
+    cornell_server = testbed.start_server(CORNELL_HOST)
     policy = HotspotReplication(create_rate=1.0, destroy_rate=0.05, window=10.0)
-    return testbed, owner, document, cornell_server, coordinator, policy
+    return testbed, published, cornell_server, policy
 
 
 def cornell_fetch_time(stack, testbed, url: str) -> float:
@@ -80,7 +46,7 @@ def cornell_fetch_time(stack, testbed, url: str) -> float:
 
 class TestFlashCrowdRelief:
     def test_dynamic_replication_cuts_latency(self, world):
-        testbed, owner, document, cornell_server, coordinator, policy = world
+        testbed, published, cornell_server, policy = world
         url = f"globe://vu.nl/viral!/index.html"
 
         stack = testbed.client_stack(CORNELL_HOST, location_ttl=1.0)
@@ -104,25 +70,12 @@ class TestFlashCrowdRelief:
             )
             for action in actions:
                 if action.kind.value == "create" and action.site == CORNELL_SITE:
-                    admin = AdminClient(
-                        RpcClient(testbed.network.transport_for("sporty.cs.vu.nl")),
-                        Endpoint(CORNELL_HOST, "objectserver"),
-                        owner.keys,
-                        testbed.clock,
-                    )
-                    result = admin.create_replica(document)
-                    from repro.net.address import ContactAddress
-
-                    testbed.location_service.tree.insert(
-                        owner.oid.hex,
-                        CORNELL_SITE,
-                        ContactAddress.from_dict(result["address"]),
-                    )
+                    testbed.add_replica(published, CORNELL_HOST, CORNELL_SITE)
                     current_sites.append(CORNELL_SITE)
             testbed.clock.advance(0.2)
 
         assert onset is not None, "flash crowd was never detected"
-        assert cornell_server.hosts_oid(owner.oid.hex), "no replica pushed"
+        assert cornell_server.hosts_oid(published.oid_hex), "no replica pushed"
 
         # The burst advanced the clock past the 1 s location TTL, so the
         # warm client re-queries and finds the new local replica.
@@ -131,22 +84,11 @@ class TestFlashCrowdRelief:
         assert after < before / 2
 
     def test_replica_serves_identical_verified_content(self, world):
-        testbed, owner, document, cornell_server, _, _ = world
-        admin = AdminClient(
-            RpcClient(testbed.network.transport_for("sporty.cs.vu.nl")),
-            Endpoint(CORNELL_HOST, "objectserver"),
-            owner.keys,
-            testbed.clock,
-        )
-        result = admin.create_replica(document)
-        from repro.net.address import ContactAddress
-
-        testbed.location_service.tree.insert(
-            owner.oid.hex, CORNELL_SITE, ContactAddress.from_dict(result["address"])
-        )
+        testbed, published, cornell_server, _ = world
+        testbed.add_replica(published, CORNELL_HOST, CORNELL_SITE)
         stack = testbed.client_stack(CORNELL_HOST)
         response = stack.proxy.handle("globe://vu.nl/viral!/index.html")
         assert response.ok
         assert response.content == b"<html>viral story</html>" * 40
         # And it really came from the local replica.
-        assert cornell_server.replica_for_oid(owner.oid.hex).lr.serve_count == 1
+        assert cornell_server.replica_for_oid(published.oid_hex).lr.serve_count == 1

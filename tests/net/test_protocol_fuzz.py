@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError, TransportError, UrlError
+from repro.errors import EncodingError, ReproError, TransportError, UrlError
 from repro.globedoc.urls import HybridUrl
 from repro.net.message import Request, Response
-from repro.util.encoding import from_canonical_bytes, to_wire
+from repro.util.encoding import from_canonical_bytes, to_wire, wire_bytes
 
 # Arguments that survive the canonical codec.
 _args = st.dictionaries(
@@ -124,3 +124,66 @@ class TestUrlFuzz:
             from_canonical_bytes(junk)
         except EncodingError:
             pass
+
+
+def _bytes_field_decoders():
+    """Every ``from_dict`` with a bytes-typed field that an untrusted
+    answer feeds: id -> (decode, genuine wire dict, field)."""
+    from repro.globedoc.element import PageElement
+    from repro.globedoc.integrity import ElementEntry
+    from repro.globedoc.oid import ObjectId
+    from repro.versioning.delta import DeltaOp
+
+    element = PageElement("x.html", b"content")
+    entry = {"name": "x.html", "hash": element.content_hash(), "expires_at": 1.0}
+    op = {"op": "put", "name": "x.html", "content": b"content"}
+    return {
+        "element.content": (PageElement.from_dict, element.to_dict(), "content"),
+        "certificate_entry.hash": (ElementEntry.from_dict, entry, "hash"),
+        "oid.digest": (ObjectId.from_dict, {"digest": b"d" * 20, "suite": "sha1"}, "digest"),
+        "delta_op.content": (DeltaOp.from_dict, op, "content"),
+    }
+
+
+class TestBytesFieldFuzz:
+    """``bytes(<int>)`` allocates; a bytes-typed wire field is decoded
+    by :func:`wire_bytes`, which only lets real bytes through."""
+
+    @given(
+        st.one_of(
+            st.none(),
+            st.integers(min_value=-(2**40), max_value=2**40),
+            st.floats(allow_nan=False),
+            st.text(max_size=8),
+            st.lists(st.integers(0, 255), max_size=4),
+            st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+        )
+    )
+    @example(10**12)
+    def test_only_bytes_pass(self, value):
+        with pytest.raises(EncodingError):
+            wire_bytes(value)
+        assert wire_bytes(bytearray(b"ab")) == wire_bytes(b"ab") == b"ab"
+
+    @pytest.mark.parametrize("case", list(_bytes_field_decoders()))
+    @pytest.mark.parametrize("evil", [10**12, 50_000_000, "text", None, [1, 2]])
+    def test_integer_in_every_bytes_field_is_a_typed_error(self, case, evil):
+        decode, genuine, field = _bytes_field_decoders()[case]
+        decode(genuine)  # the genuine dict decodes
+        with pytest.raises(EncodingError):
+            decode({**genuine, field: evil})
+
+    def test_signed_document_key_and_oid_fields(self, shared_keys):
+        from repro.globedoc.element import PageElement
+        from repro.globedoc.owner import DocumentOwner, SignedDocument
+
+        owner = DocumentOwner("vu.nl/fuzz", keys=shared_keys)
+        owner.put_element(PageElement("x.html", b"content"))
+        genuine = owner.publish(validity=60.0).to_dict()
+        assert SignedDocument.from_dict(genuine).oid == owner.oid
+        for forged in (
+            {**genuine, "public_key_der": 10**12},
+            {**genuine, "oid": {**genuine["oid"], "digest": 10**12}},
+        ):
+            with pytest.raises(EncodingError):
+                SignedDocument.from_dict(forged)

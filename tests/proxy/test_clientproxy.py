@@ -88,6 +88,20 @@ class TestPassthrough:
         response = stack.proxy.handle("http://nowhere.example/x")
         assert response.status == 502
 
+    @pytest.mark.parametrize(
+        "answer", [{"status": 200, "body": 50_000_000}, {"status": "x", "body": b""}, {}, 7]
+    )
+    def test_passthrough_malformed_answer_is_502(self, testbed, stack, answer):
+        """The origin is untrusted too: an ``http.get`` answer that does
+        not decode (an integer body would be a 50 MB allocation) is a
+        bad gateway, never an exception."""
+        testbed.network.register(
+            Endpoint("canardo.inria.fr", "http"),
+            lambda frame: Response.success(answer).to_bytes(),
+        )
+        response = stack.proxy.handle("http://canardo.inria.fr/x")
+        assert response.status == 502 and len(response.content) < 1024
+
 
 class TestIdentityDisplay:
     def test_certified_as(self, testbed, session_ca):
@@ -124,8 +138,17 @@ def _string_bound(certificate: dict) -> dict:
     return forged
 
 
+#: An integer where a bytes field belongs: ``bytes(HUGE)`` would be an
+#: attacker-sized allocation, not a decode.
+HUGE = 50_000_000
+
+
 #: id -> (op, what the genuine certificate becomes / the canned answer).
 MALFORMED_ANSWERS = {
+    "public_key_an_integer": ("globedoc.get_public_key", lambda cert: HUGE),
+    "element_content_an_integer": (
+        "globedoc.get_element", lambda cert: {"name": "index.html", "content": HUGE},
+    ),
     "public_key_not_bytes": ("globedoc.get_public_key", lambda cert: "EVIL-PAYLOAD"),
     "identity_without_envelope": (
         "globedoc.get_identity_certificates", lambda cert: [{"body": EVIL}],
@@ -233,7 +256,7 @@ class TestMalformedReplicaAnswers:
             assert not any(genuine in response.content for genuine in ELEMENTS.values())
 
     @pytest.mark.parametrize(
-        "case", [c for c in MALFORMED_ANSWERS if c != "element_without_content"]
+        "case", [c for c in MALFORMED_ANSWERS if not c.startswith("element_")]
     )
     def test_binding_fails_over_to_an_honest_replica(self, world, case):
         """Exactly as for a bad key: the malformed replica is escaped
@@ -248,9 +271,29 @@ class TestMalformedReplicaAnswers:
         assert len(failovers) == 1
         assert failovers[0].attributes["cause"] == "AuthenticityError"
 
-    def test_malformed_element_is_not_retried_elsewhere(self, world):
+    @pytest.mark.parametrize(
+        "case", [c for c in MALFORMED_ANSWERS if c.startswith("element_")]
+    )
+    def test_malformed_element_is_not_retried_elsewhere(self, world, case):
         """Exactly as for a tampered element: a verified binding that
         then serves a bad element is a violation, not an outage."""
         published, deploy, stack = world
-        deploy("element_without_content")
+        deploy(case)
         self.assert_rejected(stack().proxy.handle(published.url("index.html")))
+
+    @pytest.mark.parametrize("case", ["public_key_an_integer", "element_content_an_integer"])
+    def test_integer_in_a_bytes_field_allocates_nothing(self, world, case):
+        """``bytes(50_000_000)`` is 50 MB of zeros: the rejection must
+        cost no more memory than the frame that carried the integer."""
+        import tracemalloc
+
+        published, deploy, stack = world
+        deploy(case)
+        proxy = stack(max_rebinds=0).proxy
+        tracemalloc.start()
+        try:
+            self.assert_rejected(proxy.handle(published.url("index.html")))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < HUGE // 10

@@ -5,14 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.globedoc.element import PageElement
-from repro.globedoc.owner import DocumentOwner, SignedDocument
+from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.net.address import ContactAddress, Endpoint
-from repro.net.rpc import RpcClient
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from tests.conftest import fast_keys
 
 
@@ -65,25 +61,8 @@ class TestSessionTtl:
         proxy.handle(published.url("index.html"))  # bound to Amsterdam
 
         # Place a local replica (server-push path).
-        cornell = ObjectServer(
-            host="ensamble02.cornell.edu", site="root/us/cornell", clock=testbed.clock
-        )
-        cornell.keystore.authorize("owner", owner.public_key)
-        testbed.network.register(
-            Endpoint("ensamble02.cornell.edu", "objectserver"),
-            cornell.rpc_server().handle_frame,
-        )
-        admin = AdminClient(
-            RpcClient(testbed.network.transport_for("sporty.cs.vu.nl")),
-            Endpoint("ensamble02.cornell.edu", "objectserver"),
-            owner.keys,
-            testbed.clock,
-        )
-        result = admin.create_replica(published.document)
-        testbed.location_service.tree.insert(
-            published.oid_hex,
-            "root/us/cornell",
-            ContactAddress.from_dict(result["address"]),
+        cornell = testbed.add_replica(
+            published, "ensamble02.cornell.edu", "root/us/cornell"
         )
 
         testbed.clock.advance(6.0)  # past session + location TTLs

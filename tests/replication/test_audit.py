@@ -14,10 +14,8 @@ from repro.errors import ReproError
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.location.service import LocationClient
 from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
-from repro.replication.audit import ReplicaAuditor, ReplicaHealth
+from repro.replication.audit import ReplicaAuditor
 from tests.conftest import fast_keys
 
 EVIL_HOST = "canardo.inria.fr"
@@ -36,14 +34,15 @@ def world():
     return testbed, owner, v1, published
 
 
+def make_auditor(testbed, health=None):
+    """An auditor at the VU, on a client stack's rpc and location client."""
+    stack = testbed.client_stack("sporty.cs.vu.nl")
+    return ReplicaAuditor(stack.rpc, stack.location, testbed.clock, health=health)
+
+
 @pytest.fixture
 def auditor(world):
-    testbed, *_ = world
-    rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-    location = LocationClient(
-        rpc, testbed.location_endpoint, "root/europe/vu", clock=testbed.clock
-    )
-    return ReplicaAuditor(rpc, location, testbed.clock)
+    return make_auditor(world[0])
 
 
 def deploy_evil(testbed, published, behavior):
@@ -145,19 +144,12 @@ class TestEviction:
 class TestHealthIntegration:
     """The auditor and the client stack share one replica-health view."""
 
-    def tracked_auditor(self, testbed, health):
-        rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-        location = LocationClient(
-            rpc, testbed.location_endpoint, "root/europe/vu", clock=testbed.clock
-        )
-        return ReplicaAuditor(rpc, location, testbed.clock, health=health)
-
     def test_audit_verdicts_feed_tracker(self, world):
         from repro.net.health import ReplicaHealthTracker
 
         testbed, owner, v1, published = world
         health = ReplicaHealthTracker(clock=testbed.clock, failure_threshold=2)
-        auditor = self.tracked_auditor(testbed, health)
+        auditor = make_auditor(testbed, health)
         evil = deploy_evil(testbed, published, TamperBehavior("index.html"))
         for _ in range(2):
             summary = auditor.audit(owner.oid)
@@ -172,7 +164,7 @@ class TestHealthIntegration:
 
         testbed, owner, v1, published = world
         health = ReplicaHealthTracker(clock=testbed.clock, failure_threshold=3)
-        auditor = self.tracked_auditor(testbed, health)
+        auditor = make_auditor(testbed, health)
         summary = auditor.audit(owner.oid)
         genuine = str(summary.healthy[0].address)
         # Clients hammered this replica into quarantine…
@@ -188,7 +180,7 @@ class TestHealthIntegration:
 
         testbed, owner, v1, published = world
         health = ReplicaHealthTracker(clock=testbed.clock, failure_threshold=3)
-        auditor = self.tracked_auditor(testbed, health)
+        auditor = make_auditor(testbed, health)
         summary = auditor.audit(owner.oid)
         genuine = summary.healthy[0].address
         for _ in range(3):

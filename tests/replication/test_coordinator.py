@@ -8,15 +8,9 @@ import pytest
 from repro.errors import ReplicationError
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
-from repro.harness.experiment import HOST_SITE, Testbed
-from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
-from repro.location.service import LocationClient
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
+from repro.harness.experiment import Testbed
 from repro.replication.policy import PlacementAction, RequestObservation
 from repro.replication.strategies import HotspotReplication, NoReplication, StaticReplication
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from tests.conftest import fast_keys
 
 SITES = {
@@ -35,27 +29,12 @@ def world():
     owner.put_element(PageElement("index.html", b"content"))
     document = owner.publish(validity=3600)
 
-    servers = {}
-    rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-    location = LocationClient(
-        rpc, testbed.location_endpoint, origin_site="root/europe/vu", clock=testbed.clock
-    )
-    coordinator = ReplicationCoordinator(location)
-
+    servers = {"root/europe/vu": testbed.object_server}
     for site, host in SITES.items():
-        if host == "ginger.cs.vu.nl":
-            server = testbed.object_server  # reuse the testbed's server
-        else:
-            server = ObjectServer(host=host, site=site, clock=testbed.clock)
-            testbed.network.register(
-                Endpoint(host, "objectserver"), server.rpc_server().handle_frame
-            )
-        server.keystore.authorize("owner", owner.public_key)
-        servers[site] = server
-        admin = AdminClient(
-            rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock
-        )
-        coordinator.add_site(SitePort(site=site, admin=admin))
+        if site not in servers:
+            servers[site] = testbed.start_server(host)
+        servers[site].keystore.authorize("owner", owner.public_key)
+    coordinator = testbed.coordinator(owner)
 
     return testbed, owner, document, servers, coordinator
 

@@ -115,12 +115,7 @@ class TestNegotiatedPlacement:
     @pytest.fixture
     def world(self, clock, make_owner):
         from repro.harness.experiment import Testbed
-        from repro.location.service import LocationClient
-        from repro.net.address import Endpoint
-        from repro.net.rpc import RpcClient
-        from repro.replication.coordinator import ReplicationCoordinator, SitePort
         from repro.replication.strategies import NoReplication
-        from repro.server.admin import AdminClient
         from repro.server.objectserver import ObjectServer
         from repro.server.resources import ResourceLimits
 
@@ -130,41 +125,21 @@ class TestNegotiatedPlacement:
         owner.clock = testbed.clock
         document = owner.publish(validity=3600)
 
-        rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
-        coordinator = ReplicationCoordinator(
-            LocationClient(
-                rpc, testbed.location_endpoint, "root/europe/vu", clock=testbed.clock
+        servers = {"root/europe/vu": testbed.object_server}  # home, unlimited
+        for site, host, disk_bytes in (
+            ("root/europe/inria", "canardo.inria.fr", 1000),
+            ("root/us/cornell", "ensamble02.cornell.edu", 100_000),
+        ):
+            servers[site] = testbed.servers[host] = ObjectServer(
+                host=host, site=site, clock=testbed.clock,
+                limits=ResourceLimits(disk_bytes=disk_bytes),
             )
-        )
-        servers = {}
-        site_specs = {
-            "root/europe/vu": ("ginger.cs.vu.nl", None),  # home, unlimited
-            "root/europe/inria": ("canardo.inria.fr", ResourceLimits(disk_bytes=1000)),
-            "root/us/cornell": (
-                "ensamble02.cornell.edu",
-                ResourceLimits(disk_bytes=100_000),
-            ),
-        }
-        for site, (host, limits) in site_specs.items():
-            if host == "ginger.cs.vu.nl":
-                server = testbed.object_server
-            else:
-                server = ObjectServer(
-                    host=host, site=site, clock=testbed.clock, limits=limits
-                )
-                testbed.network.register(
-                    Endpoint(host, "objectserver"), server.rpc_server().handle_frame
-                )
+            testbed.network.register(
+                servers[site].endpoint, servers[site].rpc_server().handle_frame
+            )
+        for server in servers.values():
             server.keystore.authorize("owner", owner.public_key)
-            servers[site] = server
-            coordinator.add_site(
-                SitePort(
-                    site=site,
-                    admin=AdminClient(
-                        rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock
-                    ),
-                )
-            )
+        coordinator = testbed.coordinator(owner)
         coordinator.manage(owner, document, NoReplication(), home_site="root/europe/vu")
         return testbed, owner, document, servers, coordinator
 

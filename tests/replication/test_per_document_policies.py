@@ -10,15 +10,9 @@ import pytest
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.location.service import LocationClient
 from repro.naming.records import OidRecord
-from repro.net.address import Endpoint
-from repro.net.rpc import RpcClient
-from repro.replication.coordinator import ReplicationCoordinator, SitePort
 from repro.replication.policy import RequestObservation
 from repro.replication.strategies import HotspotReplication, NoReplication
-from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
 from tests.conftest import fast_keys
 
 REMOTE_SITE = "root/us/cornell"
@@ -40,36 +34,13 @@ def world():
     static_owner, static_doc = make_doc("vu.nl/archive-page")
     hot_owner, hot_doc = make_doc("vu.nl/breaking-news")
 
-    remote = ObjectServer(host=REMOTE_HOST, site=REMOTE_SITE, clock=testbed.clock)
-    for owner in (static_owner, hot_owner):
-        remote.keystore.authorize(owner.name, owner.public_key)
-    testbed.network.register(
-        Endpoint(REMOTE_HOST, "objectserver"), remote.rpc_server().handle_frame
-    )
-
-    rpc = RpcClient(testbed.network.transport_for("sporty.cs.vu.nl"))
+    remote = testbed.start_server(REMOTE_HOST)
     # Admin placement is authenticated per owner key, so each document
     # gets its own coordinator (as each owner would run in practice).
     coordinators = {}
     for owner in (static_owner, hot_owner):
-        c = ReplicationCoordinator(
-            LocationClient(
-                rpc, testbed.location_endpoint, "root/europe/vu", clock=testbed.clock
-            )
-        )
-        for site, host in (
-            ("root/europe/vu", "ginger.cs.vu.nl"),
-            (REMOTE_SITE, REMOTE_HOST),
-        ):
-            c.add_site(
-                SitePort(
-                    site=site,
-                    admin=AdminClient(
-                        rpc, Endpoint(host, "objectserver"), owner.keys, testbed.clock
-                    ),
-                )
-            )
-        coordinators[owner.name] = c
+        remote.keystore.authorize(owner.name, owner.public_key)
+        coordinators[owner.name] = testbed.coordinator(owner)
 
     coordinators[static_owner.name].manage(
         static_owner, static_doc, NoReplication(), home_site="root/europe/vu"

@@ -18,8 +18,6 @@ from repro.harness.experiment import Testbed
 from repro.net.address import ContactAddress, Endpoint
 from repro.net.rpc import RpcClient
 from repro.server.admin import AdminClient
-from repro.server.objectserver import ObjectServer
-from repro.crypto.keys import KeyPair
 from tests.conftest import fast_keys
 
 
@@ -33,14 +31,8 @@ def world(make_owner):
     # The source server (ginger) has its own identity key pair.
     source_server_keys = fast_keys()
     # A peer server at Cornell authorises *the source server*, not the owner.
-    peer = ObjectServer(
-        host="ensamble02.cornell.edu", site="root/us/cornell", clock=testbed.clock
-    )
+    peer = testbed.start_server("ensamble02.cornell.edu")
     peer.keystore.authorize("ginger-objectserver", source_server_keys.public)
-    testbed.network.register(
-        Endpoint("ensamble02.cornell.edu", "objectserver"),
-        peer.rpc_server().handle_frame,
-    )
     return testbed, owner, published, source_server_keys, peer
 
 

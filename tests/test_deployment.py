@@ -1,0 +1,194 @@
+"""The composition root (``repro.deployment``): one world over three
+transports, a fresh proxy that really shares its stack's wiring, and
+the guard that keeps the root the only place that wires the stack."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+from contextlib import ExitStack, contextmanager
+
+import pytest
+
+from repro.deployment import ZONE_PATHS, Deployment
+from repro.globedoc.owner import DocumentOwner
+from repro.globedoc.element import PageElement
+from repro.naming.zone import ZoneKeys
+from repro.net.tcpnet import TcpEndpointServer, TcpTransport
+from repro.net.topology import paper_testbed
+from repro.net.transport import LoopbackTransport
+from repro.obs import RingBufferSink, Tracer
+from repro.sim.clock import RealClock, SimClock
+from tests.conftest import fast_keys
+
+HOST, CLIENT, SITE = "ginger.cs.vu.nl", "canardo.inria.fr", "root/europe/vu"
+ELEMENTS = {"index.html": b"<html>one world</html>", "style.css": b"body { margin: 0 }"}
+TRANSPORTS = ("sim", "loopback", "tcp")
+
+
+@pytest.fixture(scope="module")
+def zone_keys():
+    """One key ceremony for every world in this module."""
+    return {zone: ZoneKeys(zone, fast_keys()) for zone in ZONE_PATHS}
+
+
+@contextmanager
+def world(kind: str, zone_keys):
+    """The same deployment on *kind*'s fabric: only the clock, the
+    ``register`` and the ``transport_for`` differ between transports."""
+    with ExitStack() as cleanup:
+        if kind == "sim":
+            network = paper_testbed(SimClock(1000.0)).network
+            fabric = network.clock, network.register, network.transport_for
+        elif kind == "loopback":
+            loopback = LoopbackTransport()
+            fabric = SimClock(1000.0), loopback.register, lambda host: loopback
+        else:
+            listener = cleanup.enter_context(TcpEndpointServer())
+            tcp = TcpTransport(directory={HOST: listener.address})
+            cleanup.callback(tcp.close)
+            fabric = (
+                RealClock(),
+                lambda endpoint, handler: listener.register(endpoint.service, handler),
+                lambda host: tcp,
+            )
+        yield Deployment(*fabric, HOST, {HOST: SITE, CLIENT: SITE}, zone_keys=zone_keys)
+
+
+def observe(kind: str, zone_keys, owner_keys) -> dict:
+    """Publish the two-element document on *kind*'s fabric and record
+    what a traced client sees: cold, warm, and tampered at the replica."""
+    with world(kind, zone_keys) as deployment:
+        clock = deployment.clock
+        owner = DocumentOwner("vu.nl/oneworld", keys=owner_keys, clock=clock)
+        for name, content in ELEMENTS.items():
+            owner.put_element(PageElement(name, content))
+        published = deployment.publish(owner)
+        ring = RingBufferSink()
+        stack = deployment.client_stack(CLIENT, tracer=Tracer(clock=clock, sinks=(ring,)))
+
+        def access(element: str):
+            ring.clear()
+            response = stack.proxy.handle(published.url(element))
+            rejections = [(s.name, s.error_type) for s in ring.errors()]
+            return response, [s.name for s in ring.spans], rejections
+
+        observed = {"cold": access("index.html"), "warm": access("style.css")}
+        state = deployment.object_server.replica_for_oid(published.oid_hex).lr.state
+        state.elements["index.html"] = state.elements["index.html"].with_content(b"evil")
+        observed["tampered"] = access("index.html")
+        return observed
+
+
+class TestOneWorldThreeTransports:
+    """ROADMAP 1(a)'s "sim/loopback/TCP stay byte-identical to each
+    other", stated once: the same document through the same root gives
+    the same bytes, statuses and span sequence on every fabric."""
+
+    @pytest.fixture(scope="class")
+    def observed(self, zone_keys):
+        owner_keys = fast_keys()  # same object id in all three worlds
+        return {kind: observe(kind, zone_keys, owner_keys) for kind in TRANSPORTS}
+
+    @pytest.mark.parametrize("phase", ["cold", "warm", "tampered"])
+    def test_identical_response_and_span_sequence(self, observed, phase):
+        reference, ref_spans, ref_rejections = observed["sim"][phase]
+        assert ref_spans and ref_spans[-1] == "proxy.handle"
+        for kind in TRANSPORTS[1:]:
+            response, spans, rejections = observed[kind][phase]
+            assert response == reference, kind
+            assert spans == ref_spans, kind
+            assert rejections == ref_rejections, kind
+
+    def test_what_was_observed_is_the_pipeline(self, observed):
+        cold, cold_spans, _ = observed["tcp"]["cold"]
+        warm, warm_spans, _ = observed["tcp"]["warm"]
+        tampered, _, rejections = observed["tcp"]["tampered"]
+        assert (cold.status, cold.content) == (200, ELEMENTS["index.html"])
+        assert (warm.status, warm.content) == (200, ELEMENTS["style.css"])
+        assert "check.public_key" in cold_spans and "check.public_key" not in warm_spans
+        assert tampered.status == 403 and tampered.security_failure == "AuthenticityError"
+        assert ("check.element_hash", "AuthenticityError") in rejections
+
+
+class TestFreshProxy:
+    def test_fresh_proxy_shares_the_stacks_wiring(self, zone_keys):
+        """Regression: ``fresh_proxy`` was a second ``GlobeDocProxy(``
+        site that dropped the stack's tracer, content cache, failover
+        budget, metrics and pipeline."""
+        from repro.proxy.contentcache import ContentCache
+        from repro.proxy.pipeline import PipelineConfig
+
+        with world("loopback", zone_keys) as deployment:
+            published = deployment.publish(deployment.document_owner("vu.nl/fresh", ELEMENTS))
+            ring = RingBufferSink()
+            cache = ContentCache(clock=deployment.clock, ttl=60.0)
+            stack = deployment.client_stack(
+                CLIENT,
+                tracer=Tracer(clock=deployment.clock, sinks=(ring,)),
+                content_cache=cache,
+                max_rebinds=1,
+                pipeline=PipelineConfig(),
+            )
+            fresh = stack.fresh_proxy(cache_binding=False)
+            assert fresh is not stack.proxy and not fresh.cache_binding
+            assert fresh.handle(published.url("index.html")).ok
+            assert "proxy.handle" in [span.name for span in ring.spans]
+            assert fresh.content_cache is cache and fresh.max_rebinds == 1
+            assert fresh.scheduler is not None
+            assert fresh.scheduler is not stack.scheduler
+
+
+# ----------------------------------------------------------------------
+# The duplication cannot regrow
+# ----------------------------------------------------------------------
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+ROOT_MODULE = "src/repro/deployment.py"
+
+#: The classes the root wires: each has exactly one call site across
+#: ``src/`` and ``examples/``, and it is in the root module.
+WIRED = (
+    "Binder SecurityChecker GlobeDocProxy SecureResolver RevocationChecker NameService "
+    "LocationService AccessScheduler PrefetchingRpcClient RetryingRpcClient"
+).split()
+
+#: A second construction site that is truly needed goes here, by name:
+#: ``{(class, "path/from/repo/root.py"): "why it cannot use the root"}``.
+EXCEPTIONS: dict = {}
+
+
+def _nodes(relative_path, kind):
+    path = REPO / relative_path
+    return [n for n in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(n, kind)]
+
+
+class TestOneCompositionRoot:
+    def test_one_construction_site_each_in_the_root(self):
+        sites = {name: [] for name in WIRED}
+        for top in ("src", "examples"):
+            for path in sorted((REPO / top).rglob("*.py")):
+                relative = str(path.relative_to(REPO))
+                for call in _nodes(relative, ast.Call):
+                    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                    if name in sites and (name, relative) not in EXCEPTIONS:
+                        sites[name].append(relative)
+        for name, paths in sites.items():
+            assert paths == [ROOT_MODULE], (
+                f"{name} is constructed in {paths}: wire it through "
+                "repro.deployment, or name the exception in EXCEPTIONS"
+            )
+
+    def test_root_is_fabric_free_and_experiment_keeps_no_wiring(self):
+        """The root lives outside ``harness/`` and imports no fabric;
+        ``experiment.py`` imports none of what the root wires."""
+        imported = {n.module for n in _nodes(ROOT_MODULE, ast.ImportFrom)}
+        imported |= {a.name for n in _nodes(ROOT_MODULE, ast.Import) for a in n.names}
+        fabrics = ("repro.harness", "repro.net.simnet", "repro.net.topology", "repro.net.tcpnet")
+        assert not [module for module in imported if module.startswith(fabrics)]
+        names = {
+            alias.name
+            for node in _nodes("src/repro/harness/experiment.py", ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not names & set(WIRED)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.keys import PublicKey
-from repro.errors import BranchWithholdingError
+from repro.errors import AuthenticityError, BranchWithholdingError
 from repro.net.rpc import RpcClient
 from repro.net.transport import LoopbackTransport
 from repro.proxy.checks import SecurityChecker
@@ -121,6 +121,46 @@ class TestServedIdsFallback:
         assert bundle["peer_delta_ids"] == [
             SignedDelta.from_dict(d).delta_id for d in bundle["deltas"]
         ]
+
+
+#: id -> what the genuine ``versioning.fetch`` answer becomes.
+MALFORMED_BUNDLES = {
+    "empty_mapping": lambda bundle: {},
+    "not_a_mapping": lambda bundle: [1, 2],
+    "none": lambda bundle: None,
+    "deltas_an_int": lambda bundle: {**bundle, "deltas": 5},
+    "delta_not_a_certificate": lambda bundle: {**bundle, "deltas": [{"body": b"x"}]},
+    "grants_a_string_list": lambda bundle: {**bundle, "grants": ["alice"]},
+    "frontier_cert_a_string": lambda bundle: {**bundle, "frontier_cert": "EVIL"},
+    "unhashable_peer_ids": lambda bundle: {**bundle, "peer_delta_ids": [["a"], {}]},
+    "peer_ids_an_int": lambda bundle: {**bundle, "peer_delta_ids": 7},
+    "object_key_an_int": lambda bundle: {**bundle, "object_key_der": 50_000_000},
+    "object_key_a_string": lambda bundle: {**bundle, "object_key_der": "EVIL"},
+}
+
+
+class TestMalformedBundle:
+    """ROADMAP 6(d), the versioning half: a ``versioning.fetch`` answer
+    that does not decode is an ``AuthenticityError``, and the verified
+    baseline is untouched."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED_BUNDLES))
+    def test_typed_rejection_leaves_baseline_untouched(self, world, case):
+        reader, server, oid = world["reader"], world["server"], world["oid"]
+        reader.read(server.endpoint, oid)
+        frontier, dag = reader.known_frontier(oid.hex), reader.known_dag(oid.hex)
+        honest = reader.rpc
+
+        class ForgingRpc:
+            def call(self, endpoint, op, **kwargs):
+                answer = honest.call(endpoint, op, **kwargs)
+                return MALFORMED_BUNDLES[case](answer) if op == "versioning.fetch" else answer
+
+        reader.rpc = ForgingRpc()
+        with pytest.raises(AuthenticityError, match="malformed versioning.fetch"):
+            reader.read(server.endpoint, oid)
+        assert reader.known_frontier(oid.hex) == frontier
+        assert reader.known_dag(oid.hex) is dag
 
 
 class TestRekey:
