@@ -1,10 +1,14 @@
 """RPC wire messages.
 
-Requests and responses serialise through the canonical encoder so the
-bytes are identical on the loopback, simulated, and TCP transports —
-which in turn makes simulated transfer sizes honest (the simulator
-charges for the *actual* encoded bytes, including certificate and key
-payloads, reproducing the paper's "about 2KB of extra information").
+Requests and responses serialise through the one frame codec
+(:func:`repro.util.encoding.to_wire`: canonical-JSON header, raw
+``bytes`` attachments, CRC32 trailer) so the bytes are identical on the
+loopback, simulated, and TCP transports — which in turn makes simulated
+transfer sizes honest (the simulator charges for the *actual* encoded
+bytes, including certificate and key payloads, reproducing the paper's
+"about 2KB of extra information"). A frame that fails the codec's
+checks — a flipped bit, a truncation — is a :class:`TransportError`:
+retryable link noise, never a verdict on the replica.
 """
 
 from __future__ import annotations
@@ -52,10 +56,6 @@ class Request:
         if not isinstance(op, str) or not isinstance(args, dict):
             raise TransportError("malformed request frame: op or args mistyped")
         return cls(op=op, args=dict(args), ctx=ctx if isinstance(ctx, dict) else None)
-
-    @property
-    def wire_size(self) -> int:
-        return len(self.to_bytes())
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,3 @@ class Response:
         if self.ok:
             return self.value
         raise RpcError(f"{self.error_type or 'RemoteError'}: {self.error}")
-
-    @property
-    def wire_size(self) -> int:
-        return len(self.to_bytes())

@@ -5,12 +5,13 @@ sockets. Integration tests run a full GlobeDoc object server and client
 proxy across localhost TCP to prove the stack is not simulator-bound;
 the examples can do the same across real machines.
 
-Frame format: 4-byte big-endian length, then the canonical-encoded
-message bytes. Connections are persistent: the server answers frames on
-one connection until the peer closes it, and the client keeps a small
-pool of sockets per address (replacing the HTTP/1.0-era
-socket-per-request model), so a pipelined batch reuses warm connections
-instead of paying a TCP handshake per call.
+Stream format: 4-byte big-endian length, then one opaque message frame
+(:func:`repro.util.encoding.to_wire`, which carries its own checksum —
+this module never looks inside). Connections are persistent: the server
+answers frames on one connection until the peer closes it, and the
+client keeps a small pool of sockets per address (replacing the
+HTTP/1.0-era socket-per-request model), so a pipelined batch reuses warm
+connections instead of paying a TCP handshake per call.
 
 Every socket read and connect carries a configurable timeout surfacing
 as :class:`~repro.errors.TransportError` — a stalled peer degrades into

@@ -1,15 +1,30 @@
-"""Deterministic canonical encoding for signed payloads and wire messages.
+"""Two codecs: what is *signed* and what is *framed*.
 
+**Signed** (:func:`canonical_bytes` / :func:`from_canonical_bytes`).
 Digital signatures are computed over *bytes*, so every structure that is
 ever signed (integrity certificates, identity certificates, name-service
 resource records) must serialise to exactly the same byte string on every
 host and every Python version. We use *canonical JSON*: UTF-8, sorted
 keys, no insignificant whitespace, and ``bytes`` values wrapped in a
-tagged base64 envelope so the mapping is invertible.
+tagged base64 envelope so the mapping is invertible. OIDs, delta ids and
+the journal's at-rest records are this form too.
 
-The same encoder doubles as the wire format of the RPC layer
-(:mod:`repro.net.message`), which keeps simulated and real-TCP transports
-byte-identical.
+**Framed** (:func:`to_wire` / :func:`from_wire`): the transport codec of
+the RPC layer (:mod:`repro.net.message`). Element bytes are never signed
+— only their digest is, inside the integrity certificate — so the frame
+does not re-encode them::
+
+    4-byte header length | header | attachment 0 | attachment 1 | ... | CRC32
+
+all integers big-endian. The header is canonical JSON of the message
+with every ``bytes`` value replaced, in traversal order (dict keys
+sorted), by the reserved placeholder ``{"__att__": <length>}``; the
+attachments follow raw, concatenated in that order; the trailer is the
+CRC32 of everything before it. Equal values give equal frames, on every
+transport. The checksum is what makes link noise a *transport* fault: a
+flipped content byte would otherwise decode cleanly and surface as a
+failed hash check — a security rejection of an honest replica instead
+of a retry.
 """
 
 from __future__ import annotations
@@ -17,7 +32,8 @@ from __future__ import annotations
 import base64
 import json
 import math
-from typing import Any
+import zlib
+from typing import Any, List
 
 from repro.errors import CryptoError, EncodingError
 
@@ -118,14 +134,94 @@ def from_canonical_bytes(data: bytes) -> Any:
     return _untag(parsed)
 
 
+# Placeholder for one raw attachment in a frame header; like
+# ``_BYTES_TAG`` a reserved key, and both are refused in a framed mapping:
+# a decoded value always frames again and always signs.
+_ATTACHMENT_TAG = "__att__"
+_RESERVED_KEYS = frozenset((_BYTES_TAG, _ATTACHMENT_TAG))
+# How each reads as a mapping key in (compact) header text.
+_ATTACHMENT_KEY_TEXT = f'"{_ATTACHMENT_TAG}":'.encode("ascii")
+_BYTES_KEY_TEXT = f'"{_BYTES_TAG}":'.encode("ascii")
+_WORD = 4  # bytes in the header-length prefix and in the CRC32 trailer
+
+
 def to_wire(value: Any) -> bytes:
-    """Encode a message for transmission: canonical bytes (shared format)."""
-    return canonical_bytes(value)
+    """Frame a message for transmission (layout in the module docstring).
+
+    ``bytes`` values are carried as-is: one copy into the frame, no
+    base64, no JSON escaping. The JSON encoder itself walks the value —
+    keys sorted — and hands over each ``bytes`` it meets, so attachment
+    order is the header's text order whatever the insertion order."""
+    attachments: List[bytes] = []
+
+    def detach(leaf: Any) -> Any:
+        if isinstance(leaf, memoryview):  # len() counts items, not bytes
+            leaf = leaf.tobytes()
+        elif not isinstance(leaf, (bytes, bytearray)):
+            raise EncodingError(f"type {type(leaf).__name__} is not encodable")
+        attachments.append(leaf)
+        return {_ATTACHMENT_TAG: len(leaf)}
+
+    try:
+        header = json.dumps(
+            value, sort_keys=True, separators=(",", ":"), allow_nan=False, default=detach
+        ).encode("ascii")
+    except (TypeError, ValueError) as exc:  # unsortable or non-JSON keys, NaN/Inf, cycles
+        raise EncodingError(f"value is not encodable: {exc}") from exc
+    # The encoder walks the mappings, so reserved keys are looked for in
+    # its output. A quote inside a JSON string is escaped: ``"__att__":``
+    # can only be text where a mapping key is (or, for a key holding a
+    # quote, ends in) ``__att__``. One per placeholder is ours; any more
+    # is a user key, refused — as is the rare key that merely ends so.
+    if header.count(_ATTACHMENT_KEY_TEXT) != len(attachments) or _BYTES_KEY_TEXT in header:
+        raise EncodingError(f"reserved key {_ATTACHMENT_TAG!r} or {_BYTES_TAG!r} in mapping")
+    parts = [len(header).to_bytes(_WORD, "big"), header, *attachments]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(crc.to_bytes(_WORD, "big"))
+    return b"".join(parts)
 
 
 def from_wire(data: bytes) -> Any:
-    """Decode a wire message produced by :func:`to_wire`."""
-    return from_canonical_bytes(data)
+    """Decode a frame produced by :func:`to_wire`.
+
+    Strict: the checksum must match, every placeholder must announce a
+    non-negative ``int`` length that lies inside the frame (lengths only
+    ever slice, never allocate), and header plus attachments must consume
+    the frame exactly. Anything else is :class:`EncodingError`."""
+    frame = memoryview(data)
+    end = len(frame) - _WORD
+    if end < _WORD:
+        raise EncodingError(f"frame of {len(frame)} bytes is shorter than its fixed parts")
+    if zlib.crc32(frame[:end]) != int.from_bytes(frame[end:], "big"):
+        raise EncodingError("frame checksum mismatch")
+    offset = _WORD + int.from_bytes(frame[:_WORD], "big")
+    if offset > end:
+        raise EncodingError("header length runs past the frame")
+    header = frame[_WORD:offset]
+
+    def attach(mapping: dict) -> Any:
+        """The parser's ``object_hook``: it sees every JSON object as it
+        closes, so placeholders arrive in text order."""
+        nonlocal offset
+        if _RESERVED_KEYS.isdisjoint(mapping):
+            return mapping
+        length = mapping.get(_ATTACHMENT_TAG)
+        if len(mapping) != 1 or type(length) is not int or length < 0:
+            raise EncodingError("malformed attachment placeholder")
+        if length > end - offset:
+            raise EncodingError("attachment length runs past the frame")
+        start, offset = offset, offset + length
+        return bytes(frame[start:offset])
+
+    try:
+        value = json.loads(str(header, "utf-8"), object_hook=attach)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge int, depth
+        raise EncodingError(f"invalid frame header: {exc}") from exc
+    if offset != end:
+        raise EncodingError(f"{end - offset} unclaimed bytes after the last attachment")
+    return value
 
 
 def wire_bytes(value: Any) -> bytes:

@@ -14,7 +14,7 @@ from repro.naming.dnssec import DelegationRecord, SignedOidRecord
 from repro.naming.forwarding import ForwardingRecord
 from repro.naming.records import OidRecord
 from repro.revocation.statement import RevocationStatement
-from repro.util.encoding import canonical_bytes, to_wire
+from repro.util.encoding import canonical_bytes, from_canonical_bytes, from_wire, to_wire
 from repro.versioning import DeltaOp, FrontierCertificate, SignedDelta, WriterGrant
 from repro.versioning.delta import OP_PUT
 
@@ -77,6 +77,14 @@ BUILDERS = [
 ]
 
 
+def _subvalues(tree):
+    """Every value nested in *tree*, itself included, in frame order."""
+    yield tree
+    children = tree.values() if isinstance(tree, dict) else tree if isinstance(tree, list) else ()
+    for child in children:
+        yield from _subvalues(child)
+
+
 @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__.lstrip("_"))
 def test_signed_fields_travel_once(build, shared_keys, other_keys):
     oid = ObjectId.from_public_key(shared_keys.public)
@@ -86,4 +94,17 @@ def test_signed_fields_travel_once(build, shared_keys, other_keys):
 
     assert set(wire) == {"envelope"}
     assert type(value).from_dict(wire) == value
-    assert to_wire(wire).count(canonical_bytes(dict(certificate.body))) == 1
+
+    # What travels is a header plus raw attachments; decoded, that is the
+    # tree below with the attachments as its bytes leaves.
+    frame = to_wire(wire)
+    travelled = list(_subvalues(from_wire(frame)))
+    body = from_canonical_bytes(canonical_bytes(dict(certificate.body)))
+    assert travelled.count(body) == 1
+    attached = [v for v in travelled if isinstance(v, bytes)]
+    signed = [v for v in _subvalues(body) if isinstance(v, bytes)]
+    for leaf in signed:
+        assert attached.count(leaf) == signed.count(leaf), "a signed bytes field is attached twice"
+    # ... and nothing rides in the frame beside header, attachments, trailer.
+    header_length = int.from_bytes(frame[:4], "big")
+    assert len(frame) == 4 + header_length + sum(map(len, attached)) + 4

@@ -7,19 +7,27 @@ availability the resilience layer buys back)."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.attacks.mitm import MitmTransport
+from repro.errors import TransportError
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import SERVICES_HOST, Testbed
 from repro.net.address import Endpoint
 from repro.net.faults import FaultPlan, FlakyTransport
 from repro.net.health import ReplicaHealthTracker
+from repro.net.message import Response
 from repro.net.retry import RetryPolicy
 from repro.obs import RingBufferSink, Tracer
 from repro.sim.random import derive_seed
 from tests.conftest import fast_keys
 
 GENUINE = b"<html>the one chaotic truth</html>"
+#: 64 KiB holding every byte value: almost all of its answer frame is a
+#: raw attachment, where a flipped byte still decodes as *some* content.
+BINARY = bytes(range(256)) * 256
 CLIENT_HOST = "sporty.cs.vu.nl"
 
 EXTRA_SITES = (
@@ -33,6 +41,7 @@ def build_world():
     testbed = Testbed()
     owner = DocumentOwner("vu.nl/chaotic", keys=fast_keys(), clock=testbed.clock)
     owner.put_element(PageElement("index.html", GENUINE))
+    owner.put_element(PageElement("blob.bin", BINARY))
     published = testbed.publish(owner, validity=7 * 24 * 3600.0)
     for site, host in EXTRA_SITES:
         testbed.add_replica(published, host, site)
@@ -118,18 +127,77 @@ class TestDroppedRequests:
         )
 
 
+def _flip(frame: bytes, offset: int, mask: int) -> bytes:
+    flipped = bytearray(frame)
+    flipped[offset] ^= mask
+    return bytes(flipped)
+
+
 class TestCorruptedFrames:
-    def test_corruption_costs_retries_never_integrity(self, world):
+    """Link noise costs a retry, a lying replica costs a 403 — by the
+    frame's checksum, not by where in the frame the noise fell."""
+
+    @pytest.mark.parametrize("element, genuine", [("index.html", GENUINE), ("blob.bin", BINARY)])
+    def test_corruption_costs_retries_never_integrity(self, world, element, genuine):
         testbed, published = world
         stack, flaky, _ = resilient_stack(testbed, drop=0.0, corrupt=0.25, seed=3)
-        url = published.url("index.html")
+        url = published.url(element)
         for i in range(20):
             if i % 5 == 0:
                 stack.proxy.drop_all_sessions()
             response = stack.proxy.handle(url)
-            assert response.ok
-            assert response.content == GENUINE
+            assert response.status == 200, response.security_failure
+            assert response.content == genuine
         assert flaky.corruptions > 0
+        assert stack.rpc.counters.retries >= flaky.corruptions
+
+    @pytest.fixture(scope="class")
+    def answer(self, world) -> bytes:
+        """The genuine ``globedoc.get_element`` answer for the blob, as
+        it crossed the wire during one access."""
+        testbed, published = world
+        crossed = []
+        tap = MitmTransport(
+            testbed.network.transport_for(CLIENT_HOST),
+            lambda endpoint, frame: crossed.append(frame) or frame,
+        )
+        stack = testbed.client_stack(CLIENT_HOST, transport=tap)
+        assert stack.proxy.handle(published.url("blob.bin")).content == BINARY
+        (frame,) = [f for f in crossed if BINARY in f]  # raw, so findable
+        return frame
+
+    def test_a_flip_in_header_or_trailer_is_a_transport_error(self, answer):
+        attachments = 4 + int.from_bytes(answer[:4], "big")
+        for offset in [*range(attachments), *range(len(answer) - 4, len(answer))]:
+            for mask in (0x01, 0x80, 0xFF):
+                with pytest.raises(TransportError):
+                    Response.from_bytes(_flip(answer, offset, mask))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_flip_in_an_attachment_is_a_transport_error(self, answer, data):
+        offset = data.draw(st.integers(0, len(answer) - 1))
+        mask = data.draw(st.integers(1, 255))
+        with pytest.raises(TransportError):
+            Response.from_bytes(_flip(answer, offset, mask))
+
+    def test_a_rewritten_frame_is_still_a_security_rejection(self, world):
+        """An attacker re-encodes, so the checksum of what they send is
+        valid: the same one-byte change is then the hash check's to catch."""
+        testbed, published = world
+
+        def rewrite(endpoint, frame):
+            answer = Response.from_bytes(frame)
+            if not (answer.ok and isinstance(answer.value, dict) and "content" in answer.value):
+                return frame
+            tampered = _flip(answer.value["content"], 12345, 0xFF)
+            return Response.success({**answer.value, "content": tampered}).to_bytes()
+
+        mitm = MitmTransport(testbed.network.transport_for(CLIENT_HOST), rewrite)
+        stack = testbed.client_stack(CLIENT_HOST, transport=mitm)
+        response = stack.proxy.handle(published.url("blob.bin"))
+        assert mitm.intercepted > 0
+        assert (response.status, response.security_failure) == (403, "AuthenticityError")
 
 
 class TestReplicaCrash:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import AuthenticityError, RpcError, TransportError
+from repro.globedoc.element import PageElement
 from repro.net.message import Request, Response
 
 
@@ -27,9 +28,6 @@ class TestRequest:
         frame = Response.success(1).to_bytes()
         with pytest.raises(TransportError):
             Request.from_bytes(frame)
-
-    def test_wire_size(self):
-        assert Request(op="x").wire_size == len(Request(op="x").to_bytes())
 
 
 class TestRequestTraceContext:
@@ -95,3 +93,12 @@ class TestResponse:
     def test_malformed_rejected(self):
         with pytest.raises(TransportError):
             Response.from_bytes(b"\x00\x01")
+
+    def test_bulk_bytes_cross_the_wire_once_and_raw(self):
+        """The count guard for ROADMAP 1(a): a 256 KiB element costs its
+        own bytes plus a fixed envelope on the wire — no base64 third, no
+        escaping — and the frame holds those very bytes."""
+        content = bytes(range(256)) * 1024
+        frame = Response.success(PageElement("bulk.bin", content).to_dict()).to_bytes()
+        assert len(frame) - len(content) < 256
+        assert frame.count(content) == 1

@@ -6,6 +6,9 @@ crash with anything other than the library's typed errors.
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,11 +16,14 @@ from hypothesis import strategies as st
 from repro.errors import EncodingError, ReproError, TransportError, UrlError
 from repro.globedoc.urls import HybridUrl
 from repro.net.message import Request, Response
-from repro.util.encoding import from_canonical_bytes, to_wire, wire_bytes
+from repro.util.encoding import from_canonical_bytes, from_wire, to_wire, wire_bytes
 
-# Arguments that survive the canonical codec.
+RESERVED_KEYS = ("__b64__", "__att__")
+_keys = st.text(max_size=12).filter(lambda k: k not in RESERVED_KEYS)
+
+# Arguments that survive both codecs.
 _args = st.dictionaries(
-    st.text(max_size=12).filter(lambda k: k != "__b64__"),
+    _keys,
     st.one_of(
         st.none(),
         st.booleans(),
@@ -77,6 +83,187 @@ class TestRequestFuzz:
             assert isinstance(decoded.op, str) and isinstance(decoded.args, dict)
         else:
             assert isinstance(decoded.ok, bool)
+
+
+# Values with ``bytes`` (empty ones too) at any depth of lists and dicts.
+_nested = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(min_value=-(2**40), max_value=2**40),
+        st.text(max_size=8), st.binary(max_size=48),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _reordered(value):
+    """An equal value whose every dict was filled in the reverse order."""
+    if isinstance(value, dict):
+        return {k: _reordered(v) for k, v in reversed(list(value.items()))}
+    if isinstance(value, list):
+        return [_reordered(v) for v in value]
+    return value
+
+
+def _as(kind, value):
+    """An equal value with every ``bytes`` handed over as *kind*."""
+    if isinstance(value, bytes):
+        return kind(value)
+    if isinstance(value, dict):
+        return {k: _as(kind, v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as(kind, v) for v in value]
+    return value
+
+
+def _split(frame: bytes):
+    """A genuine frame as (header text, attachment region)."""
+    cut = 4 + int.from_bytes(frame[:4], "big")
+    return frame[4:cut], frame[cut:-4]
+
+
+def _assemble(header: bytes, region: bytes, header_length=None, crc=None) -> bytes:
+    """A frame with a *valid* trailer unless told otherwise, so what a
+    mutation proves rejected is the mutation, not a stale checksum."""
+    announced = len(header) if header_length is None else header_length
+    body = announced.to_bytes(4, "big") + header + region
+    return body + (zlib.crc32(body) if crc is None else crc).to_bytes(4, "big")
+
+
+def _with_content_length(header: bytes, length) -> bytes:
+    """*header* with the placeholder of ``value.content`` announcing *length*."""
+    tree = json.loads(header)
+    tree["value"]["content"] = {"__att__": length}
+    return json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+#: name -> (header, region, drawn int) -> mutated frame. ``value.content``
+#: is a non-empty attachment in every frame these are given.
+MUTATIONS = {
+    "header_length_short": lambda h, r, n: _assemble(h, r, len(h) - 1 - n % len(h)),
+    "header_length_long": lambda h, r, n: _assemble(h, r, len(h) + 1 + n % len(r)),
+    "header_length_beyond_frame": lambda h, r, n: _assemble(h, r, len(h) + len(r) + 1 + n % 2**31),
+    "placeholder_negative": lambda h, r, n: _assemble(_with_content_length(h, -1 - n), r),
+    "placeholder_bool": lambda h, r, n: _assemble(_with_content_length(h, bool(n % 2)), r),
+    "placeholder_float": lambda h, r, n: _assemble(_with_content_length(h, n + 0.5), r),
+    "placeholder_str": lambda h, r, n: _assemble(_with_content_length(h, str(n)), r),
+    "placeholder_huge": lambda h, r, n: _assemble(_with_content_length(h, 2**40 + n), r),
+    "placeholders_sum_past_frame": lambda h, r, n: _assemble(
+        _with_content_length(h, json.loads(h)["value"]["content"]["__att__"] + 1 + n), r
+    ),
+    "placeholder_with_a_sibling_key": lambda h, r, n: _assemble(
+        h.replace(b'{"__att__":', b'{"x":1,"__att__":', 1), r
+    ),
+    "old_base64_tag_in_header": lambda h, r, n: _assemble(
+        h.replace(b'"__att__"', b'"__b64__"', 1), r
+    ),
+    "fewer_attachments": lambda h, r, n: _assemble(h, r[: -1 - n % len(r)]),
+    "more_attachments": lambda h, r, n: _assemble(h, r + bytes(1 + n % 5)),
+    "trailing_bytes": lambda h, r, n: _assemble(h, r) + bytes(1 + n % 5),
+    "wrong_crc": lambda h, r, n: _assemble(h, r, crc=n),
+    "truncated": lambda h, r, n: _assemble(h, r)[: n % (len(h) + len(r) + 8)],
+}
+
+
+class TestFrameCodecFuzz:
+    """The transport codec (``to_wire``/``from_wire``): a header of
+    canonical JSON, raw attachments, a CRC32 trailer — and one typed
+    error for every way a frame can fail to be that."""
+
+    @given(_nested)
+    @settings(max_examples=200)
+    def test_roundtrip_with_bytes_at_any_depth(self, value):
+        frame = to_wire(value)
+        assert from_wire(frame) == value
+        assert b"__b64__" not in _split(frame)[0]
+
+    @given(_nested)
+    def test_equal_values_make_equal_frames(self, value):
+        frame = to_wire(value)
+        assert to_wire(_reordered(value)) == frame
+        assert to_wire(_as(bytearray, value)) == frame
+        assert to_wire(_as(memoryview, value)) == frame
+        # ... and whatever buffer type went in, ``bytes`` come out.
+        assert from_wire(to_wire(_as(bytearray, value))) == value
+
+    def test_empty_and_non_utf8_bytes_roundtrip(self):
+        value = {"a": b"", "b": [b"", bytes(range(256)), b""], "c": {"d": b"\xff\xfe"}}
+        assert from_wire(to_wire(value)) == value
+
+    def test_item_size_of_a_memoryview_is_not_its_length(self):
+        wide = memoryview(b"abcdefgh").cast("I")  # two items, eight bytes
+        assert from_wire(to_wire({"v": wide})) == {"v": b"abcdefgh"}
+
+    @pytest.mark.parametrize("key", RESERVED_KEYS)
+    @given(_nested)
+    @settings(max_examples=20)
+    def test_reserved_key_refused_on_encode(self, key, value):
+        for poisoned in ({key: value}, {"outer": [{"inner": {key: value}}]}):
+            with pytest.raises(EncodingError):
+                to_wire(poisoned)
+            with pytest.raises(EncodingError):
+                Response.success(poisoned).to_bytes()
+
+    def test_reserved_names_are_only_reserved_as_keys(self):
+        """As text they are payload like any other — also when the text
+        looks like a placeholder. A key that merely *ends* in a quote
+        plus a reserved name is refused too (the check reads the
+        header's text and errs on the side of refusing)."""
+        value = {"a": '"__att__":', "b": ['{"__att__":3}', "__b64__"], "c": b"xyz"}
+        assert from_wire(to_wire(value)) == value
+        with pytest.raises(EncodingError):
+            to_wire({'x"__att__': 1})
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("-inf"), {1, 2}, object(), {b"key": 1}, {("k",): 1}, {1: "a", "b": 2}],
+        ids=["nan", "inf", "set", "object", "bytes_key", "tuple_key", "mixed_keys"],
+    )
+    def test_unencodable_value_is_a_typed_error(self, value):
+        for holder in (value, {"v": [value]}):
+            with pytest.raises(EncodingError):
+                to_wire(holder)
+        cycle: list = []
+        cycle.append(cycle)
+        with pytest.raises(EncodingError):
+            to_wire(cycle)
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    @given(_nested, st.binary(min_size=1, max_size=48), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_every_malformation_is_one_typed_error(self, mutation, payload, content, drawn):
+        genuine = Response.success({"content": content, "payload": payload}).to_bytes()
+        assert Response.from_bytes(genuine).value["content"] == content
+        mutated = MUTATIONS[mutation](*_split(genuine), drawn)
+        if mutated == genuine:  # a wrong_crc draw that hit the right one
+            return
+        with pytest.raises(EncodingError):
+            from_wire(mutated)
+        for message in (Request, Response):
+            with pytest.raises(TransportError):
+                message.from_bytes(mutated)
+
+    @given(st.binary(max_size=64), st.binary(max_size=64))
+    @settings(max_examples=200)
+    def test_arbitrary_header_and_attachments_under_a_valid_checksum(self, header, region):
+        """Past the checksum (an attacker computes it as well as we do)
+        the header parser and the slicer still only ever raise
+        ``EncodingError``."""
+        try:
+            from_wire(_assemble(header, region))
+        except EncodingError:
+            pass
+
+    @pytest.mark.parametrize("depth", [5_000, 200_000])
+    def test_deep_nesting_is_a_typed_error(self, depth):
+        with pytest.raises(EncodingError):
+            from_wire(_assemble(b"[" * depth + b"]" * depth, b""))
+
+    def test_oversized_integer_literal_is_a_typed_error(self):
+        with pytest.raises(EncodingError):
+            from_wire(_assemble(b"1" * 5000, b""))
 
 
 class TestResponseFuzz:

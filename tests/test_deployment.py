@@ -22,7 +22,11 @@ from repro.sim.clock import RealClock, SimClock
 from tests.conftest import fast_keys
 
 HOST, CLIENT, SITE = "ginger.cs.vu.nl", "canardo.inria.fr", "root/europe/vu"
-ELEMENTS = {"index.html": b"<html>one world</html>", "style.css": b"body { margin: 0 }"}
+ELEMENTS = {
+    "index.html": b"<html>one world</html>",
+    "style.css": b"body { margin: 0 }",
+    "logo.bin": bytes(range(255, -1, -1)) * 8,  # not UTF-8: travels as a raw attachment
+}
 TRANSPORTS = ("sim", "loopback", "tcp")
 
 
@@ -55,9 +59,22 @@ def world(kind: str, zone_keys):
         yield Deployment(*fabric, HOST, {HOST: SITE, CLIENT: SITE}, zone_keys=zone_keys)
 
 
+class Tap:
+    """The client's transport, keeping every frame that crosses it."""
+
+    def __init__(self, inner) -> None:
+        self.inner, self.stats, self.frames = inner, inner.stats, []
+
+    def request(self, endpoint, frame: bytes) -> bytes:
+        answer = self.inner.request(endpoint, frame)
+        self.frames += [frame, answer]
+        return answer
+
+
 def observe(kind: str, zone_keys, owner_keys) -> dict:
-    """Publish the two-element document on *kind*'s fabric and record
-    what a traced client sees: cold, warm, and tampered at the replica."""
+    """Publish the three-element document on *kind*'s fabric and record
+    what a traced client sees: cold, warm, binary, and tampered at the
+    replica — plus every RPC frame of those accesses."""
     with world(kind, zone_keys) as deployment:
         clock = deployment.clock
         owner = DocumentOwner("vu.nl/oneworld", keys=owner_keys, clock=clock)
@@ -65,7 +82,10 @@ def observe(kind: str, zone_keys, owner_keys) -> dict:
             owner.put_element(PageElement(name, content))
         published = deployment.publish(owner)
         ring = RingBufferSink()
-        stack = deployment.client_stack(CLIENT, tracer=Tracer(clock=clock, sinks=(ring,)))
+        tap = Tap(deployment.transport_for(CLIENT))
+        stack = deployment.client_stack(
+            CLIENT, transport=tap, tracer=Tracer(clock=clock, sinks=(ring,))
+        )
 
         def access(element: str):
             ring.clear()
@@ -73,10 +93,15 @@ def observe(kind: str, zone_keys, owner_keys) -> dict:
             rejections = [(s.name, s.error_type) for s in ring.errors()]
             return response, [s.name for s in ring.spans], rejections
 
-        observed = {"cold": access("index.html"), "warm": access("style.css")}
+        observed = {
+            "cold": access("index.html"),
+            "warm": access("style.css"),
+            "binary": access("logo.bin"),
+        }
         state = deployment.object_server.replica_for_oid(published.oid_hex).lr.state
         state.elements["index.html"] = state.elements["index.html"].with_content(b"evil")
         observed["tampered"] = access("index.html")
+        observed["frames"] = tap.frames
         return observed
 
 
@@ -90,7 +115,7 @@ class TestOneWorldThreeTransports:
         owner_keys = fast_keys()  # same object id in all three worlds
         return {kind: observe(kind, zone_keys, owner_keys) for kind in TRANSPORTS}
 
-    @pytest.mark.parametrize("phase", ["cold", "warm", "tampered"])
+    @pytest.mark.parametrize("phase", ["cold", "warm", "binary", "tampered"])
     def test_identical_response_and_span_sequence(self, observed, phase):
         reference, ref_spans, ref_rejections = observed["sim"][phase]
         assert ref_spans and ref_spans[-1] == "proxy.handle"
@@ -106,9 +131,20 @@ class TestOneWorldThreeTransports:
         tampered, _, rejections = observed["tcp"]["tampered"]
         assert (cold.status, cold.content) == (200, ELEMENTS["index.html"])
         assert (warm.status, warm.content) == (200, ELEMENTS["style.css"])
+        assert observed["tcp"]["binary"][0].content == ELEMENTS["logo.bin"]
         assert "check.public_key" in cold_spans and "check.public_key" not in warm_spans
         assert tampered.status == 403 and tampered.security_failure == "AuthenticityError"
         assert ("check.element_hash", "AuthenticityError") in rejections
+
+
+    @pytest.mark.parametrize("kind", TRANSPORTS)
+    def test_no_frame_re_encodes_bytes(self, observed, kind):
+        """Keys, signatures, hashes and content all cross as attachments:
+        the signing codec's base64 tag appears in no RPC frame."""
+        frames = observed[kind]["frames"]
+        assert len(frames) >= 2 * 8  # the cold bind alone is seven calls
+        assert not [f for f in frames if b"__b64__" in f]
+        assert any(ELEMENTS["logo.bin"] in f for f in frames)
 
 
 class TestFreshProxy:
