@@ -22,9 +22,13 @@ writer key the owner granted and has not revoked, the hash-linked DAG
 complete down to its roots, the served frontier no older than what this
 client has already verified (branch withholding), and the deterministic
 merge reproducible locally. What it returns is computed from verified
-deltas only — no server-supplied merge result is ever trusted.
+deltas only — no server-supplied merge result is ever trusted. A delta
+is proven once: the check folds what is new into the state it verified
+before and re-judges, every time, only what time or the feed can change.
 
-``SecurityChecker`` is transport-agnostic and side-effect free; all
+``SecurityChecker`` is transport-agnostic and holds no per-object state
+(the frontier check advances the :class:`VerifiedFrontier` its caller
+passes in, and nothing else); all
 verification CPU is charged through an optional *compute context* so
 the simulated host pays for it (see :meth:`SimHost.compute`).
 
@@ -42,8 +46,8 @@ to the real RSA operation.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Callable, ContextManager, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, ContextManager, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.batch import BatchItem, verify_batch
 from repro.crypto.identity import IdentityCertificate, TrustStore
@@ -63,11 +67,16 @@ from repro.globedoc.integrity import ElementEntry, IntegrityCertificate
 from repro.globedoc.oid import ObjectId
 from repro.obs import NOOP_TRACER
 from repro.sim.clock import Clock
-from repro.versioning.dag import DeltaDag, Frontier
+from repro.versioning.dag import DeltaDag
 from repro.versioning.delta import SignedDelta
 from repro.versioning.frontier import FrontierCertificate
 from repro.versioning.grant import WriterGrant
-from repro.versioning.merge import MergedDocument, merge_deltas
+from repro.versioning.merge import (
+    MergedDocument,
+    Winners,
+    fold_winners,
+    merge_deltas,
+)
 
 __all__ = ["SecurityChecker", "VerifiedBinding", "VerifiedFrontier"]
 
@@ -86,17 +95,36 @@ class VerifiedBinding:
 
 @dataclass
 class VerifiedFrontier:
-    """The outcome of a successful frontier check on one object.
+    """What a reader has proven about one multi-writer object.
 
-    Everything here was recomputed client-side from verified deltas:
-    the merged document, the DAG it came from (retained by the reader as
-    its withholding baseline for the next access), and the frontier
-    certificate if the server presented a valid one.
+    Everything here was computed client-side from verified deltas: the
+    merged document, the DAG it came from (the withholding baseline),
+    and the frontier certificate if the server presented a valid one.
+    The reader hands the whole object back to the next
+    :meth:`SecurityChecker.check_frontier`, which folds only the deltas
+    that are new into it — so beside the DAG it keeps the two tables
+    that make a retained delta free: the merge's winner per element and
+    the signer pairs that must stay authorized.
     """
 
     merged: MergedDocument
-    dag: DeltaDag
+    dag: DeltaDag = field(default_factory=DeltaDag)
     frontier_cert: Optional[FrontierCertificate] = None
+    #: The LWW register table behind ``merged`` (``name -> (order key,
+    #: op)``): new deltas challenge these incumbents instead of the
+    #: whole history being merged again.
+    winners: Winners = field(default_factory=dict)
+    #: ``(writer_id, writer key DER) -> one admitted delta id`` for
+    #: every signer pair in ``dag``. A delta's signature is proven once,
+    #: but its writer's authority is not a fact about the delta: grants
+    #: lapse and writers are revoked, so each pair is re-judged on every
+    #: read (the id is for the error message).
+    signers: Dict[Tuple[str, bytes], str] = field(default_factory=dict)
+
+    @classmethod
+    def empty(cls, oid: ObjectId) -> "VerifiedFrontier":
+        """Nothing proven yet: what a first read folds into."""
+        return cls(merged=merge_deltas([], oid_hex=oid.hex))
 
 
 class SecurityChecker:
@@ -202,11 +230,16 @@ class SecurityChecker:
         object_key: PublicKey,
         grants: List[WriterGrant],
         deltas: List[SignedDelta],
-        known_frontier: Optional[Frontier] = None,
+        bound: Optional[VerifiedFrontier] = None,
         frontier_cert: Optional[FrontierCertificate] = None,
         served_ids: Optional[set] = None,
     ) -> VerifiedFrontier:
         """The eighth check: a multi-writer served state proves itself.
+
+        *bound* is what this reader verified before (``None``: nothing);
+        *deltas* are the ones the server shipped this time. On success
+        *bound* itself is advanced by the new deltas and returned — one
+        object, always consistent; on any raise it is exactly as it was.
 
         In order, failing closed at the first violation:
 
@@ -218,39 +251,52 @@ class SecurityChecker:
           cannot condemn other writers' deltas. A writer may hold
           several verified grants (re-key history); any one of them
           covering a delta's embedded key authorizes that delta;
-        * every delta signature verifies under its writer key, which a
-          verified grant must cover — forged bytes are
-          :class:`~repro.errors.DeltaForgeryError`, a genuine delta for
-          another object :class:`~repro.errors.DeltaReplayError`, a
-          writer with no verified covering grant
-          :class:`~repro.errors.UnauthorizedWriterError`;
-        * no delta is signed by a writer the owner has revoked through
-          the feed — :class:`~repro.errors.RevokedWriterError`.
-          Revocation is retroactive: the writer's pre-revocation deltas
-          condemn the served state too (see
+        * every signer of a retained delta is still covered by a grant
+          verified in *this* bundle and not revoked — a writer with no
+          verified covering grant is
+          :class:`~repro.errors.UnauthorizedWriterError`, a writer the
+          owner revoked through the feed
+          :class:`~repro.errors.RevokedWriterError`. Revocation is
+          retroactive: the writer's pre-revocation deltas condemn the
+          served state too (see
           :meth:`~repro.revocation.statement.RevocationStatement.revoke_writer`);
-        * the hash-linked DAG closes (every parent present) and the
-          server still carries every head this client verified before:
-          each *known_frontier* head must appear in *served_ids* (the
-          id set the server claims to serve — pass the wire bundle's
-          id list, NOT the union with local state, or a rolled-back
-          server hides behind the client's own retained copy) — else
+        * the deltas not yet bound close the hash-linked DAG over the
+          bound one (every parent present), and each verifies under its
+          writer key, likewise covered and unrevoked — forged bytes are
+          :class:`~repro.errors.DeltaForgeryError`, a genuine delta for
+          another object :class:`~repro.errors.DeltaReplayError`;
+        * the server still carries every head this client verified
+          before: each head of *bound* must appear in *served_ids* (the
+          id set the server claims to serve — pass the wire bundle's id
+          list, NOT the union with local state, or a rolled-back server
+          hides behind the client's own retained copy) — else
           :class:`~repro.errors.BranchWithholdingError`;
-        * the merge is recomputed locally, deterministically; when the
-          server presents a frontier certificate, its signer must hold a
-          grant (or be the owner) and its claim must match a local
-          re-merge of exactly the heads it names.
+        * the new deltas are folded into the merge locally,
+          deterministically; when the server presents a frontier
+          certificate, its signer must hold a grant (or be the owner)
+          and its claim must match the local merge of exactly the heads
+          it names.
 
-        Returns the locally computed :class:`VerifiedFrontier` — the
-        server's own merge result, if any, is never used.
+        What runs on every read is what time or the feed can change:
+        grants, signer cover, revocation, withholding, the certificate.
+        What runs once per delta is what cannot: signature, OID binding,
+        structure, ops root, DAG admission, its fold into the merge — a
+        read with no news returns the bound document as it stands.
+
+        The server's own merge result, if any, is never used. The
+        returned state — ``merged`` included — is the reader's retained
+        proof, not a copy: callers read it, they do not mutate it.
         """
         with self.tracer.span(
-            "check.frontier", oid=oid.hex[:16], deltas=len(deltas)
+            "check.frontier",
+            oid=oid.hex[:16],
+            deltas=len(deltas),
+            retained=len(bound.dag) if bound is not None else 0,
         ) as span:
             with self._compute():
                 result = self._check_frontier(
                     oid, object_key, grants, deltas,
-                    known_frontier, frontier_cert, served_ids,
+                    bound, frontier_cert, served_ids,
                 )
             span.set_attribute("heads", len(result.merged.frontier.heads))
             span.set_attribute("lamport", result.merged.lamport)
@@ -262,15 +308,16 @@ class SecurityChecker:
         object_key: PublicKey,
         grants: List[WriterGrant],
         deltas: List[SignedDelta],
-        known_frontier: Optional[Frontier],
+        bound: Optional[VerifiedFrontier],
         frontier_cert: Optional[FrontierCertificate],
         served_ids: Optional[set],
     ) -> VerifiedFrontier:
         cache = self.verification_cache
-        #: writer_id -> {writer key DER -> grant}: a writer may hold
-        #: several live grants after an owner re-key, and each key's
-        #: deltas stay verifiable under its own grant.
-        granted: dict = {}
+        state = bound if bound is not None else VerifiedFrontier.empty(oid)
+        #: (writer_id, writer key DER) of every grant that verified: a
+        #: writer may hold several live grants after an owner re-key,
+        #: and each key's deltas stay verifiable under its own grant.
+        granted: Set[Tuple[str, bytes]] = set()
         for grant in grants:
             try:
                 grant.verify(object_key, oid, clock=self.clock, cache=cache)
@@ -280,87 +327,125 @@ class SecurityChecker:
                 # deltas that depended on it will fail below, instead of
                 # one lapsed grant condemning the whole read.
                 continue
-            granted.setdefault(grant.writer_id, {})[grant.writer_key.der] = grant
+            granted.add((grant.writer_id, grant.writer_key.der))
         revoked = (
             self.revocation_checker.revoked_writers(oid)
             if self.revocation_checker is not None
             else set()
         )
-        for delta in deltas:
-            delta.verify(oid, cache=cache)
-            if delta.writer_key.der not in granted.get(delta.writer_id, {}):
+
+        def judge_signer(signer: Tuple[str, bytes], delta_id: str) -> None:
+            if signer not in granted:
                 raise UnauthorizedWriterError(
-                    f"delta {delta.delta_id[:12]}… is signed by writer "
-                    f"{delta.writer_id!r} without a verified grant from "
+                    f"delta {delta_id[:12]}… is signed by writer "
+                    f"{signer[0]!r} without a verified grant from "
                     "the owner covering its key"
                 )
-            if delta.writer_id in revoked:
+            if signer[0] in revoked:
                 raise RevokedWriterError(
-                    f"delta {delta.delta_id[:12]}… is signed by writer "
-                    f"{delta.writer_id!r}, whose grant the owner revoked"
+                    f"delta {delta_id[:12]}… is signed by writer "
+                    f"{signer[0]!r}, whose grant the owner revoked"
                 )
-        dag = DeltaDag()
+
+        for signer, delta_id in state.signers.items():
+            judge_signer(signer, delta_id)
         try:
-            dag.add_all(deltas)
+            # A re-served delta is dropped here, not verified again: the
+            # id is the digest of the signed payload, so an id in the
+            # bound DAG names bytes already proven, and a delta has no
+            # validity window that could since have closed.
+            order = state.dag.admission_order(deltas)
         except VersioningError as exc:
             # An unclosed DAG *is* withholding: the server shipped
             # children while hiding their ancestry.
             raise BranchWithholdingError(
                 f"served delta set does not close: {exc}"
             ) from exc
-        if known_frontier is not None:
-            for head in known_frontier.heads:
-                served = head in served_ids if served_ids is not None else head in dag
-                if not served:
+        signers = dict(state.signers)
+        for delta in order:
+            delta.verify(oid, cache=cache)
+            signer = (delta.writer_id, delta.writer_key.der)
+            judge_signer(signer, delta.delta_id)
+            signers.setdefault(signer, delta.delta_id)
+        if served_ids is not None:
+            for head in state.merged.frontier.heads:
+                if head not in served_ids:
                     raise BranchWithholdingError(
                         f"server no longer serves verified head "
                         f"{head[:12]}… — a previously seen branch is "
                         "being withheld"
                     )
-        merged = merge_deltas(dag.deltas, oid_hex=oid.hex)
+        winners, merged = state.winners, state.merged
+        if order:
+            # The bound DAG is not touched until nothing can fail, so
+            # it is asked for the frontier it *will* have.
+            winners = fold_winners(dict(winners), order)
+            merged = MergedDocument.from_winners(
+                oid.hex,
+                winners,
+                frontier=state.dag.frontier_after(order),
+                lamport=max(merged.lamport, *(d.lamport for d in order)),
+                delta_count=merged.delta_count + len(order),
+            )
         if frontier_cert is not None:
             frontier_cert.verify(oid, cache=cache)
-            signer = frontier_cert.signer_key.der
-            signer_writer = next(
-                (
-                    grant
-                    for by_key in granted.values()
-                    for grant in by_key.values()
-                    if grant.writer_key.der == signer
-                ),
-                None,
-            )
-            if signer != object_key.der:
+            signer_key = frontier_cert.signer_key.der
+            if signer_key != object_key.der:
+                signer_writer = next(
+                    (
+                        writer_id
+                        for writer_id, key_der in granted
+                        if key_der == signer_key
+                    ),
+                    None,
+                )
                 if signer_writer is None:
                     raise UnauthorizedWriterError(
                         "frontier certificate is signed by a key the owner "
                         "never granted"
                     )
-                if signer_writer.writer_id in revoked:
+                if signer_writer in revoked:
                     raise RevokedWriterError(
-                        f"frontier certificate signer {signer_writer.writer_id!r} "
+                        f"frontier certificate signer {signer_writer!r} "
                         "has been revoked by the owner"
                     )
             cert_heads = frontier_cert.frontier.heads
-            missing = [h for h in cert_heads if h not in dag]
+            new = {delta.delta_id: delta for delta in order}
+            missing = [h for h in cert_heads if h not in state.dag and h not in new]
             if missing:
                 raise BranchWithholdingError(
                     f"frontier certificate names head {missing[0][:12]}… "
                     "but the server did not serve that branch"
                 )
-            # Re-merge exactly the certified heads (they may be a stale
-            # but genuine prefix of the served DAG after gossip).
-            cert_merge = merge_deltas(
-                [dag.get(i) for i in sorted(dag.ancestors(cert_heads))],
-                oid_hex=oid.hex,
-            )
-            if cert_merge.digest != frontier_cert.state_digest:
+            if cert_heads == merged.frontier.heads:
+                digest = merged.digest
+            else:
+                # A stale but genuine prefix of the served DAG after
+                # gossip: re-merge exactly the ancestry the heads name.
+                below: Dict[str, SignedDelta] = {}
+                stack = list(cert_heads)
+                while stack:
+                    delta_id = stack.pop()
+                    if delta_id not in below:
+                        delta = (
+                            new[delta_id] if delta_id in new
+                            else state.dag.get(delta_id)
+                        )
+                        below[delta_id] = delta
+                        stack.extend(delta.parents)
+                digest = merge_deltas(below.values(), oid_hex=oid.hex).digest
+            if digest != frontier_cert.state_digest:
                 raise BranchWithholdingError(
                     "frontier certificate digest does not match the merge "
                     "of the heads it names — the served DAG and the "
                     "certified state diverge"
                 )
-        return VerifiedFrontier(merged=merged, dag=dag, frontier_cert=frontier_cert)
+        # Every check passed: only now is the bound state advanced.
+        for delta in order:
+            state.dag.add(delta)
+        state.merged, state.winners, state.signers = merged, winners, signers
+        state.frontier_cert = frontier_cert
+        return state
 
     def check_identity(
         self,

@@ -8,6 +8,12 @@ freshness, then the eighth check
 then *binds* the result: the verified DAG becomes the reader's
 withholding baseline and the merged elements become servable.
 
+A verified delta is verified once. The reader keeps what the check
+proved (:class:`~repro.proxy.checks.VerifiedFrontier`: the DAG, the
+merge's winner table, the signer pairs) and hands it back with only the
+deltas the server shipped this time; the check folds those in and
+re-judges, every read, what time or the revocation feed can change.
+
 Two fail-closed properties fall out of the binding discipline:
 
 * state is updated **only after** every check passes — a rejected
@@ -41,7 +47,12 @@ __all__ = ["VersionedReader", "VersionedAccess"]
 
 @dataclass
 class VersionedAccess:
-    """One verified read: the merged document plus access accounting."""
+    """One verified read: the merged document plus access accounting.
+
+    ``merged`` is the reader's bound state itself, shared with every
+    later read until news arrives — read-only to callers: a mutated
+    ``elements`` or ``winners`` would be served again unverified.
+    """
 
     merged: MergedDocument
     #: Deltas fetched over the wire this access (0 on a no-news read).
@@ -62,20 +73,21 @@ class VersionedReader:
         self.rpc = rpc
         self.checker = checker
         self.content_cache = content_cache
-        #: Per-OID verified baseline: the DAG and frontier this reader
-        #: has proven once and will not let a server roll back.
-        self._dags: Dict[str, DeltaDag] = {}
-        self._frontiers: Dict[str, Frontier] = {}
+        #: Per-OID verified baseline: what this reader has proven once,
+        #: folds news into, and will not let a server roll back.
+        self._bound: Dict[str, VerifiedFrontier] = {}
 
     # ------------------------------------------------------------------
     # Introspection (tests, withholding baseline)
     # ------------------------------------------------------------------
 
     def known_frontier(self, oid_hex: str) -> Optional[Frontier]:
-        return self._frontiers.get(oid_hex)
+        bound = self._bound.get(oid_hex)
+        return bound.merged.frontier if bound is not None else None
 
     def known_dag(self, oid_hex: str) -> Optional[DeltaDag]:
-        return self._dags.get(oid_hex)
+        bound = self._bound.get(oid_hex)
+        return bound.dag if bound is not None else None
 
     # ------------------------------------------------------------------
     # The verified read
@@ -88,8 +100,8 @@ class VersionedReader:
         for whatever is wrong with the response; on any raise the
         reader's verified baseline is untouched.
         """
-        known_dag = self._dags.get(oid.hex)
-        have_ids = known_dag.delta_ids if known_dag is not None else None
+        bound = self._bound.get(oid.hex)
+        have_ids = bound.dag.delta_ids if bound is not None else None
 
         bundle = self.rpc.call(
             endpoint, "versioning.fetch", oid_hex=oid.hex, have_ids=have_ids
@@ -132,35 +144,35 @@ class VersionedReader:
         self.checker.check_public_key(oid, object_key)
         self.checker.check_revocation(oid)
 
-        # The eighth check runs over the union of the retained verified
-        # DAG and the newly fetched deltas: incremental fetches stay
-        # cheap while withholding is still judged against everything
-        # this reader has ever proven.
-        deltas = list(known_dag.deltas) if known_dag is not None else []
-        deltas.extend(new_deltas)
+        # The eighth check gets the bound state and only the fetched
+        # deltas: they are verified and folded in, while grants, signer
+        # authority, revocation and withholding are still judged against
+        # everything this reader has ever proven. The check advances
+        # `bound` only once nothing can fail.
+        previous = bound.merged.frontier if bound is not None else None
         verified: VerifiedFrontier = self.checker.check_frontier(
             oid,
             object_key,
             grants,
-            deltas,
-            known_frontier=self._frontiers.get(oid.hex),
+            new_deltas,
+            bound=bound,
             frontier_cert=frontier_cert,
             served_ids=served_ids,
         )
 
-        purged = self._bind(oid.hex, verified)
+        purged = self._bind(oid.hex, verified, previous)
         return VersionedAccess(
             merged=verified.merged,
             deltas_fetched=len(new_deltas),
             cache_purged=purged,
         )
 
-    def _bind(self, oid_hex: str, verified: VerifiedFrontier) -> int:
+    def _bind(
+        self, oid_hex: str, verified: VerifiedFrontier, previous: Optional[Frontier]
+    ) -> int:
         """Adopt a verified frontier; purge the cache if strictly newer."""
-        previous = self._frontiers.get(oid_hex)
         current = verified.merged.frontier
-        self._dags[oid_hex] = verified.dag
-        self._frontiers[oid_hex] = current
+        self._bound[oid_hex] = verified
         purged = 0
         if (
             self.content_cache is not None

@@ -66,8 +66,12 @@ class DeltaDag:
 
     def __init__(self) -> None:
         self._deltas: Dict[str, SignedDelta] = {}
-        self._children: Dict[str, Set[str]] = {}
         self._order: List[str] = []
+        #: Maintained by :meth:`add` so a writer composing, a server
+        #: fetching and a reader folding pay for the deltas that arrive,
+        #: not for a scan of the history.
+        self._heads: Set[str] = set()
+        self._lamport_max = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -89,43 +93,63 @@ class DeltaDag:
                 f"delta {delta_id[:12]}… names missing parent(s) "
                 f"{[p[:12] for p in missing]} — ancestry must be admitted first"
             )
-        self._deltas[delta_id] = delta
-        self._order.append(delta_id)
-        for parent in delta.parents:
-            self._children.setdefault(parent, set()).add(delta_id)
+        self._admit(delta)
         return True
 
-    def add_all(self, deltas: Iterable[SignedDelta]) -> int:
-        """Admit a batch in any order; returns the number newly added.
+    def _admit(self, delta: SignedDelta) -> None:
+        """Record a new delta whose parents are known to be present."""
+        self._deltas[delta.delta_id] = delta
+        self._order.append(delta.delta_id)
+        self._retire_parents(self._heads, delta)
+        self._lamport_max = max(self._lamport_max, delta.lamport)
 
-        Iterates to a fixpoint so children may precede parents in the
-        input. Deltas whose ancestry never materializes raise
+    @staticmethod
+    def _retire_parents(heads: Set[str], delta: SignedDelta) -> None:
+        """The head rule, given parents-first admission: a delta is a
+        head on arrival (its children can only come later) and its
+        parents stop being heads then."""
+        heads.difference_update(delta.parents)
+        heads.add(delta.delta_id)
+
+    def frontier_after(self, order: Iterable[SignedDelta]) -> Frontier:
+        """The frontier this DAG would have once *order* (an
+        :meth:`admission_order`) is admitted; admits nothing."""
+        heads = set(self._heads)
+        for delta in order:
+            self._retire_parents(heads, delta)
+        return Frontier.of(heads)
+
+    def admission_order(self, deltas: Iterable[SignedDelta]) -> List[SignedDelta]:
+        """The batch's not-yet-admitted deltas, parents first; admits nothing.
+
+        Duplicates collapse by id, and children may precede parents in
+        the input (iterates to a fixpoint). Deltas whose ancestry is in
+        neither the DAG nor the batch raise
         :class:`~repro.errors.VersioningError` — a served batch with
-        dangling parents is a withheld ancestor.
+        dangling parents is a withheld ancestor. Planning apart from
+        admitting is what lets a caller with more to check (the frontier
+        check) judge closure first and admit only once nothing can fail.
         """
-        pending = list(deltas)
-        added = 0
+        pending = list(
+            {d.delta_id: d for d in deltas if d.delta_id not in self._deltas}.values()
+        )
+        order: List[SignedDelta] = []
+        placed: Set[str] = set()
         while pending:
-            progressed = False
             still: List[SignedDelta] = []
             for delta in pending:
-                if delta.delta_id in self._deltas:
-                    continue
-                if all(p in self._deltas for p in delta.parents):
-                    if self.add(delta):
-                        added += 1
-                    progressed = True
+                if all(p in self._deltas or p in placed for p in delta.parents):
+                    order.append(delta)
+                    placed.add(delta.delta_id)
                 else:
                     still.append(delta)
-            if not still:
-                return added
-            if not progressed:
+            if len(still) == len(pending):
                 missing = sorted(
                     {
                         p
                         for delta in still
                         for p in delta.parents
-                        if p not in self._deltas
+                        if p not in self._deltas and p not in placed
                     }
                 )
                 raise VersioningError(
@@ -133,7 +157,18 @@ class DeltaDag:
                     f"the batch and the DAG: {[p[:12] for p in missing]}"
                 )
             pending = still
-        return added
+        return order
+
+    def add_all(self, deltas: Iterable[SignedDelta]) -> int:
+        """Admit a batch in any order; returns the number newly added.
+
+        All or nothing: :meth:`admission_order` raises for a batch that
+        does not close before any of it is admitted.
+        """
+        order = self.admission_order(deltas)
+        for delta in order:
+            self._admit(delta)
+        return len(order)
 
     # ------------------------------------------------------------------
     # Structure
@@ -160,17 +195,13 @@ class DeltaDag:
 
     def heads(self) -> List[str]:
         """Delta ids no admitted delta names as a parent (sorted)."""
-        return sorted(
-            delta_id
-            for delta_id in self._deltas
-            if not self._children.get(delta_id)
-        )
+        return sorted(self._heads)
 
     def frontier(self) -> Frontier:
-        return Frontier.of(self.heads())
+        return Frontier.of(self._heads)
 
     def lamport_max(self) -> int:
-        return max((d.lamport for d in self._deltas.values()), default=0)
+        return self._lamport_max
 
     def ancestors(self, delta_ids: Sequence[str]) -> Set[str]:
         """The ancestor closure of *delta_ids* (inclusive)."""
@@ -204,4 +235,4 @@ class DeltaDag:
         return all(head in self._deltas for head in frontier.heads)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DeltaDag({len(self._deltas)} deltas, heads={len(self.heads())})"
+        return f"DeltaDag({len(self._deltas)} deltas, heads={len(self._heads)})"

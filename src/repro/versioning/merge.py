@@ -28,7 +28,11 @@ from repro.util.encoding import canonical_bytes
 from repro.versioning.dag import Frontier
 from repro.versioning.delta import OP_PUT, DeltaOp, SignedDelta
 
-__all__ = ["MergedDocument", "merge_deltas", "state_digest"]
+__all__ = ["MergedDocument", "Winners", "fold_winners", "merge_deltas", "state_digest"]
+
+#: The per-element LWW register table: ``name -> (order key, winning op)``,
+#: the order key being ``(lamport, writer_id, delta_id, op_index)``.
+Winners = Dict[str, Tuple[Tuple[int, str, str, int], DeltaOp]]
 
 
 @dataclass
@@ -47,6 +51,33 @@ class MergedDocument:
     @property
     def digest_hex(self) -> str:
         return self.digest.hex()
+
+    @classmethod
+    def from_winners(
+        cls,
+        oid_hex: str,
+        winners: Winners,
+        frontier: Frontier,
+        lamport: int,
+        delta_count: int,
+        suite: HashSuite = SHA1,
+    ) -> "MergedDocument":
+        """The document a winner table stands for: each surviving put
+        becomes an element, a winning delete leaves none."""
+        elements = {
+            name: PageElement(name=name, content=op.content, content_type=op.content_type)
+            for name, (_, op) in winners.items()
+            if op.op == OP_PUT
+        }
+        return cls(
+            oid_hex=oid_hex,
+            elements=elements,
+            frontier=frontier,
+            lamport=lamport,
+            delta_count=delta_count,
+            digest=state_digest(elements, suite),
+            winners={name: key[2] for name, (key, _) in winners.items()},
+        )
 
     def element(self, name: str) -> PageElement:
         element = self.elements.get(name)
@@ -74,6 +105,28 @@ def state_digest(elements: Dict[str, PageElement], suite: HashSuite = SHA1) -> b
     )
 
 
+def fold_winners(winners: Winners, deltas: Iterable[SignedDelta]) -> Winners:
+    """The LWW rule, stated once: fold *deltas* into *winners*; returns it.
+
+    Each op challenges its element's incumbent under the total order
+    :attr:`SignedDelta.order_key` + op index and displaces it only when
+    strictly greater. Because the winner is a max over a set, folding a
+    batch into a retained table is the same function as folding the
+    whole set into an empty one (commutative, associative), and folding
+    a delta twice changes nothing (idempotent) — which is what lets a
+    reader keep the table beside its verified DAG and pay only for the
+    deltas that are new.
+    """
+    for delta in deltas:
+        order_key = delta.order_key
+        for index, op in enumerate(delta.ops):
+            key = order_key + (index,)
+            incumbent = winners.get(op.name)
+            if incumbent is None or key > incumbent[0]:
+                winners[op.name] = (key, op)
+    return winners
+
+
 def merge_deltas(
     deltas: Iterable[SignedDelta],
     suite: HashSuite = SHA1,
@@ -84,6 +137,10 @@ def merge_deltas(
     Pure function of the delta *set*: duplicates are collapsed by
     content address and input order is irrelevant. Raises when the set
     mixes objects — merging across OIDs is always a bug upstream.
+
+    This is the fold from empty and the specification: whatever state a
+    reader reached by folding batches must equal this function of
+    everything it admitted (``tests/versioning/test_incremental.py``).
     """
     by_id: Dict[str, SignedDelta] = {}
     for delta in deltas:
@@ -95,35 +152,15 @@ def merge_deltas(
                 f"merge mixes objects: {delta.oid_hex[:12]}… vs {oid_hex[:12]}…"
             )
 
-    # Per-element LWW register: the winner is max over the total order.
-    winners: Dict[str, Tuple[Tuple[int, str, str, int], DeltaOp]] = {}
-    for delta in by_id.values():
-        for index, op in enumerate(delta.ops):
-            key = (delta.lamport, delta.writer_id, delta.delta_id, index)
-            incumbent = winners.get(op.name)
-            if incumbent is None or key > incumbent[0]:
-                winners[op.name] = (key, op)
-
-    elements: Dict[str, PageElement] = {}
-    winner_ids: Dict[str, str] = {}
-    for name, (key, op) in winners.items():
-        winner_ids[name] = key[2]
-        if op.op == OP_PUT:
-            elements[name] = PageElement(
-                name=name, content=op.content, content_type=op.content_type
-            )
-
     # Heads of the merged set: deltas no *other member* names as parent.
     referenced = {p for delta in by_id.values() for p in delta.parents}
     heads = [delta_id for delta_id in by_id if delta_id not in referenced]
 
-    merged = MergedDocument(
-        oid_hex=oid_hex or "",
-        elements=elements,
+    return MergedDocument.from_winners(
+        oid_hex or "",
+        fold_winners({}, by_id.values()),
         frontier=Frontier.of(heads),
         lamport=max((d.lamport for d in by_id.values()), default=0),
         delta_count=len(by_id),
-        winners=winner_ids,
+        suite=suite,
     )
-    merged.digest = state_digest(elements, suite)
-    return merged

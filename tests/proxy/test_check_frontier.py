@@ -60,14 +60,14 @@ def run_check(world, **overrides):
     kwargs = {
         "grants": [world["grant"]],
         "deltas": world["dag"].deltas,
-        "known_frontier": None,
+        "bound": None,
         "frontier_cert": None,
         "served_ids": None,
     }
     kwargs.update(overrides)
     return world["checker"].check_frontier(
         world["oid"], world["owner_key"], kwargs["grants"], kwargs["deltas"],
-        known_frontier=kwargs["known_frontier"],
+        bound=kwargs["bound"],
         frontier_cert=kwargs["frontier_cert"],
         served_ids=kwargs["served_ids"],
     )
@@ -80,9 +80,15 @@ class TestCheckFrontier:
         assert verified.dag.heads() == world["dag"].heads()
 
     def test_span_and_counter_attributed(self, world):
-        run_check(world)
+        bound = run_check(world)
         spans = world["ring"].named("check.frontier")
         assert spans and not spans[-1].is_error
+        # `deltas` is what this read verified, `retained` how big the
+        # bound state already was — a trace still says both.
+        assert (spans[-1].attributes["deltas"], spans[-1].attributes["retained"]) == (1, 0)
+        run_check(world, bound=bound, deltas=[])
+        again = world["ring"].named("check.frontier")[-1]
+        assert (again.attributes["deltas"], again.attributes["retained"]) == (0, 1)
 
     def test_ungranted_delta_rejected(self, world):
         with pytest.raises(UnauthorizedWriterError):
@@ -101,15 +107,15 @@ class TestCheckFrontier:
             run_check(world)
 
     def test_known_head_missing_from_served_set_rejected(self, world):
-        frontier = world["dag"].frontier()
+        bound = run_check(world)
         with pytest.raises(BranchWithholdingError):
-            run_check(world, known_frontier=frontier, served_ids=set())
+            run_check(world, bound=bound, served_ids=set())
 
     def test_known_head_present_in_served_set_passes(self, world):
-        frontier = world["dag"].frontier()
+        bound = run_check(world)
         run_check(
             world,
-            known_frontier=frontier,
+            bound=bound,
             served_ids=set(world["dag"].delta_ids),
         )
 
@@ -123,6 +129,41 @@ class TestCheckFrontier:
         run_check(world, frontier_cert=cert)
         world["writer"].put(world["dag"], "body", b"newer")
         run_check(world, frontier_cert=cert)  # honest prefix cert: fine
+
+    def test_rejected_certificate_leaves_the_bound_state_untouched(self, world):
+        """The last check to run is the certificate's digest: by then the
+        new delta is verified and the merge folded — none of it may have
+        reached the bound state when the certificate turns out to lie."""
+        bound = run_check(world)
+        merged, size = bound.merged, len(bound.dag)
+        world["writer"].put(world["dag"], "body", b"newer")
+        honest = merge_deltas(world["dag"].deltas, oid_hex=world["oid"].hex)
+        honest.digest = b"\x00" * 20
+        lying = world["writer"].certify_frontier(honest)
+        with pytest.raises(BranchWithholdingError):
+            run_check(world, bound=bound, frontier_cert=lying)
+        assert bound.merged is merged and len(bound.dag) == size
+        assert bound.winners["body"][1].content == b"unit-test body"
+        assert bound.frontier_cert is None
+        # ... and the same news without the lie then binds.
+        assert run_check(world, bound=bound) is bound
+        assert bound.merged.elements["body"].content == b"newer"
+
+    def test_stale_prefix_certificate_against_a_bound_state(self, world):
+        """A certificate that keeps naming an older frontier is judged
+        against the ancestry of its heads, wherever those deltas sit:
+        all in this batch, split between batch and bound DAG, all bound."""
+        world["writer"].put(world["dag"], "body", b"newer")
+        cert = world["writer"].certify_frontier(
+            merge_deltas(world["dag"].deltas, oid_hex=world["oid"].hex)
+        )
+        first = world["dag"].deltas[:1]
+        bound = run_check(world, deltas=first)
+        world["writer"].put(world["dag"], "body", b"newest")
+        run_check(world, bound=bound, frontier_cert=cert)
+        run_check(world, bound=bound, deltas=[], frontier_cert=cert)
+        assert bound.merged.elements["body"].content == b"newest"
+        assert bound.frontier_cert is cert
 
     def test_unauthorized_cert_signer_rejected(self, world, clock):
         mallory = DocumentWriter(fast_keys(), "mallory", world["oid"], clock)

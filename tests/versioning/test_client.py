@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.keys import PublicKey
-from repro.errors import AuthenticityError, BranchWithholdingError
+from repro.errors import (
+    AuthenticityError,
+    BranchWithholdingError,
+    DeltaForgeryError,
+    RevokedWriterError,
+    UnauthorizedWriterError,
+)
 from repro.net.rpc import RpcClient
 from repro.net.transport import LoopbackTransport
 from repro.proxy.checks import SecurityChecker
@@ -235,3 +241,148 @@ class TestWithholding:
             reader.read(stale.endpoint, oid)
         assert reader.known_frontier(oid.hex) == frontier
         assert reader.cached_element(oid.hex, "body").content == b"version-two"
+
+
+class TestNoNewsFailsClosed:
+    """A read that fetches nothing re-proves no delta, so what time or
+    the feed can change has to be judged on its own, every read — the
+    old reader got that for free by redoing everything. Each rejection
+    leaves the bound state and the content cache exactly as they were."""
+
+    class Feed:
+        """Stands in for the revocation checker: fresh, owner-controlled."""
+
+        staleness = None
+
+        def __init__(self):
+            self.revoked = set()
+
+        def check(self, oid, element_name=None, cert_version=None):
+            return None
+
+        def revoked_writers(self, oid):
+            return set(self.revoked)
+
+    def bind_two_writers(self, world, owner_keys, clock, bob_not_after=None):
+        """alice's delta plus one by bob, read once; returns the baseline."""
+        from repro.versioning import DocumentWriter, WriterGrant
+
+        from tests.conftest import fast_keys
+
+        reader, server, oid = world["reader"], world["server"], world["oid"]
+        bob_keys = fast_keys()
+        server.versioning.put_grant(
+            oid.hex,
+            WriterGrant.issue(
+                owner_keys, oid, "bob", bob_keys.public,
+                granted_at=clock.now(), not_after=bob_not_after,
+            ),
+        )
+        bob = DocumentWriter(bob_keys, "bob", oid, clock)
+        server.versioning.put_delta(oid.hex, bob.put(world["view"], "title", b"by bob"))
+        reader.checker.revocation_checker = world["feed"] = self.Feed()
+        assert reader.read(server.endpoint, oid).deltas_fetched == 2
+        return reader.known_frontier(oid.hex), reader.known_dag(oid.hex)
+
+    def assert_rejected_and_untouched(self, world, baseline, error):
+        reader, server, oid = world["reader"], world["server"], world["oid"]
+        frontier, dag = baseline
+        size = len(dag)
+        with pytest.raises(error):
+            reader.read(server.endpoint, oid)
+        assert reader.known_dag(oid.hex) is dag and len(dag) == size
+        assert reader.known_frontier(oid.hex) == frontier
+        assert reader.cached_element(oid.hex, "body").content == b"version-one"
+        assert reader.cached_element(oid.hex, "title").content == b"by bob"
+
+    def test_grant_lapsing_between_reads(self, world, owner_keys, clock):
+        baseline = self.bind_two_writers(
+            world, owner_keys, clock, bob_not_after=clock.now() + 60.0
+        )
+        clock.advance(120.0)
+        self.assert_rejected_and_untouched(world, baseline, UnauthorizedWriterError)
+
+    def test_writer_revoked_between_reads(self, world, owner_keys, clock):
+        baseline = self.bind_two_writers(world, owner_keys, clock)
+        world["feed"].revoked.add("bob")
+        self.assert_rejected_and_untouched(world, baseline, RevokedWriterError)
+
+    def test_server_drops_a_grant_from_the_bundle(self, world, owner_keys, clock):
+        baseline = self.bind_two_writers(world, owner_keys, clock)
+        honest = world["reader"].rpc
+
+        class GrantDroppingRpc:
+            def call(self, endpoint, op, **kwargs):
+                answer = honest.call(endpoint, op, **kwargs)
+                if op == "versioning.fetch":
+                    answer = {**answer, "grants": answer["grants"][:1]}
+                return answer
+
+        world["reader"].rpc = GrantDroppingRpc()
+        self.assert_rejected_and_untouched(world, baseline, UnauthorizedWriterError)
+
+    def test_tampered_new_delta_after_a_bound_state(self, world, owner_keys, clock):
+        baseline = self.bind_two_writers(world, owner_keys, clock)
+        world["server"].versioning.put_delta(
+            world["oid"].hex,
+            world["writer"].put(world["view"], "body", b"version-two"),
+        )
+        honest = world["reader"].rpc
+
+        class TamperingRpc:
+            def call(self, endpoint, op, **kwargs):
+                answer = honest.call(endpoint, op, **kwargs)
+                if op == "versioning.fetch":
+                    (delta,) = answer["deltas"]  # only the news travels
+                    delta["envelope"]["payload"]["body"]["ops"][0]["content"] = b"EVIL"
+                return answer
+
+        world["reader"].rpc = TamperingRpc()
+        self.assert_rejected_and_untouched(world, baseline, DeltaForgeryError)
+
+
+class TestVerifiedOnce:
+    """Pins the complexity, not the clock: a read pays signature checks
+    and merge work for the deltas that are new to this reader, never
+    for the ones it holds. Re-introducing the union fails here instead
+    of hiding inside a benchmark's noise bound."""
+
+    def test_verify_and_fold_work_follow_the_news(self, world, monkeypatch):
+        from repro.proxy import checks
+        from repro.versioning import SignedDelta
+
+        reader, server, oid = world["reader"], world["server"], world["oid"]
+        work = {"verified": 0, "folded": 0}
+        verify, fold = SignedDelta.verify, checks.fold_winners
+
+        def counting_verify(delta, *args, **kwargs):
+            work["verified"] += 1
+            return verify(delta, *args, **kwargs)
+
+        def counting_fold(winners, deltas):
+            deltas = list(deltas)
+            work["folded"] += len(deltas)
+            return fold(winners, deltas)
+
+        def publish(count):
+            for index in range(count):
+                server.versioning.put_delta(
+                    oid.hex,
+                    world["writer"].put(world["view"], f"e{index % 3}", b"%d" % index),
+                )
+
+        def read():
+            """(deltas verified, deltas folded, merged.delta_count) of one read."""
+            work.update(verified=0, folded=0)
+            with monkeypatch.context() as patched:
+                patched.setattr(SignedDelta, "verify", counting_verify)
+                patched.setattr(checks, "fold_winners", counting_fold)
+                merged = reader.read(server.endpoint, oid).merged
+            return work["verified"], work["folded"], merged.delta_count
+
+        publish(11)  # on top of the fixture's one
+        assert read() == (12, 12, 12)
+        assert read() == (0, 0, 12)
+        publish(5)
+        assert read() == (5, 5, 17)
+        assert read() == (0, 0, 17)

@@ -54,6 +54,23 @@ class TestAdmission:
         with pytest.raises(VersioningError):
             dag.add_all([tip])  # root withheld
 
+    def test_add_all_admits_nothing_of_a_batch_that_does_not_close(
+        self, writer_keys, oid
+    ):
+        root = make_delta(writer_keys, oid, 1, ())
+        withheld = make_delta(writer_keys, oid, 2, [root.delta_id])
+        orphan = make_delta(writer_keys, oid, 3, [withheld.delta_id])
+        dag = DeltaDag()
+        with pytest.raises(VersioningError):
+            dag.add_all([root, orphan])
+        assert len(dag) == 0
+        # The plan itself: new deltas only, once each, parents first.
+        dag.add(root)
+        plan = dag.admission_order([orphan, withheld, root, orphan])
+        assert plan == [withheld, orphan]
+        assert dag.frontier_after(plan) == Frontier.of([orphan.delta_id])
+        assert len(dag) == 1 and dag.heads() == [root.delta_id]
+
 
 class TestStructure:
     def test_heads_and_frontier(self, writer_keys, oid):
@@ -65,6 +82,30 @@ class TestStructure:
         assert dag.heads() == sorted([left.delta_id, right.delta_id])
         assert dag.frontier() == Frontier.of(dag.heads())
         assert dag.lamport_max() == 2
+
+    def test_maintained_heads_and_lamport_equal_the_scan(self, writer_keys, oid):
+        """``add`` maintains the head set and the Lamport maximum; after
+        every admission of a branching, re-merging history both must be
+        what a scan over all admitted deltas says."""
+        root = make_delta(writer_keys, oid, 1, ())
+        left = make_delta(writer_keys, oid, 2, [root.delta_id], name="a")
+        right = make_delta(writer_keys, oid, 5, [root.delta_id], name="b")
+        second_root = make_delta(writer_keys, oid, 1, (), name="c")
+        left_tip = make_delta(writer_keys, oid, 3, [left.delta_id], name="a")
+        join = make_delta(writer_keys, oid, 6, [left_tip.delta_id, right.delta_id])
+        late_fork = make_delta(writer_keys, oid, 3, [left.delta_id], name="d")
+        dag = DeltaDag()
+        for delta in (root, left, right, second_root, left_tip, join, late_fork):
+            dag.add(delta)
+            referenced = {p for d in dag.deltas for p in d.parents}
+            scanned = sorted(i for i in dag.delta_ids if i not in referenced)
+            assert dag.heads() == scanned
+            assert dag.frontier() == Frontier.of(scanned)
+            assert dag.lamport_max() == max(d.lamport for d in dag.deltas)
+        assert dag.heads() == sorted(
+            [second_root.delta_id, join.delta_id, late_fork.delta_id]
+        )
+        assert DeltaDag().heads() == [] and DeltaDag().lamport_max() == 0
 
     def test_ancestors_is_inclusive_closure(self, writer_keys, oid):
         dag = DeltaDag()
