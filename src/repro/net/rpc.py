@@ -176,6 +176,14 @@ _REHYDRATABLE = {
 }
 
 
+def _endpoint_of(target) -> Endpoint:
+    """The endpoint a call's *target* (Endpoint or ContactAddress) names."""
+    endpoint = target.endpoint if isinstance(target, ContactAddress) else target
+    if not isinstance(endpoint, Endpoint):
+        raise RpcError(f"invalid RPC target: {target!r}")
+    return endpoint
+
+
 def _remote_error(response: Response) -> Exception:
     """The exception a failure *response* transports, rehydrated."""
     exc_cls = _REHYDRATABLE.get(response.error_type)
@@ -218,9 +226,7 @@ class RpcClient:
 
     def call(self, target, op: str, **args: Any) -> Any:
         """Invoke *op* at *target* (an Endpoint or ContactAddress)."""
-        endpoint = target.endpoint if isinstance(target, ContactAddress) else target
-        if not isinstance(endpoint, Endpoint):
-            raise RpcError(f"invalid RPC target: {target!r}")
+        endpoint = _endpoint_of(target)
         with self.tracer.span("rpc.call", op=op, target=str(endpoint)) as span:
             # Built inside the span so the envelope carries *this* span
             # as the remote parent of the server's ``server.handle``.
@@ -254,16 +260,19 @@ class RpcClient:
     ) -> List[BatchOutcome]:
         """Issue a batch of calls, at most *window* in flight at once.
 
-        When the transport supports concurrent requests (``request_many``
-        — the simulated WAN charges max-of-parallel, the TCP transport
-        fans out over pooled connections), each window of calls travels
-        together under one ``rpc.call_many`` span. Wrapper transports
-        without batch support (fault injection, MITM) degrade to
-        sequential :meth:`call` — same outcomes, serial cost.
+        When the transport can carry a window as one exchange
+        (``request_many`` — the simulated WAN charges max-of-parallel,
+        the TCP transport pipelines the window down one pooled
+        connection per server), each window of calls travels together
+        under one ``rpc.call_many`` span. Wrapper transports without
+        batch support (fault injection, MITM) degrade to sequential
+        :meth:`call` — same outcomes, serial cost.
 
-        Outcomes align with *calls*; per-call failures are captured in
-        the outcome's ``error`` (rehydrated to the proper
-        :mod:`repro.errors` type), never raised.
+        Outcomes align with *calls*; per-call failures — an invalid
+        target included — are captured in the outcome's ``error``
+        (rehydrated to the proper :mod:`repro.errors` type), never
+        raised, on either path: the other calls of the window still
+        travel.
         """
         calls = list(calls)
         if window < 1:
@@ -278,28 +287,25 @@ class RpcClient:
                 # Every request in the window shares the call_many span
                 # as its remote parent — the window *is* the causal unit.
                 ctx = self.tracer.context()
+                window_outcomes: List[Optional[BatchOutcome]] = [None] * len(chunk)
                 prepared = []
-                for call in chunk:
-                    endpoint = (
-                        call.target.endpoint
-                        if isinstance(call.target, ContactAddress)
-                        else call.target
-                    )
-                    if not isinstance(endpoint, Endpoint):
-                        raise RpcError(f"invalid RPC target: {call.target!r}")
+                for slot, call in enumerate(chunk):
+                    try:
+                        endpoint = _endpoint_of(call.target)
+                    except RpcError as exc:
+                        window_outcomes[slot] = BatchOutcome(call=call, error=exc)
+                        continue
                     wire = Request(op=call.op, args=dict(call.args), ctx=ctx).to_bytes()
-                    prepared.append((call, endpoint, wire))
+                    prepared.append((slot, call, endpoint, wire))
                 self._m_inflight.set(len(prepared))
                 try:
-                    raw = request_many([(ep, wire) for _, ep, wire in prepared])
+                    raw = request_many([(ep, wire) for _, _, ep, wire in prepared])
                 finally:
                     self._m_inflight.set(0)
-                errors = 0
-                for (call, _, _), frame in zip(prepared, raw):
-                    outcome = self._decode_outcome(call, frame)
-                    if not outcome.ok:
-                        errors += 1
-                    outcomes.append(outcome)
+                for (slot, call, _, _), frame in zip(prepared, raw):
+                    window_outcomes[slot] = self._decode_outcome(call, frame)
+                errors = sum(not outcome.ok for outcome in window_outcomes)
+                outcomes.extend(window_outcomes)
                 span.set_attribute("errors", errors)
         return outcomes
 

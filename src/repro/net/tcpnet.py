@@ -7,11 +7,19 @@ the examples can do the same across real machines.
 
 Stream format: 4-byte big-endian length, then one opaque message frame
 (:func:`repro.util.encoding.to_wire`, which carries its own checksum —
-this module never looks inside). Connections are persistent: the server
-answers frames on one connection until the peer closes it, and the
-client keeps a small pool of sockets per address (replacing the
-HTTP/1.0-era socket-per-request model), so a pipelined batch reuses warm
-connections instead of paying a TCP handshake per call.
+this module never looks inside). Connections are persistent and
+*pipelined*, HTTP/1.1 style (RFC 2616 §8.1.2.2): the server answers a
+connection's frames strictly in arrival order until the peer closes it,
+so a client may write a whole window of requests back-to-back down one
+pooled socket and read the replies in request order — no thread and no
+socket per call. A single request is a window of one. Both ends set
+``TCP_NODELAY``: a small reply must not wait on Nagle for the ACK of the
+one before it.
+
+In-order replies per connection are therefore load-bearing: a
+connection on which anything went wrong after its first reply (error,
+timeout, short read) is closed, never pooled — a late reply would be
+taken for the answer to the next exchange's first request.
 
 Every socket read and connect carries a configurable timeout surfacing
 as :class:`~repro.errors.TransportError` — a stalled peer degrades into
@@ -37,6 +45,19 @@ FrameHandler = Callable[[bytes], bytes]
 
 _LEN = struct.Struct(">I")
 _MAX_FRAME = 64 * 1024 * 1024
+
+#: Request bytes a pipelined exchange keeps written but un-answered on
+#: one connection. A server that is blocked sending a large reply is not
+#: reading; whatever the client has written ahead of it must then fit in
+#: the kernel's socket buffers, or both ends block on send until the
+#: timeout. 16 KiB is under every platform's default receive buffer and
+#: is eighty ordinary requests — the RPC layer's window is eight. A
+#: frame larger than this travels only when nothing else is outstanding.
+_WRITE_AHEAD = 16 * 1024
+
+#: How often the listener's accept loop looks for :meth:`stop`. The
+#: socketserver default (0.5 s) is what every ``stop()`` then waits.
+_STOP_POLL = 0.02
 
 
 def _recv_exact(
@@ -66,13 +87,17 @@ def _recv_exact(
     return b"".join(chunks)
 
 
+def _sendall(sock: socket.socket, data: bytes) -> None:
+    try:
+        sock.sendall(data)
+    except socket.timeout as exc:
+        raise TransportError(f"send timed out after {sock.gettimeout()}s") from exc
+
+
 def _send_frame(sock: socket.socket, frame: bytes) -> None:
     if len(frame) > _MAX_FRAME:
         raise TransportError(f"frame too large: {len(frame)} bytes")
-    try:
-        sock.sendall(_LEN.pack(len(frame)) + frame)
-    except socket.timeout as exc:
-        raise TransportError(f"send timed out after {sock.gettimeout()}s") from exc
+    _sendall(sock, _LEN.pack(len(frame)) + frame)
 
 
 def _recv_frame(sock: socket.socket, allow_eof: bool = False) -> Optional[bytes]:
@@ -107,6 +132,7 @@ class TcpEndpointServer:
         class _Handler(socketserver.BaseRequestHandler):
             def handle(self) -> None:  # pragma: no cover - exercised via client
                 self.request.settimeout(outer.idle_timeout)
+                self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 while True:
                     try:
                         raw = _recv_frame(self.request, allow_eof=True)
@@ -147,7 +173,9 @@ class TcpEndpointServer:
         """Start serving in a daemon thread; returns self for chaining."""
         if self._thread is not None:
             raise TransportError("server already started")
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_STOP_POLL,), daemon=True
+        )
         self._thread.start()
         return self
 
@@ -213,6 +241,7 @@ class TcpTransport:
     def _connect(self, address: Tuple[str, int]) -> socket.socket:
         sock = socket.create_connection(address, timeout=self.timeout)
         sock.settimeout(self.timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
     def close(self) -> None:
@@ -233,80 +262,155 @@ class TcpTransport:
     # ------------------------------------------------------------------
 
     def request(self, endpoint: Endpoint, frame: bytes) -> bytes:
-        address = self.directory.get(endpoint.host)
-        if address is None:
-            raise TransportError(f"no TCP address known for host {endpoint.host!r}")
-        payload = endpoint.service.encode("utf-8") + b"\x00" + frame
-        sock = self._checkout(address)
-        reused = sock is not None
-        try:
-            if sock is None:
-                sock = self._connect(address)
-            response = self._exchange(sock, payload)
-        except (TransportError, OSError) as exc:
-            _close_quietly(sock)
-            if not reused:
-                raise TransportError(
-                    f"TCP request to {endpoint} failed: {exc}"
-                ) from exc
-            # The pooled socket had gone stale (server closed or timed it
-            # out between requests): retry exactly once on a fresh one.
-            sock = None
-            try:
-                sock = self._connect(address)
-                response = self._exchange(sock, payload)
-            except (TransportError, OSError) as retry_exc:
-                _close_quietly(sock)
-                raise TransportError(
-                    f"TCP request to {endpoint} failed: {retry_exc}"
-                ) from retry_exc
-        self._checkin(address, sock)
-        if response == b"":
-            raise TransportError(f"no service {endpoint.service!r} at {endpoint.host!r}")
-        with self._lock:
-            self.stats.record(sent=len(payload), received=len(response))
-        return response
+        """One request: a window of one (see :meth:`request_many`)."""
+        (outcome,) = self.request_many([(endpoint, frame)])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def request_many(
         self, batch: Sequence[Tuple[Endpoint, bytes]]
     ) -> List[Union[bytes, Exception]]:
-        """Issue a batch concurrently over pooled connections.
+        """Issue a window of requests as one pipelined exchange per server.
 
-        One worker thread per request (batches are already windowed by
-        the RPC layer); slots align with *batch* and hold the response
-        bytes or the per-request exception.
+        The window is grouped by resolved address; each address gets one
+        pooled connection, its frames are written back-to-back and its
+        replies read in request order, all on the calling thread. Every
+        address's first frames are on the wire before any reply is
+        waited for, so a window that spans servers still overlaps them.
+
+        Slots align with *batch* and hold the response bytes or the
+        per-request :class:`~repro.errors.TransportError`. An unknown
+        host, an oversized frame and a "no such service" reply fail only
+        their own slot and leave the connection usable. A pooled socket
+        that fails before the window's first reply had gone stale: the
+        address's frames are re-sent once on a fresh connection. Any
+        other error or timeout fails the address's un-answered slots and
+        closes the connection.
         """
-        batch = list(batch)
-        if len(batch) <= 1:
-            return [self._request_slot(ep, frame) for ep, frame in batch]
         results: List[Union[bytes, Exception]] = [None] * len(batch)  # type: ignore[list-item]
-
-        def work(index: int, endpoint: Endpoint, frame: bytes) -> None:
-            results[index] = self._request_slot(endpoint, frame)
-
-        threads = [
-            threading.Thread(target=work, args=(i, ep, frame), daemon=True)
-            for i, (ep, frame) in enumerate(batch)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        exchanges: Dict[Tuple[str, int], _Exchange] = {}
+        for slot, (endpoint, frame) in enumerate(batch):
+            address = self.directory.get(endpoint.host)
+            if address is None:
+                results[slot] = TransportError(
+                    f"no TCP address known for host {endpoint.host!r}"
+                )
+                continue
+            payload = endpoint.service.encode("utf-8") + b"\x00" + frame
+            if len(payload) > _MAX_FRAME:
+                results[slot] = TransportError(
+                    f"TCP request to {endpoint} failed: "
+                    f"frame too large: {len(payload)} bytes"
+                )
+                continue
+            exchange = exchanges.get(address)
+            if exchange is None:
+                exchange = exchanges[address] = _Exchange(self, address, results)
+            exchange.requests.append((slot, endpoint, payload))
+        for exchange in exchanges.values():
+            exchange.begin()
+        for exchange in exchanges.values():
+            exchange.finish()
         return results
 
-    def _request_slot(
-        self, endpoint: Endpoint, frame: bytes
-    ) -> Union[bytes, Exception]:
-        try:
-            return self.request(endpoint, frame)
-        except Exception as exc:
-            return exc
 
-    def _exchange(self, sock: socket.socket, payload: bytes) -> bytes:
-        _send_frame(sock, payload)
-        response = _recv_frame(sock)
-        assert response is not None  # allow_eof=False: None is impossible
-        return response
+class _Exchange:
+    """One address's share of a window, on one connection.
+
+    ``written`` requests are on the wire, the first ``answered`` of them
+    have their reply; at most :data:`_WRITE_AHEAD` bytes of request are
+    ever in between, except for a single frame written when nothing is.
+    """
+
+    def __init__(
+        self,
+        transport: TcpTransport,
+        address: Tuple[str, int],
+        results: List[Union[bytes, Exception]],
+    ) -> None:
+        self.transport = transport
+        self.address = address
+        self.results = results
+        #: (slot in the window, endpoint, payload), in window order.
+        self.requests: List[Tuple[int, Endpoint, bytes]] = []
+        self.sock = transport._checkout(address)
+        self.pooled = self.sock is not None
+        self.written = 0
+        self.answered = 0
+        self.ahead = 0  # payload bytes written and not yet answered
+
+    def begin(self) -> None:
+        """Put the first frames on the wire; wait for nothing."""
+        self._run(self._write_ahead)
+
+    def finish(self) -> None:
+        """Read every reply (writing the rest as replies make room),
+        then return the connection to the pool — or, after a failure,
+        do not."""
+        if self.answered == len(self.requests):
+            return  # begin() already failed every slot
+        if self._run(self._read_replies):
+            self.transport._checkin(self.address, self.sock)
+
+    def _run(self, step: Callable[[], None]) -> bool:
+        try:
+            step()
+            return True
+        except (TransportError, OSError) as exc:
+            _close_quietly(self.sock)
+            self.sock = None
+            if self.pooled and self.answered == 0:
+                # The pooled socket had gone stale (server closed or
+                # timed it out between exchanges): start over, exactly
+                # once, on a fresh one.
+                self.pooled = False
+                self.written = self.ahead = 0
+                return self._run(step)
+            for slot, endpoint, _ in self.requests[self.answered :]:
+                self.results[slot] = TransportError(
+                    f"TCP request to {endpoint} failed: {exc}"
+                )
+            self.answered = len(self.requests)
+            return False
+
+    def _write_ahead(self) -> None:
+        """Send, in one ``sendall``, as many of the next frames as the
+        write-ahead bound admits (one at least when nothing is
+        outstanding)."""
+        if self.sock is None:
+            self.sock = self.transport._connect(self.address)
+        chunk = []
+        while self.written < len(self.requests):
+            payload = self.requests[self.written][2]
+            if (
+                self.written > self.answered
+                and self.ahead + len(payload) > _WRITE_AHEAD
+            ):
+                break
+            chunk.append(_LEN.pack(len(payload)))
+            chunk.append(payload)
+            self.ahead += len(payload)
+            self.written += 1
+        if chunk:
+            _sendall(self.sock, b"".join(chunk))
+
+    def _read_replies(self) -> None:
+        stats, lock = self.transport.stats, self.transport._lock
+        while self.answered < len(self.requests):
+            self._write_ahead()
+            slot, endpoint, payload = self.requests[self.answered]
+            response = _recv_frame(self.sock)
+            self.answered += 1
+            self.ahead -= len(payload)
+            if response == b"":
+                self.results[slot] = TransportError(
+                    f"no service {endpoint.service!r} at {endpoint.host!r}"
+                )
+            else:
+                self.results[slot] = response
+                with lock:
+                    stats.record(sent=len(payload), received=len(response))
 
 
 def _close_quietly(sock: Optional[socket.socket]) -> None:

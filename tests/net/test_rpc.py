@@ -204,6 +204,25 @@ class TestCallMany:
         assert outcomes[0].value == 4
         assert isinstance(outcomes[1].error, AuthenticityError)
 
+    @pytest.mark.parametrize("fixture", ["batch_wired", "wired"])
+    def test_invalid_target_fails_its_slot_only(self, fixture, request):
+        # With and without ``request_many`` a batch never raises per
+        # call: the bad target's error sits in its slot and the other
+        # calls of the window still travel.
+        client, endpoint, _ = request.getfixturevalue(fixture)
+        outcomes = client.call_many(
+            [
+                BatchCall(endpoint, "calc.add", {"a": 1, "b": 2}),
+                BatchCall("h1/calc", "calc.add", {"a": 1, "b": 1}),
+                BatchCall(endpoint, "calc.add", {"a": 3, "b": 4}),
+            ]
+        )
+        assert [o.value for o in outcomes] == [3, None, 7]
+        assert isinstance(outcomes[1].error, RpcError)
+        assert "invalid RPC target" in str(outcomes[1].error)
+        assert client.transport.stats.requests == 2
+        assert client.call_many([BatchCall(None, "calc.add")])[0].ok is False
+
     def test_contact_address_targets(self, batch_wired):
         client, endpoint, _ = batch_wired
         address = ContactAddress(endpoint=endpoint, replica_id="r1")

@@ -82,3 +82,28 @@ class TestFrameLimits:
         finally:
             listener.close()
             thread.join(timeout=2)
+
+    def test_oversized_announcement_mid_window_fails_the_rest(self, monkeypatch):
+        """The cut-off holds inside a pipelined window too: the replies
+        already read stand, nothing is allocated for the announced frame,
+        and the connection is dropped rather than pooled."""
+        from tests.net.rawpeer import RawPeer, read_frame, write_frame
+
+        monkeypatch.setattr(tcpnet, "_MAX_FRAME", 1024)
+
+        def serve(conn, number):
+            write_frame(conn, read_frame(conn))
+            conn.sendall(struct.pack(">I", 2**30) + b"junk")
+            while read_frame(conn) is not None:
+                pass
+
+        with RawPeer(serve) as peer:
+            transport = TcpTransport(directory={"evil": peer.address}, timeout=2.0)
+            endpoint = Endpoint("evil", "svc")
+            results = transport.request_many([(endpoint, b"%d" % i) for i in range(3)])
+            assert results[0] == b"svc\x000"
+            assert all(
+                isinstance(r, TransportError) and "oversized" in str(r)
+                for r in results[1:]
+            )
+            assert transport.pooled_connections == 0

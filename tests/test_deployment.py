@@ -18,6 +18,7 @@ from repro.net.tcpnet import TcpEndpointServer, TcpTransport
 from repro.net.topology import paper_testbed
 from repro.net.transport import LoopbackTransport
 from repro.obs import RingBufferSink, Tracer
+from repro.proxy.pipeline import PipelineConfig
 from repro.sim.clock import RealClock, SimClock
 from tests.conftest import fast_keys
 
@@ -74,7 +75,8 @@ class Tap:
 def observe(kind: str, zone_keys, owner_keys) -> dict:
     """Publish the three-element document on *kind*'s fabric and record
     what a traced client sees: cold, warm, binary, and tampered at the
-    replica — plus every RPC frame of those accesses."""
+    replica — plus every RPC frame of those accesses — and what a fresh
+    pipelined client gets for the whole page, clean and tampered."""
     with world(kind, zone_keys) as deployment:
         clock = deployment.clock
         owner = DocumentOwner("vu.nl/oneworld", keys=owner_keys, clock=clock)
@@ -93,14 +95,21 @@ def observe(kind: str, zone_keys, owner_keys) -> dict:
             rejections = [(s.name, s.error_type) for s in ring.errors()]
             return response, [s.name for s in ring.spans], rejections
 
+        def page():
+            # Untapped: over TCP the windows must travel as windows.
+            proxy = deployment.client_stack(CLIENT, pipeline=PipelineConfig()).proxy
+            return proxy.handle_many([published.url(name) for name in ELEMENTS])
+
         observed = {
             "cold": access("index.html"),
             "warm": access("style.css"),
             "binary": access("logo.bin"),
+            "page": page(),
         }
         state = deployment.object_server.replica_for_oid(published.oid_hex).lr.state
         state.elements["index.html"] = state.elements["index.html"].with_content(b"evil")
         observed["tampered"] = access("index.html")
+        observed["tampered_page"] = page()
         observed["frames"] = tap.frames
         return observed
 
@@ -124,6 +133,22 @@ class TestOneWorldThreeTransports:
             assert response == reference, kind
             assert spans == ref_spans, kind
             assert rejections == ref_rejections, kind
+
+    def test_identical_pipelined_page(self, observed):
+        """``handle_many`` through the batched pipeline — windows charged
+        in parallel on sim, called in turn on loopback, written down one
+        socket over TCP — serves the same page, and rejects the same one
+        element of it, on every fabric."""
+        clean, tampered = observed["sim"]["page"], observed["sim"]["tampered_page"]
+        assert [(r.status, r.content) for r in clean] == [
+            (200, content) for content in ELEMENTS.values()
+        ]
+        assert [r.status for r in tampered] == [403, 200, 200]
+        assert tampered[0].security_failure == "AuthenticityError"
+        assert tampered[1:] == clean[1:]
+        for kind in TRANSPORTS[1:]:
+            assert observed[kind]["page"] == clean, kind
+            assert observed[kind]["tampered_page"] == tampered, kind
 
     def test_what_was_observed_is_the_pipeline(self, observed):
         cold, cold_spans, _ = observed["tcp"]["cold"]
