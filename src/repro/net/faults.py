@@ -11,13 +11,13 @@ users for their own chaos testing.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import TransportError
 from repro.net.address import Endpoint
 from repro.net.transport import TransferStats, Transport
-from repro.sim.random import make_rng
 
 __all__ = ["FaultPlan", "FlakyTransport"]
 
@@ -43,7 +43,7 @@ class FlakyTransport:
     def __init__(self, inner: Transport, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan
-        self._rng = make_rng(plan.seed)
+        self._rng = random.Random(plan.seed)
         self.stats = TransferStats()
         self.drops = 0
         self.corruptions = 0
@@ -63,7 +63,7 @@ class FlakyTransport:
         ):
             self.corruptions += 1
             # Flip a byte somewhere in the frame body.
-            index = int(self._rng.integers(0, len(response)))
+            index = self._rng.randrange(len(response))
             corrupted = bytearray(response)
             corrupted[index] ^= 0xFF
             response = bytes(corrupted)

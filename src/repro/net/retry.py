@@ -26,6 +26,7 @@ Waits go through the injected clock: under a
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
@@ -34,7 +35,6 @@ from repro.errors import RpcError, SecurityError, TransportError
 from repro.net.rpc import BatchCall, BatchOutcome, DEFAULT_WINDOW
 from repro.obs import NOOP_METRICS, NOOP_TRACER
 from repro.sim.clock import Clock, RealClock
-from repro.sim.random import make_rng
 
 __all__ = [
     "RetryPolicy",
@@ -98,12 +98,16 @@ class RetryPolicy:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
 
     def delay_for(self, attempt: int, rng) -> float:
-        """Backoff before retry number *attempt* (1-based failed tries)."""
+        """Backoff before retry number *attempt* (1-based failed tries).
+
+        *rng* supplies ``random()`` in [0, 1) — the client's own
+        ``random.Random(seed)``, so the jitter stream is the policy's.
+        """
         if attempt < 1:
             raise ValueError(f"attempt must be >= 1, got {attempt}")
         delay = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 1))
         if self.jitter:
-            delay *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
+            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return max(0.0, delay)
 
 
@@ -144,7 +148,7 @@ class RetryingRpcClient:
         self.policy = policy if policy is not None else RetryPolicy()
         self.clock = clock if clock is not None else RealClock()
         self.health = health
-        self._rng = make_rng(self.policy.seed)
+        self._rng = random.Random(self.policy.seed)
         self.counters = RetryCounters()
         #: Records one ``rpc.attempt`` span per try; a failed-but-retried
         #: attempt carries the chosen ``backoff_s`` as an attribute, so a

@@ -1,8 +1,11 @@
 """Seeded random-number helpers.
 
-All stochastic pieces (workload generation, jittered link latency, Zipf
-request traces) draw from generators created here, so every experiment
-run is reproducible from a single integer seed.
+The experiment side's stochastic pieces (workload generation, Zipf
+request traces, bench content, the harness's derived fault and retry
+seeds) draw from generators created here, so every experiment run is
+reproducible from a single integer seed. This is the one NumPy module
+under :mod:`repro.sim`; the client and server packages never import it
+(retry jitter and injected faults draw from ``random.Random(seed)``).
 """
 
 from __future__ import annotations

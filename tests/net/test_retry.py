@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -17,8 +19,8 @@ from repro.net.retry import (
     RetryPolicy,
     is_idempotent,
 )
+from repro.obs import RingBufferSink, Tracer
 from repro.sim.clock import SimClock
-from repro.sim.random import make_rng
 
 TARGET = Endpoint(host="replica.example", service="objectserver")
 
@@ -54,18 +56,18 @@ class TestRetryPolicy:
 
     def test_backoff_grows_exponentially(self):
         policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=10.0, jitter=0.0)
-        rng = make_rng(0)
+        rng = random.Random(0)
         delays = [policy.delay_for(a, rng) for a in (1, 2, 3, 4)]
         assert delays == [0.1, 0.2, 0.4, 0.8]
 
     def test_backoff_capped(self):
         policy = RetryPolicy(base_delay=1.0, multiplier=10.0, max_delay=2.5, jitter=0.0)
-        assert policy.delay_for(5, make_rng(0)) == 2.5
+        assert policy.delay_for(5, random.Random(0)) == 2.5
 
     def test_jitter_is_seeded_and_bounded(self):
         policy = RetryPolicy(base_delay=1.0, multiplier=1.0, jitter=0.2)
-        a = [policy.delay_for(1, make_rng(7)) for _ in range(3)]
-        b = [policy.delay_for(1, make_rng(7)) for _ in range(3)]
+        a = [policy.delay_for(1, random.Random(7)) for _ in range(3)]
+        b = [policy.delay_for(1, random.Random(7)) for _ in range(3)]
         assert a == b  # same seed, same jitter
         for delay in a:
             assert 0.8 <= delay <= 1.2
@@ -161,6 +163,42 @@ class TestRetryingRpcClient:
         inner = ScriptedClient([])
         client = RetryingRpcClient(inner, self.policy(), clock=SimClock())
         assert client.transport is inner.transport
+
+
+class TestClientSeededJitter:
+    """The jitter stream belongs to the client: ``RetryPolicy.seed`` alone
+    decides it, with no generator passed in from outside."""
+
+    JITTER = 0.2
+    BASE = [0.1, 0.2, 0.4, 0.8, 1.6]  # base_delay * 2**(attempt - 1)
+
+    def backoffs(self, seed):
+        clock = SimClock()
+        sink = RingBufferSink()
+        client = RetryingRpcClient(
+            ScriptedClient([TransportError(f"drop {i}") for i in range(5)]),
+            RetryPolicy(max_attempts=6, base_delay=0.1, jitter=self.JITTER, seed=seed),
+            clock=clock,
+            tracer=Tracer(clock=clock, sinks=(sink,)),
+        )
+        client.call(TARGET, "globedoc.get_element")
+        return [
+            span.attributes["backoff_s"]
+            for span in sink.named("rpc.attempt")
+            if "backoff_s" in span.attributes
+        ]
+
+    def test_same_seed_same_backoffs(self):
+        assert self.backoffs(seed=7) == self.backoffs(seed=7)
+
+    def test_other_seed_other_backoffs(self):
+        assert self.backoffs(seed=7) != self.backoffs(seed=8)
+
+    def test_backoffs_within_jitter(self):
+        delays = self.backoffs(seed=7)
+        assert len(delays) == len(self.BASE)
+        for delay, base in zip(delays, self.BASE):
+            assert base * (1 - self.JITTER) <= delay <= base * (1 + self.JITTER)
 
 
 class ScriptedBatchClient:

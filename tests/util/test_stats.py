@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,6 +72,10 @@ class TestPercentile:
     def test_order_invariant(self):
         assert percentile([3.0, 1.0, 2.0], 95) == percentile([1.0, 2.0, 3.0], 95)
 
+    def test_any_iterable(self):
+        assert percentile((x for x in [3.0, 1.0, 2.0]), 50) == 2.0
+        assert percentile(range(1, 6), 50) == 3.0
+
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
         st.floats(min_value=0.0, max_value=100.0),
@@ -101,3 +106,52 @@ class TestGeometricMean:
     def test_between_min_and_max(self, samples):
         g = geometric_mean(samples)
         assert min(samples) - 1e-9 <= g <= max(samples) + 1e-9
+
+
+# A sample with many repeated values, to exercise ties at the
+# interpolation neighbours.
+_FINITE = st.floats(min_value=-1e6, max_value=1e6)
+_SAMPLES = st.one_of(
+    st.lists(_FINITE, min_size=1, max_size=60),
+    st.lists(_FINITE, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+    ),
+    _FINITE.map(lambda x: [x]),
+)
+_Q = st.one_of(
+    st.sampled_from([0, 100, 0.0, 50.0, 95.0, 99.0, 100.0]),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+
+
+class TestAgainstNumpy:
+    """The pure-Python helpers reproduce NumPy's defaults (the test may
+    import NumPy; the library does not)."""
+
+    @given(_SAMPLES, _Q)
+    def test_percentile_is_numpys_bit_for_bit(self, samples, q):
+        assert percentile(samples, q) == float(np.percentile(samples, q))
+
+    @given(_SAMPLES)
+    def test_summarize_matches_numpy(self, samples):
+        s = summarize(samples)
+        arr = np.asarray(samples, dtype=float)
+        assert s.count == arr.size
+        assert s.minimum == float(arr.min())
+        assert s.maximum == float(arr.max())
+        assert s.median == float(np.median(arr))
+        assert s.p95 == float(np.percentile(arr, 95))
+        # The mean is an exactly rounded fsum where NumPy sums pairwise;
+        # they may part in the last ulp, or by more where NumPy itself
+        # loses digits to cancellation — hence the slack of the scale.
+        slack = 1e-12 * float(np.abs(arr).max())
+        assert s.mean == pytest.approx(float(arr.mean()), rel=1e-12, abs=slack)
+        assert s.std == pytest.approx(float(arr.std()), rel=1e-12, abs=slack)
+
+    def test_lerp_from_the_upper_neighbour(self):
+        # t >= 0.5 interpolates down from b, as NumPy's _lerp does; the
+        # naive a + (b - a) * t is one ulp off for this sample.
+        a, b = 0.1, 0.7
+        assert a + (b - a) * 0.5 == 0.4
+        assert percentile([a, b], 50) == float(np.percentile([a, b], 50))
+        assert percentile([a, b], 50) == 0.39999999999999997
