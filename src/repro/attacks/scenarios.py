@@ -399,9 +399,7 @@ class VersioningWorld:
 
     def bundle_now(self) -> dict:
         """The honest server's current wire bundle (attacker's copy)."""
-        bundle = self.server.versioning.fetch(self.oid.hex)
-        bundle["peer_delta_ids"] = self.server.versioning.delta_ids(self.oid.hex)
-        return bundle
+        return self.server.versioning.fetch(self.oid.hex)
 
 
 @dataclass(frozen=True)
@@ -529,11 +527,15 @@ def deploy_revoked_writer(world: VersioningWorld) -> None:
 
 def deploy_withheld_branch(world: VersioningWorld) -> None:
     """Serve the DAG minus bob's branch — hide a verified head."""
-    bob_ids = {
-        delta.delta_id
+    from repro.versioning import DeltaDag
+
+    # The DAG a server rolled back past bob's branch holds, and its heads.
+    rolled_back = DeltaDag()
+    rolled_back.add_all(
+        delta
         for delta in world.server.versioning._require(world.oid.hex).dag.deltas
-        if delta.writer_id == "bob"
-    }
+        if delta.writer_id != "bob"
+    )
 
     def rewrite(answer: dict) -> dict:
         answer = dict(answer)
@@ -541,10 +543,7 @@ def deploy_withheld_branch(world: VersioningWorld) -> None:
             d for d in answer.get("deltas", [])
             if d["envelope"]["payload"]["body"]["writer_id"] != "bob"
         ]
-        answer["peer_delta_ids"] = [
-            i for i in answer.get("peer_delta_ids", []) if i not in bob_ids
-        ]
-        answer["heads"] = [h for h in answer.get("heads", []) if h not in bob_ids]
+        answer["heads"] = rolled_back.heads()
         answer["frontier_cert"] = None  # the cert would name the hidden head
         return answer
 

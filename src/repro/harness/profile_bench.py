@@ -337,7 +337,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
                     home,
                     "versioning.fetch",
                     oid_hex=oid.hex,
-                    have_ids=views[writer_id].delta_ids,
+                    have_heads=views[writer_id].heads(),
                 )
                 views[writer_id].add_all(
                     SignedDelta.from_dict(d) for d in bundle["deltas"]
@@ -368,9 +368,9 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
             gossip_pulled += outcome["pulled"]
             gossip_pushed += outcome["pushed"]
         engine.evaluate()
-    converged = set(testbed.object_server.versioning.delta_ids(oid.hex)) == set(
-        peer_server.versioning.delta_ids(oid.hex)
-    )
+    # Content-addressed: equal heads name equal histories.
+    ginger_heads = testbed.object_server.versioning.heads(oid.hex)
+    converged = ginger_heads == peer_server.versioning.heads(oid.hex)
     workload.update(
         writes=writes,
         gossip_rounds=gossip_rounds,

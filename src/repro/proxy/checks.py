@@ -67,7 +67,7 @@ from repro.globedoc.integrity import ElementEntry, IntegrityCertificate
 from repro.globedoc.oid import ObjectId
 from repro.obs import NOOP_TRACER
 from repro.sim.clock import Clock
-from repro.versioning.dag import DeltaDag
+from repro.versioning.dag import DeltaDag, Frontier
 from repro.versioning.delta import SignedDelta
 from repro.versioning.frontier import FrontierCertificate
 from repro.versioning.grant import WriterGrant
@@ -230,14 +230,15 @@ class SecurityChecker:
         object_key: PublicKey,
         grants: List[WriterGrant],
         deltas: List[SignedDelta],
+        served_heads: Frontier,
         bound: Optional[VerifiedFrontier] = None,
         frontier_cert: Optional[FrontierCertificate] = None,
-        served_ids: Optional[set] = None,
     ) -> VerifiedFrontier:
         """The eighth check: a multi-writer served state proves itself.
 
         *bound* is what this reader verified before (``None``: nothing);
-        *deltas* are the ones the server shipped this time. On success
+        *deltas* are the ones the server shipped this time and
+        *served_heads* the frontier it claims to serve. On success
         *bound* itself is advanced by the new deltas and returned — one
         object, always consistent; on any raise it is exactly as it was.
 
@@ -266,11 +267,13 @@ class SecurityChecker:
           :class:`~repro.errors.DeltaForgeryError`, a genuine delta for
           another object :class:`~repro.errors.DeltaReplayError`;
         * the server still carries every head this client verified
-          before: each head of *bound* must appear in *served_ids* (the
-          id set the server claims to serve — pass the wire bundle's id
-          list, NOT the union with local state, or a rolled-back server
-          hides behind the client's own retained copy) — else
-          :class:`~repro.errors.BranchWithholdingError`;
+          before: *served_heads* (the wire bundle's claim, NOT anything
+          derived from local state, or a rolled-back server hides behind
+          the client's own retained copy) must equal the frontier of
+          *bound* plus the new deltas — else
+          :class:`~repro.errors.BranchWithholdingError`. It holds exactly
+          when every bound head is ancestor-or-equal of a served head and
+          the shipped set reaches no further: O(frontier width);
         * the new deltas are folded into the merge locally,
           deterministically; when the server presents a frontier
           certificate, its signer must hold a grant (or be the owner)
@@ -296,7 +299,7 @@ class SecurityChecker:
             with self._compute():
                 result = self._check_frontier(
                     oid, object_key, grants, deltas,
-                    bound, frontier_cert, served_ids,
+                    served_heads, bound, frontier_cert,
                 )
             span.set_attribute("heads", len(result.merged.frontier.heads))
             span.set_attribute("lamport", result.merged.lamport)
@@ -308,9 +311,9 @@ class SecurityChecker:
         object_key: PublicKey,
         grants: List[WriterGrant],
         deltas: List[SignedDelta],
+        served_heads: Frontier,
         bound: Optional[VerifiedFrontier],
         frontier_cert: Optional[FrontierCertificate],
-        served_ids: Optional[set],
     ) -> VerifiedFrontier:
         cache = self.verification_cache
         state = bound if bound is not None else VerifiedFrontier.empty(oid)
@@ -367,23 +370,22 @@ class SecurityChecker:
             signer = (delta.writer_id, delta.writer_key.der)
             judge_signer(signer, delta.delta_id)
             signers.setdefault(signer, delta.delta_id)
-        if served_ids is not None:
-            for head in state.merged.frontier.heads:
-                if head not in served_ids:
-                    raise BranchWithholdingError(
-                        f"server no longer serves verified head "
-                        f"{head[:12]}… — a previously seen branch is "
-                        "being withheld"
-                    )
+        # The bound DAG is not touched until nothing can fail, so it is
+        # asked for the frontier it *will* have.
+        frontier = state.dag.frontier_after(order)
+        if served_heads != frontier:
+            raise BranchWithholdingError(
+                f"served heads {served_heads} are not the frontier {frontier} "
+                "of the verified state plus the shipped deltas — a branch is "
+                "being withheld"
+            )
         winners, merged = state.winners, state.merged
         if order:
-            # The bound DAG is not touched until nothing can fail, so
-            # it is asked for the frontier it *will* have.
             winners = fold_winners(dict(winners), order)
             merged = MergedDocument.from_winners(
                 oid.hex,
                 winners,
-                frontier=state.dag.frontier_after(order),
+                frontier=frontier,
                 lamport=max(merged.lamport, *(d.lamport for d in order)),
                 delta_count=merged.delta_count + len(order),
             )

@@ -451,9 +451,7 @@ class ObjectServer:
 
     @rpc_method("versioning.register")
     def rpc_versioning_register(self, object_key_der: bytes) -> dict:
-        oid_hex = self.versioning.register_object(
-            PublicKey(der=bytes(object_key_der))
-        )
+        oid_hex = self.versioning.register_object(PublicKey.from_der(object_key_der))
         return {"oid": oid_hex}
 
     @rpc_method("versioning.put_grant")
@@ -485,15 +483,9 @@ class ObjectServer:
 
     @rpc_method("versioning.fetch")
     def rpc_versioning_fetch(
-        self, oid_hex: str, have_ids: Optional[list] = None
+        self, oid_hex: str, have_heads: Optional[list] = None
     ) -> dict:
-        # fetch() already carries peer_delta_ids — the claimed-id list
-        # readers need for withholding detection and gossip's push half.
-        return self.versioning.fetch(oid_hex, have_ids=have_ids)
-
-    @rpc_method("versioning.delta_ids")
-    def rpc_versioning_delta_ids(self, oid_hex: str) -> list:
-        return self.versioning.delta_ids(oid_hex)
+        return self.versioning.fetch(oid_hex, have_heads=have_heads)
 
     def gossip_versioned(self, rpc, peer_endpoint, oid_hex: str) -> dict:
         """One anti-entropy round for *oid_hex* against a peer server."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.crypto.keys import PublicKey
 from repro.errors import RecoveryIntegrityError, ReproError
 from repro.globedoc.owner import SignedDocument
 from repro.storage.store import DurableStore
@@ -137,9 +138,9 @@ class ServerStateStore:
     def _apply(record: dict, keystore: Dict[bytes, str], replicas: Dict[str, dict]) -> None:
         op = record.get("op")
         if op == "authorize":
-            keystore[bytes(record["key_der"])] = str(record["label"])
+            keystore[PublicKey.from_der(record["key_der"]).der] = str(record["label"])
         elif op == "revoke":
-            keystore.pop(bytes(record["key_der"]), None)
+            keystore.pop(PublicKey.from_der(record["key_der"]).der, None)
         elif op == "replica.create":
             replicas[str(record["replica_id"])] = dict(record)
         elif op == "replica.update":

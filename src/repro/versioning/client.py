@@ -10,9 +10,11 @@ withholding baseline and the merged elements become servable.
 
 A verified delta is verified once. The reader keeps what the check
 proved (:class:`~repro.proxy.checks.VerifiedFrontier`: the DAG, the
-merge's winner table, the signer pairs) and hands it back with only the
-deltas the server shipped this time; the check folds those in and
-re-judges, every read, what time or the revocation feed can change.
+merge's winner table, the signer pairs), sends its frontier as
+``have_heads`` so the server ships only what lies above it, and hands
+the bound state back with those deltas and the server's claimed
+``heads``; the check folds the news in and re-judges, every read, what
+time or the revocation feed can change.
 
 Two fail-closed properties fall out of the binding discipline:
 
@@ -101,10 +103,10 @@ class VersionedReader:
         reader's verified baseline is untouched.
         """
         bound = self._bound.get(oid.hex)
-        have_ids = bound.dag.delta_ids if bound is not None else None
-
+        previous = bound.merged.frontier if bound is not None else None
+        have_heads = previous.to_list() if previous is not None else None
         bundle = self.rpc.call(
-            endpoint, "versioning.fetch", oid_hex=oid.hex, have_ids=have_ids
+            endpoint, "versioning.fetch", oid_hex=oid.hex, have_heads=have_heads
         )
         # The bundle is an untrusted answer: whatever fails to decode is
         # an authenticity violation like any other bad answer, raised
@@ -119,20 +121,13 @@ class VersionedReader:
                 if cert_dict is not None
                 else None
             )
-            # What the server claims to serve — judged as such for the
-            # withholding comparison. The union with retained local state
-            # must NOT be used here, or a rolled-back server hides behind
-            # this reader's own copy of the branch it dropped. A bundle
-            # without the claimed-id list (a bare store, not the RPC
-            # surface) falls back to served_ids=None — DAG membership —
-            # rather than an empty claim, which would condemn every
-            # incremental no-news read as withholding.
-            peer_ids = bundle.get("peer_delta_ids")
-            if peer_ids is None:
-                served_ids = None
-            else:
-                served_ids = set(peer_ids)
-                served_ids.update(d.delta_id for d in new_deltas)
+            # The frontier the server claims to serve, judged as such by
+            # the withholding check. An answer without one is malformed:
+            # reading its absence as "no claim" would switch the check off.
+            heads = bundle["heads"]
+            if not isinstance(heads, list) or not all(isinstance(h, str) for h in heads):
+                raise TypeError(f"heads is not a list of delta ids: {heads!r:.80}")
+            served_heads = Frontier.of(heads)
         except DECODE_ERRORS as exc:
             raise AuthenticityError(
                 f"server returned a malformed versioning.fetch answer: {exc}"
@@ -149,15 +144,14 @@ class VersionedReader:
         # authority, revocation and withholding are still judged against
         # everything this reader has ever proven. The check advances
         # `bound` only once nothing can fail.
-        previous = bound.merged.frontier if bound is not None else None
         verified: VerifiedFrontier = self.checker.check_frontier(
             oid,
             object_key,
             grants,
             new_deltas,
+            served_heads,
             bound=bound,
             frontier_cert=frontier_cert,
-            served_ids=served_ids,
         )
 
         purged = self._bind(oid.hex, verified, previous)

@@ -4,10 +4,10 @@ Deltas hash-link their parents (UStore-style), so holding a delta id
 commits to the exact bytes of its whole ancestry. A :class:`DeltaDag`
 only ever admits a delta whose parents are already present — insertion
 order is therefore a topological order, and *membership of a head
-implies membership of its entire branch*. That closure property is what
-makes branch-withholding detection a set-membership test: a replica that
-serves a frontier lacking any head the client already verified is hiding
-a branch (:class:`~repro.errors.BranchWithholdingError` at the check).
+implies membership of its entire branch*. So a head set names a whole
+history: replicas sync by exchanging frontiers, and a replica whose
+claimed heads are not the frontier of what the client verified plus
+what it shipped is hiding a branch (``BranchWithholdingError``).
 
 The :class:`Frontier` (the set of heads — deltas no other delta names as
 a parent) replaces the single version counter of the one-writer design:
@@ -18,7 +18,7 @@ order, which is exactly the partial order of causal histories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import VersioningError
 from repro.versioning.delta import SignedDelta
@@ -69,8 +69,9 @@ class DeltaDag:
         self._order: List[str] = []
         #: Maintained by :meth:`add` so a writer composing, a server
         #: fetching and a reader folding pay for the deltas that arrive,
-        #: not for a scan of the history.
-        self._heads: Set[str] = set()
+        #: not for a scan of the history. Replaced, never mutated, so a
+        #: concurrent reader sees the frontier before or after a delta.
+        self._heads: FrozenSet[str] = frozenset()
         self._lamport_max = 0
 
     # ------------------------------------------------------------------
@@ -100,23 +101,22 @@ class DeltaDag:
         """Record a new delta whose parents are known to be present."""
         self._deltas[delta.delta_id] = delta
         self._order.append(delta.delta_id)
-        self._retire_parents(self._heads, delta)
+        self._heads = self._retire_parents(self._heads, delta)
         self._lamport_max = max(self._lamport_max, delta.lamport)
 
     @staticmethod
-    def _retire_parents(heads: Set[str], delta: SignedDelta) -> None:
+    def _retire_parents(heads: FrozenSet[str], delta: SignedDelta) -> FrozenSet[str]:
         """The head rule, given parents-first admission: a delta is a
         head on arrival (its children can only come later) and its
         parents stop being heads then."""
-        heads.difference_update(delta.parents)
-        heads.add(delta.delta_id)
+        return heads.difference(delta.parents) | {delta.delta_id}
 
     def frontier_after(self, order: Iterable[SignedDelta]) -> Frontier:
         """The frontier this DAG would have once *order* (an
         :meth:`admission_order`) is admitted; admits nothing."""
-        heads = set(self._heads)
+        heads = self._heads
         for delta in order:
-            self._retire_parents(heads, delta)
+            heads = self._retire_parents(heads, delta)
         return Frontier.of(heads)
 
     def admission_order(self, deltas: Iterable[SignedDelta]) -> List[SignedDelta]:
@@ -215,15 +215,30 @@ class DeltaDag:
             stack.extend(self._deltas[current].parents)
         return seen
 
-    def missing_from(self, known_ids: Iterable[str]) -> List[SignedDelta]:
-        """Deltas absent from *known_ids*, topologically ordered — the
-        anti-entropy payload one replica ships another."""
-        known = set(known_ids)
-        return [
-            self._deltas[delta_id]
-            for delta_id in self._order
-            if delta_id not in known
-        ]
+    def missing_from(
+        self, have_heads: Iterable[str], heads: Optional[Iterable[str]] = None
+    ) -> List[SignedDelta]:
+        """``ancestors(heads) − ancestors(have_heads)``, parents first:
+        what a replica at *have_heads* lacks below *heads* (default: this
+        DAG's own). Walks back from the newest delta only until nothing
+        wanted is unsettled — equal heads walk nothing — and a child is
+        always visited before its parents, so "below *have_heads*" is
+        known on arrival. A have-head this DAG lacks subtracts nothing."""
+        have = {h for h in have_heads if h in self._deltas}
+        want = set(self._heads if heads is None else heads) - have
+        shipped: List[SignedDelta] = []
+        for delta_id in reversed(self._order):
+            if not want:
+                break
+            delta = self._deltas[delta_id]
+            if delta_id in have:
+                have.update(delta.parents)
+            elif delta_id in want:
+                want.update(delta.parents)
+                shipped.append(delta)
+            want.discard(delta_id)
+        shipped.reverse()
+        return shipped
 
     def dominates(self, frontier: Frontier) -> bool:
         """Does this DAG contain everything below *frontier*?

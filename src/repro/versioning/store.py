@@ -15,9 +15,10 @@ admission — and any record that no longer proves out aborts recovery
 with :class:`~repro.errors.RecoveryIntegrityError` (fail closed).
 
 Anti-entropy (:func:`gossip_once`) is pull+push over the ``versioning.*``
-RPCs: each side ships the deltas the other lacks, receiving ends
-re-verify on admission, and both converge to the same DAG — the server
-half of the convergence story the harness gates.
+RPCs, in the readers' heads exchange: each side names its frontier and
+is shipped what lies above it, receiving ends re-verify on admission,
+and both converge to the same DAG — the server half of the convergence
+story ``tests/versioning/test_convergence.py`` decides.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class VersionedObjectStore:
         def admit(record) -> None:
             op = record["op"]
             if op == "register":
-                self.register_object(PublicKey(der=bytes(record["key_der"])))
+                self.register_object(PublicKey.from_der(record["key_der"]))
             elif op == "grant":
                 added = self.put_grant(
                     str(record["oid"]), WriterGrant.from_dict(record["grant"])
@@ -312,44 +313,35 @@ class VersionedObjectStore:
     def has_object(self, oid_hex: str) -> bool:
         return oid_hex in self._objects
 
-    def delta_ids(self, oid_hex: str) -> List[str]:
-        return self._require(oid_hex).dag.delta_ids
-
     def delta_count(self, oid_hex: str) -> int:
         return len(self._require(oid_hex).dag)
 
     def heads(self, oid_hex: str) -> List[str]:
         return self._require(oid_hex).dag.heads()
 
-    def fetch(self, oid_hex: str, have_ids: Optional[List[str]] = None) -> dict:
+    def fetch(self, oid_hex: str, have_heads: Optional[List[str]] = None) -> dict:
         """The wire bundle the reader (or a gossiping peer) verifies.
 
-        ``have_ids`` turns the response into a delta sync: only DAG
-        entries the caller lacks are shipped (topological order), while
-        grants and the frontier certificate always travel whole.
-        ``peer_delta_ids`` is the full id list this server claims to
-        serve — always present, because readers judge branch
-        withholding against the claim, never against their own retained
-        copy of a branch the server may have dropped.
+        It ships what lies above *have_heads* (the caller's frontier;
+        None: it holds nothing) and below ``heads``, the frontier this
+        server claims, by which readers judge withholding. Grants and the
+        frontier certificate always travel whole. One snapshot: a grant
+        precedes the deltas it covers and a certificate follows the heads
+        it names, so both are read before the heads, and the deltas are
+        those heads' ancestry — a concurrent put never splits the answer.
         """
         state = self._require(oid_hex)
-        deltas = (
-            state.dag.deltas
-            if have_ids is None
-            else state.dag.missing_from(have_ids)
-        )
+        grants = [g.to_dict() for _, g in sorted(state.grants.items())]
+        cert = state.frontier_cert
+        heads = state.dag.heads()
+        deltas = state.dag.missing_from(have_heads or (), heads)
         return {
             "oid": oid_hex,
             "object_key_der": state.object_key.der,
-            "grants": [g.to_dict() for _, g in sorted(state.grants.items())],
+            "grants": grants,
             "deltas": [d.to_dict() for d in deltas],
-            "heads": state.dag.heads(),
-            "peer_delta_ids": state.dag.delta_ids,
-            "frontier_cert": (
-                state.frontier_cert.to_dict()
-                if state.frontier_cert is not None
-                else None
-            ),
+            "heads": heads,
+            "frontier_cert": cert.to_dict() if cert is not None else None,
         }
 
     def close(self) -> None:
@@ -362,12 +354,13 @@ def gossip_once(
 ) -> dict:
     """One anti-entropy round against a peer server: pull, then push.
 
-    Pulls the peer's grants and the deltas this store lacks (re-verified
-    on admission — the peer is as untrusted as any replica), then pushes
-    back everything the peer reported missing. After one round with a
-    reachable, honest peer both DAGs are equal
-    (``tests/versioning/test_convergence.py`` asserts exactly that over
-    generated histories). Returns {pulled, pushed} counts.
+    Pulls with this store's heads — the peer's grants and what lies
+    above those heads, re-verified on admission (the peer is as
+    untrusted as any replica) — then pushes what lies above the heads
+    the peer claimed. After one round with a reachable, honest peer
+    both DAGs are equal (``tests/versioning/test_convergence.py``
+    asserts exactly that over generated histories). Returns {pulled,
+    pushed} counts.
 
     ``tracer`` (optional) wraps the round in a ``gossip.run`` span —
     the root of a gossip trace, with every peer RPC (and, through the
@@ -389,7 +382,7 @@ def _gossip_round(
         peer_endpoint,
         "versioning.fetch",
         oid_hex=oid_hex,
-        have_ids=store.delta_ids(oid_hex),
+        have_heads=store.heads(oid_hex),
     )
     pulled = 0
     for grant_dict in answer.get("grants", []):
@@ -408,11 +401,6 @@ def _gossip_round(
             # delta exchange itself; readers verify certs end to end.
             pass
 
-    their_ids = set(answer.get("peer_delta_ids", []))
-    if not their_ids:
-        their_ids = set(
-            rpc.call(peer_endpoint, "versioning.delta_ids", oid_hex=oid_hex)
-        )
     # Push grants first: a pushed delta from a writer the peer has never
     # heard of would otherwise be refused as unauthorized. The peer
     # re-verifies each grant under the object key, so this confers no
@@ -430,7 +418,7 @@ def _gossip_round(
                 grant=grant.to_dict(),
             )
     pushed = 0
-    for delta in store._require(oid_hex).dag.missing_from(their_ids):
+    for delta in store._require(oid_hex).dag.missing_from(answer["heads"]):
         result = rpc.call(
             peer_endpoint,
             "versioning.publish_delta",

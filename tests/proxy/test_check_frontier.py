@@ -19,7 +19,13 @@ from repro.globedoc.oid import ObjectId
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.checks import SecurityChecker
 from repro.sim.clock import SimClock
-from repro.versioning import DeltaDag, DocumentWriter, WriterGrant, merge_deltas
+from repro.versioning import (
+    DeltaDag,
+    DocumentWriter,
+    Frontier,
+    WriterGrant,
+    merge_deltas,
+)
 
 from tests.conftest import EPOCH, fast_keys
 
@@ -60,16 +66,17 @@ def run_check(world, **overrides):
     kwargs = {
         "grants": [world["grant"]],
         "deltas": world["dag"].deltas,
+        # An honest server's claim: the heads of everything it holds.
+        "served_heads": world["dag"].frontier(),
         "bound": None,
         "frontier_cert": None,
-        "served_ids": None,
     }
     kwargs.update(overrides)
     return world["checker"].check_frontier(
         world["oid"], world["owner_key"], kwargs["grants"], kwargs["deltas"],
+        kwargs["served_heads"],
         bound=kwargs["bound"],
         frontier_cert=kwargs["frontier_cert"],
-        served_ids=kwargs["served_ids"],
     )
 
 
@@ -109,15 +116,26 @@ class TestCheckFrontier:
     def test_known_head_missing_from_served_set_rejected(self, world):
         bound = run_check(world)
         with pytest.raises(BranchWithholdingError):
-            run_check(world, bound=bound, served_ids=set())
+            run_check(world, bound=bound, deltas=[], served_heads=Frontier.empty())
 
     def test_known_head_present_in_served_set_passes(self, world):
         bound = run_check(world)
-        run_check(
-            world,
-            bound=bound,
-            served_ids=set(world["dag"].delta_ids),
-        )
+        run_check(world, bound=bound, deltas=[])
+
+    def test_served_heads_must_be_the_frontier_of_what_was_shipped(self, world):
+        """Both directions of the equality: news the heads do not name
+        (shipped beyond the claim), and a head claimed but not shipped."""
+        bound = run_check(world)
+        frontier, size = bound.merged.frontier, len(bound.dag)
+        world["writer"].put(world["dag"], "body", b"newer")
+        news = world["dag"].deltas[-1:]
+        with pytest.raises(BranchWithholdingError):
+            run_check(world, bound=bound, deltas=news, served_heads=frontier)
+        with pytest.raises(BranchWithholdingError):
+            run_check(world, bound=bound, deltas=[])
+        assert bound.merged.frontier == frontier and len(bound.dag) == size
+        run_check(world, bound=bound, deltas=news)
+        assert bound.merged.frontier == world["dag"].frontier()
 
     def test_frontier_cert_digest_mismatch_rejected(self, world):
         merged = merge_deltas(world["dag"].deltas, oid_hex=world["oid"].hex)
@@ -158,7 +176,9 @@ class TestCheckFrontier:
             merge_deltas(world["dag"].deltas, oid_hex=world["oid"].hex)
         )
         first = world["dag"].deltas[:1]
-        bound = run_check(world, deltas=first)
+        bound = run_check(
+            world, deltas=first, served_heads=Frontier.of([first[0].delta_id])
+        )
         world["writer"].put(world["dag"], "body", b"newest")
         run_check(world, bound=bound, frontier_cert=cert)
         run_check(world, bound=bound, deltas=[], frontier_cert=cert)

@@ -11,7 +11,9 @@ import os
 
 import pytest
 
-from repro.errors import RecoveryIntegrityError
+from repro.errors import CryptoError, EncodingError, RecoveryIntegrityError
+from repro.net.rpc import RpcClient
+from repro.net.transport import LoopbackTransport
 from repro.server.objectserver import ObjectServer
 from repro.server.persistence import ServerStateStore
 from repro.revocation.statement import RevocationStatement
@@ -337,3 +339,50 @@ class TestFailClosed:
         assert restarted.hosts_oid(owners[0].oid.hex)
         assert not restarted.hosts_oid(owners[1].oid.hex)
         restarted.close()
+
+
+class TestUntrustedKeyDer:
+    """A key's DER arrives from the wire or from disk, and both are
+    untrusted: a non-bytes value is never ``bytes()``-ed into an
+    allocation of that size, and DER that does not parse opens no
+    namespace and journals nothing."""
+
+    @pytest.mark.parametrize(
+        "key_der, error",
+        [(50_000_000, EncodingError), (b"not a DER key", CryptoError)],
+        ids=["an_int", "unparsable"],
+    )
+    def test_register_over_rpc_is_refused_with_nothing_journaled(
+        self, tmp_path, clock, key_der, error
+    ):
+        server = make_server(tmp_path, clock)
+        transport = LoopbackTransport()
+        transport.register(server.endpoint, server.rpc_server().handle_frame)
+        with pytest.raises(error):
+            RpcClient(transport).call(
+                server.endpoint, "versioning.register", object_key_der=key_der
+            )
+        assert server.versioning._objects == {}
+        server.close()
+        with WriteAheadLog(os.path.join(str(tmp_path), "versioning", "wal.log")) as wal:
+            assert wal.take_records() == []
+
+    @pytest.mark.parametrize(
+        "component, op",
+        [("versioning", "register"), ("server", "authorize")],
+    )
+    def test_journal_record_with_an_int_key_fails_recovery(
+        self, tmp_path, clock, component, op
+    ):
+        server = make_server(tmp_path, clock)
+        server.versioning.register_object(fast_keys().public)
+        server.keystore.authorize("owner", fast_keys().public)
+        server.close()
+
+        def corrupt(record):
+            if record.get("op") == op:
+                record["key_der"] = 50_000_000
+
+        rewrite_wal(os.path.join(str(tmp_path), component, "wal.log"), corrupt)
+        with pytest.raises(RecoveryIntegrityError, match="expected a bytes field"):
+            make_server(tmp_path, clock)

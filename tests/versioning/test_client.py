@@ -93,11 +93,11 @@ class TestCachePurge:
         assert reader.cached_element(oid.hex, "extra") is None
 
 
-class TestServedIdsFallback:
-    def test_no_news_reread_without_claimed_id_list(self, world):
-        """Regression: a server that omits ``peer_delta_ids`` must not
-        turn every incremental no-news read into a false withholding
-        alarm — the check falls back to DAG membership."""
+class TestHeadsRequired:
+    def test_answer_without_heads_fails_closed(self, world):
+        """Regression: an answer that omits ``heads`` must not switch
+        the rollback check off — it is malformed, and the verified
+        baseline stays as it was."""
 
         class StrippingRpc:
             def __init__(self, inner):
@@ -106,27 +106,53 @@ class TestServedIdsFallback:
             def call(self, endpoint, op, **kwargs):
                 answer = self.inner.call(endpoint, op, **kwargs)
                 if op == "versioning.fetch" and isinstance(answer, dict):
-                    answer = {
-                        k: v for k, v in answer.items() if k != "peer_delta_ids"
-                    }
+                    answer = {k: v for k, v in answer.items() if k != "heads"}
                 return answer
 
         reader, server, oid = world["reader"], world["server"], world["oid"]
-        reader.rpc = StrippingRpc(world["rpc"])
         reader.read(server.endpoint, oid)
-        again = reader.read(server.endpoint, oid)
-        assert again.deltas_fetched == 0
-        assert again.merged.elements["body"].content == b"version-one"
+        frontier, dag = reader.known_frontier(oid.hex), reader.known_dag(oid.hex)
+        reader.rpc = StrippingRpc(world["rpc"])
+        with pytest.raises(AuthenticityError, match="malformed versioning.fetch"):
+            reader.read(server.endpoint, oid)
+        assert reader.known_frontier(oid.hex) == frontier
+        assert reader.known_dag(oid.hex) is dag
 
-    def test_store_fetch_carries_claimed_id_list(self, world):
-        """The bare store's bundle guarantees the claimed-id field — no
-        RPC wrapper needed for withholding judgements."""
-        from repro.versioning import SignedDelta
-
+    def test_store_fetch_carries_heads_not_ids(self, world):
+        """The bare store's bundle claims its frontier and nothing that
+        grows with history — no RPC wrapper needed for withholding
+        judgements."""
         bundle = world["server"].versioning.fetch(world["oid"].hex)
-        assert bundle["peer_delta_ids"] == [
-            SignedDelta.from_dict(d).delta_id for d in bundle["deltas"]
-        ]
+        assert bundle["heads"] == world["view"].heads()
+        assert "peer_delta_ids" not in bundle
+
+
+class TestNoNewsWire:
+    """Pins the exchange, not the clock: a read with no news costs the
+    same bytes whatever the history behind it. Re-introducing an id list
+    on either side of the wire fails here, exactly."""
+
+    def test_no_news_read_bytes_do_not_grow_with_history(self, world):
+        reader, server, oid = world["reader"], world["server"], world["oid"]
+        stats = world["transport"].stats
+
+        def no_news_read_bytes():
+            reader.read(server.endpoint, oid)  # binds whatever is new
+            sent, received = stats.bytes_sent, stats.bytes_received
+            assert reader.read(server.endpoint, oid).deltas_fetched == 0
+            return stats.bytes_sent - sent, stats.bytes_received - received
+
+        def grow_to(size):
+            while len(world["view"]) < size:
+                server.versioning.put_delta(
+                    oid.hex,
+                    world["writer"].put(world["view"], "body", b"%08d" % len(world["view"])),
+                )
+
+        grow_to(8)
+        at_8 = no_news_read_bytes()
+        grow_to(64)
+        assert no_news_read_bytes() == at_8
 
 
 #: id -> what the genuine ``versioning.fetch`` answer becomes.
@@ -138,8 +164,10 @@ MALFORMED_BUNDLES = {
     "delta_not_a_certificate": lambda bundle: {**bundle, "deltas": [{"body": b"x"}]},
     "grants_a_string_list": lambda bundle: {**bundle, "grants": ["alice"]},
     "frontier_cert_a_string": lambda bundle: {**bundle, "frontier_cert": "EVIL"},
-    "unhashable_peer_ids": lambda bundle: {**bundle, "peer_delta_ids": [["a"], {}]},
-    "peer_ids_an_int": lambda bundle: {**bundle, "peer_delta_ids": 7},
+    "heads_missing": lambda bundle: {k: v for k, v in bundle.items() if k != "heads"},
+    "peer_heads_an_int": lambda bundle: {**bundle, "heads": 7},
+    "unhashable_peer_heads": lambda bundle: {**bundle, "heads": [["a"], {}]},
+    "heads_not_delta_ids": lambda bundle: {**bundle, "heads": [1, 2]},
     "object_key_an_int": lambda bundle: {**bundle, "object_key_der": 50_000_000},
     "object_key_a_string": lambda bundle: {**bundle, "object_key_der": "EVIL"},
 }

@@ -86,7 +86,7 @@ def test_partitioned_writers_converge_after_one_gossip_round(
 
     for round_index in range(rounds):
         for writer, home, view in writers:
-            bundle = home.fetch(oid.hex, have_ids=view.delta_ids)
+            bundle = home.fetch(oid.hex, have_heads=view.heads())
             view.add_all(SignedDelta.from_dict(d) for d in bundle["deltas"])
             # Every writer's first edit is to one element, so both sides
             # of the partition always hold concurrent edits of it.

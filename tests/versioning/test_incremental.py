@@ -107,9 +107,12 @@ def test_bound_state_equals_merge_of_everything_admitted(
         noise.shuffle(served)
         admitted += batch
         batch = []
-        bound = checker.check_frontier(oid, owner_keys.public, grants, served, bound=bound)
-
         reference = merge_deltas(admitted, oid_hex=oid.hex)
+        heads = reference.frontier
+        bound = checker.check_frontier(
+            oid, owner_keys.public, grants, served, heads, bound=bound
+        )
+
         for name in (f.name for f in fields(MergedDocument)):
             assert getattr(bound.merged, name) == getattr(reference, name), name
         # The tables beside the document say the same thing it does.
@@ -121,5 +124,8 @@ def test_bound_state_equals_merge_of_everything_admitted(
 
         # A read with no news changes nothing and re-merges nothing.
         merged = bound.merged
-        assert checker.check_frontier(oid, owner_keys.public, grants, [], bound=bound) is bound
+        assert (
+            checker.check_frontier(oid, owner_keys.public, grants, [], heads, bound=bound)
+            is bound
+        )
         assert bound.merged is merged

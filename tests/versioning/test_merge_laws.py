@@ -117,6 +117,6 @@ def test_replica_exchange_converges(seed):
     known = replica_a.ancestors(rng.sample(ids, rng.randint(0, len(ids))))
     replica_b.add_all(d for d in deltas if d.delta_id in known)
     # Anti-entropy: B pulls what it lacks from A.
-    replica_b.add_all(replica_a.missing_from(replica_b.delta_ids))
+    replica_b.add_all(replica_a.missing_from(replica_b.heads()))
     assert sorted(replica_b.delta_ids) == sorted(replica_a.delta_ids)
     assert digest_of(replica_b.deltas) == digest_of(replica_a.deltas)

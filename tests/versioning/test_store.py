@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -80,7 +83,7 @@ class TestAdmission:
         with pytest.raises(UnauthorizedWriterError):
             store.put_delta(oid.hex, eve.put(DeltaDag(), "body", b"evil"))
 
-    def test_fetch_have_ids_ships_only_the_difference(
+    def test_fetch_have_heads_ships_only_the_difference(
         self, store, owner_keys, oid, make_writer
     ):
         writer = registered(store, owner_keys, oid, make_writer)
@@ -89,8 +92,12 @@ class TestAdmission:
         second = writer.put(dag, "body", b"two")
         store.put_delta(oid.hex, first)
         store.put_delta(oid.hex, second)
-        bundle = store.fetch(oid.hex, have_ids=[first.delta_id])
+        bundle = store.fetch(oid.hex, have_heads=[first.delta_id])
         assert [SignedDelta.from_dict(d).lamport for d in bundle["deltas"]] == [2]
+        assert bundle["heads"] == [second.delta_id]
+        assert "peer_delta_ids" not in bundle
+        # The caller's heads are the server's own: nothing ships.
+        assert store.fetch(oid.hex, have_heads=[second.delta_id])["deltas"] == []
 
 
 class TestFrontierCert:
@@ -112,7 +119,7 @@ class TestFrontierCert:
         cert = writer.certify_frontier(merged)
         with pytest.raises(ReplicaError):
             store.put_frontier_cert(oid.hex, cert)
-        assert delta.delta_id not in store.delta_ids(oid.hex)
+        assert store.delta_count(oid.hex) == 0
 
     def test_stale_lower_lamport_cert_dropped(
         self, store, owner_keys, oid, make_writer
@@ -210,7 +217,9 @@ class TestRekey:
         bundle = store.fetch(oid.hex)
         assert len(bundle["grants"]) == 2
         assert len(bundle["deltas"]) == 2
-        assert old_delta.delta_id in bundle["peer_delta_ids"]
+        assert old_delta.delta_id in [
+            SignedDelta.from_dict(d).delta_id for d in bundle["deltas"]
+        ]
 
     def test_rekey_survives_compaction_and_recovery(
         self, clock, owner_keys, oid, make_writer, tmp_path
@@ -294,7 +303,77 @@ class TestGossip:
 
         stats = gossip_once(left, rpc, peer.endpoint, oid.hex)
         assert stats["pulled"] == 1 and stats["pushed"] == 1
-        assert sorted(left.delta_ids(oid.hex)) == sorted(right.delta_ids(oid.hex))
+        assert left.heads(oid.hex) == right.heads(oid.hex)
+        assert left.delta_count(oid.hex) == right.delta_count(oid.hex) == 2
+
+
+class TestOneSnapshot:
+    """A fetch answers from one snapshot: its claimed heads are exactly
+    the frontier of what the caller held plus what it shipped, however a
+    concurrent put falls — or a reader condemns an honest server."""
+
+    def test_put_between_heads_and_walk_ships_nothing_past_the_heads(
+        self, store, owner_keys, oid, make_writer, monkeypatch
+    ):
+        writer = registered(store, owner_keys, oid, make_writer)
+        view = DeltaDag()
+        first, late = writer.put(view, "body", b"one"), writer.put(view, "body", b"two")
+        store.put_delta(oid.hex, first)
+        dag = store._require(oid.hex).dag
+        snapshot = dag.heads
+
+        def heads_then_a_put():
+            heads = snapshot()
+            store.put_delta(oid.hex, late)  # lands inside the fetch
+            return heads
+
+        monkeypatch.setattr(dag, "heads", heads_then_a_put)
+        bundle = store.fetch(oid.hex)
+        assert bundle["heads"] == [first.delta_id]
+        assert [SignedDelta.from_dict(d).delta_id for d in bundle["deltas"]] == [
+            first.delta_id
+        ]
+
+    def test_fetchers_racing_a_writer_thread(self, store, owner_keys, oid, make_writer):
+        writer = registered(store, owner_keys, oid, make_writer)
+        view = DeltaDag()
+        deltas = [writer.put(view, f"e{i % 3}", b"%d" % i) for i in range(150)]
+        done, errors = threading.Event(), []
+
+        def publish():
+            try:
+                for delta in deltas:
+                    store.put_delta(oid.hex, delta)
+            finally:
+                done.set()
+
+        def fetch_until_done():
+            mine, finished = DeltaDag(), False
+            try:
+                while not finished:
+                    finished = done.is_set()  # one more answer after the last put
+                    bundle = store.fetch(oid.hex, have_heads=mine.heads())
+                    mine.add_all(SignedDelta.from_dict(d) for d in bundle["deltas"])
+                    assert mine.heads() == bundle["heads"]
+                assert len(mine) == len(deltas)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        # More threads than the two-core CI runners, switching every µs.
+        threads = [threading.Thread(target=publish, daemon=True)] + [
+            threading.Thread(target=fetch_until_done, daemon=True) for _ in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestDurability:
