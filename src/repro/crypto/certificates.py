@@ -21,7 +21,7 @@ from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.signing import SignedEnvelope
 from repro.errors import CertificateError
 from repro.sim.clock import Clock
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crypto.verifycache import VerificationCache
@@ -152,5 +152,5 @@ class Certificate:
 
     @property
     def wire_size(self) -> int:
-        """Approximate serialized size (bytes), for transfer accounting."""
-        return len(canonical_bytes(self.to_dict()))
+        """Bytes of its wire frame, for transfer accounting."""
+        return len(to_wire(self.to_dict()))

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional
 from repro.crypto.hashes import HashSuite, SHA1, suite_by_name
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import SignatureError
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import canonical_bytes, to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crypto.verifycache import VerificationCache
@@ -204,5 +204,5 @@ class SignedEnvelope:
 
     @property
     def wire_size(self) -> int:
-        """Approximate serialized size in bytes (for transfer accounting)."""
-        return len(canonical_bytes(self.to_dict()))
+        """Bytes of its wire frame, for transfer accounting."""
+        return len(to_wire(self.to_dict()))

@@ -248,5 +248,5 @@ class IntegrityCertificate:
 
     @property
     def wire_size(self) -> int:
-        """Serialized size — the ~2 KB "extra information" of Fig. 4."""
+        """Wire-frame size — the ~2 KB "extra information" of Fig. 4."""
         return self.certificate.wire_size

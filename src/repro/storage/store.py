@@ -1,7 +1,7 @@
 """The durable backend every service uses: one journal, rewritten to compact.
 
 One :class:`DurableStore` owns a directory holding exactly one file,
-``wal.log`` (:mod:`repro.storage.wal`). Writes are journaled through
+``journal.log`` (:mod:`repro.storage.wal`). Writes are journaled through
 :meth:`append` *before* the in-memory mutation is considered durable.
 :meth:`compact` is a log rewrite: the owner supplies the shortest record
 list, *in its own journal vocabulary*, that rebuilds its live state, and
@@ -11,6 +11,10 @@ and recovery has one input, whether or not the log was ever compacted.
 A rewritten log opens with one header frame carrying the absolute
 sequence number (``seq`` counts every :meth:`append` ever made; a
 rewrite is not one) and how many records the rewrite kept.
+
+The directory is exclusive: any other entry — a retired layout's
+snapshot file or ``wal.log`` among them — is refused by name, never
+read or truncated.
 
 Recovery contract
 -----------------
@@ -35,7 +39,7 @@ from repro.storage.wal import TMP_SUFFIX, WriteAheadLog
 
 __all__ = ["DurableStore"]
 
-WAL_NAME = "wal.log"
+WAL_NAME = "journal.log"
 
 #: Key of the header frame that opens a rewritten log.
 _HEADER = "wal.rewritten"
@@ -62,7 +66,7 @@ class DurableStore:
         if foreign:
             raise StorageError(
                 f"{self.directory} holds {min(foreign)!r}, which is not this "
-                "store's log (a checkpoint file of the retired layout?) — "
+                "store's log (a file of a retired storage layout?) — "
                 "refusing to ignore state this version cannot read"
             )
         self.compact_every = compact_every

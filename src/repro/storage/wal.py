@@ -1,18 +1,17 @@
-"""Write-ahead log: length-prefixed, checksummed, canonically encoded.
+"""Write-ahead log: length-prefixed ``to_wire`` frames.
 
 Every durable subsystem (object server, revocation feed, naming and
 location services, revocation-checker cursors) journals its mutations
 through one :class:`WriteAheadLog`. The on-disk format is a sequence of
 self-delimiting frames::
 
-    [4-byte big-endian payload length]
-    [4-byte big-endian CRC32 of the payload]
-    [payload: canonical-encoded record]
+    [4-byte big-endian frame length]
+    [frame: to_wire(record)]
 
-The payload is the repo's canonical JSON (the same deterministic
-encoding signatures are computed over), so a WAL record round-trips
-byte-identically across hosts and Python versions, and the CRC is
-computed over exactly the bytes that were meant to be written.
+The frame is the RPC layer's (:func:`repro.util.encoding.to_wire`):
+canonical-JSON header, raw ``bytes`` attachments, CRC32 trailer. One
+format at rest and on the wire; the frame's own trailer is the record's
+checksum, computed over exactly the bytes that were meant to be written.
 
 Durability discipline
 ---------------------
@@ -26,16 +25,16 @@ directory too.
 Torn-tail recovery
 ------------------
 A crash mid-``append`` leaves a *torn tail*: a trailing frame that is
-truncated, or whose CRC does not match (a partially persisted payload).
-On open, the log scans frames from the start; the first frame that is
-incomplete or fails its CRC ends the scan, the file is physically
-truncated back to the last valid frame boundary, and the count of
-dropped bytes is reported in :attr:`WriteAheadLog.torn_bytes_dropped`.
-Only the *suffix* is ever dropped — a valid prefix record is never
-discarded — and nothing past the checksum is interpreted, so torn bytes
-are never surfaced to callers.
+truncated, or whose checksum does not match (a partially persisted
+frame). On open, the log scans frames from the start; the first frame
+that is incomplete or does not decode ends the scan, the file is
+physically truncated back to the last valid frame boundary, and the
+count of dropped bytes is reported in
+:attr:`WriteAheadLog.torn_bytes_dropped`. Only the *suffix* is ever
+dropped — a valid prefix record is never discarded — and torn bytes are
+never surfaced to callers.
 
-A failed CRC in the *middle* of the file costs the same thing — the
+A bad frame in the *middle* of the file costs the same thing — the
 suffix from that frame on, reported in ``torn_bytes_dropped`` — because
 nothing after a gap can be trusted to follow from what precedes it.
 
@@ -49,7 +48,7 @@ one; a stray ``.tmp`` found at open is a rewrite that never committed
 and is discarded.
 
 Checksums guard against *accidents* (torn writes, bit rot), not
-adversaries: a CRC-valid record is still untrusted input, and
+adversaries: a checksum-valid record is still untrusted input, and
 subsystems re-verify signatures on everything they recover (see
 :mod:`repro.storage.store` and the per-subsystem recovery paths).
 """
@@ -58,16 +57,15 @@ from __future__ import annotations
 
 import os
 import struct
-import zlib
 from typing import Any, List, Optional
 
-from repro.errors import StorageError
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.errors import EncodingError, StorageError
+from repro.util.encoding import from_wire, to_wire
 
 __all__ = ["WriteAheadLog", "FRAME_HEADER"]
 
-#: Frame header: payload length + CRC32, both unsigned 32-bit big-endian.
-FRAME_HEADER = struct.Struct(">II")
+#: Frame header: the frame's length, unsigned 32-bit big-endian.
+FRAME_HEADER = struct.Struct(">I")
 
 #: Sibling a rewrite is staged in before it is renamed onto the log.
 TMP_SUFFIX = ".tmp"
@@ -78,14 +76,14 @@ MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 
 def _frame(record: Any) -> bytes:
-    """*record* as one on-disk frame (header + canonical payload)."""
-    payload = canonical_bytes(record)
-    if len(payload) > MAX_RECORD_BYTES:
+    """*record* as one on-disk frame, behind its length."""
+    frame = to_wire(record)
+    if len(frame) > MAX_RECORD_BYTES:
         raise StorageError(
-            f"WAL record of {len(payload)} bytes exceeds the "
+            f"WAL record of {len(frame)} bytes exceeds the "
             f"{MAX_RECORD_BYTES}-byte frame limit"
         )
-    return FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+    return FRAME_HEADER.pack(len(frame)) + frame
 
 
 def _fsync_dir(path: str) -> None:
@@ -165,22 +163,15 @@ class WriteAheadLog:
         header_end = offset + FRAME_HEADER.size
         if header_end > len(data):
             return None
-        length, crc = FRAME_HEADER.unpack_from(data, offset)
-        if length > MAX_RECORD_BYTES:
-            return None
-        payload_end = header_end + length
-        if payload_end > len(data):
-            return None
-        payload = data[header_end:payload_end]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        (length,) = FRAME_HEADER.unpack_from(data, offset)
+        frame_end = header_end + length
+        if length > MAX_RECORD_BYTES or frame_end > len(data):
             return None
         try:
-            records.append(from_canonical_bytes(payload))
-        except Exception:
-            # CRC-valid but undecodable: written by something that is
-            # not this WAL. Treat as corruption starting here.
+            records.append(from_wire(data[header_end:frame_end]))
+        except EncodingError:  # checksum mismatch or not a frame at all
             return None
-        return payload_end
+        return frame_end
 
     # ------------------------------------------------------------------
     # Writing
@@ -213,13 +204,6 @@ class WriteAheadLog:
         self._fh.close()
         self._fh = open(self.path, "ab")
         self._count = len(records)
-
-    def flush(self) -> None:
-        """Force buffered appends to disk (no-op when ``sync=True``)."""
-        if self._closed:
-            return
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     # ------------------------------------------------------------------
     # Reading and lifecycle

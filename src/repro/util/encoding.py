@@ -6,11 +6,12 @@ ever signed (integrity certificates, identity certificates, name-service
 resource records) must serialise to exactly the same byte string on every
 host and every Python version. We use *canonical JSON*: UTF-8, sorted
 keys, no insignificant whitespace, and ``bytes`` values wrapped in a
-tagged base64 envelope so the mapping is invertible. OIDs, delta ids and
-the journal's at-rest records are this form too.
+tagged base64 envelope so the mapping is invertible. OIDs and delta ids
+are this form too.
 
-**Framed** (:func:`to_wire` / :func:`from_wire`): the transport codec of
-the RPC layer (:mod:`repro.net.message`). Element bytes are never signed
+**Framed** (:func:`to_wire` / :func:`from_wire`): the one frame codec, of
+RPC messages (:mod:`repro.net.message`) and of journal records at rest
+(:mod:`repro.storage.wal`). Element bytes are never signed
 — only their digest is, inside the integrity certificate — so the frame
 does not re-encode them::
 
@@ -126,7 +127,10 @@ def canonical_bytes(value: Any) -> bytes:
 
 
 def from_canonical_bytes(data: bytes) -> Any:
-    """Parse bytes produced by :func:`canonical_bytes` back into a value."""
+    """Parse bytes produced by :func:`canonical_bytes` back into a value.
+
+    No product path reads this form back; it is the inverse the signing
+    codec's round-trip tests hold :func:`canonical_bytes` to."""
     try:
         parsed = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

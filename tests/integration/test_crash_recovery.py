@@ -17,6 +17,7 @@ import pytest
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
+from repro.storage.store import WAL_NAME
 from repro.storage.wal import FRAME_HEADER
 from tests.conftest import fast_keys
 
@@ -60,9 +61,9 @@ class TestTestbedRestart:
 
         def tear() -> None:
             # The crash mid-append: half a frame lands after the valid log.
-            wal_path = os.path.join(data_dir, "objectserver", "server", "wal.log")
+            wal_path = os.path.join(data_dir, "objectserver", "server", WAL_NAME)
             with open(wal_path, "ab") as fh:
-                fh.write(FRAME_HEADER.pack(4096, 0xDEADBEEF) + b"\x17" * 100)
+                fh.write(FRAME_HEADER.pack(4096) + b"\x17" * 100)
 
         for damage in (None, tear, None):
             testbed = restart(testbed, damage)
@@ -72,7 +73,7 @@ class TestTestbedRestart:
             assert testbed.naming_store.recovered_records >= len(contents)
             assert testbed.location_store.recovered_addresses >= len(contents)
             torn = server.state_store.store.wal.torn_bytes_dropped
-            assert torn == (108 if damage is tear else 0)
+            assert torn == (FRAME_HEADER.size + 100 if damage is tear else 0)
             stack = testbed.client_stack("ensamble02.cornell.edu")
             for name, content in contents.items():
                 response = stack.proxy.handle(published[name].url("index.html"))

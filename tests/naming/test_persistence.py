@@ -21,6 +21,7 @@ from repro.naming.records import OidRecord
 from repro.naming.service import NameService
 from repro.naming.zone import Zone, ZoneKeys
 from repro.naming.persistence import DurableNamingStore
+from repro.storage.store import WAL_NAME
 from repro.storage.wal import WriteAheadLog
 from tests.conftest import EPOCH, fast_keys
 
@@ -145,7 +146,7 @@ class TestForwardingRecovery:
                 store.compact()
             store.close()
 
-            wal_path = os.path.join(str(root), "naming", "wal.log")
+            wal_path = os.path.join(str(root), "naming", WAL_NAME)
             with WriteAheadLog(wal_path, sync=False) as wal:
                 records = wal.take_records()
                 for frame in records:

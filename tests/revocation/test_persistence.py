@@ -12,7 +12,6 @@ consumers as a head regression and refused.
 from __future__ import annotations
 
 import os
-import zlib
 
 import pytest
 
@@ -27,9 +26,9 @@ from repro.globedoc.oid import ObjectId
 from repro.revocation.checker import RevocationChecker
 from repro.revocation.feed import RevocationFeed
 from repro.revocation.statement import RevocationStatement
-from repro.storage.store import DurableStore
+from repro.storage.store import WAL_NAME, DurableStore
 from repro.storage.wal import FRAME_HEADER, WriteAheadLog
-from repro.util.encoding import canonical_bytes, from_canonical_bytes
+from repro.util.encoding import from_wire, to_wire
 from tests.conftest import EPOCH, fast_keys
 
 MAX_STALENESS = 60.0
@@ -109,16 +108,16 @@ class TestFeedPersistence:
         feed.publish(revoke_key(shared_keys, oid, serial=1))
         feed.store.close()
 
-        wal_path = os.path.join(str(tmp_path), "feed", "wal.log")
+        wal_path = os.path.join(str(tmp_path), "feed", WAL_NAME)
         with open(wal_path, "rb") as fh:
             data = fh.read()
-        length, _ = FRAME_HEADER.unpack_from(data, 0)
-        record = from_canonical_bytes(data[FRAME_HEADER.size : FRAME_HEADER.size + length])
+        (length,) = FRAME_HEADER.unpack_from(data, 0)
+        record = from_wire(data[FRAME_HEADER.size : FRAME_HEADER.size + length])
         record["statement"]["envelope"]["payload"]["body"]["serial"] = 99  # shadow a future serial
-        payload = canonical_bytes(record)
+        frame = to_wire(record)
         with open(wal_path, "wb") as fh:
-            fh.write(FRAME_HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
-            fh.write(payload)
+            fh.write(FRAME_HEADER.pack(len(frame)))
+            fh.write(frame)
 
         with pytest.raises(RecoveryIntegrityError, match="poisoned log.*signature invalid"):
             RevocationFeed(store=feed_store(tmp_path))
@@ -249,7 +248,7 @@ class TestCheckerCursor:
                 checker.store.compact(checker._live_records())
             checker.store.close()
 
-            wal_path = os.path.join(str(tmp_path), name, "wal.log")
+            wal_path = os.path.join(str(tmp_path), name, WAL_NAME)
             with WriteAheadLog(wal_path, sync=False) as wal:
                 records = wal.take_records()
                 for record in records:

@@ -17,6 +17,7 @@ from repro.net.transport import LoopbackTransport
 from repro.server.objectserver import ObjectServer
 from repro.server.persistence import ServerStateStore
 from repro.revocation.statement import RevocationStatement
+from repro.storage.store import WAL_NAME
 from repro.storage.wal import WriteAheadLog
 from tests.conftest import EPOCH, fast_keys
 
@@ -176,10 +177,9 @@ class TestRecovery:
     def test_records_journaled_with_outer_fields_still_recover(
         self, tmp_path, clock, signed_doc
     ):
-        """Stores written before a certificate became its envelope carry
-        ``cert_type``/``body``/``not_before``/``not_after`` beside every
-        ``envelope``. Those keys are unsigned and now ignored, so such a
-        data directory recovers and re-verifies unchanged."""
+        """A record carrying ``cert_type``/``body``/``not_before``/
+        ``not_after`` beside an ``envelope`` recovers and re-verifies
+        unchanged: keys beside the envelope are unsigned and ignored."""
         owner, doc = signed_doc
         server = make_server(tmp_path, clock)
         server.create_replica(doc, owner.public_key, "owner")
@@ -207,7 +207,7 @@ class TestRecovery:
                     )
 
         for store in ("server", "feed"):
-            wal_path = os.path.join(str(tmp_path), store, "wal.log")
+            wal_path = os.path.join(str(tmp_path), store, WAL_NAME)
             size = os.path.getsize(wal_path)
             rewrite_wal(wal_path, add_outer_fields)
             assert os.path.getsize(wal_path) > size
@@ -263,7 +263,7 @@ class TestFailClosed:
             if compacted:
                 server.compact()
             server.close()
-            rewrite_wal(os.path.join(str(data_dir), "server", "wal.log"), swap_content)
+            rewrite_wal(os.path.join(str(data_dir), "server", WAL_NAME), swap_content)
             with pytest.raises(RecoveryIntegrityError, match="unproven bytes"):
                 make_server(data_dir, clock)
 
@@ -282,7 +282,7 @@ class TestFailClosed:
             if document:
                 document["public_key_der"] = attacker.public.der
 
-        rewrite_wal(os.path.join(str(tmp_path), "server", "wal.log"), swap_key)
+        rewrite_wal(os.path.join(str(tmp_path), "server", WAL_NAME), swap_key)
         with pytest.raises(RecoveryIntegrityError, match="does not hash to its OID"):
             make_server(tmp_path, clock)
 
@@ -315,7 +315,7 @@ class TestFailClosed:
                     "haha benign actually"
                 )
 
-        rewrite_wal(os.path.join(str(tmp_path), "feed", "wal.log"), retarget)
+        rewrite_wal(os.path.join(str(tmp_path), "feed", WAL_NAME), retarget)
         with pytest.raises(RecoveryIntegrityError, match="poisoned log.*signature invalid"):
             make_server(tmp_path, clock)
 
@@ -330,7 +330,7 @@ class TestFailClosed:
             owners.append(owner)
         server.close()
 
-        wal_path = os.path.join(str(tmp_path), "server", "wal.log")
+        wal_path = os.path.join(str(tmp_path), "server", WAL_NAME)
         size = os.path.getsize(wal_path)
         with open(wal_path, "r+b") as fh:
             fh.truncate(size - 7)  # rip the tail off the last frame
@@ -364,7 +364,7 @@ class TestUntrustedKeyDer:
             )
         assert server.versioning._objects == {}
         server.close()
-        with WriteAheadLog(os.path.join(str(tmp_path), "versioning", "wal.log")) as wal:
+        with WriteAheadLog(os.path.join(str(tmp_path), "versioning", WAL_NAME)) as wal:
             assert wal.take_records() == []
 
     @pytest.mark.parametrize(
@@ -383,6 +383,6 @@ class TestUntrustedKeyDer:
             if record.get("op") == op:
                 record["key_der"] = 50_000_000
 
-        rewrite_wal(os.path.join(str(tmp_path), component, "wal.log"), corrupt)
+        rewrite_wal(os.path.join(str(tmp_path), component, WAL_NAME), corrupt)
         with pytest.raises(RecoveryIntegrityError, match="expected a bytes field"):
             make_server(tmp_path, clock)

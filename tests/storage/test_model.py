@@ -5,7 +5,7 @@ compactions, clean restarts and crashes a store lives through, reopening
 it yields *exactly* the records of the last operation that completed —
 the whole pre-compaction list or the whole post-compaction one, never a
 mixture — ``seq`` is the count of appends ever made, and the directory
-holds nothing but ``wal.log``. Hypothesis generates the histories; a
+holds nothing but its journal file. Hypothesis generates the histories; a
 failure shrinks to a replayable sequence of rule calls.
 
 Crashes are simulated at each step of the rewrite by making the step
@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import zlib
 from unittest import mock
 
 from hypothesis import settings
@@ -28,9 +27,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.storage import wal as wal_module
-from repro.storage.store import DurableStore
+from repro.storage.store import WAL_NAME, DurableStore
 from repro.storage.wal import FRAME_HEADER
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import to_wire
 
 
 class _Crash(Exception):
@@ -41,7 +40,7 @@ class DurableStoreMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.directory = tempfile.mkdtemp(prefix="store-model-")
-        self.wal_path = os.path.join(self.directory, "wal.log")
+        self.wal_path = os.path.join(self.directory, WAL_NAME)
         #: What a recover must return, and how many appends were ever made.
         self.model: list = []
         self.appended = 0
@@ -57,7 +56,7 @@ class DurableStoreMachine(RuleBasedStateMachine):
         assert self.store.recover() == self.model
         assert self.store.wal.torn_bytes_dropped == torn
         assert self.store.seq == self.appended
-        assert os.listdir(self.directory) == ["wal.log"]
+        assert os.listdir(self.directory) == [WAL_NAME]
 
     def _restart(self, torn: int = 0) -> None:
         """Drop the store object (clean close and crash look the same to
@@ -139,8 +138,8 @@ class DurableStoreMachine(RuleBasedStateMachine):
     def crash_mid_append(self, payload, data):
         """A frame that stopped part-way: the torn tail is dropped,
         reported, and costs nothing that was acknowledged."""
-        body = canonical_bytes(self._record(payload))
-        frame = FRAME_HEADER.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
+        body = to_wire(self._record(payload))
+        frame = FRAME_HEADER.pack(len(body)) + body
         cut = data.draw(st.integers(min_value=1, max_value=len(frame) - 1))
         self.store.close()
         with open(self.wal_path, "ab") as fh:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import os
+import struct
+import zlib
+from collections import defaultdict
 
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.store import DurableStore
+from repro.storage.store import WAL_NAME, DurableStore
+from repro.util.encoding import canonical_bytes
+from tests.conftest import fast_keys
 
 
 def make_store(tmp_path, **kwargs):
@@ -125,7 +131,7 @@ class TestRewriteDiscipline:
             store.compact([{"round": round_}])
         store.append({"op": "tail"})
         store.close()
-        assert os.listdir(str(tmp_path)) == ["wal.log"]
+        assert os.listdir(str(tmp_path)) == [WAL_NAME]
 
     def test_tmp_fsynced_before_rename_and_directory_after(
         self, tmp_path, monkeypatch
@@ -135,7 +141,7 @@ class TestRewriteDiscipline:
         itself is made durable before ``compact`` returns."""
         store = make_store(tmp_path)
         store.append({"op": "a"})
-        tmp = os.path.join(str(tmp_path), "wal.log.tmp")
+        tmp = os.path.join(str(tmp_path), WAL_NAME + ".tmp")
         events = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -172,6 +178,24 @@ class TestRewriteDiscipline:
         with pytest.raises(StorageError, match="snapshot-000000000200.bin"):
             make_store(tmp_path)
 
+    def test_journal_of_the_retired_frame_format_refused_untouched(self, tmp_path):
+        """A ``wal.log`` of length + CRC32 headers around canonical-JSON
+        payloads is not read by a fallback, and not scanned as a torn
+        journal of this format either (that would truncate it to
+        nothing): the directory is refused and the file left as it was."""
+        frames = []
+        for record in ({"wal.rewritten": {"seq": 2, "records": 1}}, {"op": "a", "blob": b"\x00"}):
+            payload = canonical_bytes(record)
+            frames.append(struct.pack(">II", len(payload), zlib.crc32(payload)) + payload)
+        old_log = os.path.join(str(tmp_path), "wal.log")
+        with open(old_log, "wb") as fh:
+            fh.write(b"".join(frames))
+        with pytest.raises(StorageError, match="wal.log"):
+            make_store(tmp_path)
+        assert os.listdir(str(tmp_path)) == ["wal.log"]
+        with open(old_log, "rb") as fh:
+            assert fh.read() == b"".join(frames)
+
     def test_directory_is_exclusive(self, tmp_path):
         """On purpose broader than the retired layout: a store owns its
         directory, and any entry that is not its log — whatever its
@@ -203,7 +227,7 @@ class TestCrashOrdering:
         store = make_store(tmp_path)
         store.append({"op": "a"})
         store.close()
-        stray = os.path.join(str(tmp_path), "wal.log.tmp")
+        stray = os.path.join(str(tmp_path), WAL_NAME + ".tmp")
         with open(stray, "wb") as fh:
             fh.write(b"half-written")
         reopened = make_store(tmp_path)
@@ -215,10 +239,116 @@ class TestCrashOrdering:
         store.append({"op": "a"})
         store.append({"op": "b"})
         store.close()
-        wal_path = os.path.join(str(tmp_path), "wal.log")
+        wal_path = os.path.join(str(tmp_path), WAL_NAME)
         size = os.path.getsize(wal_path)
         with open(wal_path, "r+b") as fh:
             fh.truncate(size - 3)
         reopened = make_store(tmp_path)
         assert reopened.recover() == [{"op": "a"}]
         assert reopened.wal.torn_bytes_dropped > 0
+
+
+class TestJournalRoundTrip:
+    """What a subsystem journals is what its recovery reads back, for
+    every op of the six vocabularies — on the way through the frame
+    codec, nothing may change type (a non-``str`` key turning into a
+    string, a tuple into a list of something else)."""
+
+    VOCABULARIES = {
+        "world/objectserver/server": {
+            "authorize", "revoke", "replica.create", "replica.update", "replica.destroy",
+        },
+        "world/objectserver/feed": {"publish"},
+        "world/objectserver/versioning": {"register", "grant", "delta", "frontier"},
+        "world/naming": {"record", "forward"},
+        "world/location": {"insert", "delete", "move"},
+        "cursor": {"ingest", "head"},
+    }
+
+    def test_every_journal_op_round_trips(self, tmp_path, monkeypatch):
+        from repro.globedoc.element import PageElement
+        from repro.globedoc.owner import DocumentOwner
+        from repro.harness.experiment import Testbed
+        from repro.naming.forwarding import ForwardingRecord
+        from repro.revocation.statement import RevocationStatement
+        from repro.versioning import DeltaDag, DocumentWriter, WriterGrant, merge_deltas
+
+        appended = defaultdict(list)
+        real_append = DurableStore.append
+
+        def recording_append(store, record):
+            where = os.path.relpath(store.directory, str(tmp_path))
+            appended[where].append(copy.deepcopy(record))
+            return real_append(store, record)
+
+        monkeypatch.setattr(DurableStore, "append", recording_append)
+        world = str(tmp_path / "world")
+        testbed = Testbed(data_dir=world, storage_sync=False)
+        clock, server = testbed.clock, testbed.object_server
+
+        def owner(name, elements):
+            made = DocumentOwner(name, keys=fast_keys(), clock=clock)
+            for element, content in elements.items():
+                made.put_element(PageElement(element, content))
+            return made
+
+        # Publish (authorize, replica.create, record, insert), then update.
+        alice = owner("vu.nl/doc", {"index.html": b"v1", "old.html": b"withdrawn"})
+        published = testbed.publish(alice)
+        alice.put_element(PageElement("index.html", b"v2"))
+        server.update_replica(alice.publish(validity=3600.0), alice.public_key)
+        # Revoke an entity: its replica goes (replica.destroy), then revoke.
+        doomed = owner("vu.nl/doomed", {"index.html": b"gone"})
+        testbed.publish(doomed)
+        assert server.revoke_entity(doomed.public_key)
+        # Location: an address moved away and back, one inserted and deleted.
+        address = published.replica_addresses[testbed.site].to_dict()
+        elsewhere = testbed.host_sites["canardo.inria.fr"]
+        testbed.location_service.move(alice.oid.hex, address, testbed.site, elsewhere)
+        testbed.location_service.move(alice.oid.hex, address, elsewhere, testbed.site)
+        testbed.location_service.insert(alice.oid.hex, elsewhere, address)
+        testbed.location_service.delete(alice.oid.hex, elsewhere, address)
+        # Naming: a forward from a re-keyed object.
+        testbed.naming.register_forwarding(
+            ForwardingRecord.issue(doomed.keys, doomed.oid, alice.oid, issued_at=clock.now())
+        )
+        # The feed (publish) and a client cursor (ingest, head).
+        server.revocation_feed.publish(
+            RevocationStatement.revoke_element(
+                alice.keys, alice.oid, "old.html", cert_version=1, serial=1,
+                issued_at=clock.now(),
+            )
+        )
+        stack = testbed.client_stack(
+            "sporty.cs.vu.nl", revocation_max_staleness=60.0,
+            revocation_cursor_dir=str(tmp_path / "cursor"),
+        )
+        assert stack.proxy.handle(published.url("index.html")).ok
+        stack.revocation.store.close()
+        # A versioned write: register, grant, delta, frontier.
+        writer_keys = fast_keys()
+        server.versioning.register_object(alice.public_key)
+        server.versioning.put_grant(
+            alice.oid.hex,
+            WriterGrant.issue(alice.keys, alice.oid, "bob", writer_keys.public, granted_at=clock.now()),
+        )
+        writer, dag = DocumentWriter(writer_keys, "bob", alice.oid, clock), DeltaDag()
+        server.versioning.put_delta(alice.oid.hex, writer.put(dag, "body", b"\x00delta\xff"))
+        server.versioning.put_frontier_cert(
+            alice.oid.hex, writer.certify_frontier(merge_deltas(dag.deltas, oid_hex=alice.oid.hex))
+        )
+        # Restart over the directory: the world recovers from it.
+        testbed.close_stores()
+        testbed = Testbed(
+            clock=clock, data_dir=world, storage_sync=False, zone_keys=testbed.zone_keys
+        )
+        assert testbed.object_server.reverified_replicas == 1
+        testbed.close_stores()
+
+        assert {where: {r["op"] for r in records} for where, records in appended.items()} == (
+            self.VOCABULARIES
+        )
+        for where, records in appended.items():
+            with DurableStore(str(tmp_path / where), sync=False) as store:
+                assert store.wal.torn_bytes_dropped == 0
+                assert store.recover() == records, where

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import os
 
-from repro.storage.store import DurableStore
+from repro.storage.store import WAL_NAME, DurableStore
 from repro.storage.wal import FRAME_HEADER, WriteAheadLog
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import to_wire
 
 #: Distinct, small records so the whole-file sweeps stay fast while the
-#: payloads (bytes + nesting) exercise the canonical codec.
+#: payloads (bytes + nesting) exercise the frame codec.
 RECORDS = [
     {"i": 0, "payload": b"alpha"},
     {"i": 1, "payload": b"bravo-longer"},
@@ -41,7 +41,7 @@ def build_log(tmp_path):
     ``boundaries[k]`` is the byte offset where record *k*'s frame ends —
     ``boundaries[0] == 0`` is the empty prefix.
     """
-    path = os.path.join(str(tmp_path), "wal.log")
+    path = os.path.join(str(tmp_path), WAL_NAME)
     boundaries = [0]
     with WriteAheadLog(path, sync=False) as wal:
         for record in RECORDS:
@@ -49,7 +49,7 @@ def build_log(tmp_path):
             boundaries.append(
                 boundaries[-1]
                 + FRAME_HEADER.size
-                + len(canonical_bytes(record))
+                + len(to_wire(record))
             )
     with open(path, "rb") as fh:
         data = fh.read()
@@ -102,8 +102,8 @@ class TestTruncationAtEveryOffset:
 class TestCorruptionAtEveryOffset:
     def test_flip_every_byte_of_trailing_frame(self, tmp_path):
         """Flip each byte of the final frame in turn: whatever the byte's
-        role (length, CRC, payload), recovery drops exactly the final
-        record and keeps every earlier one."""
+        role (length, header, attachment, CRC), recovery drops exactly
+        the final record and keeps every earlier one."""
         path, data, boundaries = build_log(tmp_path)
         tail_start = boundaries[-2]
         for offset in range(tail_start, len(data)):
@@ -125,7 +125,7 @@ class TestCorruptionAtEveryOffset:
         before it survive, everything after (even though its own frames
         are intact) is dropped rather than trusted past a gap."""
         path, data, boundaries = build_log(tmp_path)
-        offset = boundaries[2] + FRAME_HEADER.size + 1  # record 2 payload
+        offset = boundaries[2] + FRAME_HEADER.size + 1  # inside record 2's frame
         corrupted = bytearray(data)
         corrupted[offset] ^= 0x01
         with open(path, "wb") as fh:
@@ -138,7 +138,7 @@ class TestCorruptionAtEveryOffset:
     def test_corrupt_first_frame_loses_all_serves_nothing(self, tmp_path):
         path, data, _ = build_log(tmp_path)
         corrupted = bytearray(data)
-        corrupted[FRAME_HEADER.size] ^= 0xFF  # first payload byte
+        corrupted[FRAME_HEADER.size] ^= 0xFF  # first byte of the first frame
         with open(path, "wb") as fh:
             fh.write(bytes(corrupted))
         wal = WriteAheadLog(path, sync=False)
@@ -162,7 +162,7 @@ class TestCorruptionAtEveryOffset:
                 if i in (4, 9):  # the model is its own shortest journal
                     store.compact(list(model))
             assert store.seq == 12
-        path = os.path.join(directory, "wal.log")
+        path = os.path.join(directory, WAL_NAME)
         with open(path, "rb") as fh:
             data = fh.read()
         for offset in range(len(data)):

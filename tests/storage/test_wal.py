@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import os
-import zlib
 
 import pytest
 
 from repro.errors import StorageError
+from repro.storage.store import WAL_NAME
 from repro.storage.wal import FRAME_HEADER, MAX_RECORD_BYTES, WriteAheadLog
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import to_wire
+from tests.net.test_protocol_fuzz import MUTATIONS, _assemble, _split
 
 RECORDS = [
     {"op": "a", "n": 1},
@@ -17,9 +18,13 @@ RECORDS = [
     {"op": "c", "nested": {"list": [1, 2, 3], "s": "text"}},
 ]
 
+#: A record whose ``value.content`` is the non-empty attachment every
+#: frame mutation expects.
+MUTABLE = {"op": "put", "value": {"content": b"\x00element\xff", "name": "x.html"}}
+
 
 def wal_path(tmp_path):
-    return os.path.join(str(tmp_path), "wal.log")
+    return os.path.join(str(tmp_path), WAL_NAME)
 
 
 class TestAppendAndReopen:
@@ -67,7 +72,7 @@ class TestAppendAndReopen:
             assert wal.take_records() == RECORDS[:2]
 
     def test_creates_parent_directory(self, tmp_path):
-        path = os.path.join(str(tmp_path), "deep", "nested", "wal.log")
+        path = os.path.join(str(tmp_path), "deep", "nested", WAL_NAME)
         with WriteAheadLog(path, sync=False) as wal:
             wal.append(RECORDS[0])
         assert os.path.exists(path)
@@ -83,16 +88,9 @@ class TestDurabilityDiscipline:
     def test_sync_append_reaches_disk_bytes(self, tmp_path):
         with WriteAheadLog(wal_path(tmp_path), sync=True) as wal:
             wal.append(RECORDS[0])
-            payload = canonical_bytes(RECORDS[0])
-            expected = FRAME_HEADER.size + len(payload)
+            expected = FRAME_HEADER.size + len(to_wire(RECORDS[0]))
             assert os.path.getsize(wal_path(tmp_path)) == expected
-
-    def test_flush_forces_buffered_appends(self, tmp_path):
-        wal = WriteAheadLog(wal_path(tmp_path), sync=False)
-        wal.append(RECORDS[0])
-        wal.flush()
-        assert os.path.getsize(wal_path(tmp_path)) > 0
-        wal.close()
+            assert FRAME_HEADER.size == 4  # a length; the frame checks itself
 
     def test_rewrite_replaces_everything_atomically(self, tmp_path):
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
@@ -100,8 +98,8 @@ class TestDurabilityDiscipline:
                 wal.append(record)
             wal.rewrite(RECORDS[:1])
             assert len(wal) == 1
-            assert os.listdir(str(tmp_path)) == ["wal.log"]
-            expected = FRAME_HEADER.size + len(canonical_bytes(RECORDS[0]))
+            assert os.listdir(str(tmp_path)) == [WAL_NAME]
+            expected = FRAME_HEADER.size + len(to_wire(RECORDS[0]))
             assert os.path.getsize(wal_path(tmp_path)) == expected
             wal.append(RECORDS[2])  # lands in the new file, not the old inode
         reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
@@ -114,7 +112,7 @@ class TestDurabilityDiscipline:
             wal.append(RECORDS[0])
             with pytest.raises(StorageError, match="frame limit"):
                 wal.rewrite([RECORDS[1], {"blob": b"x" * 65}])
-            assert os.listdir(str(tmp_path)) == ["wal.log"]
+            assert os.listdir(str(tmp_path)) == [WAL_NAME]
         reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
         assert reopened.take_records() == [RECORDS[0]]
         reopened.close()
@@ -144,14 +142,13 @@ class TestLimitsAndLifecycle:
 
 class TestForeignBytes:
     def test_crc_valid_but_undecodable_frame_stops_scan(self, tmp_path):
-        """A frame whose payload passes its CRC but is not canonical
-        encoding was not written by this WAL — corruption starts there."""
+        """A frame whose trailer checks out but whose header is not JSON
+        was not written by this WAL — corruption starts there."""
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
             wal.append(RECORDS[0])
-        garbage = b"\xde\xad\xbe\xef not canonical"
-        frame = FRAME_HEADER.pack(len(garbage), zlib.crc32(garbage) & 0xFFFFFFFF)
+        garbage = _assemble(b"\xde\xad\xbe\xef not a header", b"")
         with open(wal_path(tmp_path), "ab") as fh:
-            fh.write(frame + garbage)
+            fh.write(FRAME_HEADER.pack(len(garbage)) + garbage)
         reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
         assert reopened.take_records() == [RECORDS[0]]
         assert reopened.torn_bytes_dropped == FRAME_HEADER.size + len(garbage)
@@ -161,8 +158,33 @@ class TestForeignBytes:
         with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
             wal.append(RECORDS[0])
         with open(wal_path(tmp_path), "ab") as fh:
-            fh.write(FRAME_HEADER.pack(0xFFFFFFFF, 0) + b"tiny")
+            fh.write(FRAME_HEADER.pack(0xFFFFFFFF) + b"tiny")
         reopened = WriteAheadLog(wal_path(tmp_path), sync=False)
         assert reopened.take_records() == [RECORDS[0]]
         assert reopened.torn_bytes_dropped == FRAME_HEADER.size + 4
         reopened.close()
+
+
+class TestFrameMutations:
+    """The frame at rest is the frame on the wire, so every way the
+    frame fuzz breaks one is, on disk, a torn tail: dropped and counted,
+    the prefix kept, the log still appendable."""
+
+    @pytest.mark.parametrize("drawn", [0, 1, 977])
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_every_frame_mutation_is_torn(self, tmp_path, mutation, drawn):
+        genuine = to_wire(MUTABLE)
+        mutated = MUTATIONS[mutation](*_split(genuine), drawn)
+        assert mutated != genuine
+        with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
+            for record in RECORDS[:2]:
+                wal.append(record)
+        with open(wal_path(tmp_path), "ab") as fh:
+            fh.write(FRAME_HEADER.pack(len(mutated)) + mutated)
+        with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
+            assert wal.take_records() == RECORDS[:2]
+            assert wal.torn_bytes_dropped == FRAME_HEADER.size + len(mutated)
+            wal.append(RECORDS[2])
+        with WriteAheadLog(wal_path(tmp_path), sync=False) as wal:
+            assert wal.take_records() == RECORDS
+            assert wal.torn_bytes_dropped == 0

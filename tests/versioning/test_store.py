@@ -13,7 +13,7 @@ from repro.errors import (
     SecurityError,
     UnauthorizedWriterError,
 )
-from repro.storage.store import DurableStore
+from repro.storage.store import WAL_NAME, DurableStore
 from repro.storage.wal import WriteAheadLog
 from repro.versioning import (
     DeltaDag,
@@ -426,7 +426,7 @@ class TestDurability:
             self.assert_tamper_fails_closed(clock, data_dir)
 
     def assert_tamper_fails_closed(self, clock, tmp_path):
-        with WriteAheadLog(str(tmp_path / "wal.log"), sync=False) as wal:
+        with WriteAheadLog(str(tmp_path / WAL_NAME), sync=False) as wal:
             records = wal.take_records()
             deltas = [r for r in records if r.get("op") == "delta"]
             assert deltas
