@@ -98,6 +98,8 @@ class Deployment:
     of the location service's domain tree. Document owners push from
     ``owner_host`` (default: *host*); ``compute_for(host)``, if given,
     is the context manager that charges a host for its crypto CPU.
+    Client stacks resolve a name with one signed answer;
+    ``iterative_naming=True`` makes them walk the zones instead.
     """
 
     def __init__(
@@ -115,6 +117,7 @@ class Deployment:
         storage_sync: bool = True,
         zone_keys: Optional[Dict[str, object]] = None,
         compute_for: Optional[Callable[[str], object]] = None,
+        iterative_naming: bool = False,
     ) -> None:
         self.clock = clock
         self.register = register
@@ -147,6 +150,11 @@ class Deployment:
         #: band; only the *published records* go through the durable
         #: store. Map of zone path (:data:`ZONE_PATHS`) → ZoneKeys.
         keys = zone_keys if zone_keys is not None else {}
+        #: True: client resolvers walk the zones one
+        #: ``naming.resolve_step`` at a time (the paper's Fig. 3 path)
+        #: instead of asking for the whole signed chain in one
+        #: ``naming.resolve``.
+        self.iterative_naming = iterative_naming
 
         def durable(store_class, name: str, service):
             if data_dir is None:
@@ -412,7 +420,8 @@ class Deployment:
             prefetcher = PrefetchingRpcClient(rpc, metrics=metrics, tracer=tracer)
             rpc = prefetcher
         resolver = SecureResolver(
-            rpc, self.naming_endpoint, self.naming.root_key, clock=self.clock
+            rpc, self.naming_endpoint, self.naming.root_key, clock=self.clock,
+            iterative=self.iterative_naming,
         )
         location = LocationClient(
             rpc,

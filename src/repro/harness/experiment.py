@@ -74,6 +74,8 @@ class Testbed(Deployment):
             storage_sync=storage_sync,
             zone_keys=zone_keys,
             compute_for=lambda host: self.network.host(host).compute,
+            # Fig. 3's per-zone walk: one naming round trip per zone.
+            iterative_naming=True,
         )
         # The Fig. 5–7 baselines, on the same host as the object server.
         self.http_server = StaticHttpServer(host=SERVICES_HOST)

@@ -61,8 +61,11 @@ class DelegationRecord:
         try:
             self.certificate.verify(parent_key, clock=clock, expected_type=DELEGATION_CERT)
         except Exception as exc:
+            # The body is unverified here: name the zone without trusting
+            # it to have one.
             raise ZoneValidationError(
-                f"delegation to {self.child_zone!r} failed to validate: {exc}"
+                f"delegation to {self.certificate.body.get('child_zone')!r} "
+                f"failed to validate: {exc}"
             ) from exc
         return self.child_key
 

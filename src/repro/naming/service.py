@@ -1,8 +1,11 @@
 """The naming service: the network-facing resolver over signed zones.
 
 ``NameService`` hosts a forest of signed zones behind an RPC interface;
-``SecureResolver`` is the client side, performing iterative resolution
-from the root and validating the DNSsec chain against its trust anchor.
+``SecureResolver`` is the client side: by default it asks for the whole
+proof (delegation chain + signed record) in one query, and optionally
+walks from the root one zone per query (the paper's Fig. 3 path). Either
+way it validates the DNSsec chain link by link against its trust anchor
+— the signatures, not the path the answer took, are what is trusted.
 Resolution results are cached per record TTL (the caching DNS makes
 efficient — possible here precisely because records are
 location-independent).
@@ -18,9 +21,10 @@ from repro.errors import NameNotFound, NamingError, ZoneValidationError
 from repro.globedoc.oid import ObjectId
 from repro.naming.dnssec import ChainValidator, DelegationRecord, SignedOidRecord, SignedZone
 from repro.naming.forwarding import ForwardingRecord
-from repro.naming.records import normalize_name
+from repro.naming.records import OidRecord, normalize_name
 from repro.net.rpc import RpcClient, RpcServer, rpc_method
 from repro.sim.clock import Clock, RealClock
+from repro.util.encoding import DECODE_ERRORS
 
 __all__ = ["NameService", "SecureResolver", "ResolutionResult"]
 
@@ -162,7 +166,8 @@ class SecureResolver:
     """Client side: queries a NameService endpoint and validates the proof.
 
     ``trust_anchor`` is the root zone key, obtained out of band (like a
-    DNSsec root key). Without it, no answer is accepted.
+    DNSsec root key). Without it, no answer is accepted. ``max_depth``
+    bounds the delegations of one answer, in either mode.
     """
 
     def __init__(
@@ -171,7 +176,7 @@ class SecureResolver:
         service_target,
         trust_anchor: PublicKey,
         clock: Optional[Clock] = None,
-        iterative: bool = True,
+        iterative: bool = False,
         max_depth: int = 16,
     ) -> None:
         self.client = client
@@ -185,10 +190,13 @@ class SecureResolver:
     def resolve(self, name: str) -> ResolutionResult:
         """Resolve *name* to a validated OID (cached per record TTL).
 
-        In the default *iterative* mode the resolver issues one query per
-        zone level (root → … → authoritative), paying one round trip
-        each, exactly like an uncached DNS resolution; ``iterative=False``
-        fetches the whole proof in a single query.
+        By default the whole proof comes back from a single
+        ``naming.resolve`` query; ``iterative=True`` issues one
+        ``naming.resolve_step`` per zone level (root → … →
+        authoritative), paying one round trip each, exactly like an
+        uncached DNS resolution. Both answers are validated the same
+        way, and anything the service sends that does not validate is a
+        :class:`ZoneValidationError`.
         """
         name = normalize_name(name)
         cached = self._cache.get(name)
@@ -207,38 +215,65 @@ class SecureResolver:
             answer = self._resolve_iteratively(name)
         else:
             answer = self.client.call(self.target, "naming.resolve", name=name)
-        record = self._validate_answer(answer)
+        record, chain_length = self._validate_answer(name, answer)
         result = ResolutionResult(
             name=record.name,
             oid=record.oid,
             ttl=record.ttl,
-            chain_length=len(answer.get("chain", [])),
+            chain_length=chain_length,
         )
         self._cache[name] = (self.clock.now() + record.ttl, result)
         return result
 
     def _resolve_iteratively(self, name: str) -> dict:
-        """Walk zone by zone, collecting the delegation chain."""
+        """Walk zone by zone, collecting the delegation chain: at most
+        ``max_depth`` delegations, then the record."""
         chain: list = []
         zone_path = ""
-        for _ in range(self.max_depth):
+        for _ in range(self.max_depth + 1):
             step = self.client.call(
                 self.target, "naming.resolve_step", name=name, zone_path=zone_path
             )
+            if not isinstance(step, Mapping):
+                raise ZoneValidationError("malformed naming step: not a mapping")
             if "record" in step:
                 return {"chain": chain, "record": step["record"]}
+            zone_path = step.get("next_zone")
+            if "delegation" not in step or not isinstance(zone_path, str):
+                raise ZoneValidationError(
+                    "malformed naming step: neither a record nor a delegation "
+                    "with its next zone"
+                )
             chain.append(step["delegation"])
-            zone_path = str(step["next_zone"])
         raise ZoneValidationError(
             f"delegation chain for {name!r} exceeds max depth {self.max_depth}"
         )
 
-    def _validate_answer(self, answer: Mapping[str, Any]):
+    def _validate_answer(self, name: str, answer: Any) -> Tuple[OidRecord, int]:
+        """The validated record *answer* proves for *name*, and its chain
+        length. The answer is untrusted: whatever its shape, a failure
+        is a :class:`ZoneValidationError`, and an over-long chain is
+        refused before any signature is checked."""
         if not isinstance(answer, Mapping) or "record" not in answer:
             raise ZoneValidationError("malformed naming response")
-        chain = [DelegationRecord.from_dict(d) for d in answer.get("chain", [])]
-        signed = SignedOidRecord.from_dict(answer["record"])
-        return self.validator.validate(chain, signed)
+        links = answer.get("chain")
+        if not isinstance(links, list):
+            raise ZoneValidationError("malformed naming response: chain is not a list")
+        if len(links) > self.max_depth:
+            raise ZoneValidationError(
+                f"delegation chain of {len(links)} links exceeds max depth {self.max_depth}"
+            )
+        try:
+            chain = [DelegationRecord.from_dict(link) for link in links]
+            signed = SignedOidRecord.from_dict(answer["record"])
+        except DECODE_ERRORS as exc:
+            raise ZoneValidationError(f"malformed naming response: {exc}") from exc
+        record = self.validator.validate(chain, signed)
+        if record.name != name:
+            raise ZoneValidationError(
+                f"signed record is for {record.name!r}, not the requested {name!r}"
+            )
+        return record, len(chain)
 
     def resolve_forward(self, oid: ObjectId) -> Optional[ForwardingRecord]:
         """The validated forwarding record for *oid*, or None.

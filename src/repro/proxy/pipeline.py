@@ -10,7 +10,7 @@ order. This module splits the two concerns:
   URLs will need, issues them in parallel waves (max-of-parallel under
   the simulated clock, pooled threads over TCP), and parks the raw
   results in a :class:`PrefetchingRpcClient` table keyed by (endpoint,
-  op, canonical args).
+  op, args) — never more coarsely than the args' canonical encoding.
 * **Replay** — the *unchanged* sequential pipeline
   (:meth:`GlobeDocProxy.handle`) then runs per request; its RPCs pop
   their prefetched results at zero network cost, while every security
@@ -58,6 +58,12 @@ __all__ = [
     "AccessScheduler",
     "SingleFlight",
 ]
+
+#: Argument types a call key holds as ``(type, value)`` instead of
+#: encoding: for these, equal pairs always encode to equal canonical
+#: bytes, so the key is never coarser than the encoding. ``float`` is
+#: not one: ``0.0 == -0.0``, yet the two encode differently.
+_KEY_SCALARS = frozenset((str, int, bool, bytes, type(None)))
 
 
 @dataclass(frozen=True)
@@ -260,10 +266,15 @@ class PrefetchingRpcClient:
     @staticmethod
     def _call_key(target, op: str, args) -> tuple:
         endpoint = target.endpoint if isinstance(target, ContactAddress) else target
-        try:
-            encoded = canonical_bytes(dict(args))
-        except Exception:
-            encoded = repr(sorted(args.items())).encode()
+        if all(type(value) in _KEY_SCALARS for value in args.values()):
+            encoded = tuple(
+                sorted((name, type(value), value) for name, value in args.items())
+            )
+        else:
+            try:
+                encoded = canonical_bytes(dict(args))
+            except Exception:
+                encoded = repr(sorted(args.items())).encode()
         return (str(endpoint), op, encoded)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TransportError
 from repro.globedoc.urls import HybridUrl
@@ -17,6 +19,7 @@ from repro.proxy.pipeline import (
     PrefetchingRpcClient,
     SingleFlight,
 )
+from repro.util.encoding import canonical_bytes
 from tests.proxy.conftest import ELEMENTS
 
 TARGET = Endpoint(host="replica.example", service="objectserver")
@@ -207,6 +210,64 @@ class TestPrefetchingRpcClient:
         assert client.counters == "inner-counters"
         outcomes = client.call_many([get_element("a")])
         assert outcomes[0].ok
+
+
+#: Python-equal scalars that encode differently; a lone value is its own group.
+_EQUAL_GROUPS = ([0, False, 0.0, -0.0], [1, True, 1.0])
+_scalar_args = st.sampled_from(
+    [value for group in _EQUAL_GROUPS for value in group] + ["", "1", b"", b"1", None]
+)
+_arg_values = st.one_of(
+    _scalar_args,
+    st.lists(_scalar_args, max_size=2),
+    st.dictionaries(st.sampled_from(["a", "b"]), _scalar_args, max_size=2),
+)
+_arg_maps = st.dictionaries(
+    st.sampled_from(["name", "zone_path", "x"]), _arg_values, min_size=1, max_size=3
+)
+
+
+def _look_alike(value):
+    """Values equal to *value* in Python: same shape, each scalar swapped
+    for any member of its equality group. Arg maps of different names or
+    shapes never share a key, so these are the pairs worth drawing."""
+    if isinstance(value, list):
+        return st.tuples(*map(_look_alike, value)).map(list)
+    if isinstance(value, dict):
+        return st.fixed_dictionaries({k: _look_alike(v) for k, v in value.items()})
+    group = next((g for g in _EQUAL_GROUPS if value in g), [value])
+    return st.sampled_from(group)
+
+
+class TestCallKey:
+    """The prefetch table's key: a false hit would replay another call's
+    bytes, so the key may be finer than the canonical encoding of the
+    arguments but never coarser."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_equal_keys_imply_equal_canonical_bytes(self, data):
+        a = data.draw(_arg_maps)
+        b = data.draw(_look_alike(a))
+        key = PrefetchingRpcClient._call_key
+        if key(TARGET, "op", a) == key(TARGET, "op", b):
+            assert canonical_bytes(a) == canonical_bytes(b)
+
+    @given(_arg_maps)
+    def test_equal_args_give_equal_keys(self, args):
+        key = PrefetchingRpcClient._call_key
+        reordered = dict(reversed(list(args.items())))
+        assert key(TARGET, "op", args) == key(TARGET, "op", reordered)
+
+    def test_scalar_args_are_not_encoded(self, monkeypatch):
+        import repro.proxy.pipeline as pipeline
+
+        def refuse(value):
+            raise AssertionError("scalar args encoded")
+
+        monkeypatch.setattr(pipeline, "canonical_bytes", refuse)
+        key = PrefetchingRpcClient._call_key(TARGET, "op", {"name": "a", "n": 1, "b": b"x"})
+        assert key[2] == (("b", bytes, b"x"), ("n", int, 1), ("name", str, "a"))
 
 
 @pytest.fixture

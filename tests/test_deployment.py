@@ -13,7 +13,9 @@ import pytest
 from repro.deployment import ZONE_PATHS, Deployment
 from repro.globedoc.owner import DocumentOwner
 from repro.globedoc.element import PageElement
+from repro.harness.experiment import Testbed
 from repro.naming.zone import ZoneKeys
+from repro.net.message import Request
 from repro.net.tcpnet import TcpEndpointServer, TcpTransport
 from repro.net.topology import paper_testbed
 from repro.net.transport import LoopbackTransport
@@ -167,9 +169,39 @@ class TestOneWorldThreeTransports:
         """Keys, signatures, hashes and content all cross as attachments:
         the signing codec's base64 tag appears in no RPC frame."""
         frames = observed[kind]["frames"]
-        assert len(frames) >= 2 * 8  # the cold bind alone is seven calls
+        assert len(frames) >= 2 * 8  # the cold bind alone is five calls
         assert not [f for f in frames if b"__b64__" in f]
         assert any(ELEMENTS["logo.bin"] in f for f in frames)
+
+
+class TestColdAccessRequests:
+    """A cold access asks the naming service once on a deployable stack
+    (one signed answer: chain + record) and once per zone on the paper's
+    testbed, which keeps the Fig. 3 walk."""
+
+    BIND_AND_FETCH = [
+        "location.lookup",
+        "globedoc.get_public_key",
+        "globedoc.get_integrity_certificate",
+        "globedoc.get_element",
+    ]
+
+    @staticmethod
+    def cold_ops(deployment) -> list:
+        published = deployment.publish(deployment.document_owner("vu.nl/cold", ELEMENTS))
+        tap = Tap(deployment.transport_for(CLIENT))
+        stack = deployment.client_stack(CLIENT, transport=tap)
+        assert stack.proxy.handle(published.url("index.html")).ok
+        return [Request.from_bytes(frame).op for frame in tap.frames[::2]]
+
+    def test_loopback_deployment_is_five_requests(self, zone_keys):
+        with world("loopback", zone_keys) as deployment:
+            ops = self.cold_ops(deployment)
+        assert ops == ["naming.resolve"] + self.BIND_AND_FETCH
+
+    def test_testbed_is_seven_requests(self, zone_keys):
+        ops = self.cold_ops(Testbed(zone_keys=zone_keys))
+        assert ops == ["naming.resolve_step"] * len(ZONE_PATHS) + self.BIND_AND_FETCH
 
 
 class TestFreshProxy:
