@@ -27,7 +27,7 @@ from repro.crypto.signing import SignedEnvelope
 from repro.errors import AuthenticityError, ReproError, SignatureError
 from repro.net.address import Endpoint
 from repro.net.rpc import RpcClient, RpcServer, rpc_method
-from repro.sim.clock import Clock
+from repro.sim.clock import Clock, RealClock
 
 __all__ = ["GeminiCache", "GeminiClient", "GeminiAuditor", "Receipt"]
 
@@ -80,18 +80,12 @@ class GeminiCache:
         clock: Optional[Clock] = None,
         service: str = "gemini",
         suite: HashSuite = SHA1,
-        compute_context=None,
     ) -> None:
-        from contextlib import nullcontext
-
-        from repro.sim.clock import RealClock
-
         self.host = host
         self.service = service
         self.keys = keys if keys is not None else KeyPair.generate()
         self.clock = clock if clock is not None else RealClock()
         self.suite = suite
-        self._compute = compute_context if compute_context is not None else nullcontext
         self._files: Dict[str, bytes] = {}
         self._tampered: Dict[str, bytes] = {}
         self.sign_count = 0
@@ -124,7 +118,7 @@ class GeminiCache:
             "content": content,
             "served_at": self.clock.now(),
         }
-        with self._compute():
+        with self.clock.compute():
             envelope = SignedEnvelope.create(self.keys, payload, suite=self.suite)
         self.sign_count += 1
         return {"envelope": envelope.to_dict(), "cache_key_der": self.keys.public.der}
@@ -148,14 +142,12 @@ class GeminiClient:
         rpc: RpcClient,
         cache_endpoint: Endpoint,
         trusted_cache_key: PublicKey,
-        compute_context=None,
+        clock: Optional[Clock] = None,
     ) -> None:
-        from contextlib import nullcontext
-
         self.rpc = rpc
         self.endpoint = cache_endpoint
         self.cache_key = trusted_cache_key
-        self._compute = compute_context if compute_context is not None else nullcontext
+        self.clock = clock if clock is not None else RealClock()
         self.receipts: List[Receipt] = []
 
     def get(self, path: str) -> bytes:
@@ -163,7 +155,7 @@ class GeminiClient:
         receipt = Receipt.from_dict(answer)
         if receipt.cache_key_der != self.cache_key.der:
             raise AuthenticityError("response signed by an unexpected cache key")
-        with self._compute():
+        with self.clock.compute():
             try:
                 receipt.envelope.verify(self.cache_key)
             except SignatureError as exc:

@@ -152,16 +152,12 @@ class RosfsClient:
         owner_key: PublicKey,
         clock: Clock,
         suite: HashSuite = SHA1,
-        compute_context=None,
     ) -> None:
-        from contextlib import nullcontext
-
         self.rpc = rpc
         self.endpoint = server_endpoint
         self.owner_key = owner_key
         self.clock = clock
         self.suite = suite
-        self._compute = compute_context if compute_context is not None else nullcontext
         self._root: Optional[bytes] = None
         self._root_expiry: Optional[float] = None
         self.root_fetches = 0
@@ -172,7 +168,7 @@ class RosfsClient:
             return self._root
         raw = self.rpc.call(self.endpoint, "rosfs.get_root")
         cert = Certificate.from_dict(raw)
-        with self._compute():
+        with self.clock.compute():
             body = cert.verify(self.owner_key, clock=self.clock, expected_type=ROOT_CERT_TYPE)
         self._root = bytes(body["root"])
         self._root_expiry = cert.not_after
@@ -196,7 +192,7 @@ class RosfsClient:
             leaf_count=int(answer["leaf_count"]),
             path=tuple((bytes(h), bool(left)) for h, left in answer["path"]),
         )
-        with self._compute():
+        with self.clock.compute():
             ok = MerkleTree.verify_detached(content, proof, root, suite=self.suite)
         if not ok:
             raise AuthenticityError(f"Merkle proof for {name!r} failed against signed root")

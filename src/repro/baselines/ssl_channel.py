@@ -8,8 +8,7 @@ Reproduces the cost structure the paper attributes to SSL:
   key (the expensive operation the paper contrasts with GlobeDoc's
   cheap signature verification);
 * record protection on every byte: real AES-128-CBC plus HMAC-SHA1 on
-  both ends, executed for real so the compute cost is measured, not
-  modelled.
+  both ends, charged per byte at the modelled cost of DESIGN §2.
 
 Security semantics also mirror TLS: the channel authenticates the
 *server* and protects the *transport* — a malicious replica behind a
@@ -33,6 +32,9 @@ from repro.errors import CryptoError, ReproError
 from repro.globedoc.element import guess_content_type
 from repro.net.address import Endpoint
 from repro.net.rpc import RpcClient, RpcServer, rpc_method
+from repro.sim.clock import Clock, RealClock
+from repro.util.encoding import wire_bytes
+from repro.util.tally import TALLY
 
 __all__ = ["TlsSession", "SslServer", "SslClient"]
 
@@ -43,6 +45,7 @@ _BLOCK = 16
 
 def _encrypt_record(key: bytes, mac_key: bytes, plaintext: bytes) -> bytes:
     """AES-128-CBC + HMAC-SHA1 (MAC-then-encrypt, TLS 1.0 style)."""
+    TALLY["record"] += len(plaintext)
     mac = hmac.new(mac_key, plaintext, _sha1).digest()
     payload = plaintext + mac
     pad_len = _BLOCK - (len(payload) % _BLOCK)
@@ -53,6 +56,7 @@ def _encrypt_record(key: bytes, mac_key: bytes, plaintext: bytes) -> bytes:
 
 
 def _decrypt_record(key: bytes, mac_key: bytes, ciphertext: bytes) -> bytes:
+    TALLY["record"] += len(ciphertext)
     if len(ciphertext) < _BLOCK * 2:
         raise CryptoError("TLS record too short")
     iv, body = ciphertext[:_BLOCK], ciphertext[_BLOCK:]
@@ -92,21 +96,20 @@ class TlsSession:
 
 
 class SslServer:
-    """Static files behind a TLS-style handshake + encrypted records."""
+    """Static files behind a TLS-style handshake + encrypted records;
+    Apache's crypto is charged to *clock* as native code."""
 
     def __init__(
         self,
         host: str,
         keys: Optional[KeyPair] = None,
         service: str = "https",
-        compute_context=None,
+        clock: Optional[Clock] = None,
     ) -> None:
-        from contextlib import nullcontext
-
         self.host = host
         self.service = service
         self.keys = keys if keys is not None else KeyPair.generate()
-        self._compute = compute_context if compute_context is not None else nullcontext
+        self.clock = clock if clock is not None else RealClock()
         self._files: Dict[str, bytes] = {}
         self._sessions: Dict[str, TlsSession] = {}
         self.handshake_count = 0
@@ -143,7 +146,7 @@ class SslServer:
     @rpc_method("ssl.key_exchange")
     def rpc_key_exchange(self, session_id: str, encrypted_premaster: bytes) -> dict:
         """The expensive step: RSA-decrypt the premaster secret."""
-        with self._compute():
+        with self.clock.compute(native=True):
             premaster = self.keys.decrypt(bytes(encrypted_premaster))
             self._sessions[str(session_id)] = TlsSession.derive(str(session_id), premaster)
         self.handshake_count += 1
@@ -159,7 +162,7 @@ class SslServer:
         content = self._files.get(normalized)
         if content is None:
             return {"status": 404, "record": b""}
-        with self._compute():
+        with self.clock.compute(native=True):
             record = _encrypt_record(session.enc_key, session.mac_key, content)
         return {
             "status": 200,
@@ -176,43 +179,41 @@ class SslServer:
 class SslClient:
     """Client side: handshake once per connection, then encrypted GETs.
 
-    ``compute_context`` charges the client-side RSA encrypt and record
-    decryption to the simulated host, symmetrically with the GlobeDoc
-    proxy's verification costs.
+    The client-side RSA encrypt and record decryption are charged to
+    *clock* — natively, as wget with OpenSSL — symmetrically with the
+    GlobeDoc proxy's verification costs.
     """
 
     def __init__(
         self,
         rpc: RpcClient,
         server_endpoint: Endpoint,
-        compute_context=None,
+        clock: Optional[Clock] = None,
     ) -> None:
-        from contextlib import nullcontext
-
         self.rpc = rpc
         self.endpoint = server_endpoint
-        self._compute = compute_context if compute_context is not None else nullcontext
+        self.clock = clock if clock is not None else RealClock()
         self._session: Optional[TlsSession] = None
         self._counter = 0
 
     def handshake(self) -> TlsSession:
         """Run the 2-RTT handshake; returns the established session."""
         hello = self.rpc.call(self.endpoint, "ssl.hello")
-        server_key = PublicKey(der=bytes(hello["certificate_der"]))
+        server_key = PublicKey(der=wire_bytes(hello["certificate_der"]))
         self._counter += 1
         session_id = f"sess-{self._counter}-{os.urandom(4).hex()}"
         premaster = os.urandom(48)
-        with self._compute():
+        with self.clock.compute(native=True):
             encrypted = rsa_encrypt(server_key, premaster)
+            session = TlsSession.derive(session_id, premaster)
         self.rpc.call(
             self.endpoint,
             "ssl.key_exchange",
             session_id=session_id,
             encrypted_premaster=encrypted,
         )
-        with self._compute():
-            self._session = TlsSession.derive(session_id, premaster)
-        return self._session
+        self._session = session
+        return session
 
     def get(self, path: str, new_connection: bool = True) -> bytes:
         """Fetch *path*; by default each GET opens a fresh connection
@@ -225,7 +226,7 @@ class SslClient:
         )
         if int(answer["status"]) != 200:
             raise ReproError(f"HTTPS {answer['status']} for {path!r}")
-        with self._compute():
+        with self.clock.compute(native=True):
             return _decrypt_record(
                 self._session.enc_key, self._session.mac_key, bytes(answer["record"])
             )

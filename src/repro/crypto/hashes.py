@@ -17,6 +17,7 @@ from typing import Iterable, Union
 from cryptography.hazmat.primitives import hashes as _crypto_hashes
 
 from repro.errors import CryptoError
+from repro.util.tally import TALLY
 
 __all__ = ["HashSuite", "SHA1", "SHA256", "digest", "hexdigest", "suite_by_name"]
 
@@ -36,10 +37,7 @@ class HashSuite:
 
     def digest(self, *chunks: _BytesLike) -> bytes:
         """Digest of the concatenation of *chunks*."""
-        h = self.new()
-        for chunk in chunks:
-            h.update(bytes(chunk))
-        return h.digest()
+        return self.digest_stream(chunks)
 
     def hexdigest(self, *chunks: _BytesLike) -> str:
         return self.digest(*chunks).hex()
@@ -47,8 +45,12 @@ class HashSuite:
     def digest_stream(self, chunks: Iterable[_BytesLike]) -> bytes:
         """Digest of an iterable of chunks (for large elements)."""
         h = self.new()
+        hashed = 0
         for chunk in chunks:
-            h.update(bytes(chunk))
+            data = bytes(chunk)
+            hashed += len(data)
+            h.update(data)
+        TALLY["hashed"] += hashed
         return h.digest()
 
     def signature_hash(self) -> _crypto_hashes.HashAlgorithm:

@@ -19,6 +19,7 @@ from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import CertificateError
 from repro.sim.clock import Clock
+from repro.util.encoding import wire_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.crypto.verifycache import VerificationCache
@@ -70,7 +71,7 @@ class IdentityCertificate:
 
     @property
     def subject_key(self) -> PublicKey:
-        return PublicKey(der=bytes(self.certificate.body["subject_key_der"]))
+        return PublicKey(der=wire_bytes(self.certificate.body["subject_key_der"]))
 
     @property
     def issuer_name(self) -> str:
@@ -78,7 +79,7 @@ class IdentityCertificate:
 
     @property
     def issuer_key(self) -> PublicKey:
-        return PublicKey(der=bytes(self.certificate.body["issuer_key_der"]))
+        return PublicKey(der=wire_bytes(self.certificate.body["issuer_key_der"]))
 
     def verify(
         self,

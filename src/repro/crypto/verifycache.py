@@ -34,7 +34,6 @@ request threads), but the RSA operation itself runs *outside* the lock
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -56,9 +55,6 @@ class VerifyCacheStats:
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    #: Real seconds of RSA work skipped by hits (each entry remembers
-    #: what its original miss cost; a hit re-credits that amount).
-    saved_seconds: float = 0.0
 
     @property
     def lookups(self) -> int:
@@ -69,19 +65,13 @@ class VerifyCacheStats:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    @property
-    def saved_us(self) -> float:
-        """Microseconds of RSA compute avoided (for metrics surfaces)."""
-        return self.saved_seconds * 1e6
-
-    def snapshot(self) -> Tuple[int, int, float]:
-        return (self.hits, self.misses, self.saved_seconds)
+    def snapshot(self) -> Tuple[int, int]:
+        return (self.hits, self.misses)
 
 
 @dataclass(frozen=True)
 class _Entry:
     nbytes: int
-    cost_seconds: float
     expires_at: Optional[float]
 
 
@@ -173,7 +163,6 @@ class VerificationCache:
                 return False
             self._entries.move_to_end(cache_key)
             self.stats.hits += 1
-            self.stats.saved_seconds += entry.cost_seconds
             return True
 
     def record(
@@ -182,7 +171,6 @@ class VerificationCache:
         signature: bytes,
         payload: bytes,
         suite: HashSuite,
-        cost_seconds: float = 0.0,
         expires_at: Optional[float] = None,
         payload_digest: Optional[bytes] = None,
     ) -> None:
@@ -207,11 +195,7 @@ class VerificationCache:
             ):
                 self._evict(next(iter(self._entries)))
                 self.stats.evictions += 1
-            self._entries[cache_key] = _Entry(
-                nbytes=nbytes,
-                cost_seconds=max(cost_seconds, 0.0),
-                expires_at=expires_at,
-            )
+            self._entries[cache_key] = _Entry(nbytes=nbytes, expires_at=expires_at)
             self._bytes += nbytes
 
     def verify(
@@ -233,17 +217,10 @@ class VerificationCache:
         """
         if self.lookup(key, signature, payload, suite, now=now, payload_digest=payload_digest):
             return True
-        start = time.perf_counter()
         key.verify(signature, payload, suite=suite)
-        cost = time.perf_counter() - start
         self.record(
-            key,
-            signature,
-            payload,
-            suite,
-            cost_seconds=cost,
-            expires_at=expires_at,
-            payload_digest=payload_digest,
+            key, signature, payload, suite,
+            expires_at=expires_at, payload_digest=payload_digest,
         )
         return False
 

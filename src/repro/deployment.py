@@ -96,8 +96,9 @@ class Deployment:
     transport. ``host_sites`` maps every host of the deployment — the
     services host *host*, replica hosts, clients — to its site, a leaf
     of the location service's domain tree. Document owners push from
-    ``owner_host`` (default: *host*); ``compute_for(host)``, if given,
-    is the context manager that charges a host for its crypto CPU.
+    ``owner_host`` (default: *host*). ``clock_for(host)`` (default:
+    *clock*) is the clock a host's object server and client checkers run
+    on and charge their work to.
     Client stacks resolve a name with one signed answer;
     ``iterative_naming=True`` makes them walk the zones instead.
     """
@@ -116,7 +117,7 @@ class Deployment:
         data_dir: Optional[str] = None,
         storage_sync: bool = True,
         zone_keys: Optional[Dict[str, object]] = None,
-        compute_for: Optional[Callable[[str], object]] = None,
+        clock_for: Optional[Callable[[str], Clock]] = None,
         iterative_naming: bool = False,
     ) -> None:
         self.clock = clock
@@ -126,7 +127,7 @@ class Deployment:
         self.host_sites = host_sites
         self.site = host_sites[host]
         self.owner_host = owner_host if owner_host is not None else host
-        self.compute_for = compute_for if compute_for is not None else lambda host: None
+        self.clock_for = clock_for if clock_for is not None else lambda host: clock
         self.naming_endpoint = Endpoint(host, "naming")
         self.location_endpoint = Endpoint(host, "location")
         self.objectserver_endpoint = Endpoint(host, "objectserver")
@@ -194,7 +195,6 @@ class Deployment:
             host,
             tracer=tracer,
             metrics=metrics,
-            compute_context=self.compute_for(host),
             data_dir=(
                 os.path.join(data_dir, "objectserver") if data_dir is not None else None
             ),
@@ -206,19 +206,17 @@ class Deployment:
         *,
         metrics=None,
         tracer=None,
-        compute_context=None,
         data_dir: Optional[str] = None,
     ) -> ObjectServer:
         """Start *host*'s object server (at its site) and expose it."""
         server = self.servers[host] = ObjectServer(
             host=host,
             site=self.host_sites[host],
-            clock=self.clock,
+            clock=self.clock_for(host),
             tracer=tracer,
             metrics=metrics,
             data_dir=data_dir,
             storage_sync=self.storage_sync,
-            compute_context=compute_context,
         )
         self.register(server.endpoint, server.rpc_server().handle_frame)
         return server
@@ -454,9 +452,8 @@ class Deployment:
                 tracer=tracer,
             )
         checker = SecurityChecker(
-            self.clock,
+            self.clock_for(host_name),
             trust_store=trust_store,
-            compute_context=self.compute_for(host_name),
             verification_cache=verification_cache,
             revocation_checker=revocation,
             tracer=tracer,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.baselines.gemini import GeminiCache, GeminiClient
-from repro.crypto.hashes import SHA1, HashSuite
+from repro.crypto.hashes import SHA1
 from repro.crypto.keys import KeyPair, rsa_encrypt
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.signing import sign_payload, verify_payload
@@ -36,6 +36,7 @@ from repro.net.rpc import RpcClient
 from repro.net.transport import LoopbackTransport
 from repro.proxy.contentcache import ContentCache
 from repro.server.localrep import ReplicaLR
+from repro.util.tally import TALLY
 from repro.workloads.generator import make_document_owner, make_element
 from repro.workloads.sizes import fig567_objects
 
@@ -524,16 +525,6 @@ def compare_freshness_granularity(
 # ----------------------------------------------------------------------
 
 
-class _CountingKeys(KeyPair):
-    """A key pair that counts the signatures made with it."""
-
-    signs = 0
-
-    def sign(self, payload: bytes, suite: HashSuite = SHA1) -> bytes:
-        self.signs += 1
-        return super().sign(payload, suite)
-
-
 @dataclass(frozen=True)
 class ServerSigningCounts:
     """RSA signatures made by each design to serve *responses* responses."""
@@ -547,28 +538,35 @@ class ServerSigningCounts:
 def compare_server_signing(files: int = 8) -> ServerSigningCounts:
     """Gemini's untrusted caches sign every response they serve; a
     GlobeDoc replica holds no private key — the owner signs once,
-    offline, and serving is pure data movement. Counts the signatures
-    made by the only private key of each deployment."""
+    offline, and serving is pure data movement. Counts the RSA
+    signatures of each phase off the work tally: the only private key
+    of each deployment is the only key signing in it."""
     contents = {f"page{i}.html": b"x" * 4096 for i in range(files)}
 
-    cache = GeminiCache(host="squid", keys=_CountingKeys.generate(1024))
+    def signed() -> int:
+        return TALLY["rsa.sign", 1024]
+
+    cache = GeminiCache(host="squid", keys=KeyPair.generate(1024))
     cache.fill(contents)
     transport = LoopbackTransport()
     transport.register(cache.endpoint, cache.rpc_server().handle_frame)
     client = GeminiClient(RpcClient(transport), cache.endpoint, cache.public_key)
+    start = signed()
     for name in contents:
         client.get(name)
+    gemini_signs = signed() - start
 
-    owner = DocumentOwner("vu.nl/served", keys=_CountingKeys.generate(1024))
+    owner = DocumentOwner("vu.nl/served", keys=KeyPair.generate(1024))
     owner.put_elements(PageElement(name, data) for name, data in contents.items())
+    start = signed()
     replica = ReplicaLR(owner.publish(validity=3600.0).state())
-    publish_signs = owner.keys.signs
+    publish_signs = signed() - start
     for name in contents:
         replica.get_element(name)
     return ServerSigningCounts(
         responses=replica.serve_count,
-        gemini_signs=cache.keys.signs,
-        globedoc_serving_signs=owner.keys.signs - publish_signs,
+        gemini_signs=gemini_signs,
+        globedoc_serving_signs=signed() - start - publish_signs,
         globedoc_publish_signs=publish_signs,
     )
 

@@ -73,15 +73,14 @@ class Testbed(Deployment):
             data_dir=data_dir,
             storage_sync=storage_sync,
             zone_keys=zone_keys,
-            compute_for=lambda host: self.network.host(host).compute,
+            clock_for=self.network.host,
             # Fig. 3's per-zone walk: one naming round trip per zone.
             iterative_naming=True,
         )
         # The Fig. 5–7 baselines, on the same host as the object server.
         self.http_server = StaticHttpServer(host=SERVICES_HOST)
         self.ssl_server = SslServer(
-            host=SERVICES_HOST,
-            compute_context=self.network.host(SERVICES_HOST).compute_native,
+            host=SERVICES_HOST, clock=self.network.host(SERVICES_HOST)
         )
         for server in (self.http_server, self.ssl_server):
             self.network.register(server.endpoint, server.rpc_server().handle_frame)
@@ -105,12 +104,9 @@ class Testbed(Deployment):
 
     def ssl_client(self, host_name: str) -> SslClient:
         """An HTTPS client on *host_name* against the ginger SSL server."""
-        host = self.network.host(host_name)
         rpc = RpcClient(self.network.transport_for(host_name))
-        # wget+OpenSSL is native code: CPU factor applies, JVM memory
-        # pressure does not (see SimHost.compute_native).
         return SslClient(
-            rpc, self.ssl_server.endpoint, compute_context=host.compute_native
+            rpc, self.ssl_server.endpoint, clock=self.network.host(host_name)
         )
 
     def charge_client_overhead(self) -> float:

@@ -210,7 +210,6 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         PEER_HOST,
         tracer=tracers["server-inria"],
         metrics=metrics,
-        compute_context=testbed.network.host(PEER_HOST).compute,
     )
 
     published = testbed.publish(
@@ -281,10 +280,9 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         READ_HOST,
         verification_cache=VerificationCache(),
         content_cache=ContentCache(
-            clock=clock,
+            clock=testbed.network.host(READ_HOST),
             ttl=30.0,
             tracer=tracers["proxy-sporty"],
-            compute_context=testbed.network.host(READ_HOST).compute,
         ),
         revocation_max_staleness=120.0,
         tracer=tracers["proxy-sporty"],

@@ -73,9 +73,8 @@ CONTAINMENT_SLACK = 5.0
 #: the baseline while actually polling (at least
 #: :data:`MIN_STEADY_REFRESHES`) — the poll must not dominate the access
 #: pipeline it protects. (The refresh is one extra RPC per poll interval
-#: against ~3 ms cached accesses, so the measured ratio sits near
-#: 1.5–1.9; the gate leaves headroom for the host noise in clock-charged
-#: crypto times, not for regressions.)
+#: against ~3 ms cached accesses, so the ratio sits near 1.5–1.8; the
+#: gate leaves headroom for workload changes, not for regressions.)
 MAX_OVERHEAD_RATIO = 2.5
 MIN_STEADY_REFRESHES = 2
 

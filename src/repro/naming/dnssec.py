@@ -20,6 +20,7 @@ from repro.errors import NameNotFound, ZoneValidationError
 from repro.naming.records import OidRecord, normalize_name
 from repro.naming.zone import Zone, ZoneKeys
 from repro.sim.clock import Clock
+from repro.util.encoding import wire_bytes
 
 __all__ = ["SignedZone", "DelegationRecord", "ChainValidator"]
 
@@ -55,7 +56,7 @@ class DelegationRecord:
 
     @property
     def child_key(self) -> PublicKey:
-        return PublicKey(der=bytes(self.certificate.body["child_key_der"]))
+        return PublicKey(der=wire_bytes(self.certificate.body["child_key_der"]))
 
     def verify(self, parent_key: PublicKey, clock: Optional[Clock] = None) -> PublicKey:
         try:

@@ -30,6 +30,7 @@ from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import AuthenticityError, CertificateError
 from repro.globedoc.oid import ObjectId
+from repro.util.encoding import wire_bytes
 
 __all__ = ["ForwardingRecord", "FORWARDING_CERT_TYPE"]
 
@@ -84,7 +85,7 @@ class ForwardingRecord:
 
     @property
     def issuer_key(self) -> PublicKey:
-        return PublicKey(der=bytes(self.certificate.body["issuer_key_der"]))
+        return PublicKey(der=wire_bytes(self.certificate.body["issuer_key_der"]))
 
     def verify(self, cache=None) -> "ForwardingRecord":
         """Self-certifying validation: embedded key hashes to the old

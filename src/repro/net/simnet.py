@@ -8,41 +8,63 @@ measurements decompose into:
   the *actual encoded bytes* at the link bandwidth, plus a per-request
   service time at the destination host (connection handling, the
   Java-server cost the paper discusses);
-* **compute time** — real CPU time of real crypto operations executed
-  inside a :meth:`SimHost.compute` block, scaled by the host's CPU
-  factor (era scaling: a 2026 core is ~20× a 1 GHz Pentium III at
-  crypto) and memory-pressure factor (the 256 MB hosts swapped).
+* **compute time** — *modelled*, not measured: the crypto and codec
+  operations counted inside a :meth:`SimHost.compute` region, priced by
+  :data:`COST_US` (measured once on a modern core) and scaled by the
+  host's CPU factor (era scaling: a 2026 core is ~20× a 1 GHz Pentium
+  III at crypto) and memory-pressure factor (the 256 MB hosts swapped).
 
 Both advance the shared :class:`~repro.sim.clock.SimClock`, so a clock
 delta around any operation sequence is directly comparable to the
-paper's timer placements.
+paper's timer placements; nothing here reads wall time, so a fixed seed
+gives the same simulated times on any machine.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TransportError
 from repro.net.address import Endpoint
 from repro.net.transport import TransferStats
-from repro.sim.clock import SimClock
+from repro.sim.clock import ParallelRegion, SimClock
+from repro.util.tally import TALLY
 
-__all__ = ["HostProfile", "LinkSpec", "SimHost", "SimNetwork", "SimTransport"]
+__all__ = ["COST_US", "HostProfile", "LinkSpec", "SimHost", "SimNetwork", "SimTransport"]
 
 FrameHandler = Callable[[bytes], bytes]
+
+#: Modern µs per counted unit — an RSA operation by key size, a byte of
+#: the byte kinds — measured once (DESIGN §2: how, when, on what); a
+#: host's factors scale them to its era. ``"region"`` is what every
+#: compute region costs on top: a check's bookkeeping.
+COST_US: Dict[object, float] = {
+    "region": 1.79,
+    ("rsa.verify", 1024): 15.05,
+    ("rsa.sign", 1024): 111.71,
+    ("rsa.encrypt", 1024): 8.57,
+    ("rsa.decrypt", 1024): 109.85,
+    ("rsa.verify", 2048): 29.24,
+    ("rsa.sign", 2048): 353.49,
+    ("rsa.encrypt", 2048): 22.78,
+    ("rsa.decrypt", 2048): 355.46,
+    "hashed": 0.662 / 1024,
+    "encoded": 36.74 / 1024,
+    "record": 1.30 / 1024,
+}
 
 
 @dataclass(frozen=True)
 class HostProfile:
     """Static description of a simulated host (one row of Table 1).
 
-    ``cpu_factor`` multiplies *measured* modern compute time to model the
-    host's era/architecture; ``memory_pressure`` multiplies it again to
-    model swapping on RAM-starved hosts (the paper's explanation for
-    GlobeDoc losing to Apache/SSL on the 256 MB machines).
+    ``cpu_factor`` multiplies the modelled modern compute cost
+    (:data:`COST_US`) to model the host's era/architecture;
+    ``memory_pressure`` multiplies it again to model swapping on
+    RAM-starved hosts (the paper's explanation for GlobeDoc losing to
+    Apache/SSL on the 256 MB machines).
     ``service_time`` is the fixed per-request cost of the server software
     stack at this host, in simulated seconds.
     """
@@ -76,7 +98,9 @@ class LinkSpec:
 
 
 class SimHost:
-    """A host attached to a :class:`SimNetwork`."""
+    """A host attached to a :class:`SimNetwork`, and the clock of the
+    components it runs: time is the network's shared clock, and
+    :meth:`compute` charges work to this host."""
 
     def __init__(self, profile: HostProfile, network: "SimNetwork") -> None:
         self.profile = profile
@@ -86,41 +110,39 @@ class SimHost:
     def name(self) -> str:
         return self.profile.name
 
+    def now(self) -> float:
+        return self.network.clock.now()
+
+    def advance(self, seconds: float) -> float:
+        return self.network.clock.advance(seconds)
+
+    def parallel(self) -> AbstractContextManager[ParallelRegion]:
+        return self.network.clock.parallel()
+
     @contextmanager
-    def compute(self) -> Iterator[None]:
-        """Run real computation; charge its scaled cost to the sim clock.
-
-        The full scale (CPU factor × memory pressure) applies: this is
-        the context for the paper's Java components (GlobeDoc proxy and
-        object server), whose swap behaviour the pressure factor models.
-
-        Usage::
-
-            with host.compute():
-                key.verify(signature, payload)
-        """
-        start = time.perf_counter()
+    def compute(self, native: bool = False) -> Iterator[None]:
+        """Charge this host ``COST_US["region"]`` plus what the region
+        tallied at the table's prices, × CPU factor × memory pressure
+        (the JVM's swapping, for the GlobeDoc proxy and server) — or ×
+        CPU factor alone if *native* (wget/OpenSSL, Apache). Work of a
+        nested region is charged once, to its own host; work outside
+        every region is free."""
+        open_regions = self.network._open_regions
+        start = dict(TALLY)
+        open_regions.append(start)
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            self.network.clock.advance(elapsed * self.profile.compute_scale)
-
-    @contextmanager
-    def compute_native(self) -> Iterator[None]:
-        """Like :meth:`compute` but without the memory-pressure factor —
-        for lean native code (wget/OpenSSL, Apache) that did not suffer
-        the JVM's swapping on the 256 MB hosts."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.network.clock.advance(elapsed * self.profile.cpu_factor)
-
-    def charge(self, seconds: float) -> None:
-        """Charge a known compute cost directly (deterministic tests)."""
-        self.network.clock.advance(seconds * self.profile.compute_scale)
+            open_regions.pop()
+            done = {op: count - start.get(op, 0) for op, count in TALLY.items()}
+            if open_regions:  # the enclosing region's host does not pay again
+                outer = open_regions[-1]
+                for op, count in done.items():
+                    outer[op] = outer.get(op, 0) + count
+            # An operation without a price is a KeyError, never free.
+            us = COST_US["region"] + sum(n * COST_US[op] for op, n in done.items() if n)
+            scale = self.profile.cpu_factor if native else self.profile.compute_scale
+            self.network.clock.advance(us * 1e-6 * scale)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimHost({self.profile.name!r} @ {self.profile.site!r})"
@@ -135,6 +157,10 @@ class SimNetwork:
         self._links: Dict[Tuple[str, str], LinkSpec] = {}
         self._handlers: Dict[Endpoint, FrameHandler] = {}
         self._default_link: Optional[LinkSpec] = None
+        #: The tally at the start of each compute region open now,
+        #: innermost last; a closing region adds its work to the
+        #: enclosing one's start, so that host is not charged again.
+        self._open_regions: List[Dict[object, int]] = []
 
     # ------------------------------------------------------------------
     # Topology construction

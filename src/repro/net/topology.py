@@ -13,10 +13,11 @@ ensamble02.cornell.edu    UltraSPARC-IIi 450 MHz      256 MB  Ithaca, NY client
 
 Calibration (documented substitutions, see DESIGN.md §2):
 
-* ``cpu_factor`` scales modern measured crypto time up to the 2004 host:
-  ~20× for a 1 GHz Pentium III, ~45× for the 450 MHz UltraSPARC (which
-  additionally ran crypto in interpreted Java without x86-optimised
-  primitives).
+* ``cpu_factor`` scales the modelled modern crypto cost (the per-operation
+  table :data:`~repro.net.simnet.COST_US`, measured once) up to the 2004
+  host: ~20× for a 1 GHz Pentium III, ~45× for the 450 MHz UltraSPARC
+  (which additionally ran crypto in interpreted Java without
+  x86-optimised primitives).
 * ``memory_pressure`` models the swapping the paper blames for the
   256 MB hosts' degraded JVM performance (×2.5).
 * Link parameters are era-plausible WAN values: 100 Mbit/s switched LAN

@@ -28,16 +28,16 @@ before and re-judges, every time, only what time or the feed can change.
 
 ``SecurityChecker`` is transport-agnostic and holds no per-object state
 (the frontier check advances the :class:`VerifiedFrontier` its caller
-passes in, and nothing else); all
-verification CPU is charged through an optional *compute context* so
-the simulated host pays for it (see :meth:`SimHost.compute`).
+passes in, and nothing else); all verification work runs inside its
+clock's ``compute()`` region, so a simulated host pays for it (see
+:meth:`SimHost.compute`) and any other clock charges nothing.
 
 Verification fast path: an optional
 :class:`~repro.crypto.verifycache.VerificationCache` memoizes successful
 RSA verifications (certificate and identity-proof signatures). Because
-the cache replays verdicts instead of re-running RSA, and the compute
-context charges *measured* CPU time, a warm verification charges
-(near-)zero simulated CPU — the amortization the paper argues for in
+the cache replays verdicts instead of re-running RSA, and a region is
+charged for the operations it counted, a warm verification charges only
+the region's bookkeeping — the amortization the paper argues for in
 §4. Every check still fails closed: the cache keys on the exact payload
 bytes, key, suite, and signature, so tampered input always falls through
 to the real RSA operation.
@@ -45,9 +45,8 @@ to the real RSA operation.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.batch import BatchItem, verify_batch
 from repro.crypto.identity import IdentityCertificate, TrustStore
@@ -79,8 +78,6 @@ from repro.versioning.merge import (
 )
 
 __all__ = ["SecurityChecker", "VerifiedBinding", "VerifiedFrontier"]
-
-ComputeContext = Callable[[], ContextManager[None]]
 
 
 @dataclass
@@ -130,6 +127,7 @@ class VerifiedFrontier:
 class SecurityChecker:
     """Stateless verification primitives used by the secure session.
 
+    *clock* judges freshness and is charged for the checks' work.
     ``verification_cache`` (optional, off by default) enables the
     signature-verification fast path for the certificate and identity
     checks; pass one shared instance per proxy/user to amortize RSA
@@ -140,7 +138,6 @@ class SecurityChecker:
         self,
         clock: Clock,
         trust_store: Optional[TrustStore] = None,
-        compute_context: Optional[ComputeContext] = None,
         verification_cache: Optional[VerificationCache] = None,
         revocation_checker=None,
         tracer=None,
@@ -148,7 +145,6 @@ class SecurityChecker:
     ) -> None:
         self.clock = clock
         self.trust_store = trust_store if trust_store is not None else TrustStore()
-        self._compute = compute_context if compute_context is not None else nullcontext
         self.verification_cache = verification_cache
         #: Optional :class:`~repro.revocation.checker.RevocationChecker`;
         #: without one, ``check_revocation`` is a no-op (the paper's
@@ -170,7 +166,7 @@ class SecurityChecker:
         """
         if self.verification_cache is None or self.tracer is NOOP_TRACER:
             return None
-        return self.verification_cache.stats.snapshot()[:2]
+        return self.verification_cache.stats.snapshot()
 
     def _span_cache_attrs(self, span, before: Optional[tuple]) -> None:
         """Attach the VerificationCache outcome of one check to its span."""
@@ -193,7 +189,7 @@ class SecurityChecker:
     def check_public_key(self, oid: ObjectId, key: PublicKey) -> PublicKey:
         """Step 5 of Fig. 3: SHA-1(key) must equal the OID."""
         with self.tracer.span("check.public_key", oid=oid.hex[:16]):
-            with self._compute():
+            with self.clock.compute():
                 return oid.check_key(key)
 
     def check_revocation(
@@ -216,7 +212,7 @@ class SecurityChecker:
         with self.tracer.span(
             "check.revocation", oid=oid.hex[:16], element=element_name or ""
         ) as span:
-            with self._compute():
+            with self.clock.compute():
                 self.revocation_checker.check(
                     oid, element_name=element_name, cert_version=cert_version
                 )
@@ -296,7 +292,7 @@ class SecurityChecker:
             deltas=len(deltas),
             retained=len(bound.dag) if bound is not None else 0,
         ) as span:
-            with self._compute():
+            with self.clock.compute():
                 result = self._check_frontier(
                     oid, object_key, grants, deltas,
                     served_heads, bound, frontier_cert,
@@ -465,7 +461,7 @@ class SecurityChecker:
             "check.identity", proofs=len(certificates), require=require
         ) as span:
             before = self._cache_counts()
-            with self._compute():
+            with self.clock.compute():
                 match = self.trust_store.first_match(
                     certificates,
                     clock=self.clock,
@@ -492,7 +488,7 @@ class SecurityChecker:
         issued for this OID (prevents cross-object certificate replay)."""
         with self.tracer.span("check.certificate", oid=oid.hex[:16]) as span:
             before = self._cache_counts()
-            with self._compute():
+            with self.clock.compute():
                 integrity.verify_signature(
                     key, cache=self.verification_cache, clock=self.clock
                 )
@@ -521,7 +517,7 @@ class SecurityChecker:
         if self.verification_cache is None or not pairs:
             return 0
         with self.tracer.span("pipeline.batch_verify", items=len(pairs)) as span:
-            with self._compute():
+            with self.clock.compute():
                 verdicts = verify_batch(
                     [
                         BatchItem(
@@ -563,7 +559,7 @@ class SecurityChecker:
         with self.tracer.span(
             "check.element_hash", element=requested_name, size=element.size
         ):
-            with self._compute():
+            with self.clock.compute():
                 if element.content_hash(integrity.suite) != entry.content_hash:
                     raise AuthenticityError(
                         f"content hash mismatch for element {requested_name!r}"

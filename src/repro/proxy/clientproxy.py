@@ -251,7 +251,7 @@ class GlobeDocProxy:
             ).set(self.content_cache.hit_rate)
         cache = self.checker.verification_cache
         if cache is not None:
-            hits, misses, _saved = cache.stats.snapshot()
+            hits, misses = cache.stats.snapshot()
             total = hits + misses
             self._m_cache_ratio.labels(
                 client=self.metrics_client, cache="verify"

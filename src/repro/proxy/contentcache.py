@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -47,10 +46,10 @@ class ContentCache:
     wins. Table operations are serialized by an internal lock so the
     concurrent pipeline can share one cache across request threads.
 
-    ``compute_context`` (optional, same idiom as
-    :class:`~repro.proxy.checks.SecurityChecker`) charges measured
-    lookup/insert CPU to a simulated host, so ``cache.get``/``cache.put``
-    spans carry honest (small) durations in the critical-path profile.
+    Lookups and inserts run in *clock*'s ``compute()`` region (as
+    :class:`~repro.proxy.checks.SecurityChecker`'s checks do), so on a
+    simulated host ``cache.get``/``cache.put`` spans carry honest
+    (small) durations in the critical-path profile.
     """
 
     def __init__(
@@ -59,7 +58,6 @@ class ContentCache:
         ttl: float = 300.0,
         max_bytes: int = 64 * 1024 * 1024,
         tracer=None,
-        compute_context=None,
     ) -> None:
         if ttl <= 0:
             raise ValueError(f"TTL must be positive, got {ttl}")
@@ -69,7 +67,6 @@ class ContentCache:
         self.ttl = ttl
         self.max_bytes = max_bytes
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._compute = compute_context if compute_context is not None else nullcontext
         self._entries: "OrderedDict[Tuple[str, str], CachedElement]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.RLock()
@@ -81,7 +78,7 @@ class ContentCache:
     def get(self, oid_hex: str, name: str) -> Optional[PageElement]:
         """A still-valid verified element, or None."""
         with self.tracer.span("cache.get", element=name) as span:
-            with self._compute():
+            with self.clock.compute():
                 element = self._get(oid_hex, name)
             span.set_attribute("hit", element is not None)
             return element
@@ -134,7 +131,7 @@ class ContentCache:
                 span.set_attribute("stored", False)
                 return
             key = (oid_hex, element.name)
-            with self._compute(), self._lock:
+            with self.clock.compute(), self._lock:
                 self._evict(key)
                 while self._bytes + element.size > self.max_bytes and self._entries:
                     self._evict(next(iter(self._entries)))

@@ -49,7 +49,7 @@ from repro.net.rpc import BatchCall, DEFAULT_WINDOW
 from repro.net.address import ContactAddress
 from repro.net.retry import is_idempotent
 from repro.obs import NOOP_METRICS, NOOP_TRACER
-from repro.util.encoding import canonical_bytes
+from repro.util.encoding import canonical_bytes, wire_bytes
 
 __all__ = [
     "PipelineConfig",
@@ -541,7 +541,7 @@ class AccessScheduler:
             if der is None or raw is None:
                 continue
             try:
-                key = PublicKey(der=bytes(der))
+                key = PublicKey(der=wire_bytes(der))
                 integrity = IntegrityCertificate.from_dict(raw)
             except Exception:
                 # Malformed prefetched data: let the replay's real check

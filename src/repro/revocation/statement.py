@@ -32,6 +32,7 @@ from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import AuthenticityError, CertificateError
 from repro.globedoc.oid import ObjectId
+from repro.util.encoding import wire_bytes
 
 __all__ = [
     "RevocationStatement",
@@ -210,7 +211,7 @@ class RevocationStatement:
 
     @property
     def issuer_key(self) -> PublicKey:
-        return PublicKey(der=bytes(self.certificate.body["issuer_key_der"]))
+        return PublicKey(der=wire_bytes(self.certificate.body["issuer_key_der"]))
 
     @property
     def element(self) -> Optional[str]:

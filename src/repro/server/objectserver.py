@@ -64,7 +64,8 @@ class HostedReplica:
 
 
 class ObjectServer:
-    """Hosts GlobeDoc replicas on one (simulated or real) host."""
+    """Hosts GlobeDoc replicas on one (simulated or real) host, whose
+    *clock* is charged for the server's versioned admission work."""
 
     def __init__(
         self,
@@ -78,7 +79,6 @@ class ObjectServer:
         metrics=None,
         data_dir: Optional[str] = None,
         storage_sync: bool = True,
-        compute_context=None,
     ) -> None:
         from repro.obs import NOOP_METRICS
         from repro.server.resources import ResourceAccountant, ResourceLimits
@@ -119,10 +119,7 @@ class ObjectServer:
         #: Multi-writer surface: per-OID signed delta DAGs, durably
         #: journaled and re-verified on recovery (fail closed).
         self.versioning = VersionedObjectStore(
-            clock=self.clock,
-            store=versioning_store,
-            tracer=self.tracer,
-            compute_context=compute_context,
+            clock=self.clock, store=versioning_store, tracer=self.tracer
         )
         #: Operational events for the admin interface (entity
         #: revocations with the replicas they tore down).

@@ -4,15 +4,21 @@ Times are POSIX-style floats (seconds). ``SimClock`` only moves when the
 simulation advances it, which is what makes freshness attacks testable:
 a test can publish an element valid for 60 s, advance the clock 61 s,
 and assert the proxy raises :class:`~repro.errors.FreshnessError`.
+
+Every clock hands out ``compute()``, the region a component's crypto
+runs in; only a :class:`~repro.net.simnet.SimHost` charges for it.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Iterator, Protocol, runtime_checkable
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Iterator, Protocol, runtime_checkable
 
 __all__ = ["Clock", "RealClock", "SimClock", "ParallelRegion"]
+
+#: The compute region of a clock that charges nothing.
+_FREE = nullcontext()
 
 
 @runtime_checkable
@@ -23,12 +29,19 @@ class Clock(Protocol):
         """Current time in seconds since the epoch (simulated or real)."""
         ...
 
+    def compute(self, native: bool = False) -> ContextManager[None]:
+        """The region a component's crypto runs in (*native*: C code)."""
+        ...
+
 
 class RealClock:
     """Wall-clock time; used by the TCP integration path and examples."""
 
     def now(self) -> float:
         return time.time()
+
+    def compute(self, native: bool = False) -> ContextManager[None]:
+        return _FREE
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "RealClock()"
@@ -45,6 +58,9 @@ class SimClock:
 
     def now(self) -> float:
         return self._now
+
+    def compute(self, native: bool = False) -> ContextManager[None]:
+        return _FREE
 
     def advance(self, seconds: float) -> float:
         """Move time forward by *seconds* (must be non-negative)."""

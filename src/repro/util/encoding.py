@@ -37,6 +37,7 @@ import zlib
 from typing import Any, List
 
 from repro.errors import CryptoError, EncodingError
+from repro.util.tally import TALLY
 
 __all__ = [
     "canonical_json",
@@ -123,7 +124,9 @@ def canonical_json(value: Any) -> str:
 
 def canonical_bytes(value: Any) -> bytes:
     """Serialise *value* to the canonical UTF-8 byte string used for signing."""
-    return canonical_json(value).encode("utf-8")
+    data = canonical_json(value).encode("utf-8")
+    TALLY["encoded"] += len(data)
+    return data
 
 
 def from_canonical_bytes(data: bytes) -> Any:

@@ -153,7 +153,7 @@ class SignedDelta:
 
     @property
     def writer_key(self) -> PublicKey:
-        return PublicKey(der=bytes(self.certificate.body["writer_key_der"]))
+        return PublicKey(der=wire_bytes(self.certificate.body["writer_key_der"]))
 
     @property
     def lamport(self) -> int:

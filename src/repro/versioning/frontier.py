@@ -29,6 +29,7 @@ from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import CertificateError, DeltaForgeryError
 from repro.globedoc.oid import ObjectId
+from repro.util.encoding import wire_bytes
 from repro.versioning.dag import Frontier
 
 __all__ = ["FrontierCertificate", "FRONTIER_CERT_TYPE"]
@@ -102,7 +103,7 @@ class FrontierCertificate:
 
     @property
     def signer_key(self) -> PublicKey:
-        return PublicKey(der=bytes(self.certificate.body["signer_key_der"]))
+        return PublicKey(der=wire_bytes(self.certificate.body["signer_key_der"]))
 
     # ------------------------------------------------------------------
     # Verification

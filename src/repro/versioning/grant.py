@@ -32,6 +32,7 @@ from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import AuthenticityError, CertificateError, UnauthorizedWriterError
 from repro.globedoc.oid import ObjectId
+from repro.util.encoding import wire_bytes
 
 __all__ = ["WriterGrant", "WRITER_GRANT_CERT_TYPE"]
 
@@ -101,7 +102,7 @@ class WriterGrant:
 
     @property
     def writer_key(self) -> PublicKey:
-        return PublicKey(der=bytes(self.certificate.body["writer_key_der"]))
+        return PublicKey(der=wire_bytes(self.certificate.body["writer_key_der"]))
 
     @property
     def granted_at(self) -> float:

@@ -23,7 +23,6 @@ story ``tests/versioning/test_convergence.py`` decides.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -35,6 +34,7 @@ from repro.errors import (
 )
 from repro.globedoc.oid import ObjectId
 from repro.obs import NOOP_TRACER
+from repro.sim.clock import RealClock
 from repro.versioning.dag import DeltaDag
 from repro.versioning.delta import SignedDelta
 from repro.versioning.frontier import FrontierCertificate
@@ -65,20 +65,17 @@ class VersionedObjectStore:
     cost bucket of the critical-path profiler) and ``storage.journal``
     spans around durable appends.
 
-    ``compute_context`` (optional) follows the
-    :class:`~repro.proxy.checks.SecurityChecker` idiom: admission crypto
-    and journal writes run inside it so a simulated host charges their
-    measured CPU to the shared clock (see :meth:`SimHost.compute`).
-    Without one the operations are free, as before.
+    ``clock`` judges grant freshness (``None``: not judged) and, like
+    :class:`~repro.proxy.checks.SecurityChecker`'s, is charged for
+    admission crypto and journal writes through its ``compute()`` region
+    (see :meth:`SimHost.compute`).
     """
 
-    def __init__(
-        self, clock=None, store=None, tracer=None, compute_context=None
-    ) -> None:
+    def __init__(self, clock=None, store=None, tracer=None) -> None:
         self.clock = clock
         self.store = store
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._compute = compute_context if compute_context is not None else nullcontext
+        self._compute = (clock if clock is not None else RealClock()).compute
         self._objects: Dict[str, _ObjectState] = {}
         #: Recovery accounting: what a restart reloaded and re-proved.
         self.recovered_deltas = 0

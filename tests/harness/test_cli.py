@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.harness.__main__ import main
 from repro.harness.kernel import REGISTRY, BenchTarget, gate
 
@@ -134,3 +139,27 @@ class TestCli:
         assert "Collected bench reports" in out
         assert "trace_profile" not in out
         assert " 0 failing" in out
+
+
+class TestSameSeedSameOutput:
+    """Simulated compute is modelled, not timed: two fresh interpreters
+    (each with its own string-hash seed) print the same figure, byte for
+    byte, whatever else the machine is doing."""
+
+    @staticmethod
+    def run(*args: str) -> str:
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.harness", *args],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        return result.stdout
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig6"])
+    def test_fresh_interpreters_print_identical_figures(self, figure):
+        first = self.run(figure, "--repeats", "1")
+        assert first == self.run(figure, "--repeats", "1")

@@ -53,14 +53,12 @@ def test_fastpath_never_slower_than_baseline(gates):
 
 def test_fastpath_counters_flow_into_report(report):
     pipeline = report["pipeline"]
-    # Baseline has no verification cache: no hits, nothing saved.
+    # Baseline has no verification cache: no hits.
     assert pipeline["baseline"]["verify_hits"] == 0
-    assert pipeline["baseline"]["saved_us"] == 0.0
     # Fast path: the first access misses, the rest hit.
     fast = pipeline["fastpath"]
     assert fast["verify_misses"] >= 1
     assert fast["verify_hits"] >= pipeline["accesses"] - 1
-    assert fast["saved_us"] > 0.0
 
 
 def test_report_round_trips_as_json(report, gates, tmp_path):

@@ -27,18 +27,14 @@ def make_row(total=10.0, security=4.0):
     }
 
 
-def make_counters(hits=0.0, misses=1.0, saved=0.0):
-    return {
-        "verify_hits": hits,
-        "verify_misses": misses,
-        "saved_us": saved,
-    }
+def make_counters(hits=0.0, misses=1.0):
+    return {"verify_hits": hits, "verify_misses": misses}
 
 
 class TestSummarizeRun:
     def test_means_and_sums(self):
         rows = [make_row(total=10.0, security=4.0), make_row(total=6.0, security=2.0)]
-        summary = _summarize_run(rows, make_counters(hits=1.0, misses=1.0, saved=150.0))
+        summary = _summarize_run(rows, make_counters(hits=1.0, misses=1.0))
         assert summary["accesses"] == 2
         assert summary["total_ms_mean"] == pytest.approx(8.0)
         assert summary["security_ms_mean"] == pytest.approx(3.0)
@@ -47,7 +43,6 @@ class TestSummarizeRun:
         # Counters are the run's totals, carried through untouched.
         assert summary["verify_hits"] == 1.0
         assert summary["verify_misses"] == 1.0
-        assert summary["saved_us"] == 150.0
 
     def test_single_row(self):
         summary = _summarize_run([make_row(total=3.0)], make_counters())
@@ -64,7 +59,6 @@ def make_pipeline(warm_speedup=20.0, fastpath_total=5.0, baseline_total=9.0):
         "warm": {
             "cold_verify_certificate_ms": 2.0,
             "warm_verify_certificate_ms": 2.0 / warm_speedup,
-            "warm_verify_certificate_mean_ms": 2.0 / warm_speedup,
             "speedup": warm_speedup,
         },
     }

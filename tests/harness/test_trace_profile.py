@@ -78,10 +78,7 @@ def test_span_time_reproduces_access_metrics():
         host,
         verification_cache=VerificationCache(),
         content_cache=ContentCache(
-            clock=testbed.clock,
-            ttl=30.0,
-            tracer=tracer,
-            compute_context=testbed.network.host(host).compute,
+            clock=testbed.network.host(host), ttl=30.0, tracer=tracer
         ),
         revocation_max_staleness=120.0,
         tracer=tracer,

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto.hashes import SHA1
 from repro.errors import TransportError
 from repro.net.address import Endpoint
-from repro.net.simnet import HostProfile, LinkSpec, SimNetwork
-from repro.sim.clock import SimClock
+from repro.net.simnet import COST_US, HostProfile, LinkSpec, SimNetwork
+from repro.net.topology import AMSTERDAM_PRIMARY, PARIS
+from repro.sim.clock import RealClock, SimClock
+from repro.util.tally import TALLY
 
 
 def make_net():
@@ -105,31 +108,86 @@ class TestRequestTiming:
 
 
 class TestCompute:
-    def test_charge_scales_with_profile(self):
-        net = make_net()
-        net.host("c").charge(0.001)
-        # cpu_factor 10 x pressure 2 = 20x.
-        assert net.clock.now() == pytest.approx(0.020)
+    """Compute is modelled: a region is charged what it counted, at the
+    table's price, scaled by its host's factors — never wall time."""
 
-    def test_compute_context_advances_clock(self):
-        net = make_net()
-        before = net.clock.now()
-        with net.host("c").compute():
-            sum(range(10000))
-        assert net.clock.now() > before
+    @pytest.fixture
+    def paper_net(self):
+        net = SimNetwork(SimClock(0.0))
+        for profile in (AMSTERDAM_PRIMARY, PARIS):
+            net.add_host(profile)
+        return net
 
-    def test_native_compute_skips_pressure(self):
-        net = make_net()
-        host = net.host("c")
-        with host.compute_native():
-            pass
-        native_cost = net.clock.now()
+    @staticmethod
+    def verify_and_hash(keys):
+        keys.public.verify(keys.sign(b"payload"), b"payload")
+        SHA1.digest(b"x" * 1024)
+
+    def test_charge_scales_with_profile(self, paper_net, shared_keys):
+        """One 1024-bit verify and 1 KiB hashed in a canardo region cost
+        (region + verify + SHA-1 per KiB) × 20 (CPU) × 2.5 (pressure)."""
+        signature = shared_keys.sign(b"payload")
+        with paper_net.host(PARIS.name).compute():
+            shared_keys.public.verify(signature, b"payload")
+            SHA1.digest(b"x" * 1024)
+        modern_us = (
+            COST_US["region"] + COST_US["rsa.verify", 1024] + 1024 * COST_US["hashed"]
+        )
+        assert paper_net.clock.now() == pytest.approx(modern_us * 1e-6 * 20 * 2.5)
+
+    def test_native_compute_skips_pressure(self, paper_net, shared_keys):
+        host = paper_net.host(PARIS.name)
+        signature = shared_keys.sign(b"payload")
         with host.compute():
-            pass
-        full_cost = net.clock.now() - native_cost
-        # Both are tiny, but the scales differ 2x; just check both advanced.
-        assert native_cost >= 0.0
-        assert full_cost >= 0.0
+            shared_keys.public.verify(signature, b"payload")
+        full = paper_net.clock.now()
+        with host.compute(native=True):
+            shared_keys.public.verify(signature, b"payload")
+        assert paper_net.clock.now() - full == pytest.approx(full / 2.5)
+
+    def test_nested_region_is_charged_once_to_its_host(self, paper_net, shared_keys):
+        """A server handler's region inside a client's region: the
+        server's work is the server's, and the client pays for none of it."""
+        client, server = paper_net.host(PARIS.name), paper_net.host(AMSTERDAM_PRIMARY.name)
+        signature = shared_keys.sign(b"payload")
+        with client.compute():
+            before = paper_net.clock.now()
+            with server.compute():
+                shared_keys.public.verify(signature, b"payload")
+            server_charge = paper_net.clock.now() - before
+        client_charge = paper_net.clock.now() - before - server_charge
+        region = COST_US["region"] * 1e-6
+        assert server_charge == pytest.approx(
+            (region + COST_US["rsa.verify", 1024] * 1e-6) * 20
+        )
+        assert client_charge == pytest.approx(region * 20 * 2.5)
+
+    def test_work_outside_any_region_is_free(self, paper_net, shared_keys):
+        self.verify_and_hash(shared_keys)
+        assert paper_net.clock.now() == 0.0
+
+    def test_plain_clocks_charge_nothing(self, shared_keys):
+        clock = SimClock(5.0)
+        with clock.compute(), clock.compute(native=True):
+            self.verify_and_hash(shared_keys)
+        assert clock.now() == 5.0
+        # RealClock hands out the same shared no-op region.
+        assert RealClock().compute() is clock.compute(native=True)
+
+    def test_unpriced_key_size_is_an_error(self, paper_net):
+        with pytest.raises(KeyError, match="4096"):
+            with paper_net.host(PARIS.name).compute():
+                TALLY["rsa.verify", 4096] += 1  # as if a 4096-bit verify ran
+        del TALLY["rsa.verify", 4096]
+
+    def test_host_is_the_shared_clock(self, paper_net):
+        host = paper_net.host(PARIS.name)
+        host.advance(2.0)
+        assert host.now() == paper_net.clock.now() == 2.0
+        with host.parallel() as region:
+            with region.branch():
+                host.advance(1.0)
+        assert paper_net.host(AMSTERDAM_PRIMARY.name).now() == 3.0
 
     def test_profile_compute_scale(self):
         profile = HostProfile(name="x", site="s", cpu_factor=3.0, memory_pressure=2.0)

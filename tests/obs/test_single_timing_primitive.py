@@ -39,11 +39,7 @@ def traced_stack(testbed, with_cache: bool):
     ring = RingBufferSink()
     tracer = Tracer(clock=testbed.clock, sinks=(ring,))
     cache = (
-        ContentCache(
-            clock=testbed.clock,
-            tracer=tracer,
-            compute_context=testbed.network.host(HOST).compute,
-        )
+        ContentCache(clock=testbed.network.host(HOST), tracer=tracer)
         if with_cache
         else None
     )
@@ -54,7 +50,7 @@ class TestConservation:
     @pytest.mark.parametrize("with_cache", [False, True], ids=["no-cache", "cache"])
     def test_derived_total_equals_the_root_span(self, world, with_cache):
         """Under a SimClock time only advances inside network transfers
-        and compute contexts, every one of which sits under a span the
+        and compute regions, every one of which sits under a span the
         phase table names — so nothing is lost and nothing counted twice."""
         testbed, published = world
         stack, ring = traced_stack(testbed, with_cache)

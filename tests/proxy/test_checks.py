@@ -166,7 +166,6 @@ class TestVerificationFastPath:
         second = ring.named("check.certificate")[1].attributes
         assert second["verify_hits"] == 1 and second["verify_misses"] == 0
         assert second["cache"] == "hit"
-        assert checker.verification_cache.stats.saved_us > 0.0
 
     def test_warm_cache_still_rejects_wrong_signer(
         self, oid, object_keys, other_keys, integrity, clock

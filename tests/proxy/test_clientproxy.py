@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import copy
 import itertools
+import tracemalloc
 
 import pytest
 
 from repro.attacks.malicious_server import HonestBehavior, MaliciousReplica
 from repro.crypto.identity import TrustStore
+from repro.crypto.verifycache import VerificationCache
 from repro.globedoc.urls import HybridUrl
 from repro.net.address import Endpoint
 from repro.net.message import Request, Response
@@ -237,6 +239,28 @@ class TestMalformedReplicaAnswers:
         )
         for response in responses:
             self.assert_rejected(response)
+
+    def test_integer_public_key_prefetched_without_allocating(self, world):
+        """The pipeline decodes a prefetched key to batch-verify its
+        certificate: an integer there must not become ``bytes(10**8)``."""
+        published, deploy, stack = world
+        deploy("public_key_an_integer", reply=Response.success(10**8).to_bytes())
+        proxy = stack(
+            max_rebinds=0,
+            pipeline=PipelineConfig(),
+            verification_cache=VerificationCache(),
+        ).proxy
+        tracemalloc.start()
+        try:
+            responses = proxy.handle_many(
+                [published.url("index.html"), published.url("img/logo.png")]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for response in responses:
+            self.assert_rejected(response)
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("case", ["public_key_not_bytes", "element_without_content"])
     def test_response_frame_without_ok_is_the_same_failure_both_ways(self, world, case):

@@ -4,6 +4,8 @@ purges."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.crypto.certificates import Certificate
@@ -185,6 +187,43 @@ class TestUntrustedFeed:
         )
         assert checker.refresh() == 0
         assert checker.stats.invalid_dropped == 1
+        checker.check(oid)  # garbage revokes nothing
+
+    def test_integer_issuer_key_dropped_without_allocating(
+        self, clock, other_keys, oid
+    ):
+        """The issuer key is read before any signature check: an integer
+        there must be a dropped statement, not ``bytes(10**8)``."""
+        body = {
+            "oid": oid.to_dict(),
+            "scope": "key",
+            "serial": 1,
+            "issued_at": EPOCH,
+            "reason": "a key DER that is a number",
+            "issuer_key_der": 10**8,
+            "element": None,
+            "cert_version": None,
+        }
+        bogus = Certificate.issue(
+            other_keys, REVOCATION_CERT_TYPE, body, not_before=EPOCH
+        )
+
+        class BogusRpc:
+            def call(self, target, method, **kwargs):
+                return {"head": 1, "statements": [bogus.to_dict()]}
+
+        checker = RevocationChecker(
+            BogusRpc(), feed_target=None, clock=clock,
+            max_staleness=MAX_STALENESS,
+        )
+        tracemalloc.start()
+        try:
+            assert checker.refresh() == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checker.stats.invalid_dropped == 1
+        assert peak < 16 * 2**20
         checker.check(oid)  # garbage revokes nothing
 
     def test_replayed_statements_ingested_once(
