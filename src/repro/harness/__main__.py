@@ -8,8 +8,8 @@ Usage::
     python -m repro.harness all
     python -m repro.harness design-choices
     python -m repro.harness loadtest
-    python -m repro.harness <bench> [--quick] [--seed N] [--out PATH]
-    python -m repro.harness benches [--quick] [--seed N] [--out DIR]
+    python -m repro.harness <bench> [--seed N] [--out PATH]
+    python -m repro.harness benches [--seed N] [--out DIR]
     python -m repro.harness bench-report
 
 ``<bench>`` is any target in :data:`repro.harness.kernel.REGISTRY`:
@@ -56,10 +56,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="samples per point")
     parser.add_argument("--seed", type=int, default=0, help="content seed")
     parser.add_argument(
-        "--quick", action="store_true",
-        help="gated benches: fewer iterations (CI smoke mode)",
-    )
-    parser.add_argument(
         "--out", type=pathlib.Path, default=None,
         help="gated benches: where to write the JSON report, a directory for "
         "`benches` (default: BENCH_*.json in the repo root)",
@@ -67,14 +63,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.target in REGISTRY:
-        return run_target(REGISTRY[args.target], args.quick, args.seed, args.out)
+        return run_target(REGISTRY[args.target], args.seed, args.out)
     if args.target == "benches":
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
         code = 0
         for target in REGISTRY.values():
             out = args.out / target.report_name if args.out is not None else None
-            code |= run_target(target, args.quick, args.seed, out)
+            code |= run_target(target, args.seed, out)
             print()
         return code
 

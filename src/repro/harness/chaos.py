@@ -11,17 +11,16 @@ schedule:
 * **baseline** — the pre-resilience stack: single-shot RPC, no
   failover (``max_rebinds=0``).
 
-Two claims are checked, mirroring §3.1.2's "at most denial of service"
-bound:
+The gates measure the claim §3.1.2's "at most denial of service" bound
+leaves open: **resilience earns availability** — the resilient stack
+stays near 100 % while genuine replicas exist, and the baseline
+measurably degrades. The report also counts the bytes each point served
+that were not the owner's; that the count is zero everywhere (faults may
+cost availability, never integrity) is a tier-1 assertion on the same
+run (``tests/harness/test_chaos_unit.py``).
 
-1. **Genuineness invariant**: every byte served OK by either stack is
-   exactly the owner-published content — faults may cost availability,
-   never integrity.
-2. **Resilience earns availability**: the resilient stack stays near
-   100 % while genuine replicas exist; the baseline measurably degrades.
-
-Run with ``python -m repro.harness chaos [--quick]``; writes
-``BENCH_chaos_resilience.json`` for the CI gate.
+Run with ``python -m repro.harness chaos``; writes
+``BENCH_chaos_resilience.json``.
 """
 
 from __future__ import annotations
@@ -62,6 +61,9 @@ CLIENT_HOST = "sporty.cs.vu.nl"
 
 DROP_RATES = (0.0, 0.1, 0.2, 0.3)
 CORRUPT_RATE = 0.02
+
+#: Requests per sweep point (the primary crashes after half of them).
+REQUESTS = 120
 
 ELEMENTS = {
     "index.html": b"<html><body>the one true chaos page</body></html>",
@@ -166,7 +168,7 @@ def _run_point(
             transport=flaky,
             retry_policy=policy,
             health=health,
-            tracer=Tracer(clock=testbed.clock, sinks=(spans,)),
+            tracer=Tracer(clock=testbed.clock, sinks=(spans,), origin=CLIENT_HOST),
         )
     else:
         health = None
@@ -214,37 +216,24 @@ def _run_point(
     )
 
 
-def run_chaos(quick: bool = False, seed: int = 0) -> ChaosReport:
+def run_chaos(seed: int = 0) -> ChaosReport:
     """The full sweep: each rate once resilient, once baseline."""
-    requests = 40 if quick else 120
     report = ChaosReport(replicas=len(REPLICA_SITES))
     for drop in DROP_RATES:
         report.resilient.append(
-            _run_point(drop, CORRUPT_RATE, requests, seed, resilient=True)
+            _run_point(drop, CORRUPT_RATE, REQUESTS, seed, resilient=True)
         )
         report.baseline.append(
-            _run_point(drop, CORRUPT_RATE, requests, seed, resilient=False)
+            _run_point(drop, CORRUPT_RATE, REQUESTS, seed, resilient=False)
         )
     return report
 
 
 def criteria(report: ChaosReport) -> List[Criterion]:
-    """The CI gates.
-
-    * zero unverified bytes anywhere (the invariant);
-    * resilient availability ≥ 99 % at drop ≤ 0.2;
-    * resilient beats baseline in aggregate (the layer does the work).
-    """
+    """The gates: resilient availability ≥ 99 % at drop ≤ 0.2, and the
+    resilient stack beats the baseline in aggregate (the layer does the
+    work)."""
     out = [
-        gate(
-            f"unverified_bytes[{flavour},drop={point.drop_probability}]",
-            point.unverified_bytes, "==", 0,
-            f"unverified bytes served at drop={point.drop_probability}",
-        )
-        for flavour in ("resilient", "baseline")
-        for point in getattr(report, flavour)
-    ]
-    out += [
         gate(
             f"availability[drop={point.drop_probability}]",
             point.availability, ">=", AVAILABILITY_TARGET,

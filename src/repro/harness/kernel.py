@@ -1,7 +1,7 @@
 """Harness kernel: the bench registry, the gate evaluator, the report envelope.
 
 Every gated bench is one :class:`BenchTarget` — a name, a report file, and
-two functions: ``run(quick, seed)`` produces the bench's report and
+two functions: ``run(seed)`` produces the bench's report and
 ``criteria(report)`` declares its gates as a list of :class:`Criterion`
 (built with :func:`gate`). Everything else is shared and lives here once:
 :func:`run_target` runs a bench, writes the envelope (also on failure),
@@ -14,9 +14,19 @@ A new bench is a module with a ``TARGET`` plus one line in
 :data:`_BENCH_MODULES`. A bench measures, a test decides: a gate belongs
 here only if it thresholds a number the run *measures* (a speed-up, a
 throughput multiple, availability per drop rate, containment seconds,
-alert latency, attribution error). A yes/no on a deterministic run is a
-tier-1 assertion — ``tests/harness/test_kernel.py::PINNED_GATES`` names,
-for every gate retired under this rule, the test that decides it.
+alert latency, attribution error); a measurement that never happened
+reads ``math.inf``, so its one gate fails. A yes/no on a deterministic
+run is a tier-1 assertion — ``tests/harness/test_kernel.py::PINNED_GATES``
+names, for every gate retired under this rule, the test that decides it.
+
+A bench is one deterministic run per seed, and the committed
+``BENCH_*.json`` is that run at seed 0:
+``tests/harness/test_kernel.py::test_committed_report_is_current`` fails
+until a change to simulated behaviour regenerates the reports with
+``python -m repro.harness benches``. So a bench's tracers take a named
+``origin``: the default (``t<n>``) counts tracers process-wide, and the
+trace context it names rides in every frame, so its length would reach
+the simulated transfer time.
 """
 
 from __future__ import annotations
@@ -93,7 +103,7 @@ class BenchTarget:
 
     name: str  #: CLI target name
     report_name: str  #: ``BENCH_*.json`` file name under the repo root
-    run: Callable[[bool, int], object]  #: ``run(quick, seed)`` -> report
+    run: Callable[[int], object]  #: ``run(seed)`` -> report
     criteria: Callable[[object], List[Criterion]]
 
 
@@ -117,14 +127,12 @@ def write_envelope(
     target: BenchTarget,
     report,
     criteria: List[Criterion],
-    quick: bool,
     seed: int,
 ) -> dict:
     """Write (and return) the one report shape every bench shares."""
     envelope = {
         "name": target.name,
         "seed": seed,
-        "quick": quick,
         "env": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -137,18 +145,16 @@ def write_envelope(
     return envelope
 
 
-def run_target(
-    target: BenchTarget, quick: bool, seed: int, out: Optional[pathlib.Path] = None
-) -> int:
+def run_target(target: BenchTarget, seed: int, out: Optional[pathlib.Path] = None) -> int:
     """Run one bench end to end; the process exit code (0 = gates green).
 
     The report is written before the gates are judged, so a red run
     still leaves its evidence behind.
     """
-    report = target.run(quick, seed)
+    report = target.run(seed)
     criteria = target.criteria(report)
     path = out if out is not None else REPO_ROOT / target.report_name
-    envelope = write_envelope(path, target, report, criteria, quick, seed)
+    envelope = write_envelope(path, target, report, criteria, seed)
     print(render_bench_summary({target.name: envelope}))
     failed = problems(criteria)
     for problem in failed:

@@ -19,18 +19,20 @@ fixed sim-clock cadence, and injects three sequential faults:
    abandons the revoked document the trailing window drains and the
    alert resolves.
 
-The run asserts three gates (see :func:`criteria`): the alert
-timeline fires/resolves in exactly that order with clock-charged
-latencies, the registry's access-time histogram agrees with the
-harness's own clock readings around each ``proxy.handle`` within
-1%, and two idle scrapes are byte-identical in both exposition formats.
+The run gates six numbers (see :func:`criteria`): each alert's
+clock-charged fire or resolve latency, measured from the fault that
+drives it, against a bound set by the detection mechanics. That the
+timeline runs in injection order and the workload sees no failure but
+the revocation rejections is a tier-1 assertion on the same run
+(``tests/harness/test_monitor_unit.py``).
 
-Run with ``python -m repro.harness monitor [--quick]``; writes
-``BENCH_monitor_plane.json`` for the CI gate and the aggregate report.
+Run with ``python -m repro.harness monitor``; writes
+``BENCH_monitor_plane.json``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -54,15 +56,7 @@ __all__ = [
     "run_monitor",
     "criteria",
     "TARGET",
-    "CONSISTENCY_TOLERANCE",
 ]
-
-#: Gate (a): |registry histogram sum / the harness's own clock-measured
-#: access time - 1| must stay within this. Both observers read the one
-#: sim clock around ``proxy.handle``, so the measured ratio is 1.0 to
-#: float precision; the 1% bound is the regression guard, not an
-#: accuracy estimate.
-CONSISTENCY_TOLERANCE = 0.01
 
 #: Replica servers for the monitored documents (the feed — and nothing
 #: the workload reads — stays on ginger, so a feed outage never starves
@@ -78,8 +72,10 @@ CLIENT_HOSTS = ("canardo.inria.fr", "ensamble02.cornell.edu")
 #: every collector-driven gauge refreshes — on this fixed grid.
 SCRAPE_INTERVAL = 5.0
 
-#: Simulated think time between accesses.
+#: Simulated think time between accesses, and the healthy warmup
+#: before the first fault.
 THINK_TIME = 1.0
+WARMUP_SECONDS = 20.0
 
 #: Modelled CPU cost of evaluating one alert rule (charged to the sim
 #: clock per rule per scrape — the monitor plane is not free).
@@ -137,9 +133,6 @@ ALERT_TRANSITIONS = {
     ),
 }
 
-#: Gate: the scrape cadence must have run at least this many times.
-MIN_SCRAPES = 10
-
 DOC_ELEMENTS = {
     "index.html": b"<html><body>monitor-plane workload page</body></html>",
     "logo.gif": b"GIF89a-monitor-bench-bytes",
@@ -173,18 +166,7 @@ class MonitorReport:
     ok: int = 0
     rejected: int = 0
     other_failures: int = 0
-    harness_access_seconds: float = 0.0
-    registry_access_seconds: float = 0.0
-    idle_text_identical: bool = False
-    idle_json_identical: bool = False
-    series_count: int = 0
     final_firing: List[str] = field(default_factory=list)
-
-    @property
-    def consistency_ratio(self) -> float:
-        if self.harness_access_seconds <= 0:
-            return 0.0
-        return self.registry_access_seconds / self.harness_access_seconds
 
     def alert_latencies(self) -> Dict[str, Optional[float]]:
         """Clock-charged fire/resolve latencies against the injections."""
@@ -196,11 +178,7 @@ class MonitorReport:
         return latencies
 
     def to_dict(self) -> dict:
-        return dict(
-            asdict(self),
-            alert_latencies=self.alert_latencies(),
-            consistency_ratio=self.consistency_ratio,
-        )
+        return dict(asdict(self), alert_latencies=self.alert_latencies())
 
 
 # ----------------------------------------------------------------------
@@ -224,9 +202,6 @@ class _MonitorWorld:
             self._client_stack(host) for host in CLIENT_HOSTS
         ]
         self.engine = self._build_engine()
-        # Consistency-gate accumulator: clock time around every
-        # ``proxy.handle`` the workload issued.
-        self.harness_access_seconds = 0.0
         self.counts = {"accesses": 0, "ok": 0, "rejected": 0, "other": 0}
         self.scrapes = 0
         self._next_scrape = SCRAPE_INTERVAL
@@ -326,9 +301,7 @@ class _MonitorWorld:
     # -- workload -------------------------------------------------------
 
     def _access(self, stack: ClientStack, label: str, element: str) -> None:
-        started = self.clock.now()
         response = stack.proxy.handle(self.documents[label].url(element))
-        self.harness_access_seconds += self.clock.now() - started
         self.counts["accesses"] += 1
         if response.ok:
             self.counts["ok"] += 1
@@ -374,15 +347,15 @@ class _MonitorWorld:
 # ----------------------------------------------------------------------
 
 
-def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
-    """The full monitor bench: warmup, three faults, idle round-trip."""
+def run_monitor(seed: int = 0) -> MonitorReport:
+    """The full monitor bench: warmup, then three faults."""
     world = _MonitorWorld(seed)
     engine = world.engine
     faults = FaultTimes()
 
     # Phase 0 — healthy warmup: sessions bound, feeds synced, a few
     # clean scrapes on the books.
-    world.drive(12.0 if quick else 20.0)
+    world.drive(WARMUP_SECONDS)
 
     # Phase 1 — replica kill. The inria client is bound to the inria
     # replica; killing it forces retry → circuit open → failover.
@@ -436,16 +409,6 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
         stop_when=lambda: engine.state_of("revocation_rejections") == "resolved",
     )
 
-    # Gate (c) — idle round-trip: two scrapes with no traffic and no
-    # clock movement must be byte-identical in both formats.
-    world.registry.collect()
-    text_a, text_b = (
-        world.registry.to_prometheus_text(),
-        world.registry.to_prometheus_text(),
-    )
-    json_a, json_b = world.registry.to_json(), world.registry.to_json()
-
-    snapshot = world.registry.snapshot()
     return MonitorReport(
         scrape_interval=SCRAPE_INTERVAL,
         scrapes=world.scrapes,
@@ -457,11 +420,6 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
         ok=world.counts["ok"],
         rejected=world.counts["rejected"],
         other_failures=world.counts["other"],
-        harness_access_seconds=world.harness_access_seconds,
-        registry_access_seconds=world.registry.total("proxy_access_seconds"),
-        idle_text_identical=text_a == text_b,
-        idle_json_identical=json_a == json_b,
-        series_count=sum(len(m["series"]) for m in snapshot.values()),
         final_firing=engine.firing(),
     )
 
@@ -472,84 +430,19 @@ def run_monitor(quick: bool = False, seed: int = 0) -> MonitorReport:
 
 
 def criteria(report: MonitorReport) -> List[Criterion]:
-    """The CI gates.
-
-    * every alert fired exactly when its fault was live and resolved
-      afterwards, in injection order (circuit → staleness → rejections);
-    * fire/resolve latencies are clock-charged and bounded by the
-      detection mechanics (scrape cadence, poll interval, quarantine);
-    * the registry's access-seconds histogram matches the harness's
-      own clock-measured access time within 1%;
-    * two idle scrapes are byte-identical (text and JSON);
-    * nothing is left firing, and the workload saw no failures other
-      than the revocation rejections the scenario demands.
-    """
-    reached = [
-        (rule, transition, report.fire_resolve.get(rule, {}).get(transition))
-        for rule, transition, _, _ in ALERT_TRANSITIONS.values()
-    ]
-    out = [
-        gate(
-            f"reached[{rule}.{transition}]", stamp is not None, "==", True,
-            f"alert {rule} never reached {transition}",
-        )
-        for rule, transition, stamp in reached
-    ]
-    stamps = [stamp for _, _, stamp in reached]
-    if None not in stamps:
-        out.append(
-            gate(
-                "timeline_in_order", stamps == sorted(stamps), "==", True,
-                "alert timeline out of order: "
-                + ", ".join(f"{r}.{t}={stamp:.1f}" for r, t, stamp in reached),
-            )
-        )
+    """The gates: every alert transition's latency from its fault,
+    bounded by the detection mechanics (scrape cadence, poll interval,
+    quarantine). A transition that never happened reads ``math.inf``."""
+    out = []
     for key, latency in report.alert_latencies().items():
-        if latency is None:
-            continue  # already reported as a missing transition
+        latency = math.inf if latency is None else latency
         bound = ALERT_TRANSITIONS[key][3]
-        out += [
-            gate(
-                f"latency_nonnegative[{key}]", latency, ">=", 0,
-                f"{key}: negative latency {latency:.2f}s",
-            ),
+        out.append(
             gate(
                 f"latency[{key}]", latency, "<=", bound,
                 f"{key}: {latency:.1f}s exceeds bound {bound:.1f}s",
-            ),
-        ]
-    ratio = report.consistency_ratio
-    out += [
-        gate(
-            "consistency_drift", abs(ratio - 1.0), "<=", CONSISTENCY_TOLERANCE,
-            f"registry/AccessMetrics consistency ratio {ratio:.4f} outside "
-            f"1 ± {CONSISTENCY_TOLERANCE}",
-        ),
-        gate(
-            "idle_text_identical", report.idle_text_identical, "==", True,
-            "idle Prometheus-text scrapes differ",
-        ),
-        gate(
-            "idle_json_identical", report.idle_json_identical, "==", True,
-            "idle JSON snapshots differ",
-        ),
-        gate(
-            "final_firing", report.final_firing, "==", [],
-            f"alerts still firing at end of run: {report.final_firing}",
-        ),
-        gate(
-            "rejected", report.rejected, ">", 0,
-            "scenario produced no revocation rejections",
-        ),
-        gate(
-            "other_failures", report.other_failures, "==", 0,
-            f"{report.other_failures} non-revocation failures in the workload",
-        ),
-        gate(
-            "scrapes", report.scrapes, ">=", MIN_SCRAPES,
-            f"only {report.scrapes} scrapes — cadence did not run",
-        ),
-    ]
+            )
+        )
     return out
 
 

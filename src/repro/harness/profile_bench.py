@@ -27,19 +27,18 @@ The workload mixes the traffic classes of a live GlobeDoc fleet:
   (authenticity, consistency, freshness), each expected to close the
   responsible ``check.*`` span with error status.
 
-A separate **pipeline comparison** replays the document through the
-sequential and the concurrent access pipeline (one shared tracer each)
-and attributes every ``rpc.attempt`` to the ``proxy.handle`` it blocked.
+``BENCH_profile.json`` records the stitching health, the per-span-name
+latency table, the critical-path attribution per cost category,
+critical-path p50/p99, the top-5 hottest span families, the SLO verdicts
+with the alert timeline, and the census of which check rejected what.
+Two numbers are gated: the cross-process stitch rate must be 1.0 (every
+server/gossip span reachable from its client root), and the category
+attribution must sum to each trace's duration within 1%. The rest — the
+roots, span families, categories, burn lifecycle, rejection census and
+workload health — is asserted by tier-1 on the same run
+(``tests/harness/test_profile_unit.py``).
 
-``BENCH_profile.json`` records the stitching health (cross-process
-stitch rate must be 1.0 — every server/gossip span reachable from its
-client root), the per-span-name latency table, the critical-path
-attribution per cost category (must sum to each trace's duration within
-1%), critical-path p50/p99, the top-5 hottest span families, the SLO
-verdicts with the alert timeline, the census of which check rejected
-what, and the pipelined-vs-sequential in-handle ``rpc.attempt`` share.
-
-Run with ``python -m repro.harness profile [--quick]``.
+Run with ``python -m repro.harness profile``.
 """
 
 from __future__ import annotations
@@ -74,10 +73,8 @@ from repro.obs import (
     Tracer,
     TraceAssembler,
 )
-from repro.obs.alerts import STATE_FIRING, STATE_PENDING, STATE_RESOLVED
 from repro.obs.slo import AvailabilityObjective, BurnWindow
 from repro.proxy.contentcache import ContentCache
-from repro.proxy.pipeline import PipelineConfig
 from repro.sim.clock import SimClock
 from repro.sim.random import derive_seed
 from repro.versioning import DeltaDag, SignedDelta, WriterGrant
@@ -85,7 +82,6 @@ from repro.versioning.writer import DocumentWriter
 
 __all__ = [
     "run_profile",
-    "run_pipeline_comparison",
     "criteria",
     "TARGET",
 ]
@@ -101,52 +97,6 @@ ELEMENTS = {
     "logo.png": bytes(range(256)) * 48,
 }
 
-#: Every trace root must be one of these — a client access, a writer
-#: publish, an anti-entropy round, or a revocation-feed poll. Any other
-#: root means a server-side span failed to join its causing trace.
-ALLOWED_ROOTS = frozenset(
-    {"proxy.handle", "session.publish", "gossip.run", "revocation.refresh"}
-)
-
-#: Span families the mixed workload must produce somewhere in the fleet
-#: — one per instrumented pipeline layer, plus the server-side families
-#: that only a stitched trace can attribute. A missing name means an
-#: instrumentation point was unplugged.
-EXPECTED_SPANS = (
-    "proxy.handle",
-    "session.establish",
-    "session.fetch",
-    "bind.resolve",
-    "bind.locate",
-    "check.public_key",
-    "check.certificate",
-    "check.consistency",
-    "check.element_hash",
-    "check.freshness",
-    "cache.get",
-    "cache.put",
-    "rpc.call",
-    "server.handle",
-    "gossip.run",
-    "versioning.put_delta",
-    "storage.journal",
-    "revocation.refresh",
-)
-
-#: Spans only the concurrent pipeline produces.
-PIPELINE_SPANS = ("pipeline.schedule", "pipeline.prefetch", "pipeline.batch_verify")
-
-#: Adversarial probes: every violated property must be rejected by its
-#: own check's span (name → expected error type).
-EXPECTED_REJECTIONS = {
-    "check.element_hash": "AuthenticityError",
-    "check.consistency": "ConsistencyError",
-    "check.freshness": "FreshnessError",
-}
-
-#: Cost categories the critical-path aggregate must cover.
-EXPECTED_CATEGORIES = ("cache", "crypto", "merge", "proxy", "rpc", "storage")
-
 #: Per-trace attribution must close to this relative tolerance (the
 #: boundary sweep is exact; this absorbs float rounding only).
 ATTRIBUTION_TOLERANCE = 0.01
@@ -157,6 +107,14 @@ LATENCY_TARGET = 0.99
 LATENCY_THRESHOLD_S = 0.25
 
 SESSION_DROP_EVERY = 6
+
+#: Workload size: verified reads, write+gossip rounds, explicit feed
+#: refreshes, and the requests of the SLO breach and its recovery.
+READS = 144
+WRITE_ROUNDS = 8
+REFRESHES = 8
+BREACH_REQUESTS = 48
+RECOVERY_REQUESTS = 12
 
 #: The simulated processes, one tracer each.
 PROCESSES = (
@@ -169,22 +127,16 @@ PROCESSES = (
 )
 
 
-def run_profile(quick: bool = False, seed: int = 0) -> dict:
+def run_profile(seed: int = 0) -> dict:
     """Drive the mixed workload, return the JSON-ready report."""
     scratch = tempfile.mkdtemp(prefix="repro-profile-")
     try:
-        return _run(quick, seed, scratch)
+        return _run(seed, scratch)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _run(quick: bool, seed: int, scratch: str) -> dict:
-    reads = 36 if quick else 144
-    write_rounds = 3 if quick else 8
-    refreshes = 3 if quick else 8
-    breach_requests = 24 if quick else 48
-    recovery_requests = 6 if quick else 12
-
+def _run(seed: int, scratch: str) -> dict:
     clock = SimClock()
     clock.advance(100.0)
     metrics = MetricsRegistry(clock=clock)
@@ -289,14 +241,14 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     )
     names = list(ELEMENTS)
     read_ok = 0
-    for i in range(reads):
+    for i in range(READS):
         if i % SESSION_DROP_EVERY == 0:
             read_stack.proxy.drop_all_sessions()
         if read_stack.proxy.handle(published.url(names[i % len(names)])).ok:
             read_ok += 1
         if i % 8 == 0:
             engine.evaluate()
-    workload["reads"] = reads
+    workload["reads"] = READS
     workload["read_ok"] = read_ok
 
     # -------------------------------------------------- writes + gossip
@@ -325,7 +277,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     gossip_pulled = 0
     gossip_pushed = 0
     writer_tracer = tracers["writer-cornell"]
-    for round_index in range(write_rounds):
+    for round_index in range(WRITE_ROUNDS):
         for writer_id, writer in sorted(writers.items()):
             home = home_endpoints[writer_id]
             with writer_tracer.span(
@@ -378,10 +330,10 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     )
 
     # ------------------------------------------------------- revocation
-    for _ in range(refreshes):
+    for _ in range(REFRESHES):
         read_stack.revocation.refresh()
         clock.advance(1.0)
-    workload["revocation_refreshes"] = refreshes
+    workload["revocation_refreshes"] = REFRESHES
 
     # --------------------------------------------- SLO breach + recovery
     plan = FaultPlan(
@@ -400,20 +352,20 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         tracer=tracers["proxy-cornell"],
     )
     breach_ok = 0
-    for i in range(breach_requests):
+    for i in range(BREACH_REQUESTS):
         if i % SESSION_DROP_EVERY == 0:
             breach_stack.proxy.drop_all_sessions()
         if breach_stack.proxy.handle(published.url(names[i % len(names)])).ok:
             breach_ok += 1
         if i % 4 == 3:
             engine.evaluate()
-    workload["breach_requests"] = breach_requests
+    workload["breach_requests"] = BREACH_REQUESTS
     workload["breach_ok"] = breach_ok
 
     # Fault clears; healthy traffic plus enough elapsed time for both
     # burn windows to drain their bad samples.
     recovery_ok = 0
-    for i in range(recovery_requests):
+    for i in range(RECOVERY_REQUESTS):
         if read_stack.proxy.handle(published.url(names[i % len(names)])).ok:
             recovery_ok += 1
         clock.advance(10.0)
@@ -421,7 +373,7 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     for _ in range(30):
         clock.advance(12.0)
         engine.evaluate()
-    workload["recovery_requests"] = recovery_requests
+    workload["recovery_requests"] = RECOVERY_REQUESTS
     workload["recovery_ok"] = recovery_ok
 
     # ------------------------------------------------ adversarial probes
@@ -465,12 +417,9 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
     stitching["spans_dropped"] = sum(ring.dropped for ring in rings.values())
 
     root_names: Dict[str, int] = {}
-    bad_roots: List[str] = []
     for trace in traces:
         for root in trace.roots:
             root_names[root.name] = root_names.get(root.name, 0) + 1
-            if root.name not in ALLOWED_ROOTS:
-                bad_roots.append(f"{root.name} ({root.ref})")
 
     profiler = CriticalPathProfiler()
     max_rel_error = 0.0
@@ -486,7 +435,6 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         "workload": workload,
         "stitching": stitching,
         "roots": root_names,
-        "bad_roots": bad_roots,
         "phases": stats.stats(),
         "profile": profiler.aggregate(top=5),
         "max_relative_attribution_error": max_rel_error,
@@ -494,207 +442,22 @@ def _run(quick: bool, seed: int, scratch: str) -> dict:
         "latency_compliance": latency.compliance(metrics),
         "alert_evaluations": engine.evaluations,
         "security_rejections": stats.error_census("check."),
-        "pipeline_comparison": run_pipeline_comparison(quick=quick, seed=seed),
     }
     peer_server.close()
     testbed.close_stores()
     return report
 
 
-# ----------------------------------------------------------------------
-# Pipeline comparison (sequential vs concurrent, one shared tracer each)
-# ----------------------------------------------------------------------
-
-
-def _attempt_share(ring: RingBufferSink) -> Dict[str, float]:
-    """How much ``rpc.attempt`` time sits *inside* ``proxy.handle``.
-
-    Spans carry parent links, so each attempt can be attributed: an
-    attempt whose ancestor chain reaches ``proxy.handle`` blocked an
-    access being served; one under ``pipeline.schedule``'s prefetch ran
-    off the serving path. The *share* is in-handle attempt time over
-    total handle time — the fraction of request handling spent waiting
-    on the wire, which is exactly what the concurrent pipeline exists to
-    shrink.
-    """
-    spans = ring.spans
-    by_id = {span.span_id: span for span in spans}
-    handle_total = 0.0
-    attempt_total = 0.0
-    attempt_in_handle = 0.0
-    for span in spans:
-        if span.name == "proxy.handle":
-            handle_total += span.duration
-        elif span.name == "rpc.attempt":
-            attempt_total += span.duration
-            parent = span.parent_id
-            while parent is not None:
-                ancestor = by_id.get(parent)
-                if ancestor is None:
-                    break
-                if ancestor.name == "proxy.handle":
-                    attempt_in_handle += span.duration
-                    break
-                parent = ancestor.parent_id
-    return {
-        "handle_total_s": handle_total,
-        "rpc_attempt_total_s": attempt_total,
-        "rpc_attempt_in_handle_s": attempt_in_handle,
-        "rpc_attempt_share": (
-            attempt_in_handle / handle_total if handle_total else 0.0
-        ),
-    }
-
-
-def _run_pipeline_mode(pipelined: bool, waves: int, seed: int) -> Dict[str, object]:
-    """One mode of the pipeline comparison: same document, same waves,
-    fresh testbed/clock/tracer, retry layer enabled in both."""
-    ring = RingBufferSink(capacity=8192)
-    stats = SpanStats()
-    clock = SimClock()
-    tracer = Tracer(clock=clock, sinks=(ring, stats))
-    testbed = Testbed(clock=clock, tracer=tracer)
-    published = testbed.publish(
-        testbed.document_owner("vu.nl/profile-pipe", ELEMENTS),
-        validity=7 * 24 * 3600.0,
-    )
-    stack = testbed.client_stack(
-        READ_HOST,
-        verification_cache=VerificationCache(),
-        retry_policy=RetryPolicy(
-            max_attempts=3, base_delay=0.02, seed=derive_seed(seed, "pipe-retry")
-        ),
-        tracer=tracer,
-        pipeline=PipelineConfig() if pipelined else None,
-    )
-    urls = [published.url(name) for name in ELEMENTS]
-    ok = 0
-    start = clock.now()
-    for _ in range(waves):
-        responses = stack.proxy.handle_many(urls)
-        ok += sum(1 for response in responses if response.ok)
-        stack.proxy.drop_all_sessions()
-    elapsed = clock.now() - start
-    phases = stats.stats()
-    result: Dict[str, object] = {
-        "pipelined": pipelined,
-        "requests": waves * len(urls),
-        "ok": ok,
-        "elapsed_s": elapsed,
-        "pipeline_spans": {
-            name: phases[name]["count"] for name in PIPELINE_SPANS if name in phases
-        },
-    }
-    result.update(_attempt_share(ring))
-    return result
-
-
-def run_pipeline_comparison(quick: bool = False, seed: int = 0) -> Dict[str, object]:
-    """Sequential vs concurrent pipeline over the profiled document."""
-    waves = 3 if quick else 6
-    sequential = _run_pipeline_mode(pipelined=False, waves=waves, seed=seed)
-    pipelined = _run_pipeline_mode(pipelined=True, waves=waves, seed=seed)
-    return {
-        "waves": waves,
-        "requests_per_wave": len(ELEMENTS),
-        "sequential": sequential,
-        "pipelined": pipelined,
-        "speedup": (
-            sequential["elapsed_s"] / pipelined["elapsed_s"]
-            if pipelined["elapsed_s"]
-            else float("inf")
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
-# Gates / rendering
-# ----------------------------------------------------------------------
-
-
-def _lifecycle_complete(timeline: List[dict], rule: str) -> bool:
-    """True when *rule*'s events contain pending → firing → resolved in
-    causal order."""
-    wanted = [STATE_PENDING, STATE_FIRING, STATE_RESOLVED]
-    position = 0
-    for event in timeline:
-        if event.get("rule") != rule:
-            continue
-        if event.get("state") == wanted[position]:
-            position += 1
-            if position == len(wanted):
-                return True
-    return False
-
-
 def criteria(report: dict) -> List[Criterion]:
-    """The CI gates: workload health, stitching, span coverage,
-    critical-path attribution, the SLO lifecycle, the rejection census
-    and the pipeline comparison."""
-    workload = report["workload"]
-    out: List[Criterion] = []
-    for phase, ok_key in (("reads", "read_ok"), ("recovery_requests", "recovery_ok")):
-        out.append(
-            gate(
-                f"{phase}_ok", workload[ok_key], "==", workload[phase],
-                f"{phase} degraded: {workload[ok_key]}/{workload[phase]} ok",
-            )
-        )
-    out += [
-        gate(
-            "converged", bool(workload["converged"]), "==", True,
-            "servers did not converge after gossip",
-        ),
-        gate(
-            "gossip_exchanged",
-            workload["gossip_pulled"] + workload["gossip_pushed"], ">", 0,
-            "gossip exchanged no deltas",
-        ),
-    ]
-
+    """The gates: every span stitched into its causing trace, and the
+    critical-path attribution closing on every trace's duration."""
     stitching = report["stitching"]
-    out.append(
+    rel_error = report["max_relative_attribution_error"]
+    return [
         gate(
             "stitch_rate", stitching["stitch_rate"], "==", 1.0,
             f"cross-process stitch rate {stitching['stitch_rate']} != 1.0 "
             f"({stitching['orphan_spans']} orphan spans)",
-        )
-    )
-    for key in ("orphan_spans", "skewed_spans", "spans_dropped", "duplicate_refs"):
-        out.append(
-            gate(key, stitching[key], "==", 0, f"{key} = {stitching[key]} (expected 0)")
-        )
-    out += [
-        gate(
-            "cross_process_spans", stitching["cross_process_spans"], ">", 0,
-            "no spans were adopted across processes",
-        ),
-        gate(
-            "cross_process_traces", stitching["cross_process_traces"], ">", 0,
-            "no trace spanned more than one process",
-        ),
-        gate(
-            "bad_roots", report["bad_roots"], "==", [],
-            "server/gossip spans surfaced as trace roots instead of joining "
-            f"their causing trace: {report['bad_roots'][:5]}",
-        ),
-    ]
-
-    phases = report["phases"]
-    for name in EXPECTED_SPANS:
-        count = phases.get(name, {}).get("count", 0)
-        out.append(gate(f"spans[{name}]", count, ">", 0, f"no {name!r} spans recorded"))
-
-    profile = report["profile"]
-    rel_error = report["max_relative_attribution_error"]
-    out += [
-        gate(
-            "traces_profiled", profile["traces_profiled"], ">", 0,
-            "no traces were profiled",
-        ),
-        gate(
-            "rootless_traces", profile["rootless_traces"], "==", 0,
-            f"{profile['rootless_traces']} traces had no unique root",
         ),
         gate(
             "attribution_error", rel_error, "<=", ATTRIBUTION_TOLERANCE,
@@ -702,79 +465,6 @@ def criteria(report: dict) -> List[Criterion]:
             f"(tolerance {ATTRIBUTION_TOLERANCE:.0%})",
         ),
     ]
-    for category in EXPECTED_CATEGORIES:
-        out.append(
-            gate(
-                f"category[{category}]", category in profile["categories"], "==", True,
-                f"no critical-path time attributed to {category!r}",
-            )
-        )
-    hottest = len(profile["hottest"])
-    out.append(
-        gate("hottest", hottest, ">=", 5, f"fewer than 5 hot span families: {hottest}")
-    )
-
-    slo = report["slo"]
-    out += [
-        gate(
-            "fast_burn_lifecycle",
-            _lifecycle_complete(slo["alert_timeline"], "access_latency:fast_burn"),
-            "==", True,
-            "seeded SLO breach did not drive access_latency:fast_burn through "
-            "pending → firing → resolved",
-        ),
-        gate(
-            "latency_objective_reported",
-            "access_latency" in {v["objective"] for v in slo["objectives"]}, "==", True,
-            "latency objective missing from SLO verdicts",
-        ),
-    ]
-
-    rejections = report["security_rejections"]
-    for span_name, error_type in EXPECTED_REJECTIONS.items():
-        out.append(
-            gate(
-                f"rejection[{span_name}]",
-                error_type in rejections.get(span_name, {}), "==", True,
-                f"expected {span_name!r} to reject with {error_type}, "
-                f"got {rejections.get(span_name)}",
-            )
-        )
-
-    sequential = report["pipeline_comparison"]["sequential"]
-    pipelined = report["pipeline_comparison"]["pipelined"]
-    for label, mode in (("sequential", sequential), ("pipelined", pipelined)):
-        out.append(
-            gate(
-                f"pipeline_ok[{label}]", mode["ok"], "==", mode["requests"],
-                f"pipeline-comparison workload degraded "
-                f"({label}: {mode['ok']}/{mode['requests']} ok)",
-            )
-        )
-    out += [
-        gate(
-            "pipelined_attempt_share",
-            pipelined["rpc_attempt_share"], "<", sequential["rpc_attempt_share"],
-            "pipelined rpc.attempt share of proxy.handle did not shrink: "
-            f"{pipelined['rpc_attempt_share']:.3f} vs sequential "
-            f"{sequential['rpc_attempt_share']:.3f}",
-        ),
-        gate(
-            "pipelined_elapsed_s",
-            pipelined["elapsed_s"], "<=", sequential["elapsed_s"],
-            "pipelined workload slower than sequential: "
-            f"{pipelined['elapsed_s']:.3f} s vs {sequential['elapsed_s']:.3f} s",
-        ),
-    ]
-    for name in PIPELINE_SPANS:
-        out.append(
-            gate(
-                f"pipelined_spans[{name}]",
-                pipelined["pipeline_spans"].get(name, 0), ">", 0,
-                f"no {name!r} spans recorded in pipelined mode",
-            )
-        )
-    return out
 
 
 TARGET = BenchTarget("profile", "BENCH_profile.json", run_profile, criteria)

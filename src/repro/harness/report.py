@@ -109,13 +109,12 @@ def render_bench_summary(reports: Dict[str, dict]) -> str:
     failing = 0
     for name, report in sorted(reports.items()):
         if "error" in report:
-            rows.append([name, "-", "unreadable", report["error"], "-", "FAIL"])
+            rows.append([name, "unreadable", report["error"], "-", "FAIL"])
             failing += 1
             continue
-        mode = "quick" if report.get("quick") else "full"
         criteria = report.get("criteria")
         if not isinstance(criteria, list):
-            rows.append([name, mode, "no criteria envelope", "-", "-", "FAIL"])
+            rows.append([name, "no criteria envelope", "-", "-", "FAIL"])
             failing += 1
             continue
         for criterion in criteria:
@@ -124,16 +123,13 @@ def render_bench_summary(reports: Dict[str, dict]) -> str:
             rows.append(
                 [
                     name,
-                    mode,
                     str(criterion.get("name", "?")),
                     _cell(criterion.get("value")),
                     _cell(criterion.get("threshold")),
                     "PASS" if ok else f"FAIL: {criterion.get('message', '')}",
                 ]
             )
-    table = render_table(
-        ["bench", "mode", "criterion", "value", "threshold", "verdict"], rows
-    )
+    table = render_table(["bench", "criterion", "value", "threshold", "verdict"], rows)
     return (
         f"Collected bench reports\n{table}\n"
         f"{len(reports)} reports, {len(rows)} criteria, {failing} failing"

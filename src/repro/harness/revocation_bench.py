@@ -19,12 +19,19 @@ which hosts no replica. Distribution to the feed goes through
 :meth:`~repro.harness.experiment.Testbed.publish_revocation`, the
 owner-side coordinator path.
 
-Run with ``python -m repro.harness revocation [--quick]``; writes
-``BENCH_revocation.json`` for the CI gate.
+The gates threshold those two numbers. What the run only counts — each
+rejection attributed to ``RevokedKeyError``, no serve after containment,
+no non-security failure, both overhead schedules fully served — is a
+tier-1 assertion on the same run
+(``tests/harness/test_revocation_bench_unit.py``).
+
+Run with ``python -m repro.harness revocation``; writes
+``BENCH_revocation.json``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
@@ -55,6 +62,10 @@ ELEMENTS = {
     "index.html": b"<html><body>soon to be revoked, genuine until then</body></html>",
     "logo.gif": b"GIF89a-revocation-bench-bytes",
 }
+
+#: Proxies in the containment sweep, and accesses per overhead schedule.
+CONTAINMENT_PROXIES = 8
+OVERHEAD_ACCESSES = 120
 
 #: Smallest max-staleness window in the sweep; proxy *i* gets
 #: ``BASE_STALENESS + i * STALENESS_STEP`` (all poll at half their window).
@@ -90,7 +101,7 @@ class ProxyContainment:
     stale_bytes: int = 0
     other_failures: int = 0
     contained: bool = False
-    containment_seconds: float = -1.0
+    containment_seconds: float = math.inf
     rejection_error: str = ""
     post_containment_ok: int = 0
     feed_refreshes: int = 0
@@ -180,16 +191,15 @@ def _build_world() -> Tuple[Testbed, PublishedObject]:
 # ----------------------------------------------------------------------
 
 
-def _run_overhead(quick: bool, enabled: bool) -> OverheadPoint:
+def _run_overhead(enabled: bool) -> OverheadPoint:
     """One stack flavour through the fixed schedule; nothing revoked."""
     testbed, published = _build_world()
     kwargs = {"revocation_max_staleness": BASE_STALENESS} if enabled else {}
     stack = testbed.client_stack("canardo.inria.fr", **kwargs)
-    accesses = 30 if quick else 120
     names = list(ELEMENTS)
     totals: List[float] = []
     ok = 0
-    for i in range(accesses):
+    for i in range(OVERHEAD_ACCESSES):
         testbed.clock.advance(THINK_TIME)
         started = testbed.clock.now()
         response = stack.proxy.handle(published.url(names[i % len(names)]))
@@ -199,7 +209,7 @@ def _run_overhead(quick: bool, enabled: bool) -> OverheadPoint:
     stats = summarize(totals)
     return OverheadPoint(
         enabled=enabled,
-        accesses=accesses,
+        accesses=OVERHEAD_ACCESSES,
         ok=ok,
         mean_access_seconds=stats.mean,
         p95_access_seconds=stats.p95,
@@ -214,11 +224,10 @@ def _run_overhead(quick: bool, enabled: bool) -> OverheadPoint:
 # ----------------------------------------------------------------------
 
 
-def _run_containment(quick: bool) -> Tuple[List[ProxyContainment], List[str]]:
+def _run_containment() -> Tuple[List[ProxyContainment], List[str]]:
     testbed, published = _build_world()
-    count = 3 if quick else 8
     fleet: List[Tuple[ProxyContainment, ClientStack]] = []
-    for i in range(count):
+    for i in range(CONTAINMENT_PROXIES):
         host = CLIENT_HOSTS[i % len(CLIENT_HOSTS)]
         staleness = BASE_STALENESS + STALENESS_STEP * i
         stack = testbed.client_stack(host, revocation_max_staleness=staleness)
@@ -275,73 +284,36 @@ def _run_containment(quick: bool) -> Tuple[List[ProxyContainment], List[str]]:
 # ----------------------------------------------------------------------
 
 
-def run_revocation(quick: bool = False, seed: int = 0) -> RevocationReport:
+def run_revocation(seed: int = 0) -> RevocationReport:
     """The full bench: containment sweep, then the overhead comparison.
 
     The schedule is fixed, so *seed* changes nothing; it is accepted for
-    the registry's ``run(quick, seed)`` shape."""
-    containment, reached = _run_containment(quick)
+    the registry's ``run(seed)`` shape."""
+    containment, reached = _run_containment()
     report = RevocationReport(
         proxies=len(containment),
         feed_sites_reached=reached,
         containment=containment,
     )
-    report.baseline = _run_overhead(quick, enabled=False)
-    report.enabled = _run_overhead(quick, enabled=True)
+    report.baseline = _run_overhead(enabled=False)
+    report.enabled = _run_overhead(enabled=True)
     return report
 
 
 def criteria(report: RevocationReport) -> List[Criterion]:
-    """The CI gates.
-
-    * every proxy contained, each within its staleness window (+ slack),
-      rejecting with the dedicated :class:`RevokedKeyError`;
-    * containment is permanent — no access succeeds afterwards;
-    * no spurious non-security failures during the sweep;
-    * both overhead schedules fully succeed, and the feed's steady-state
-      cost stays below :data:`MAX_OVERHEAD_RATIO` while actually polling.
-    """
-    out: List[Criterion] = []
-    for index, p in enumerate(report.containment):
-        tag = f"[{index}:{p.host}]"
-        out.append(
-            gate(
-                f"contained{tag}", p.contained, "==", True,
-                f"proxy on {p.host} (staleness {p.max_staleness}) never contained",
-            )
+    """The gates: every proxy contained within its staleness window
+    (+ slack) — an uncontained proxy's ``math.inf`` fails its gate — and
+    the feed's steady-state cost below :data:`MAX_OVERHEAD_RATIO` while
+    actually polling."""
+    out = [
+        gate(
+            f"containment_seconds[{index}:{p.host}]",
+            p.containment_seconds, "<=", p.max_staleness + CONTAINMENT_SLACK,
+            f"containment took {p.containment_seconds:.1f}s on {p.host}, "
+            f"past its {p.max_staleness:.0f}s staleness window",
         )
-        if not p.contained:
-            continue
-        out += [
-            gate(
-                f"containment_seconds{tag}",
-                p.containment_seconds, "<=", p.max_staleness + CONTAINMENT_SLACK,
-                f"containment took {p.containment_seconds:.1f}s on {p.host}, "
-                f"past its {p.max_staleness:.0f}s staleness window",
-            ),
-            gate(
-                f"rejection_error{tag}", p.rejection_error, "==", "RevokedKeyError",
-                f"rejection on {p.host} attributed to {p.rejection_error!r}, "
-                "not RevokedKeyError",
-            ),
-            gate(
-                f"post_containment_ok{tag}", p.post_containment_ok, "==", 0,
-                f"revoked content served after containment on {p.host}",
-            ),
-            gate(
-                f"other_failures{tag}", p.other_failures, "==", 0,
-                f"{p.other_failures} non-security failures on {p.host}",
-            ),
-        ]
-    schedules = (("baseline", report.baseline), ("feed-enabled", report.enabled))
-    for label, point in schedules:
-        if point is not None:
-            out.append(
-                gate(
-                    f"schedule_ok[{label}]", point.ok, ">=", point.accesses,
-                    f"{label} schedule had failing accesses",
-                )
-            )
+        for index, p in enumerate(report.containment)
+    ]
     if report.enabled is not None:
         refreshes = report.enabled.feed_refreshes
         out.append(

@@ -90,27 +90,20 @@ def make_owner(clock):
 
 
 @pytest.fixture(scope="session")
-def quick_report():
-    """``quick_report(name)``: the registered bench *name*'s ``--quick``
-    report at seed 0, run at most once per session (the slowest,
-    ``bench-security``, takes ~12 s) and shared by every test that
-    needs a real report. Treat the result as read-only: deep-copy
-    before mutating.
+def bench_report():
+    """``bench_report(name)``: the registered bench *name*'s report at
+    seed 0 — the run the committed ``BENCH_*.json`` holds — run at most
+    once per session (all five take a few seconds) and shared by every
+    test that needs a real report. Treat the result as read-only:
+    deep-copy before mutating.
     """
-    from repro.harness.kernel import REGISTRY, problems
+    from repro.harness.kernel import REGISTRY
 
     reports = {}
 
     def get(name: str):
         if name not in reports:
-            target = REGISTRY[name]
-            report = target.run(True, 0)
-            # One retry guards the real-time gates (bench-security's
-            # speedups) against a pathologically loaded machine; a
-            # genuine regression fails both runs.
-            if problems(target.criteria(report)):
-                report = target.run(True, 0)
-            reports[name] = report
+            reports[name] = REGISTRY[name].run(0)
         return reports[name]
 
     return get

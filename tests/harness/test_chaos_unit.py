@@ -1,9 +1,6 @@
-"""Unit tests for chaos-harness internals.
-
-The integration sweep (test_chaos_resilience) runs the whole thing; here
-the gate logic, the report shapes, and the world construction are pinned
-down with synthetic sweep points so a regression names the exact rule it
-broke instead of just "the sweep failed".
+"""The chaos bench: its gate logic, report shape and world, pinned with
+synthetic sweep points so a regression names the exact rule it broke;
+and the genuineness invariant, asserted on the session's shared run.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ class TestChaosReportDict:
     def test_write_report_round_trips(self, tmp_path):
         report = make_report([make_point()], [make_point(ok=30)])
         out = tmp_path / "chaos.json"
-        write_envelope(out, TARGET, report, criteria(report), True, 0)
+        write_envelope(out, TARGET, report, criteria(report), 0)
         loaded = json.loads(out.read_text())
         assert loaded["body"]["resilient"][0]["ok"] == 40
         assert all(c["ok"] for c in loaded["criteria"])
@@ -92,13 +89,6 @@ class TestCheckReport:
              make_point(drop=0.3, ok=15)],
         )
         assert failed_gates(report) == []
-
-    def test_unverified_bytes_always_fatal(self):
-        report = make_report(
-            [make_point()], [make_point(ok=20, unverified_bytes=512)]
-        )
-        problems = failed_gates(report)
-        assert any("unverified bytes" in p for p in problems)
 
     def test_low_availability_at_moderate_drop_fails(self):
         report = make_report(
@@ -136,3 +126,12 @@ class TestBuildWorld:
         response = stack.proxy.handle(published.url("index.html"))
         assert response.ok and response.content == ELEMENTS["index.html"]
 
+
+def test_sweep_serves_only_owner_bytes(bench_report):
+    """Faults may cost availability, never integrity: at every drop rate
+    neither stack served a byte the owner did not publish, though both
+    saw drops and corruptions."""
+    report = bench_report("chaos")
+    for point in report.resilient + report.baseline:
+        assert point.unverified_bytes == 0, point
+        assert point.drops_injected + point.corruptions_injected > 0, point

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ import repro
 from repro.harness.__main__ import main
 from repro.harness.kernel import REGISTRY, BenchTarget, gate
 
-ENVELOPE_KEYS = {"name", "seed", "quick", "env", "criteria", "body"}
+ENVELOPE_KEYS = {"name", "seed", "env", "criteria", "body"}
 
 
 class TestCli:
@@ -58,50 +59,56 @@ class TestCli:
 
     def test_trace_target_is_gone(self):
         with pytest.raises(SystemExit):
-            main(["trace", "--quick"])
+            main(["trace"])
+
+    def test_options_are_repeats_seed_and_out(self, capsys):
+        """Every bench is one run per seed; there is no smaller mode to
+        ask for, and argparse rejects any option not listed here."""
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--repeats", "--seed", "--out"}
 
     def test_seed_changes_nothing_structural(self, capsys):
         assert main(["fig4", "--repeats", "1", "--seed", "7"]) == 0
         assert "Figure 4" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", list(REGISTRY))
-    def test_quick_run_passes_gates(
-        self, name, quick_report, capsys, tmp_path, monkeypatch
-    ):
+    def test_run_passes_gates(self, name, bench_report, capsys, tmp_path, monkeypatch):
         """Every registered bench through the CLI: exit 0, the success
-        line, and a six-key envelope whose criteria all hold. The run
-        itself is the session's shared quick report."""
-        target, report = REGISTRY[name], quick_report(name)
-        shared = dataclasses.replace(target, run=lambda quick, seed: report)
+        line, and a five-key envelope whose criteria all hold. The run
+        itself is the session's shared bench report."""
+        target, report = REGISTRY[name], bench_report(name)
+        shared = dataclasses.replace(target, run=lambda seed: report)
         monkeypatch.setitem(REGISTRY, name, shared)
         out_path = tmp_path / target.report_name
-        assert main([name, "--quick", "--out", str(out_path)]) == 0
+        assert main([name, "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert f"{name} gates passed" in out and "FAIL" not in out
         assert f"{len(target.criteria(report))} criteria, 0 failing" in out
         envelope = json.loads(out_path.read_text())
         assert set(envelope) == ENVELOPE_KEYS
         assert envelope["name"] == name
-        assert envelope["quick"] is True and envelope["seed"] == 0
+        assert envelope["seed"] == 0
         assert set(envelope["env"]) == {"python", "platform", "cryptography"}
         assert envelope["criteria"] and all(c["ok"] for c in envelope["criteria"])
 
     @pytest.mark.parametrize("name", list(REGISTRY))
     def test_gate_failure_exits_nonzero(
-        self, name, quick_report, capsys, tmp_path, monkeypatch
+        self, name, bench_report, capsys, tmp_path, monkeypatch
     ):
         """A red gate must fail the process (that is what CI keys on),
         print its ``FAIL:`` line, and still leave the report behind."""
-        target, report = REGISTRY[name], quick_report(name)
+        target, report = REGISTRY[name], bench_report(name)
         first, *rest = target.criteria(report)
         broken = dataclasses.replace(
             target,
-            run=lambda quick, seed: report,
+            run=lambda seed: report,
             criteria=lambda report: [dataclasses.replace(first, ok=False), *rest],
         )
         monkeypatch.setitem(REGISTRY, name, broken)
         out_path = tmp_path / target.report_name
-        assert main([name, "--quick", "--out", str(out_path)]) == 1
+        assert main([name, "--out", str(out_path)]) == 1
         out = capsys.readouterr().out
         assert f"FAIL: {first.message}" in out
         assert "gates passed" not in out
@@ -117,7 +124,7 @@ class TestCli:
             return BenchTarget(
                 name,
                 f"BENCH_{name}.json",
-                run=lambda quick, seed: ran.append((name, quick, seed)) or {"n": name},
+                run=lambda seed: ran.append((name, seed)) or {"n": name},
                 criteria=lambda report: [gate("fine", ok, "==", True, f"{name} red")],
             )
 
@@ -126,8 +133,8 @@ class TestCli:
             "repro.harness.__main__.REGISTRY", {target.name: target for target in fakes}
         )
         out_dir = tmp_path / "reports"
-        assert main(["benches", "--quick", "--seed", "5", "--out", str(out_dir)]) == 1
-        assert ran == [("first", True, 5), ("second", True, 5), ("third", True, 5)]
+        assert main(["benches", "--seed", "5", "--out", str(out_dir)]) == 1
+        assert ran == [("first", 5), ("second", 5), ("third", 5)]
         assert "FAIL: second red" in capsys.readouterr().out
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "BENCH_first.json", "BENCH_second.json", "BENCH_third.json",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import json
 
 from repro.harness.fig4 import Fig4Row
@@ -105,7 +104,6 @@ class TestBenchAggregation:
             json.dumps(
                 {
                     "name": "revocation",
-                    "quick": True,
                     "criteria": [
                         {"name": "overhead_ratio", "ok": True, "value": 1.4771234,
                          "threshold": 2.5, "message": "ratio too high"},
@@ -124,9 +122,9 @@ class TestBenchAggregation:
 
 
 class TestConvergenceSection:
-    """The partition/heal rows (``converged``, ``gossip_exchanged``) of
-    the bench that still runs one, ``profile``, in the ``bench-report``
-    table."""
+    """The rows of ``profile`` — the bench that still runs the former
+    convergence bench's partition/heal workload — in the
+    ``bench-report`` table."""
 
     def section(self, report) -> str:
         from repro.harness.profile_bench import TARGET, criteria
@@ -136,7 +134,6 @@ class TestConvergenceSection:
             {
                 "profile": {
                     "name": TARGET.name,
-                    "quick": False,
                     "criteria": [vars(c) for c in criteria(report)],
                 }
             }
@@ -149,21 +146,10 @@ class TestConvergenceSection:
         out = render_bench_summary({"profile": {"error": "x"}})
         assert "unreadable" in out and "PASS" not in out
 
-    def test_full_report_digest(self, quick_report):
-        out = self.section(quick_report("profile"))
-        assert "converged" in out
-        assert "gossip_exchanged" in out
-        assert "rejection[check.element_hash]" in out
-        assert "FAIL" not in out and "full" in out
-
-    def test_divergence_and_tamper_acceptance_shout(self, quick_report):
-        report = copy.deepcopy(quick_report("profile"))
-        report["workload"]["converged"] = False
-        del report["security_rejections"]["check.element_hash"]
-        out = self.section(report)
-        assert "FAIL: servers did not converge after gossip" in out
-        assert "FAIL: expected 'check.element_hash' to reject with" in out
-        assert "2 failing" in out
+    def test_full_report_digest(self, bench_report):
+        out = self.section(bench_report("profile"))
+        assert "stitch_rate" in out and "attribution_error" in out
+        assert "FAIL" not in out and "2 criteria, 0 failing" in out
 
     def test_partial_report_tolerated(self):
         from repro.harness.report import render_bench_summary

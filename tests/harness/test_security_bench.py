@@ -1,12 +1,10 @@
-"""CI smoke test for the security-pipeline benchmark.
+"""The security-pipeline bench, on the session's shared run.
 
-Runs the benchmark in ``--quick`` mode and enforces the fast path's two
-contracts: a warm certificate verification is at least
-``WARM_SPEEDUP_TARGET`` times faster than a cold one, and enabling the
-fast path never makes the pipeline slower than the uncached baseline.
-Real timing is involved, so the warm estimator is the min over warm
-accesses (see security_bench) and a genuine regression — not jitter —
-is what it takes to trip the assertions.
+The fast path's two contracts (a warm certificate verification at least
+``WARM_SPEEDUP_TARGET`` times faster than a cold one; the fast path
+never slower than the uncached baseline), and what the concurrency
+section counts but does not gate: every access of either mode served,
+with the owner's bytes.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from repro.harness.security_bench import TARGET, WARM_SPEEDUP_TARGET, criteria
 
 
 @pytest.fixture(scope="module")
-def report(quick_report):
-    return quick_report("bench-security")
+def report(bench_report):
+    return bench_report("bench-security")
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +61,23 @@ def test_fastpath_counters_flow_into_report(report):
 
 def test_report_round_trips_as_json(report, gates, tmp_path):
     out = tmp_path / "bench.json"
-    write_envelope(out, TARGET, report, list(gates.values()), True, 0)
+    write_envelope(out, TARGET, report, list(gates.values()), 0)
     loaded = json.loads(out.read_text())
     assert loaded["body"]["pipeline"]["warm"]["speedup"] == pytest.approx(
         gates["warm_speedup"].value
     )
     assert loaded["criteria"][0]["name"] == "warm_speedup"
+
+
+def test_concurrency_serves_only_owner_bytes(report):
+    for mode in ("sequential", "pipelined"):
+        counted = report["concurrency"][mode]
+        assert counted["failures"] == counted["unverified_responses"] == 0, mode
+        assert counted["accesses"] > 0, mode
+
+
+def test_pipelining_moves_calls_off_the_serving_path(report):
+    sequential = report["concurrency"]["sequential"]
+    pipelined = report["concurrency"]["pipelined"]
+    assert pipelined["rpc_call_share"] < sequential["rpc_call_share"]
+    assert pipelined["elapsed_s"] < sequential["elapsed_s"]

@@ -64,8 +64,8 @@ def make_pipeline(warm_speedup=20.0, fastpath_total=5.0, baseline_total=9.0):
     }
 
 
-def make_report(multiple=6.0, unverified=0, **pipeline_kwargs):
-    mode = {"waves": 2, "accesses_per_s": 20.0, "accesses": 42}
+def make_report(multiple=6.0, pipelined_share=0.0, **pipeline_kwargs):
+    mode = {"waves": 4, "accesses_per_s": 20.0, "accesses": 84, "rpc_call_share": 0.9}
     return {
         "pipeline": make_pipeline(**pipeline_kwargs),
         "concurrency": {
@@ -74,9 +74,11 @@ def make_report(multiple=6.0, unverified=0, **pipeline_kwargs):
             "element_bytes": 8192,
             "hot_duplicates": 3,
             "sequential": dict(mode),
-            "pipelined": dict(mode, accesses_per_s=20.0 * multiple),
+            "pipelined": dict(
+                mode, accesses_per_s=20.0 * multiple, rpc_call_share=pipelined_share
+            ),
             "throughput_multiple": multiple,
-            "unverified_responses": unverified,
+            "unverified_responses": 0,
             "failures": 0,
         },
     }
@@ -114,12 +116,17 @@ class TestEvaluateCriteria:
                 {"multiple": 1.9},
                 "pipeline throughput multiple 1.90x below target 2.0x",
             ),
-            (
-                {"unverified": 1},
-                "unverified or failed responses in the concurrency workload",
-            ),
         ],
     )
     def test_pipeline_gates_fail_with_their_messages(self, kwargs, message):
         assert problems(criteria(make_report(**kwargs))) == [message]
+
+    def test_call_share_not_shrinking_flagged(self):
+        found = gates(pipelined_share=0.9)["pipelined_call_share"]
+        assert not found.ok
+        assert found.message == (
+            "pipelined rpc.call share of proxy.handle did not shrink: "
+            "0.900 vs sequential 0.900"
+        )
+        assert problems(criteria(make_report(pipelined_share=0.9))) == [found.message]
 

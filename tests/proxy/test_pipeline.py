@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.verifycache import VerificationCache
 from repro.errors import TransportError
 from repro.globedoc.urls import HybridUrl
 from repro.net.address import Endpoint
 from repro.net.rpc import BatchCall, BatchOutcome
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.proxy.pipeline import (
     AccessScheduler,
     PipelineConfig,
@@ -284,6 +285,20 @@ class TestAccessScheduler:
             assert got.status == want.status == 200
             assert got.content == want.content
             assert got.content_type == want.content_type
+
+    def test_pipeline_phases_are_spanned(self, testbed, published, ring):
+        """Scheduling, the prefetch wave and the batched verify (into a
+        verification cache) each close a span of their own."""
+        traced = testbed.client_stack(
+            "sporty.cs.vu.nl",
+            verification_cache=VerificationCache(),
+            pipeline=PipelineConfig(),
+            tracer=Tracer(clock=testbed.clock, sinks=(ring,)),
+        )
+        responses = traced.proxy.handle_many([published.url(name) for name in ELEMENTS])
+        assert all(response.ok for response in responses)
+        for name in ("pipeline.schedule", "pipeline.prefetch", "pipeline.batch_verify"):
+            assert ring.named(name), name
 
     def test_duplicate_urls_share_one_response_object(self, published, pipelined):
         url = published.url("index.html")
