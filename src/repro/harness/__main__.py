@@ -87,7 +87,8 @@ def main(argv=None) -> int:
         elif target == "design-choices":
             print(render_design_choices(run_design_choices()))
         elif target == "loadtest":
-            print(render_crowd_study(*run_crowd_study()))
+            (static, _), (dynamic, _) = run_crowd_study()
+            print(render_crowd_study(static, dynamic))
         elif target == "bench-report":
             print(render_bench_summary(aggregate_bench_reports(REPO_ROOT)))
         else:

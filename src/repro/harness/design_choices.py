@@ -4,22 +4,23 @@ lookup, certificate caching, replication strategies, server-side
 signing, verified-content caching, SSL connection reuse.
 
 Each ``compare_*``/``measure_*`` function isolates one design decision
-and returns a small result record; ``python -m repro.harness
-design-choices`` runs all nine and prints the claim/measured table
-(:func:`run_design_choices`, :func:`render_design_choices`). The two
-functions that read ``perf_counter`` measure the paper's own cost
-*ratios* (verify vs decrypt, sign vs Merkle build); absolute wall-clock
-figures are ``perf/``'s job.
+and returns a small result record; the replication-strategy comparison
+is :func:`repro.harness.loadsim.run_crowd_study`, the full-stack flash
+crowd. ``python -m repro.harness design-choices`` runs all nine and
+prints the claim/measured table (:func:`run_design_choices`,
+:func:`render_design_choices`). Nothing here reads a timer: the two cost
+comparisons (verify vs decrypt, certificate vs Merkle build) run the
+real operations and price what they counted at DESIGN §2's table, so
+the table is the same on every run and EXPERIMENTS.md § Ablations
+commits it. What the operations cost this process is ``perf/``'s job.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.baselines.gemini import GeminiCache, GeminiClient
-from repro.crypto.hashes import SHA1
 from repro.crypto.keys import KeyPair, rsa_encrypt
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.signing import sign_payload, verify_payload
@@ -29,10 +30,12 @@ from repro.globedoc.integrity import IntegrityCertificate
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.harness.fig4 import CLIENT_HOSTS
+from repro.harness.loadsim import CROWD_SITE, run_crowd_study
 from repro.harness.report import render_table
 from repro.location.tree import DomainTree
 from repro.net.address import ContactAddress, Endpoint
 from repro.net.rpc import RpcClient
+from repro.net.simnet import HostProfile, SimNetwork
 from repro.net.transport import LoopbackTransport
 from repro.proxy.contentcache import ContentCache
 from repro.server.localrep import ReplicaLR
@@ -49,8 +52,6 @@ __all__ = [
     "compare_location_lookup",
     "CertCacheCosts",
     "compare_cert_caching",
-    "StrategyCosts",
-    "compare_replication_strategies",
     "FreshnessCosts",
     "compare_freshness_granularity",
     "ServerSigningCounts",
@@ -63,6 +64,19 @@ __all__ = [
     "render_design_choices",
 ]
 
+T = TypeVar("T")
+
+
+def _priced(work: Callable[[], T]) -> Tuple[T, float]:
+    """Run *work* once in a compute region of a modern host (factor 1):
+    its result, and the seconds the cost table (DESIGN §2) charges for
+    what it counted. A fresh network's clock starts at zero."""
+    network = SimNetwork()
+    host = network.add_host(HostProfile(name="modern", site="root/modern"))
+    with host.compute():
+        result = work()
+    return result, network.clock.now()
+
 
 # ----------------------------------------------------------------------
 # Ablation: signature verify vs RSA decrypt (GlobeDoc vs SSL, §4)
@@ -71,44 +85,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CryptoOpCosts:
-    """Mean seconds per operation, measured on real crypto."""
+    """Modern seconds per RSA-2048 operation, priced by the cost table."""
 
     sign: float
     verify: float
-    rsa_encrypt: float
     rsa_decrypt: float
-    iterations: int
 
     @property
     def decrypt_over_verify(self) -> float:
         """The paper's claim: this ratio is large (verify is much cheaper)."""
-        return self.rsa_decrypt / self.verify if self.verify > 0 else float("inf")
+        return self.rsa_decrypt / self.verify
 
 
-def measure_crypto_ops(iterations: int = 50, key_bits: int = 2048) -> CryptoOpCosts:
-    """Time the four RSA operations underpinning the GlobeDoc-vs-SSL
-    cost argument, on real keys."""
-    if iterations < 1:
-        raise ReproError("iterations must be positive")
-    keys = KeyPair.generate(key_bits)
+def measure_crypto_ops() -> CryptoOpCosts:
+    """Price the RSA operations underpinning the GlobeDoc-vs-SSL cost
+    argument — the owner's sign, a client's verify, an SSL server's
+    decrypt of the premaster — each run once on a real RSA-2048 key."""
+    keys = KeyPair.generate(2048)
     payload = {"msg": "x" * 256}
-    signature = sign_payload(keys, payload)
-    premaster = b"\x01" * 48
-    ciphertext = rsa_encrypt(keys.public, premaster)
-
-    def timed(fn) -> float:
-        start = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        return (time.perf_counter() - start) / iterations
-
-    return CryptoOpCosts(
-        sign=timed(lambda: sign_payload(keys, payload)),
-        verify=timed(lambda: verify_payload(keys.public, signature, payload)),
-        rsa_encrypt=timed(lambda: rsa_encrypt(keys.public, premaster)),
-        rsa_decrypt=timed(lambda: keys.decrypt(ciphertext)),
-        iterations=iterations,
-    )
+    ciphertext = rsa_encrypt(keys.public, b"\x01" * 48)
+    signature, sign = _priced(lambda: sign_payload(keys, payload))
+    _, verify = _priced(lambda: verify_payload(keys.public, signature, payload))
+    _, decrypt = _priced(lambda: keys.decrypt(ciphertext))
+    return CryptoOpCosts(sign, verify, decrypt)
 
 
 # ----------------------------------------------------------------------
@@ -118,82 +117,41 @@ def measure_crypto_ops(iterations: int = 50, key_bits: int = 2048) -> CryptoOpCo
 
 @dataclass(frozen=True)
 class CertSchemeCosts:
-    """Owner/update/verify/freshness costs of the two schemes."""
+    """Owner signing cost and per-fetch metadata of the two schemes."""
 
     element_count: int
     globedoc_sign_seconds: float
-    globedoc_update_one_seconds: float
     globedoc_cert_bytes: int
     merkle_build_sign_seconds: float
-    merkle_update_one_seconds: float
     merkle_proof_bytes: int
-    globedoc_per_element_freshness: bool = True
-    merkle_per_element_freshness: bool = False
 
 
 def compare_cert_schemes(
-    element_count: int = 64, element_size: int = 4096, repeats: int = 3
+    element_count: int = 64, element_size: int = 4096
 ) -> CertSchemeCosts:
     """Cost comparison between the GlobeDoc integrity certificate and an
-    r-OSFS-style signed Merkle root, over the same elements."""
+    r-OSFS-style signed Merkle root, over the same elements. Each region
+    prices the first build: a second certificate would find every
+    element's content hash memoized and skip the hashing."""
     keys = KeyPair.generate()
     elements = [
         make_element(f"e{i:03d}.bin", element_size) for i in range(element_count)
     ]
-    oid_hex = "ab" * 20
 
-    def timed(fn) -> float:
-        start = time.perf_counter()
-        for _ in range(repeats):
-            fn()
-        return (time.perf_counter() - start) / repeats
-
-    # GlobeDoc: hash all elements + sign one certificate.
-    def sign_globedoc():
-        return IntegrityCertificate.for_elements(
-            keys, oid_hex, elements, expires_at=1e12
-        )
-
-    cert = sign_globedoc()
-
-    # GlobeDoc update of one element: rehash one + re-sign the table.
-    def update_globedoc():
-        changed = elements[0].with_content(b"new")
-        entries = dict(cert.entries)
-        from repro.globedoc.integrity import ElementEntry
-
-        entries[changed.name] = ElementEntry(
-            name=changed.name,
-            content_hash=changed.content_hash(SHA1),
-            expires_at=1e12,
-        )
-        return IntegrityCertificate.build(
-            keys, oid_hex, list(entries.values()), version=2
-        )
-
-    # Merkle: hash all leaves, build tree, sign root.
-    leaves = [e.content for e in elements]
-
-    def build_merkle():
-        tree = MerkleTree(leaves)
+    def build_merkle() -> MerkleTree:
+        tree = MerkleTree([e.content for e in elements])
         sign_payload(keys, {"root": tree.root})
         return tree
 
-    tree = build_merkle()
-
-    # Merkle update of one element: full rebuild + re-sign root.
-    def update_merkle():
-        new_leaves = [b"new"] + leaves[1:]
-        new_tree = MerkleTree(new_leaves)
-        sign_payload(keys, {"root": new_tree.root})
-
+    cert, cert_seconds = _priced(
+        lambda: IntegrityCertificate.for_elements(keys, "ab" * 20, elements, expires_at=1e12)
+    )
+    tree, tree_seconds = _priced(build_merkle)
     return CertSchemeCosts(
         element_count=element_count,
-        globedoc_sign_seconds=timed(sign_globedoc),
-        globedoc_update_one_seconds=timed(update_globedoc),
+        globedoc_sign_seconds=cert_seconds,
         globedoc_cert_bytes=cert.wire_size,
-        merkle_build_sign_seconds=timed(build_merkle),
-        merkle_update_one_seconds=timed(update_merkle),
+        merkle_build_sign_seconds=tree_seconds,
         merkle_proof_bytes=tree.proof(0).wire_size,
     )
 
@@ -205,12 +163,10 @@ def compare_cert_schemes(
 
 @dataclass(frozen=True)
 class LocationCosts:
-    """Search cost (nodes visited) under local vs remote replicas."""
+    """Search cost (nodes visited) at a replica site, and records kept."""
 
-    sites: int
     replicas: int
     ring_local_visits: float
-    ring_remote_visits: float
     flat_visits: float
     tree_records: int
     flat_records: int
@@ -223,8 +179,7 @@ def compare_location_lookup(
 
     Builds a ``fanout**depth``-site tree, registers *replicas* replicas
     of one object, and measures nodes visited when the querying site is
-    (a) one of the replica sites — the common CDN case the design
-    optimises — and (b) far from every replica.
+    one of the replica sites — the common CDN case the design optimises.
     """
     tree = DomainTree()
     site_paths = []
@@ -248,9 +203,6 @@ def compare_location_lookup(
         tree.insert(oid_hex, site, address)
 
     _, local_visits = tree.lookup(oid_hex, replica_sites[0])
-    # A site maximally far from the replicas:
-    far_site = site_paths[-1] if site_paths[-1] not in replica_sites else site_paths[-2]
-    _, remote_visits = tree.lookup(oid_hex, far_site)
 
     # Flat directory: one central table; every lookup scans it (cost
     # modelled as one visit per registered object entry — here, the
@@ -258,10 +210,8 @@ def compare_location_lookup(
     flat_visits = 1 + len(replica_sites)
 
     return LocationCosts(
-        sites=len(site_paths),
         replicas=len(replica_sites),
         ring_local_visits=float(local_visits),
-        ring_remote_visits=float(remote_visits),
         flat_visits=float(flat_visits),
         tree_records=tree.total_records(),
         flat_records=len(replica_sites),
@@ -324,121 +274,6 @@ def compare_cert_caching(
 
 
 # ----------------------------------------------------------------------
-# Ablation: per-document replication strategy vs one-size-fits-all
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrategyCosts:
-    """Outcome of replaying one request trace under one strategy."""
-
-    strategy: str
-    mean_latency: float
-    total_latency: float
-    replica_seconds: float
-    placements: int
-
-
-def _replay_strategy(trace, strategy_factory, home_site, site_latency, local_latency):
-    """Replay *trace* against a strategy, charging WAN latency for
-    requests served from the home site and *local_latency* for requests
-    at sites holding a replica."""
-    from repro.replication.policy import RequestObservation
-
-    policy = strategy_factory()
-    current = [home_site]
-    replica_since: Dict[str, float] = {}
-    total_latency = 0.0
-    replica_seconds = 0.0
-    placements = 0
-    for event in trace:
-        obs = RequestObservation(site=event.site, time=event.time)
-        if event.site in current:
-            total_latency += local_latency
-        else:
-            total_latency += site_latency.get(event.site, 0.05)
-        for action in policy.on_request(obs, current):
-            if action.kind.value == "create" and action.site not in current:
-                current.append(action.site)
-                replica_since[action.site] = event.time
-                placements += 1
-            elif action.kind.value == "destroy" and action.site in current[1:]:
-                current.remove(action.site)
-                replica_seconds += event.time - replica_since.pop(action.site, event.time)
-    if trace:
-        end = trace[-1].time
-        for site, since in replica_since.items():
-            replica_seconds += end - since
-    return total_latency, replica_seconds, placements
-
-
-def compare_replication_strategies(
-    trace=None,
-    home_site: str = "root/europe/vu",
-    site_latency=None,
-    local_latency: float = 0.005,
-    seed: int = 0,
-):
-    """Replay one trace under every catalogue strategy (ref [13]'s
-    per-document-beats-global claim). Returns a list of
-    :class:`StrategyCosts`, one per strategy, plus the per-document best
-    pick appended as ``"per-document"`` (oracle choice)."""
-    from repro.replication.strategies import (
-        HotspotReplication,
-        NoReplication,
-        StaticReplication,
-    )
-    from repro.workloads.trace import TraceConfig, generate_trace, inject_flash_crowd
-
-    if site_latency is None:
-        site_latency = {
-            "root/europe/vu": 0.002,
-            "root/europe/inria": 0.022,
-            "root/us/cornell": 0.092,
-        }
-    if trace is None:
-        config = TraceConfig(
-            documents=("vu.nl/viral",),
-            sites=tuple(site_latency),
-            duration=600.0,
-            rate=2.0,
-            seed=seed,
-        )
-        trace = inject_flash_crowd(
-            generate_trace(config),
-            document="vu.nl/viral",
-            site="root/us/cornell",
-            start=200.0,
-            duration=120.0,
-            rate=20.0,
-            seed=seed + 1,
-        )
-
-    factories = {
-        "no-replication": NoReplication,
-        "static-everywhere": lambda: StaticReplication(sites=list(site_latency)),
-        "hotspot": lambda: HotspotReplication(
-            create_rate=1.0, destroy_rate=0.05, window=30.0
-        ),
-    }
-    results = []
-    for name, factory in factories.items():
-        total, replica_seconds, placements = _replay_strategy(
-            trace, factory, home_site, site_latency, local_latency
-        )
-        results.append(
-            StrategyCosts(
-                strategy=name,
-                mean_latency=total / len(trace) if trace else 0.0,
-                total_latency=total,
-                replica_seconds=replica_seconds,
-                placements=placements,
-            )
-        )
-    return results
-
-
-# ----------------------------------------------------------------------
 # Ablation: per-element freshness vs one global interval (vs r-OSFS, §5)
 # ----------------------------------------------------------------------
 
@@ -455,16 +290,9 @@ class FreshnessCosts:
     clients to re-validate *everything* at the hot rate.
     """
 
-    elements: int
-    horizon: float
     #: how often a client must re-validate a cached COLD element
     globedoc_cold_revalidations: int
     rosfs_cold_revalidations: int
-    #: owner signings over the horizon (same for both — one hot element)
-    owner_signs: int
-    #: client-side re-validation traffic over the horizon (bytes)
-    globedoc_refresh_bytes: int
-    rosfs_refresh_bytes: int
 
     @property
     def revalidation_ratio(self) -> float:
@@ -474,7 +302,6 @@ class FreshnessCosts:
 
 
 def compare_freshness_granularity(
-    elements: int = 20,
     hot_interval: float = 60.0,
     cold_validity: float = 3600.0,
     horizon: float = 3600.0,
@@ -491,32 +318,9 @@ def compare_freshness_granularity(
     """
     if hot_interval <= 0 or cold_validity < hot_interval:
         raise ReproError("need 0 < hot_interval <= cold_validity")
-    hot_updates = int(horizon / hot_interval)
-    cold_count = elements - 1
-
-    cert_bytes = 120 * elements + 400  # entry rows + signature envelope
-    root_bytes = 20 + 400
-    proof_bytes = 21 * max(1, (max(2, elements) - 1).bit_length()) + 8
-
-    globedoc_cold_revalidations = int(horizon / cold_validity)
-    rosfs_cold_revalidations = hot_updates
-
-    # GlobeDoc client: refetch the certificate when the hot element
-    # needs re-validation (it carries all rows), but cold elements stay
-    # provably fresh between cold_validity marks — no extra traffic.
-    globedoc_refresh = hot_updates * cert_bytes
-    # r-OSFS client: every interval the signed root changes; refetch the
-    # root plus a fresh proof per cached element.
-    rosfs_refresh = hot_updates * (root_bytes + proof_bytes * elements)
-
     return FreshnessCosts(
-        elements=elements,
-        horizon=horizon,
-        globedoc_cold_revalidations=globedoc_cold_revalidations,
-        rosfs_cold_revalidations=rosfs_cold_revalidations,
-        owner_signs=hot_updates,
-        globedoc_refresh_bytes=globedoc_refresh,
-        rosfs_refresh_bytes=rosfs_refresh,
+        globedoc_cold_revalidations=int(horizon / cold_validity),
+        rosfs_cold_revalidations=int(horizon / hot_interval),
     )
 
 
@@ -661,18 +465,21 @@ def compare_ssl_reuse(
 
 def run_design_choices() -> List[List[str]]:
     """Run every comparison; one ``[comparison, claim, measured]`` row each."""
-    ops = measure_crypto_ops(iterations=30)
+    ops = measure_crypto_ops()
     scheme = compare_cert_schemes()
     fresh = compare_freshness_granularity()
     ring = compare_location_lookup()
     binding = compare_cert_caching()
-    strategy = {r.strategy: r for r in compare_replication_strategies()}
+    (single, _), (hotspot, placements) = run_crowd_study()
     signing = compare_server_signing()
     cached = compare_content_cache()
     ssl = compare_ssl_reuse()
 
     def ms(seconds: float) -> str:
         return f"{seconds * 1e3:.1f} ms"
+
+    def peak(report) -> str:
+        return ms(report.latency_summary(site=CROWD_SITE, start=45.0, end=60.0).mean)
 
     return [
         ["crypto ops", "signature verify ≪ RSA decrypt (§4)",
@@ -694,9 +501,8 @@ def run_design_choices() -> List[List[str]]:
          f" {ms(binding.cached_seconds)} vs per element {ms(binding.uncached_seconds)}"
          f" ({binding.speedup:.1f}x)"],
         ["replication strategies", "per-document beats one-size-fits-all (§2, [13])",
-         f"flash crowd: mean latency {ms(strategy['no-replication'].mean_latency)}"
-         f" unreplicated vs {ms(strategy['hotspot'].mean_latency)} hotspot"
-         f" ({strategy['hotspot'].placements} placements)"],
+         f"flash crowd, peak 45-60 s: {peak(single)} single server vs"
+         f" {peak(hotspot)} hotspot ({placements} placements)"],
         ["server signing", "prevention vs eventual detection (§5)",
          f"{signing.responses} responses: Gemini cache {signing.gemini_signs} RSA signs,"
          f" GlobeDoc replica {signing.globedoc_serving_signs} (owner signed"

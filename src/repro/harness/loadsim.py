@@ -184,9 +184,13 @@ class LoadSimulator:
         return report
 
 
-def run_crowd(policy_factory: Callable[[], ReplicationPolicy]) -> LoadReport:
+def run_crowd(
+    policy_factory: Callable[[], ReplicationPolicy],
+) -> Tuple[LoadReport, int]:
     """One flash crowd at :data:`CROWD_SITE` against a document homed at
-    the VU, with *policy_factory*'s policy deciding replica placement.
+    the VU, with *policy_factory*'s policy deciding replica placement:
+    the report, and how many replicas the coordinator placed (the home
+    one included).
 
     The Cornell object server starts empty: whether the document ever
     gets a replica there is the policy's call, which is the comparison.
@@ -214,15 +218,16 @@ def run_crowd(policy_factory: Callable[[], ReplicationPolicy]) -> LoadReport:
         rate=20.0, seed=6,
     )
     simulator = LoadSimulator(testbed, url_of=lambda e: f"globe://{e.document}!/index.html")
-    return simulator.run(
+    report = simulator.run(
         trace,
         on_request=lambda e: coordinator.observe_request(
             owner.oid, RequestObservation(site=e.site, time=testbed.clock.now())
         ),
     )
+    return report, coordinator.document(owner.oid).placements
 
 
-def run_crowd_study() -> Tuple[LoadReport, LoadReport]:
+def run_crowd_study() -> Tuple[Tuple[LoadReport, int], Tuple[LoadReport, int]]:
     """The same crowd served by (a single server, hotspot replication)."""
     return (
         run_crowd(NoReplication),

@@ -20,7 +20,7 @@ __all__ = [
 
 
 def render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """A fixed-width text table."""
+    """A fixed-width text table, with no trailing spaces."""
     widths = [len(str(c)) for c in columns]
     for row in rows:
         for i, cell in enumerate(row):
@@ -31,7 +31,7 @@ def render_table(columns: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def render_fig4(rows: List[Fig4Row]) -> str:

@@ -166,7 +166,7 @@ class TestSameSeedSameOutput:
         assert result.returncode == 0, result.stderr[-2000:]
         return result.stdout
 
-    @pytest.mark.parametrize("figure", ["fig4", "fig6"])
+    @pytest.mark.parametrize("figure", ["fig4", "fig6", "design-choices"])
     def test_fresh_interpreters_print_identical_figures(self, figure):
         first = self.run(figure, "--repeats", "1")
         assert first == self.run(figure, "--repeats", "1")

@@ -16,6 +16,7 @@ class TestRenderTable:
         assert len(lines) == 4
         assert lines[0].startswith("A")
         assert all(len(line) <= len(max(lines, key=len)) for line in lines)
+        assert not any(line.endswith(" ") for line in lines)
 
 
 def fig4_row(client, size, pct):

@@ -1,19 +1,23 @@
 """Spans are the only timing primitive on the access path.
 
-Two guards: the derived Fig. 4 view conserves the time of a real access
-(what the profile bench's span/metrics consistency gate used to stand in
-for), and no second timing mechanism can grow back unnoticed — nothing
-public under the access path takes a ``timer``.
+Three guards: the derived Fig. 4 view conserves the time of a real
+access (what the profile bench's span/metrics consistency gate used to
+stand in for), no second timing mechanism can grow back unnoticed —
+nothing public under the access path takes a ``timer`` — and nothing
+under ``src/repro`` reads a ``time``-module clock except ``RealClock``.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
 
+import repro
 import repro.net
 import repro.proxy
 import repro.proxy.metrics
@@ -123,7 +127,57 @@ def access_path_modules():
     yield repro.versioning.client
 
 
+#: The ``time`` module's clocks; ``time.sleep`` reads none.
+CLOCKS = {"time", "perf_counter", "monotonic", "process_time"}
+CLOCKS |= {name + "_ns" for name in CLOCKS}
+
+
+def clock_reads(source: str) -> list:
+    """Line numbers of calls to a ``time``-module clock in *source*, made
+    through the module (``time.perf_counter()``, under any alias) or
+    through a name imported from it (``from time import monotonic``)."""
+    tree = ast.parse(source)
+    modules, direct = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "time"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            direct |= {a.asname or a.name for a in node.names if a.name in CLOCKS}
+
+    def is_clock(fn: ast.expr) -> bool:
+        if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name):
+            return fn.value.id in modules and fn.attr in CLOCKS
+        return isinstance(fn, ast.Name) and fn.id in direct
+
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and is_clock(n.func)]
+
+
 class TestNoSecondMechanism:
+    def test_no_wall_clock_read_outside_the_clock_module(self):
+        """Sim time is the cost table's; a wall-clock read anywhere else
+        in the library would make a figure differ run to run."""
+        root = pathlib.Path(repro.__file__).parent
+        reads = {
+            path.relative_to(root).as_posix(): clock_reads(path.read_text(encoding="utf-8"))
+            for path in root.rglob("*.py")
+        }
+        assert len(reads) > 100  # the walk really covered the package
+        assert reads.pop("sim/clock.py")  # RealClock.now, the one allowed read
+        assert {path: lines for path, lines in reads.items() if lines} == {}
+
+    @pytest.mark.parametrize(
+        "source, lines",
+        [
+            ("import time\ntime.perf_counter()", [2]),
+            ("import time as t\nt.monotonic_ns()", [2]),
+            ("from time import process_time\nprocess_time()", [2]),
+            ("from time import time as now\nnow()", [2]),
+            ('"""Advances monotonically."""\nimport time\ntime.sleep(0)', []),
+        ],
+    )
+    def test_guard_sees_every_spelling_and_only_clocks(self, source, lines):
+        assert clock_reads(source) == lines
+
     def test_no_public_callable_takes_a_timer(self):
         checked = 0
         offenders = []
