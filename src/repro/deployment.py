@@ -82,7 +82,7 @@ class ClientStack:
     proxy: GlobeDocProxy
     #: ``fresh_proxy(cache_binding=True, require_identity=False)``: a new
     #: proxy (fresh sessions) from the construction site ``proxy`` came
-    #: from — same caches, failover budget, tracer, metrics, pipeline.
+    #: from — same caches, failover budget, tracer, registry, pipeline.
     fresh_proxy: Callable[..., GlobeDocProxy]
     revocation: Optional[RevocationChecker] = None
     scheduler: Optional[AccessScheduler] = None
@@ -134,9 +134,9 @@ class Deployment:
         #: Optional service-side tracer: the services' RPC surfaces
         #: record ``server.handle`` spans into it.
         self.tracer = tracer
-        #: Optional shared metrics registry: threaded through the primary
-        #: object server (and, via :meth:`client_stack`, through every client
-        #: layer) so one scrape sees the whole deployment.
+        #: Optional shared metrics registry, the default of
+        #: :meth:`client_stack`'s ``metrics``: its proxies and revocation
+        #: checkers report the SLO and alert inputs into it.
         self.metrics = metrics
         #: ``data_dir`` turns on durable backends: the primary object
         #: server journals keystore + replicas + revocation feed under
@@ -194,7 +194,6 @@ class Deployment:
         self.object_server = self.start_server(
             host,
             tracer=tracer,
-            metrics=metrics,
             data_dir=(
                 os.path.join(data_dir, "objectserver") if data_dir is not None else None
             ),
@@ -204,7 +203,6 @@ class Deployment:
         self,
         host: str,
         *,
-        metrics=None,
         tracer=None,
         data_dir: Optional[str] = None,
     ) -> ObjectServer:
@@ -214,7 +212,6 @@ class Deployment:
             site=self.host_sites[host],
             clock=self.clock_for(host),
             tracer=tracer,
-            metrics=metrics,
             data_dir=data_dir,
             storage_sync=self.storage_sync,
         )
@@ -280,14 +277,13 @@ class Deployment:
         host: str,
         site: str,
         *,
-        metrics=None,
         tracer=None,
     ) -> ObjectServer:
         """Place a replica of *published* on *host*'s object server and
         register its contact address at *site*.
 
         The first replica on a host starts that host's object server
-        (wired to ``metrics``/``tracer``); later ones reuse it. The
+        (wired to ``tracer``); later ones reuse it. The
         owner pushes from ``owner_host`` (as in the paper: the owner
         workstation is not the serving host), and the address goes
         in through the location *service* surface (not the raw tree) so
@@ -296,7 +292,7 @@ class Deployment:
         owner = published.owner
         server = self.servers.get(host)
         if server is None:
-            server = self.start_server(host, metrics=metrics, tracer=tracer)
+            server = self.start_server(host, tracer=tracer)
         server.keystore.authorize(owner.name, owner.public_key)
         rpc = RpcClient(self.transport_for(self.owner_host))
         admin = AdminClient(rpc, server.endpoint, owner.keys, self.clock)
@@ -345,7 +341,7 @@ class Deployment:
         statement = RevocationStatement.revoke_key(
             owner.keys, owner.oid, serial=1, issued_at=self.clock.now(), reason=reason
         )
-        coordinator = self.coordinator(owner, [self.host], metrics=self.metrics)
+        coordinator = self.coordinator(owner, [self.host])
         return coordinator.publish_revocation(statement)
 
     # ------------------------------------------------------------------
@@ -395,9 +391,10 @@ class Deployment:
         verified statements) so a restarted client resumes with no
         fail-open window.
         ``metrics`` (default: the deployment's registry, else disabled)
-        threads one shared :class:`~repro.obs.metrics.MetricsRegistry`
-        through every layer; per-client gauges are labeled with
-        ``host_name``. ``pipeline`` (off by default) wraps the RPC
+        is the shared :class:`~repro.obs.metrics.MetricsRegistry` the
+        proxy and the revocation checker report into — the SLO and alert
+        inputs; the staleness gauge is labeled with ``host_name``.
+        ``pipeline`` (off by default) wraps the RPC
         client in a :class:`~repro.proxy.pipeline.PrefetchingRpcClient`
         and installs an :class:`~repro.proxy.pipeline.AccessScheduler`
         on the proxy, enabling the concurrent batched access pipeline
@@ -407,15 +404,14 @@ class Deployment:
             transport = self.transport_for(host_name)
         if metrics is None:
             metrics = self.metrics
-        rpc = RpcClient(transport, tracer=tracer, metrics=metrics)
+        rpc = RpcClient(transport, tracer=tracer)
         if retry_policy is not None:
             rpc = RetryingRpcClient(
-                rpc, retry_policy, clock=self.clock, health=health, tracer=tracer,
-                metrics=metrics,
+                rpc, retry_policy, clock=self.clock, health=health, tracer=tracer
             )
         prefetcher = None
         if pipeline is not None:
-            prefetcher = PrefetchingRpcClient(rpc, metrics=metrics, tracer=tracer)
+            prefetcher = PrefetchingRpcClient(rpc, tracer=tracer)
             rpc = prefetcher
         resolver = SecureResolver(
             rpc, self.naming_endpoint, self.naming.root_key, clock=self.clock,
@@ -457,7 +453,6 @@ class Deployment:
             verification_cache=verification_cache,
             revocation_checker=revocation,
             tracer=tracer,
-            metrics=metrics,
         )
 
         def fresh_proxy(
@@ -471,11 +466,10 @@ class Deployment:
                 max_rebinds=max_rebinds,
                 tracer=tracer,
                 metrics=metrics,
-                metrics_client=host_name,
             )
             if prefetcher is not None:
                 proxy.scheduler = AccessScheduler(
-                    proxy, prefetcher, config=pipeline, tracer=tracer, metrics=metrics
+                    proxy, prefetcher, config=pipeline, tracer=tracer
                 )
             return proxy
 

@@ -216,7 +216,7 @@ class _MonitorWorld:
                 owner, owner.publish(validity=7 * 24 * 3600.0), owner.name
             )
             for site, host in REPLICA_SITES.items():
-                testbed.add_replica(published, host, site, metrics=self.registry)
+                testbed.add_replica(published, host, site)
             testbed.naming.register(
                 OidRecord(name=owner.name, oid=owner.oid, ttl=7 * 24 * 3600.0)
             )

@@ -158,11 +158,7 @@ def _run(seed: int, scratch: str) -> dict:
         data_dir=scratch,
         storage_sync=False,
     )
-    peer_server = testbed.start_server(
-        PEER_HOST,
-        tracer=tracers["server-inria"],
-        metrics=metrics,
-    )
+    peer_server = testbed.start_server(PEER_HOST, tracer=tracers["server-inria"])
 
     published = testbed.publish(
         testbed.document_owner("vu.nl/profile", ELEMENTS), validity=7 * 24 * 3600.0
@@ -255,7 +251,6 @@ def _run(seed: int, scratch: str) -> dict:
     writer_rpc = RpcClient(
         testbed.network.transport_for(WRITER_HOST),
         tracer=tracers["writer-cornell"],
-        metrics=metrics,
     )
     home_endpoints = {
         "writer00": testbed.objectserver_endpoint,
@@ -264,12 +259,10 @@ def _run(seed: int, scratch: str) -> dict:
     ginger_rpc = RpcClient(
         testbed.network.transport_for(SERVICES_HOST),
         tracer=tracers["server-ginger"],
-        metrics=metrics,
     )
     peer_rpc = RpcClient(
         testbed.network.transport_for(PEER_HOST),
         tracer=tracers["server-inria"],
-        metrics=metrics,
     )
     views = {writer_id: DeltaDag() for writer_id in writers}
     writes = 0

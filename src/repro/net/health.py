@@ -98,10 +98,6 @@ class ReplicaHealthTracker:
             "(0=closed, 1=half-open, 2=open).",
             labelnames=("client", "address"),
         )
-        self._m_quarantines = self.metrics.counter(
-            "replica_quarantines_total",
-            "Transitions into the open (quarantined) state.",
-        )
         self.metrics.register_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
@@ -124,7 +120,6 @@ class ReplicaHealthTracker:
             record.state = CircuitState.OPEN
             record.quarantined_until = now + self.quarantine_seconds
             self.quarantines += 1
-            self._m_quarantines.inc()
 
     def record_success(self, address: str) -> None:
         record = self._records.setdefault(str(address), HealthRecord())

@@ -33,7 +33,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.errors import RpcError, SecurityError, TransportError
 from repro.net.rpc import BatchCall, BatchOutcome, DEFAULT_WINDOW
-from repro.obs import NOOP_METRICS, NOOP_TRACER
+from repro.obs import NOOP_TRACER
 from repro.sim.clock import Clock, RealClock
 
 __all__ = [
@@ -142,7 +142,6 @@ class RetryingRpcClient:
         clock: Optional[Clock] = None,
         health=None,
         tracer=None,
-        metrics=None,
     ) -> None:
         self.inner = inner
         self.policy = policy if policy is not None else RetryPolicy()
@@ -154,20 +153,6 @@ class RetryingRpcClient:
         #: attempt carries the chosen ``backoff_s`` as an attribute, so a
         #: trace shows exactly where a flaky access's time went.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        #: Registry twins of :attr:`counters`, so the monitor plane sees
-        #: retry pressure without holding a reference to this client.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self._m_retries = self.metrics.counter(
-            "rpc_retries_total", "Re-issued RPC attempts after backoff."
-        )
-        self._m_giveups = self.metrics.counter(
-            "rpc_giveups_total",
-            "Calls abandoned after exhausting attempts or the deadline.",
-        )
-        self._m_backoff = self.metrics.counter(
-            "rpc_backoff_seconds_total",
-            "Clock time spent waiting between retry attempts.",
-        )
 
     @property
     def transport(self):
@@ -198,7 +183,6 @@ class RetryingRpcClient:
                     self._note_failure(target)
                     if not retryable or attempt >= policy.max_attempts:
                         self.counters.giveups += 1
-                        self._m_giveups.inc()
                         raise
                     delay = policy.delay_for(attempt, self._rng)
                     if (
@@ -206,7 +190,6 @@ class RetryingRpcClient:
                         and (self.clock.now() - start) + delay > policy.deadline
                     ):
                         self.counters.giveups += 1
-                        self._m_giveups.inc()
                         raise
                     span.set_attribute("backoff_s", delay)
                 else:
@@ -217,8 +200,6 @@ class RetryingRpcClient:
             self._wait(delay)
             self.counters.retries += 1
             self.counters.backoff_seconds += delay
-            self._m_retries.inc()
-            self._m_backoff.inc(delay)
 
     def call_many(
         self, calls: Sequence[BatchCall], window: int = DEFAULT_WINDOW
@@ -280,7 +261,6 @@ class RetryingRpcClient:
                             round_delay = max(round_delay, delay)
                     if not retryable:
                         self.counters.giveups += 1
-                        self._m_giveups.inc()
                         results[index] = outcome
                 span.set_attribute("retrying", len(next_pending))
                 if next_pending:
@@ -290,8 +270,6 @@ class RetryingRpcClient:
                 self._wait(round_delay)
                 self.counters.retries += len(pending)
                 self.counters.backoff_seconds += round_delay
-                self._m_retries.inc(len(pending))
-                self._m_backoff.inc(round_delay)
         return [outcome for outcome in results if outcome is not None]
 
     # ------------------------------------------------------------------

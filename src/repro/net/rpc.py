@@ -18,7 +18,7 @@ from repro.errors import RpcError, TransportError
 from repro.net.address import ContactAddress, Endpoint
 from repro.net.message import Request, Response
 from repro.net.transport import Transport
-from repro.obs import NOOP_METRICS, NOOP_TRACER
+from repro.obs import NOOP_TRACER
 
 __all__ = [
     "RpcServer",
@@ -60,17 +60,9 @@ class RpcServer:
     incoming frame — the server half of the access-pipeline trace.
     """
 
-    def __init__(self, name: str = "rpc", tracer=None, metrics=None) -> None:
+    def __init__(self, name: str = "rpc", tracer=None) -> None:
         self.name = name
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        #: Server-side request accounting: one ``server_requests_total``
-        #: increment per frame, labeled by server, operation, outcome.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self._m_requests = self.metrics.counter(
-            "server_requests_total",
-            "RPC frames handled, by server, operation, and outcome.",
-            labelnames=("server", "op", "outcome"),
-        )
         self._ops: Dict[str, Handler] = {}
 
     def register(self, op: str, handler: Handler) -> None:
@@ -108,9 +100,6 @@ class RpcServer:
             with self.tracer.span("server.handle", server=self.name) as span:
                 span.set_attribute("op", "<malformed>")
                 span.mark_error(exc)
-            self._m_requests.labels(
-                server=self.name, op="<malformed>", outcome="error"
-            ).inc()
             return Response.failure(
                 TransportError(f"bad request frame: {exc}")
             ).to_bytes()
@@ -122,22 +111,13 @@ class RpcServer:
             if handler is None:
                 unknown = RpcError(f"unknown operation {request.op!r}")
                 span.mark_error(unknown)
-                self._m_requests.labels(
-                    server=self.name, op=request.op, outcome="error"
-                ).inc()
                 return Response.failure(unknown).to_bytes()
             try:
                 value = handler(**dict(request.args))
             except Exception as exc:
                 logger.debug("handler %s failed: %s", request.op, exc)
                 span.mark_error(exc)
-                self._m_requests.labels(
-                    server=self.name, op=request.op, outcome="error"
-                ).inc()
                 return Response.failure(exc).to_bytes()
-            self._m_requests.labels(
-                server=self.name, op=request.op, outcome="ok"
-            ).inc()
             return Response.success(value).to_bytes()
 
 
@@ -204,25 +184,8 @@ class RpcClient:
     def __init__(self, transport: Transport, tracer=None, metrics=None) -> None:
         self.transport = transport
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        #: Client-side call accounting: per-operation totals and a
-        #: latency histogram in (simulated) seconds. Latency is only
-        #: measured when a real registry is installed — the disabled
-        #: path performs no clock reads.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self._m_calls = self.metrics.counter(
-            "rpc_client_calls_total",
-            "RPC invocations issued, by operation and outcome.",
-            labelnames=("op", "outcome"),
-        )
-        self._m_latency = self.metrics.histogram(
-            "rpc_client_call_seconds",
-            "Per-call wire latency (clock-charged seconds), by operation.",
-            labelnames=("op",),
-        )
-        self._m_inflight = self.metrics.gauge(
-            "rpc_inflight",
-            "RPC requests currently in flight in a pipelined batch.",
-        )
+        # ``metrics`` is accepted but unused: ``perf/`` still passes it
+        # (ROADMAP 1(a)/8(a) remove it); per-call timing is the span.
 
     def call(self, target, op: str, **args: Any) -> Any:
         """Invoke *op* at *target* (an Endpoint or ContactAddress)."""
@@ -231,24 +194,13 @@ class RpcClient:
             # Built inside the span so the envelope carries *this* span
             # as the remote parent of the server's ``server.handle``.
             request = Request(op=op, args=args, ctx=self.tracer.context())
-            started = self.metrics.clock.now() if self.metrics.enabled else 0.0
-            try:
-                wire = request.to_bytes()
-                span.set_attribute("sent_bytes", len(wire))
-                frame = self.transport.request(endpoint, wire)
-            except Exception:
-                self._m_calls.labels(op=op, outcome="error").inc()
-                raise
-            if self.metrics.enabled:
-                self._m_latency.labels(op=op).observe(
-                    self.metrics.clock.now() - started
-                )
+            wire = request.to_bytes()
+            span.set_attribute("sent_bytes", len(wire))
+            frame = self.transport.request(endpoint, wire)
             span.set_attribute("received_bytes", len(frame))
             response = Response.from_bytes(frame)
             if response.ok:
-                self._m_calls.labels(op=op, outcome="ok").inc()
                 return response.value
-            self._m_calls.labels(op=op, outcome="error").inc()
             raise _remote_error(response)
 
     # ------------------------------------------------------------------
@@ -297,11 +249,7 @@ class RpcClient:
                         continue
                     wire = Request(op=call.op, args=dict(call.args), ctx=ctx).to_bytes()
                     prepared.append((slot, call, endpoint, wire))
-                self._m_inflight.set(len(prepared))
-                try:
-                    raw = request_many([(ep, wire) for _, _, ep, wire in prepared])
-                finally:
-                    self._m_inflight.set(0)
+                raw = request_many([(ep, wire) for _, _, ep, wire in prepared])
                 for (slot, call, _, _), frame in zip(prepared, raw):
                     window_outcomes[slot] = self._decode_outcome(call, frame)
                 errors = sum(not outcome.ok for outcome in window_outcomes)
@@ -320,17 +268,13 @@ class RpcClient:
     def _decode_outcome(self, call: BatchCall, frame) -> BatchOutcome:
         """Turn one raw transport slot into a :class:`BatchOutcome`."""
         if isinstance(frame, Exception):
-            self._m_calls.labels(op=call.op, outcome="error").inc()
             return BatchOutcome(call=call, error=frame)
         try:
             response = Response.from_bytes(frame)
         except Exception as exc:
-            self._m_calls.labels(op=call.op, outcome="error").inc()
             return BatchOutcome(
                 call=call, error=TransportError(f"bad response frame: {exc}")
             )
         if response.ok:
-            self._m_calls.labels(op=call.op, outcome="ok").inc()
             return BatchOutcome(call=call, value=response.value)
-        self._m_calls.labels(op=call.op, outcome="error").inc()
         return BatchOutcome(call=call, error=_remote_error(response))

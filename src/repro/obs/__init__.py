@@ -12,8 +12,8 @@ near-zero-cost way to report *where an access spends its time* and
   aggregating :class:`~repro.obs.sinks.SpanStats`;
 * metrics (:mod:`repro.obs.metrics`) — the process-wide labeled
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
-  fixed-bucket histograms) with Prometheus-text and canonical-JSON
-  exposition, and its disabled twin
+  fixed-bucket histograms) holding the five series an alert rule or
+  SLO reads, and its disabled twin
   :data:`~repro.obs.metrics.NOOP_METRICS`;
 * alerts (:mod:`repro.obs.alerts`) — the SLO rule engine
   (:class:`~repro.obs.alerts.AlertEngine`) evaluating threshold and
@@ -31,8 +31,8 @@ See ``python -m repro.harness profile`` for the end-to-end profile built
 on the spans (per-span table, rejection census, cross-process
 critical-path attribution and SLO verdicts), ``python -m repro.harness
 monitor`` for the standing metrics/alerts plane, and DESIGN.md
-§4d/§4f/§4j for the span taxonomy, metric naming conventions, and the
-causal-tracing design.
+§4d/§4f/§4j for the span taxonomy, the five registry series and their
+readers, and the causal-tracing design.
 """
 
 from repro.obs.span import NOOP_TRACER, NoopSpan, NoopTracer, Span, Tracer

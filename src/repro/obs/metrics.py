@@ -3,10 +3,11 @@
 The spans of :mod:`repro.obs.span` decompose *one* access (and
 :class:`~repro.proxy.metrics.AccessMetrics` is a view of them). A
 :class:`MetricsRegistry` is the other leg of the observability stack:
-continuously aggregated, queryable counters, gauges, and fixed-bucket
-histograms that every layer of the stack reports into, scraped on a
-fixed cadence by the monitor harness and fed to the SLO rule engine
-(:mod:`repro.obs.alerts`).
+continuously aggregated counters, gauges, and fixed-bucket histograms
+that the alert engine (:mod:`repro.obs.alerts`) and the SLO plane
+(:mod:`repro.obs.slo`) read on a fixed sim-clock cadence. A series
+exists only if a rule or an objective reads it: the stack emits five
+(DESIGN §4f), and ``tests/obs/test_series_census.py`` holds the set.
 
 Three instrument kinds, deliberately Prometheus-shaped:
 
@@ -19,17 +20,10 @@ Instruments are *labeled*: ``registry.counter(name, labelnames=("op",))``
 returns a parent whose ``labels(op="globedoc.get")`` hands out a cached
 child series — the hot path after the first call is one dict lookup.
 
-Exposition is deterministic by construction: metric names, label names,
-and label values are all emitted in sorted order, so two scrapes of an
-idle registry are byte-identical — in both the Prometheus text format
-(:meth:`MetricsRegistry.to_prometheus_text`) and the canonical JSON
-snapshot (:meth:`MetricsRegistry.to_json`, built on the S1
-:func:`~repro.util.encoding.canonical_json` helpers).
-
-Derived values (cache hit ratios, circuit-breaker states, feed
-staleness) are refreshed by *collectors*: callbacks registered with
+Derived values (circuit-breaker states, feed staleness) are refreshed
+by *collectors*: callbacks registered with
 :meth:`MetricsRegistry.register_collector` and run by
-:meth:`MetricsRegistry.collect` just before a scrape, so pull-style
+:meth:`MetricsRegistry.collect` before every evaluation, so pull-style
 gauges stay current without per-operation bookkeeping.
 
 Disabled cost: every instrumented component defaults to
@@ -47,7 +41,6 @@ import re
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.sim.clock import Clock, RealClock
-from repro.util.encoding import canonical_json
 
 __all__ = [
     "Counter",
@@ -70,21 +63,6 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-def _escape_label_value(value: str) -> str:
-    """Prometheus text-format label-value escaping."""
-    return value.replace("\\", r"\\").replace("\n", r"\n").replace('"', r'\"')
-
-
-def _format_value(value: float) -> str:
-    """Render a sample value: integers without a trailing ``.0`` (the
-    common counter case), floats via ``repr`` (round-trip exact)."""
-    if isinstance(value, bool):  # pragma: no cover - defensive
-        return "1" if value else "0"
-    if isinstance(value, int) or float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
 
 
 def _label_key(labelnames: Tuple[str, ...], kv: Mapping[str, Any]) -> Tuple[str, ...]:
@@ -305,7 +283,7 @@ class MetricsRegistry:
     instruments through the typed factories below. Re-requesting an
     existing name returns the same instrument — provided the kind and
     labelnames agree — so shared instruments (every client stack's
-    ``proxy_accesses_total``) aggregate naturally.
+    ``proxy_requests_total``) aggregate naturally.
 
     ``clock`` is the time source components use for latency
     observations; inject the experiment's
@@ -390,97 +368,6 @@ class MetricsRegistry:
     def collect(self) -> None:
         for collector in self._collectors:
             collector()
-
-    # ------------------------------------------------------------------
-    # Exposition
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, dict]:
-        """The full registry as a deterministic JSON-ready mapping.
-
-        Callers wanting fresh derived gauges run :meth:`collect` first;
-        the snapshot itself never mutates anything (so two snapshots of
-        an idle registry are identical).
-        """
-        out: Dict[str, dict] = {}
-        for name in self.names:
-            instrument = self._instruments[name]
-            series = []
-            for label_values, child in instrument.series():
-                labels = dict(zip(instrument.labelnames, label_values))
-                if instrument.kind == "histogram":
-                    series.append(
-                        {
-                            "labels": labels,
-                            "sum": child.sum,
-                            "count": child.count,
-                            "buckets": [
-                                {
-                                    "le": ("+Inf" if bound == float("inf") else bound),
-                                    "count": cumulative,
-                                }
-                                for bound, cumulative in child.cumulative_buckets()
-                            ],
-                        }
-                    )
-                else:
-                    series.append({"labels": labels, "value": child.value})
-            out[name] = {
-                "type": instrument.kind,
-                "help": instrument.help,
-                "labelnames": list(instrument.labelnames),
-                "series": series,
-            }
-        return out
-
-    def to_json(self) -> str:
-        """Canonical JSON snapshot (S1 encoding: sorted keys, fixed
-        separators) — byte-identical across scrapes of an idle registry."""
-        return canonical_json(self.snapshot())
-
-    def to_prometheus_text(self) -> str:
-        """The Prometheus text exposition format, deterministically
-        ordered: metrics sorted by name, series by label values."""
-        lines: List[str] = []
-        for name in self.names:
-            instrument = self._instruments[name]
-            if instrument.help:
-                lines.append(f"# HELP {name} {instrument.help}")
-            lines.append(f"# TYPE {name} {instrument.kind}")
-            for label_values, child in instrument.series():
-                labels = dict(zip(instrument.labelnames, label_values))
-                if instrument.kind == "histogram":
-                    for bound, cumulative in child.cumulative_buckets():
-                        le = "+Inf" if bound == float("inf") else _format_value(bound)
-                        lines.append(
-                            f"{name}_bucket{self._label_text(labels, le=le)} "
-                            f"{cumulative}"
-                        )
-                    lines.append(
-                        f"{name}_sum{self._label_text(labels)} "
-                        f"{_format_value(child.sum)}"
-                    )
-                    lines.append(
-                        f"{name}_count{self._label_text(labels)} {child.count}"
-                    )
-                else:
-                    lines.append(
-                        f"{name}{self._label_text(labels)} "
-                        f"{_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _label_text(labels: Mapping[str, str], le: Optional[str] = None) -> str:
-        items = sorted(labels.items())
-        if le is not None:
-            items.append(("le", le))
-        if not items:
-            return ""
-        body = ",".join(
-            f'{key}="{_escape_label_value(str(value))}"' for key, value in items
-        )
-        return "{" + body + "}"
 
     # ------------------------------------------------------------------
     # Aggregate accessors (the alert engine's read surface)

@@ -154,9 +154,8 @@ class SecurityChecker:
         #: closes with error status names the check that rejected the
         #: response — the trace profile's rejection census keys on it.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        # ``metrics`` is accepted so every instrumented layer is built
-        # with the same ``tracer=``/``metrics=`` pair; the checker owns
-        # no series — per-check verdicts are the ``check.*`` spans.
+        # ``metrics`` is accepted but unused: ``perf/`` still passes it
+        # (ROADMAP 1(a)/8(a) remove it); per-check verdicts are spans.
 
     def _cache_counts(self) -> Optional[tuple]:
         """The verification cache's (hits, misses) before a check.

@@ -91,7 +91,6 @@ class GlobeDocProxy:
         max_rebinds: int = 3,
         tracer=None,
         metrics=None,
-        metrics_client: str = "",
     ) -> None:
         self.binder = binder
         self.checker = checker
@@ -117,33 +116,20 @@ class GlobeDocProxy:
         #: Optional :class:`~repro.proxy.pipeline.AccessScheduler`; when
         #: installed, :meth:`handle_many` prefetches batches in parallel.
         self.scheduler = None
-        #: Monitor-plane instruments. Counters and histograms are shared
-        #: across proxies (additive); the cache hit-ratio gauges carry a
-        #: ``client`` label (``metrics_client``) so several stacks can
-        #: share one registry without clobbering each other's ratios.
+        #: Monitor-plane instruments, the two SLO inputs. Both are
+        #: shared across proxies (additive), so no ``client`` label; the
+        #: rejecting check is the span's ``security_failure`` attribute.
         self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self.metrics_client = metrics_client
         self._m_requests = self.metrics.counter(
             "proxy_requests_total",
-            "Browser requests handled, by outcome "
-            "(ok / rejected / not_found / passthrough / bad_url).",
+            "Browser requests handled, by outcome (ok / rejected / "
+            "not_found / bad_gateway / passthrough / bad_url).",
             labelnames=("outcome",),
-        )
-        self._m_rejections = self.metrics.counter(
-            "proxy_rejections_total",
-            "Accesses rejected by a security check, by exception class.",
-            labelnames=("error",),
         )
         self._m_access = self.metrics.histogram(
             "proxy_access_seconds",
             "Total per-access time (clock-charged seconds), every phase.",
         )
-        self._m_cache_ratio = self.metrics.gauge(
-            "proxy_cache_hit_ratio",
-            "Hit ratio of the proxy's caches (content / verify), 0-1.",
-            labelnames=("client", "cache"),
-        )
-        self.metrics.register_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
     # Request handling
@@ -233,7 +219,6 @@ class GlobeDocProxy:
             span.set_attribute("status", 403)
             span.set_attribute("security_failure", type(exc).__name__)
             self._m_requests.labels(outcome="rejected").inc()
-            self._m_rejections.labels(error=type(exc).__name__).inc()
             return ProxyResponse(
                 status=403,
                 content=SECURITY_FAILED_HTML % str(exc).encode(),
@@ -242,20 +227,6 @@ class GlobeDocProxy:
         span.set_attribute("status", 404)
         self._m_requests.labels(outcome="not_found").inc()
         return ProxyResponse(status=404, content=NOT_FOUND_HTML % str(exc).encode())
-
-    def _collect_metrics(self) -> None:
-        """Scrape-time refresh of the derived cache hit-ratio gauges."""
-        if self.content_cache is not None:
-            self._m_cache_ratio.labels(
-                client=self.metrics_client, cache="content"
-            ).set(self.content_cache.hit_rate)
-        cache = self.checker.verification_cache
-        if cache is not None:
-            hits, misses = cache.stats.snapshot()
-            total = hits + misses
-            self._m_cache_ratio.labels(
-                client=self.metrics_client, cache="verify"
-            ).set(hits / total if total else 0.0)
 
     def _follow_forwarding(self, url: HybridUrl) -> Optional[HybridUrl]:
         """The OID-form URL of the re-keyed successor, or None.
@@ -332,7 +303,7 @@ class GlobeDocProxy:
             # The origin is as untrusted as a replica: an answer that
             # does not decode is a bad gateway, not an exception.
             self.failure_count += 1
-            self._m_requests.labels(outcome="not_found").inc()
+            self._m_requests.labels(outcome="bad_gateway").inc()
             return ProxyResponse(status=502, content=NOT_FOUND_HTML % str(exc).encode())
         self._m_requests.labels(outcome="passthrough").inc()
         return response

@@ -48,7 +48,7 @@ from repro.globedoc.urls import HybridUrl
 from repro.net.rpc import BatchCall, DEFAULT_WINDOW
 from repro.net.address import ContactAddress
 from repro.net.retry import is_idempotent
-from repro.obs import NOOP_METRICS, NOOP_TRACER
+from repro.obs import NOOP_TRACER
 from repro.util.encoding import canonical_bytes, wire_bytes
 
 __all__ = [
@@ -106,16 +106,11 @@ class SingleFlight:
     with the same key executes again (memoization is the caches' job).
     """
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._flights: Dict[Any, "_Flight"] = {}
         self.leaders = 0
         self.waiters = 0
-        metrics = metrics if metrics is not None else NOOP_METRICS
-        self._m_waiters = metrics.counter(
-            "coalesce_waiters_total",
-            "Requests served another request's in-flight result.",
-        )
 
     def do(self, key: Any, fn: Callable[[], Any]) -> Any:
         with self._lock:
@@ -127,7 +122,6 @@ class SingleFlight:
                 leader = True
             else:
                 self.waiters += 1
-                self._m_waiters.inc()
                 leader = False
         if not leader:
             flight.done.wait()
@@ -171,16 +165,13 @@ class PrefetchingRpcClient:
 
     def __init__(self, inner, metrics=None, tracer=None) -> None:
         self.inner = inner
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
+        # ``metrics`` is accepted but unused: ``perf/`` still passes it
+        # (ROADMAP 1(a)/8(a) remove it); the counts are ``counters_pipeline``.
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.counters_pipeline = PipelineCounters()
         self._table: Dict[tuple, List[Any]] = {}
         self._lock = threading.RLock()
-        self._flight = SingleFlight(metrics=self.metrics)
-        self._m_coalesce_hits = self.metrics.counter(
-            "coalesce_hits_total",
-            "Duplicate calls collapsed into one RPC by the pipeline.",
-        )
+        self._flight = SingleFlight()
 
     # -- RpcClient surface -------------------------------------------------
 
@@ -229,7 +220,6 @@ class PrefetchingRpcClient:
             key = self._call_key(call.target, call.op, call.args)
             if key in unique:
                 self.counters_pipeline.coalesced_calls += 1
-                self._m_coalesce_hits.inc()
             else:
                 unique[key] = call
         if not unique:
@@ -325,14 +315,11 @@ class AccessScheduler:
         self.prefetcher = prefetcher
         self.config = config if config is not None else PipelineConfig()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
+        # ``metrics`` is accepted but unused: ``perf/`` still passes it
+        # (ROADMAP 1(a)/8(a) remove it); the counts are ``counters``.
         self.counters = self.prefetcher.counters_pipeline
         #: name → OID hints feeding speculative binding across batches.
         self._oid_hints: Dict[str, Any] = {}
-        self._m_waiters = self.metrics.counter(
-            "coalesce_waiters_total",
-            "Requests served another request's in-flight result.",
-        )
 
     # ------------------------------------------------------------------
 
@@ -378,10 +365,7 @@ class AccessScheduler:
                     response = self.proxy.handle(urls[leader])
                     for member in members:
                         responses[member] = response
-                    waiters = len(members) - 1
-                    if waiters:
-                        coalesced += waiters
-                        self._m_waiters.inc(waiters)
+                    coalesced += len(members) - 1
             finally:
                 # Unconsumed parked bytes must not leak into later
                 # accesses (a replica may change between batches).

@@ -23,7 +23,6 @@ from repro.globedoc.oid import ObjectId
 from repro.globedoc.owner import DocumentOwner, SignedDocument
 from repro.location.service import LocationClient
 from repro.net.address import ContactAddress
-from repro.obs import NOOP_METRICS
 from repro.replication.consistency import ConsistencyModel, PushInvalidation
 from repro.replication.policy import (
     ActionKind,
@@ -83,32 +82,11 @@ class ReplicationCoordinator:
         self,
         location: LocationClient,
         consistency: Optional[ConsistencyModel] = None,
-        metrics=None,
     ) -> None:
         self.location = location
         self.consistency = consistency if consistency is not None else PushInvalidation()
         self._ports: Dict[str, SitePort] = {}
         self._documents: Dict[str, ManagedDocument] = {}
-        #: Owner-side monitor instruments: placement churn and the
-        #: fan-out lag of pushing one revocation/update to every site
-        #: (clock-charged seconds per publish, sites reached/skipped).
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self._m_placements = self.metrics.counter(
-            "replication_placements_total", "Replicas placed by the coordinator."
-        )
-        self._m_removals = self.metrics.counter(
-            "replication_removals_total", "Replicas destroyed by the coordinator."
-        )
-        self._m_fanout_sites = self.metrics.counter(
-            "replication_publish_fanout_total",
-            "Per-site outcomes of revocation/update fan-outs.",
-            labelnames=("kind", "outcome"),
-        )
-        self._m_fanout_lag = self.metrics.histogram(
-            "replication_publish_fanout_seconds",
-            "Clock time one publish needed to reach every site.",
-            labelnames=("kind",),
-        )
 
     # ------------------------------------------------------------------
     # Topology / document registration
@@ -183,7 +161,6 @@ class ReplicationCoordinator:
         self.location.register_replica(managed.oid, site, address)
         managed.replica_ids[site] = str(result["replica_id"])
         managed.placements += 1
-        self._m_placements.inc()
 
     def _remove(self, managed: ManagedDocument, site: str) -> None:
         replica_id = managed.replica_ids.get(site)
@@ -196,7 +173,6 @@ class ReplicationCoordinator:
         port.admin.destroy_replica(replica_id)
         del managed.replica_ids[site]
         managed.removals += 1
-        self._m_removals.inc()
 
     @staticmethod
     def _address_for(port: SitePort, replica_id: str) -> ContactAddress:
@@ -272,7 +248,6 @@ class ReplicationCoordinator:
 
         wire = statement.to_dict()
         reached: List[str] = []
-        started = self.metrics.clock.now() if self.metrics.enabled else 0.0
         for site in sorted(self._ports):
             port = self._ports[site]
             try:
@@ -280,16 +255,8 @@ class ReplicationCoordinator:
                     port.admin.target, "revocation.publish", statement=wire
                 )
             except NetworkError:
-                self._m_fanout_sites.labels(
-                    kind="revocation", outcome="skipped"
-                ).inc()
                 continue
-            self._m_fanout_sites.labels(kind="revocation", outcome="reached").inc()
             reached.append(site)
-        if self.metrics.enabled:
-            self._m_fanout_lag.labels(kind="revocation").observe(
-                self.metrics.clock.now() - started
-            )
         return reached
 
     def publish_update(self, oid: ObjectId, document: SignedDocument) -> List[str]:
@@ -303,12 +270,5 @@ class ReplicationCoordinator:
 
         def push(site: str, doc: SignedDocument) -> None:
             self._ports[site].admin.update_replica(doc)
-            self._m_fanout_sites.labels(kind="update", outcome="reached").inc()
 
-        started = self.metrics.clock.now() if self.metrics.enabled else 0.0
-        pushed = self.consistency.on_publish(document, managed.sites, push)
-        if self.metrics.enabled:
-            self._m_fanout_lag.labels(kind="update").observe(
-                self.metrics.clock.now() - started
-            )
-        return pushed
+        return self.consistency.on_publish(document, managed.sites, push)

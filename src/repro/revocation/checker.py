@@ -110,39 +110,19 @@ class RevocationChecker:
         self.store = store
         if store is not None:
             self._recover()
-        #: Monitor instruments. The staleness gauge is the input to the
-        #: fail-closed-imminent alert rule; -1 marks "never synced" (a
-        #: state the check itself already fails closed on). The head
-        #: serial, against ``revocation_feed_head``, yields serial lag.
+        #: Monitor instruments, each read by an alert rule. The staleness
+        #: gauge is the input to the fail-closed-imminent rule; -1 marks
+        #: "never synced" (a state the check itself already fails closed
+        #: on). Every other count is in :attr:`stats`.
         self.metrics = metrics if metrics is not None else NOOP_METRICS
         self.metrics_client = metrics_client
-        self._m_refreshes = self.metrics.counter(
-            "revocation_refreshes_total", "Successful feed delta pulls."
-        )
-        self._m_refresh_failures = self.metrics.counter(
-            "revocation_refresh_failures_total",
-            "Feed pulls that failed with a network error.",
-        )
         self._m_rejections = self.metrics.counter(
             "revocation_rejections_total",
             "Accesses rejected because a key or element was revoked.",
         )
-        self._m_ingested = self.metrics.counter(
-            "revocation_statements_ingested_total",
-            "Verified revocation statements accepted into the local view.",
-        )
-        self._m_head_regressions = self.metrics.counter(
-            "revocation_head_regressions_total",
-            "Feed pulls rejected because the head moved backwards.",
-        )
         self._m_staleness = self.metrics.gauge(
             "revocation_view_staleness_seconds",
             "Age of the client's last good feed sync (-1: never synced).",
-            labelnames=("client",),
-        )
-        self._m_head = self.metrics.gauge(
-            "revocation_head_serial",
-            "Highest feed serial this client has synced through.",
             labelnames=("client",),
         )
         self.metrics.register_collector(self._collect_metrics)
@@ -234,14 +214,12 @@ class RevocationChecker:
             head, statements = RevocationFeed.decode_delta(answer)
             if head < self._head:
                 self.stats.head_regressions += 1
-                self._m_head_regressions.inc()
                 raise FeedRegressionError(
                     f"revocation feed head regressed from {self._head} to {head}: "
                     "the feed lost statements (restart without its log, or a "
                     "rollback attack) — failing closed"
                 )
             self.stats.refreshes += 1
-            self._m_refreshes.inc()
             ingested = 0
             for statement in statements:
                 if self._ingest(statement):
@@ -270,7 +248,6 @@ class RevocationChecker:
             return False
         known.append(statement)
         self.stats.statements_ingested += 1
-        self._m_ingested.inc()
         self._journal({"op": "ingest", "statement": statement.to_dict()})
         self._purge_caches(statement)
         return True
@@ -302,7 +279,6 @@ class RevocationChecker:
             self.refresh()
         except NetworkError as exc:
             self.stats.refresh_failures += 1
-            self._m_refresh_failures.inc()
             staleness = self.staleness
             if staleness is None or staleness > self.max_staleness:
                 raise RevocationStalenessError(
@@ -388,4 +364,3 @@ class RevocationChecker:
         self._m_staleness.labels(client=self.metrics_client).set(
             -1.0 if staleness is None else staleness
         )
-        self._m_head.labels(client=self.metrics_client).set(float(self._head))

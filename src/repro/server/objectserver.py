@@ -80,7 +80,6 @@ class ObjectServer:
         data_dir: Optional[str] = None,
         storage_sync: bool = True,
     ) -> None:
-        from repro.obs import NOOP_METRICS
         from repro.server.resources import ResourceAccountant, ResourceLimits
 
         self.host = host
@@ -141,26 +140,8 @@ class ObjectServer:
             self.keystore.subscribe(
                 lambda label, key: self._journal(revoke_record, key.der)
             )
-        #: Server-side monitor instruments. Gauges are host-labeled (one
-        #: registry watches many servers); the feed head lets the report
-        #: derive client serial lag against ``revocation_head_serial``.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self._m_entity_revocations = self.metrics.counter(
-            "server_entity_revocations_total",
-            "Keystore entities revoked (replicas torn down), by host.",
-            labelnames=("host",),
-        )
-        self._m_replicas = self.metrics.gauge(
-            "server_replicas_hosted",
-            "Replicas currently hosted, by server host.",
-            labelnames=("host",),
-        )
-        self._m_feed_head = self.metrics.gauge(
-            "revocation_feed_head",
-            "Highest revocation-feed serial this server has published.",
-            labelnames=("host",),
-        )
-        self.metrics.register_collector(self._collect_metrics)
+        # ``metrics`` is accepted but unused: ``perf/`` still passes it
+        # (ROADMAP 1(a)/8(a) remove it); the server owns no series.
 
     # ------------------------------------------------------------------
     # Durable state
@@ -336,13 +317,6 @@ class ObjectServer:
                 "at": self.clock.now(),
                 "replicas_dropped": sorted(dropped),
             }
-        )
-        self._m_entity_revocations.labels(host=self.host).inc()
-
-    def _collect_metrics(self) -> None:
-        self._m_replicas.labels(host=self.host).set(float(self.replica_count))
-        self._m_feed_head.labels(host=self.host).set(
-            float(self.revocation_feed.head)
         )
 
     # ------------------------------------------------------------------
@@ -525,10 +499,6 @@ class ObjectServer:
         raise ServerError(f"unknown admin operation {cmd.op!r}")
 
     def rpc_server(self) -> RpcServer:
-        server = RpcServer(
-            name=f"objectserver@{self.host}",
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
+        server = RpcServer(name=f"objectserver@{self.host}", tracer=self.tracer)
         server.register_object(self)
         return server

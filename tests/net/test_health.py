@@ -128,7 +128,6 @@ class TestFullLifecycle:
         assert tracker.order([ADDR, OTHER]) == [OTHER, ADDR]
         registry.collect()
         assert self.gauge_value(registry, ADDR) == CIRCUIT_STATE_VALUES["open"]
-        assert registry.total("replica_quarantines_total") == 1.0
 
         # open -> half-open: expiry is lazy (applied on read), so the
         # scrape-time collector is what surfaces the transition; the
@@ -146,8 +145,10 @@ class TestFullLifecycle:
         registry.collect()
         assert self.gauge_value(registry, ADDR) == CIRCUIT_STATE_VALUES["closed"]
         assert tracker.record(ADDR).consecutive_failures == 0
-        # The quarantine counter is cumulative: closing does not undo it.
-        assert registry.total("replica_quarantines_total") == 1.0
+        # Cumulative: closing does not undo the count; only reset() does.
+        assert tracker.quarantines == 1
+        tracker.reset()
+        assert tracker.quarantines == 0
 
     def test_half_open_probe_failure_reenters_eviction_sweep(self, clock):
         registry = MetricsRegistry(clock=clock)
@@ -164,7 +165,7 @@ class TestFullLifecycle:
         registry.collect()
         values = registry.series_values("replica_circuit_state", None)
         assert values == [float(CIRCUIT_STATE_VALUES["open"])]
-        assert registry.total("replica_quarantines_total") == 2.0
+        assert tracker.quarantines == 2
 
     def test_two_trackers_share_registry_without_collision(self, clock):
         registry = MetricsRegistry(clock=clock)
@@ -181,8 +182,8 @@ class TestFullLifecycle:
         assert sorted(
             registry.series_values("replica_circuit_state", None)
         ) == [0.0, 2.0]
-        # The quarantine counter aggregates across both trackers.
-        assert registry.total("replica_quarantines_total") == 1.0
+        # Each tracker counts only its own quarantines.
+        assert (one.quarantines, two.quarantines) == (1, 0)
 
 
 class TestOrdering:

@@ -117,12 +117,9 @@ class BatchingTransport(LoopbackTransport):
     def __init__(self):
         super().__init__()
         self.batches = []
-        self.probe = None  # callable invoked mid-batch (gauge snapshots)
 
     def request_many(self, batch):
         self.batches.append(len(batch))
-        if self.probe is not None:
-            self.probe()
         results = []
         for endpoint, frame in batch:
             try:
@@ -228,20 +225,3 @@ class TestCallMany:
         address = ContactAddress(endpoint=endpoint, replica_id="r1")
         outcomes = client.call_many([BatchCall(address, "calc.add", {"a": 5, "b": 5})])
         assert outcomes[0].value == 10
-
-    def test_inflight_gauge_tracks_window(self, batch_wired):
-        from repro.obs import MetricsRegistry
-
-        transport = batch_wired[2]
-        endpoint = batch_wired[1]
-        metrics = MetricsRegistry()
-        client = RpcClient(transport, metrics=metrics)
-        gauge = metrics.gauge("rpc_inflight")
-        observed = []
-        transport.probe = lambda: observed.append(gauge.value)
-        client.call_many(
-            [BatchCall(endpoint, "calc.add", {"a": i, "b": 0}) for i in range(5)],
-            window=2,
-        )
-        assert observed == [2.0, 2.0, 1.0]
-        assert gauge.value == 0.0

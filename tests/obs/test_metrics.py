@@ -1,8 +1,6 @@
-"""The labeled metrics registry: instruments, exposition, NOOP path."""
+"""The labeled metrics registry: instruments, aggregates, NOOP path."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -145,55 +143,6 @@ class TestRegistry:
     def test_injected_clock_is_exposed(self):
         clock = SimClock(7.0)
         assert MetricsRegistry(clock=clock).clock.now() == 7.0
-
-
-class TestExposition:
-    def build(self):
-        registry = MetricsRegistry()
-        counter = registry.counter(
-            "ops_total", "Operations.", labelnames=("op",)
-        )
-        counter.labels(op="put").inc()
-        counter.labels(op="get").inc(2)
-        registry.histogram("lat_seconds", "Latency.", buckets=(0.1, 1.0)).observe(0.5)
-        registry.gauge("depth", "Queue depth.").set(3.0)
-        return registry
-
-    def test_prometheus_text_shape_and_order(self):
-        text = self.build().to_prometheus_text()
-        lines = text.splitlines()
-        # Metrics sorted by name; series sorted by label value.
-        assert lines[0] == "# HELP depth Queue depth."
-        assert 'ops_total{op="get"} 2' in lines
-        assert lines.index('ops_total{op="get"} 2') < lines.index(
-            'ops_total{op="put"} 1'
-        )
-        assert 'lat_seconds_bucket{le="+Inf"} 1' in lines
-        assert "lat_seconds_sum 0.5" in lines
-        assert "lat_seconds_count 1" in lines
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total", labelnames=("path",)).labels(
-            path='a"b\\c\nd'
-        ).inc()
-        assert r'path="a\"b\\c\nd"' in registry.to_prometheus_text()
-
-    def test_idle_scrapes_byte_identical(self):
-        registry = self.build()
-        registry.collect()
-        assert registry.to_prometheus_text() == registry.to_prometheus_text()
-        assert registry.to_json() == registry.to_json()
-
-    def test_json_snapshot_shape(self):
-        snapshot = json.loads(self.build().to_json())
-        assert sorted(snapshot) == ["depth", "lat_seconds", "ops_total"]
-        ops = snapshot["ops_total"]
-        assert ops["type"] == "counter"
-        assert [s["labels"]["op"] for s in ops["series"]] == ["get", "put"]
-        hist = snapshot["lat_seconds"]["series"][0]
-        assert hist["count"] == 1
-        assert hist["buckets"][-1]["le"] == "+Inf"
 
 
 class TestNoopRegistry:

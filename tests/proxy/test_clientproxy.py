@@ -14,7 +14,7 @@ from repro.crypto.verifycache import VerificationCache
 from repro.globedoc.urls import HybridUrl
 from repro.net.address import Endpoint
 from repro.net.message import Request, Response
-from repro.obs import RingBufferSink, Tracer
+from repro.obs import MetricsRegistry, RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
 from repro.proxy.pipeline import PipelineConfig
 from repro.util.encoding import to_wire
@@ -103,6 +103,30 @@ class TestPassthrough:
         )
         response = stack.proxy.handle("http://canardo.inria.fr/x")
         assert response.status == 502 and len(response.content) < 1024
+
+
+#: outcome -> (URL, or an element of the published page; status).
+OUTCOMES = {
+    "bad_url": ("ftp://weird", 400),
+    "ok": ("index.html", 200),
+    "rejected": ("ghost.html", 403),  # not in the integrity certificate
+    "not_found": ("globe://ghost.example/index.html", 404),
+    "bad_gateway": ("http://nowhere.example/x", 502),
+    "passthrough": ("http://ginger.cs.vu.nl/vu.nl/research/index.html", 200),
+}
+
+
+@pytest.mark.parametrize("outcome", OUTCOMES)
+def test_status_maps_to_one_outcome(testbed, published, outcome):
+    """``proxy_requests_total`` feeds the availability SLO: each answer
+    is counted once, under the outcome its status means."""
+    target, status = OUTCOMES[outcome]
+    registry = MetricsRegistry(clock=testbed.clock)
+    proxy = testbed.client_stack("canardo.inria.fr", metrics=registry).proxy
+    url = target if "://" in target else published.url(target)
+    assert proxy.handle(url).status == status
+    series = registry.get("proxy_requests_total").series()
+    assert {labels: child.value for labels, child in series} == {(outcome,): 1.0}
 
 
 class TestIdentityDisplay:

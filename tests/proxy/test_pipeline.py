@@ -13,7 +13,7 @@ from repro.errors import TransportError
 from repro.globedoc.urls import HybridUrl
 from repro.net.address import Endpoint
 from repro.net.rpc import BatchCall, BatchOutcome
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.proxy.pipeline import (
     AccessScheduler,
     PipelineConfig,
@@ -94,8 +94,7 @@ class TestSingleFlight:
         assert flight.waiters == 0
 
     def test_waiter_counter_metric(self):
-        metrics = MetricsRegistry()
-        flight = SingleFlight(metrics=metrics)
+        flight = SingleFlight()
         gate = threading.Event()
         threads = [
             threading.Thread(target=lambda: flight.do("k", lambda: gate.wait(5.0)))
@@ -108,7 +107,7 @@ class TestSingleFlight:
         gate.set()
         for t in threads:
             t.join(timeout=5.0)
-        assert metrics.counter("coalesce_waiters_total").value == 2.0
+        assert (flight.leaders, flight.waiters) == (1, 2)
 
 
 class FakeInner:
@@ -176,15 +175,13 @@ class TestPrefetchingRpcClient:
 
     def test_duplicate_calls_coalesce_in_one_wave(self):
         inner = FakeInner()
-        metrics = MetricsRegistry()
-        client = PrefetchingRpcClient(inner, metrics=metrics)
+        client = PrefetchingRpcClient(inner)
         parked = client.prefetch(
             [get_element("hot"), get_element("hot"), get_element("hot")]
         )
         assert parked == 1
         assert len(inner.waves[0]) == 1  # one RPC on the wire
         assert client.counters_pipeline.coalesced_calls == 2
-        assert metrics.counter("coalesce_hits_total").value == 2.0
 
     def test_failures_are_not_parked(self):
         inner = FakeInner()
