@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Flash crowd on a peer-to-peer CDN: detection + dynamic replication.
+"""Flash crowd on a peer-to-peer CDN: dynamic replication.
 
 The paper's motivating scenario (§1): a document suddenly becomes very
 popular at a remote site. This example drives a request trace with an
-injected flash crowd through the detector and the hotspot replication
-policy, placing replicas via the authenticated admin interface, and
-reports how client-perceived latency at the crowded site evolves.
+injected flash crowd through the hotspot replication policy, placing
+replicas via the authenticated admin interface, and reports how
+client-perceived latency at the crowded site evolves.
 
 Run: ``python examples/flash_crowd_cdn.py``
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
-from repro.replication.flashcrowd import FlashCrowdDetector
 from repro.replication.policy import RequestObservation
 from repro.replication.strategies import HotspotReplication
 from repro.workloads.trace import TraceConfig, generate_trace, inject_flash_crowd
@@ -67,7 +66,6 @@ def main() -> None:
     print(f"Trace: {len(trace)} requests over 300 s "
           f"(crowd of ~600 between t=60 s and t=120 s)")
 
-    detector = FlashCrowdDetector(short_window=10.0, long_window=120.0, surge_factor=4.0)
     policy = HotspotReplication(create_rate=1.0, destroy_rate=0.05, window=30.0)
     current_sites = ["root/europe/vu"]
     placed_at = None
@@ -77,11 +75,6 @@ def main() -> None:
         now = base_time + event.time
         if now > testbed.clock.now():
             testbed.clock.advance_to(now)
-        crowd_event = detector.observe(now)
-        if crowd_event is not None:
-            print(f"  t={event.time:6.1f}s  flash crowd {crowd_event.kind}: "
-                  f"{crowd_event.short_rate:.1f} req/s vs baseline "
-                  f"{crowd_event.baseline_rate:.2f} req/s")
         for action in policy.on_request(
             RequestObservation(site=event.site, time=now), current_sites
         ):

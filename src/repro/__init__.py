@@ -30,10 +30,8 @@ Package map:
 ``repro.location`` Globe location service (OID → contact addresses)
 ``repro.server``   object servers hosting replicas, admin + keystore
 ``repro.proxy``    the client proxy and its security pipeline
-``repro.replication`` per-document strategies, coordinator, flash crowds,
-                      hosting negotiation, replica auditing
-``repro.dynamic``  §6 dynamic content: signed receipts, audit
-``repro.baselines``   Apache/SSL/r-OSFS/Gemini comparators
+``repro.replication`` per-document strategies and the placement coordinator
+``repro.baselines``   Apache/SSL/Gemini comparators
 ``repro.attacks``  adversaries: tampering, replay, swap, lying services
 ``repro.deployment`` the composition root: wires the stack, any transport
 ``repro.net``      RPC + simulated WAN + real TCP transports

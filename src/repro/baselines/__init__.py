@@ -6,9 +6,6 @@
   with a real RSA handshake and real symmetric record encryption,
   reproducing the paper's point that SSL's public-key **decrypt** per
   connection is far costlier than GlobeDoc's signature **verify**.
-* :mod:`~repro.baselines.rosfs` — the read-only SFS design (ref [6]):
-  one Merkle root signature for the whole store, per-element proofs,
-  one global freshness interval.
 * :mod:`~repro.baselines.gemini` — the Gemini cache-signing design
   (ref [12]): untrusted caches sign what they serve, cheats are caught
   by after-the-fact auditing rather than prevented.
@@ -16,7 +13,6 @@
 
 from repro.baselines.plainhttp import StaticHttpServer, PlainHttpClient
 from repro.baselines.ssl_channel import SslServer, SslClient, TlsSession
-from repro.baselines.rosfs import RosfsStore, RosfsServer, RosfsClient
 from repro.baselines.gemini import GeminiCache, GeminiClient, GeminiAuditor
 
 __all__ = [
@@ -25,9 +21,6 @@ __all__ = [
     "SslServer",
     "SslClient",
     "TlsSession",
-    "RosfsStore",
-    "RosfsServer",
-    "RosfsClient",
     "GeminiCache",
     "GeminiClient",
     "GeminiAuditor",

@@ -9,7 +9,8 @@ undetected" in the first place.
 The implementation captures both halves of that contrast:
 
 * cost — the cache pays an RSA **sign** per response (vs GlobeDoc's
-  owner signing once, offline); the ablation bench measures it;
+  owner signing once, offline); the ``design-choices`` server-signing
+  row counts it;
 * semantics — a cheating cache *succeeds* at serving bogus content to
   the client (the client only verifies the cache's signature), and is
   only exposed later when :class:`GeminiAuditor` replays receipts

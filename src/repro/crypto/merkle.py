@@ -1,12 +1,12 @@
 """Merkle hash trees.
 
-This is the substrate for the r-OSFS baseline (§5, ref [6]): hash every
+This is the r-OSFS design (§5, ref [6]): hash every
 leaf, combine pairwise up to a root, sign only the root. A client can
 verify any single leaf with an O(log n) *proof* instead of a per-leaf
 signature — but freshness can only be asserted for the whole tree at
 once, which is exactly the limitation the GlobeDoc integrity certificate
-removes (per-element validity intervals). The cert-scheme ablation bench
-quantifies this trade.
+removes (per-element validity intervals). The ``design-choices``
+certificate-scheme row (``compare_cert_schemes``) quantifies this trade.
 
 Interior nodes are domain-separated from leaves (0x00/0x01 prefixes) so
 a leaf value can never be replayed as an interior node (second-preimage

@@ -312,19 +312,17 @@ class Deployment:
         self.location_service.tree.insert(oid_hex, site, replica.contact_address())
 
     def coordinator(
-        self, owner: DocumentOwner, hosts: Optional[Iterable[str]] = None, **options
+        self, owner: DocumentOwner, hosts: Optional[Iterable[str]] = None
     ) -> ReplicationCoordinator:
         """*owner*'s replication coordinator, pushing from
         ``owner_host``: a location client at the services site and
         an admin port on each of *hosts*' object servers (default: every
-        server started so far). *options* are
-        :class:`~repro.replication.coordinator.ReplicationCoordinator`'s."""
+        server started so far)."""
         rpc = RpcClient(self.transport_for(self.owner_host))
         coordinator = ReplicationCoordinator(
             LocationClient(
                 rpc, self.location_endpoint, origin_site=self.site, clock=self.clock
-            ),
-            **options,
+            )
         )
         for host in self.servers if hosts is None else hosts:
             server = self.servers[host]

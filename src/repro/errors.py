@@ -43,7 +43,6 @@ __all__ = [
     "ServerError",
     "AccessDenied",
     "ReplicaError",
-    "ResourceExceeded",
     "BindingError",
     "UrlError",
     "ReplicationError",
@@ -217,11 +216,6 @@ class AccessDenied(ServerError):
 
 class ReplicaError(ServerError):
     """A replica is missing, duplicated, or in an invalid state."""
-
-
-class ResourceExceeded(ServerError):
-    """A replica operation would exceed the server's declared resource
-    limits (§6: disk space, replica slots, bandwidth)."""
 
 
 class BindingError(ReproError):

@@ -3,8 +3,7 @@
 Deliberately small and explicit: bounded size with oldest-put-first
 eviction (refreshing an entry moves it to the back of the queue), TTL
 expiry against the injected clock, and explicit invalidation for failed
-binds. The location ablation bench uses hit-rate accounting to show the
-cache/TTL trade-off under replica churn.
+binds.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 The server walks the domain tree on behalf of the querying proxy and
 reports, along with the addresses, the number of tree nodes the search
-visited — the cost metric used by the location ablation bench (the paper
-argues expanding-ring search scales where DNS-style flat records do
-not). Besides lookup, the interface supports the insertion, deletion and
-move of contact-address mappings used by the replication coordinator.
+visited — the search cost (the paper argues expanding-ring search
+scales where DNS-style flat records do not). Besides lookup, the
+interface supports the insertion, deletion and move of contact-address
+mappings used by the replication coordinator.
 """
 
 from __future__ import annotations

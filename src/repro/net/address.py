@@ -37,9 +37,9 @@ class Endpoint:
 class ContactAddress:
     """Where and how to contact a GlobeDoc replica.
 
-    ``protocol`` distinguishes a full replica (clients bind here) from
-    other contact-point flavours the Globe model allows; the replication
-    coordinator also registers proxy contact points.
+    ``protocol`` names what is spoken at the endpoint; everything this
+    code base registers is a full replica (``globedoc/replica``), where
+    clients bind.
     """
 
     endpoint: Endpoint

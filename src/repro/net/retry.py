@@ -52,11 +52,7 @@ IDEMPOTENT_PREFIXES = (
     "naming.",
     "location.lookup",
     "http.get",
-    "rosfs.",
     "gemini.get",
-    "server.quote",
-    "dynamic.query",
-    "dynamic.origin_query",
 )
 
 

@@ -8,10 +8,9 @@ already passed every security check, keyed by (OID, element name), and
 expires them at their per-element ``expires_at`` (never later, even if
 the configured TTL is longer).
 
-This is the client half of the ``ttl-cache`` replication strategy and
-the mechanism behind Squid-style proxy caching in the GlobeDoc world —
-with the crucial difference that staleness is bounded by the *owner's*
-signed interval, not by a cache operator's configuration.
+This is the mechanism behind Squid-style proxy caching in the GlobeDoc
+world — with the crucial difference that staleness is bounded by the
+*owner's* signed interval, not by a cache operator's configuration.
 """
 
 from __future__ import annotations

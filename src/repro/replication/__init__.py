@@ -2,11 +2,10 @@
 
 Globe lets every object carry its own distribution strategy; the paper
 leans on ref [13] (Pierre et al.) showing per-document strategies beat
-any one-size-fits-all choice. This package provides the strategy
-catalogue, the coordinator that turns strategy decisions into replica
-placements (via the object-server admin interface and the location
-service), consistency maintenance for updates, and flash-crowd
-detection.
+any one-size-fits-all choice. This package provides the two strategies
+the crowd study runs and the coordinator that turns strategy decisions
+into replica placements (via the object-server admin interface and the
+location service) and pushes updates to every replica.
 """
 
 from repro.replication.policy import (
@@ -15,35 +14,8 @@ from repro.replication.policy import (
     RequestObservation,
     SiteStats,
 )
-from repro.replication.strategies import (
-    NoReplication,
-    StaticReplication,
-    HotspotReplication,
-    TtlCacheStrategy,
-    STRATEGY_CATALOGUE,
-    best_strategy_for,
-)
+from repro.replication.strategies import NoReplication, HotspotReplication
 from repro.replication.coordinator import ReplicationCoordinator, ManagedDocument
-from repro.replication.consistency import (
-    ConsistencyModel,
-    TtlConsistency,
-    PushInvalidation,
-    StalenessTracker,
-)
-from repro.replication.flashcrowd import FlashCrowdDetector
-from repro.replication.audit import (
-    ReplicaAuditor,
-    ReplicaVerdict,
-    ReplicaHealth,
-    AuditSummary,
-)
-from repro.replication.negotiation import (
-    QosRequirements,
-    OfferEvaluation,
-    evaluate_offer,
-    choose_site,
-    HostingAgreement,
-)
 
 __all__ = [
     "PlacementAction",
@@ -51,25 +23,7 @@ __all__ = [
     "RequestObservation",
     "SiteStats",
     "NoReplication",
-    "StaticReplication",
     "HotspotReplication",
-    "TtlCacheStrategy",
-    "STRATEGY_CATALOGUE",
-    "best_strategy_for",
     "ReplicationCoordinator",
     "ManagedDocument",
-    "ConsistencyModel",
-    "TtlConsistency",
-    "PushInvalidation",
-    "StalenessTracker",
-    "FlashCrowdDetector",
-    "QosRequirements",
-    "OfferEvaluation",
-    "evaluate_offer",
-    "choose_site",
-    "HostingAgreement",
-    "ReplicaAuditor",
-    "ReplicaVerdict",
-    "ReplicaHealth",
-    "AuditSummary",
 ]

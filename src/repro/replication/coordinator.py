@@ -16,14 +16,13 @@ the signed bytes any client can verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.errors import ReplicationError
 from repro.globedoc.oid import ObjectId
 from repro.globedoc.owner import DocumentOwner, SignedDocument
 from repro.location.service import LocationClient
 from repro.net.address import ContactAddress
-from repro.replication.consistency import ConsistencyModel, PushInvalidation
 from repro.replication.policy import (
     ActionKind,
     PlacementAction,
@@ -47,10 +46,6 @@ class SitePort:
         if not self.site:
             raise ReplicationError("site path must be non-empty")
 
-    def quote(self) -> dict:
-        """Fetch the server's hosting quote (public, unauthenticated)."""
-        return self.admin.rpc.call(self.admin.target, "server.quote")
-
 
 @dataclass
 class ManagedDocument:
@@ -60,7 +55,8 @@ class ManagedDocument:
     policy: ReplicationPolicy
     home_site: str
     current: SignedDocument
-    replica_ids: Dict[str, str] = field(default_factory=dict)  # site -> replica id
+    #: site -> the contact address registered for its replica
+    addresses: Dict[str, ContactAddress] = field(default_factory=dict)
     placements: int = 0
     removals: int = 0
 
@@ -71,20 +67,15 @@ class ManagedDocument:
     @property
     def sites(self) -> List[str]:
         """Replica sites, home first (the policy contract)."""
-        others = sorted(s for s in self.replica_ids if s != self.home_site)
+        others = sorted(s for s in self.addresses if s != self.home_site)
         return [self.home_site] + others
 
 
 class ReplicationCoordinator:
     """Drives replica placement for a set of managed documents."""
 
-    def __init__(
-        self,
-        location: LocationClient,
-        consistency: Optional[ConsistencyModel] = None,
-    ) -> None:
+    def __init__(self, location: LocationClient) -> None:
         self.location = location
-        self.consistency = consistency if consistency is not None else PushInvalidation()
         self._ports: Dict[str, SitePort] = {}
         self._documents: Dict[str, ManagedDocument] = {}
 
@@ -95,10 +86,6 @@ class ReplicationCoordinator:
     def add_site(self, port: SitePort) -> None:
         self._ports[port.site] = port
 
-    @property
-    def known_sites(self) -> List[str]:
-        return sorted(self._ports)
-
     def manage(
         self,
         owner: DocumentOwner,
@@ -106,8 +93,7 @@ class ReplicationCoordinator:
         policy: ReplicationPolicy,
         home_site: str,
     ) -> ManagedDocument:
-        """Start managing *document*: place it at its home site and at
-        the policy's initial sites."""
+        """Start managing *document*: place it at its home site."""
         if home_site not in self._ports:
             raise ReplicationError(f"no object server registered at site {home_site!r}")
         managed = ManagedDocument(
@@ -115,9 +101,6 @@ class ReplicationCoordinator:
         )
         self._documents[owner.oid.hex] = managed
         self._place(managed, home_site)
-        for site in policy.initial_sites(home_site, self.known_sites):
-            if site in self._ports:
-                self._place(managed, site)
         return managed
 
     def document(self, oid: ObjectId) -> ManagedDocument:
@@ -140,7 +123,7 @@ class ReplicationCoordinator:
 
     def _execute(self, managed: ManagedDocument, action: PlacementAction) -> None:
         if action.kind is ActionKind.CREATE:
-            if action.site in managed.replica_ids:
+            if action.site in managed.addresses:
                 return  # already there; policies may race with themselves
             if action.site not in self._ports:
                 return  # no server capacity at that site
@@ -159,76 +142,18 @@ class ReplicationCoordinator:
         result = port.admin.create_replica(managed.current)
         address = ContactAddress.from_dict(result["address"])
         self.location.register_replica(managed.oid, site, address)
-        managed.replica_ids[site] = str(result["replica_id"])
+        managed.addresses[site] = address
         managed.placements += 1
 
     def _remove(self, managed: ManagedDocument, site: str) -> None:
-        replica_id = managed.replica_ids.get(site)
-        if replica_id is None:
+        address = managed.addresses.get(site)
+        if address is None:
             return
-        port = self._ports[site]
         # Unregister from location first so no new binds land on it.
-        address = self._address_for(port, replica_id)
         self.location.unregister_replica(managed.oid, site, address)
-        port.admin.destroy_replica(replica_id)
-        del managed.replica_ids[site]
+        self._ports[site].admin.destroy_replica(address.replica_id)
+        del managed.addresses[site]
         managed.removals += 1
-
-    @staticmethod
-    def _address_for(port: SitePort, replica_id: str) -> ContactAddress:
-        target = port.admin.target
-        endpoint = target.endpoint if isinstance(target, ContactAddress) else target
-        return ContactAddress(
-            endpoint=endpoint,
-            protocol="globedoc/replica",
-            replica_id=replica_id,
-        )
-
-    # ------------------------------------------------------------------
-    # Hosting negotiation (§6 future work)
-    # ------------------------------------------------------------------
-
-    def negotiate_placement(
-        self,
-        oid: ObjectId,
-        requirements: "QosRequirements",
-        candidate_sites: Optional[Sequence[str]] = None,
-    ):
-        """Negotiate and execute one placement under *requirements*.
-
-        Collects hosting quotes from the candidate sites (default: every
-        registered site without a replica), picks the best acceptable
-        offer, places the replica there, and returns the concluded
-        :class:`~repro.replication.negotiation.HostingAgreement`.
-        Raises :class:`~repro.errors.ReplicationError` with the rejection
-        reasons when no server can satisfy the requirements.
-        """
-        from dataclasses import replace
-
-        from repro.replication.negotiation import (
-            HostingAgreement,
-            QosRequirements,
-            choose_site,
-        )
-
-        managed = self.document(oid)
-        if requirements.disk_bytes <= 0:
-            requirements = replace(
-                requirements, disk_bytes=managed.current.total_size
-            )
-        if candidate_sites is None:
-            candidate_sites = [
-                site for site in self.known_sites if site not in managed.replica_ids
-            ]
-        quotes = [self._ports[site].quote() for site in candidate_sites]
-        chosen = choose_site(requirements, quotes)
-        self._place(managed, chosen.site)
-        return HostingAgreement(
-            site=chosen.site,
-            host=chosen.host,
-            requirements=requirements,
-            quote=next(q for q in quotes if q.get("site") == chosen.site),
-        )
 
     # ------------------------------------------------------------------
     # Updates
@@ -260,15 +185,14 @@ class ReplicationCoordinator:
         return reached
 
     def publish_update(self, oid: ObjectId, document: SignedDocument) -> List[str]:
-        """A new version from the owner: propagate per consistency model."""
+        """A new version from the owner: push it to every replica site;
+        returns the sites updated."""
         managed = self.document(oid)
         if document.version <= managed.current.version:
             raise ReplicationError(
                 f"version {document.version} is not newer than {managed.current.version}"
             )
         managed.current = document
-
-        def push(site: str, doc: SignedDocument) -> None:
-            self._ports[site].admin.update_replica(doc)
-
-        return self.consistency.on_publish(document, managed.sites, push)
+        for site in managed.sites:
+            self._ports[site].admin.update_replica(document)
+        return managed.sites

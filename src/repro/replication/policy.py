@@ -3,8 +3,8 @@
 A policy observes the request stream for one document and emits
 placement actions (create/destroy a replica at a site). Policies are
 pure decision logic — the coordinator owns all side effects — so
-strategies can be unit-tested on synthetic observation streams and
-compared fairly in the ablation bench.
+strategies can be unit-tested on synthetic observation streams and run
+unchanged in the crowd study (``harness/loadsim.py``).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Protocol, Sequence
+from typing import Deque, List, Protocol, Sequence
 
 __all__ = [
     "ActionKind",
@@ -98,8 +98,4 @@ class ReplicationPolicy(Protocol):
         hold a replica (including the owner's home site, always first).
         Returned actions must be consistent (no CREATE at a current
         site, no DESTROY of the home site)."""
-        ...
-
-    def initial_sites(self, home_site: str, known_sites: Sequence[str]) -> List[str]:
-        """Sites to populate at publication time (besides *home_site*)."""
         ...

@@ -1,26 +1,18 @@
-"""The strategy catalogue.
+"""The two replication strategies the crowd study compares.
 
 Modelled on the families evaluated by Pierre et al. (ref [13], the
 study the paper cites for per-document strategies beating global ones):
 
 * ``NoReplication`` — serve everything from the owner's home site.
-* ``StaticReplication`` — replicas at a fixed site list from day one
-  (the classical mirror / CDN-contract setup).
-* ``TtlCacheStrategy`` — no pushed replicas; client-side proxies cache
-  elements with a TTL (the Squid-style baseline).
 * ``HotspotReplication`` — dynamic: when a site's request rate crosses a
   threshold, push a replica there; tear it down when the site cools.
   This is the strategy that handles flash crowds.
-
-``best_strategy_for`` picks per-document the catalogue entry with the
-lowest predicted cost on a request trace — the "adaptive per-document"
-configuration the ablation bench compares against one-size-fits-all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import ReplicationError
 from repro.replication.policy import (
@@ -29,14 +21,7 @@ from repro.replication.policy import (
     SiteStats,
 )
 
-__all__ = [
-    "NoReplication",
-    "StaticReplication",
-    "TtlCacheStrategy",
-    "HotspotReplication",
-    "STRATEGY_CATALOGUE",
-    "best_strategy_for",
-]
+__all__ = ["NoReplication", "HotspotReplication"]
 
 
 class NoReplication:
@@ -45,43 +30,6 @@ class NoReplication:
     name = "no-replication"
 
     def on_request(self, observation, current_sites) -> List[PlacementAction]:
-        return []
-
-    def initial_sites(self, home_site: str, known_sites: Sequence[str]) -> List[str]:
-        return []
-
-
-@dataclass
-class StaticReplication:
-    """Replicas at a fixed set of sites, created at publication time."""
-
-    sites: Sequence[str]
-    name: str = "static"
-
-    def on_request(self, observation, current_sites) -> List[PlacementAction]:
-        return []
-
-    def initial_sites(self, home_site: str, known_sites: Sequence[str]) -> List[str]:
-        return [s for s in self.sites if s != home_site]
-
-
-@dataclass
-class TtlCacheStrategy:
-    """No server-side replicas; relies on client proxy TTL caching.
-
-    The policy itself places nothing — the *coordinator* marks documents
-    under this strategy as cacheable with the given TTL, which client
-    sessions honour. Kept as a strategy so the per-document chooser can
-    select it for rarely-updated, moderately popular documents.
-    """
-
-    ttl: float = 300.0
-    name: str = "ttl-cache"
-
-    def on_request(self, observation, current_sites) -> List[PlacementAction]:
-        return []
-
-    def initial_sites(self, home_site: str, known_sites: Sequence[str]) -> List[str]:
         return []
 
 
@@ -125,7 +73,6 @@ class HotspotReplication:
         self._stats_for(observation.site).observe(now)
         actions: List[PlacementAction] = []
         current = list(current_sites)
-        home = current[0] if current else None
 
         # Create at the requesting site if it is hot and capacity remains.
         if (
@@ -140,73 +87,3 @@ class HotspotReplication:
             if self._stats_for(site).rate(now) <= self.destroy_rate:
                 actions.append(PlacementAction.destroy(site))
         return actions
-
-    def initial_sites(self, home_site: str, known_sites: Sequence[str]) -> List[str]:
-        return []
-
-
-#: The catalogue the per-document chooser selects from. Factories, so each
-#: document gets independent policy state.
-STRATEGY_CATALOGUE: Dict[str, Callable[[], object]] = {
-    "no-replication": NoReplication,
-    "ttl-cache": TtlCacheStrategy,
-    "hotspot": HotspotReplication,
-}
-
-
-def best_strategy_for(
-    trace: Sequence[RequestObservation],
-    home_site: str,
-    site_latency: Dict[str, float],
-    update_interval: Optional[float] = None,
-    replica_cost: float = 0.05,
-) -> str:
-    """Pick the catalogue strategy minimising predicted cost on *trace*.
-
-    Cost model (a simplified version of [13]'s weighted sum): total
-    client-perceived latency + a per-replica-second infrastructure cost
-    + a staleness penalty for TTL caching when the document updates
-    every *update_interval* seconds. ``site_latency`` gives each site's
-    round-trip to the home site; a local replica or cache hit costs a
-    tenth of that.
-    """
-    if not trace:
-        return "no-replication"
-    duration = max(o.time for o in trace) - min(o.time for o in trace) + 1.0
-    by_site: Dict[str, int] = {}
-    for obs in trace:
-        by_site[obs.site] = by_site.get(obs.site, 0) + 1
-
-    def latency(site: str) -> float:
-        return site_latency.get(site, 0.05)
-
-    costs: Dict[str, float] = {}
-    # no-replication: every request pays the WAN trip.
-    costs["no-replication"] = sum(
-        count * latency(site) for site, count in by_site.items()
-    )
-    # ttl-cache: first request per site per TTL window pays; rest are
-    # local. A small per-request cache-maintenance cost keeps the cache
-    # from dominating cold documents it cannot actually help.
-    ttl = 300.0
-    cache_cost = 0.002 * sum(by_site.values())
-    for site, count in by_site.items():
-        windows = max(1, int(duration / ttl))
-        misses = min(count, windows)
-        cache_cost += misses * latency(site) + (count - misses) * latency(site) * 0.1
-    if update_interval is not None and update_interval < ttl:
-        # Stale serves: penalise heavily (integrity-fresh documents must
-        # not be served stale; the chooser avoids ttl-cache for hot-update
-        # documents).
-        cache_cost += sum(by_site.values()) * 1.0
-    costs["ttl-cache"] = cache_cost
-    # hotspot: hot sites (>= 60 requests over the trace) get replicas.
-    hot_cost = 0.0
-    for site, count in by_site.items():
-        if count >= 60 and site != home_site:
-            hot_cost += latency(site) * 3  # placement push
-            hot_cost += count * latency(site) * 0.1 + replica_cost * duration
-        else:
-            hot_cost += count * latency(site)
-    costs["hotspot"] = hot_cost
-    return min(costs, key=lambda k: costs[k])

@@ -13,7 +13,6 @@ from repro.server.keystore import Keystore
 from repro.server.localrep import ReplicaLR, ProxyLR
 from repro.server.objectserver import ObjectServer, HostedReplica
 from repro.server.admin import AdminClient, AdminCommand
-from repro.server.resources import ResourceAccountant, ResourceLimits, UNLIMITED
 
 __all__ = [
     "Keystore",
@@ -23,7 +22,4 @@ __all__ = [
     "HostedReplica",
     "AdminClient",
     "AdminCommand",
-    "ResourceAccountant",
-    "ResourceLimits",
-    "UNLIMITED",
 ]

@@ -74,14 +74,11 @@ class ObjectServer:
         keystore: Optional[Keystore] = None,
         clock: Optional[Clock] = None,
         service: str = DEFAULT_SERVICE,
-        limits: Optional["ResourceLimits"] = None,
         tracer=None,
         metrics=None,
         data_dir: Optional[str] = None,
         storage_sync: bool = True,
     ) -> None:
-        from repro.server.resources import ResourceAccountant, ResourceLimits
-
         self.host = host
         self.site = site
         self.keystore = keystore if keystore is not None else Keystore()
@@ -93,9 +90,6 @@ class ObjectServer:
         self._replicas: Dict[str, HostedReplica] = {}
         self._by_oid: Dict[str, str] = {}
         self._verifier = AdminVerifier(self.keystore, self.clock)
-        self.resources = ResourceAccountant(
-            limits if limits is not None else ResourceLimits(), self.clock
-        )
         #: Durable backends (``data_dir`` set): the server journal holds
         #: keystore + replica state, the feed store holds the revocation
         #: log. ``storage_sync=False`` skips per-append fsync (tests).
@@ -237,8 +231,6 @@ class ObjectServer:
         if oid_hex in self._by_oid:
             raise ReplicaError(f"replica of {oid_hex[:12]}… already hosted on {self.host}")
         replica_id = f"{oid_hex[:16]}@{self.host}"
-        # Admission control: the administrator's declared limits (§6).
-        self.resources.admit_replica(replica_id, document.total_size)
         hosted = HostedReplica(
             replica_id=replica_id,
             oid_hex=oid_hex,
@@ -265,7 +257,6 @@ class ObjectServer:
             )
         del self._replicas[replica_id]
         self._by_oid.pop(hosted.oid_hex, None)
-        self.resources.release_replica(replica_id)
         self._journal(destroy_record, replica_id)
 
     def update_replica(
@@ -279,7 +270,6 @@ class ObjectServer:
         hosted = self._replicas[replica_id]
         if hosted.creator_key_der != requester_key.der:
             raise AccessDenied("only the replica creator may update it")
-        self.resources.resize_replica(replica_id, document.total_size)
         hosted.lr.update_state(document.state())
         self._journal(update_record, replica_id, document)
         return hosted
@@ -302,7 +292,6 @@ class ObjectServer:
             if hosted.creator_key_der == key.der:
                 del self._replicas[replica_id]
                 self._by_oid.pop(hosted.oid_hex, None)
-                self.resources.release_replica(replica_id)
                 # Appended with no compaction check: the key is already out
                 # of the keystore, so a log rewritten mid-loop would keep the
                 # remaining replicas with no ``authorize`` left to re-revoke.
@@ -367,20 +356,7 @@ class ObjectServer:
 
     @rpc_method("globedoc.get_element")
     def rpc_get_element(self, replica_id: str, name: str) -> dict:
-        element = self._lr(replica_id).get_element(name)
-        # Bandwidth enforcement: a serve that would exceed the declared
-        # budget is refused (the client fails over to another replica).
-        self.resources.charge_serve(element.size)
-        return element.to_dict()
-
-    @rpc_method("server.quote")
-    def rpc_quote(self) -> dict:
-        """Hosting quote for negotiation (§6): limits + current headroom.
-
-        Unauthenticated by design — capacity advertisement is public,
-        like any hosting offer.
-        """
-        return {"host": self.host, "site": self.site, **self.resources.quote()}
+        return self._lr(replica_id).get_element(name).to_dict()
 
     @rpc_method("globedoc.list_elements")
     def rpc_list_elements(self, replica_id: str) -> list:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.rosfs import RosfsStore
 from repro.crypto.identity import CertificateAuthority
 from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import IntegrityCertificate
@@ -65,15 +64,9 @@ def _oid_record(keys, other, oid):
     return SignedOidRecord.issue(keys, OidRecord(name="vu.nl/doc", oid=oid))
 
 
-def _rosfs_root(keys, other, oid):
-    store = RosfsStore(keys=keys)
-    store.put_file("a.txt", b"a")
-    return store.publish(valid_until=1e12)
-
-
 BUILDERS = [
     _integrity, _identity, _grant, _delta, _frontier,
-    _revocation, _forwarding, _delegation, _oid_record, _rosfs_root,
+    _revocation, _forwarding, _delegation, _oid_record,
 ]
 
 

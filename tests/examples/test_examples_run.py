@@ -15,7 +15,6 @@ EXPECTED_MARKERS = {
     "flash_crowd_cdn.py": b"replica pushed",
     "attack_detection.py": b"Attacks that slipped wrong bytes past the proxy: 0",
     "secure_publishing_workflow.py": b"Crawled",
-    "dynamic_content_audit.py": b"convictions: ",
 }
 
 

@@ -1,31 +1,21 @@
-"""Consistency models over the full stack: staleness under TTL vs push.
-
-The paper's object model lets each document pick its consistency
-maintenance; this integration test runs both models through real
-replicas and clients and measures staleness with the tracker.
-"""
+"""Update propagation over the full stack: the coordinator pushes a new
+version to every replica, and a remote client reads it at once."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.naming.records import OidRecord
-from repro.replication.consistency import (
-    PushInvalidation,
-    StalenessTracker,
-    TtlConsistency,
-)
-from repro.replication.strategies import StaticReplication
+from repro.replication.policy import RequestObservation
+from repro.replication.strategies import HotspotReplication
 from tests.conftest import fast_keys
 
 REMOTE_SITE = "root/us/cornell"
 REMOTE_HOST = "ensamble02.cornell.edu"
 
 
-def build(consistency):
+def build():
     testbed = Testbed()
     owner = DocumentOwner("vu.nl/feed", keys=fast_keys(), clock=testbed.clock)
     owner.put_element(PageElement("index.html", b"version-1"))
@@ -35,10 +25,15 @@ def build(consistency):
 
     remote = testbed.start_server(REMOTE_HOST)
     remote.keystore.authorize("owner", owner.public_key)
-    coordinator = testbed.coordinator(owner, consistency=consistency)
-    coordinator.manage(
-        owner, document, StaticReplication(sites=[REMOTE_SITE]), home_site="root/europe/vu"
+    coordinator = testbed.coordinator(owner)
+    # Create above one request per 1 s window, so the first observation
+    # from Cornell places the replica there.
+    policy = HotspotReplication(create_rate=0.5, destroy_rate=0.01, window=1.0)
+    coordinator.manage(owner, document, policy, home_site="root/europe/vu")
+    coordinator.observe_request(
+        owner.oid, RequestObservation(site=REMOTE_SITE, time=testbed.clock.now())
     )
+    assert remote.hosts_oid(owner.oid.hex)
     return testbed, owner, remote, coordinator
 
 
@@ -52,52 +47,9 @@ def fetch_version(testbed, remote) -> int:
 
 class TestPushInvalidation:
     def test_update_visible_immediately_everywhere(self):
-        testbed, owner, remote, coordinator = build(PushInvalidation())
+        testbed, owner, remote, coordinator = build()
         assert fetch_version(testbed, remote) == 1
         owner.put_element(PageElement("index.html", b"version-2"))
         coordinator.publish_update(owner.oid, owner.publish(validity=600.0))
         assert fetch_version(testbed, remote) == 2
         assert remote.replica_for_oid(owner.oid.hex).lr.version == 2
-
-
-class TestTtlConsistency:
-    def test_remote_serves_stale_until_expiry(self):
-        """TTL mode: the remote replica keeps serving v1 — *safely*,
-        because v1's certificate is still inside its validity window.
-        The staleness is bounded and measurable."""
-        testbed, owner, remote, coordinator = build(
-            TtlConsistency(refresh_sites=("root/europe/vu",))
-        )
-        tracker = StalenessTracker(clock=testbed.clock)
-        tracker.on_publish(1)
-
-        owner.put_element(PageElement("index.html", b"version-2"))
-        coordinator.publish_update(owner.oid, owner.publish(validity=600.0))
-        tracker.on_publish(2)
-
-        testbed.clock.advance(30.0)
-        served = fetch_version(testbed, remote)
-        tracker.on_serve(served)
-        assert served == 1  # stale but certificate-valid
-        assert tracker.stale_serves == 1
-        assert tracker.mean_staleness == pytest.approx(30.0, abs=1.0)
-
-        # The home site, on the refresh list, already serves v2.
-        home = remote  # readability: check via the testbed's own server
-        assert testbed.object_server.replica_for_oid(owner.oid.hex).lr.version == 2
-
-    def test_stale_window_hard_bounded_by_certificate(self):
-        """Past v1's validity interval the remote replica's answers are
-        REJECTED, not silently served — weak consistency in GlobeDoc can
-        never exceed the owner-signed bound."""
-        testbed, owner, remote, coordinator = build(
-            TtlConsistency(refresh_sites=("root/europe/vu",))
-        )
-        owner.put_element(PageElement("index.html", b"version-2"))
-        coordinator.publish_update(owner.oid, owner.publish(validity=600.0))
-
-        testbed.clock.advance(601.0)  # v1's certificate lapses
-        stack = testbed.client_stack(REMOTE_HOST)
-        response = stack.proxy.handle("globe://vu.nl/feed!/index.html")
-        assert response.status == 403
-        assert response.security_failure == "FreshnessError"

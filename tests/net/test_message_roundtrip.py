@@ -91,7 +91,7 @@ class TestMessageEdgeCases:
         assert response.error_type == "KeyError"
 
     def test_empty_args_request(self):
-        request = Request(op="server.quote")
+        request = Request(op="revocation.fetch")
         decoded = Request.from_bytes(request.to_bytes())
-        assert decoded.op == "server.quote"
+        assert decoded.op == "revocation.fetch"
         assert dict(decoded.args) == {}

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import repro
 from repro.errors import (
     AuthenticityError,
     RpcError,
@@ -15,6 +18,7 @@ from repro.errors import (
 from repro.net.address import Endpoint
 from repro.net.health import ReplicaHealthTracker
 from repro.net.retry import (
+    IDEMPOTENT_PREFIXES,
     RetryingRpcClient,
     RetryPolicy,
     is_idempotent,
@@ -79,6 +83,22 @@ class TestRetryPolicy:
         assert not is_idempotent("admin.execute")
         assert not is_idempotent("location.insert")
         assert not is_idempotent("ssl.key_exchange")
+
+    def test_every_prefix_names_a_registered_op(self):
+        """A prefix no ``@rpc_method`` serves is a leftover of a deleted
+        surface; it would silently make a future op of that name retried."""
+        ops = {
+            decorator.args[0].value
+            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef)
+            for decorator in node.decorator_list
+            if isinstance(decorator, ast.Call)
+            and getattr(decorator.func, "id", None) == "rpc_method"
+        }
+        assert len(ops) > 20  # the walk really found the RPC surface
+        for prefix in IDEMPOTENT_PREFIXES:
+            assert any(op.startswith(prefix) for op in ops), prefix
 
 
 class TestRetryingRpcClient:

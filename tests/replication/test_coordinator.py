@@ -10,7 +10,7 @@ from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.replication.policy import PlacementAction, RequestObservation
-from repro.replication.strategies import HotspotReplication, NoReplication, StaticReplication
+from repro.replication.strategies import HotspotReplication, NoReplication
 from tests.conftest import fast_keys
 
 SITES = {
@@ -39,6 +39,17 @@ def world():
     return testbed, owner, document, servers, coordinator
 
 
+def heat(testbed, coordinator, owner, *sites):
+    """15 requests from each of *sites* over 5 simulated seconds: hot
+    enough for a ``create_rate=1.0``, ``window=10.0`` hotspot policy."""
+    for _ in range(15):
+        for site in sites:
+            coordinator.observe_request(
+                owner.oid, RequestObservation(site=site, time=testbed.clock.now())
+            )
+        testbed.clock.advance(0.33)
+
+
 class TestManage:
     def test_home_placement(self, world):
         testbed, owner, document, servers, coordinator = world
@@ -53,16 +64,6 @@ class TestManage:
         )
         assert len(addresses) == 1
 
-    def test_static_initial_placement(self, world):
-        _, owner, document, servers, coordinator = world
-        policy = StaticReplication(sites=["root/us/cornell"])
-        managed = coordinator.manage(
-            owner, document, policy, home_site="root/europe/vu"
-        )
-        assert "root/us/cornell" in managed.sites
-        assert servers["root/us/cornell"].hosts_oid(owner.oid.hex)
-        assert managed.placements == 2
-
     def test_unknown_home_site_rejected(self, world):
         _, owner, document, _, coordinator = world
         with pytest.raises(ReplicationError):
@@ -75,18 +76,13 @@ class TestDynamicPlacement:
         policy = HotspotReplication(
             create_rate=1.0, destroy_rate=0.1, window=10.0, max_replicas=3
         )
-        coordinator.manage(owner, document, policy, home_site="root/europe/vu")
+        managed = coordinator.manage(owner, document, policy, home_site="root/europe/vu")
 
-        # Heat up Cornell: 15 requests over 5 simulated seconds.
-        for i in range(15):
-            coordinator.observe_request(
-                owner.oid,
-                RequestObservation(site="root/us/cornell", time=testbed.clock.now()),
-            )
-            testbed.clock.advance(0.33)
+        heat(testbed, coordinator, owner, "root/us/cornell")
         assert servers["root/us/cornell"].hosts_oid(owner.oid.hex)
-        managed = coordinator.document(owner.oid)
         assert "root/us/cornell" in managed.sites
+        assert managed.placements == 2
+        retired = managed.addresses["root/us/cornell"]
 
         # Cool down: a lone request elsewhere much later.
         testbed.clock.advance(100.0)
@@ -96,25 +92,25 @@ class TestDynamicPlacement:
         )
         assert not servers["root/us/cornell"].hosts_oid(owner.oid.hex)
         assert managed.removals == 1
-        # Location record pruned as well.
+        # Location record pruned as well: exactly the registered address.
         assert (
             testbed.location_service.tree.addresses_at(
                 owner.oid.hex, "root/us/cornell"
             )
             == []
         )
+        remaining = testbed.location_service.lookup_all(
+            owner.oid.hex, "root/us/cornell"
+        )["addresses"]
+        assert retired.to_dict() not in remaining
+        assert [a["host"] for a in remaining] == ["ginger.cs.vu.nl"]
 
     def test_clients_find_new_replica(self, world):
         """After dynamic placement, a Cornell client binds locally."""
         testbed, owner, document, servers, coordinator = world
         policy = HotspotReplication(create_rate=1.0, destroy_rate=0.1, window=10.0)
         coordinator.manage(owner, document, policy, home_site="root/europe/vu")
-        for i in range(15):
-            coordinator.observe_request(
-                owner.oid,
-                RequestObservation(site="root/us/cornell", time=testbed.clock.now()),
-            )
-            testbed.clock.advance(0.33)
+        heat(testbed, coordinator, owner, "root/us/cornell")
 
         testbed.naming.register(
             __import__("repro.naming.records", fromlist=["OidRecord"]).OidRecord(
@@ -138,8 +134,9 @@ class TestDynamicPlacement:
 class TestUpdates:
     def test_push_invalidation_updates_all_replicas(self, world):
         testbed, owner, document, servers, coordinator = world
-        policy = StaticReplication(sites=["root/us/cornell", "root/europe/inria"])
+        policy = HotspotReplication(create_rate=1.0, destroy_rate=0.1, window=10.0)
         coordinator.manage(owner, document, policy, home_site="root/europe/vu")
+        heat(testbed, coordinator, owner, "root/us/cornell", "root/europe/inria")
 
         owner.put_element(PageElement("index.html", b"v2"))
         new_doc = owner.publish(validity=3600)

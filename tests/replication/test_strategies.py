@@ -1,4 +1,4 @@
-"""Strategy catalogue behaviour."""
+"""Replication strategy behaviour."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ import pytest
 
 from repro.errors import ReplicationError
 from repro.replication.policy import ActionKind, RequestObservation
-from repro.replication.strategies import (
-    HotspotReplication,
-    NoReplication,
-    StaticReplication,
-    TtlCacheStrategy,
-    best_strategy_for,
-)
+from repro.replication.strategies import HotspotReplication, NoReplication
 
 
 def obs(site: str, time: float) -> RequestObservation:
@@ -22,17 +16,6 @@ def obs(site: str, time: float) -> RequestObservation:
 class TestStaticStrategies:
     def test_no_replication_never_acts(self):
         policy = NoReplication()
-        assert policy.initial_sites("root/home", ["root/a", "root/b"]) == []
-        assert policy.on_request(obs("root/a", 1.0), ["root/home"]) == []
-
-    def test_static_initial_sites(self):
-        policy = StaticReplication(sites=["root/a", "root/b", "root/home"])
-        assert policy.initial_sites("root/home", []) == ["root/a", "root/b"]
-        assert policy.on_request(obs("root/a", 1.0), ["root/home"]) == []
-
-    def test_ttl_cache_places_nothing(self):
-        policy = TtlCacheStrategy(ttl=60.0)
-        assert policy.initial_sites("root/home", ["root/a"]) == []
         assert policy.on_request(obs("root/a", 1.0), ["root/home"]) == []
 
 
@@ -91,28 +74,3 @@ class TestHotspot:
         actions = policy.on_request(obs("root/b", 100.0), ["root/home"])
         assert all(a.site != "root/home" for a in actions)
 
-
-class TestBestStrategy:
-    LATENCY = {"root/a": 0.05, "root/b": 0.05}
-
-    def test_empty_trace(self):
-        assert best_strategy_for([], "root/home", self.LATENCY) == "no-replication"
-
-    def test_cold_document_stays_central(self):
-        # Requests sparser than the cache TTL: every access is a miss, so
-        # caching adds only overhead.
-        trace = [obs("root/a", float(i * 400)) for i in range(4)]
-        choice = best_strategy_for(trace, "root/home", self.LATENCY)
-        assert choice == "no-replication"
-
-    def test_hot_document_replicates(self):
-        trace = [obs("root/a", float(i) * 0.1) for i in range(500)]
-        choice = best_strategy_for(trace, "root/home", self.LATENCY)
-        assert choice in ("hotspot", "ttl-cache")
-
-    def test_hot_and_fast_updating_avoids_cache(self):
-        trace = [obs("root/a", float(i) * 0.1) for i in range(500)]
-        choice = best_strategy_for(
-            trace, "root/home", self.LATENCY, update_interval=10.0
-        )
-        assert choice == "hotspot"

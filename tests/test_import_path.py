@@ -1,7 +1,6 @@
 """The product packages — what runs in a client proxy or an object
 server — import no NumPy. NumPy is for the experiment side only
-(``workloads/``, ``harness/``, ``dynamic/`` and ``sim/random.py``); a
-client or server process that loaded it would pay its import time and
+(``workloads/``, ``harness/`` and ``sim/random.py``); a client or server process that loaded it would pay its import time and
 resident memory for nothing it runs.
 
 pytest itself has NumPy loaded, so the import runs in a fresh
