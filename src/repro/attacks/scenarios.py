@@ -2,9 +2,10 @@
 
 Every tamper mode of the §3.2.1 taxonomy — wire injection, content
 tampering, element swapping, stale replay, impostor keys, a lying
-location service, and a compromised-then-revoked key — paired with the
-exact :class:`~repro.errors.SecurityError` subclass and ``check.*`` span
-that must reject it. The integration tests parametrize over this list
+location service, a relabelled hash suite, and a compromised-then-revoked
+key — paired with the exact :class:`~repro.errors.SecurityError` subclass
+and the span (a ``check.*`` span, or ``session.establish`` for a
+certificate that does not even decode) that must reject it. The integration tests parametrize over this list
 cold *and* warm, with the concurrent pipeline disabled *and* enabled, to
 prove the fast paths never convert a cached or prefetched artifact into
 a bypass.
@@ -38,6 +39,7 @@ from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.net.address import Endpoint
+from repro.net.message import Response
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.pipeline import PipelineConfig
 from repro.revocation.statement import RevocationStatement
@@ -202,6 +204,21 @@ def deploy_lying_location(world: World) -> None:
     )
 
 
+def deploy_foreign_suite_tag(world: World) -> None:
+    # Relabel the integrity certificate's hash suite on the wire. The
+    # tag is checked against the one suite, never obeyed: the
+    # certificate is malformed before any hash or signature runs.
+    def rewrite(endpoint: Endpoint, frame: bytes) -> bytes:
+        response = Response.from_bytes(frame)
+        value = response.value if response.ok else None
+        if not isinstance(value, dict) or "envelope" not in value:
+            return frame
+        retagged = {**value, "envelope": {**value["envelope"], "suite": "sha256"}}
+        return Response.success(retagged).to_bytes()
+
+    world.stack.transport.rewrite = rewrite
+
+
 def deploy_compromised_key(world: World) -> None:
     # The ultimate replay: an attacker who stole the object key serves
     # the *genuine* document, bit-perfect, from a replica the six checks
@@ -246,6 +263,10 @@ SCENARIOS = [
     Scenario(
         "lying_location", "AuthenticityError", "check.public_key",
         deploy_lying_location,
+    ),
+    Scenario(
+        "foreign_suite_tag", "AuthenticityError", "session.establish",
+        deploy_foreign_suite_tag,
     ),
     Scenario(
         "compromised_key_replay", "RevokedKeyError", "check.revocation",

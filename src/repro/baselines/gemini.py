@@ -22,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.signing import SignedEnvelope
 from repro.errors import AuthenticityError, ReproError, SignatureError
 from repro.net.address import Endpoint
 from repro.net.rpc import RpcClient, RpcServer, rpc_method
 from repro.sim.clock import Clock, RealClock
+from repro.util.encoding import wire_bytes
 
 __all__ = ["GeminiCache", "GeminiClient", "GeminiAuditor", "Receipt"]
 
@@ -62,7 +62,7 @@ class Receipt:
     def from_dict(cls, data: Mapping) -> "Receipt":
         return cls(
             envelope=SignedEnvelope.from_dict(data["envelope"]),
-            cache_key_der=bytes(data["cache_key_der"]),
+            cache_key_der=wire_bytes(data["cache_key_der"]),
         )
 
 
@@ -80,13 +80,11 @@ class GeminiCache:
         keys: Optional[KeyPair] = None,
         clock: Optional[Clock] = None,
         service: str = "gemini",
-        suite: HashSuite = SHA1,
     ) -> None:
         self.host = host
         self.service = service
         self.keys = keys if keys is not None else KeyPair.generate()
         self.clock = clock if clock is not None else RealClock()
-        self.suite = suite
         self._files: Dict[str, bytes] = {}
         self._tampered: Dict[str, bytes] = {}
         self.sign_count = 0
@@ -120,7 +118,7 @@ class GeminiCache:
             "served_at": self.clock.now(),
         }
         with self.clock.compute():
-            envelope = SignedEnvelope.create(self.keys, payload, suite=self.suite)
+            envelope = SignedEnvelope.create(self.keys, payload)
         self.sign_count += 1
         return {"envelope": envelope.to_dict(), "cache_key_der": self.keys.public.der}
 

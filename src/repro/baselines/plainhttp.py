@@ -16,6 +16,7 @@ from repro.errors import ReproError
 from repro.globedoc.element import guess_content_type
 from repro.net.address import Endpoint
 from repro.net.rpc import RpcClient, RpcServer, rpc_method
+from repro.util.encoding import wire_bytes
 
 __all__ = ["StaticHttpServer", "PlainHttpClient"]
 
@@ -81,7 +82,7 @@ class PlainHttpClient:
         answer = self.rpc.call(self.endpoint, "http.get", path=path)
         if int(answer["status"]) != 200:
             raise ReproError(f"HTTP {answer['status']} for {path!r}")
-        return bytes(answer["body"])
+        return wire_bytes(answer["body"])
 
     def get_many(self, paths) -> Dict[str, bytes]:
         """Fetch several paths sequentially (one connection each, like

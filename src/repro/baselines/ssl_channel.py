@@ -228,7 +228,7 @@ class SslClient:
             raise ReproError(f"HTTPS {answer['status']} for {path!r}")
         with self.clock.compute(native=True):
             return _decrypt_record(
-                self._session.enc_key, self._session.mac_key, bytes(answer["record"])
+                self._session.enc_key, self._session.mac_key, wire_bytes(answer["record"])
             )
 
     def get_many(self, paths, per_request_handshake: bool = True) -> Dict[str, bytes]:

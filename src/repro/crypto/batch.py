@@ -2,7 +2,7 @@
 
 The per-element security check re-verifies the same integrity
 certificate under the same replica key for every element of one
-document: N elements means N identical (key, suite, payload, signature)
+document: N elements means N identical (key, payload, signature)
 tuples. :func:`verify_batch` amortizes that — it canonical-encodes and
 digests each distinct envelope once, groups items by verification tuple,
 runs *one* RSA operation per distinct tuple, and replays the verdict to
@@ -53,31 +53,18 @@ def verify_batch(
 
     Returns a verdict list aligned with *items*: ``None`` for a valid
     signature, the would-be-raised exception otherwise. Items deduplicate
-    on the full verification tuple — key fingerprint, suite, payload
-    digest, signature — so only byte-identical verifications share a
-    verdict; a tampered duplicate lands in its own group and fails alone.
+    on the full verification tuple — key, payload digest, signature — so
+    only byte-identical verifications share a verdict; a tampered
+    duplicate lands in its own group and fails alone.
     """
     items = list(items)
     verdicts: List[Optional[Exception]] = [None] * len(items)
-    digest_suite = cache.digest_suite if cache is not None else None
     groups: Dict[tuple, List[int]] = {}
     keys: Dict[tuple, Tuple[PublicKey, SignedEnvelope]] = {}
     for index, item in enumerate(items):
         envelope = item.envelope
         try:
-            fingerprint = (
-                item.key.fingerprint(digest_suite)
-                if digest_suite is not None
-                else item.key.der
-            )
-            tuple_key = (
-                fingerprint,
-                envelope.suite_name,
-                envelope.payload_digest(
-                    digest_suite if digest_suite is not None else envelope.suite
-                ),
-                bytes(envelope.signature),
-            )
+            tuple_key = (item.key.der, envelope.cache_digest, bytes(envelope.signature))
         except Exception as exc:
             # Malformed key/envelope: the sequential path would raise on
             # this item alone; keep the failure item-local.

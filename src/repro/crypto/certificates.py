@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.signing import SignedEnvelope
 from repro.errors import CertificateError
@@ -64,7 +63,6 @@ class Certificate:
         body: Mapping[str, Any],
         not_before: Optional[float] = None,
         not_after: Optional[float] = None,
-        suite: HashSuite = SHA1,
     ) -> "Certificate":
         """Create and sign a certificate."""
         if not_before is not None and not_after is not None and not_after < not_before:
@@ -77,7 +75,7 @@ class Certificate:
             "not_before": not_before,
             "not_after": not_after,
         }
-        return cls(SignedEnvelope.create(signer, payload, suite=suite))
+        return cls(SignedEnvelope.create(signer, payload))
 
     def verify(
         self,

@@ -1,11 +1,14 @@
-"""Hash suites.
+"""The hash suite: one decision, made here.
 
-The paper uses SHA-1 everywhere (element digests, self-certifying OIDs);
-SHA-1 is retained as the *paper-faithful default* but the suite is a
-first-class parameter so the whole stack runs on SHA-256 as well — the
-property tests exercise both. A suite pins the digest used for OIDs and
-element hashes *and* the hash underlying RSA signatures, so a GlobeDoc
-object is internally consistent.
+The paper fixes the hash: an OID is the 160-bit SHA-1 of the object key
+(§2, §3.1.2), and element digests and RSA signatures use the same hash.
+:data:`SUITE` is that choice. Every other module reads it through this
+module at call time (``hashes.SUITE``, :func:`digest`), so changing the
+one line ``SUITE = SHA1`` moves OIDs, element digests, Merkle roots and
+signatures together; ``tests/integration/test_sha256_suite.py`` runs the
+stack on SHA-256 that way. Wire and at-rest records still carry the
+suite's name as a ``"suite"`` tag, and decoders reject any tag other
+than ``SUITE.name``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from cryptography.hazmat.primitives import hashes as _crypto_hashes
 from repro.errors import CryptoError
 from repro.util.tally import TALLY
 
-__all__ = ["HashSuite", "SHA1", "SHA256", "digest", "hexdigest", "suite_by_name"]
+__all__ = ["HashSuite", "SHA1", "SHA256", "SUITE", "digest", "hexdigest"]
 
 _BytesLike = Union[bytes, bytearray, memoryview]
 
@@ -65,25 +68,18 @@ class HashSuite:
 #: Paper-faithful suite: 160-bit SHA-1 (OIDs are "160-bit numbers", §2).
 SHA1 = HashSuite(name="sha1", digest_size=20)
 
-#: Modern suite; drop-in replacement everywhere.
+#: Modern suite: what :data:`SUITE` becomes when SHA-1 is retired.
 SHA256 = HashSuite(name="sha256", digest_size=32)
 
-_SUITES = {s.name: s for s in (SHA1, SHA256)}
+#: The suite the whole stack signs, names and hashes with.
+SUITE = SHA1
 
 
-def suite_by_name(name: str) -> HashSuite:
-    """Look up a registered suite (``"sha1"`` or ``"sha256"``)."""
-    try:
-        return _SUITES[name.lower()]
-    except KeyError:
-        raise CryptoError(f"unknown hash suite {name!r}") from None
+def digest(*chunks: _BytesLike) -> bytes:
+    """:data:`SUITE` digest of the concatenation of *chunks*."""
+    return SUITE.digest(*chunks)
 
 
-def digest(data: _BytesLike, suite: HashSuite = SHA1) -> bytes:
-    """One-shot digest with the given *suite* (default SHA-1)."""
-    return suite.digest(data)
-
-
-def hexdigest(data: _BytesLike, suite: HashSuite = SHA1) -> str:
-    """One-shot hex digest with the given *suite* (default SHA-1)."""
-    return suite.hexdigest(data)
+def hexdigest(*chunks: _BytesLike) -> str:
+    """:data:`SUITE` hex digest of the concatenation of *chunks*."""
+    return SUITE.hexdigest(*chunks)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import CertificateError
 from repro.sim.clock import Clock
@@ -61,7 +60,6 @@ class IdentityCertificate:
             body,
             not_before=not_before,
             not_after=not_after,
-            suite=ca.suite,
         )
         return cls(certificate=cert)
 
@@ -118,10 +116,9 @@ class IdentityCertificate:
 class CertificateAuthority:
     """A trusted third party that certifies object-key ↔ name bindings."""
 
-    def __init__(self, name: str, keys: Optional[KeyPair] = None, suite: HashSuite = SHA1) -> None:
+    def __init__(self, name: str, keys: Optional[KeyPair] = None) -> None:
         self.name = name
         self.keys = keys if keys is not None else KeyPair.generate()
-        self.suite = suite
         self._issued: List[IdentityCertificate] = []
 
     @property

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.crypto.hashes import HashSuite, SHA1
+from repro.crypto import hashes
 from repro.errors import CryptoError
 
 __all__ = ["MerkleTree", "MerkleProof"]
@@ -53,10 +53,9 @@ class MerkleTree:
     measures against GlobeDoc's O(1)-per-element certificate row update.
     """
 
-    def __init__(self, leaves: Sequence[bytes], suite: HashSuite = SHA1) -> None:
+    def __init__(self, leaves: Sequence[bytes]) -> None:
         if len(leaves) == 0:
             raise CryptoError("Merkle tree requires at least one leaf")
-        self.suite = suite
         self._leaf_data = [bytes(leaf) for leaf in leaves]
         # levels[0] = leaf hashes, levels[-1] = [root]
         self._levels: List[List[bytes]] = [
@@ -66,10 +65,10 @@ class MerkleTree:
             self._levels.append(self._combine_level(self._levels[-1]))
 
     def _hash_leaf(self, leaf: bytes) -> bytes:
-        return self.suite.digest(_LEAF_PREFIX, leaf)
+        return hashes.digest(_LEAF_PREFIX, leaf)
 
     def _hash_node(self, left: bytes, right: bytes) -> bytes:
-        return self.suite.digest(_NODE_PREFIX, left, right)
+        return hashes.digest(_NODE_PREFIX, left, right)
 
     def _combine_level(self, level: List[bytes]) -> List[bytes]:
         out: List[bytes] = []
@@ -134,13 +133,12 @@ class MerkleTree:
         leaf: bytes,
         proof: MerkleProof,
         root: bytes,
-        suite: HashSuite = SHA1,
     ) -> bool:
         """Verify without holding the tree (the client-side operation)."""
-        current = suite.digest(_LEAF_PREFIX, bytes(leaf))
+        current = hashes.digest(_LEAF_PREFIX, bytes(leaf))
         for sibling, sibling_is_left in proof.path:
             if sibling_is_left:
-                current = suite.digest(_NODE_PREFIX, sibling, current)
+                current = hashes.digest(_NODE_PREFIX, sibling, current)
             else:
-                current = suite.digest(_NODE_PREFIX, current, sibling)
+                current = hashes.digest(_NODE_PREFIX, current, sibling)
         return current == root

@@ -18,50 +18,46 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import Any, Mapping, Optional
 
-from repro.crypto.hashes import HashSuite, SHA1, suite_by_name
+from repro.crypto import hashes
 from repro.crypto.keys import KeyPair, PublicKey
+from repro.crypto.verifycache import KEY_DIGEST, VerificationCache
 from repro.errors import SignatureError
 from repro.util.encoding import canonical_bytes, to_wire
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.crypto.verifycache import VerificationCache
 
 __all__ = ["sign_payload", "verify_payload", "SignedEnvelope"]
 
 #: Bound on the parsed-envelope intern pool (LRU).
 _INTERN_MAX = 1024
 
-#: Parsed-envelope intern pool: (signature, suite_name) -> envelope.
+#: Parsed-envelope intern pool: signature -> envelope.
 #: Hits are guarded by full payload equality in ``from_dict``.
 _intern_pool: "OrderedDict[tuple, SignedEnvelope]" = OrderedDict()
 
 
-def sign_payload(signer: KeyPair, payload: Any, suite: HashSuite = SHA1) -> bytes:
+def sign_payload(signer: KeyPair, payload: Any) -> bytes:
     """Sign the canonical encoding of *payload*."""
-    return signer.sign(canonical_bytes(payload), suite=suite)
+    return signer.sign(canonical_bytes(payload))
 
 
 def verify_payload(
     key: PublicKey,
     signature: bytes,
     payload: Any,
-    suite: HashSuite = SHA1,
-    cache: Optional["VerificationCache"] = None,
+    cache: Optional[VerificationCache] = None,
     now: Optional[float] = None,
     expires_at: Optional[float] = None,
 ) -> None:
     """Verify *signature* over the canonical encoding of *payload*.
 
     With a *cache*, a previously successful verification of the same
-    (key, suite, payload, signature) tuple is replayed without the RSA
+    (key, payload, signature) tuple is replayed without the RSA
     operation; see :mod:`repro.crypto.verifycache` for why that is safe.
     Raises :class:`~repro.errors.SignatureError` on failure.
     """
     verify_bytes(
-        key, signature, canonical_bytes(payload), suite,
-        cache=cache, now=now, expires_at=expires_at,
+        key, signature, canonical_bytes(payload), cache=cache, now=now, expires_at=expires_at
     )
 
 
@@ -69,52 +65,42 @@ def verify_bytes(
     key: PublicKey,
     signature: bytes,
     data: bytes,
-    suite: HashSuite,
-    cache: Optional["VerificationCache"] = None,
+    cache: Optional[VerificationCache] = None,
     now: Optional[float] = None,
     expires_at: Optional[float] = None,
 ) -> None:
     """Verify over pre-encoded canonical bytes (cache-aware core)."""
     if cache is None:
-        key.verify(signature, data, suite=suite)
+        key.verify(signature, data)
     else:
-        cache.verify(key, signature, data, suite, now=now, expires_at=expires_at)
+        cache.verify(key, signature, data, now=now, expires_at=expires_at)
 
 
 @dataclass(frozen=True)
 class SignedEnvelope:
-    """A payload plus detached signature, self-describing its hash suite.
+    """A payload plus detached signature.
 
     This is the unit stored on untrusted object servers: the server can
     forward it but cannot alter the payload without breaking the
     signature. The payload must be treated as immutable after
     construction — the canonical encoding is memoized on first use.
+    On the wire it carries the ``"suite"`` tag of
+    :data:`~repro.crypto.hashes.SUITE`, which :meth:`from_dict` checks.
     """
 
     payload: Mapping[str, Any]
     signature: bytes
-    suite_name: str = SHA1.name
 
     @classmethod
-    def create(
-        cls, signer: KeyPair, payload: Mapping[str, Any], suite: HashSuite = SHA1
-    ) -> "SignedEnvelope":
+    def create(cls, signer: KeyPair, payload: Mapping[str, Any]) -> "SignedEnvelope":
         """Sign *payload* and wrap it."""
         frozen = dict(payload)
         data = canonical_bytes(frozen)
-        envelope = cls(
-            payload=frozen,
-            signature=signer.sign(data, suite=suite),
-            suite_name=suite.name,
-        )
+        envelope = cls(payload=frozen, signature=signer.sign(data))
         # The bytes just signed are the bytes any verifier will encode;
         # seed the memo so owner-side code never re-serializes either.
         envelope.__dict__["_signed_bytes"] = data
         return envelope
-
-    @property
-    def suite(self) -> HashSuite:
-        return suite_by_name(self.suite_name)
 
     @property
     def signed_bytes(self) -> bytes:
@@ -125,35 +111,45 @@ class SignedEnvelope:
             self.__dict__["_signed_bytes"] = data
         return data
 
-    def payload_digest(self, suite: HashSuite) -> bytes:
-        """Digest of :attr:`signed_bytes` under *suite* (memoized per
-        suite) — the payload component of verification-cache keys."""
-        cache = self.__dict__.setdefault("_payload_digests", {})
-        digest = cache.get(suite.name)
+    @property
+    def payload_digest(self) -> bytes:
+        """:data:`~repro.crypto.hashes.SUITE` digest of
+        :attr:`signed_bytes` (memoized) — a delta's content address."""
+        digest = self.__dict__.get("_payload_digest")
         if digest is None:
-            digest = suite.digest(self.signed_bytes)
-            cache[suite.name] = digest
+            digest = hashes.digest(self.signed_bytes)
+            self.__dict__["_payload_digest"] = digest
+        return digest
+
+    @property
+    def cache_digest(self) -> bytes:
+        """:data:`~repro.crypto.verifycache.KEY_DIGEST` digest of
+        :attr:`signed_bytes` (memoized) — the payload component of
+        verification-cache keys."""
+        digest = self.__dict__.get("_cache_digest")
+        if digest is None:
+            digest = KEY_DIGEST.digest(self.signed_bytes)
+            self.__dict__["_cache_digest"] = digest
         return digest
 
     def verify(
         self,
         key: PublicKey,
-        cache: Optional["VerificationCache"] = None,
+        cache: Optional[VerificationCache] = None,
         now: Optional[float] = None,
         expires_at: Optional[float] = None,
     ) -> Mapping[str, Any]:
         """Verify the signature; return the payload on success."""
         if cache is None:
-            key.verify(self.signature, self.signed_bytes, suite=self.suite)
+            key.verify(self.signature, self.signed_bytes)
         else:
             cache.verify(
                 key,
                 self.signature,
                 self.signed_bytes,
-                self.suite,
                 now=now,
                 expires_at=expires_at,
-                payload_digest=self.payload_digest(cache.digest_suite),
+                payload_digest=self.cache_digest,
             )
         return self.payload
 
@@ -162,20 +158,21 @@ class SignedEnvelope:
         return {
             "payload": dict(self.payload),
             "signature": self.signature,
-            "suite": self.suite_name,
+            "suite": hashes.SUITE.name,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SignedEnvelope":
-        """Inverse of :meth:`to_dict`; validates structure.
+        """Inverse of :meth:`to_dict`; validates structure and the suite
+        tag (anything but ``SUITE.name`` is malformed, never obeyed).
 
         Parsed envelopes are *interned*: re-parsing the same signed
-        structure (same signature, suite, and byte-for-byte equal
-        payload) returns the previously built instance, so its memoized
-        canonical encoding and payload digests survive round trips
-        through the wire format. The full payload equality
-        guard means a tampered payload can never alias a cached one —
-        it simply constructs a fresh (and soon to fail) envelope.
+        structure (same signature, byte-for-byte equal payload) returns
+        the previously built instance, so its memoized canonical
+        encoding and payload digests survive round trips through the
+        wire format. The full payload equality guard means a tampered
+        payload can never alias a cached one — it simply constructs a
+        fresh (and soon to fail) envelope.
         """
         try:
             payload = data["payload"]
@@ -185,14 +182,16 @@ class SignedEnvelope:
             raise SignatureError(f"malformed signed envelope: {exc}") from exc
         if not isinstance(payload, Mapping) or not isinstance(signature, bytes):
             raise SignatureError("malformed signed envelope fields")
-        suite_name = str(suite_name)
-        intern_key = (signature, suite_name)
-        cached = _intern_pool.get(intern_key)
+        if suite_name != hashes.SUITE.name:
+            raise SignatureError(
+                f"malformed signed envelope: hash suite is not {hashes.SUITE.name}"
+            )
+        cached = _intern_pool.get(signature)
         if cached is not None and cached.payload == payload:
-            _intern_pool.move_to_end(intern_key)
+            _intern_pool.move_to_end(signature)
             return cached
-        envelope = cls(payload=dict(payload), signature=signature, suite_name=suite_name)
-        _intern_pool[intern_key] = envelope
+        envelope = cls(payload=dict(payload), signature=signature)
+        _intern_pool[signature] = envelope
         while len(_intern_pool) > _INTERN_MAX:
             _intern_pool.popitem(last=False)
         return envelope

@@ -8,15 +8,17 @@ is that amortization, made explicit and bounded.
 
 Safety argument
 ---------------
-A signature is a pure function of ``(public key, hash suite, payload
-bytes, signature bytes)``: for a fixed tuple the verdict can never
-change. The cache therefore keys entries on exactly that tuple —
-``(key fingerprint, suite name, payload digest, signature)`` — and
-stores **only successful** verifications. Any change to the payload
-changes its digest, any change to the signature or key changes the key
-tuple, so a tampered input can never produce a hit; it falls through to
-the real RSA operation, which fails closed. Failed verifications are
-never cached (a retry must re-pay the RSA cost), and the cache skips
+Under the one signing suite (:data:`repro.crypto.hashes.SUITE`) a
+signature verdict is a pure function of ``(public key, payload bytes,
+signature bytes)``: for a fixed tuple the verdict can never change. The
+cache therefore keys entries on exactly that tuple — ``(key
+fingerprint, payload digest, signature)``, both digests under
+:data:`KEY_DIGEST` — and stores **only successful** verifications. Any
+change to the payload changes its digest, any change to the signature
+or key changes the key tuple, so a tampered input can never produce a
+hit; it falls through to the real RSA operation, which fails closed.
+Failed verifications are never cached (a retry must re-pay the RSA
+cost), and the cache skips
 *only* the RSA operation — certificate validity windows, type checks,
 OID matches, element hashes and freshness checks always run.
 
@@ -38,13 +40,28 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.crypto.hashes import HashSuite, SHA256
+from repro.crypto.hashes import SHA256
 from repro.crypto.keys import PublicKey
 
-__all__ = ["VerificationCache", "VerifyCacheStats"]
+__all__ = ["KEY_DIGEST", "VerificationCache", "VerifyCacheStats"]
 
 #: Rough per-entry bookkeeping overhead (key tuple, OrderedDict node).
 _ENTRY_OVERHEAD = 96
+
+#: The hash of the cache's own keys. Always SHA-256, whatever the
+#: signing suite is: a SHA-1 collision (two payloads, one digest) must
+#: never let a tampered payload alias a cached verdict.
+KEY_DIGEST = SHA256
+
+
+def _fingerprint(key: PublicKey) -> bytes:
+    """:data:`KEY_DIGEST` digest of *key*'s DER, memoized on the (frozen)
+    key so a key verified many times is hashed once."""
+    fingerprint = key.__dict__.get("_cache_fingerprint")
+    if fingerprint is None:
+        fingerprint = KEY_DIGEST.digest(key.der)
+        key.__dict__["_cache_fingerprint"] = fingerprint
+    return fingerprint
 
 
 @dataclass
@@ -79,18 +96,13 @@ class VerificationCache:
     """LRU memo of successful signature verifications.
 
     ``max_entries`` and ``max_bytes`` both bound the cache; whichever is
-    hit first triggers LRU eviction. ``digest_suite`` is the hash used
-    to key payloads and key fingerprints *inside the cache* — it is
-    independent of the signature's own suite (which is part of the key
-    tuple, so the same payload under SHA-1 and SHA-256 signatures
-    occupies two distinct entries).
+    hit first triggers LRU eviction.
     """
 
     def __init__(
         self,
         max_entries: int = 4096,
         max_bytes: int = 4 * 1024 * 1024,
-        digest_suite: HashSuite = SHA256,
     ) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
@@ -98,7 +110,6 @@ class VerificationCache:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.digest_suite = digest_suite
         self.stats = VerifyCacheStats()
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._bytes = 0
@@ -113,17 +124,11 @@ class VerificationCache:
         key: PublicKey,
         signature: bytes,
         payload: bytes,
-        suite: HashSuite,
         payload_digest: Optional[bytes] = None,
     ) -> tuple:
         if payload_digest is None:
-            payload_digest = self.digest_suite.digest(payload)
-        return (
-            key.fingerprint(self.digest_suite),
-            suite.name,
-            payload_digest,
-            bytes(signature),
-        )
+            payload_digest = KEY_DIGEST.digest(payload)
+        return (_fingerprint(key), payload_digest, bytes(signature))
 
     # ------------------------------------------------------------------
     # Core operations
@@ -134,7 +139,6 @@ class VerificationCache:
         key: PublicKey,
         signature: bytes,
         payload: bytes,
-        suite: HashSuite,
         now: Optional[float] = None,
         payload_digest: Optional[bytes] = None,
     ) -> bool:
@@ -142,11 +146,11 @@ class VerificationCache:
         entry has not passed its certificate expiry).
 
         ``payload_digest`` lets callers that already hold the payload's
-        ``digest_suite`` digest (e.g. a memoizing envelope) skip the
+        :data:`KEY_DIGEST` digest (e.g. a memoizing envelope) skip the
         re-hash; it MUST be the digest of *payload* under
-        :attr:`digest_suite` or tamper evidence is lost.
+        :data:`KEY_DIGEST` or tamper evidence is lost.
         """
-        cache_key = self._key(key, signature, payload, suite, payload_digest)
+        cache_key = self._key(key, signature, payload, payload_digest)
         with self._lock:
             entry = self._entries.get(cache_key)
             if entry is None:
@@ -170,7 +174,6 @@ class VerificationCache:
         key: PublicKey,
         signature: bytes,
         payload: bytes,
-        suite: HashSuite,
         expires_at: Optional[float] = None,
         payload_digest: Optional[bytes] = None,
     ) -> None:
@@ -179,12 +182,8 @@ class VerificationCache:
         Callers must only invoke this after the real RSA operation
         passed — the cache itself never verifies anything on record.
         """
-        cache_key = self._key(key, signature, payload, suite, payload_digest)
-        nbytes = (
-            sum(len(part) for part in cache_key[:1] + cache_key[2:])
-            + len(suite.name)
-            + _ENTRY_OVERHEAD
-        )
+        cache_key = self._key(key, signature, payload, payload_digest)
+        nbytes = sum(len(part) for part in cache_key) + _ENTRY_OVERHEAD
         if nbytes > self.max_bytes:
             return
         with self._lock:
@@ -203,7 +202,6 @@ class VerificationCache:
         key: PublicKey,
         signature: bytes,
         payload: bytes,
-        suite: HashSuite,
         now: Optional[float] = None,
         expires_at: Optional[float] = None,
         payload_digest: Optional[bytes] = None,
@@ -215,12 +213,11 @@ class VerificationCache:
         exactly as :meth:`PublicKey.verify` would on a bad signature —
         in which case nothing is recorded.
         """
-        if self.lookup(key, signature, payload, suite, now=now, payload_digest=payload_digest):
+        if self.lookup(key, signature, payload, now=now, payload_digest=payload_digest):
             return True
-        key.verify(signature, payload, suite=suite)
+        key.verify(signature, payload)
         self.record(
-            key, signature, payload, suite,
-            expires_at=expires_at, payload_digest=payload_digest,
+            key, signature, payload, expires_at=expires_at, payload_digest=payload_digest
         )
         return False
 
@@ -236,7 +233,7 @@ class VerificationCache:
         lookup, or a warm proxy would keep accepting signatures the
         issuer can no longer be trusted for. Returns entries removed.
         """
-        fingerprint = key.fingerprint(self.digest_suite)
+        fingerprint = _fingerprint(key)
         with self._lock:
             doomed = [
                 cache_key for cache_key in self._entries if cache_key[0] == fingerprint

@@ -360,7 +360,6 @@ class Deployment:
         max_rebinds: int = 3,
         tracer=None,
         revocation_max_staleness: Optional[float] = None,
-        revocation_poll_interval: Optional[float] = None,
         revocation_cursor_dir: Optional[str] = None,
         metrics=None,
         pipeline: Optional[PipelineConfig] = None,
@@ -384,7 +383,6 @@ class Deployment:
         paper's six-check pipeline for the figures) attaches a
         :class:`~repro.revocation.checker.RevocationChecker` pulling
         the primary object server's feed, enabling the seventh check;
-        ``revocation_poll_interval`` overrides its refresh cadence;
         ``revocation_cursor_dir`` persists the checker's cursor (head +
         verified statements) so a restarted client resumes with no
         fail-open window.
@@ -437,7 +435,6 @@ class Deployment:
                 self.objectserver_endpoint,
                 self.clock,
                 max_staleness=revocation_max_staleness,
-                poll_interval=revocation_poll_interval,
                 verification_cache=verification_cache,
                 content_cache=content_cache,
                 metrics=metrics,

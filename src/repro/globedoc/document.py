@@ -72,9 +72,8 @@ class DocumentState:
                 "element set differs from certificate entries: "
                 f"state={sorted(self.elements)} cert={sorted(entries)}"
             )
-        suite = self.integrity.suite
         for name, element in self.elements.items():
-            if element.content_hash(suite) != entries[name].content_hash:
+            if element.content_hash() != entries[name].content_hash:
                 raise ReproError(f"element {name!r} does not match its certificate hash")
 
     def copy(self) -> "DocumentState":

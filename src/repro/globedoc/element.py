@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from repro.crypto.hashes import HashSuite, SHA1
+from repro.crypto import hashes
 from repro.errors import ReproError
 from repro.util.encoding import wire_bytes
 
@@ -86,24 +86,23 @@ class PageElement:
         object.__setattr__(self, "content", bytes(self.content))
         if not self.content_type:
             object.__setattr__(self, "content_type", guess_content_type(self.name))
-        object.__setattr__(self, "_hashes", {})
 
     @property
     def size(self) -> int:
         """Content length in bytes."""
         return len(self.content)
 
-    def content_hash(self, suite: HashSuite = SHA1) -> bytes:
+    def content_hash(self) -> bytes:
         """Digest of the element content (the integrity-certificate hash).
 
-        Computed once per suite per instance: the content is frozen, so
-        owner signing and repeated client checks of the same element
-        instance share one digest pass.
+        Computed once per instance: the content is frozen, so owner
+        signing and repeated client checks of the same element instance
+        share one digest pass.
         """
-        digest = self._hashes.get(suite.name)
+        digest = self.__dict__.get("_content_hash")
         if digest is None:
-            digest = suite.digest(self.content)
-            self._hashes[suite.name] = digest
+            digest = hashes.digest(self.content)
+            object.__setattr__(self, "_content_hash", digest)
         return digest
 
     def with_content(self, content: bytes, content_type: Optional[str] = None) -> "PageElement":

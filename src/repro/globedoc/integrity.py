@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import HashSuite, SHA1, suite_by_name
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import (
     AuthenticityError,
@@ -77,7 +76,6 @@ class IntegrityCertificate:
         oid_hex: str,
         entries: Sequence[ElementEntry],
         version: int = 1,
-        suite: HashSuite = SHA1,
         issued_at: Optional[float] = None,
     ) -> "IntegrityCertificate":
         """Sign a certificate over *entries* with the object private key."""
@@ -92,7 +90,7 @@ class IntegrityCertificate:
             "issued_at": issued_at,
             "entries": [e.to_dict() for e in sorted(entries, key=lambda e: e.name)],
         }
-        cert = Certificate.issue(owner_keys, INTEGRITY_CERT_TYPE, body, suite=suite)
+        cert = Certificate.issue(owner_keys, INTEGRITY_CERT_TYPE, body)
         return cls(certificate=cert)
 
     @classmethod
@@ -103,7 +101,6 @@ class IntegrityCertificate:
         elements: Iterable[PageElement],
         expires_at: float,
         version: int = 1,
-        suite: HashSuite = SHA1,
         per_element_expiry: Optional[Mapping[str, float]] = None,
         issued_at: Optional[float] = None,
     ) -> "IntegrityCertificate":
@@ -117,7 +114,7 @@ class IntegrityCertificate:
             entries.append(
                 ElementEntry(
                     name=element.name,
-                    content_hash=element.content_hash(suite),
+                    content_hash=element.content_hash(),
                     expires_at=float(overrides.pop(element.name, expires_at)),
                 )
             )
@@ -127,7 +124,7 @@ class IntegrityCertificate:
                 f"expiry overrides for unknown elements: {sorted(overrides)}"
             )
         return cls.build(
-            owner_keys, oid_hex, entries, version=version, suite=suite, issued_at=issued_at
+            owner_keys, oid_hex, entries, version=version, issued_at=issued_at
         )
 
     # ------------------------------------------------------------------
@@ -146,10 +143,6 @@ class IntegrityCertificate:
     def issued_at(self) -> Optional[float]:
         value = self.certificate.body.get("issued_at")
         return None if value is None else float(value)
-
-    @property
-    def suite(self) -> HashSuite:
-        return suite_by_name(self.certificate.envelope.suite_name)
 
     @cached_property
     def _entry_table(self) -> Dict[str, ElementEntry]:
@@ -221,7 +214,7 @@ class IntegrityCertificate:
                 f"server returned element {element.name!r} for request {requested_name!r}"
             )
         entry = self.entry_for(requested_name)
-        if element.content_hash(self.suite) != entry.content_hash:
+        if element.content_hash() != entry.content_hash:
             raise AuthenticityError(
                 f"content hash mismatch for element {requested_name!r} "
                 "(element was tampered with or is not owner-created)"

@@ -12,11 +12,10 @@ worst cause denial of service, never impersonation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.crypto.hashes import HashSuite, SHA1, SHA256, suite_by_name
+from repro.crypto import hashes
 from repro.crypto.keys import PublicKey
-from repro.errors import AuthenticityError, ReproError
+from repro.errors import AuthenticityError, CryptoError, ReproError
 from repro.util.encoding import wire_bytes
 
 __all__ = ["ObjectId"]
@@ -24,50 +23,28 @@ __all__ = ["ObjectId"]
 
 @dataclass(frozen=True)
 class ObjectId:
-    """A self-certifying OID: ``digest = suite(hash of public-key DER)``."""
+    """A self-certifying OID: ``digest = SUITE(public-key DER)``."""
 
     digest: bytes
-    suite_name: str = SHA1.name
 
     def __post_init__(self) -> None:
-        suite = suite_by_name(self.suite_name)
-        if len(self.digest) != suite.digest_size:
-            raise ReproError(
-                f"OID digest must be {suite.digest_size} bytes for "
-                f"{self.suite_name}, got {len(self.digest)}"
-            )
+        size = hashes.SUITE.digest_size
+        if len(self.digest) != size:
+            raise ReproError(f"OID digest must be {size} bytes, got {len(self.digest)}")
 
     @classmethod
-    def from_public_key(cls, key: PublicKey, suite: HashSuite = SHA1) -> "ObjectId":
+    def from_public_key(cls, key: PublicKey) -> "ObjectId":
         """Derive the OID of the object owning *key*."""
-        return cls(digest=key.fingerprint(suite), suite_name=suite.name)
+        return cls(digest=key.fingerprint())
 
     @classmethod
-    def from_hex(cls, text: str, suite: Optional[HashSuite] = None) -> "ObjectId":
-        """Parse the hex form used in hybrid URLs and resource records.
-
-        When *suite* is omitted it is inferred from the digest length
-        (40 hex chars → SHA-1, 64 → SHA-256), so OID-form hybrid URLs
-        work for every supported suite.
-        """
+    def from_hex(cls, text: str) -> "ObjectId":
+        """Parse the hex form used in hybrid URLs and resource records."""
         try:
             raw = bytes.fromhex(text)
         except ValueError as exc:
             raise ReproError(f"invalid OID hex: {text!r}") from exc
-        if suite is None:
-            for candidate in (SHA1, SHA256):
-                if len(raw) == candidate.digest_size:
-                    suite = candidate
-                    break
-            else:
-                raise ReproError(
-                    f"OID hex length {len(text)} matches no known hash suite"
-                )
-        return cls(digest=raw, suite_name=suite.name)
-
-    @property
-    def suite(self) -> HashSuite:
-        return suite_by_name(self.suite_name)
+        return cls(digest=raw)
 
     @property
     def hex(self) -> str:
@@ -80,7 +57,7 @@ class ObjectId:
 
     def matches_key(self, key: PublicKey) -> bool:
         """Does *key* hash to this OID? (The self-certification check.)"""
-        return key.fingerprint(self.suite) == self.digest
+        return key.fingerprint() == self.digest
 
     def check_key(self, key: PublicKey) -> PublicKey:
         """Verify *key* against the OID; raise AuthenticityError otherwise.
@@ -97,14 +74,18 @@ class ObjectId:
         return key
 
     def to_dict(self) -> dict:
-        return {"digest": self.digest, "suite": self.suite_name}
+        return {"digest": self.digest, "suite": hashes.SUITE.name}
 
     @classmethod
     def from_dict(cls, data) -> "ObjectId":
-        return cls(digest=wire_bytes(data["digest"]), suite_name=str(data["suite"]))
+        """Inverse of :meth:`to_dict`; a ``"suite"`` tag other than
+        ``SUITE.name`` is a malformed OID."""
+        if data["suite"] != hashes.SUITE.name:
+            raise CryptoError(f"malformed OID: hash suite is not {hashes.SUITE.name}")
+        return cls(digest=wire_bytes(data["digest"]))
 
     def __str__(self) -> str:
         return self.hex
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ObjectId({self.hex[:16]}…, {self.suite_name})"
+        return f"ObjectId({self.hex[:16]}…)"

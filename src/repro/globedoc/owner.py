@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.identity import CertificateAuthority, IdentityCertificate
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import ReproError
@@ -68,9 +67,8 @@ class SignedDocument:
         from repro.globedoc.oid import ObjectId
 
         assert state.integrity is not None  # validate() guarantees it
-        suite = state.integrity.suite
         return cls(
-            oid=ObjectId.from_public_key(state.public_key, suite),
+            oid=ObjectId.from_public_key(state.public_key),
             public_key=state.public_key,
             elements=dict(state.elements),
             integrity=state.integrity,
@@ -128,16 +126,14 @@ class DocumentOwner:
         self,
         name: str,
         keys: Optional[KeyPair] = None,
-        suite: HashSuite = SHA1,
         clock: Optional[Clock] = None,
     ) -> None:
         if not name:
             raise ReproError("owner/document name must be non-empty")
         self.name = name
         self.keys = keys if keys is not None else KeyPair.generate()
-        self.suite = suite
         self.clock = clock if clock is not None else RealClock()
-        self.oid = ObjectId.from_public_key(self.keys.public, suite)
+        self.oid = ObjectId.from_public_key(self.keys.public)
         self._elements: Dict[str, PageElement] = {}
         self._identity_certs: List[IdentityCertificate] = []
         self._version = 0
@@ -222,7 +218,6 @@ class DocumentOwner:
             self._elements.values(),
             expires_at=now + validity,
             version=self._version,
-            suite=self.suite,
             per_element_expiry=per_element_expiry,
             issued_at=now,
         )

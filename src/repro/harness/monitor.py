@@ -250,13 +250,11 @@ class _MonitorWorld:
                 metric="replica_circuit_state",
                 threshold=2.0,
                 op=">=",
-                aggregate="max",
                 # Replica ContactAddress strings only — service Endpoint
                 # circuits (the feed during its outage) must not flap
                 # this rule.
                 label_prefixes={"address": "globedoc/replica"},
                 severity="critical",
-                description="some client's breaker to a replica is open",
             )
         )
         engine.add_rule(
@@ -265,12 +263,7 @@ class _MonitorWorld:
                 metric="revocation_view_staleness_seconds",
                 threshold=STALENESS_WARN,
                 op=">",
-                aggregate="max",
                 severity="warning",
-                description=(
-                    "a client's revocation view is drifting toward the "
-                    "fail-closed bound"
-                ),
             )
         )
         engine.add_rule(
@@ -279,9 +272,7 @@ class _MonitorWorld:
                 metric="revocation_rejections_total",
                 threshold=0.0,
                 window_seconds=REJECTION_WINDOW,
-                op=">",
                 severity="critical",
-                description="clients are rejecting revoked content right now",
             )
         )
         return engine

@@ -198,8 +198,6 @@ def _run(seed: int, scratch: str) -> dict:
             metric="proxy_access_seconds",
             threshold_s=LATENCY_THRESHOLD_S,
             target=LATENCY_TARGET,
-            description=f"{LATENCY_TARGET:.0%} of accesses within "
-            f"{LATENCY_THRESHOLD_S * 1e3:.0f} ms",
         ),
         fast=BurnWindow(window_seconds=60.0, threshold=10.0, severity="critical"),
         slow=BurnWindow(window_seconds=300.0, threshold=2.0, severity="warning"),
@@ -210,7 +208,6 @@ def _run(seed: int, scratch: str) -> dict:
             metric="proxy_requests_total",
             good_labels={"outcome": "ok"},
             target=0.75,
-            description="three quarters of accesses succeed even through faults",
         ),
         fast=BurnWindow(window_seconds=60.0, threshold=3.0, severity="critical"),
         slow=None,

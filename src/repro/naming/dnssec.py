@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import NameNotFound, ZoneValidationError
 from repro.naming.records import OidRecord, normalize_name
@@ -40,13 +39,12 @@ class DelegationRecord:
         parent_keys: KeyPair,
         child_path: str,
         child_key: PublicKey,
-        suite: HashSuite = SHA1,
         not_after: Optional[float] = None,
     ) -> "DelegationRecord":
         body = {"child_zone": child_path, "child_key_der": child_key.der}
         return cls(
             Certificate.issue(
-                parent_keys, DELEGATION_CERT, body, not_after=not_after, suite=suite
+                parent_keys, DELEGATION_CERT, body, not_after=not_after
             )
         )
 
@@ -89,12 +87,11 @@ class SignedOidRecord:
         cls,
         zone_keys: KeyPair,
         record: OidRecord,
-        suite: HashSuite = SHA1,
         not_after: Optional[float] = None,
     ) -> "SignedOidRecord":
         return cls(
             Certificate.issue(
-                zone_keys, OID_RECORD_CERT, record.to_dict(), not_after=not_after, suite=suite
+                zone_keys, OID_RECORD_CERT, record.to_dict(), not_after=not_after
             )
         )
 
@@ -128,11 +125,9 @@ class SignedZone:
         self,
         zone: Zone,
         keys: Optional[ZoneKeys] = None,
-        suite: HashSuite = SHA1,
     ) -> None:
         self.zone = zone
         self.keys = keys if keys is not None else ZoneKeys(zone=zone.zone_path)
-        self.suite = suite
         self._signed_records: Dict[str, SignedOidRecord] = {}
         self._delegation_records: Dict[str, DelegationRecord] = {}
 
@@ -147,7 +142,7 @@ class SignedZone:
     def add_record(self, record: OidRecord) -> SignedOidRecord:
         """Add and sign a name → OID binding."""
         self.zone.add_record(record)
-        signed = SignedOidRecord.issue(self.keys.keys, record, suite=self.suite)
+        signed = SignedOidRecord.issue(self.keys.keys, record)
         self._signed_records[record.name] = signed
         return signed
 
@@ -163,7 +158,7 @@ class SignedZone:
         label = child_path[len(prefix):]
         self.zone.delegate(label)
         record = DelegationRecord.issue(
-            self.keys.keys, child_path, child.public_key, suite=self.suite
+            self.keys.keys, child_path, child.public_key
         )
         self._delegation_records[child_path] = record
         return record
@@ -180,11 +175,11 @@ class SignedZone:
         for name, signed in list(self._signed_records.items()):
             record = signed.record
             self._signed_records[name] = SignedOidRecord.issue(
-                self.keys.keys, record, suite=self.suite
+                self.keys.keys, record
             )
         for child_path, record in list(self._delegation_records.items()):
             self._delegation_records[child_path] = DelegationRecord.issue(
-                self.keys.keys, child_path, record.child_key, suite=self.suite
+                self.keys.keys, child_path, record.child_key
             )
         return self.keys
 
@@ -196,7 +191,7 @@ class SignedZone:
                 f"{child.zone_path!r} is not a delegated child of {self.zone_path!r}"
             )
         record = DelegationRecord.issue(
-            self.keys.keys, child.zone_path, child.public_key, suite=self.suite
+            self.keys.keys, child.zone_path, child.public_key
         )
         self._delegation_records[child.zone_path] = record
         return record

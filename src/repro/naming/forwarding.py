@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import AuthenticityError, CertificateError
 from repro.globedoc.oid import ObjectId
@@ -50,7 +49,6 @@ class ForwardingRecord:
         from_oid: ObjectId,
         to_oid: ObjectId,
         issued_at: float,
-        suite: HashSuite = SHA1,
     ) -> "ForwardingRecord":
         if not from_oid.matches_key(old_keys.public):
             raise AuthenticityError(
@@ -67,7 +65,7 @@ class ForwardingRecord:
         }
         return cls(
             Certificate.issue(
-                old_keys, FORWARDING_CERT_TYPE, body, not_before=issued_at, suite=suite
+                old_keys, FORWARDING_CERT_TYPE, body, not_before=issued_at
             )
         )
 

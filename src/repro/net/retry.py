@@ -69,8 +69,7 @@ class RetryPolicy:
     ``base_delay * multiplier**(attempt-1)``, capped at ``max_delay``
     and spread by ``jitter`` (a ±fraction drawn from the seeded RNG, so
     a fleet of clients retrying the same dead replica decorrelates
-    deterministically). ``deadline`` caps the *total* time (clock time,
-    including backoff) one logical call may consume across attempts.
+    deterministically).
     """
 
     max_attempts: int = 3
@@ -78,7 +77,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay: float = 2.0
     jitter: float = 0.1
-    deadline: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,8 +88,6 @@ class RetryPolicy:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
 
     def delay_for(self, attempt: int, rng) -> float:
         """Backoff before retry number *attempt* (1-based failed tries).
@@ -157,7 +153,6 @@ class RetryingRpcClient:
     def call(self, target, op: str, **args: Any) -> Any:
         policy = self.policy
         retryable = is_idempotent(op)
-        start = self.clock.now()
         attempt = 0
         while True:
             attempt += 1
@@ -181,12 +176,6 @@ class RetryingRpcClient:
                         self.counters.giveups += 1
                         raise
                     delay = policy.delay_for(attempt, self._rng)
-                    if (
-                        policy.deadline is not None
-                        and (self.clock.now() - start) + delay > policy.deadline
-                    ):
-                        self.counters.giveups += 1
-                        raise
                     span.set_attribute("backoff_s", delay)
                 else:
                     self._note_success(target)
@@ -204,7 +193,7 @@ class RetryingRpcClient:
 
         Round 1 issues every call through the inner client's
         ``call_many``; failed slots that are retryable (idempotent op,
-        operational error, attempts and deadline remaining) go into the
+        operational error, attempts remaining) go into the
         next round after *one* shared backoff wait — the max of the
         per-call delays, since the waits would overlap in flight just
         like the calls do. Security errors fail closed per slot and are
@@ -215,7 +204,6 @@ class RetryingRpcClient:
         calls = list(calls)
         results: List[Optional[BatchOutcome]] = [None] * len(calls)
         pending = list(enumerate(calls))
-        start = self.clock.now()
         attempt = 0
         while pending:
             attempt += 1
@@ -242,20 +230,10 @@ class RetryingRpcClient:
                         results[index] = outcome
                         continue
                     self._note_failure(call.target)
-                    retryable = (
-                        is_idempotent(call.op) and attempt < policy.max_attempts
-                    )
-                    if retryable:
-                        delay = policy.delay_for(attempt, self._rng)
-                        if (
-                            policy.deadline is not None
-                            and (self.clock.now() - start) + delay > policy.deadline
-                        ):
-                            retryable = False
-                        else:
-                            next_pending.append((index, call))
-                            round_delay = max(round_delay, delay)
-                    if not retryable:
+                    if is_idempotent(call.op) and attempt < policy.max_attempts:
+                        next_pending.append((index, call))
+                        round_delay = max(round_delay, policy.delay_for(attempt, self._rng))
+                    else:
                         self.counters.giveups += 1
                         results[index] = outcome
                 span.set_attribute("retrying", len(next_pending))

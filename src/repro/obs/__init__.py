@@ -46,8 +46,6 @@ from repro.obs.profile import (
     categorize,
 )
 from repro.obs.slo import (
-    DEFAULT_FAST_WINDOW,
-    DEFAULT_SLOW_WINDOW,
     AvailabilityObjective,
     BurnRateRule,
     BurnWindow,
@@ -117,6 +115,4 @@ __all__ = [
     "BurnRateRule",
     "BurnWindow",
     "SloPlane",
-    "DEFAULT_FAST_WINDOW",
-    "DEFAULT_SLOW_WINDOW",
 ]

@@ -9,14 +9,15 @@ scrape cadence, each alert walking the classic lifecycle
 
     inactive → **pending** → **firing** → **resolved** → inactive
 
-where *pending* debounces transient breaches (``for_seconds``) and
-every transition lands in an append-only, clock-stamped timeline the
-monitor harness asserts on and ``BENCH_monitor_plane.json`` records.
+where a breach records *pending* and *firing* at the same instant (no
+rule holds a breach before firing) and every transition lands in an
+append-only, clock-stamped timeline the monitor harness asserts on and
+``BENCH_monitor_plane.json`` records.
 
 Two rule shapes cover the SLOs this repo cares about:
 
-* :class:`ThresholdRule` — an aggregate (max/min/sum) over the current
-  series of one gauge or counter compared against a bound. Example:
+* :class:`ThresholdRule` — the max over the current series of one
+  gauge or counter compared against a bound. Example:
   ``max(replica_circuit_state) >= 2`` ("some replica's breaker is
   open"), ``max(revocation_view_staleness_seconds) > 45`` ("fail-closed
   imminent").
@@ -63,12 +64,6 @@ _COMPARATORS = {
     "<=": lambda value, bound: value <= bound,
 }
 
-_AGGREGATES = {
-    "max": lambda values: max(values, default=0.0),
-    "min": lambda values: min(values, default=0.0),
-    "sum": lambda values: sum(values),
-}
-
 
 @dataclass(frozen=True)
 class AlertEvent:
@@ -94,23 +89,12 @@ class AlertRule:
     """Base rule: a named condition over the registry.
 
     Subclasses implement :meth:`value`; the engine handles the state
-    machine. ``for_seconds`` is the pending hold time: the condition
-    must stay breached that long (0 = fire on first breach).
+    machine.
     """
 
-    def __init__(
-        self,
-        name: str,
-        severity: str = "warning",
-        for_seconds: float = 0.0,
-        description: str = "",
-    ) -> None:
-        if for_seconds < 0:
-            raise ValueError(f"for_seconds must be non-negative, got {for_seconds}")
+    def __init__(self, name: str, severity: str = "warning") -> None:
         self.name = name
         self.severity = severity
-        self.for_seconds = for_seconds
-        self.description = description
 
     def value(self, registry: MetricsRegistry, now: float) -> float:
         raise NotImplementedError  # pragma: no cover - abstract
@@ -120,9 +104,8 @@ class AlertRule:
 
 
 class ThresholdRule(AlertRule):
-    """Aggregate-vs-bound on the current value of one metric.
+    """Max-vs-bound on the current value of one metric (0 with no series).
 
-    ``aggregate`` folds the metric's series ("max", "min", "sum");
     ``label_prefixes`` restricts which series participate by label-value
     prefix — e.g. ``{"address": "globedoc/replica"}`` watches replica
     circuit breakers while ignoring service endpoints tracked by the
@@ -135,31 +118,27 @@ class ThresholdRule(AlertRule):
         metric: str,
         threshold: float,
         op: str = ">",
-        aggregate: str = "max",
         label_prefixes: Optional[Mapping[str, str]] = None,
         **kwargs,
     ) -> None:
         super().__init__(name, **kwargs)
         if op not in _COMPARATORS:
             raise ValueError(f"unknown comparator {op!r}")
-        if aggregate not in _AGGREGATES:
-            raise ValueError(f"unknown aggregate {aggregate!r}")
         self.metric = metric
         self.threshold = threshold
         self.op = op
-        self.aggregate = aggregate
         self.label_prefixes = dict(label_prefixes) if label_prefixes else None
 
     def value(self, registry: MetricsRegistry, now: float) -> float:
-        values = registry.series_values(self.metric, self.label_prefixes)
-        return _AGGREGATES[self.aggregate](values)
+        return max(registry.series_values(self.metric, self.label_prefixes), default=0.0)
 
     def breached(self, value: float) -> bool:
         return _COMPARATORS[self.op](value, self.threshold)
 
 
 class RateRule(AlertRule):
-    """Increase of a summed counter over a trailing window.
+    """Increase of a summed counter over a trailing window, breached
+    when it exceeds *threshold*.
 
     Each evaluation samples the counter's total; the rule's value is
     ``total(now) - total(now - window)`` (linear sample retention, no
@@ -173,25 +152,18 @@ class RateRule(AlertRule):
         metric: str,
         threshold: float,
         window_seconds: float,
-        op: str = ">",
-        label_prefixes: Optional[Mapping[str, str]] = None,
         **kwargs,
     ) -> None:
         super().__init__(name, **kwargs)
         if window_seconds <= 0:
             raise ValueError(f"window_seconds must be positive, got {window_seconds}")
-        if op not in _COMPARATORS:
-            raise ValueError(f"unknown comparator {op!r}")
         self.metric = metric
         self.threshold = threshold
         self.window_seconds = window_seconds
-        self.op = op
-        self.label_prefixes = dict(label_prefixes) if label_prefixes else None
         self._samples: Deque[Tuple[float, float]] = deque()
 
     def value(self, registry: MetricsRegistry, now: float) -> float:
-        values = registry.series_values(self.metric, self.label_prefixes)
-        total = sum(values)
+        total = sum(registry.series_values(self.metric))
         self._samples.append((now, total))
         horizon = now - self.window_seconds
         # Keep one sample at-or-before the horizon as the anchor.
@@ -203,16 +175,7 @@ class RateRule(AlertRule):
         return total - anchor_total
 
     def breached(self, value: float) -> bool:
-        return _COMPARATORS[self.op](value, self.threshold)
-
-
-@dataclass
-class _RuleState:
-    state: str = STATE_INACTIVE
-    pending_since: Optional[float] = None
-    fired_at: Optional[float] = None
-    last_value: float = 0.0
-    fire_count: int = 0
+        return value > self.threshold
 
 
 class AlertEngine:
@@ -239,7 +202,7 @@ class AlertEngine:
         self.clock = clock
         self.evaluation_cost = evaluation_cost
         self._rules: List[AlertRule] = []
-        self._states: Dict[str, _RuleState] = {}
+        self._states: Dict[str, str] = {}
         #: Append-only transition log (the alert timeline).
         self.timeline: List[AlertEvent] = []
         self.evaluations = 0
@@ -250,7 +213,7 @@ class AlertEngine:
         if any(r.name == rule.name for r in self._rules):
             raise ValueError(f"alert rule {rule.name!r} already registered")
         self._rules.append(rule)
-        self._states[rule.name] = _RuleState()
+        self._states[rule.name] = STATE_INACTIVE
         return rule
 
     @property
@@ -258,11 +221,11 @@ class AlertEngine:
         return list(self._rules)
 
     def state_of(self, rule_name: str) -> str:
-        return self._states[rule_name].state
+        return self._states[rule_name]
 
     def firing(self) -> List[str]:
         """Names of currently firing rules, registration order."""
-        return [r.name for r in self._rules if self._states[r.name].state == STATE_FIRING]
+        return [r.name for r in self._rules if self._states[r.name] == STATE_FIRING]
 
     # ------------------------------------------------------------------
 
@@ -284,43 +247,19 @@ class AlertEngine:
         for rule in self._rules:
             state = self._states[rule.name]
             value = rule.value(self.registry, now)
-            state.last_value = value
             breached = rule.breached(value)
-            if state.state in (STATE_INACTIVE, STATE_RESOLVED):
+            if state != STATE_FIRING:
                 if breached:
-                    state.state = STATE_PENDING
-                    state.pending_since = now
                     transitions.append(self._emit(rule, STATE_PENDING, now, value))
-                    if rule.for_seconds == 0.0:
-                        self._fire(rule, state, now, value, transitions)
-                elif state.state == STATE_RESOLVED:
-                    state.state = STATE_INACTIVE
-            elif state.state == STATE_PENDING:
-                if not breached:
-                    state.state = STATE_INACTIVE  # breach did not hold
-                    state.pending_since = None
-                elif now - (state.pending_since or now) >= rule.for_seconds:
-                    self._fire(rule, state, now, value, transitions)
-            elif state.state == STATE_FIRING:
-                if not breached:
-                    state.state = STATE_RESOLVED
-                    state.pending_since = None
-                    transitions.append(self._emit(rule, STATE_RESOLVED, now, value))
+                    self._states[rule.name] = STATE_FIRING
+                    transitions.append(self._emit(rule, STATE_FIRING, now, value))
+                elif state == STATE_RESOLVED:
+                    self._states[rule.name] = STATE_INACTIVE
+            elif not breached:
+                self._states[rule.name] = STATE_RESOLVED
+                transitions.append(self._emit(rule, STATE_RESOLVED, now, value))
         self.timeline.extend(transitions)
         return transitions
-
-    def _fire(
-        self,
-        rule: AlertRule,
-        state: _RuleState,
-        now: float,
-        value: float,
-        transitions: List[AlertEvent],
-    ) -> None:
-        state.state = STATE_FIRING
-        state.fired_at = now
-        state.fire_count += 1
-        transitions.append(self._emit(rule, STATE_FIRING, now, value))
 
     def _emit(self, rule: AlertRule, state: str, now: float, value: float) -> AlertEvent:
         return AlertEvent(

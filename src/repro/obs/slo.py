@@ -37,8 +37,6 @@ __all__ = [
     "BurnRateRule",
     "BurnWindow",
     "SloPlane",
-    "DEFAULT_FAST_WINDOW",
-    "DEFAULT_SLOW_WINDOW",
 ]
 
 
@@ -50,12 +48,11 @@ class SloObjective:
     burn rates) derives from those two monotone numbers.
     """
 
-    def __init__(self, name: str, target: float, description: str = "") -> None:
+    def __init__(self, name: str, target: float) -> None:
         if not 0.0 < target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {target}")
         self.name = name
         self.target = target
-        self.description = description
 
     @property
     def error_budget(self) -> float:
@@ -101,13 +98,10 @@ class LatencyObjective(SloObjective):
         metric: str,
         threshold_s: float,
         target: float,
-        label_prefixes: Optional[Mapping[str, str]] = None,
-        description: str = "",
     ) -> None:
-        super().__init__(name, target, description=description)
+        super().__init__(name, target)
         self.metric = metric
         self.threshold_s = float(threshold_s)
-        self.label_prefixes = dict(label_prefixes) if label_prefixes else None
 
     def counts(self, registry: MetricsRegistry) -> Tuple[float, float]:
         instrument = registry.get(self.metric)
@@ -126,9 +120,7 @@ class LatencyObjective(SloObjective):
             )
         good = 0.0
         total = 0.0
-        for labels, child in instrument.series():
-            if not self._selected(instrument.labelnames, labels):
-                continue
+        for _labels, child in instrument.series():
             for bound, cumulative in child.cumulative_buckets():
                 if bound == self.threshold_s:
                     good += cumulative
@@ -136,22 +128,13 @@ class LatencyObjective(SloObjective):
             total += child.count
         return (good, total)
 
-    def _selected(self, labelnames, labels) -> bool:
-        if not self.label_prefixes:
-            return True
-        by_name = dict(zip(labelnames, labels))
-        return all(
-            by_name.get(key, "").startswith(prefix)
-            for key, prefix in self.label_prefixes.items()
-        )
-
 
 class AvailabilityObjective(SloObjective):
     """"*target* of events are good" over one labeled counter.
 
     Good events are the series whose labels start with ``good_labels``
     (e.g. ``{"outcome": "ok"}`` on ``proxy_requests_total``); the total
-    is every series, optionally pre-filtered by ``label_prefixes``.
+    is every series.
     """
 
     def __init__(
@@ -160,21 +143,16 @@ class AvailabilityObjective(SloObjective):
         metric: str,
         good_labels: Mapping[str, str],
         target: float,
-        label_prefixes: Optional[Mapping[str, str]] = None,
-        description: str = "",
     ) -> None:
-        super().__init__(name, target, description=description)
+        super().__init__(name, target)
         if not good_labels:
             raise ValueError(f"availability objective {name!r} needs good_labels")
         self.metric = metric
         self.good_labels = dict(good_labels)
-        self.label_prefixes = dict(label_prefixes) if label_prefixes else None
 
     def counts(self, registry: MetricsRegistry) -> Tuple[float, float]:
-        total = sum(registry.series_values(self.metric, self.label_prefixes))
-        good_filter = dict(self.label_prefixes or {})
-        good_filter.update(self.good_labels)
-        good = sum(registry.series_values(self.metric, good_filter))
+        total = sum(registry.series_values(self.metric))
+        good = sum(registry.series_values(self.metric, self.good_labels))
         return (good, total)
 
 
@@ -230,19 +208,11 @@ class BurnRateRule(AlertRule):
 
 @dataclass(frozen=True)
 class BurnWindow:
-    """One burn-rate alert window: how far back, how hot, how long held."""
+    """One burn-rate alert window: how far back, how hot."""
 
     window_seconds: float
     threshold: float
-    for_seconds: float = 0.0
     severity: str = "warning"
-
-
-#: Conventional fast/slow pair, scaled to simulated-minutes workloads:
-#: the fast window pages on a cliff, the slow window on a sustained
-#: simmer that the fast window keeps forgiving.
-DEFAULT_FAST_WINDOW = BurnWindow(window_seconds=60.0, threshold=10.0, severity="critical")
-DEFAULT_SLOW_WINDOW = BurnWindow(window_seconds=300.0, threshold=2.0, severity="warning")
 
 
 @dataclass
@@ -255,7 +225,7 @@ class SloPlane:
     """The set of objectives guarding one registry, wired to one engine.
 
     :meth:`add` registers an objective plus its fast/slow burn-rate
-    rules on the engine (rule names ``<objective>:fast_burn`` /
+    rules (``None`` for a window it does without) on the engine (rule names ``<objective>:fast_burn`` /
     ``<objective>:slow_burn``); the engine's normal ``evaluate()``
     cadence then drives the alert lifecycle. :meth:`report` renders
     the per-objective verdicts with each rule's current state.
@@ -269,8 +239,8 @@ class SloPlane:
     def add(
         self,
         objective: SloObjective,
-        fast: Optional[BurnWindow] = DEFAULT_FAST_WINDOW,
-        slow: Optional[BurnWindow] = DEFAULT_SLOW_WINDOW,
+        fast: Optional[BurnWindow],
+        slow: Optional[BurnWindow],
     ) -> SloObjective:
         if objective.name in self._tracked:
             raise ValueError(f"objective {objective.name!r} already registered")
@@ -283,9 +253,7 @@ class SloPlane:
                 objective=objective,
                 window_seconds=window.window_seconds,
                 threshold=window.threshold,
-                for_seconds=window.for_seconds,
                 severity=window.severity,
-                description=objective.description,
             )
             self.engine.add_rule(rule)
             tracked.rules.append(rule)

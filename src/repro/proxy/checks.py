@@ -39,8 +39,8 @@ the cache replays verdicts instead of re-running RSA, and a region is
 charged for the operations it counted, a warm verification charges only
 the region's bookkeeping — the amortization the paper argues for in
 §4. Every check still fails closed: the cache keys on the exact payload
-bytes, key, suite, and signature, so tampered input always falls through
-to the real RSA operation.
+bytes, key and signature, so tampered input always falls through to the
+real RSA operation.
 """
 
 from __future__ import annotations
@@ -559,7 +559,7 @@ class SecurityChecker:
             "check.element_hash", element=requested_name, size=element.size
         ):
             with self.clock.compute():
-                if element.content_hash(integrity.suite) != entry.content_hash:
+                if element.content_hash() != entry.content_hash:
                     raise AuthenticityError(
                         f"content hash mismatch for element {requested_name!r}"
                     )

@@ -15,7 +15,7 @@ speaks HTTP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import (
     BindingError,
@@ -256,7 +256,10 @@ class GlobeDocProxy:
             span.set_attribute("to_oid", record.to_oid.hex[:16])
         return HybridUrl.for_oid(record.to_oid, url.element_name)
 
-    def _session_for(self, url: HybridUrl) -> SecureSession:
+    def live_session(self, url: HybridUrl) -> Tuple[str, Optional[SecureSession]]:
+        """The key *url*'s binding is held under (its OID, else its
+        name) and that binding, or None when there is none or it is older
+        than ``session_ttl`` (stale: the caller re-resolves and re-binds)."""
         key = url.oid.hex if url.oid is not None else str(url.object_name)
         session = self._sessions.get(key)
         if (
@@ -265,7 +268,11 @@ class GlobeDocProxy:
             and self.checker.clock.now() - self._session_created.get(key, 0.0)
             > self.session_ttl
         ):
-            session = None  # stale binding: re-resolve and re-bind
+            session = None
+        return key, session
+
+    def _session_for(self, url: HybridUrl) -> SecureSession:
+        key, session = self.live_session(url)
         if session is None:
             bound = self.binder.bind(url)
             session = SecureSession(

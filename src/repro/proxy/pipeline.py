@@ -72,10 +72,6 @@ class PipelineConfig:
 
     #: Max RPCs kept in flight per wave (forwarded to ``call_many``).
     window: int = DEFAULT_WINDOW
-    #: Overlap location lookups with name resolution using OID hints.
-    speculate: bool = True
-    #: Batch-verify prefetched integrity certificates into the cache.
-    batch_verify: bool = True
 
 
 @dataclass
@@ -282,13 +278,13 @@ class _ObjectPlan:
         "error",
     )
 
-    def __init__(self, key: str, url: HybridUrl) -> None:
+    def __init__(self, key: str, url: HybridUrl, session) -> None:
         self.key = key
         self.url = url
         self.oid = None
         self.addresses: List[ContactAddress] = []
         self.elements: List[str] = []
-        self.session = None
+        self.session = session
         self.establish_needed = True
         self.error: Optional[Exception] = None
 
@@ -342,18 +338,17 @@ class AccessScheduler:
             for index, hybrid in enumerate(parsed):
                 if hybrid is None:
                     continue  # passthrough/bad URLs replay sequentially
-                key = self._session_key(hybrid)
+                key, session = self.proxy.live_session(hybrid)
                 unit = (key, hybrid.element_name)
                 units.setdefault(unit, []).append(index)
                 if key not in plans:
-                    plans[key] = _ObjectPlan(key, hybrid)
+                    plans[key] = _ObjectPlan(key, hybrid, session)
                 if hybrid.element_name not in plans[key].elements:
                     plans[key].elements.append(hybrid.element_name)
 
             self._bind_phase(list(plans.values()))
             self._fetch_phase(list(plans.values()))
-            if self.config.batch_verify:
-                self._verify_phase(list(plans.values()))
+            self._verify_phase(list(plans.values()))
 
             coalesced = 0
             try:
@@ -385,9 +380,8 @@ class AccessScheduler:
         binder = proxy.binder
         need_bind: List[_ObjectPlan] = []
         for plan in plans:
-            session = self._live_session(plan.key)
+            session = plan.session
             if session is not None:
-                plan.session = session
                 plan.oid = session.bound.oid
                 plan.addresses = [session.bound.address]
                 plan.establish_needed = session.verified is None
@@ -402,7 +396,7 @@ class AccessScheduler:
             url = plan.url
             hint = (
                 self._oid_hints.get(url.object_name)
-                if self.config.speculate and url.oid is None and url.object_name
+                if url.oid is None and url.object_name
                 else None
             )
 
@@ -538,22 +532,6 @@ class AccessScheduler:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _session_key(self, url: HybridUrl) -> str:
-        return url.oid.hex if url.oid is not None else str(url.object_name)
-
-    def _live_session(self, key: str):
-        proxy = self.proxy
-        session = proxy._sessions.get(key)
-        if session is None:
-            return None
-        if (
-            proxy.session_ttl is not None
-            and proxy.checker.clock.now() - proxy._session_created.get(key, 0.0)
-            > proxy.session_ttl
-        ):
-            return None
-        return session
 
     def _run_parallel(self, thunks: List[Callable[[], None]]) -> None:
         """Run *thunks* concurrently: simulated branches under a

@@ -42,7 +42,6 @@ from repro.errors import (
 )
 from repro.globedoc.oid import ObjectId
 from repro.obs import NOOP_METRICS, NOOP_TRACER
-from repro.revocation.feed import RevocationFeed
 from repro.revocation.statement import SCOPE_KEY, SCOPE_WRITER, RevocationStatement
 
 __all__ = ["RevocationChecker", "RevocationCheckerStats"]
@@ -66,9 +65,9 @@ class RevocationCheckerStats:
 class RevocationChecker:
     """Pulls, verifies, and indexes revocation statements for a client.
 
-    ``poll_interval`` (default: half the staleness window) sets how long
-    a synced view is reused before the next refresh RPC — the knob that
-    trades containment latency against steady-state feed overhead.
+    ``poll_interval``, half the staleness window, is how long a synced
+    view is reused before the next refresh RPC: it trades containment
+    latency against steady-state feed overhead.
     """
 
     def __init__(
@@ -77,7 +76,6 @@ class RevocationChecker:
         feed_target,
         clock,
         max_staleness: float = 60.0,
-        poll_interval: Optional[float] = None,
         verification_cache=None,
         content_cache=None,
         metrics=None,
@@ -94,9 +92,7 @@ class RevocationChecker:
         #: span (a root when the poll fires outside any access).
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.max_staleness = max_staleness
-        self.poll_interval = (
-            poll_interval if poll_interval is not None else max_staleness / 2.0
-        )
+        self.poll_interval = max_staleness / 2.0
         self.verification_cache = verification_cache
         self.content_cache = content_cache
         self.stats = RevocationCheckerStats()
@@ -211,7 +207,7 @@ class RevocationChecker:
             answer = self.rpc.call(
                 self.feed_target, "revocation.fetch", since=self._head
             )
-            head, statements = RevocationFeed.decode_delta(answer)
+            head = int(answer["head"])
             if head < self._head:
                 self.stats.head_regressions += 1
                 raise FeedRegressionError(
@@ -221,8 +217,8 @@ class RevocationChecker:
                 )
             self.stats.refreshes += 1
             ingested = 0
-            for statement in statements:
-                if self._ingest(statement):
+            for raw in answer.get("statements", []):
+                if self._ingest(raw):
                     ingested += 1
             # Advance past invalid entries too: they are the feed's
             # garbage, not ours, and re-fetching them forever helps
@@ -235,12 +231,14 @@ class RevocationChecker:
             span.set_attribute("head", head)
             return ingested
 
-    def _ingest(self, statement: RevocationStatement) -> bool:
+    def _ingest(self, raw) -> bool:
         try:
+            statement = RevocationStatement.from_dict(raw)
             statement.verify(clock=self.clock)
         except Exception:
-            # A forged or corrupted statement must not revoke anything —
-            # and must not crash the sync that carries genuine ones.
+            # A malformed, forged or corrupted statement must not revoke
+            # anything — and must not crash the sync that carries
+            # genuine ones.
             self.stats.invalid_dropped += 1
             return False
         known = self._by_oid.setdefault(statement.oid_hex, [])

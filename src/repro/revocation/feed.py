@@ -29,7 +29,7 @@ store was tampered with at rest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 from repro.revocation.statement import RevocationStatement
@@ -170,13 +170,3 @@ class RevocationFeed:
 
     def __len__(self) -> int:
         return len(self._log)
-
-    @staticmethod
-    def decode_delta(answer: Mapping) -> Tuple[int, List[RevocationStatement]]:
-        """Parse a ``revocation.fetch`` response (no verification —
-        callers must verify each statement before acting on it)."""
-        head = int(answer["head"])
-        statements = [
-            RevocationStatement.from_dict(d) for d in answer.get("statements", [])
-        ]
-        return head, statements

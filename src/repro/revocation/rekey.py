@@ -75,7 +75,6 @@ def emergency_rekey(
     successor = DocumentOwner(
         owner.name,
         keys=new_keys if new_keys is not None else KeyPair.generate(),
-        suite=owner.suite,
         clock=owner.clock,
     )
     if successor.oid.hex == owner.oid.hex:
@@ -86,10 +85,9 @@ def emergency_rekey(
     now = owner.clock.now()
     revocation = RevocationStatement.revoke_key(
         owner.keys, owner.oid, serial=serial, issued_at=now, reason=reason,
-        suite=owner.suite,
     )
     forwarding = ForwardingRecord.issue(
-        owner.keys, owner.oid, successor.oid, issued_at=now, suite=owner.suite
+        owner.keys, owner.oid, successor.oid, issued_at=now
     )
     return RekeyResult(
         old_oid=owner.oid,

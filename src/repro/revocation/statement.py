@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import AuthenticityError, CertificateError
 from repro.globedoc.oid import ObjectId
@@ -72,12 +71,11 @@ class RevocationStatement:
         serial: int,
         issued_at: float,
         reason: str = "key compromise",
-        suite: Optional[HashSuite] = None,
     ) -> "RevocationStatement":
         """Revoke the object key itself (scope ``key``)."""
         return cls._issue(
             owner_keys, oid, SCOPE_KEY, serial, issued_at, reason,
-            element=None, cert_version=None, suite=suite,
+            element=None, cert_version=None,
         )
 
     @classmethod
@@ -90,7 +88,6 @@ class RevocationStatement:
         serial: int,
         issued_at: float,
         reason: str = "element certificate revoked",
-        suite: Optional[HashSuite] = None,
     ) -> "RevocationStatement":
         """Revoke one element's certificate row, for certificate
         versions up to and including *cert_version*."""
@@ -102,7 +99,7 @@ class RevocationStatement:
             )
         return cls._issue(
             owner_keys, oid, SCOPE_ELEMENT, serial, issued_at, reason,
-            element=element, cert_version=cert_version, suite=suite,
+            element=element, cert_version=cert_version,
         )
 
     @classmethod
@@ -114,7 +111,6 @@ class RevocationStatement:
         serial: int,
         issued_at: float,
         reason: str = "writer grant revoked",
-        suite: Optional[HashSuite] = None,
     ) -> "RevocationStatement":
         """Revoke one writer's grant (scope ``writer``).
 
@@ -136,7 +132,7 @@ class RevocationStatement:
             raise CertificateError("writer revocation needs a writer id")
         return cls._issue(
             owner_keys, oid, SCOPE_WRITER, serial, issued_at, reason,
-            element=None, cert_version=None, writer=str(writer_id), suite=suite,
+            element=None, cert_version=None, writer=str(writer_id),
         )
 
     @classmethod
@@ -150,7 +146,6 @@ class RevocationStatement:
         reason: str,
         element: Optional[str],
         cert_version: Optional[int],
-        suite: Optional[HashSuite],
         writer: Optional[str] = None,
     ) -> "RevocationStatement":
         if serial < 1:
@@ -177,7 +172,6 @@ class RevocationStatement:
             REVOCATION_CERT_TYPE,
             body,
             not_before=issued_at,
-            suite=suite if suite is not None else SHA1,
         )
         return cls(certificate)
 
@@ -241,7 +235,7 @@ class RevocationStatement:
         """Validate the statement in isolation; returns self.
 
         Checks, in order: the embedded issuer key self-certifies against
-        the stated OID (hash(key) == OID, under the OID's own suite), the
+        the stated OID (hash(key) == OID), the
         certificate signature verifies under that key, and the scope
         fields are structurally sound. Raises
         :class:`~repro.errors.AuthenticityError` /

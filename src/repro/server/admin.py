@@ -17,13 +17,14 @@ import secrets
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Set, Tuple
 
-from repro.crypto.hashes import HashSuite, SHA1
+from repro.crypto import hashes
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.signing import sign_payload, verify_payload
-from repro.errors import AccessDenied, SignatureError
+from repro.errors import AccessDenied, EncodingError, SignatureError
 from repro.net.rpc import RpcClient
 from repro.server.keystore import Keystore
 from repro.sim.clock import Clock
+from repro.util.encoding import wire_bytes
 
 __all__ = ["AdminCommand", "AdminVerifier", "AdminClient", "FRESHNESS_WINDOW"]
 
@@ -41,7 +42,6 @@ class AdminCommand:
     nonce: str
     requester_key_der: bytes
     signature: bytes
-    suite_name: str = SHA1.name
 
     @staticmethod
     def _payload(
@@ -62,7 +62,6 @@ class AdminCommand:
         op: str,
         args: Mapping[str, Any],
         clock: Clock,
-        suite: HashSuite = SHA1,
     ) -> "AdminCommand":
         issued_at = clock.now()
         nonce = secrets.token_hex(16)
@@ -73,8 +72,7 @@ class AdminCommand:
             issued_at=issued_at,
             nonce=nonce,
             requester_key_der=signer.public.der,
-            signature=sign_payload(signer, payload, suite=suite),
-            suite_name=suite.name,
+            signature=sign_payload(signer, payload),
         )
 
     def to_dict(self) -> dict:
@@ -85,22 +83,26 @@ class AdminCommand:
             "nonce": self.nonce,
             "requester_key_der": self.requester_key_der,
             "signature": self.signature,
-            "suite": self.suite_name,
+            "suite": hashes.SUITE.name,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AdminCommand":
+        """Decode an unauthenticated command: it runs before any keystore
+        or signature check, so bytes fields go through ``wire_bytes`` and
+        a ``"suite"`` tag other than ``SUITE.name`` is malformed."""
         try:
+            if data["suite"] != hashes.SUITE.name:
+                raise ValueError(f"hash suite is not {hashes.SUITE.name}")
             return cls(
                 op=str(data["op"]),
                 args=dict(data["args"]),
                 issued_at=float(data["issued_at"]),
                 nonce=str(data["nonce"]),
-                requester_key_der=bytes(data["requester_key_der"]),
-                signature=bytes(data["signature"]),
-                suite_name=str(data.get("suite", SHA1.name)),
+                requester_key_der=wire_bytes(data["requester_key_der"]),
+                signature=wire_bytes(data["signature"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, EncodingError) as exc:
             raise AccessDenied(f"malformed admin command: {exc}") from exc
 
 
@@ -116,8 +118,6 @@ class AdminVerifier:
         """Return (requester key, keystore label) or raise AccessDenied."""
         key = PublicKey(der=command.requester_key_der)
         label = self.keystore.label_of(key)  # AccessDenied if not authorised
-        from repro.crypto.hashes import suite_by_name
-
         payload = AdminCommand._payload(
             command.op,
             command.args,
@@ -126,9 +126,7 @@ class AdminVerifier:
             command.requester_key_der,
         )
         try:
-            verify_payload(
-                key, command.signature, payload, suite=suite_by_name(command.suite_name)
-            )
+            verify_payload(key, command.signature, payload)
         except SignatureError as exc:
             raise AccessDenied(f"admin command signature invalid: {exc}") from exc
         now = self.clock.now()
@@ -152,16 +150,14 @@ class AdminClient:
         server_target,
         keys: KeyPair,
         clock: Clock,
-        suite: HashSuite = SHA1,
     ) -> None:
         self.rpc = rpc
         self.target = server_target
         self.keys = keys
         self.clock = clock
-        self.suite = suite
 
     def execute(self, op: str, **args: Any) -> Any:
-        command = AdminCommand.create(self.keys, op, args, self.clock, suite=self.suite)
+        command = AdminCommand.create(self.keys, op, args, self.clock)
         return self.rpc.call(self.target, "admin.execute", command=command.to_dict())
 
     def create_replica(self, document) -> Dict[str, Any]:

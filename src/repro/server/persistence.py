@@ -32,6 +32,7 @@ from repro.crypto.keys import PublicKey
 from repro.errors import RecoveryIntegrityError, ReproError
 from repro.globedoc.owner import SignedDocument
 from repro.storage.store import DurableStore
+from repro.util.encoding import wire_bytes
 
 __all__ = [
     "ServerStateStore", "RecoveredReplica", "RecoveredServerState",
@@ -187,5 +188,5 @@ class ServerStateStore:
             replica_id=replica_id,
             document=document,
             creator_label=str(entry["creator_label"]),
-            creator_key_der=bytes(entry["creator_key_der"]),
+            creator_key_der=wire_bytes(entry["creator_key_der"]),
         )

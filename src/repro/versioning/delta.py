@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence, Tuple
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import HashSuite, SHA1, suite_by_name
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.merkle import MerkleTree
 from repro.errors import CertificateError, DeltaForgeryError, DeltaReplayError
@@ -85,9 +84,9 @@ class DeltaOp:
         return canonical_bytes(self.to_dict())
 
 
-def ops_merkle_root(ops: Sequence[DeltaOp], suite: HashSuite) -> bytes:
+def ops_merkle_root(ops: Sequence[DeltaOp]) -> bytes:
     """Merkle root over the ops' canonical encodings (content address)."""
-    return MerkleTree([op.leaf_bytes for op in ops], suite=suite).root
+    return MerkleTree([op.leaf_bytes for op in ops]).root
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class SignedDelta:
         parents: Iterable[str],
         ops: Sequence[DeltaOp],
         issued_at: float,
-        suite: HashSuite = SHA1,
     ) -> "SignedDelta":
         """Mint and sign one delta under the writer's key."""
         if not writer_id:
@@ -128,11 +126,11 @@ class SignedDelta:
             "lamport": int(lamport),
             "parents": parent_ids,
             "ops": [op.to_dict() for op in ops],
-            "ops_root": ops_merkle_root(ops, suite),
+            "ops_root": ops_merkle_root(ops),
             "issued_at": float(issued_at),
         }
         # No validity window: a delta is a permanent fact in the DAG.
-        certificate = Certificate.issue(writer_keys, DELTA_CERT_TYPE, body, suite=suite)
+        certificate = Certificate.issue(writer_keys, DELTA_CERT_TYPE, body)
         return cls(certificate)
 
     # ------------------------------------------------------------------
@@ -178,10 +176,6 @@ class SignedDelta:
         return float(self.certificate.body["issued_at"])
 
     @property
-    def suite(self) -> HashSuite:
-        return suite_by_name(self.certificate.envelope.suite_name)
-
-    @property
     def delta_id(self) -> str:
         """Digest of the canonical signed payload — the content address.
 
@@ -191,7 +185,7 @@ class SignedDelta:
         """
         cached = self.__dict__.get("_delta_id")
         if cached is None:
-            cached = self.certificate.envelope.payload_digest(self.suite).hex()
+            cached = self.certificate.envelope.payload_digest.hex()
             self.__dict__["_delta_id"] = cached
         return cached
 
@@ -255,7 +249,7 @@ class SignedDelta:
             raise DeltaForgeryError("delta parent ids must be sorted and unique")
         if not ops:
             raise DeltaForgeryError("delta carries no operations")
-        if ops_merkle_root(ops, self.suite) != bytes(
+        if ops_merkle_root(ops) != bytes(
             self.certificate.body["ops_root"]
         ):
             raise DeltaForgeryError(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import CertificateError, DeltaForgeryError
 from repro.globedoc.oid import ObjectId
@@ -53,7 +52,6 @@ class FrontierCertificate:
         lamport: int,
         issued_at: float,
         signer_id: str = "",
-        suite: HashSuite = SHA1,
     ) -> "FrontierCertificate":
         """Sign a frontier claim (writer tooling / server republish)."""
         head_ids = sorted(set(str(h) for h in heads))
@@ -69,7 +67,7 @@ class FrontierCertificate:
             "issued_at": float(issued_at),
         }
         certificate = Certificate.issue(
-            signer_keys, FRONTIER_CERT_TYPE, body, suite=suite
+            signer_keys, FRONTIER_CERT_TYPE, body
         )
         return cls(certificate)
 

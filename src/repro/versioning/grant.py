@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import AuthenticityError, CertificateError, UnauthorizedWriterError
 from repro.globedoc.oid import ObjectId
@@ -58,7 +57,6 @@ class WriterGrant:
         writer_key: PublicKey,
         granted_at: float,
         not_after: Optional[float] = None,
-        suite: HashSuite = SHA1,
     ) -> "WriterGrant":
         """Sign a grant with the object key (must self-certify *oid*)."""
         if not writer_id:
@@ -80,7 +78,6 @@ class WriterGrant:
             body,
             not_before=granted_at,
             not_after=not_after,
-            suite=suite,
         )
         return cls(certificate)
 

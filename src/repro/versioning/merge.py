@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.crypto.hashes import HashSuite, SHA1
+from repro.crypto import hashes
 from repro.errors import VersioningError
 from repro.globedoc.element import PageElement
 from repro.util.encoding import canonical_bytes
@@ -60,7 +60,6 @@ class MergedDocument:
         frontier: Frontier,
         lamport: int,
         delta_count: int,
-        suite: HashSuite = SHA1,
     ) -> "MergedDocument":
         """The document a winner table stands for: each surviving put
         becomes an element, a winning delete leaves none."""
@@ -75,7 +74,7 @@ class MergedDocument:
             frontier=frontier,
             lamport=lamport,
             delta_count=delta_count,
-            digest=state_digest(elements, suite),
+            digest=state_digest(elements),
             winners={name: key[2] for name, (key, _) in winners.items()},
         )
 
@@ -88,14 +87,14 @@ class MergedDocument:
         return element
 
 
-def state_digest(elements: Dict[str, PageElement], suite: HashSuite = SHA1) -> bytes:
+def state_digest(elements: Dict[str, PageElement]) -> bytes:
     """Digest of the merged document's canonical byte representation.
 
     Hashes the sorted ``name -> (content, content_type)`` map through
     the canonical encoder, so two replicas agree on this digest iff
     their merged documents are byte-identical.
     """
-    return suite.digest(
+    return hashes.digest(
         canonical_bytes(
             [
                 [name, element.content, element.content_type]
@@ -129,7 +128,6 @@ def fold_winners(winners: Winners, deltas: Iterable[SignedDelta]) -> Winners:
 
 def merge_deltas(
     deltas: Iterable[SignedDelta],
-    suite: HashSuite = SHA1,
     oid_hex: Optional[str] = None,
 ) -> MergedDocument:
     """Merge a set of (already verified) deltas into one document.
@@ -162,5 +160,4 @@ def merge_deltas(
         frontier=Frontier.of(heads),
         lamport=max((d.lamport for d in by_id.values()), default=0),
         delta_count=len(by_id),
-        suite=suite,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.crypto.hashes import HashSuite, SHA1
 from repro.crypto.keys import KeyPair
 from repro.globedoc.oid import ObjectId
 from repro.sim.clock import Clock
@@ -33,13 +32,11 @@ class DocumentWriter:
         writer_id: str,
         oid: ObjectId,
         clock: Clock,
-        suite: HashSuite = SHA1,
     ) -> None:
         self.keys = keys
         self.writer_id = str(writer_id)
         self.oid = oid
         self.clock = clock
-        self.suite = suite
 
     def compose(self, dag: DeltaDag, ops: Iterable[DeltaOp]) -> SignedDelta:
         """Sign a delta extending *dag*'s current frontier."""
@@ -51,7 +48,6 @@ class DocumentWriter:
             parents=dag.heads(),
             ops=list(ops),
             issued_at=self.clock.now(),
-            suite=self.suite,
         )
         dag.add(delta)
         return delta
@@ -84,5 +80,4 @@ class DocumentWriter:
             merged.lamport,
             issued_at=issued_at if issued_at is not None else self.clock.now(),
             signer_id=self.writer_id,
-            suite=self.suite,
         )

@@ -87,7 +87,6 @@ class TestCheatingCache:
             envelope=SignedEnvelope(
                 payload={**dict(receipt.envelope.payload), "content": b"framed"},
                 signature=receipt.envelope.signature,
-                suite_name=receipt.envelope.suite_name,
             ),
             cache_key_der=receipt.cache_key_der,
         )

@@ -13,6 +13,7 @@ import os
 import pytest
 from hypothesis import settings
 
+from repro.crypto import hashes
 from repro.crypto.identity import CertificateAuthority
 from repro.crypto.keys import KeyPair
 from repro.crypto.signing import SignedEnvelope
@@ -41,6 +42,14 @@ def _isolate_fastpath_state():
     SignedEnvelope.clear_intern_pool()
     yield
     SignedEnvelope.clear_intern_pool()
+
+
+@pytest.fixture
+def sha256_suite(monkeypatch):
+    """One test on SHA-256: the one line of ``crypto/hashes.py`` a
+    change of hash edits (``SUITE = SHA1``), flipped for the test."""
+    monkeypatch.setattr(hashes, "SUITE", hashes.SHA256)
+    return hashes.SHA256
 
 
 def fast_keys() -> KeyPair:

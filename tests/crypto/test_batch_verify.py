@@ -24,15 +24,11 @@ def sequential_verdict(item, cache=None, now=None):
 
 def flip_signature(envelope):
     bad = bytes([envelope.signature[0] ^ 0xFF]) + envelope.signature[1:]
-    return SignedEnvelope(
-        payload=envelope.payload, signature=bad, suite_name=envelope.suite_name
-    )
+    return SignedEnvelope(payload=envelope.payload, signature=bad)
 
 
 def swap_payload(envelope, payload):
-    return SignedEnvelope(
-        payload=payload, signature=envelope.signature, suite_name=envelope.suite_name
-    )
+    return SignedEnvelope(payload=payload, signature=envelope.signature)
 
 
 @pytest.fixture
@@ -103,9 +99,8 @@ class TestVerdictEquivalence:
 
     def test_never_raises_on_malformed_item(self, shared_keys):
         genuine = SignedEnvelope.create(shared_keys, {"n": 1})
-        broken = SignedEnvelope(
-            payload={"n": 1}, signature=b"\x00" * 4, suite_name="no-such-suite"
-        )
+        # Not canonically encodable: fails while building its dedupe key.
+        broken = SignedEnvelope(payload={"n": object()}, signature=b"\x00" * 4)
         verdicts = verify_batch(
             [
                 BatchItem(shared_keys.public, broken),
@@ -185,7 +180,6 @@ class TestCacheInterplay:
             shared_keys.public,
             envelope.signature,
             envelope.signed_bytes,
-            envelope.suite,
             now=50.0,
         )
 

@@ -1,4 +1,4 @@
-"""Hash suites: known vectors, streaming equivalence, suite registry."""
+"""Hash suites: known vectors, streaming equivalence, the one SUITE."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.hashes import SHA1, SHA256, digest, hexdigest, suite_by_name
+from repro.crypto import hashes
+from repro.crypto.hashes import SHA1, SHA256, HashSuite, digest, hexdigest
 from repro.errors import CryptoError
 
 
@@ -32,19 +33,20 @@ class TestKnownVectors:
 
 class TestApi:
     def test_default_suite_is_sha1(self):
+        assert hashes.SUITE is SHA1
         assert digest(b"x") == SHA1.digest(b"x")
         assert hexdigest(b"x") == SHA1.hexdigest(b"x")
+
+    def test_module_digest_reads_suite_at_call_time(self, sha256_suite):
+        assert digest(b"x") == SHA256.digest(b"x")
+        assert hexdigest(b"a", b"b") == SHA256.hexdigest(b"ab")
 
     def test_multi_chunk_equals_concatenation(self):
         assert SHA1.digest(b"ab", b"cd") == SHA1.digest(b"abcd")
 
-    def test_suite_by_name(self):
-        assert suite_by_name("sha1") is SHA1
-        assert suite_by_name("SHA256") is SHA256
-
     def test_unknown_suite_rejected(self):
         with pytest.raises(CryptoError):
-            suite_by_name("md5")
+            HashSuite(name="md5", digest_size=16).signature_hash()
 
     def test_signature_hash_types(self):
         assert SHA1.signature_hash().name == "sha1"

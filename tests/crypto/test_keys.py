@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto import hashes
 from repro.crypto.hashes import SHA1, SHA256
 from repro.crypto.keys import KeyPair, PublicKey, rsa_encrypt
 from repro.errors import CryptoError, SignatureError
@@ -48,14 +49,16 @@ class TestSignatures:
             shared_keys.public.verify(b"not a signature", b"payload")
 
     @pytest.mark.parametrize("suite", [SHA1, SHA256])
-    def test_both_suites(self, shared_keys, suite):
-        sig = shared_keys.sign(b"data", suite=suite)
-        shared_keys.public.verify(sig, b"data", suite=suite)
+    def test_both_suites(self, shared_keys, suite, monkeypatch):
+        monkeypatch.setattr(hashes, "SUITE", suite)
+        sig = shared_keys.sign(b"data")
+        shared_keys.public.verify(sig, b"data")
 
-    def test_suite_mismatch_rejected(self, shared_keys):
-        sig = shared_keys.sign(b"data", suite=SHA1)
+    def test_suite_mismatch_rejected(self, shared_keys, monkeypatch):
+        sig = shared_keys.sign(b"data")
+        monkeypatch.setattr(hashes, "SUITE", SHA256)
         with pytest.raises(SignatureError):
-            shared_keys.public.verify(sig, b"data", suite=SHA256)
+            shared_keys.public.verify(sig, b"data")
 
 
 class TestSerialization:
@@ -87,9 +90,10 @@ class TestSerialization:
 
 
 class TestPublicKey:
-    def test_fingerprint_size(self, shared_keys):
-        assert len(shared_keys.public.fingerprint(SHA1)) == 20
-        assert len(shared_keys.public.fingerprint(SHA256)) == 32
+    def test_fingerprint_size(self, shared_keys, monkeypatch):
+        assert len(shared_keys.public.fingerprint()) == 20
+        monkeypatch.setattr(hashes, "SUITE", SHA256)
+        assert len(shared_keys.public.fingerprint()) == 32
 
     def test_fingerprint_distinguishes_keys(self, shared_keys, other_keys):
         assert shared_keys.public.fingerprint() != other_keys.public.fingerprint()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashes import SHA256
+from repro.crypto import hashes
+from repro.crypto.hashes import SHA1, SHA256
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import CryptoError
 
@@ -90,12 +91,14 @@ class TestProofs:
 
 
 class TestSuites:
-    def test_sha256_tree(self):
-        tree = MerkleTree([b"a", b"b", b"c"], suite=SHA256)
+    def test_sha256_tree(self, monkeypatch):
+        monkeypatch.setattr(hashes, "SUITE", SHA256)
+        tree = MerkleTree([b"a", b"b", b"c"])
         assert len(tree.root) == 32
         proof = tree.proof(2)
-        assert MerkleTree.verify_detached(b"c", proof, tree.root, suite=SHA256)
+        assert MerkleTree.verify_detached(b"c", proof, tree.root)
         # Cross-suite verification must fail.
+        monkeypatch.setattr(hashes, "SUITE", SHA1)
         assert not MerkleTree.verify_detached(b"c", proof, tree.root)
 
 

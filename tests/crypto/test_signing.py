@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.hashes import SHA256
 from repro.crypto.signing import SignedEnvelope, sign_payload, verify_payload
 from repro.errors import SignatureError
 
@@ -43,7 +42,7 @@ class TestSignedEnvelope:
     def test_tampered_payload_rejected(self, shared_keys):
         env = SignedEnvelope.create(shared_keys, {"msg": "hello"})
         forged = SignedEnvelope(
-            payload={"msg": "evil"}, signature=env.signature, suite_name=env.suite_name
+            payload={"msg": "evil"}, signature=env.signature
         )
         with pytest.raises(SignatureError):
             forged.verify(shared_keys.public)
@@ -65,11 +64,18 @@ class TestSignedEnvelope:
         with pytest.raises(SignatureError):
             SignedEnvelope.from_dict({"payload": {}})
 
-    def test_suite_carried(self, shared_keys):
-        env = SignedEnvelope.create(shared_keys, {"m": 1}, suite=SHA256)
-        assert env.suite_name == "sha256"
+    def test_suite_carried(self, shared_keys, sha256_suite):
+        env = SignedEnvelope.create(shared_keys, {"m": 1})
+        assert env.to_dict()["suite"] == "sha256"
         restored = SignedEnvelope.from_dict(env.to_dict())
         restored.verify(shared_keys.public)
+
+    @pytest.mark.parametrize("tag", ["sha256", "SHA1", "md5", None, 1])
+    def test_foreign_suite_tag_rejected(self, shared_keys, tag):
+        """The tag is checked, never obeyed: only ``SUITE.name`` decodes."""
+        wire = SignedEnvelope.create(shared_keys, {"m": 1}).to_dict()
+        with pytest.raises(SignatureError, match="hash suite"):
+            SignedEnvelope.from_dict({**wire, "suite": tag})
 
     def test_wire_size_positive(self, shared_keys):
         env = SignedEnvelope.create(shared_keys, {"m": 1})

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.hashes import SHA1, SHA256
+from repro.crypto import hashes
+from repro.crypto.hashes import SHA256
 from repro.crypto.signing import SignedEnvelope
-from repro.crypto.verifycache import VerificationCache
+from repro.crypto.verifycache import KEY_DIGEST, VerificationCache
 from repro.errors import SignatureError
 from repro.util.encoding import canonical_bytes
 
@@ -19,52 +20,57 @@ def cache():
 
 def _sign(keys, payload):
     data = canonical_bytes(payload)
-    return data, keys.sign(data, suite=SHA1)
+    return data, keys.sign(data)
 
 
 class TestTamperEvidence:
-    """A hit requires the *exact* (key, suite, payload, signature) tuple."""
+    """A hit requires the *exact* (key, payload, signature) tuple."""
 
     def test_hit_only_after_success(self, cache, shared_keys):
         data, sig = _sign(shared_keys, {"a": 1})
-        assert not cache.lookup(shared_keys.public, sig, data, SHA1)
-        assert not cache.verify(shared_keys.public, sig, data, SHA1)  # real RSA ran
-        assert cache.verify(shared_keys.public, sig, data, SHA1)  # now a hit
+        assert not cache.lookup(shared_keys.public, sig, data)
+        assert not cache.verify(shared_keys.public, sig, data)  # real RSA ran
+        assert cache.verify(shared_keys.public, sig, data)  # now a hit
 
     def test_modified_payload_never_hits(self, cache, shared_keys):
         data, sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, sig, data, SHA1)
+        cache.verify(shared_keys.public, sig, data)
         tampered = canonical_bytes({"a": 2})
-        assert not cache.lookup(shared_keys.public, sig, tampered, SHA1)
+        assert not cache.lookup(shared_keys.public, sig, tampered)
         with pytest.raises(SignatureError):
-            cache.verify(shared_keys.public, sig, tampered, SHA1)
+            cache.verify(shared_keys.public, sig, tampered)
 
     def test_different_key_never_hits(self, cache, shared_keys, other_keys):
         data, sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, sig, data, SHA1)
-        assert not cache.lookup(other_keys.public, sig, data, SHA1)
+        cache.verify(shared_keys.public, sig, data)
+        assert not cache.lookup(other_keys.public, sig, data)
         with pytest.raises(SignatureError):
-            cache.verify(other_keys.public, sig, data, SHA1)
+            cache.verify(other_keys.public, sig, data)
 
-    def test_different_suite_never_hits(self, cache, shared_keys):
+    def test_keys_are_sha256_whatever_the_suite(self, cache, shared_keys):
+        """A SHA-1 collision must not alias a cached verdict: the cache
+        keys with SHA-256 under the paper's SHA-1 suite."""
+        assert hashes.SUITE.name == "sha1" and KEY_DIGEST is SHA256
         data, sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, sig, data, SHA1)
-        assert not cache.lookup(shared_keys.public, sig, data, SHA256)
+        cache.verify(shared_keys.public, sig, data)
+        [(fingerprint, payload_digest, _)] = list(cache._entries)
+        assert fingerprint == SHA256.digest(shared_keys.public.der)
+        assert payload_digest == SHA256.digest(data)
 
     def test_different_signature_never_hits(self, cache, shared_keys):
         data, sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, sig, data, SHA1)
+        cache.verify(shared_keys.public, sig, data)
         forged = bytes(len(sig))
-        assert not cache.lookup(shared_keys.public, forged, data, SHA1)
+        assert not cache.lookup(shared_keys.public, forged, data)
 
     def test_failed_verification_not_recorded(self, cache, shared_keys, other_keys):
         data, sig = _sign(shared_keys, {"a": 1})
         with pytest.raises(SignatureError):
-            cache.verify(other_keys.public, sig, data, SHA1)
+            cache.verify(other_keys.public, sig, data)
         assert len(cache) == 0
         # Retrying the same bad input re-pays (and re-fails) the RSA.
         with pytest.raises(SignatureError):
-            cache.verify(other_keys.public, sig, data, SHA1)
+            cache.verify(other_keys.public, sig, data)
 
     def test_wrong_payload_digest_cannot_poison(self, cache, shared_keys):
         # A caller passing the digest of payload A while recording
@@ -72,24 +78,24 @@ class TestTamperEvidence:
         # for A still carry A's signature, which differs, so no alias.
         data_a, sig_a = _sign(shared_keys, {"a": 1})
         data_b, sig_b = _sign(shared_keys, {"b": 2})
-        digest_a = cache.digest_suite.digest(data_a)
-        cache.verify(shared_keys.public, sig_b, data_b, SHA1, payload_digest=digest_a)
-        assert not cache.lookup(shared_keys.public, sig_a, data_a, SHA1)
+        digest_a = KEY_DIGEST.digest(data_a)
+        cache.verify(shared_keys.public, sig_b, data_b, payload_digest=digest_a)
+        assert not cache.lookup(shared_keys.public, sig_a, data_a)
 
 
 class TestExpiry:
     def test_hit_refused_past_certificate_expiry(self, cache, shared_keys):
         data, sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, sig, data, SHA1, expires_at=100.0)
-        assert cache.lookup(shared_keys.public, sig, data, SHA1, now=99.0)
-        assert not cache.lookup(shared_keys.public, sig, data, SHA1, now=101.0)
+        cache.verify(shared_keys.public, sig, data, expires_at=100.0)
+        assert cache.lookup(shared_keys.public, sig, data, now=99.0)
+        assert not cache.lookup(shared_keys.public, sig, data, now=101.0)
         assert cache.stats.invalidations == 1
         assert len(cache) == 0
 
     def test_invalidate_expired_sweep(self, cache, shared_keys):
         for i, expiry in enumerate((50.0, 150.0, None)):
             data, sig = _sign(shared_keys, {"i": i})
-            cache.verify(shared_keys.public, sig, data, SHA1, expires_at=expiry)
+            cache.verify(shared_keys.public, sig, data, expires_at=expiry)
         assert cache.invalidate_expired(now=100.0) == 1
         assert len(cache) == 2
         # Entries without expiry never age out via the sweep.
@@ -102,23 +108,23 @@ class TestBounds:
         cache = VerificationCache(max_entries=2)
         signed = [_sign(shared_keys, {"i": i}) for i in range(3)]
         for data, sig in signed:
-            cache.verify(shared_keys.public, sig, data, SHA1)
+            cache.verify(shared_keys.public, sig, data)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         data0, sig0 = signed[0]
-        assert not cache.lookup(shared_keys.public, sig0, data0, SHA1)
+        assert not cache.lookup(shared_keys.public, sig0, data0)
         data2, sig2 = signed[2]
-        assert cache.lookup(shared_keys.public, sig2, data2, SHA1)
+        assert cache.lookup(shared_keys.public, sig2, data2)
 
     def test_byte_bound_evicts(self, shared_keys):
         data, sig = _sign(shared_keys, {"a": 1})
         probe = VerificationCache()
-        probe.verify(shared_keys.public, sig, data, SHA1)
+        probe.verify(shared_keys.public, sig, data)
         entry_bytes = probe.bytes_used
         cache = VerificationCache(max_bytes=entry_bytes + entry_bytes // 2)
         for i in range(3):
             d, s = _sign(shared_keys, {"i": i})
-            cache.verify(shared_keys.public, s, d, SHA1)
+            cache.verify(shared_keys.public, s, d)
         assert len(cache) == 1
         assert cache.bytes_used <= cache.max_bytes
         assert cache.stats.evictions == 2
@@ -127,12 +133,12 @@ class TestBounds:
         cache = VerificationCache(max_entries=2)
         signed = [_sign(shared_keys, {"i": i}) for i in range(3)]
         for data, sig in signed[:2]:
-            cache.verify(shared_keys.public, sig, data, SHA1)
+            cache.verify(shared_keys.public, sig, data)
         data0, sig0 = signed[0]
-        assert cache.lookup(shared_keys.public, sig0, data0, SHA1)  # 0 now MRU
+        assert cache.lookup(shared_keys.public, sig0, data0)  # 0 now MRU
         data2, sig2 = signed[2]
-        cache.verify(shared_keys.public, sig2, data2, SHA1)  # evicts 1, not 0
-        assert cache.lookup(shared_keys.public, sig0, data0, SHA1)
+        cache.verify(shared_keys.public, sig2, data2)  # evicts 1, not 0
+        assert cache.lookup(shared_keys.public, sig0, data0)
 
     def test_bounds_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -144,16 +150,16 @@ class TestBounds:
 class TestStats:
     def test_counters(self, cache, shared_keys):
         data, sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, sig, data, SHA1)
-        cache.verify(shared_keys.public, sig, data, SHA1)
-        cache.verify(shared_keys.public, sig, data, SHA1)
+        cache.verify(shared_keys.public, sig, data)
+        cache.verify(shared_keys.public, sig, data)
+        cache.verify(shared_keys.public, sig, data)
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
 
     def test_clear_empties_but_keeps_stats(self, cache, shared_keys):
         data, sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, sig, data, SHA1)
+        cache.verify(shared_keys.public, sig, data)
         cache.clear()
         assert len(cache) == 0
         assert cache.bytes_used == 0
@@ -223,22 +229,22 @@ class TestRevocationInvalidation:
     def test_purges_all_entries_under_key(self, cache, shared_keys):
         for i in range(3):
             data, sig = _sign(shared_keys, {"doc": i})
-            cache.verify(shared_keys.public, sig, data, SHA1)
+            cache.verify(shared_keys.public, sig, data)
         assert cache.invalidate_key(shared_keys.public) == 3
         data, sig = _sign(shared_keys, {"doc": 0})
-        assert not cache.lookup(shared_keys.public, sig, data, SHA1)
+        assert not cache.lookup(shared_keys.public, sig, data)
 
     def test_other_keys_survive(self, cache, shared_keys, other_keys):
         revoked_data, revoked_sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, revoked_sig, revoked_data, SHA1)
+        cache.verify(shared_keys.public, revoked_sig, revoked_data)
         other_data, other_sig = _sign(other_keys, {"a": 1})
-        cache.verify(other_keys.public, other_sig, other_data, SHA1)
+        cache.verify(other_keys.public, other_sig, other_data)
         assert cache.invalidate_key(shared_keys.public) == 1
-        assert cache.lookup(other_keys.public, other_sig, other_data, SHA1)
+        assert cache.lookup(other_keys.public, other_sig, other_data)
 
     def test_counts_in_stats(self, cache, shared_keys):
         data, sig = _sign(shared_keys, {"a": 1})
-        cache.verify(shared_keys.public, sig, data, SHA1)
+        cache.verify(shared_keys.public, sig, data)
         cache.invalidate_key(shared_keys.public)
         assert cache.stats.invalidations == 1
 

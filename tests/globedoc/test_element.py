@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto import hashes
 from repro.crypto.hashes import SHA1, SHA256
 from repro.errors import ReproError
 from repro.globedoc.element import (
@@ -81,10 +82,10 @@ class TestPageElement:
         elem = PageElement("a.txt", bytearray(b"ab"))
         assert isinstance(elem.content, bytes)
 
-    def test_content_hash_suites(self):
-        elem = PageElement("a.txt", b"data")
-        assert elem.content_hash(SHA1) == SHA1.digest(b"data")
-        assert elem.content_hash(SHA256) == SHA256.digest(b"data")
+    def test_content_hash_suites(self, monkeypatch):
+        assert PageElement("a.txt", b"data").content_hash() == SHA1.digest(b"data")
+        monkeypatch.setattr(hashes, "SUITE", SHA256)
+        assert PageElement("a.txt", b"data").content_hash() == SHA256.digest(b"data")
 
     def test_with_content(self):
         original = PageElement("a.txt", b"v1")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.hashes import SHA256
 from repro.errors import (
     AuthenticityError,
     CertificateError,
@@ -44,7 +43,7 @@ class TestBuild:
         assert cert.element_names == sorted(e.name for e in elements)
         for element in elements:
             entry = cert.entry_for(element.name)
-            assert entry.content_hash == element.content_hash(cert.suite)
+            assert entry.content_hash == element.content_hash()
             assert entry.expires_at == EPOCH + 3600
 
     def test_version_and_oid(self, cert, oid_hex):
@@ -83,11 +82,11 @@ class TestBuild:
                 per_element_expiry={"ghost.html": EPOCH + 60},
             )
 
-    def test_sha256_suite(self, shared_keys, oid_hex, elements):
+    def test_sha256_suite(self, shared_keys, oid_hex, elements, sha256_suite):
         cert = IntegrityCertificate.for_elements(
-            shared_keys, oid_hex, elements, expires_at=EPOCH + 10, suite=SHA256
+            shared_keys, oid_hex, elements, expires_at=EPOCH + 10
         )
-        assert cert.suite.name == "sha256"
+        assert cert.to_dict()["envelope"]["suite"] == "sha256"
         cert.verify_signature(shared_keys.public)
         assert len(cert.entry_for("index.html").content_hash) == 32
 

@@ -40,7 +40,7 @@ class TestProperties:
         clock = SimClock(0.0)
         for element in elements:
             entry = cert.check_element(element.name, element, clock)
-            assert entry.content_hash == element.content_hash(cert.suite)
+            assert entry.content_hash == element.content_hash()
 
     @given(_documents, st.data())
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,6 @@
 """Design-choice comparisons (``harness/design_choices.py``): each must
-reproduce its design claim, and the committed table is the one a run
-prints. The replication-strategy claim is the flash-crowd study's
+reproduce its design claim. The committed design-choices table, Table 1,
+Fig. 4–7 and the load study are the blocks a run prints. The replication-strategy claim is the flash-crowd study's
 (``tests/harness/test_loadsim.py``)."""
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from repro.harness.__main__ import main
 from repro.harness.design_choices import (
     compare_cert_caching,
     compare_cert_schemes,
@@ -124,11 +125,37 @@ class TestServerSigning:
         assert counts.globedoc_publish_signs >= 1
 
 
+def committed_output(*sections: str) -> str:
+    """The fenced ``text`` blocks of the EXPERIMENTS.md sections whose
+    headings start with *sections*, in that order, as the CLI prints
+    them: each artifact followed by one blank line."""
+    text = EXPERIMENTS.read_text(encoding="utf-8")
+    by_heading = {part.split("\n", 1)[0]: part for part in text.split("\n## ")}
+    blocks = []
+    for prefix in sections:
+        (section,) = [body for head, body in by_heading.items() if head.startswith(prefix)]
+        found = re.findall(r"```text\n(.*?)\n```", section, re.DOTALL)
+        assert found, f"no committed block under {prefix!r}"
+        blocks += found
+    return "".join(block + "\n\n" for block in blocks)
+
+
+#: The EXPERIMENTS.md sections ``python -m repro.harness all`` fills.
+FIGURE_SECTIONS = ("Table 1", "Figure 4", "Figures 5–7")
+
+
 def test_committed_table_is_the_run():
     """EXPERIMENTS.md § Ablations commits the table as one fenced block;
     nothing in it is timed, so a run must print it byte for byte."""
-    section = EXPERIMENTS.read_text(encoding="utf-8").split("\n## Ablations\n", 1)[1]
-    ablations = section.split("\n## ", 1)[0]
-    block = re.search(r"```text\n(.*?)\n```", ablations, re.DOTALL)
-    assert block is not None
-    assert block.group(1) == render_design_choices(run_design_choices())
+    assert committed_output("Ablations") == render_design_choices(run_design_choices()) + "\n\n"
+
+
+def test_committed_figures_are_the_run(capsys):
+    """Table 1 and Fig. 4–7 are committed as ``all --repeats 1`` prints them."""
+    assert main(["all", "--repeats", "1"]) == 0
+    assert capsys.readouterr().out == committed_output(*FIGURE_SECTIONS)
+
+
+def test_committed_load_study_is_the_run(capsys):
+    assert main(["loadtest"]) == 0
+    assert capsys.readouterr().out == committed_output("Load study")

@@ -11,7 +11,9 @@ must never convert a cached verdict into a bypass).
 The tracing layer is the second witness: the ``check.*`` span of the
 responsible security check must close with error status and the same
 exception type, proving the rejection happened at the check the paper's
-§3.2.1 taxonomy assigns to that attack.
+§3.2.1 taxonomy assigns to that attack. A certificate whose ``"suite"``
+tag names another hash never reaches a check: it is malformed, and
+``session.establish`` closes with the error.
 
 The matrix itself lives in :mod:`repro.attacks.scenarios` so
 ``test_pipeline_conformance.py`` can replay the identical scenarios with

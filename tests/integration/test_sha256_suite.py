@@ -1,16 +1,23 @@
-"""The whole pipeline under SHA-256 (the suite is a real knob, not a
-paper-faithful-only default)."""
+"""The whole pipeline under SHA-256, reached by changing only
+``hashes.SUITE`` — the one line a move off SHA-1 edits."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.crypto.hashes import SHA256
+from repro.crypto import hashes
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.globedoc.urls import HybridUrl
 from repro.harness.experiment import Testbed
 from tests.conftest import fast_keys
+
+
+@pytest.fixture(scope="module", autouse=True)
+def sha256_everywhere():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hashes, "SUITE", hashes.SHA256)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +27,7 @@ def testbed():
 
 @pytest.fixture(scope="module")
 def sha256_published(testbed):
-    owner = DocumentOwner(
-        "vu.nl/modern", keys=fast_keys(), suite=SHA256, clock=testbed.clock
-    )
+    owner = DocumentOwner("vu.nl/modern", keys=fast_keys(), clock=testbed.clock)
     owner.put_element(PageElement("index.html", b"<html>sha256 world</html>"))
     return testbed.publish(owner)
 
@@ -38,11 +43,11 @@ class TestSha256EndToEnd:
         assert response.content == b"<html>sha256 world</html>"
 
     def test_oid_form_url_roundtrip(self, testbed, sha256_published):
-        """64-hex OIDs in hybrid URLs parse with the right suite."""
+        """64-hex OIDs in hybrid URLs parse under the one suite."""
         url = HybridUrl.for_oid(sha256_published.owner.oid, "index.html")
         parsed = HybridUrl.parse(url.raw)
         assert parsed.oid == sha256_published.owner.oid
-        assert parsed.oid.suite_name == "sha256"
+        assert len(parsed.oid.hex) == 64
         stack = testbed.client_stack("sporty.cs.vu.nl")
         assert stack.proxy.handle(url.raw).ok
 
@@ -59,19 +64,3 @@ class TestSha256EndToEnd:
             assert response.security_failure == "AuthenticityError"
         finally:
             replica.lr.state.elements["index.html"] = genuine
-
-    def test_sha1_key_does_not_match_sha256_oid(self, sha256_published):
-        """A SHA-1 OID over the same key is a *different* identity."""
-        from repro.globedoc.oid import ObjectId
-
-        sha1_oid = ObjectId.from_public_key(sha256_published.owner.public_key)
-        assert sha1_oid.hex != sha256_published.owner.oid.hex
-
-    def test_mixed_suites_coexist_on_testbed(self, testbed, sha256_published):
-        """A SHA-1 document and a SHA-256 document live side by side."""
-        owner = DocumentOwner("vu.nl/legacy", keys=fast_keys(), clock=testbed.clock)
-        owner.put_element(PageElement("index.html", b"<html>sha1 world</html>"))
-        legacy = testbed.publish(owner)
-        stack = testbed.client_stack("ensamble02.cornell.edu")
-        assert stack.proxy.handle(legacy.url("index.html")).ok
-        assert stack.proxy.handle(sha256_published.url("index.html")).ok

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import hashes
 from repro.errors import EncodingError, ReproError, TransportError, UrlError
 from repro.globedoc.urls import HybridUrl
 from repro.net.message import Request, Response
@@ -374,3 +375,158 @@ class TestBytesFieldFuzz:
         ):
             with pytest.raises(EncodingError):
                 SignedDocument.from_dict(forged)
+
+
+def _retagged(value, tag):
+    """*value* with every ``"suite"`` tag in it, at any depth, set to *tag*."""
+    if isinstance(value, dict):
+        return {k: tag if k == "suite" else _retagged(v, tag) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_retagged(item, tag) for item in value]
+    return value
+
+
+@pytest.fixture(scope="module")
+def tagged_world():
+    """A loopback deployment with one published page and one versioned
+    object holding one delta."""
+    from repro.deployment import Deployment
+    from repro.net.transport import LoopbackTransport
+    from repro.sim.clock import SimClock
+    from repro.versioning import DeltaDag
+    from repro.versioning.grant import WriterGrant
+    from repro.versioning.writer import DocumentWriter
+    from tests.conftest import EPOCH, fast_keys
+
+    loopback = LoopbackTransport()
+    world = Deployment(
+        SimClock(EPOCH), loopback.register, lambda host: loopback,
+        "server", {"server": "root/s", "client": "root/c"},
+    )
+    owner = world.document_owner("vu.nl/tagged", {"index.html": b"<html>genuine</html>"})
+    published = world.publish(owner)
+    writer_keys = fast_keys()
+    versioning = world.object_server.versioning
+    versioning.register_object(owner.public_key)
+    versioning.put_grant(
+        owner.oid.hex,
+        WriterGrant.issue(owner.keys, owner.oid, "alice", writer_keys.public,
+                          granted_at=world.clock.now()),
+    )
+    writer = DocumentWriter(writer_keys, "alice", owner.oid, world.clock)
+    versioning.put_delta(owner.oid.hex, writer.put(DeltaDag(), "body", b"v1"))
+    return world, loopback, published
+
+
+def _retagging_access(world, loopback, published, tag):
+    """One proxy access with every certificate answer retagged."""
+    from repro.attacks.mitm import MitmTransport
+
+    def rewrite(endpoint, frame):
+        response = Response.from_bytes(frame)
+        value = response.value if response.ok else None
+        if isinstance(value, dict) and "envelope" in value:
+            return Response.success(_retagged(value, tag)).to_bytes()
+        return frame
+
+    stack = world.client_stack("client", transport=MitmTransport(loopback, rewrite))
+    return stack.proxy.handle(published.url("index.html"))
+
+
+def _integrity_certificate(world, loopback, published, tag):
+    """A 403 ``AuthenticityError`` at the proxy."""
+    response = _retagging_access(world, loopback, published, tag)
+    assert (response.status, response.security_failure) == (403, "AuthenticityError")
+
+
+def _naming_answer(world, loopback, published, tag):
+    """A ``ZoneValidationError`` at the resolver, walked and one-shot."""
+    from repro.errors import ZoneValidationError
+    from tests.naming.stubservice import stub_resolver
+
+    genuine = world.naming.resolve_with_proof(published.owner.name)
+    for iterative in (True, False):
+        resolver = stub_resolver(
+            _retagged(genuine, tag), world.naming.root_key, world.clock, iterative
+        )
+        with pytest.raises(ZoneValidationError):
+            resolver.resolve(published.owner.name)
+
+
+def _revocation_statement(world, loopback, published, tag):
+    """A dropped statement in the feed: nothing is revoked."""
+    from repro.revocation.checker import RevocationChecker
+    from repro.revocation.statement import RevocationStatement
+
+    owner = published.owner
+    statement = RevocationStatement.revoke_key(
+        owner.keys, owner.oid, serial=1, issued_at=world.clock.now(), reason="retagged"
+    )
+
+    class Feed:
+        def call(self, target, op, **args):
+            return {"head": 1, "statements": [_retagged(statement.to_dict(), tag)]}
+
+    checker = RevocationChecker(Feed(), None, world.clock)
+    assert checker.refresh() == 0
+    assert checker.stats.invalid_dropped == 1
+    checker.check(owner.oid)
+
+
+def _delta(world, loopback, published, tag):
+    """A malformed ``versioning.fetch`` answer: ``AuthenticityError``."""
+    from repro.errors import AuthenticityError
+    from repro.net.rpc import RpcClient
+    from repro.proxy.checks import SecurityChecker
+    from repro.versioning.client import VersionedReader
+
+    honest = RpcClient(loopback)
+
+    class Retagging:
+        def call(self, endpoint, op, **args):
+            answer = honest.call(endpoint, op, **args)
+            if op == "versioning.fetch":
+                answer = {**answer, "deltas": _retagged(answer["deltas"], tag)}
+            return answer
+
+    reader = VersionedReader(Retagging(), SecurityChecker(world.clock))
+    with pytest.raises(AuthenticityError, match="malformed versioning.fetch"):
+        reader.read(world.objectserver_endpoint, published.owner.oid)
+
+
+def _admin_command(world, loopback, published, tag):
+    """``AccessDenied`` at the admin port, before any signature check."""
+    from repro.errors import AccessDenied
+    from repro.net.rpc import RpcClient
+    from repro.server.admin import AdminCommand
+
+    command = AdminCommand.create(published.owner.keys, "list_replicas", {}, world.clock)
+    with pytest.raises(AccessDenied, match="malformed"):
+        RpcClient(loopback).call(
+            world.objectserver_endpoint, "admin.execute",
+            command=_retagged(command.to_dict(), tag),
+        )
+
+
+class TestForeignSuiteTag:
+    """The wire's ``"suite"`` tag is checked against ``hashes.SUITE``,
+    never obeyed: a foreign tag is the caller's usual typed rejection."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _integrity_certificate,
+            _naming_answer,
+            _revocation_statement,
+            _delta,
+            _admin_command,
+        ],
+        ids=lambda case: case.__name__.strip("_"),
+    )
+    @pytest.mark.parametrize("tag", ["sha256", "md5", None])
+    def test_foreign_tag_is_a_typed_rejection(self, tagged_world, case, tag):
+        case(*tagged_world, tag)
+
+    def test_own_tag_passes(self, tagged_world):
+        """The same rewriting with the suite's own name is no attack."""
+        assert _retagging_access(*tagged_world, hashes.SUITE.name).ok

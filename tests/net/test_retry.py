@@ -54,8 +54,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
         with pytest.raises(ValueError):
-            RetryPolicy(deadline=0.0)
-        with pytest.raises(ValueError):
             RetryPolicy(base_delay=-1.0)
 
     def test_backoff_grows_exponentially(self):
@@ -153,20 +151,6 @@ class TestRetryingRpcClient:
         client = RetryingRpcClient(inner, self.policy(), clock=SimClock())
         assert client.call(TARGET, "globedoc.get_element") == "payload"
         assert inner.calls == 2
-
-    def test_deadline_stops_retrying(self):
-        inner = ScriptedClient([TransportError(f"d{i}") for i in range(9)])
-        clock = SimClock()
-        client = RetryingRpcClient(
-            inner,
-            self.policy(max_attempts=10, base_delay=1.0, multiplier=1.0, deadline=2.5),
-            clock=clock,
-        )
-        with pytest.raises(TransportError):
-            client.call(TARGET, "globedoc.get_element")
-        # 1 s + 1 s backoffs fit in 2.5 s; the third wait would not.
-        assert inner.calls == 3
-        assert client.counters.giveups == 1
 
     def test_health_tracker_sees_every_attempt(self):
         inner = ScriptedClient([TransportError("d1"), TransportError("d2")])

@@ -40,9 +40,7 @@ class TestThresholdRule:
         gauge.labels(address="a").set(2.0)
         gauge.labels(address="b").set(1.0)
         rule_max = ThresholdRule("r", metric="state", threshold=1.5)
-        rule_sum = ThresholdRule("s", metric="state", threshold=1.5, aggregate="sum")
         assert rule_max.value(registry, clock.now()) == 2.0
-        assert rule_sum.value(registry, clock.now()) == 3.0
         assert rule_max.breached(2.0)
         assert not rule_max.breached(1.0)
 
@@ -67,10 +65,6 @@ class TestThresholdRule:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             ThresholdRule("r", metric="m", threshold=1.0, op="!=")
-        with pytest.raises(ValueError):
-            ThresholdRule("r", metric="m", threshold=1.0, aggregate="avg")
-        with pytest.raises(ValueError):
-            ThresholdRule("r", metric="m", threshold=1.0, for_seconds=-1.0)
 
 
 class TestRateRule:
@@ -116,25 +110,6 @@ class TestEngineLifecycle:
         assert [t.state for t in transitions] == [STATE_RESOLVED]
         engine.evaluate()
         assert engine.state_of("breach") == STATE_INACTIVE
-
-    def test_for_seconds_debounces_transients(self, registry, clock):
-        gauge = registry.gauge("g")
-        rule = ThresholdRule(
-            "slow", metric="g", threshold=1.0, op=">=", for_seconds=10.0
-        )
-        engine = engine_with(registry, clock, rule)
-        gauge.set(2.0)
-        engine.evaluate()
-        assert engine.state_of("slow") == STATE_PENDING
-        gauge.set(0.0)
-        clock.advance(5.0)
-        engine.evaluate()  # breach did not hold
-        assert engine.state_of("slow") == STATE_INACTIVE
-        gauge.set(2.0)
-        engine.evaluate()
-        clock.advance(10.0)
-        engine.evaluate()
-        assert engine.state_of("slow") == STATE_FIRING
 
     def test_refire_after_resolution(self, registry, clock):
         gauge = registry.gauge("g")

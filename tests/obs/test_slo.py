@@ -72,17 +72,6 @@ class TestLatencyObjective:
         with pytest.raises(ValueError, match="not a bucket bound"):
             objective.counts(registry)
 
-    def test_label_prefixes_select_series(self, registry):
-        latency = registry.histogram("op_seconds", labelnames=("op",))
-        latency.labels(op="read").observe(0.1)
-        latency.labels(op="read").observe(5.0)
-        latency.labels(op="write").observe(5.0)
-        objective = LatencyObjective(
-            "lat", metric="op_seconds", threshold_s=0.25, target=0.5,
-            label_prefixes={"op": "read"},
-        )
-        assert objective.counts(registry) == (1.0, 2.0)
-
     def test_target_must_be_a_fraction(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError, match="target"):
@@ -173,13 +162,16 @@ class TestSloPlane:
             "avail", metric="requests_total",
             good_labels={"outcome": "ok"}, target=0.9,
         )
-        plane.add(objective)
+        fast = BurnWindow(window_seconds=60.0, threshold=10.0, severity="critical")
+        slow = BurnWindow(window_seconds=300.0, threshold=2.0)
+        plane.add(objective, fast=fast, slow=slow)
         assert [r.name for r in engine.rules] == [
             "avail:fast_burn", "avail:slow_burn",
         ]
+        assert [r.window_seconds for r in engine.rules] == [60.0, 300.0]
         assert plane.objectives == [objective]
         with pytest.raises(ValueError, match="already registered"):
-            plane.add(objective)
+            plane.add(objective, fast=fast, slow=slow)
 
     def test_none_window_skipped(self, clock, registry):
         plane, engine = self.wired(clock, registry)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.crypto.hashes import SHA256
 from repro.crypto.verifycache import VerificationCache
 from repro.globedoc.element import PageElement
 from repro.proxy.contentcache import ContentCache
@@ -55,14 +54,14 @@ class TestVerificationCacheThreads:
             for round_no in range(ROUNDS):
                 n = (i + round_no) % 16
                 cache.record(
-                    shared_keys.public, signatures[n], payloads[n], SHA256
+                    shared_keys.public, signatures[n], payloads[n]
                 )
                 assert cache.lookup(
-                    shared_keys.public, signatures[n], payloads[n], SHA256
+                    shared_keys.public, signatures[n], payloads[n]
                 )
                 # A key nobody records must never report a hit.
                 assert not cache.lookup(
-                    shared_keys.public, b"ghost-sig", payloads[n], SHA256
+                    shared_keys.public, b"ghost-sig", payloads[n]
                 )
 
         run_threads(worker)
@@ -77,8 +76,8 @@ class TestVerificationCacheThreads:
         def worker(i):
             for round_no in range(ROUNDS):
                 signature = b"sig-%d-%d" % (i, round_no)
-                cache.record(shared_keys.public, signature, b"payload", SHA256)
-                cache.lookup(shared_keys.public, signature, b"payload", SHA256)
+                cache.record(shared_keys.public, signature, b"payload")
+                cache.lookup(shared_keys.public, signature, b"payload")
 
         run_threads(worker)
         assert len(cache._entries) <= 8
@@ -86,7 +85,7 @@ class TestVerificationCacheThreads:
     def test_expiry_races_do_not_resurrect_entries(self, shared_keys):
         cache = VerificationCache()
         cache.record(
-            shared_keys.public, b"sig", b"payload", SHA256, expires_at=10.0
+            shared_keys.public, b"sig", b"payload", expires_at=10.0
         )
 
         def worker(i):
@@ -94,7 +93,7 @@ class TestVerificationCacheThreads:
                 # Past expiry: every thread must see a miss, never a
                 # stale hit, no matter who evicts first.
                 assert not cache.lookup(
-                    shared_keys.public, b"sig", b"payload", SHA256, now=20.0
+                    shared_keys.public, b"sig", b"payload", now=20.0
                 )
 
         run_threads(worker)

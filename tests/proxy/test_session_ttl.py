@@ -7,8 +7,10 @@ import pytest
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
+from repro.globedoc.urls import HybridUrl
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
+from repro.proxy.pipeline import PipelineConfig
 from tests.conftest import fast_keys
 
 
@@ -69,3 +71,40 @@ class TestSessionTtl:
         response = proxy.handle(published.url("index.html"))
         assert response.ok
         assert cornell.replica_for_oid(published.oid_hex).lr.serve_count == 1
+
+    def test_pipelined_rebind_matches_sequential(self, world):
+        """``handle_many`` reads the proxy's one session-TTL rule: inside
+        the TTL it keeps the binding, past it it re-binds and finds the
+        replica placed meanwhile, exactly as ``handle`` does."""
+        testbed, owner, published = world
+        url = published.url("index.html")
+        sequential = testbed.client_stack("ensamble02.cornell.edu", location_ttl=1.0)
+        pipelined = testbed.client_stack(
+            "ensamble02.cornell.edu", location_ttl=1.0, pipeline=PipelineConfig()
+        )
+        access = {
+            sequential.proxy: lambda: sequential.proxy.handle(url),
+            pipelined.proxy: lambda: pipelined.proxy.handle_many([url])[0],
+        }
+
+        def session_of(proxy):
+            return proxy.live_session(HybridUrl.parse(url))[1]
+
+        for proxy, fetch in access.items():
+            proxy.session_ttl = 5.0
+            assert fetch().ok  # bound to Amsterdam
+        first = {proxy: session_of(proxy) for proxy in access}
+        cornell = testbed.add_replica(published, "ensamble02.cornell.edu", "root/us/cornell")
+        local = cornell.replica_for_oid(published.oid_hex).lr
+
+        testbed.clock.advance(4.0)  # inside the session TTL
+        for proxy, fetch in access.items():
+            assert fetch().ok
+            assert session_of(proxy) is first[proxy]
+        assert local.serve_count == 0
+
+        testbed.clock.advance(2.0)  # past it
+        for proxy, fetch in access.items():
+            assert fetch().ok
+            assert session_of(proxy) is not first[proxy]
+        assert local.serve_count == 2  # both paths re-bound to Cornell

@@ -9,7 +9,6 @@ import tracemalloc
 import pytest
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import SHA1
 from repro.crypto.verifycache import VerificationCache
 from repro.errors import (
     RevocationStalenessError,
@@ -226,6 +225,36 @@ class TestUntrustedFeed:
         assert peak < 16 * 2**20
         checker.check(oid)  # garbage revokes nothing
 
+    @pytest.mark.parametrize(
+        "damage",
+        [{"suite": "sha256"}, {"payload": None}],
+        ids=["foreign_suite_tag", "no_payload"],
+    )
+    def test_undecodable_statement_dropped_alone(
+        self, clock, shared_keys, other_keys, oid, damage
+    ):
+        """A statement that does not even decode is dropped by itself;
+        the genuine one in the same page still revokes."""
+        other_oid = ObjectId.from_public_key(other_keys.public)
+        genuine = revoke_key(shared_keys, oid).to_dict()
+        broken = revoke_key(other_keys, other_oid).to_dict()
+        broken["envelope"] = {**broken["envelope"], **damage}
+
+        class MixedRpc:
+            def call(self, target, method, **kwargs):
+                return {"head": 2, "statements": [broken, genuine]}
+
+        checker = RevocationChecker(
+            MixedRpc(), feed_target=None, clock=clock,
+            max_staleness=MAX_STALENESS,
+        )
+        assert checker.refresh() == 1
+        assert checker.stats.invalid_dropped == 1
+        assert checker.head == 2
+        checker.check(other_oid)
+        with pytest.raises(RevokedKeyError):
+            checker.check(oid)
+
     def test_replayed_statements_ingested_once(
         self, clock, feed, shared_keys, oid
     ):
@@ -251,9 +280,9 @@ class TestFirstSightPurges:
     def _primed_verification_cache(self, keys) -> VerificationCache:
         cache = VerificationCache()
         data = canonical_bytes({"doc": "payload"})
-        signature = keys.sign(data, suite=SHA1)
-        cache.verify(keys.public, signature, data, SHA1)  # records verdict
-        assert cache.lookup(keys.public, signature, data, SHA1)
+        signature = keys.sign(data)
+        cache.verify(keys.public, signature, data)  # records verdict
+        assert cache.lookup(keys.public, signature, data)
         return cache
 
     def test_verification_cache_purged(
@@ -268,8 +297,8 @@ class TestFirstSightPurges:
         checker.refresh()
         assert checker.stats.verify_purged == 1
         data = canonical_bytes({"doc": "payload"})
-        signature = shared_keys.sign(data, suite=SHA1)
-        assert not cache.lookup(shared_keys.public, signature, data, SHA1)
+        signature = shared_keys.sign(data)
+        assert not cache.lookup(shared_keys.public, signature, data)
 
     def test_content_cache_purged_by_scope(
         self, rpc, clock, feed, shared_keys, other_keys, oid

@@ -88,11 +88,11 @@ class TestConsumption:
         feed.publish(revoke(shared_keys, oid, 1))
         feed.publish(revoke(other_keys, other_oid, 1))
         answer = feed.fetch(since=1)
-        head, statements = RevocationFeed.decode_delta(answer)
-        assert head == 2
+        assert answer["head"] == 2
+        statements = [RevocationStatement.from_dict(d) for d in answer["statements"]]
         assert [s.oid_hex for s in statements] == [other_oid.hex]
         # A consumer at the head gets an empty delta.
-        assert RevocationFeed.decode_delta(feed.fetch(since=2))[1] == []
+        assert feed.fetch(since=2)["statements"] == []
 
     def test_statements_for_filters_by_oid(self, shared_keys, other_keys, oid):
         feed = RevocationFeed()

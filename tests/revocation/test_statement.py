@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.certificates import Certificate
-from repro.crypto.hashes import SHA1
 from repro.errors import AuthenticityError, CertificateError, SecurityError
 from repro.globedoc.oid import ObjectId
 from repro.revocation.statement import (
@@ -42,7 +41,7 @@ def _forged(victim_oid, signing_keys, embedded_key) -> RevocationStatement:
         "cert_version": None,
     }
     certificate = Certificate.issue(
-        signing_keys, REVOCATION_CERT_TYPE, body, not_before=EPOCH, suite=SHA1
+        signing_keys, REVOCATION_CERT_TYPE, body, not_before=EPOCH
     )
     return RevocationStatement(certificate)
 

@@ -105,7 +105,6 @@ class TestCommandSecurity:
             nonce=cmd.nonce,
             requester_key_der=owner.public_key.der,  # claim the owner's key
             signature=cmd.signature,
-            suite_name=cmd.suite_name,
         )
         verifier = AdminVerifier(server.keystore, clock)
         with pytest.raises(AccessDenied):
@@ -130,3 +129,15 @@ class TestCommandSecurity:
     def test_malformed_command_rejected(self):
         with pytest.raises(AccessDenied):
             AdminCommand.from_dict({"op": "x"})
+
+    @pytest.mark.parametrize("field", ["signature", "requester_key_der"])
+    def test_integer_bytes_field_denied_without_allocating(self, setup, field):
+        """``from_dict`` runs before any keystore or signature check: an
+        integer where bytes belong is a malformed command, not a
+        ``bytes(n)`` allocation of *n* zero bytes."""
+        server, owner, _, transport, endpoint, clock = setup
+        wire = AdminCommand.create(owner.keys, "list_replicas", {}, clock).to_dict()
+        with pytest.raises(AccessDenied, match="malformed"):
+            RpcClient(transport).call(
+                endpoint, "admin.execute", command={**wire, field: 2**40}
+            )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import AccessDenied, ReplicaError
 from repro.globedoc.element import PageElement
-from repro.revocation.feed import RevocationFeed
 from repro.revocation.statement import RevocationStatement
 from repro.server.admin import AdminCommand
 from repro.server.objectserver import ObjectServer
@@ -161,10 +160,9 @@ class TestRevocation:
         assert server.replica_count == 0
         assert not server.keystore.is_authorized(owner.public_key)
         # Clients now see the statement on the feed …
-        head, statements = RevocationFeed.decode_delta(
-            server.rpc_revocation_fetch(since=0)
-        )
-        assert head == 1 and statements[0].oid_hex == doc.oid.hex
+        answer = server.rpc_revocation_fetch(since=0)
+        statement = RevocationStatement.from_dict(answer["statements"][0])
+        assert answer["head"] == 1 and statement.oid_hex == doc.oid.hex
         # … and the fetch RPC on the replica itself fails: no stale serve.
         with pytest.raises(ReplicaError):
             server.contact_address(doc.oid.hex)

@@ -4,10 +4,14 @@ tests are strict."""
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import EncodingError
 from repro.util.encoding import (
     b64decode,
@@ -118,3 +122,44 @@ class TestProperties:
     @given(st.binary(max_size=256))
     def test_bytes_roundtrip_exact(self, raw):
         assert from_canonical_bytes(canonical_bytes({"k": raw}))["k"] == raw
+
+
+def bytes_of_a_field(source: str) -> list:
+    """Lines calling ``bytes(<name>["<key>"])``: a decoded field handed to
+    ``bytes``, which given an integer allocates that many zero bytes."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "bytes"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Subscript)
+        and isinstance(node.args[0].value, ast.Name)
+        and isinstance(node.args[0].slice, ast.Constant)
+        and isinstance(node.args[0].slice.value, str)
+    )
+
+
+class TestNoBytesOfAField:
+    def test_decoded_fields_go_through_wire_bytes(self):
+        root = pathlib.Path(repro.__file__).parent
+        found = {
+            path.relative_to(root).as_posix(): lines
+            for path in root.rglob("*.py")
+            if (lines := bytes_of_a_field(path.read_text(encoding="utf-8")))
+        }
+        assert found == {}
+
+    @pytest.mark.parametrize(
+        "source, lines",
+        [
+            ('bytes(data["signature"])', [1]),
+            ('x = 1\nbytes(answer["body"])', [2]),
+            ('wire_bytes(data["signature"])', []),
+            ("bytes(data[0])", []),
+            ("bytes(self.content)", []),
+        ],
+    )
+    def test_guard_sees_the_pattern_and_only_it(self, source, lines):
+        assert bytes_of_a_field(source) == lines
