@@ -82,7 +82,7 @@ class ClientStack:
     proxy: GlobeDocProxy
     #: ``fresh_proxy(cache_binding=True, require_identity=False)``: a new
     #: proxy (fresh sessions) from the construction site ``proxy`` came
-    #: from — same caches, failover budget, tracer, registry, pipeline.
+    #: from — same caches, failover budget, tracer, pipeline.
     fresh_proxy: Callable[..., GlobeDocProxy]
     revocation: Optional[RevocationChecker] = None
     scheduler: Optional[AccessScheduler] = None
@@ -113,7 +113,6 @@ class Deployment:
         owner_host: Optional[str] = None,
         *,
         tracer=None,
-        metrics=None,
         data_dir: Optional[str] = None,
         storage_sync: bool = True,
         zone_keys: Optional[Dict[str, object]] = None,
@@ -134,10 +133,6 @@ class Deployment:
         #: Optional service-side tracer: the services' RPC surfaces
         #: record ``server.handle`` spans into it.
         self.tracer = tracer
-        #: Optional shared metrics registry, the default of
-        #: :meth:`client_stack`'s ``metrics``: its proxies and revocation
-        #: checkers report the SLO and alert inputs into it.
-        self.metrics = metrics
         #: ``data_dir`` turns on durable backends: the primary object
         #: server journals keystore + replicas + revocation feed under
         #: it, and the naming/location services journal their published
@@ -361,7 +356,6 @@ class Deployment:
         tracer=None,
         revocation_max_staleness: Optional[float] = None,
         revocation_cursor_dir: Optional[str] = None,
-        metrics=None,
         pipeline: Optional[PipelineConfig] = None,
     ) -> ClientStack:
         """Wire a full proxy stack on *host_name*, at its site, with its
@@ -386,10 +380,6 @@ class Deployment:
         ``revocation_cursor_dir`` persists the checker's cursor (head +
         verified statements) so a restarted client resumes with no
         fail-open window.
-        ``metrics`` (default: the deployment's registry, else disabled)
-        is the shared :class:`~repro.obs.metrics.MetricsRegistry` the
-        proxy and the revocation checker report into — the SLO and alert
-        inputs; the staleness gauge is labeled with ``host_name``.
         ``pipeline`` (off by default) wraps the RPC
         client in a :class:`~repro.proxy.pipeline.PrefetchingRpcClient`
         and installs an :class:`~repro.proxy.pipeline.AccessScheduler`
@@ -398,8 +388,6 @@ class Deployment:
         """
         if transport is None:
             transport = self.transport_for(host_name)
-        if metrics is None:
-            metrics = self.metrics
         rpc = RpcClient(transport, tracer=tracer)
         if retry_policy is not None:
             rpc = RetryingRpcClient(
@@ -437,8 +425,6 @@ class Deployment:
                 max_staleness=revocation_max_staleness,
                 verification_cache=verification_cache,
                 content_cache=content_cache,
-                metrics=metrics,
-                metrics_client=host_name,
                 store=cursor_store,
                 tracer=tracer,
             )
@@ -460,7 +446,6 @@ class Deployment:
                 content_cache=content_cache,
                 max_rebinds=max_rebinds,
                 tracer=tracer,
-                metrics=metrics,
             )
             if prefetcher is not None:
                 proxy.scheduler = AccessScheduler(

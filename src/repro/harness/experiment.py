@@ -52,7 +52,6 @@ class Testbed(Deployment):
         clock: Optional[SimClock] = None,
         start_time: float = 0.0,
         tracer=None,
-        metrics=None,
         data_dir: Optional[str] = None,
         storage_sync: bool = True,
         zone_keys: Optional[Dict[str, object]] = None,
@@ -69,7 +68,6 @@ class Testbed(Deployment):
             HOST_SITE,
             OWNER_HOST,
             tracer=tracer,
-            metrics=metrics,
             data_dir=data_dir,
             storage_sync=storage_sync,
             zone_keys=zone_keys,

@@ -1,8 +1,10 @@
-"""Monitor-plane bench: the metrics registry and alert engine, end to end.
+"""Monitor-plane bench: the alert engine over the live stack, end to end.
 
-Runs a mixed workload over the testbed with the whole stack wired into
-one shared :class:`~repro.obs.metrics.MetricsRegistry`, scrapes it on a
-fixed sim-clock cadence, and injects three sequential faults:
+Runs a mixed workload over the testbed with two client stacks, evaluates
+three alert rules on a fixed sim-clock cadence, and injects three
+sequential faults. Each rule reads what it measures straight from the
+stacks (DESIGN §4f): the health trackers' breaker states, the
+revocation checkers' ``staleness`` and ``stats.rejections``. The faults:
 
 1. **Replica kill** — the inria object server vanishes mid-workload.
    The client bound there retries, opens the circuit breaker, and fails
@@ -45,9 +47,9 @@ from repro.harness.experiment import (
 from repro.harness.kernel import BenchTarget, Criterion, gate
 from repro.naming.records import OidRecord
 from repro.net.address import Endpoint
-from repro.net.health import ReplicaHealthTracker
+from repro.net.health import CircuitState, ReplicaHealthTracker
 from repro.net.retry import RetryPolicy
-from repro.obs import AlertEngine, MetricsRegistry, RateRule, ThresholdRule
+from repro.obs import AlertEngine, RateRule, ThresholdRule
 from repro.proxy.contentcache import ContentCache
 from repro.sim.clock import SimClock
 
@@ -68,8 +70,8 @@ REPLICA_SITES = {
 
 CLIENT_HOSTS = ("canardo.inria.fr", "ensamble02.cornell.edu")
 
-#: Scrape cadence (simulated seconds): the alert engine evaluates — and
-#: every collector-driven gauge refreshes — on this fixed grid.
+#: Scrape cadence (simulated seconds): the alert engine reads its rules'
+#: inputs and evaluates on this fixed grid.
 SCRAPE_INTERVAL = 5.0
 
 #: Simulated think time between accesses, and the healthy warmup
@@ -92,6 +94,14 @@ STALENESS_WARN = 45.0
 #: open transition happens on-screen.
 FAILURE_THRESHOLD = 3
 QUARANTINE_SECONDS = 20.0
+
+#: Breaker states as the circuit rule reads them: monotone in severity,
+#: so the max over every address is the worst breaker.
+CIRCUIT_SEVERITY = {
+    CircuitState.CLOSED: 0.0,
+    CircuitState.HALF_OPEN: 1.0,
+    CircuitState.OPEN: 2.0,
+}
 
 #: The rate alert's trailing window (seconds).
 REJECTION_WINDOW = 30.0
@@ -188,13 +198,12 @@ class MonitorReport:
 
 class _MonitorWorld:
     """The monitored testbed: two documents on inria+cornell replicas,
-    the revocation feed on ginger, two instrumented client stacks, one
-    shared registry, one alert engine."""
+    the revocation feed on ginger, two client stacks, one alert engine
+    reading them."""
 
     def __init__(self, seed: int) -> None:
         self.clock = SimClock(0.0)
-        self.registry = MetricsRegistry(clock=self.clock)
-        self.testbed = Testbed(clock=self.clock, metrics=self.registry)
+        self.testbed = Testbed(clock=self.clock)
         self.seed = seed
         self.documents: Dict[str, PublishedObject] = {}
         self._publish_documents()
@@ -227,8 +236,6 @@ class _MonitorWorld:
             clock=self.clock,
             failure_threshold=FAILURE_THRESHOLD,
             quarantine_seconds=QUARANTINE_SECONDS,
-            metrics=self.registry,
-            metrics_client=host,
         )
         return self.testbed.client_stack(
             host,
@@ -241,26 +248,20 @@ class _MonitorWorld:
     # -- alert engine ---------------------------------------------------
 
     def _build_engine(self) -> AlertEngine:
-        engine = AlertEngine(
-            self.registry, self.clock, evaluation_cost=EVALUATION_COST
-        )
+        engine = AlertEngine(self.clock, evaluation_cost=EVALUATION_COST)
         engine.add_rule(
             ThresholdRule(
                 "replica_circuit_open",
-                metric="replica_circuit_state",
+                read=self._worst_replica_circuit,
                 threshold=2.0,
                 op=">=",
-                # Replica ContactAddress strings only — service Endpoint
-                # circuits (the feed during its outage) must not flap
-                # this rule.
-                label_prefixes={"address": "globedoc/replica"},
                 severity="critical",
             )
         )
         engine.add_rule(
             ThresholdRule(
                 "revocation_staleness_high",
-                metric="revocation_view_staleness_seconds",
+                read=self._worst_staleness,
                 threshold=STALENESS_WARN,
                 op=">",
                 severity="warning",
@@ -269,13 +270,43 @@ class _MonitorWorld:
         engine.add_rule(
             RateRule(
                 "revocation_rejections",
-                metric="revocation_rejections_total",
+                read=self._rejections,
                 threshold=0.0,
                 window_seconds=REJECTION_WINDOW,
                 severity="critical",
             )
         )
         return engine
+
+    # -- what the rules read ---------------------------------------------
+
+    def _worst_replica_circuit(self) -> float:
+        """The most severe breaker state over every client's replica
+        addresses (0 closed, 1 half-open, 2 open)."""
+        # Every tracked address is read, service endpoints too: reading
+        # a state applies its quarantine expiry. Only then are replica
+        # ContactAddresses kept, so a feed outage's open service circuit
+        # does not flap this rule.
+        return max(
+            (
+                CIRCUIT_SEVERITY[state]
+                for stack in self.stacks
+                for address, state in stack.binder.health.states().items()
+                if address.startswith("globedoc/replica")
+            ),
+            default=0.0,
+        )
+
+    def _worst_staleness(self) -> float:
+        """The oldest client feed view, in seconds (-1: never synced)."""
+        return max(
+            -1.0 if stack.revocation.staleness is None else stack.revocation.staleness
+            for stack in self.stacks
+        )
+
+    def _rejections(self) -> float:
+        """Accesses rejected as revoked, summed over the clients."""
+        return float(sum(stack.revocation.stats.rejections for stack in self.stacks))
 
     # -- fault injection ------------------------------------------------
 
@@ -358,8 +389,8 @@ def run_monitor(seed: int = 0) -> MonitorReport:
     )
     faults.replica_restored_at = world.clock.now()
     world.restore_server("canardo.inria.fr")
-    # Quarantine expiry (+ scrape) resolves the alert: the collector
-    # re-reads breaker state, open → half-open once the window passes.
+    # Quarantine expiry (+ scrape) resolves the alert: the rule re-reads
+    # breaker state, open → half-open once the window passes.
     world.drive(
         QUARANTINE_SECONDS + 4 * SCRAPE_INTERVAL,
         stop_when=lambda: engine.state_of("replica_circuit_open") == "resolved",

@@ -22,7 +22,8 @@ The workload mixes the traffic classes of a live GlobeDoc fleet:
 * **SLO breach + recovery** — a lossy-transport phase whose retry
   backoff pushes accesses over the latency objective, driving the
   fast burn-rate alert through pending → firing → resolved once the
-  fault clears and the window drains;
+  fault clears and the window drains. Both objectives are sinks on the
+  processes' tracers, counting the proxies' ``proxy.handle`` spans;
 * **adversarial probes** — one per violated security property
   (authenticity, consistency, freshness), each expected to close the
   responsible ``check.*`` span with error status.
@@ -66,7 +67,6 @@ from repro.obs import (
     AlertEngine,
     CriticalPathProfiler,
     LatencyObjective,
-    MetricsRegistry,
     RingBufferSink,
     SloPlane,
     SpanStats,
@@ -101,8 +101,7 @@ ELEMENTS = {
 #: boundary sweep is exact; this absorbs float rounding only).
 ATTRIBUTION_TOLERANCE = 0.01
 
-#: Latency SLO: 99% of proxy accesses complete within 250 ms (a
-#: DEFAULT_LATENCY_BUCKETS bound, as the objective requires).
+#: Latency SLO: 99% of proxy accesses complete within 250 ms.
 LATENCY_TARGET = 0.99
 LATENCY_THRESHOLD_S = 0.25
 
@@ -139,7 +138,6 @@ def run_profile(seed: int = 0) -> dict:
 def _run(seed: int, scratch: str) -> dict:
     clock = SimClock()
     clock.advance(100.0)
-    metrics = MetricsRegistry(clock=clock)
     # One tracer and one ring per simulated process; one SpanStats over
     # all of them for the per-name table and the rejection census.
     tracers = {origin: Tracer(clock=clock, origin=origin) for origin in PROCESSES}
@@ -154,7 +152,6 @@ def _run(seed: int, scratch: str) -> dict:
     testbed = Testbed(
         clock=clock,
         tracer=tracers["server-ginger"],
-        metrics=metrics,
         data_dir=scratch,
         storage_sync=False,
     )
@@ -190,25 +187,19 @@ def _run(seed: int, scratch: str) -> dict:
         writers[writer_id] = DocumentWriter(keys, writer_id, oid, clock)
 
     # ------------------------------------------------------- SLO plane
-    engine = AlertEngine(metrics, clock, evaluation_cost=0.0005)
-    slo = SloPlane(metrics, engine)
+    # The objectives count the proxies' proxy.handle spans: they join
+    # the tracers' sinks below, with the rings.
+    engine = AlertEngine(clock, evaluation_cost=0.0005)
+    slo = SloPlane(engine)
     latency = slo.add(
         LatencyObjective(
-            "access_latency",
-            metric="proxy_access_seconds",
-            threshold_s=LATENCY_THRESHOLD_S,
-            target=LATENCY_TARGET,
+            "access_latency", threshold_s=LATENCY_THRESHOLD_S, target=LATENCY_TARGET
         ),
         fast=BurnWindow(window_seconds=60.0, threshold=10.0, severity="critical"),
         slow=BurnWindow(window_seconds=300.0, threshold=2.0, severity="warning"),
     )
     slo.add(
-        AvailabilityObjective(
-            "access_availability",
-            metric="proxy_requests_total",
-            good_labels={"outcome": "ok"},
-            target=0.75,
-        ),
+        AvailabilityObjective("access_availability", target=0.75),
         fast=BurnWindow(window_seconds=60.0, threshold=3.0, severity="critical"),
         slow=None,
     )
@@ -216,8 +207,8 @@ def _run(seed: int, scratch: str) -> dict:
     # Recording starts here: setup spans (publish, grants) stay untraced
     # so every recorded root belongs to the workload.
     for origin, tracer in tracers.items():
-        tracer.add_sink(rings[origin])
-        tracer.add_sink(stats)
+        for sink in (rings[origin], stats, *slo.objectives):
+            tracer.add_sink(sink)
     workload: Dict[str, object] = {}
 
     # ------------------------------------------------------------ reads
@@ -429,7 +420,7 @@ def _run(seed: int, scratch: str) -> dict:
         "profile": profiler.aggregate(top=5),
         "max_relative_attribution_error": max_rel_error,
         "slo": slo.report(),
-        "latency_compliance": latency.compliance(metrics),
+        "latency_compliance": latency.compliance(),
         "alert_evaluations": engine.evaluations,
         "security_rejections": stats.error_census("check."),
     }

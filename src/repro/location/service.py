@@ -11,17 +11,30 @@ mappings used by the replication coordinator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional
+from typing import Any, Callable, List, Mapping, Optional, TypeVar
 
-from repro.errors import LocationError
+from repro.errors import LocationError, ReproError
 from repro.globedoc.oid import ObjectId
 from repro.location.cache import AddressCache
 from repro.location.tree import DomainTree
 from repro.net.address import ContactAddress
 from repro.net.rpc import RpcClient, RpcServer, rpc_method
 from repro.sim.clock import Clock
+from repro.util.encoding import DECODE_ERRORS
 
 __all__ = ["LocationService", "LocationClient", "LookupResult"]
+
+_T = TypeVar("_T")
+
+
+def _decoded(op: str, decode: Callable[[], _T]) -> _T:
+    """``decode()`` of an answer to *op*. The service is untrusted: an
+    answer that does not decode is a :class:`LocationError` (the proxy's
+    404), never an exception of whatever shape the junk took."""
+    try:
+        return decode()
+    except (ReproError, OverflowError, *DECODE_ERRORS) as exc:
+        raise LocationError(f"malformed {op} answer: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -166,40 +179,32 @@ class LocationClient:
         answer = self.client.call(
             self.target, op, oid=oid.hex, origin_site=self.origin_site
         )
-        addresses = [ContactAddress.from_dict(a) for a in answer["addresses"]]
-        result = LookupResult(
-            oid_hex=oid.hex,
-            addresses=addresses,
-            nodes_visited=int(answer["nodes_visited"]),
+        result = _decoded(
+            op,
+            lambda: LookupResult(
+                oid_hex=oid.hex,
+                addresses=[ContactAddress.from_dict(a) for a in answer["addresses"]],
+                nodes_visited=int(answer["nodes_visited"]),
+            ),
         )
         if not widen:
-            self.cache.put(oid.hex, addresses)
+            self.cache.put(oid.hex, result.addresses)
         return result
 
     def register_replica(self, oid: ObjectId, site: str, address: ContactAddress) -> int:
         """Insert a contact address (replication coordinator path)."""
         self.cache.invalidate(oid.hex)
-        return int(
-            self.client.call(
-                self.target,
-                "location.insert",
-                oid=oid.hex,
-                site=site,
-                address=address.to_dict(),
-            )
+        answer = self.client.call(
+            self.target, "location.insert", oid=oid.hex, site=site, address=address.to_dict()
         )
+        return _decoded("location.insert", lambda: int(answer))
 
     def unregister_replica(self, oid: ObjectId, site: str, address: ContactAddress) -> int:
         self.cache.invalidate(oid.hex)
-        return int(
-            self.client.call(
-                self.target,
-                "location.delete",
-                oid=oid.hex,
-                site=site,
-                address=address.to_dict(),
-            )
+        answer = self.client.call(
+            self.target, "location.delete", oid=oid.hex, site=site, address=address.to_dict()
         )
+        return _decoded("location.delete", lambda: int(answer))
 
     def invalidate(self, oid: ObjectId) -> None:
         """Drop the cached addresses after a failed bind."""

@@ -26,19 +26,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs import NOOP_METRICS
 from repro.sim.clock import Clock, RealClock
 
 __all__ = [
     "CircuitState",
     "HealthRecord",
     "ReplicaHealthTracker",
-    "CIRCUIT_STATE_VALUES",
 ]
-
-#: Numeric rendering of circuit states for the ``replica_circuit_state``
-#: gauge (monotone in severity, so ``max()`` aggregation is meaningful).
-CIRCUIT_STATE_VALUES = {"closed": 0, "half_open": 1, "open": 2}
 
 
 class CircuitState(str, Enum):
@@ -68,8 +62,6 @@ class ReplicaHealthTracker:
         clock: Optional[Clock] = None,
         failure_threshold: int = 3,
         quarantine_seconds: float = 30.0,
-        metrics=None,
-        metrics_client: str = "",
     ) -> None:
         if failure_threshold < 1:
             raise ValueError(
@@ -85,20 +77,6 @@ class ReplicaHealthTracker:
         self._records: Dict[str, HealthRecord] = {}
         #: Total number of transitions into the OPEN state.
         self.quarantines = 0
-        #: Circuit-state gauges per tracked address (``metrics_client``
-        #: disambiguates trackers when several stacks share a registry).
-        #: The gauge is refreshed by a scrape-time collector — breaker
-        #: state changes lazily (quarantine expiry happens on read), so
-        #: push-on-transition alone would miss open→half-open.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self.metrics_client = metrics_client
-        self._m_state = self.metrics.gauge(
-            "replica_circuit_state",
-            "Circuit-breaker state per contact address "
-            "(0=closed, 1=half-open, 2=open).",
-            labelnames=("client", "address"),
-        )
-        self.metrics.register_collector(self._collect_metrics)
 
     # ------------------------------------------------------------------
     # Observations
@@ -168,19 +146,21 @@ class ReplicaHealthTracker:
             ),
         )
 
+    def states(self) -> Dict[str, CircuitState]:
+        """Every tracked address key's current breaker state, applying
+        quarantine expiry to each (open → half-open is lazy, so a reader
+        that skipped an address would leave it open)."""
+        return {key: self.state_of(key) for key in self._records}
+
     def quarantined_addresses(self) -> List[str]:
         """Every address key currently inside a quarantine window."""
-        return [key for key in self._records if self.is_quarantined(key)]
+        return [
+            key for key, state in self.states().items() if state is CircuitState.OPEN
+        ]
 
     def reset(self) -> None:
         self._records.clear()
         self.quarantines = 0
-
-    def _collect_metrics(self) -> None:
-        for key in self._records:
-            self._m_state.labels(
-                client=self.metrics_client, address=key
-            ).set(float(CIRCUIT_STATE_VALUES[self.state_of(key).value]))
 
     def __len__(self) -> int:
         return len(self._records)

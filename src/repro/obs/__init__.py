@@ -10,29 +10,26 @@ near-zero-cost way to report *where an access spends its time* and
   instrumented component falls back to;
 * sinks (:mod:`repro.obs.sinks`) — ring buffer, JSONL export, and the
   aggregating :class:`~repro.obs.sinks.SpanStats`;
-* metrics (:mod:`repro.obs.metrics`) — the process-wide labeled
-  :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
-  fixed-bucket histograms) holding the five series an alert rule or
-  SLO reads, and its disabled twin
-  :data:`~repro.obs.metrics.NOOP_METRICS`;
-* alerts (:mod:`repro.obs.alerts`) — the SLO rule engine
+* alerts (:mod:`repro.obs.alerts`) — the rule engine
   (:class:`~repro.obs.alerts.AlertEngine`) evaluating threshold and
-  rate-over-window rules on the scrape cadence;
+  rate-over-window rules on the scrape cadence, each over a reader of
+  state a component already keeps;
 * traces (:mod:`repro.obs.trace`) — the
   :class:`~repro.obs.trace.TraceAssembler` stitching per-process span
   streams into cross-process causal trees by propagated trace context;
 * profiles (:mod:`repro.obs.profile`) — the
   :class:`~repro.obs.profile.CriticalPathProfiler` attributing each
   trace's wall time to cost categories along its critical path;
-* SLOs (:mod:`repro.obs.slo`) — latency/availability objectives over
-  registry metrics with burn-rate rules feeding the alert engine.
+* SLOs (:mod:`repro.obs.slo`) — latency/availability objectives fed
+  by the proxy's ``proxy.handle`` spans, with burn-rate rules feeding
+  the alert engine.
 
 See ``python -m repro.harness profile`` for the end-to-end profile built
 on the spans (per-span table, rejection census, cross-process
 critical-path attribution and SLO verdicts), ``python -m repro.harness
-monitor`` for the standing metrics/alerts plane, and DESIGN.md
-§4d/§4f/§4j for the span taxonomy, the five registry series and their
-readers, and the causal-tracing design.
+monitor`` for the standing alerts plane, and DESIGN.md §4d/§4f/§4j for
+the span taxonomy, what each alert rule reads, and the causal-tracing
+design.
 """
 
 from repro.obs.span import NOOP_TRACER, NoopSpan, NoopTracer, Span, Tracer
@@ -53,16 +50,6 @@ from repro.obs.slo import (
     SloObjective,
     SloPlane,
 )
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    NOOP_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NoopInstrument,
-    NoopMetricsRegistry,
-)
 from repro.obs.alerts import (
     STATE_FIRING,
     STATE_INACTIVE,
@@ -75,6 +62,16 @@ from repro.obs.alerts import (
     ThresholdRule,
 )
 
+
+class MetricsRegistry:
+    """An empty placeholder: the stack keeps no metrics store.
+
+    Alert rules read component state and SLO objectives count spans
+    (DESIGN §4f). ``perf/`` still constructs one and passes it as
+    ``metrics=`` to seven constructors that accept and ignore it, until
+    ROADMAP 1(a) rewires ``perf/`` through the composition root.
+    """
+
 __all__ = [
     "Span",
     "Tracer",
@@ -86,13 +83,6 @@ __all__ = [
     "JsonlSink",
     "SpanStats",
     "MetricsRegistry",
-    "NoopMetricsRegistry",
-    "NoopInstrument",
-    "NOOP_METRICS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS",
     "AlertEngine",
     "AlertEvent",
     "AlertRule",

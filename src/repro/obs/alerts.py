@@ -1,11 +1,11 @@
-"""SLO alerting over the metrics registry.
+"""SLO alerting over readings of the running stack.
 
 An operator of untrusted-replica hosting needs to see an SLO breach —
 revocation containment drifting toward its staleness bound, a replica
 circuit stuck open — *before* clients fail closed. The
 :class:`AlertEngine` is that layer: a set of declarative rules
-evaluated against a :class:`~repro.obs.metrics.MetricsRegistry` on the
-scrape cadence, each alert walking the classic lifecycle
+evaluated on the scrape cadence, each alert walking the classic
+lifecycle
 
     inactive → **pending** → **firing** → **resolved** → inactive
 
@@ -14,16 +14,16 @@ rule holds a breach before firing) and every transition lands in an
 append-only, clock-stamped timeline the monitor harness asserts on and
 ``BENCH_monitor_plane.json`` records.
 
-Two rule shapes cover the SLOs this repo cares about:
+A rule reads what it measures: its ``read`` callable returns the
+number from the component that already holds it (a health tracker's
+breaker states, a revocation checker's ``staleness`` or
+``stats.rejections``). There is no second store to keep in step with
+the stack. Two rule shapes cover the SLOs this repo cares about:
 
-* :class:`ThresholdRule` — the max over the current series of one
-  gauge or counter compared against a bound. Example:
-  ``max(replica_circuit_state) >= 2`` ("some replica's breaker is
-  open"), ``max(revocation_view_staleness_seconds) > 45`` ("fail-closed
-  imminent").
-* :class:`RateRule` — the *increase* of a (summed) counter over a
-  trailing window. Example: ``increase(revocation_rejections_total,
-  30 s) > 0`` ("clients are being served revocations right now").
+* :class:`ThresholdRule` — the current reading against a bound
+  ("some replica's breaker is open", "fail-closed imminent");
+* :class:`RateRule` — the *increase* of a monotone reading over a
+  trailing window ("clients are being served revocations right now").
 
 Evaluation is **clock-charged**: each :meth:`AlertEngine.evaluate`
 advances the injected :class:`~repro.sim.clock.SimClock` by
@@ -34,10 +34,9 @@ accounted in simulated time like every other modelled cost.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import Clock
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "AlertRule",
     "ThresholdRule",
     "RateRule",
+    "TrailingWindow",
     "AlertEngine",
     "STATE_INACTIVE",
     "STATE_PENDING",
@@ -85,18 +85,46 @@ class AlertEvent:
         }
 
 
-class AlertRule:
-    """Base rule: a named condition over the registry.
+class TrailingWindow:
+    """Samples retained over a trailing window, for increase-style rules.
 
-    Subclasses implement :meth:`value`; the engine handles the state
-    machine.
+    Linear retention, no interpolation: the oldest sample still at or
+    before the horizon anchors the window, and the rule measures the
+    current sample against it.
     """
 
-    def __init__(self, name: str, severity: str = "warning") -> None:
+    def __init__(self, seconds: float) -> None:
+        if seconds <= 0:
+            raise ValueError(f"window_seconds must be positive, got {seconds}")
+        self.seconds = seconds
+        self._samples: Deque[Tuple[float, Any]] = deque()
+
+    def anchor(self, now: float, sample: Any) -> Optional[Any]:
+        """Record *sample* taken at *now*; return the window's anchor
+        sample, or None for the first-ever sample (nothing to measure
+        against yet)."""
+        self._samples.append((now, sample))
+        horizon = now - self.seconds
+        while len(self._samples) >= 2 and self._samples[1][0] <= horizon:
+            self._samples.popleft()
+        return self._samples[0][1] if len(self._samples) >= 2 else None
+
+
+class AlertRule:
+    """Base rule: a named condition over what *read* returns.
+
+    The engine calls ``read()`` for every rule before it charges the
+    evaluation, then :meth:`value` and :meth:`breached` with the sample.
+    """
+
+    def __init__(
+        self, name: str, read: Callable[[], Any], severity: str = "warning"
+    ) -> None:
         self.name = name
+        self.read = read
         self.severity = severity
 
-    def value(self, registry: MetricsRegistry, now: float) -> float:
+    def value(self, sample: Any, now: float) -> float:
         raise NotImplementedError  # pragma: no cover - abstract
 
     def breached(self, value: float) -> bool:
@@ -104,82 +132,55 @@ class AlertRule:
 
 
 class ThresholdRule(AlertRule):
-    """Max-vs-bound on the current value of one metric (0 with no series).
-
-    ``label_prefixes`` restricts which series participate by label-value
-    prefix — e.g. ``{"address": "globedoc/replica"}`` watches replica
-    circuit breakers while ignoring service endpoints tracked by the
-    same health tracker.
-    """
+    """The current reading compared against a bound."""
 
     def __init__(
         self,
         name: str,
-        metric: str,
+        read: Callable[[], float],
         threshold: float,
         op: str = ">",
-        label_prefixes: Optional[Mapping[str, str]] = None,
         **kwargs,
     ) -> None:
-        super().__init__(name, **kwargs)
+        super().__init__(name, read, **kwargs)
         if op not in _COMPARATORS:
             raise ValueError(f"unknown comparator {op!r}")
-        self.metric = metric
         self.threshold = threshold
         self.op = op
-        self.label_prefixes = dict(label_prefixes) if label_prefixes else None
 
-    def value(self, registry: MetricsRegistry, now: float) -> float:
-        return max(registry.series_values(self.metric, self.label_prefixes), default=0.0)
+    def value(self, sample: float, now: float) -> float:
+        return sample
 
     def breached(self, value: float) -> bool:
         return _COMPARATORS[self.op](value, self.threshold)
 
 
 class RateRule(AlertRule):
-    """Increase of a summed counter over a trailing window, breached
-    when it exceeds *threshold*.
-
-    Each evaluation samples the counter's total; the rule's value is
-    ``total(now) - total(now - window)`` (linear sample retention, no
-    interpolation: the oldest sample still inside the window anchors
-    the increase). A counter that never moves yields 0.
-    """
+    """Increase of a monotone reading over a trailing window, breached
+    when it exceeds *threshold*. A reading that never moves yields 0."""
 
     def __init__(
         self,
         name: str,
-        metric: str,
+        read: Callable[[], float],
         threshold: float,
         window_seconds: float,
         **kwargs,
     ) -> None:
-        super().__init__(name, **kwargs)
-        if window_seconds <= 0:
-            raise ValueError(f"window_seconds must be positive, got {window_seconds}")
-        self.metric = metric
+        super().__init__(name, read, **kwargs)
         self.threshold = threshold
-        self.window_seconds = window_seconds
-        self._samples: Deque[Tuple[float, float]] = deque()
+        self.window = TrailingWindow(window_seconds)
 
-    def value(self, registry: MetricsRegistry, now: float) -> float:
-        total = sum(registry.series_values(self.metric))
-        self._samples.append((now, total))
-        horizon = now - self.window_seconds
-        # Keep one sample at-or-before the horizon as the anchor.
-        while len(self._samples) >= 2 and self._samples[1][0] <= horizon:
-            self._samples.popleft()
-        anchor_time, anchor_total = self._samples[0]
-        if anchor_time > horizon and len(self._samples) == 1:
-            return 0.0  # first-ever sample: no increase measurable yet
-        return total - anchor_total
+    def value(self, sample: float, now: float) -> float:
+        anchor = self.window.anchor(now, sample)
+        return 0.0 if anchor is None else sample - anchor
 
     def breached(self, value: float) -> bool:
         return value > self.threshold
 
 
 class AlertEngine:
-    """Evaluates rules against one registry on the scrape cadence.
+    """Evaluates rules on the scrape cadence.
 
     The engine never polls on its own: the harness (or an operator
     loop) calls :meth:`evaluate` each scrape tick. ``evaluation_cost``
@@ -188,17 +189,11 @@ class AlertEngine:
     free, and simulated experiments should account for it.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        clock: Clock,
-        evaluation_cost: float = 0.0,
-    ) -> None:
+    def __init__(self, clock: Clock, evaluation_cost: float = 0.0) -> None:
         if evaluation_cost < 0:
             raise ValueError(
                 f"evaluation_cost must be non-negative, got {evaluation_cost}"
             )
-        self.registry = registry
         self.clock = clock
         self.evaluation_cost = evaluation_cost
         self._rules: List[AlertRule] = []
@@ -232,11 +227,12 @@ class AlertEngine:
     def evaluate(self) -> List[AlertEvent]:
         """One evaluation pass; returns the transitions it produced.
 
-        Runs the registry's collectors first so derived gauges are
-        current, charges the evaluation cost to the clock, then steps
-        each rule's state machine.
+        Reads every rule's input first, then charges the evaluation
+        cost to the clock, then steps each rule's state machine: a
+        reading taken after the charge would see the monitor's own cost
+        (a staleness would grow by it).
         """
-        self.registry.collect()
+        samples = [rule.read() for rule in self._rules]
         cost = self.evaluation_cost * len(self._rules)
         advance = getattr(self.clock, "advance", None)
         if cost > 0 and advance is not None:
@@ -244,9 +240,9 @@ class AlertEngine:
         now = self.clock.now()
         self.evaluations += 1
         transitions: List[AlertEvent] = []
-        for rule in self._rules:
+        for rule, sample in zip(self._rules, samples):
             state = self._states[rule.name]
-            value = rule.value(self.registry, now)
+            value = rule.value(sample, now)
             breached = rule.breached(value)
             if state != STATE_FIRING:
                 if breached:

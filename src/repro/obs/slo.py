@@ -1,19 +1,19 @@
 """Service-level objectives and burn-rate alerting.
 
-An SLO turns a metrics stream into a yes/no promise — "99% of accesses
-complete within 250 ms", "99.9% of accesses succeed" — and an *error
-budget* (the tolerated bad fraction, ``1 - target``). This module
+An SLO turns a stream of accesses into a yes/no promise — "99% of
+accesses complete within 250 ms", "99.9% of accesses succeed" — and an
+*error budget* (the tolerated bad fraction, ``1 - target``). This module
 layers both on the existing observability plane:
 
-* objectives read the :class:`~repro.obs.metrics.MetricsRegistry`
-  directly — :class:`LatencyObjective` counts good events from a
-  histogram's cumulative buckets (the threshold must sit on a bucket
-  bound; anything else would silently measure a different promise),
-  :class:`AvailabilityObjective` from a counter's labeled series;
+* objectives are span sinks over the proxy's ``proxy.handle`` root
+  span, one per GlobeDoc access: :class:`LatencyObjective` counts an
+  access good when its span lasted at most the threshold,
+  :class:`AvailabilityObjective` when its ``status`` attribute is 200.
+  Add an objective to the tracer(s) of the proxies it judges;
 * :class:`BurnRateRule` is an :class:`~repro.obs.alerts.AlertRule`
   measuring how fast the error budget burns over a trailing window
   (``bad_fraction / budget``; 1.0 = exactly on budget), so it plugs
-  into the PR 5 :class:`~repro.obs.alerts.AlertEngine` lifecycle
+  into the :class:`~repro.obs.alerts.AlertEngine` lifecycle
   (pending → firing → resolved) unchanged;
 * :class:`SloPlane` bundles the conventional fast/slow window pair per
   objective — the fast rule catches a cliff in minutes, the slow rule
@@ -23,12 +23,11 @@ layers both on the existing observability plane:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.obs.alerts import AlertEngine, AlertRule
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.alerts import AlertEngine, AlertRule, TrailingWindow
+from repro.obs.span import Span
 
 __all__ = [
     "SloObjective",
@@ -39,13 +38,18 @@ __all__ = [
     "SloPlane",
 ]
 
+#: The span an objective counts: the proxy's root span of one GlobeDoc
+#: access (plain-HTTP passthrough and unparseable URLs open none).
+ACCESS_SPAN = "proxy.handle"
+
 
 class SloObjective:
-    """One promise over the registry: a target fraction of good events.
+    """One promise over the proxy's accesses: a target fraction of good
+    ``proxy.handle`` spans.
 
-    Subclasses implement :meth:`counts` returning cumulative
-    ``(good, total)`` event counts; everything else (budget, compliance,
-    burn rates) derives from those two monotone numbers.
+    A span sink: every closed access span counts once, and subclasses
+    implement :meth:`is_good`. Budget, compliance and burn rates all
+    derive from the two monotone counts.
     """
 
     def __init__(self, name: str, target: float) -> None:
@@ -53,107 +57,61 @@ class SloObjective:
             raise ValueError(f"target must be in (0, 1), got {target}")
         self.name = name
         self.target = target
+        self.good = 0.0
+        self.total = 0.0
+
+    def on_span(self, span: Span) -> None:
+        if span.name == ACCESS_SPAN:
+            self.total += 1.0
+            if self.is_good(span):
+                self.good += 1.0
+
+    def is_good(self, span: Span) -> bool:
+        raise NotImplementedError  # pragma: no cover - abstract
 
     @property
     def error_budget(self) -> float:
         """The tolerated bad fraction, ``1 - target``."""
         return 1.0 - self.target
 
-    def counts(self, registry: MetricsRegistry) -> Tuple[float, float]:
-        raise NotImplementedError  # pragma: no cover - abstract
+    def counts(self) -> Tuple[float, float]:
+        """Cumulative ``(good, total)`` access counts."""
+        return (self.good, self.total)
 
-    def compliance(self, registry: MetricsRegistry) -> float:
+    def compliance(self) -> float:
         """Lifetime good fraction (1.0 with no events: no traffic is
         not a breach)."""
-        good, total = self.counts(registry)
-        return (good / total) if total else 1.0
+        return (self.good / self.total) if self.total else 1.0
 
-    def verdict(self, registry: MetricsRegistry) -> dict:
-        good, total = self.counts(registry)
-        compliance = (good / total) if total else 1.0
+    def verdict(self) -> dict:
+        compliance = self.compliance()
         return {
             "objective": self.name,
             "target": self.target,
-            "events": total,
-            "good": good,
+            "events": self.total,
+            "good": self.good,
             "compliance": compliance,
             "met": compliance >= self.target,
         }
 
 
 class LatencyObjective(SloObjective):
-    """"*target* of events complete within *threshold_s*" over one
-    histogram metric.
+    """"*target* of accesses complete within *threshold_s*" (inclusive)."""
 
-    The threshold must exactly match one of the histogram's bucket
-    bounds — cumulative bucket counts are only available at bounds, and
-    rounding to a neighbouring bucket would quietly redefine the SLO.
-    The check happens at evaluation time (the metric may not exist yet
-    at construction); a missing metric reads as zero traffic.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        metric: str,
-        threshold_s: float,
-        target: float,
-    ) -> None:
+    def __init__(self, name: str, threshold_s: float, target: float) -> None:
         super().__init__(name, target)
-        self.metric = metric
         self.threshold_s = float(threshold_s)
 
-    def counts(self, registry: MetricsRegistry) -> Tuple[float, float]:
-        instrument = registry.get(self.metric)
-        if instrument is None:
-            return (0.0, 0.0)
-        if not isinstance(instrument, Histogram):
-            raise ValueError(
-                f"latency objective {self.name!r} needs a histogram, "
-                f"{self.metric!r} is a {type(instrument).__name__}"
-            )
-        if self.threshold_s not in instrument.bounds:
-            raise ValueError(
-                f"latency objective {self.name!r}: threshold {self.threshold_s}s "
-                f"is not a bucket bound of {self.metric!r} (bounds: "
-                f"{list(instrument.bounds)})"
-            )
-        good = 0.0
-        total = 0.0
-        for _labels, child in instrument.series():
-            for bound, cumulative in child.cumulative_buckets():
-                if bound == self.threshold_s:
-                    good += cumulative
-                    break
-            total += child.count
-        return (good, total)
+    def is_good(self, span: Span) -> bool:
+        return span.duration <= self.threshold_s
 
 
 class AvailabilityObjective(SloObjective):
-    """"*target* of events are good" over one labeled counter.
+    """"*target* of accesses are served": good when the access span's
+    ``status`` attribute is 200 (a 403 rejection or a 404 is bad)."""
 
-    Good events are the series whose labels start with ``good_labels``
-    (e.g. ``{"outcome": "ok"}`` on ``proxy_requests_total``); the total
-    is every series.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        metric: str,
-        good_labels: Mapping[str, str],
-        target: float,
-    ) -> None:
-        super().__init__(name, target)
-        if not good_labels:
-            raise ValueError(f"availability objective {name!r} needs good_labels")
-        self.metric = metric
-        self.good_labels = dict(good_labels)
-
-    def counts(self, registry: MetricsRegistry) -> Tuple[float, float]:
-        total = sum(registry.series_values(self.metric))
-        good = sum(registry.series_values(self.metric, self.good_labels))
-        return (good, total)
+    def is_good(self, span: Span) -> bool:
+        return span.attributes.get("status") == 200
 
 
 class BurnRateRule(AlertRule):
@@ -162,10 +120,11 @@ class BurnRateRule(AlertRule):
     The value is ``bad_fraction(window) / error_budget``: 1.0 means the
     service is consuming budget exactly as fast as the SLO tolerates;
     14.4 (the classic fast-burn bound) means a 30-day budget would be
-    gone in two days. Sampled like :class:`~repro.obs.alerts.RateRule`
-    — each evaluation appends ``(now, good, total)`` and the oldest
-    sample still inside the window anchors the deltas. A window with no
-    new events burns nothing.
+    gone in two days. Sampled through the same
+    :class:`~repro.obs.alerts.TrailingWindow` as
+    :class:`~repro.obs.alerts.RateRule`: each evaluation reads
+    ``(good, total)`` and the window's anchor sample gives the deltas.
+    A window with no new events burns nothing.
     """
 
     def __init__(
@@ -176,27 +135,19 @@ class BurnRateRule(AlertRule):
         threshold: float,
         **kwargs,
     ) -> None:
-        super().__init__(name, **kwargs)
-        if window_seconds <= 0:
-            raise ValueError(f"window_seconds must be positive, got {window_seconds}")
+        super().__init__(name, objective.counts, **kwargs)
+        self.window = TrailingWindow(window_seconds)
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         self.objective = objective
-        self.window_seconds = window_seconds
         self.threshold = threshold
-        self._samples: Deque[Tuple[float, float, float]] = deque()
 
-    def value(self, registry: MetricsRegistry, now: float) -> float:
-        good, total = self.objective.counts(registry)
-        self._samples.append((now, good, total))
-        horizon = now - self.window_seconds
-        while len(self._samples) >= 2 and self._samples[1][0] <= horizon:
-            self._samples.popleft()
-        anchor_time, anchor_good, anchor_total = self._samples[0]
-        if anchor_time > horizon and len(self._samples) == 1:
+    def value(self, sample: Tuple[float, float], now: float) -> float:
+        anchor = self.window.anchor(now, sample)
+        if anchor is None:
             return 0.0  # first-ever sample: no window to measure yet
-        d_total = total - anchor_total
-        d_good = good - anchor_good
+        d_good = sample[0] - anchor[0]
+        d_total = sample[1] - anchor[1]
         if d_total <= 0:
             return 0.0
         bad_fraction = (d_total - d_good) / d_total
@@ -222,7 +173,7 @@ class _Tracked:
 
 
 class SloPlane:
-    """The set of objectives guarding one registry, wired to one engine.
+    """A set of objectives wired to one alert engine.
 
     :meth:`add` registers an objective plus its fast/slow burn-rate
     rules (``None`` for a window it does without) on the engine (rule names ``<objective>:fast_burn`` /
@@ -231,8 +182,7 @@ class SloPlane:
     the per-objective verdicts with each rule's current state.
     """
 
-    def __init__(self, registry: MetricsRegistry, engine: AlertEngine) -> None:
-        self.registry = registry
+    def __init__(self, engine: AlertEngine) -> None:
         self.engine = engine
         self._tracked: Dict[str, _Tracked] = {}
 
@@ -268,7 +218,7 @@ class SloPlane:
         """Per-objective compliance + live burn-alert states."""
         out = []
         for tracked in self._tracked.values():
-            verdict = tracked.objective.verdict(self.registry)
+            verdict = tracked.objective.verdict()
             verdict["alerts"] = {
                 rule.name: self.engine.state_of(rule.name) for rule in tracked.rules
             }

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.errors import BindingError, ObjectNotFound
+from repro.errors import BindingError, LocationError, ObjectNotFound
 from repro.globedoc.oid import ObjectId
 from repro.globedoc.urls import HybridUrl
 from repro.location.service import LocationClient
@@ -118,7 +118,7 @@ class Binder:
             tried = set(map(str, bound.addresses))
             try:
                 widened = self.location.lookup(bound.oid, widen=True)
-            except ObjectNotFound:
+            except LocationError:  # none registered, or a malformed answer
                 widened = None
             fresh = self._order(
                 [a for a in widened.addresses if str(a) not in tried]

@@ -34,7 +34,7 @@ from repro.location.service import LocationClient
 from repro.naming.service import SecureResolver
 from repro.net.address import Endpoint
 from repro.net.rpc import RpcClient
-from repro.obs import NOOP_METRICS, NOOP_TRACER
+from repro.obs import NOOP_TRACER
 from repro.proxy.binding import Binder
 from repro.proxy.checks import SecurityChecker
 from repro.proxy.session import SecureSession
@@ -116,20 +116,8 @@ class GlobeDocProxy:
         #: Optional :class:`~repro.proxy.pipeline.AccessScheduler`; when
         #: installed, :meth:`handle_many` prefetches batches in parallel.
         self.scheduler = None
-        #: Monitor-plane instruments, the two SLO inputs. Both are
-        #: shared across proxies (additive), so no ``client`` label; the
-        #: rejecting check is the span's ``security_failure`` attribute.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self._m_requests = self.metrics.counter(
-            "proxy_requests_total",
-            "Browser requests handled, by outcome (ok / rejected / "
-            "not_found / bad_gateway / passthrough / bad_url).",
-            labelnames=("outcome",),
-        )
-        self._m_access = self.metrics.histogram(
-            "proxy_access_seconds",
-            "Total per-access time (clock-charged seconds), every phase.",
-        )
+        # ``metrics`` is accepted but unused: ``perf/`` still passes it
+        # (ROADMAP 1(a)/8(a) remove it); SLOs count ``proxy.handle`` spans.
 
     # ------------------------------------------------------------------
     # Request handling
@@ -146,17 +134,12 @@ class GlobeDocProxy:
         try:
             parsed = HybridUrl.parse(url)
         except UrlError as exc:
-            self._m_requests.labels(outcome="bad_url").inc()
             return ProxyResponse(
                 status=400, content=NOT_FOUND_HTML % str(exc).encode()
             )
         if not parsed.is_globedoc:
             return self._passthrough(parsed)
-        started = self.metrics.clock.now() if self.metrics.enabled else 0.0
-        response = self._handle_globedoc(parsed)
-        if self.metrics.enabled:
-            self._m_access.observe(self.metrics.clock.now() - started)
-        return response
+        return self._handle_globedoc(parsed)
 
     def handle_many(self, urls) -> list:
         """Serve a batch of browser requests; responses align with input.
@@ -204,7 +187,6 @@ class GlobeDocProxy:
                 ) as exc:
                     return self._failure_response(span, exc)
                 span.set_attribute("status", 200)
-                self._m_requests.labels(outcome="ok").inc()
                 return ProxyResponse(
                     status=200,
                     content=result.element.content,
@@ -218,14 +200,12 @@ class GlobeDocProxy:
             # §3.3: failed checks render the Security Check Failed page.
             span.set_attribute("status", 403)
             span.set_attribute("security_failure", type(exc).__name__)
-            self._m_requests.labels(outcome="rejected").inc()
             return ProxyResponse(
                 status=403,
                 content=SECURITY_FAILED_HTML % str(exc).encode(),
                 security_failure=type(exc).__name__,
             )
         span.set_attribute("status", 404)
-        self._m_requests.labels(outcome="not_found").inc()
         return ProxyResponse(status=404, content=NOT_FOUND_HTML % str(exc).encode())
 
     def _follow_forwarding(self, url: HybridUrl) -> Optional[HybridUrl]:
@@ -310,9 +290,7 @@ class GlobeDocProxy:
             # The origin is as untrusted as a replica: an answer that
             # does not decode is a bad gateway, not an exception.
             self.failure_count += 1
-            self._m_requests.labels(outcome="bad_gateway").inc()
             return ProxyResponse(status=502, content=NOT_FOUND_HTML % str(exc).encode())
-        self._m_requests.labels(outcome="passthrough").inc()
         return response
 
     # ------------------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.errors import (
     RevokedKeyError,
 )
 from repro.globedoc.oid import ObjectId
-from repro.obs import NOOP_METRICS, NOOP_TRACER
+from repro.obs import NOOP_TRACER
 from repro.revocation.statement import SCOPE_KEY, SCOPE_WRITER, RevocationStatement
 
 __all__ = ["RevocationChecker", "RevocationCheckerStats"]
@@ -79,7 +79,6 @@ class RevocationChecker:
         verification_cache=None,
         content_cache=None,
         metrics=None,
-        metrics_client: str = "",
         store=None,
         tracer=None,
     ) -> None:
@@ -106,22 +105,9 @@ class RevocationChecker:
         self.store = store
         if store is not None:
             self._recover()
-        #: Monitor instruments, each read by an alert rule. The staleness
-        #: gauge is the input to the fail-closed-imminent rule; -1 marks
-        #: "never synced" (a state the check itself already fails closed
-        #: on). Every other count is in :attr:`stats`.
-        self.metrics = metrics if metrics is not None else NOOP_METRICS
-        self.metrics_client = metrics_client
-        self._m_rejections = self.metrics.counter(
-            "revocation_rejections_total",
-            "Accesses rejected because a key or element was revoked.",
-        )
-        self._m_staleness = self.metrics.gauge(
-            "revocation_view_staleness_seconds",
-            "Age of the client's last good feed sync (-1: never synced).",
-            labelnames=("client",),
-        )
-        self.metrics.register_collector(self._collect_metrics)
+        # ``metrics`` is accepted but unused: ``perf/`` still passes it
+        # (ROADMAP 1(a)/8(a) remove it); alert rules read
+        # :attr:`staleness` and ``stats.rejections`` directly.
 
     # ------------------------------------------------------------------
     # Durable cursor recovery
@@ -321,7 +307,6 @@ class RevocationChecker:
         for statement in self._by_oid.get(oid.hex, ()):  # newest need not win: any hit rejects
             if statement.scope == SCOPE_KEY:
                 self.stats.rejections += 1
-                self._m_rejections.inc()
                 raise RevokedKeyError(
                     f"object key for OID {oid.hex[:12]}… was revoked at "
                     f"{statement.issued_at} (serial {statement.serial}: "
@@ -329,7 +314,6 @@ class RevocationChecker:
                 )
             if element_name is not None and statement.covers(element_name, cert_version):
                 self.stats.rejections += 1
-                self._m_rejections.inc()
                 raise RevokedElementError(
                     f"element {element_name!r} of OID {oid.hex[:12]}… was "
                     f"revoked at {statement.issued_at} through certificate "
@@ -352,13 +336,3 @@ class RevocationChecker:
             for statement in self._by_oid.get(oid.hex, ())
             if statement.scope == SCOPE_WRITER and statement.writer
         }
-
-    # ------------------------------------------------------------------
-    # Monitor-plane collector
-    # ------------------------------------------------------------------
-
-    def _collect_metrics(self) -> None:
-        staleness = self.staleness
-        self._m_staleness.labels(client=self.metrics_client).set(
-            -1.0 if staleness is None else staleness
-        )

@@ -135,7 +135,7 @@ class ObjectServer:
                 lambda label, key: self._journal(revoke_record, key.der)
             )
         # ``metrics`` is accepted but unused: ``perf/`` still passes it
-        # (ROADMAP 1(a)/8(a) remove it); the server owns no series.
+        # (ROADMAP 1(a)/8(a) remove it); the stack keeps no metrics.
 
     # ------------------------------------------------------------------
     # Durable state

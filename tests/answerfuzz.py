@@ -1,0 +1,77 @@
+"""Strategies for fuzzing an untrusted service's answers: JSON-shaped
+values of any form, and mutations of a genuine answer (a field dropped,
+retyped or replaced at any depth)."""
+
+from __future__ import annotations
+
+import copy
+import os
+
+from hypothesis import settings
+from hypothesis import strategies as st
+
+# Small inside tier-1; a requested profile (conftest's ``deep``) governs.
+budget = (
+    settings(deadline=None)
+    if "HYPOTHESIS_PROFILE" in os.environ
+    else settings(max_examples=40, deadline=None)
+)
+
+# No key near a frame's reserved ones (``__b64__``, ``__att__``): the
+# stub could not send the answer at all.
+_keys = st.text(max_size=8).filter(lambda k: "__" not in k)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=8),
+    st.binary(max_size=16),
+)
+#: Any value a frame carries.
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _retyped(value):
+    """A value of another type carrying the same information, roughly."""
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, list):
+        return {str(i): item for i, item in enumerate(value)}
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, str):
+        return value.encode()
+    if isinstance(value, bool) or value is None:
+        return int(bool(value))
+    return str(value)
+
+
+@st.composite
+def mutation(draw, genuine):
+    """*genuine* with one field dropped, retyped or replaced, at any depth."""
+    answer = copy.deepcopy(genuine)
+    holder, key = None, None
+    node = answer
+    while isinstance(node, (dict, list)) and node:
+        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        holder, key = node, draw(st.sampled_from(keys))
+        node = node[key]
+        if draw(st.booleans()):
+            break
+    if holder is None:
+        return draw(json_values)
+    how = draw(st.sampled_from(["drop", "retype", "replace"]))
+    if how == "drop":
+        del holder[key]
+    elif how == "retype":
+        holder[key] = _retyped(holder[key])
+    else:
+        holder[key] = draw(json_values)
+    return answer

@@ -19,9 +19,11 @@ from repro.harness.monitor import (
     TARGET,
     FaultTimes,
     MonitorReport,
+    _MonitorWorld,
     criteria,
 )
 from repro.harness.report import render_bench_summary
+from repro.net.health import CircuitState
 
 
 def failed_gates(report: MonitorReport):
@@ -155,3 +157,40 @@ class TestBenchRun:
         assert report.rejected > 0
         assert report.other_failures == 0
         assert report.scrapes >= 10
+
+
+class TestRuleReaders:
+    """What the three rules read, straight from the two client stacks."""
+
+    REPLICA = "globedoc/replica://canardo.inria.fr/objectserver#r1"
+    FEED = "ginger.cs.vu.nl/objectserver"
+
+    @pytest.fixture
+    def world(self):
+        return _MonitorWorld(seed=0)
+
+    def open_breaker(self, world, address):
+        tracker = world.stacks[0].binder.health
+        for _ in range(tracker.failure_threshold):
+            tracker.record_failure(address)
+        return tracker
+
+    def test_circuit_reader_ignores_service_endpoints(self, world):
+        self.open_breaker(world, self.FEED)
+        assert world._worst_replica_circuit() == 0.0
+        self.open_breaker(world, self.REPLICA)
+        assert world._worst_replica_circuit() == 2.0
+
+    def test_circuit_reader_expires_every_quarantine(self, world):
+        """Reading a breaker applies its quarantine expiry, so the reader
+        visits service endpoints too before it filters them out."""
+        tracker = self.open_breaker(world, self.FEED)
+        self.open_breaker(world, self.REPLICA)
+        world.clock.advance(QUARANTINE_SECONDS)
+        assert world._worst_replica_circuit() == 1.0
+        assert tracker.record(self.FEED).state is CircuitState.HALF_OPEN
+
+    def test_feed_readers_are_floats_before_any_sync(self, world):
+        assert world._worst_staleness() == -1.0
+        rejections = world._rejections()
+        assert rejections == 0.0 and isinstance(rejections, float)

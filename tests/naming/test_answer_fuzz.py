@@ -10,11 +10,8 @@ any depth). Each is served by a stub naming service both whole
 
 from __future__ import annotations
 
-import copy
-import os
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.deployment import ZONE_PATHS, Deployment
@@ -22,81 +19,20 @@ from repro.errors import NamingError
 from repro.naming.zone import ZoneKeys
 from repro.net.transport import LoopbackTransport
 from repro.sim.clock import SimClock
+from tests.answerfuzz import budget, json_values, mutation
 from tests.conftest import EPOCH, fast_keys
 from tests.naming.stubservice import StubNameService, stub_resolver
 
 HOST, SITE, NAME = "ginger.cs.vu.nl", "root/europe/vu", "vu.nl/doc"
 CONTENT = b"<html>the genuine page</html>"
 
-# Small inside tier-1; a requested profile (conftest's ``deep``) governs.
-budget = (
-    settings(deadline=None)
-    if "HYPOTHESIS_PROFILE" in os.environ
-    else settings(max_examples=40, deadline=None)
-)
-
-# No key near a frame's reserved ones (``__b64__``, ``__att__``): the
-# stub could not send the answer at all.
-_keys = st.text(max_size=8).filter(lambda k: "__" not in k)
-_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2**40), max_value=2**40),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=8),
-    st.binary(max_size=16),
-)
-#: Any value a frame carries.
-_json = st.recursive(
-    _scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.dictionaries(_keys, inner, max_size=4)
-    ),
-    max_leaves=12,
-)
 #: Answers with the right top-level shape around junk.
 _shaped = st.fixed_dictionaries(
-    {"chain": st.one_of(_json, st.lists(_json, max_size=4)), "record": _json}
+    {
+        "chain": st.one_of(json_values, st.lists(json_values, max_size=4)),
+        "record": json_values,
+    }
 )
-
-
-def _retyped(value):
-    """A value of another type carrying the same information, roughly."""
-    if isinstance(value, dict):
-        return list(value.values())
-    if isinstance(value, list):
-        return {str(i): item for i, item in enumerate(value)}
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, str):
-        return value.encode()
-    if isinstance(value, bool) or value is None:
-        return int(bool(value))
-    return str(value)
-
-
-@st.composite
-def _mutation(draw, genuine):
-    """*genuine* with one field dropped, retyped or replaced, at any depth."""
-    answer = copy.deepcopy(genuine)
-    holder, key = None, None
-    node = answer
-    while isinstance(node, (dict, list)) and node:
-        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
-        holder, key = node, draw(st.sampled_from(keys))
-        node = node[key]
-        if draw(st.booleans()):
-            break
-    if holder is None:
-        return draw(_json)
-    how = draw(st.sampled_from(["drop", "retype", "replace"]))
-    if how == "drop":
-        del holder[key]
-    elif how == "retype":
-        holder[key] = _retyped(holder[key])
-    else:
-        holder[key] = draw(_json)
-    return answer
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +86,13 @@ class TestResolverFuzz:
     @given(data=st.data())
     @budget
     def test_generated_answer(self, world, iterative, data):
-        answer = data.draw(st.one_of(_json, _shaped))
+        answer = data.draw(st.one_of(json_values, _shaped))
         _resolves_genuinely_or_refuses(world, answer, iterative)
 
     @given(data=st.data())
     @budget
     def test_mutated_genuine_answer(self, world, iterative, data):
-        answer = data.draw(_mutation(world[2]))
+        answer = data.draw(mutation(world[2]))
         _resolves_genuinely_or_refuses(world, answer, iterative)
 
     def test_genuine_answer_resolves(self, world, iterative):
@@ -170,7 +106,7 @@ class TestProxyFuzz:
     @given(data=st.data())
     @budget
     def test_proxy_never_raises(self, world, iterative, data):
-        answer = data.draw(st.one_of(_json, _shaped, _mutation(world[2])))
+        answer = data.draw(st.one_of(json_values, _shaped, mutation(world[2])))
         _proxy_answers(world, answer, iterative)
 
     def test_genuine_answer_is_served(self, world, iterative):

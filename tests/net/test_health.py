@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.health import (
-    CIRCUIT_STATE_VALUES,
-    CircuitState,
-    ReplicaHealthTracker,
-)
-from repro.obs import MetricsRegistry
+from repro.net.health import CircuitState, ReplicaHealthTracker
 from repro.sim.clock import SimClock
 
 ADDR = "globedoc/replica://replica.example/objectserver#r1"
@@ -93,22 +88,11 @@ class TestCircuit:
 
 class TestFullLifecycle:
     """One breaker walked through every state, with the quarantine
-    eviction listing and the monitor gauge checked at each step."""
-
-    def gauge_value(self, registry, address):
-        values = registry.series_values(
-            "replica_circuit_state", {"address": address}
-        )
-        return values[0] if values else None
+    eviction listing and the monitor's ``states()`` read at each step."""
 
     def test_closed_open_half_open_closed(self, clock):
-        registry = MetricsRegistry(clock=clock)
         tracker = ReplicaHealthTracker(
-            clock=clock,
-            failure_threshold=3,
-            quarantine_seconds=30.0,
-            metrics=registry,
-            metrics_client="canardo.inria.fr",
+            clock=clock, failure_threshold=3, quarantine_seconds=30.0
         )
 
         # closed: below threshold, available to the binder, no eviction.
@@ -116,8 +100,7 @@ class TestFullLifecycle:
         tracker.record_failure(ADDR)
         assert tracker.state_of(ADDR) is CircuitState.CLOSED
         assert tracker.quarantined_addresses() == []
-        registry.collect()
-        assert self.gauge_value(registry, ADDR) == CIRCUIT_STATE_VALUES["closed"]
+        assert tracker.states() == {ADDR: CircuitState.CLOSED}
 
         # closed -> open: the threshold failure trips the breaker; the
         # address lands in the eviction sweep and sinks in the ordering.
@@ -126,24 +109,20 @@ class TestFullLifecycle:
         assert tracker.quarantines == 1
         assert tracker.quarantined_addresses() == [ADDR]
         assert tracker.order([ADDR, OTHER]) == [OTHER, ADDR]
-        registry.collect()
-        assert self.gauge_value(registry, ADDR) == CIRCUIT_STATE_VALUES["open"]
+        assert tracker.states() == {ADDR: CircuitState.OPEN, OTHER: CircuitState.CLOSED}
 
         # open -> half-open: expiry is lazy (applied on read), so the
-        # scrape-time collector is what surfaces the transition; the
+        # monitor's scrape-time read is what surfaces the transition; the
         # probe candidate leaves the eviction listing.
         clock.advance(31.0)
-        registry.collect()
-        assert self.gauge_value(registry, ADDR) == CIRCUIT_STATE_VALUES["half_open"]
-        assert tracker.state_of(ADDR) is CircuitState.HALF_OPEN
+        assert tracker.states()[ADDR] is CircuitState.HALF_OPEN
+        assert tracker.record(ADDR).state is CircuitState.HALF_OPEN
         assert tracker.quarantined_addresses() == []
         assert not tracker.is_quarantined(ADDR)
 
         # half-open -> closed: the probe succeeded.
         tracker.record_success(ADDR)
-        assert tracker.state_of(ADDR) is CircuitState.CLOSED
-        registry.collect()
-        assert self.gauge_value(registry, ADDR) == CIRCUIT_STATE_VALUES["closed"]
+        assert tracker.states()[ADDR] is CircuitState.CLOSED
         assert tracker.record(ADDR).consecutive_failures == 0
         # Cumulative: closing does not undo the count; only reset() does.
         assert tracker.quarantines == 1
@@ -151,10 +130,8 @@ class TestFullLifecycle:
         assert tracker.quarantines == 0
 
     def test_half_open_probe_failure_reenters_eviction_sweep(self, clock):
-        registry = MetricsRegistry(clock=clock)
         tracker = ReplicaHealthTracker(
-            clock=clock, failure_threshold=3, quarantine_seconds=30.0,
-            metrics=registry,
+            clock=clock, failure_threshold=3, quarantine_seconds=30.0
         )
         for _ in range(3):
             tracker.record_failure(ADDR)
@@ -162,26 +139,18 @@ class TestFullLifecycle:
         assert tracker.state_of(ADDR) is CircuitState.HALF_OPEN
         tracker.record_failure(ADDR)  # one failed probe re-opens
         assert tracker.quarantined_addresses() == [ADDR]
-        registry.collect()
-        values = registry.series_values("replica_circuit_state", None)
-        assert values == [float(CIRCUIT_STATE_VALUES["open"])]
+        assert tracker.states() == {ADDR: CircuitState.OPEN}
         assert tracker.quarantines == 2
 
-    def test_two_trackers_share_registry_without_collision(self, clock):
-        registry = MetricsRegistry(clock=clock)
-        one = ReplicaHealthTracker(
-            clock=clock, metrics=registry, metrics_client="one"
-        )
-        two = ReplicaHealthTracker(
-            clock=clock, metrics=registry, metrics_client="two"
-        )
+    def test_two_trackers_keep_separate_state(self, clock):
+        one = ReplicaHealthTracker(clock=clock)
+        two = ReplicaHealthTracker(clock=clock)
         for _ in range(3):
             one.record_failure(ADDR)
         two.record_success(ADDR)
-        registry.collect()
-        assert sorted(
-            registry.series_values("replica_circuit_state", None)
-        ) == [0.0, 2.0]
+        assert (one.states(), two.states()) == (
+            {ADDR: CircuitState.OPEN}, {ADDR: CircuitState.CLOSED}
+        )
         # Each tracker counts only its own quarantines.
         assert (one.quarantines, two.quarantines) == (1, 0)
 
