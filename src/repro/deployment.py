@@ -383,8 +383,10 @@ class Deployment:
         ``pipeline`` (off by default) wraps the RPC
         client in a :class:`~repro.proxy.pipeline.PrefetchingRpcClient`
         and installs an :class:`~repro.proxy.pipeline.AccessScheduler`
-        on the proxy, enabling the concurrent batched access pipeline
-        behind ``proxy.handle_many``.
+        on the proxy, enabling the batched access pipeline behind
+        ``proxy.handle_many``: a cold batch is three ``call_many`` waves
+        (names, locations, then keys, certificates and elements), each
+        replayed through the sequential code on the calling thread.
         """
         if transport is None:
             transport = self.transport_for(host_name)

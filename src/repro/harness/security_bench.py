@@ -314,8 +314,6 @@ def _run_concurrency_mode(pipelined: bool, seed: int) -> Dict[str, object]:
             "prefetch_misses": counters.prefetch_misses,
             "coalesced_calls": counters.coalesced_calls,
             "coalesced_responses": counters.coalesced_responses,
-            "speculations": counters.speculations,
-            "mispredictions": counters.mispredictions,
             "waves": counters.waves,
         }
         requests = accesses

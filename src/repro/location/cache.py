@@ -50,6 +50,11 @@ class AddressCache:
         self.hits += 1
         return list(addresses)
 
+    def __contains__(self, oid_hex: str) -> bool:
+        """Whether *oid_hex* has a live entry; counts no hit or miss."""
+        entry = self._entries.get(oid_hex)
+        return entry is not None and self.clock.now() < entry[0]
+
     def put(self, oid_hex: str, addresses: List[ContactAddress]) -> None:
         entry = (self.clock.now() + self.ttl, list(addresses))
         if oid_hex in self._entries:

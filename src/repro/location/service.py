@@ -18,7 +18,7 @@ from repro.globedoc.oid import ObjectId
 from repro.location.cache import AddressCache
 from repro.location.tree import DomainTree
 from repro.net.address import ContactAddress
-from repro.net.rpc import RpcClient, RpcServer, rpc_method
+from repro.net.rpc import BatchCall, RpcClient, RpcServer, rpc_method
 from repro.sim.clock import Clock
 from repro.util.encoding import DECODE_ERRORS
 
@@ -175,12 +175,10 @@ class LocationClient:
                 return LookupResult(
                     oid_hex=oid.hex, addresses=cached, nodes_visited=0, from_cache=True
                 )
-        op = "location.lookup_all" if widen else "location.lookup"
-        answer = self.client.call(
-            self.target, op, oid=oid.hex, origin_site=self.origin_site
-        )
+        call = self._query(oid, widen)
+        answer = self.client.call(call.target, call.op, **call.args)
         result = _decoded(
-            op,
+            call.op,
             lambda: LookupResult(
                 oid_hex=oid.hex,
                 addresses=[ContactAddress.from_dict(a) for a in answer["addresses"]],
@@ -190,6 +188,15 @@ class LocationClient:
         if not widen:
             self.cache.put(oid.hex, result.addresses)
         return result
+
+    def pending_call(self, oid: ObjectId) -> Optional[BatchCall]:
+        """The call :meth:`lookup` sends for *oid*, or None when its
+        addresses are cached."""
+        return None if oid.hex in self.cache else self._query(oid, widen=False)
+
+    def _query(self, oid: ObjectId, widen: bool) -> BatchCall:
+        op = "location.lookup_all" if widen else "location.lookup"
+        return BatchCall(self.target, op, {"oid": oid.hex, "origin_site": self.origin_site})
 
     def register_replica(self, oid: ObjectId, site: str, address: ContactAddress) -> int:
         """Insert a contact address (replication coordinator path)."""

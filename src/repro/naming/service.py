@@ -13,7 +13,7 @@ location-independent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.crypto.keys import PublicKey
@@ -22,7 +22,7 @@ from repro.globedoc.oid import ObjectId
 from repro.naming.dnssec import ChainValidator, DelegationRecord, SignedOidRecord, SignedZone
 from repro.naming.forwarding import ForwardingRecord
 from repro.naming.records import OidRecord, normalize_name
-from repro.net.rpc import RpcClient, RpcServer, rpc_method
+from repro.net.rpc import BatchCall, RpcClient, RpcServer, rpc_method
 from repro.sim.clock import Clock, RealClock
 from repro.util.encoding import DECODE_ERRORS
 
@@ -199,22 +199,13 @@ class SecureResolver:
         :class:`ZoneValidationError`.
         """
         name = normalize_name(name)
-        cached = self._cache.get(name)
+        cached = self._cached(name)
         if cached is not None:
-            expires, result = cached
-            if self.clock.now() < expires:
-                return ResolutionResult(
-                    name=result.name,
-                    oid=result.oid,
-                    ttl=result.ttl,
-                    chain_length=result.chain_length,
-                    from_cache=True,
-                )
-            del self._cache[name]
+            return cached
         if self.iterative:
             answer = self._resolve_iteratively(name)
         else:
-            answer = self.client.call(self.target, "naming.resolve", name=name)
+            answer = self._ask(self._query(name))
         record, chain_length = self._validate_answer(name, answer)
         result = ResolutionResult(
             name=record.name,
@@ -225,15 +216,40 @@ class SecureResolver:
         self._cache[name] = (self.clock.now() + record.ttl, result)
         return result
 
+    def pending_call(self, name: str) -> Optional[BatchCall]:
+        """The call :meth:`resolve` sends first for *name*, or None when
+        the answer is cached (iteratively, the root zone's step)."""
+        name = normalize_name(name)
+        return None if self._cached(name) is not None else self._query(name)
+
+    def _cached(self, name: str) -> Optional[ResolutionResult]:
+        """The unexpired cached resolution of *name*, or None (an expired
+        entry is dropped)."""
+        expires, result = self._cache.get(name, (0.0, None))
+        if result is not None and self.clock.now() < expires:
+            return replace(result, from_cache=True)
+        self._cache.pop(name, None)
+        return None
+
+    def _query(self, name: str, zone_path: str = "") -> BatchCall:
+        """The query for *name*: the whole proof, or one iterative step
+        from *zone_path*."""
+        if self.iterative:
+            return BatchCall(
+                self.target, "naming.resolve_step", {"name": name, "zone_path": zone_path}
+            )
+        return BatchCall(self.target, "naming.resolve", {"name": name})
+
+    def _ask(self, call: BatchCall) -> Any:
+        return self.client.call(call.target, call.op, **call.args)
+
     def _resolve_iteratively(self, name: str) -> dict:
         """Walk zone by zone, collecting the delegation chain: at most
         ``max_depth`` delegations, then the record."""
         chain: list = []
         zone_path = ""
         for _ in range(self.max_depth + 1):
-            step = self.client.call(
-                self.target, "naming.resolve_step", name=name, zone_path=zone_path
-            )
+            step = self._ask(self._query(name, zone_path))
             if not isinstance(step, Mapping):
                 raise ZoneValidationError("malformed naming step: not a mapping")
             if "record" in step:

@@ -22,14 +22,14 @@ gives the same simulated times on any machine.
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TransportError
 from repro.net.address import Endpoint
 from repro.net.transport import TransferStats
-from repro.sim.clock import ParallelRegion, SimClock
+from repro.sim.clock import SimClock
 from repro.util.tally import TALLY
 
 __all__ = ["COST_US", "HostProfile", "LinkSpec", "SimHost", "SimNetwork", "SimTransport"]
@@ -115,9 +115,6 @@ class SimHost:
 
     def advance(self, seconds: float) -> float:
         return self.network.clock.advance(seconds)
-
-    def parallel(self) -> AbstractContextManager[ParallelRegion]:
-        return self.network.clock.parallel()
 
     @contextmanager
     def compute(self, native: bool = False) -> Iterator[None]:

@@ -138,10 +138,9 @@ class Binder:
     def candidates(self, oid: ObjectId) -> List[ContactAddress]:
         """Health-ordered contact addresses for *oid*, no LR installed.
 
-        The pipeline scheduler uses this during speculative binding: a
-        location lookup it can overlap with name resolution, yielding
-        the same address order :meth:`bind` would pick. The location
-        client's own cache makes the follow-up real bind free.
+        The pipeline scheduler replays its location wave through this,
+        yielding the same address order :meth:`bind` would pick. The
+        location client's own cache makes the follow-up real bind free.
         """
         return self._order(self.location.lookup(oid).addresses)
 

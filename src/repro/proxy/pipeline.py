@@ -1,4 +1,4 @@
-"""Concurrent access pipeline: prefetch in parallel, replay verified.
+"""Concurrent access pipeline: prefetch in waves, replay verified.
 
 The sequential proxy charges one round trip per step of Fig. 3 —
 resolve, locate, key, certificate, then one trip per element. For a
@@ -6,15 +6,22 @@ page of N elements that is ~(4 + N) serial RTTs even though none of the
 fetches depend on each other's *bytes*, only on their verification
 order. This module splits the two concerns:
 
-* **Prefetch** — :class:`AccessScheduler` computes every RPC a batch of
-  URLs will need, issues them in parallel waves (max-of-parallel under
-  the simulated clock, pooled threads over TCP), and parks the raw
-  results in a :class:`PrefetchingRpcClient` table keyed by (endpoint,
-  op, args) — never more coarsely than the args' canonical encoding.
-* **Replay** — the *unchanged* sequential pipeline
-  (:meth:`GlobeDocProxy.handle`) then runs per request; its RPCs pop
+* **Prefetch** — :class:`AccessScheduler` computes the RPCs a batch of
+  URLs will need, issues them in waves through ``call_many``
+  (max-of-parallel under the simulated clock, one pipelined exchange
+  per server over TCP), and parks the raw results in a
+  :class:`PrefetchingRpcClient` table keyed by (endpoint, op, args) —
+  never more coarsely than the args' canonical encoding.
+* **Replay** — the *unchanged* sequential code then runs: its RPCs pop
   their prefetched results at zero network cost, while every security
   check executes exactly as before, in exactly the same order.
+
+A cold batch is three waves. Binding (§2.1) has two phases, and each is
+a wave followed by its replay: every name the resolver must ask for,
+replayed through ``binder.resolve_oid``; then every uncached location
+lookup, replayed through ``binder.candidates``. The third wave fetches
+the keys, certificates and elements, replayed per request through
+:meth:`GlobeDocProxy.handle`. Every call runs on the calling thread.
 
 Security semantics are preserved by construction: the table stores only
 successful transports' bytes, never verdicts — tampered data is parked
@@ -23,16 +30,9 @@ raising the same :class:`~repro.errors.SecurityError` subclass. A
 prefetch *failure* is simply not parked, so the replay re-issues the
 call and the retry/failover machinery sees it first-hand.
 
-Speculative binding overlaps resolve and locate: once an object name
-has resolved once, its OID is remembered as a *hint*, and the next
-batch issues the location lookup concurrently with the (re-)resolution
-— a misprediction costs one repair lookup, a hit removes the naming
-round trip from the critical path.
-
-Request coalescing is layered: identical URLs in one batch share a
-single prefetch *and* a single replay (waiters get the leader's
-response object), and :class:`SingleFlight` deduplicates identical
-in-flight calls when real threads race on a hot OID.
+Request coalescing has two layers: identical URLs in one batch share a
+single replay (waiters get the leader's response object), and
+identical calls in one wave share a single RPC.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.globedoc.integrity import IntegrityCertificate
 from repro.globedoc.urls import HybridUrl
 from repro.net.rpc import BatchCall, DEFAULT_WINDOW
 from repro.net.address import ContactAddress
-from repro.net.retry import is_idempotent
 from repro.obs import NOOP_TRACER
 from repro.util.encoding import canonical_bytes, wire_bytes
 
@@ -56,7 +55,6 @@ __all__ = [
     "PipelineCounters",
     "PrefetchingRpcClient",
     "AccessScheduler",
-    "SingleFlight",
 ]
 
 #: Argument types a call key holds as ``(type, value)`` instead of
@@ -68,10 +66,7 @@ _KEY_SCALARS = frozenset((str, int, bool, bytes, type(None)))
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tuning knobs of the concurrent access pipeline."""
-
-    #: Max RPCs kept in flight per wave (forwarded to ``call_many``).
-    window: int = DEFAULT_WINDOW
+    """Turns the concurrent access pipeline on; it has no knobs."""
 
 
 @dataclass
@@ -83,66 +78,11 @@ class PipelineCounters:
     prefetch_misses: int = 0
     coalesced_calls: int = 0
     coalesced_responses: int = 0
-    speculations: int = 0
-    mispredictions: int = 0
     waves: int = 0
 
     def reset(self) -> None:
         for name in self.__dataclass_fields__:
             setattr(self, name, 0)
-
-
-class SingleFlight:
-    """Thread-safe single-flight execution: one winner per key.
-
-    Concurrent :meth:`do` calls with the same key collapse to a single
-    execution of *fn*; every waiter receives the leader's result object
-    (or its exception). Keys leave the table as soon as the flight
-    lands, so this deduplicates *in-flight* work only — a later call
-    with the same key executes again (memoization is the caches' job).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._flights: Dict[Any, "_Flight"] = {}
-        self.leaders = 0
-        self.waiters = 0
-
-    def do(self, key: Any, fn: Callable[[], Any]) -> Any:
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._flights[key] = flight
-                self.leaders += 1
-                leader = True
-            else:
-                self.waiters += 1
-                leader = False
-        if not leader:
-            flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value
-        try:
-            flight.value = fn()
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                self._flights.pop(key, None)
-            flight.done.set()
-        return flight.value
-
-
-class _Flight:
-    __slots__ = ("done", "value", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.value: Any = None
-        self.error: Optional[BaseException] = None
 
 
 class PrefetchingRpcClient:
@@ -155,8 +95,8 @@ class PrefetchingRpcClient:
     *successful* raw result under its call key; a later identical
     :meth:`call` pops the parked value at zero network cost. Entries are
     consumed exactly once (pop-on-use) and the scheduler clears the
-    table after each replay, so no parked byte outlives the batch that
-    fetched it.
+    table on every exit of a batch, so no parked byte outlives the batch
+    that fetched it.
     """
 
     def __init__(self, inner, metrics=None, tracer=None) -> None:
@@ -167,7 +107,6 @@ class PrefetchingRpcClient:
         self.counters_pipeline = PipelineCounters()
         self._table: Dict[tuple, List[Any]] = {}
         self._lock = threading.RLock()
-        self._flight = SingleFlight()
 
     # -- RpcClient surface -------------------------------------------------
 
@@ -192,11 +131,6 @@ class PrefetchingRpcClient:
                 self.counters_pipeline.prefetch_hits += 1
                 return value
         self.counters_pipeline.prefetch_misses += 1
-        if is_idempotent(op):
-            # Hot-OID coalescing: concurrent identical reads (real
-            # threads racing on one popular document) share one wire
-            # call and one result object.
-            return self._flight.do(key, lambda: self.inner.call(target, op, **args))
         return self.inner.call(target, op, **args)
 
     def call_many(self, calls, window: int = DEFAULT_WINDOW):
@@ -204,7 +138,7 @@ class PrefetchingRpcClient:
 
     # -- Prefetch table ----------------------------------------------------
 
-    def prefetch(self, calls: Sequence[BatchCall], window: int = DEFAULT_WINDOW) -> int:
+    def prefetch(self, calls: Sequence[BatchCall]) -> int:
         """Issue *calls* in parallel; park the successes. Returns parks.
 
         Duplicate calls (same key) within the wave collapse to a single
@@ -222,7 +156,7 @@ class PrefetchingRpcClient:
             return 0
         self.counters_pipeline.waves += 1
         with self.tracer.span("pipeline.prefetch", calls=len(unique)) as span:
-            outcomes = self.inner.call_many(list(unique.values()), window=window)
+            outcomes = self.inner.call_many(list(unique.values()))
             parked = 0
             with self._lock:
                 for key, outcome in zip(unique, outcomes):
@@ -268,7 +202,6 @@ class _ObjectPlan:
     """What one batch knows about one object before replay."""
 
     __slots__ = (
-        "key",
         "url",
         "oid",
         "addresses",
@@ -278,8 +211,7 @@ class _ObjectPlan:
         "error",
     )
 
-    def __init__(self, key: str, url: HybridUrl, session) -> None:
-        self.key = key
+    def __init__(self, url: HybridUrl, session) -> None:
         self.url = url
         self.oid = None
         self.addresses: List[ContactAddress] = []
@@ -309,13 +241,10 @@ class AccessScheduler:
     ) -> None:
         self.proxy = proxy
         self.prefetcher = prefetcher
-        self.config = config if config is not None else PipelineConfig()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        # ``metrics`` is accepted but unused: ``perf/`` still passes it
-        # (ROADMAP 1(a)/8(a) remove it); the counts are ``counters``.
+        # ``config`` (no fields) and ``metrics`` are accepted but unused:
+        # ``perf/`` still passes both (ROADMAP 1(a)/8(a) remove them).
         self.counters = self.prefetcher.counters_pipeline
-        #: name → OID hints feeding speculative binding across batches.
-        self._oid_hints: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
 
@@ -342,16 +271,15 @@ class AccessScheduler:
                 unit = (key, hybrid.element_name)
                 units.setdefault(unit, []).append(index)
                 if key not in plans:
-                    plans[key] = _ObjectPlan(key, hybrid, session)
+                    plans[key] = _ObjectPlan(hybrid, session)
                 if hybrid.element_name not in plans[key].elements:
                     plans[key].elements.append(hybrid.element_name)
 
-            self._bind_phase(list(plans.values()))
-            self._fetch_phase(list(plans.values()))
-            self._verify_phase(list(plans.values()))
-
             coalesced = 0
             try:
+                self._bind_phase(list(plans.values()))
+                self._fetch_phase(list(plans.values()))
+                self._verify_phase(list(plans.values()))
                 for index, hybrid in enumerate(parsed):
                     if hybrid is None:
                         responses[index] = self.proxy.handle(urls[index])
@@ -372,12 +300,11 @@ class AccessScheduler:
         return responses
 
     # ------------------------------------------------------------------
-    # Phase 1: speculative binding (resolve + locate in flight together)
+    # Phase 1: binding as two waves (name lookups, then location lookups)
     # ------------------------------------------------------------------
 
     def _bind_phase(self, plans: List[_ObjectPlan]) -> None:
-        proxy = self.proxy
-        binder = proxy.binder
+        binder = self.proxy.binder
         need_bind: List[_ObjectPlan] = []
         for plan in plans:
             session = plan.session
@@ -387,67 +314,51 @@ class AccessScheduler:
                 plan.establish_needed = session.verified is None
             else:
                 need_bind.append(plan)
-        if not need_bind:
-            return
 
-        thunks: List[Callable[[], None]] = []
-        speculative: Dict[str, List[ContactAddress]] = {}
-        for plan in need_bind:
-            url = plan.url
-            hint = (
-                self._oid_hints.get(url.object_name)
-                if url.oid is None and url.object_name
-                else None
-            )
+        def resolve(plan: _ObjectPlan) -> None:
+            plan.oid = binder.resolve_oid(plan.url)
 
-            def resolve_and_locate(plan=plan, url=url, hint=hint) -> None:
+        def locate(plan: _ObjectPlan) -> None:
+            plan.addresses = binder.candidates(plan.oid)
+
+        def name_call(plan: _ObjectPlan) -> Optional[BatchCall]:
+            if plan.url.oid is not None:
+                return None  # an OID URL names no name to resolve
+            return binder.resolver.pending_call(plan.url.object_name)
+
+        self._wave(need_bind, name_call, resolve)
+        self._wave(need_bind, lambda plan: binder.location.pending_call(plan.oid), locate)
+
+    def _wave(
+        self,
+        plans: List[_ObjectPlan],
+        call_for: Callable[[_ObjectPlan], Optional[BatchCall]],
+        replay: Callable[[_ObjectPlan], None],
+    ) -> None:
+        """Prefetch the call *call_for* names for each plan as one wave,
+        then *replay* each plan; a raise of either marks that plan failed
+        (the per-request replay meets the same error first-hand)."""
+        plans = [plan for plan in plans if plan.error is None]
+        calls: List[BatchCall] = []
+        for plan in plans:
+            try:
+                call = call_for(plan)
+            except Exception as exc:
+                plan.error = exc
+                continue
+            if call is not None:
+                calls.append(call)
+        if calls:
+            self.prefetcher.prefetch(calls)
+        for plan in plans:
+            if plan.error is None:
                 try:
-                    plan.oid = binder.resolve_oid(url)
-                    if hint is None or hint != plan.oid:
-                        plan.addresses = binder.candidates(plan.oid)
+                    replay(plan)
                 except Exception as exc:
                     plan.error = exc
 
-            thunks.append(resolve_and_locate)
-            if hint is not None:
-                self.counters.speculations += 1
-
-                def locate_hint(plan=plan, hint=hint) -> None:
-                    try:
-                        speculative[plan.key] = binder.candidates(hint)
-                    except Exception:
-                        pass  # the repair path below re-looks-up
-
-                thunks.append(locate_hint)
-        self._run_parallel(thunks)
-
-        for plan in need_bind:
-            if plan.error is not None or plan.oid is None:
-                continue
-            hint = (
-                self._oid_hints.get(plan.url.object_name)
-                if plan.url.object_name
-                else None
-            )
-            if hint is not None and hint != plan.oid:
-                # Stale hint: the resolve branch already repaired the
-                # address list with a post-resolution lookup.
-                self.counters.mispredictions += 1
-            if not plan.addresses:
-                hinted = speculative.get(plan.key)
-                if hinted is not None and hint == plan.oid:
-                    plan.addresses = hinted  # speculation confirmed
-                else:
-                    try:
-                        plan.addresses = binder.candidates(plan.oid)
-                    except Exception as exc:
-                        plan.error = exc
-                        continue
-            if plan.url.object_name:
-                self._oid_hints[plan.url.object_name] = plan.oid
-
     # ------------------------------------------------------------------
-    # Phase 2: one parallel wave of session + element fetches
+    # Phase 2: one wave of session + element fetches
     # ------------------------------------------------------------------
 
     def _fetch_phase(self, plans: List[_ObjectPlan]) -> None:
@@ -471,7 +382,7 @@ class AccessScheduler:
                     BatchCall(address, "globedoc.get_integrity_certificate", base)
                 )
             cache = proxy.content_cache
-            for element in self._elements_for(plan):
+            for element in plan.elements:
                 if (plan.oid.hex, element) in seen_elements:
                     continue
                 seen_elements.add((plan.oid.hex, element))
@@ -485,11 +396,7 @@ class AccessScheduler:
                     )
                 )
         if calls:
-            self.prefetcher.prefetch(calls, window=self.config.window)
-
-    def _elements_for(self, plan: _ObjectPlan) -> List[str]:
-        """Every element of *plan*'s object requested in this batch."""
-        return plan.elements if plan.elements else [plan.url.element_name]
+            self.prefetcher.prefetch(calls)
 
     # ------------------------------------------------------------------
     # Phase 3: batched verification of prefetched certificates
@@ -528,30 +435,3 @@ class AccessScheduler:
             pairs.append((key, integrity))
         if pairs:
             checker.prewarm_certificates(pairs)
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def _run_parallel(self, thunks: List[Callable[[], None]]) -> None:
-        """Run *thunks* concurrently: simulated branches under a
-        :class:`~repro.sim.clock.SimClock`, real threads otherwise.
-        Thunks must capture their own exceptions."""
-        if not thunks:
-            return
-        clock = self.proxy.checker.clock
-        parallel = getattr(clock, "parallel", None)
-        if len(thunks) == 1:
-            thunks[0]()
-            return
-        if parallel is not None:
-            with parallel() as region:
-                for thunk in thunks:
-                    with region.branch():
-                        thunk()
-            return
-        threads = [threading.Thread(target=thunk, daemon=True) for thunk in thunks]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()

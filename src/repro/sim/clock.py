@@ -86,8 +86,7 @@ class SimClock:
         with the clock rewound to the fork time, and when the region
         closes the clock lands at the *latest* branch end — overlapped
         work costs the slowest branch, not the sum. Regions nest (a
-        branch may open its own inner region), so a pipelined scheduler
-        can fan out waves inside waves.
+        branch may open its own inner region).
 
         Usage::
 

@@ -1,0 +1,98 @@
+"""The pipelined batch is the sequential loop, per URL.
+
+``proxy.handle_many`` prefetches a batch in waves and then replays the
+unchanged ``proxy.handle``, so for any batch it must answer every URL
+exactly as a fresh sequential proxy answers it alone: same status, same
+bytes, same rejecting check. The batches are drawn from a pool that
+mixes several objects, name and OID URLs, an unknown name and an
+unknown OID, a tampered element, a missing element, plain HTTP and URLs
+that do not parse, with duplicates — on the simulated WAN and over real
+sockets.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.deployment import ZONE_PATHS, Deployment
+from repro.globedoc.oid import ObjectId
+from repro.globedoc.urls import HybridUrl
+from repro.naming.zone import ZoneKeys
+from repro.net.tcpnet import TcpEndpointServer, TcpTransport
+from repro.net.topology import paper_testbed
+from repro.proxy.pipeline import PipelineConfig
+from repro.sim.clock import RealClock, SimClock
+from tests.answerfuzz import budget
+from tests.conftest import fast_keys
+
+HOST, CLIENT, SITE = "ginger.cs.vu.nl", "canardo.inria.fr", "root/europe/vu"
+ELEMENTS = {"index.html": b"<html>page</html>", "logo.bin": bytes(range(256))}
+NAMES = ("vu.nl/alpha", "vu.nl/beta", "vu.nl/gamma")
+TAMPERED = "vu.nl/gamma"  # its index.html is rewritten at the replica
+
+
+@pytest.fixture(scope="module", params=["sim", "tcp"])
+def world(request):
+    """A deployment on the paper's WAN or on loopback TCP with three
+    published objects, and the pool of URLs batches are drawn from."""
+    zone_keys = {zone: ZoneKeys(zone, fast_keys()) for zone in ZONE_PATHS}
+    with ExitStack() as cleanup:
+        if request.param == "sim":
+            network = paper_testbed(SimClock(1000.0)).network
+            fabric = network.clock, network.register, network.transport_for
+        else:
+            listener = cleanup.enter_context(TcpEndpointServer())
+            tcp = TcpTransport(directory={HOST: listener.address})
+            cleanup.callback(tcp.close)
+            fabric = (
+                RealClock(),
+                lambda endpoint, handler: listener.register(endpoint.service, handler),
+                lambda host: tcp,
+            )
+        deployment = Deployment(*fabric, HOST, {HOST: SITE, CLIENT: SITE}, zone_keys=zone_keys)
+        pool = [
+            "http://ginger.cs.vu.nl/ghost",
+            "ftp://weird",
+            "globe://",
+            "globe://oid/zz/index.html",
+            HybridUrl.for_name("vu.nl/ghost", "index.html").raw,
+            HybridUrl.for_oid(ObjectId.from_public_key(fast_keys().public), "index.html").raw,
+        ]
+        for name in NAMES:
+            published = deployment.publish(deployment.document_owner(name, ELEMENTS))
+            for element in (*ELEMENTS, "missing.html"):
+                pool.append(published.url(element))
+                pool.append(HybridUrl.for_oid(published.owner.oid, element).raw)
+            if name == TAMPERED:
+                server = deployment.object_server
+                state = server.replica_for_oid(published.oid_hex).lr.state
+                state.elements["index.html"] = state.elements["index.html"].with_content(b"x")
+        yield deployment, pool
+
+
+def seen(response):
+    return response.status, response.content, response.security_failure
+
+
+@given(data=st.data())
+@budget
+def test_handle_many_is_handle_per_url(world, data):
+    deployment, pool = world
+    urls = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    sequential = deployment.client_stack(CLIENT).proxy
+    pipelined = deployment.client_stack(CLIENT, pipeline=PipelineConfig()).proxy
+    expected = [seen(sequential.handle(url)) for url in urls]
+    assert [seen(response) for response in pipelined.handle_many(urls)] == expected
+
+
+def test_the_pool_covers_every_outcome(world):
+    """The pool reaches a 200, the tampered 403, a 404, the passthrough
+    502 and the unparsable 400."""
+    deployment, pool = world
+    proxy = deployment.client_stack(CLIENT).proxy
+    statuses = {proxy.handle(url).status for url in pool}
+    assert statuses == {200, 400, 403, 404, 502}

@@ -184,10 +184,7 @@ class TestCompute:
         host = paper_net.host(PARIS.name)
         host.advance(2.0)
         assert host.now() == paper_net.clock.now() == 2.0
-        with host.parallel() as region:
-            with region.branch():
-                host.advance(1.0)
-        assert paper_net.host(AMSTERDAM_PRIMARY.name).now() == 3.0
+        assert paper_net.host(AMSTERDAM_PRIMARY.name).now() == 2.0
 
     def test_profile_compute_scale(self):
         profile = HostProfile(name="x", site="s", cpu_factor=3.0, memory_pressure=2.0)

@@ -1,8 +1,6 @@
-"""The concurrent access pipeline: coalescing, prefetch, speculation."""
+"""The concurrent access pipeline: coalescing, prefetch, waves."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -10,104 +8,14 @@ from hypothesis import strategies as st
 
 from repro.crypto.verifycache import VerificationCache
 from repro.errors import TransportError
-from repro.globedoc.urls import HybridUrl
 from repro.net.address import Endpoint
 from repro.net.rpc import BatchCall, BatchOutcome
 from repro.obs import Tracer
-from repro.proxy.pipeline import (
-    AccessScheduler,
-    PipelineConfig,
-    PrefetchingRpcClient,
-    SingleFlight,
-)
+from repro.proxy.pipeline import PipelineConfig, PrefetchingRpcClient
 from repro.util.encoding import canonical_bytes
 from tests.proxy.conftest import ELEMENTS
 
 TARGET = Endpoint(host="replica.example", service="objectserver")
-
-
-class TestSingleFlight:
-    def test_waiters_get_the_leaders_object(self):
-        flight = SingleFlight()
-        gate = threading.Event()
-        entered = threading.Barrier(3)
-        calls = []
-
-        def fetch():
-            calls.append(1)
-            gate.wait(timeout=5.0)
-            return {"payload": "hot"}
-
-        results = [None] * 3
-
-        def worker(i):
-            entered.wait(timeout=5.0)
-            results[i] = flight.do("oid-7", fetch)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        # All three are inside do(); exactly one runs fetch.
-        while flight.leaders + flight.waiters < 3:
-            pass
-        gate.set()
-        for t in threads:
-            t.join(timeout=5.0)
-        assert len(calls) == 1
-        assert results[0] is results[1] is results[2]
-        assert flight.leaders == 1
-        assert flight.waiters == 2
-
-    def test_exception_propagates_to_waiters(self):
-        flight = SingleFlight()
-        gate = threading.Event()
-
-        def fetch():
-            gate.wait(timeout=5.0)
-            raise TransportError("replica down")
-
-        errors = []
-
-        def worker():
-            try:
-                flight.do("k", fetch)
-            except TransportError as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        while flight.leaders + flight.waiters < 2:
-            pass
-        gate.set()
-        for t in threads:
-            t.join(timeout=5.0)
-        assert len(errors) == 2
-
-    def test_key_released_after_landing(self):
-        flight = SingleFlight()
-        calls = []
-        for _ in range(2):
-            flight.do("k", lambda: calls.append(1))
-        assert len(calls) == 2  # dedupes in-flight work only
-        assert flight.leaders == 2
-        assert flight.waiters == 0
-
-    def test_waiter_counter_metric(self):
-        flight = SingleFlight()
-        gate = threading.Event()
-        threads = [
-            threading.Thread(target=lambda: flight.do("k", lambda: gate.wait(5.0)))
-            for _ in range(3)
-        ]
-        for t in threads:
-            t.start()
-        while flight.leaders + flight.waiters < 3:
-            pass
-        gate.set()
-        for t in threads:
-            t.join(timeout=5.0)
-        assert (flight.leaders, flight.waiters) == (1, 2)
 
 
 class FakeInner:
@@ -194,13 +102,6 @@ class TestPrefetchingRpcClient:
         client.call(TARGET, "globedoc.get_element", name="a")
         assert inner.direct_ops == ["globedoc.get_element"]
 
-    def test_idempotent_miss_goes_through_single_flight(self):
-        client = PrefetchingRpcClient(FakeInner())
-        client.call(TARGET, "globedoc.get_element", name="a")
-        assert client._flight.leaders == 1
-        client.call(TARGET, "admin.execute", command="x")
-        assert client._flight.leaders == 1  # writes bypass coalescing
-
     def test_rpc_client_surface_forwards(self):
         inner = FakeInner()
         client = PrefetchingRpcClient(inner)
@@ -274,15 +175,6 @@ def pipelined(testbed, published):
 
 
 class TestAccessScheduler:
-    def test_pipelined_matches_sequential(self, stack, published, pipelined):
-        urls = [published.url("index.html"), published.url("img/logo.png")]
-        expected = stack.proxy.handle_many(urls)
-        actual = pipelined.proxy.handle_many(urls)
-        for want, got in zip(expected, actual):
-            assert got.status == want.status == 200
-            assert got.content == want.content
-            assert got.content_type == want.content_type
-
     def test_pipeline_phases_are_spanned(self, testbed, published, ring):
         """Scheduling, the prefetch wave and the batched verify (into a
         verification cache) each close a span of their own."""
@@ -317,42 +209,6 @@ class TestAccessScheduler:
         assert responses[1].status == 200
         assert responses[2].status == 400
 
-    def test_speculation_hits_on_second_batch(self, published, pipelined):
-        scheduler = pipelined.scheduler
-        url = published.url("index.html")
-        pipelined.proxy.handle_many([url])  # learns the name → OID hint
-        pipelined.proxy.drop_all_sessions()
-        before = scheduler.counters.speculations
-        responses = pipelined.proxy.handle_many([url])
-        assert responses[0].status == 200
-        assert scheduler.counters.speculations == before + 1
-        assert scheduler.counters.mispredictions == 0
-
-    def test_stale_hint_is_repaired(self, testbed, published, pipelined):
-        from repro.globedoc.element import PageElement
-        from repro.globedoc.owner import DocumentOwner
-        from tests.conftest import fast_keys
-
-        decoy_owner = DocumentOwner(
-            "vu.nl/decoy", keys=fast_keys(), clock=testbed.clock
-        )
-        decoy_owner.put_element(PageElement("index.html", b"<html>decoy</html>"))
-        decoy = testbed.publish(decoy_owner)
-
-        scheduler = pipelined.scheduler
-        url = published.url("index.html")
-        name = HybridUrl.parse(url).object_name
-        pipelined.proxy.handle_many([url])
-        pipelined.proxy.drop_all_sessions()
-        scheduler._oid_hints[name] = decoy.owner.oid  # poison the hint
-        before = scheduler.counters.mispredictions
-        responses = pipelined.proxy.handle_many([url])
-        assert responses[0].status == 200
-        assert responses[0].content == ELEMENTS["index.html"]  # not the decoy
-        assert scheduler.counters.mispredictions == before + 1
-        # The repaired hint now points at the real object.
-        assert scheduler._oid_hints[name] == published.owner.oid
-
     def test_multi_element_batch_prefetches_once_per_element(
         self, published, pipelined
     ):
@@ -366,3 +222,19 @@ class TestAccessScheduler:
         assert [r.status for r in responses] == [200, 200, 200]
         assert responses[0] is responses[2]
         assert responses[1].content == ELEMENTS["img/logo.png"]
+
+    def test_parked_table_is_cleared_when_a_phase_raises(
+        self, published, pipelined, monkeypatch
+    ):
+        """The waves park answers before the replay runs, so the table is
+        cleared on every exit of the batch, not only after the replay."""
+        scheduler = pipelined.scheduler
+
+        def fail(plans):
+            raise RuntimeError("verify phase failed")
+
+        monkeypatch.setattr(scheduler, "_verify_phase", fail)
+        with pytest.raises(RuntimeError):
+            pipelined.proxy.handle_many([published.url("index.html")])
+        assert scheduler.counters.prefetched > 0
+        assert len(scheduler.prefetcher) == 0

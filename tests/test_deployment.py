@@ -203,6 +203,44 @@ class TestColdAccessRequests:
         ops = self.cold_ops(Testbed(zone_keys=zone_keys))
         assert ops == ["naming.resolve_step"] * len(ZONE_PATHS) + self.BIND_AND_FETCH
 
+    def test_pipelined_cold_batch_is_three_waves(self, zone_keys):
+        """Two cold objects through ``handle_many``: every name lookup,
+        then every location lookup, then one fetch wave — never one
+        object's bind interleaved with the other's."""
+        with world("loopback", zone_keys) as deployment:
+            urls = [
+                deployment.publish(deployment.document_owner(name, ELEMENTS)).url("index.html")
+                for name in ("vu.nl/wave1", "vu.nl/wave2")
+            ]
+            tap = Tap(deployment.transport_for(CLIENT))
+            stack = deployment.client_stack(CLIENT, transport=tap, pipeline=PipelineConfig())
+            assert all(response.ok for response in stack.proxy.handle_many(urls))
+        ops = [Request.from_bytes(frame).op for frame in tap.frames[::2]]
+        fetch = self.BIND_AND_FETCH[1:]
+        assert ops == ["naming.resolve"] * 2 + ["location.lookup"] * 2 + fetch * 2
+
+
+class TestPipelinedBatchIsOneTrace:
+    @pytest.mark.parametrize("kind", TRANSPORTS)
+    def test_every_client_span_carries_the_schedule_trace(self, zone_keys, kind):
+        """Regression: the bind phase ran on threads over TCP, and each
+        thread's spans opened a trace of their own."""
+        with world(kind, zone_keys) as deployment:
+            urls = [
+                deployment.publish(deployment.document_owner(name, ELEMENTS)).url("index.html")
+                for name in ("vu.nl/trace1", "vu.nl/trace2", "vu.nl/trace3")
+            ]
+            ring = RingBufferSink()
+            stack = deployment.client_stack(
+                CLIENT,
+                pipeline=PipelineConfig(),
+                tracer=Tracer(clock=deployment.clock, sinks=(ring,)),
+            )
+            assert all(response.ok for response in stack.proxy.handle_many(urls))
+        (schedule,) = ring.named("pipeline.schedule")
+        assert len(ring.named("bind.resolve")) == 6  # bind phase + replay
+        assert {span.trace_id for span in ring.spans} == {schedule.trace_id}
+
 
 class TestFreshProxy:
     def test_fresh_proxy_shares_the_stacks_wiring(self, zone_keys):
