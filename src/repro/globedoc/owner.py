@@ -167,11 +167,6 @@ class DocumentOwner:
     def element_names(self) -> List[str]:
         return sorted(self._elements)
 
-    def staged_elements(self) -> List[PageElement]:
-        """The current working elements (re-keying tooling hands these
-        to a successor owner; elements are frozen, so sharing is safe)."""
-        return [self._elements[name] for name in sorted(self._elements)]
-
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------

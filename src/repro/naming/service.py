@@ -20,7 +20,6 @@ from repro.crypto.keys import PublicKey
 from repro.errors import NameNotFound, NamingError, ZoneValidationError
 from repro.globedoc.oid import ObjectId
 from repro.naming.dnssec import ChainValidator, DelegationRecord, SignedOidRecord, SignedZone
-from repro.naming.forwarding import ForwardingRecord
 from repro.naming.records import OidRecord, normalize_name
 from repro.net.rpc import BatchCall, RpcClient, RpcServer, rpc_method
 from repro.sim.clock import Clock, RealClock
@@ -53,8 +52,6 @@ class NameService:
             raise NamingError("the root zone must have the empty path")
         self.root = root_zone
         self._zones: Dict[str, SignedZone] = {"": root_zone}
-        #: OID forwarding records (re-keyed objects): old OID hex → record.
-        self._forwardings: Dict[str, ForwardingRecord] = {}
         #: Durable-journal hook (set by DurableNamingStore.bind): called
         #: with one dict per accepted mutation, after it succeeded.
         self.journal = None
@@ -89,18 +86,6 @@ class NameService:
         zone.add_record(record)
         if self.journal is not None:
             self.journal({"op": "record", "record": record.to_dict()})
-
-    def register_forwarding(self, record: ForwardingRecord) -> None:
-        """Publish an old-OID → successor-OID forwarding record.
-
-        The record is verified before acceptance (self-certifying: the
-        signing key must hash to the old OID), so the naming service
-        never stores a forward the old key did not authorise.
-        """
-        record.verify()
-        self._forwardings[record.from_oid.hex] = record
-        if self.journal is not None:
-            self.journal({"op": "forward", "record": record.to_dict()})
 
     def _authoritative_zone(self, name: str) -> SignedZone:
         zone = self.root
@@ -146,14 +131,6 @@ class NameService:
                 "next_zone": child_path,
             }
         return {"record": zone.signed_lookup(name).to_dict()}
-
-    @rpc_method("naming.forward")
-    def forward_for(self, oid_hex: str) -> dict:
-        """The forwarding record for a (re-keyed) OID, if any."""
-        record = self._forwardings.get(str(oid_hex))
-        if record is None:
-            raise NameNotFound(f"no forwarding record for OID {str(oid_hex)[:12]}…")
-        return {"record": record.to_dict()}
 
     def rpc_server(self, tracer=None) -> RpcServer:
         """An RPC server exposing this service's operations."""
@@ -290,29 +267,6 @@ class SecureResolver:
                 f"signed record is for {record.name!r}, not the requested {name!r}"
             )
         return record, len(chain)
-
-    def resolve_forward(self, oid: ObjectId) -> Optional[ForwardingRecord]:
-        """The validated forwarding record for *oid*, or None.
-
-        The naming service is untrusted, so the record is re-validated
-        here: it must verify self-certifyingly AND actually be about
-        *oid* — a service answering with someone else's (valid) record
-        is caught, not followed.
-        """
-        try:
-            answer = self.client.call(self.target, "naming.forward", oid_hex=oid.hex)
-        except NameNotFound:
-            return None
-        if not isinstance(answer, Mapping) or "record" not in answer:
-            raise ZoneValidationError("malformed forwarding response")
-        record = ForwardingRecord.from_dict(answer["record"])
-        record.verify()
-        if record.from_oid.hex != oid.hex:
-            raise ZoneValidationError(
-                f"forwarding record is for {record.from_oid.hex[:12]}…, "
-                f"not the requested {oid.hex[:12]}…"
-            )
-        return record
 
     def flush_cache(self) -> None:
         self._cache.clear()

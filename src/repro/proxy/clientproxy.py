@@ -21,10 +21,8 @@ from repro.errors import (
     BindingError,
     NamingError,
     LocationError,
-    ObjectNotFound,
     ReplicaError,
     ReproError,
-    RevokedKeyError,
     SecurityError,
     TransportError,
     UrlError,
@@ -55,10 +53,6 @@ NOT_FOUND_HTML = (
 #: Sweep expired content-cache entries every this many requests, so dead
 #: entries stop holding cache bytes even when no ``get`` touches them.
 CACHE_SWEEP_INTERVAL = 64
-
-#: How many signed OID→OID forwarding records one request may follow
-#: (bounds redirect loops from a compromised-then-rekeyed-again chain).
-MAX_FORWARD_HOPS = 3
 
 
 @dataclass(frozen=True)
@@ -159,40 +153,21 @@ class GlobeDocProxy:
         # error belongs to the check/rpc span that raised it, while the
         # outcome is recorded here as the HTTP ``status`` attribute.
         with self.tracer.span("proxy.handle", url=url.raw) as span:
-            hops = 0
-            while True:
-                try:
-                    session = self._session_for(url)
-                    result = session.fetch(url.element_name)
-                except (
-                    RevokedKeyError, ObjectNotFound, BindingError, ReplicaError
-                ) as exc:
-                    # A revoked or vanished object may have a re-keyed
-                    # successor: follow its signed forwarding record.
-                    # ReplicaError lands here when every server already
-                    # tore the revoked object down (failover exhausted).
-                    successor = (
-                        self._follow_forwarding(url)
-                        if hops < MAX_FORWARD_HOPS
-                        else None
-                    )
-                    if successor is not None:
-                        hops += 1
-                        span.set_attribute("forward_hops", hops)
-                        url = successor
-                        continue
-                    return self._failure_response(span, exc)
-                except (
-                    SecurityError, NamingError, LocationError, TransportError
-                ) as exc:
-                    return self._failure_response(span, exc)
-                span.set_attribute("status", 200)
-                return ProxyResponse(
-                    status=200,
-                    content=result.element.content,
-                    content_type=result.element.content_type,
-                    certified_as=result.certified_as,
-                )
+            try:
+                session = self._session_for(url)
+                result = session.fetch(url.element_name)
+            except (
+                SecurityError, NamingError, LocationError, BindingError,
+                ReplicaError, TransportError,
+            ) as exc:
+                return self._failure_response(span, exc)
+            span.set_attribute("status", 200)
+            return ProxyResponse(
+                status=200,
+                content=result.element.content,
+                content_type=result.element.content_type,
+                certified_as=result.certified_as,
+            )
 
     def _failure_response(self, span, exc: Exception) -> ProxyResponse:
         self.failure_count += 1
@@ -207,34 +182,6 @@ class GlobeDocProxy:
             )
         span.set_attribute("status", 404)
         return ProxyResponse(status=404, content=NOT_FOUND_HTML % str(exc).encode())
-
-    def _follow_forwarding(self, url: HybridUrl) -> Optional[HybridUrl]:
-        """The OID-form URL of the re-keyed successor, or None.
-
-        Never raises: forwarding is best-effort recovery on a path that
-        already failed — any problem here just surfaces the original
-        failure. The record itself is validated by the resolver (signed
-        by the key the old OID self-certifies).
-        """
-        resolver = getattr(self.binder, "resolver", None)
-        if resolver is None or not hasattr(resolver, "resolve_forward"):
-            return None
-        try:
-            oid = self.binder.resolve_oid(url)
-        except ReproError:
-            return None
-        with self.tracer.span("proxy.forward", oid=oid.hex[:16]) as span:
-            try:
-                record = resolver.resolve_forward(oid)
-            except ReproError:
-                span.set_attribute("found", False)
-                return None
-            if record is None:
-                span.set_attribute("found", False)
-                return None
-            span.set_attribute("found", True)
-            span.set_attribute("to_oid", record.to_oid.hex[:16])
-        return HybridUrl.for_oid(record.to_oid, url.element_name)
 
     def live_session(self, url: HybridUrl) -> Tuple[str, Optional[SecureSession]]:
         """The key *url*'s binding is held under (its OID, else its

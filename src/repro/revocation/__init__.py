@@ -11,9 +11,11 @@ this subsystem closes the loop actively:
 * :mod:`repro.revocation.checker` — the proxy-side
   :class:`RevocationChecker` behind the seventh security check
   (``check.revocation``), with a fail-closed max-staleness window and
-  first-sight cache purges;
-* :mod:`repro.revocation.rekey` — owner tooling for emergency
-  re-keying (successor object + revocation + naming forwarding record).
+  first-sight cache purges.
+
+A compromised key is a new object (§3.1: the OID is the key's hash):
+the owner revokes the old key and publishes under a fresh one, and
+name-form URLs follow the re-registered name.
 
 See DESIGN.md §4e and ``python -m repro.harness revocation`` for the
 containment-latency / feed-overhead measurements.
@@ -21,7 +23,6 @@ containment-latency / feed-overhead measurements.
 
 from repro.revocation.checker import RevocationChecker, RevocationCheckerStats
 from repro.revocation.feed import RevocationFeed
-from repro.revocation.rekey import RekeyResult, emergency_rekey
 from repro.revocation.statement import (
     REVOCATION_CERT_TYPE,
     SCOPE_ELEMENT,
@@ -37,6 +38,4 @@ __all__ = [
     "RevocationFeed",
     "RevocationChecker",
     "RevocationCheckerStats",
-    "RekeyResult",
-    "emergency_rekey",
 ]

@@ -10,7 +10,6 @@ from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import IntegrityCertificate
 from repro.globedoc.oid import ObjectId
 from repro.naming.dnssec import DelegationRecord, SignedOidRecord
-from repro.naming.forwarding import ForwardingRecord
 from repro.naming.records import OidRecord
 from repro.revocation.statement import RevocationStatement
 from repro.util.encoding import canonical_bytes, from_canonical_bytes, from_wire, to_wire
@@ -50,12 +49,6 @@ def _revocation(keys, other, oid):
     return RevocationStatement.revoke_key(keys, oid, serial=1, issued_at=EPOCH)
 
 
-def _forwarding(keys, other, oid):
-    return ForwardingRecord.issue(
-        keys, oid, ObjectId.from_public_key(other.public), issued_at=EPOCH
-    )
-
-
 def _delegation(keys, other, oid):
     return DelegationRecord.issue(keys, "nl/vu", other.public)
 
@@ -66,7 +59,7 @@ def _oid_record(keys, other, oid):
 
 BUILDERS = [
     _integrity, _identity, _grant, _delta, _frontier,
-    _revocation, _forwarding, _delegation, _oid_record,
+    _revocation, _delegation, _oid_record,
 ]
 
 

@@ -1,10 +1,9 @@
-"""Durable naming state: records and forwarding pointers across restarts.
+"""Durable naming state: name → OID records across restarts.
 
 Restart model: zones (and their signing keys) are the administrator's
 configuration, reconstructed at service start; the durable store carries
 only the *published data*. Recovered OID records are re-signed by the
-live zones; recovered forwarding records must re-verify
-self-certifyingly or recovery fails closed.
+live zones; any other journal operation fails recovery closed.
 """
 
 from __future__ import annotations
@@ -13,16 +12,14 @@ import os
 
 import pytest
 
+from repro.crypto.certificates import Certificate
 from repro.errors import RecoveryIntegrityError
 from repro.globedoc.oid import ObjectId
 from repro.naming.dnssec import SignedZone
-from repro.naming.forwarding import ForwardingRecord
 from repro.naming.records import OidRecord
 from repro.naming.service import NameService
 from repro.naming.zone import Zone, ZoneKeys
 from repro.naming.persistence import DurableNamingStore
-from repro.storage.store import WAL_NAME
-from repro.storage.wal import WriteAheadLog
 from tests.conftest import EPOCH, fast_keys
 
 
@@ -106,62 +103,6 @@ class TestRecordRecovery:
         store2.close()
 
 
-class TestForwardingRecovery:
-    def forward(self, old_keys, new_keys):
-        return ForwardingRecord.issue(
-            old_keys,
-            ObjectId.from_public_key(old_keys.public),
-            ObjectId.from_public_key(new_keys.public),
-            issued_at=EPOCH,
-        )
-
-    def test_forwarding_survives_restart(self, tmp_path, zone_keys, shared_keys, other_keys):
-        record = self.forward(shared_keys, other_keys)
-        service, store = bound_store(tmp_path, zone_keys)
-        service.register_forwarding(record)
-        store.close()
-
-        restarted, store2 = bound_store(tmp_path, zone_keys)
-        assert store2.recovered_forwards == 1
-        answer = restarted.forward_for(record.from_oid.hex)
-        recovered = ForwardingRecord.from_dict(answer["record"])
-        recovered.verify()
-        assert recovered.to_oid.hex == record.to_oid.hex
-        store2.close()
-
-    def test_tampered_forward_fails_recovery_closed(
-        self, tmp_path, zone_keys, shared_keys, other_keys
-    ):
-        """A forwarding record whose redirect target was rewritten at
-        rest would send every holder of the old OID to the attacker's
-        object — recovery must refuse it, not re-serve it, whether it
-        sits in the journal as published or inside a rewritten log."""
-        record = self.forward(shared_keys, other_keys)
-        attacker_oid = ObjectId.from_public_key(fast_keys().public)
-        for compacted in (False, True):
-            root = tmp_path / f"compacted-{compacted}"
-            service, store = bound_store(root, zone_keys)
-            service.register_forwarding(record)
-            if compacted:
-                store.compact()
-            store.close()
-
-            wal_path = os.path.join(str(root), "naming", WAL_NAME)
-            with WriteAheadLog(wal_path, sync=False) as wal:
-                records = wal.take_records()
-                for frame in records:
-                    if frame.get("op") == "forward":
-                        body = frame["record"]["envelope"]["payload"]["body"]
-                        body["to_oid"] = attacker_oid.to_dict()
-                wal.rewrite(records)  # CRC-valid: only the signature can tell
-
-            fresh = build_service(zone_keys)
-            store2 = DurableNamingStore(os.path.join(str(root), "naming"), sync=False)
-            with pytest.raises(RecoveryIntegrityError, match="tampered redirect.*signature invalid"):
-                store2.bind(fresh)
-            store2.close()
-
-
 class TestJournalHygiene:
     def test_replay_does_not_rejournal(self, tmp_path, zone_keys, shared_keys):
         """Recovery must not append what it replays: restarting twice
@@ -177,13 +118,36 @@ class TestJournalHygiene:
             assert store_n.store.journal_length == length_after_publish
             store_n.close()
 
-    def test_unknown_journal_op_refused(self, tmp_path, zone_keys):
-        store = DurableNamingStore(os.path.join(str(tmp_path), "naming"), sync=False)
-        store.store.append({"op": "drop-all-zones"})
-        store.close()
+    def test_unknown_journal_op_refused(self, tmp_path, zone_keys, shared_keys, other_keys):
+        """Including the ``forward`` frame older journals hold: an
+        ``old OID → new OID`` redirect signed by the old key, which is
+        refused, never dropped and never followed."""
+        old_oid = ObjectId.from_public_key(shared_keys.public)
+        forward = Certificate.issue(
+            shared_keys,
+            "naming/forwarding",
+            {
+                "from_oid": old_oid.to_dict(),
+                "to_oid": ObjectId.from_public_key(other_keys.public).to_dict(),
+                "issued_at": EPOCH,
+                "issuer_key_der": shared_keys.public.der,
+            },
+            not_before=EPOCH,
+        )
+        record = OidRecord(name="vu.nl/doc", oid=old_oid, ttl=300.0)
+        for op, frame in (
+            ("drop-all-zones", {"op": "drop-all-zones"}),
+            ("forward", {"op": "forward", "record": forward.to_dict()}),
+        ):
+            directory = os.path.join(str(tmp_path), op)
+            store = DurableNamingStore(directory, sync=False)
+            store.store.append({"op": "record", "record": record.to_dict()})
+            store.store.append(frame)
+            store.close()
 
-        fresh = build_service(zone_keys)
-        store2 = DurableNamingStore(os.path.join(str(tmp_path), "naming"), sync=False)
-        with pytest.raises(RecoveryIntegrityError, match="unknown operation"):
-            store2.bind(fresh)
-        store2.close()
+            fresh = build_service(zone_keys)
+            store2 = DurableNamingStore(directory, sync=False)
+            with pytest.raises(RecoveryIntegrityError, match=f"unknown operation '{op}'"):
+                store2.bind(fresh)
+            assert store2.recovered_records == 0
+            store2.close()

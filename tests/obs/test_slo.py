@@ -42,7 +42,7 @@ class TestLatencyObjective:
         objective = LatencyObjective("lat", threshold_s=0.25, target=0.99)
         for duration in (0.1, 0.2, 0.25, 0.4, 1.0):
             access(objective, duration=duration)
-        access(objective, duration=0.1, name="proxy.forward")  # not an access
+        access(objective, duration=0.1, name="session.fetch")  # not an access
         # Upper-inclusive: 0.25 itself is a good event.
         assert objective.counts() == (3.0, 5.0)
         assert objective.compliance() == pytest.approx(0.6)

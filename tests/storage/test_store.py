@@ -260,7 +260,7 @@ class TestJournalRoundTrip:
         },
         "world/objectserver/feed": {"publish"},
         "world/objectserver/versioning": {"register", "grant", "delta", "frontier"},
-        "world/naming": {"record", "forward"},
+        "world/naming": {"record"},
         "world/location": {"insert", "delete", "move"},
         "cursor": {"ingest", "head"},
     }
@@ -269,7 +269,6 @@ class TestJournalRoundTrip:
         from repro.globedoc.element import PageElement
         from repro.globedoc.owner import DocumentOwner
         from repro.harness.experiment import Testbed
-        from repro.naming.forwarding import ForwardingRecord
         from repro.revocation.statement import RevocationStatement
         from repro.versioning import DeltaDag, DocumentWriter, WriterGrant, merge_deltas
 
@@ -308,10 +307,6 @@ class TestJournalRoundTrip:
         testbed.location_service.move(alice.oid.hex, address, elsewhere, testbed.site)
         testbed.location_service.insert(alice.oid.hex, elsewhere, address)
         testbed.location_service.delete(alice.oid.hex, elsewhere, address)
-        # Naming: a forward from a re-keyed object.
-        testbed.naming.register_forwarding(
-            ForwardingRecord.issue(doomed.keys, doomed.oid, alice.oid, issued_at=clock.now())
-        )
         # The feed (publish) and a client cursor (ingest, head).
         server.revocation_feed.publish(
             RevocationStatement.revoke_element(

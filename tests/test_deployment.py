@@ -13,6 +13,8 @@ import pytest
 from repro.deployment import ZONE_PATHS, Deployment
 from repro.globedoc.owner import DocumentOwner
 from repro.globedoc.element import PageElement
+from repro.globedoc.oid import ObjectId
+from repro.globedoc.urls import HybridUrl
 from repro.harness.experiment import Testbed
 from repro.naming.zone import ZoneKeys
 from repro.net.message import Request
@@ -21,6 +23,7 @@ from repro.net.topology import paper_testbed
 from repro.net.transport import LoopbackTransport
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.pipeline import PipelineConfig
+from repro.revocation.statement import RevocationStatement
 from repro.sim.clock import RealClock, SimClock
 from tests.conftest import fast_keys
 
@@ -177,7 +180,8 @@ class TestOneWorldThreeTransports:
 class TestColdAccessRequests:
     """A cold access asks the naming service once on a deployable stack
     (one signed answer: chain + record) and once per zone on the paper's
-    testbed, which keeps the Fig. 3 walk."""
+    testbed, which keeps the Fig. 3 walk. A failed access sends nothing
+    after it fails."""
 
     BIND_AND_FETCH = [
         "location.lookup",
@@ -187,12 +191,17 @@ class TestColdAccessRequests:
     ]
 
     @staticmethod
-    def cold_ops(deployment) -> list:
+    def sent(tap, since: int = 0) -> list:
+        """The ops of the requests among ``tap.frames[since:]``."""
+        return [Request.from_bytes(frame).op for frame in tap.frames[since::2]]
+
+    @classmethod
+    def cold_ops(cls, deployment) -> list:
         published = deployment.publish(deployment.document_owner("vu.nl/cold", ELEMENTS))
         tap = Tap(deployment.transport_for(CLIENT))
         stack = deployment.client_stack(CLIENT, transport=tap)
         assert stack.proxy.handle(published.url("index.html")).ok
-        return [Request.from_bytes(frame).op for frame in tap.frames[::2]]
+        return cls.sent(tap)
 
     def test_loopback_deployment_is_five_requests(self, zone_keys):
         with world("loopback", zone_keys) as deployment:
@@ -215,9 +224,40 @@ class TestColdAccessRequests:
             tap = Tap(deployment.transport_for(CLIENT))
             stack = deployment.client_stack(CLIENT, transport=tap, pipeline=PipelineConfig())
             assert all(response.ok for response in stack.proxy.handle_many(urls))
-        ops = [Request.from_bytes(frame).op for frame in tap.frames[::2]]
         fetch = self.BIND_AND_FETCH[1:]
-        assert ops == ["naming.resolve"] * 2 + ["location.lookup"] * 2 + fetch * 2
+        assert self.sent(tap) == ["naming.resolve"] * 2 + ["location.lookup"] * 2 + fetch * 2
+
+    def test_unknown_oid_is_one_lookup(self, zone_keys):
+        with world("loopback", zone_keys) as deployment:
+            tap = Tap(deployment.transport_for(CLIENT))
+            stack = deployment.client_stack(CLIENT, transport=tap)
+            unknown = ObjectId.from_public_key(fast_keys().public)
+            response = stack.proxy.handle(HybridUrl.for_oid(unknown, "index.html").raw)
+        assert response.status == 404
+        assert self.sent(tap) == ["location.lookup"]
+
+    def test_revoked_warm_access_asks_no_name(self, zone_keys):
+        """The seventh check rejects a warm access: the element, the
+        feed refresh that learns of the revocation, then nothing — no
+        naming op."""
+        with world("loopback", zone_keys) as deployment:
+            owner = deployment.document_owner("vu.nl/revoked", ELEMENTS)
+            published = deployment.publish(owner)
+            tap = Tap(deployment.transport_for(CLIENT))
+            stack = deployment.client_stack(
+                CLIENT, transport=tap, revocation_max_staleness=30.0
+            )
+            assert stack.proxy.handle(published.url("index.html")).ok
+            deployment.object_server.revocation_feed.publish(
+                RevocationStatement.revoke_key(
+                    owner.keys, owner.oid, serial=1, issued_at=deployment.clock.now()
+                )
+            )
+            deployment.clock.advance(16.0)
+            warm = len(tap.frames)
+            response = stack.proxy.handle(published.url("index.html"))
+        assert response.security_failure == "RevokedKeyError"
+        assert self.sent(tap, warm) == ["globedoc.get_element", "revocation.fetch"]
 
 
 class TestPipelinedBatchIsOneTrace:

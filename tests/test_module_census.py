@@ -12,10 +12,9 @@ from repro.harness import kernel
 SRC = pathlib.Path(repro.__file__).parent.parent
 REPO = SRC.parent
 UNREACHED = {
-    # The attack reference suite the conformance matrix compares against.
+    # The reference suite the conformance tests compare the attack
+    # matrix against.
     "repro.attacks.scenarios",
-    # The only producer of the ForwardingRecord the live resolver follows.
-    "repro.revocation.rekey",
 }
 
 
