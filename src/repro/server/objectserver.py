@@ -430,9 +430,14 @@ class ObjectServer:
 
     @rpc_method("versioning.fetch")
     def rpc_versioning_fetch(
-        self, oid_hex: str, have_heads: Optional[list] = None
+        self,
+        oid_hex: str,
+        have_heads: Optional[list] = None,
+        have_grants: Optional[list] = None,
     ) -> dict:
-        return self.versioning.fetch(oid_hex, have_heads=have_heads)
+        return self.versioning.fetch(
+            oid_hex, have_heads=have_heads, have_grants=have_grants
+        )
 
     def gossip_versioned(self, rpc, peer_endpoint, oid_hex: str) -> dict:
         """One anti-entropy round for *oid_hex* against a peer server."""

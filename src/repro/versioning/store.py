@@ -316,23 +316,40 @@ class VersionedObjectStore:
     def heads(self, oid_hex: str) -> List[str]:
         return self._require(oid_hex).dag.heads()
 
-    def fetch(self, oid_hex: str, have_heads: Optional[List[str]] = None) -> dict:
+    def fetch(
+        self,
+        oid_hex: str,
+        have_heads: Optional[List[str]] = None,
+        have_grants: Optional[List[str]] = None,
+    ) -> dict:
         """The wire bundle the reader (or a gossiping peer) verifies.
 
         It ships what lies above *have_heads* (the caller's frontier;
         None: it holds nothing) and below ``heads``, the frontier this
-        server claims, by which readers judge withholding. Grants and the
-        frontier certificate always travel whole. One snapshot: a grant
-        precedes the deltas it covers and a certificate follows the heads
-        it names, so both are read before the heads, and the deltas are
-        those heads' ancestry — a concurrent put never splits the answer.
+        server claims, by which readers judge withholding. A grant whose
+        id (:attr:`~repro.versioning.grant.WriterGrant.grant_id`) is in
+        *have_grants* is named in ``held_grants`` instead of shipped;
+        every other grant, and the frontier certificate, travels whole.
+        ``held_grants`` is left out when nothing was held back, so a
+        fetch without *have_grants* (gossip, a fresh reader) is the
+        answer it always was. One snapshot: a grant precedes the deltas
+        it covers and a certificate follows the heads it names, so both
+        are read before the heads, and the deltas are those heads'
+        ancestry — a concurrent put never splits the answer.
         """
         state = self._require(oid_hex)
-        grants = [g.to_dict() for _, g in sorted(state.grants.items())]
+        held = _grant_ids(have_grants)
+        grants, held_grants = [], []
+        for _, grant in sorted(state.grants.items()):
+            grant_id = grant.grant_id
+            if grant_id in held:
+                held_grants.append(grant_id)
+            else:
+                grants.append(grant.to_dict())
         cert = state.frontier_cert
         heads = state.dag.heads()
         deltas = state.dag.missing_from(have_heads or (), heads)
-        return {
+        bundle = {
             "oid": oid_hex,
             "object_key_der": state.object_key.der,
             "grants": grants,
@@ -340,10 +357,28 @@ class VersionedObjectStore:
             "heads": heads,
             "frontier_cert": cert.to_dict() if cert is not None else None,
         }
+        if held_grants:
+            bundle["held_grants"] = held_grants
+        return bundle
 
     def close(self) -> None:
         if self.store is not None:
             self.store.close()
+
+
+def _grant_ids(have_grants) -> frozenset:
+    """The caller's grant ids as a set; untrusted input, so anything but
+    a list of strings is refused without rendering it (a huge integer
+    must not become a huge string)."""
+    if have_grants is None:
+        return frozenset()
+    if not isinstance(have_grants, list) or not all(
+        isinstance(grant_id, str) for grant_id in have_grants
+    ):
+        raise TypeError(
+            f"have_grants is not a list of grant ids: {type(have_grants).__name__}"
+        )
+    return frozenset(have_grants)
 
 
 def gossip_once(

@@ -99,6 +99,24 @@ class TestAdmission:
         # The caller's heads are the server's own: nothing ships.
         assert store.fetch(oid.hex, have_heads=[second.delta_id])["deltas"] == []
 
+    def test_fetch_have_grants_names_held_grants_by_id(
+        self, store, owner_keys, oid, make_writer
+    ):
+        registered(store, owner_keys, oid, make_writer, "alice")
+        _, bobs = make_writer("bob")
+        store.put_grant(oid.hex, bobs)
+        # Without have_grants the answer is the one it always was.
+        whole = store.fetch(oid.hex)
+        assert "held_grants" not in whole
+        assert [WriterGrant.from_dict(g).writer_id for g in whole["grants"]] == [
+            "alice", "bob",
+        ]
+        # A held id is named instead of shipped; an unknown id changes nothing.
+        bundle = store.fetch(oid.hex, have_grants=[bobs.grant_id, "00" * 20])
+        assert bundle["held_grants"] == [bobs.grant_id]
+        assert [WriterGrant.from_dict(g).writer_id for g in bundle["grants"]] == ["alice"]
+        assert store.fetch(oid.hex, have_grants=["00" * 20]) == whole
+
 
 class TestFrontierCert:
     def test_granted_writer_cert_accepted(self, store, owner_keys, oid, make_writer):
