@@ -14,7 +14,7 @@ Security semantics also mirror TLS: the channel authenticates the
 *server* and protects the *transport* — a malicious replica behind a
 valid certificate can still serve bogus content, which is exactly the
 gap GlobeDoc's object-signed integrity certificate closes (tested in
-``tests/baselines/test_ssl_trust_gap.py``).
+``tests/baselines/test_ssl_channel.py::TestTrustGap``).
 """
 
 from __future__ import annotations

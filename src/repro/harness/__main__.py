@@ -13,7 +13,7 @@ Usage::
     python -m repro.harness bench-report
 
 ``<bench>`` is any target in :data:`repro.harness.kernel.REGISTRY`:
-bench-security, chaos, revocation, monitor, profile. ``benches`` runs
+bench-security, chaos, revocation, profile. ``benches`` runs
 them all in that order and exits non-zero if any gate fails.
 """
 

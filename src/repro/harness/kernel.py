@@ -14,9 +14,9 @@ A new bench is a module with a ``TARGET`` plus one line in
 :data:`_BENCH_MODULES`. A bench measures, a test decides: a gate belongs
 here only if it thresholds a number the run *measures* (a speed-up, a
 throughput multiple, availability per drop rate, containment seconds,
-alert latency, attribution error); a measurement that never happened
-reads ``math.inf``, so its one gate fails. A yes/no on a deterministic
-run is a tier-1 assertion — ``tests/harness/test_kernel.py::PINNED_GATES``
+attribution error); a measurement that never happened reads
+``math.inf``, so its one gate fails. A yes/no on a deterministic run is
+a tier-1 assertion — ``tests/harness/test_kernel.py::PINNED_GATES``
 names, for every gate retired under this rule, the test that decides it.
 
 A bench is one deterministic run per seed, and the committed
@@ -62,7 +62,6 @@ _BENCH_MODULES = (
     "security_bench",
     "chaos",
     "revocation_bench",
-    "monitor",
     "profile_bench",
 )
 

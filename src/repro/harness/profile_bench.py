@@ -1,4 +1,4 @@
-"""Profile bench: cross-process causal traces, critical paths, SLOs.
+"""Profile bench: cross-process causal traces and critical paths.
 
 Every simulated process has its own tracer — the ginger services, a peer
 object server at INRIA, and each client proxy — so the only thing
@@ -19,24 +19,22 @@ The workload mixes the traffic classes of a live GlobeDoc fleet:
   *other* process's tracer);
 * **revocation** — explicit feed refreshes (``revocation.refresh``
   roots) alongside the in-access revocation checks;
-* **SLO breach + recovery** — a lossy-transport phase whose retry
-  backoff pushes accesses over the latency objective, driving the
-  fast burn-rate alert through pending → firing → resolved once the
-  fault clears and the window drains. Both objectives are sinks on the
-  processes' tracers, counting the proxies' ``proxy.handle`` spans;
+* **loss + recovery** — a lossy-transport phase whose retried RPCs
+  the stitch gate must still join to their causing access, then
+  healthy traffic once the fault clears;
 * **adversarial probes** — one per violated security property
   (authenticity, consistency, freshness), each expected to close the
   responsible ``check.*`` span with error status.
 
 ``BENCH_profile.json`` records the stitching health, the per-span-name
 latency table, the critical-path attribution per cost category,
-critical-path p50/p99, the top-5 hottest span families, the SLO verdicts
-with the alert timeline, and the census of which check rejected what.
+critical-path p50/p99, the top-5 hottest span families, and the census
+of which check rejected what.
 Two numbers are gated: the cross-process stitch rate must be 1.0 (every
 server/gossip span reachable from its client root), and the category
 attribution must sum to each trace's duration within 1%. The rest — the
-roots, span families, categories, burn lifecycle, rejection census and
-workload health — is asserted by tier-1 on the same run
+roots, span families, categories, rejection census and workload
+health — is asserted by tier-1 on the same run
 (``tests/harness/test_profile_unit.py``).
 
 Run with ``python -m repro.harness profile``.
@@ -64,16 +62,12 @@ from repro.net.faults import FaultPlan, FlakyTransport
 from repro.net.retry import RetryPolicy
 from repro.net.rpc import RpcClient
 from repro.obs import (
-    AlertEngine,
     CriticalPathProfiler,
-    LatencyObjective,
     RingBufferSink,
-    SloPlane,
     SpanStats,
     Tracer,
     TraceAssembler,
 )
-from repro.obs.slo import AvailabilityObjective, BurnWindow
 from repro.proxy.contentcache import ContentCache
 from repro.sim.clock import SimClock
 from repro.sim.random import derive_seed
@@ -89,7 +83,7 @@ __all__ = [
 READ_HOST = "sporty.cs.vu.nl"
 WRITER_HOST = "ensamble02.cornell.edu"
 PEER_HOST = "canardo.inria.fr"
-BREACH_HOST = "ensamble02.cornell.edu"
+LOSSY_HOST = "ensamble02.cornell.edu"
 
 ELEMENTS = {
     "index.html": b"<html><body>" + b"profile me " * 96 + b"</body></html>",
@@ -101,18 +95,14 @@ ELEMENTS = {
 #: boundary sweep is exact; this absorbs float rounding only).
 ATTRIBUTION_TOLERANCE = 0.01
 
-#: Latency SLO: 99% of proxy accesses complete within 250 ms.
-LATENCY_TARGET = 0.99
-LATENCY_THRESHOLD_S = 0.25
-
 SESSION_DROP_EVERY = 6
 
 #: Workload size: verified reads, write+gossip rounds, explicit feed
-#: refreshes, and the requests of the SLO breach and its recovery.
+#: refreshes, and the requests of the lossy phase and its recovery.
 READS = 144
 WRITE_ROUNDS = 8
 REFRESHES = 8
-BREACH_REQUESTS = 48
+LOSSY_REQUESTS = 48
 RECOVERY_REQUESTS = 12
 
 #: The simulated processes, one tracer each.
@@ -162,7 +152,7 @@ def _run(seed: int, scratch: str) -> dict:
     )
     # The freshness probe's document: one element entry lapses a minute
     # from now (the certificate itself stays valid); the probe runs
-    # after the recovery phase, many simulated minutes later.
+    # after the 120 s recovery phase, so the entry has lapsed by then.
     stale = testbed.publish(
         testbed.document_owner(
             "vu.nl/profile-stale", {"index.html": ELEMENTS["index.html"]}
@@ -186,28 +176,10 @@ def _run(seed: int, scratch: str) -> dict:
             server.versioning.put_grant(oid.hex, grant)
         writers[writer_id] = DocumentWriter(keys, writer_id, oid, clock)
 
-    # ------------------------------------------------------- SLO plane
-    # The objectives count the proxies' proxy.handle spans: they join
-    # the tracers' sinks below, with the rings.
-    engine = AlertEngine(clock, evaluation_cost=0.0005)
-    slo = SloPlane(engine)
-    latency = slo.add(
-        LatencyObjective(
-            "access_latency", threshold_s=LATENCY_THRESHOLD_S, target=LATENCY_TARGET
-        ),
-        fast=BurnWindow(window_seconds=60.0, threshold=10.0, severity="critical"),
-        slow=BurnWindow(window_seconds=300.0, threshold=2.0, severity="warning"),
-    )
-    slo.add(
-        AvailabilityObjective("access_availability", target=0.75),
-        fast=BurnWindow(window_seconds=60.0, threshold=3.0, severity="critical"),
-        slow=None,
-    )
-
     # Recording starts here: setup spans (publish, grants) stay untraced
     # so every recorded root belongs to the workload.
     for origin, tracer in tracers.items():
-        for sink in (rings[origin], stats, *slo.objectives):
+        for sink in (rings[origin], stats):
             tracer.add_sink(sink)
     workload: Dict[str, object] = {}
 
@@ -230,8 +202,6 @@ def _run(seed: int, scratch: str) -> dict:
             read_stack.proxy.drop_all_sessions()
         if read_stack.proxy.handle(published.url(names[i % len(names)])).ok:
             read_ok += 1
-        if i % 8 == 0:
-            engine.evaluate()
     workload["reads"] = READS
     workload["read_ok"] = read_ok
 
@@ -298,7 +268,6 @@ def _run(seed: int, scratch: str) -> dict:
             gossip_rounds += 1
             gossip_pulled += outcome["pulled"]
             gossip_pushed += outcome["pushed"]
-        engine.evaluate()
     # Content-addressed: equal heads name equal histories.
     ginger_heads = testbed.object_server.versioning.heads(oid.hex)
     converged = ginger_heads == peer_server.versioning.heads(oid.hex)
@@ -316,13 +285,13 @@ def _run(seed: int, scratch: str) -> dict:
         clock.advance(1.0)
     workload["revocation_refreshes"] = REFRESHES
 
-    # --------------------------------------------- SLO breach + recovery
+    # ---------------------------------------------- loss + recovery
     plan = FaultPlan(
         drop_probability=0.35, seed=derive_seed(seed, "profile-faults")
     )
-    flaky = FlakyTransport(testbed.network.transport_for(BREACH_HOST), plan)
-    breach_stack = testbed.client_stack(
-        BREACH_HOST,
+    flaky = FlakyTransport(testbed.network.transport_for(LOSSY_HOST), plan)
+    lossy_stack = testbed.client_stack(
+        LOSSY_HOST,
         transport=flaky,
         retry_policy=RetryPolicy(
             max_attempts=4,
@@ -332,28 +301,21 @@ def _run(seed: int, scratch: str) -> dict:
         ),
         tracer=tracers["proxy-cornell"],
     )
-    breach_ok = 0
-    for i in range(BREACH_REQUESTS):
+    lossy_ok = 0
+    for i in range(LOSSY_REQUESTS):
         if i % SESSION_DROP_EVERY == 0:
-            breach_stack.proxy.drop_all_sessions()
-        if breach_stack.proxy.handle(published.url(names[i % len(names)])).ok:
-            breach_ok += 1
-        if i % 4 == 3:
-            engine.evaluate()
-    workload["breach_requests"] = BREACH_REQUESTS
-    workload["breach_ok"] = breach_ok
+            lossy_stack.proxy.drop_all_sessions()
+        if lossy_stack.proxy.handle(published.url(names[i % len(names)])).ok:
+            lossy_ok += 1
+    workload["lossy_requests"] = LOSSY_REQUESTS
+    workload["lossy_ok"] = lossy_ok
 
-    # Fault clears; healthy traffic plus enough elapsed time for both
-    # burn windows to drain their bad samples.
+    # Fault clears: healthy traffic, 10 s apart.
     recovery_ok = 0
     for i in range(RECOVERY_REQUESTS):
         if read_stack.proxy.handle(published.url(names[i % len(names)])).ok:
             recovery_ok += 1
         clock.advance(10.0)
-        engine.evaluate()
-    for _ in range(30):
-        clock.advance(12.0)
-        engine.evaluate()
     workload["recovery_requests"] = RECOVERY_REQUESTS
     workload["recovery_ok"] = recovery_ok
 
@@ -366,7 +328,7 @@ def _run(seed: int, scratch: str) -> dict:
     for host, behavior in (
         (PEER_HOST, TamperBehavior(target="index.html")),
         (
-            BREACH_HOST,
+            LOSSY_HOST,
             ElementSwapBehavior(when_asked_for="index.html", serve_instead="style.css"),
         ),
     ):
@@ -377,7 +339,7 @@ def _run(seed: int, scratch: str) -> dict:
     probes: Dict[str, str] = {}
     for label, host, origin, url in (
         ("tamper", PEER_HOST, "proxy-inria", published.url("index.html")),
-        ("element_swap", BREACH_HOST, "proxy-cornell", published.url("index.html")),
+        ("element_swap", LOSSY_HOST, "proxy-cornell", published.url("index.html")),
         ("stale_element", READ_HOST, "proxy-sporty", stale.url("index.html")),
     ):
         stack = testbed.client_stack(host, max_rebinds=0, tracer=tracers[origin])
@@ -419,9 +381,6 @@ def _run(seed: int, scratch: str) -> dict:
         "phases": stats.stats(),
         "profile": profiler.aggregate(top=5),
         "max_relative_attribution_error": max_rel_error,
-        "slo": slo.report(),
-        "latency_compliance": latency.compliance(),
-        "alert_evaluations": engine.evaluations,
         "security_rejections": stats.error_census("check."),
     }
     peer_server.close()

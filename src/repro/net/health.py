@@ -1,8 +1,8 @@
 """Per-replica health tracking: failure counts and circuit breaking.
 
 One :class:`ReplicaHealthTracker` is shared by every component that
-talks to replicas on behalf of one client (retrying RPC client, binder,
-auditor). It keeps, per contact-address string, the consecutive-failure
+talks to replicas on behalf of one client (retrying RPC client,
+binder). It keeps, per contact-address string, the consecutive-failure
 count and a quarantine window implementing the classic circuit-breaker
 states:
 
@@ -16,8 +16,7 @@ states:
 The tracker never *blocks* a call: when the quarantined address is the
 only replica left, using it beats failing — the paper's bound is
 "at most denial of service", not "guaranteed denial". Quarantine only
-demotes the address in the binder's ordering and marks it for the
-auditor's eviction sweep.
+demotes the address in the binder's ordering.
 """
 
 from __future__ import annotations
@@ -145,18 +144,6 @@ class ReplicaHealthTracker:
                 self.record(str(a)).consecutive_failures,
             ),
         )
-
-    def states(self) -> Dict[str, CircuitState]:
-        """Every tracked address key's current breaker state, applying
-        quarantine expiry to each (open → half-open is lazy, so a reader
-        that skipped an address would leave it open)."""
-        return {key: self.state_of(key) for key in self._records}
-
-    def quarantined_addresses(self) -> List[str]:
-        """Every address key currently inside a quarantine window."""
-        return [
-            key for key, state in self.states().items() if state is CircuitState.OPEN
-        ]
 
     def reset(self) -> None:
         self._records.clear()

@@ -123,8 +123,7 @@ class RetryingRpcClient:
     Duck-types the plain client (``call`` + ``transport``), so binders,
     resolvers, location clients and LRs take it unchanged. An optional
     :class:`~repro.net.health.ReplicaHealthTracker` observes every
-    attempt's outcome per target, feeding the binder's address ordering
-    and the auditor's eviction sweep.
+    attempt's outcome per target, feeding the binder's address ordering.
     """
 
     def __init__(

@@ -106,8 +106,7 @@ class RevocationChecker:
         if store is not None:
             self._recover()
         # ``metrics`` is accepted but unused: ``perf/`` still passes it
-        # (ROADMAP 1(a)/8(a) remove it); alert rules read
-        # :attr:`staleness` and ``stats.rejections`` directly.
+        # (ROADMAP 1(a)/8(a) remove it).
 
     # ------------------------------------------------------------------
     # Durable cursor recovery

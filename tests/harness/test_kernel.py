@@ -105,7 +105,7 @@ class TestRunTarget:
 class TestRegistry:
     def test_targets_in_ci_order(self):
         assert list(REGISTRY) == [
-            "bench-security", "chaos", "revocation", "monitor", "profile",
+            "bench-security", "chaos", "revocation", "profile",
         ]
 
     def test_names_and_report_files_are_distinct(self):
@@ -235,30 +235,6 @@ PINNED_GATES = {
     # tests/attacks/test_versioning_attacks.py decides every
     # VERSIONING_SCENARIOS cell; its merge.samples: perf/'s
     # versioning.merge_us_per_delta.)
-    "monitor": {
-        # CACHE_TTL 8 / QUARANTINE 20 / STALENESS_WARN 45 / MAX_STALENESS/2 30
-        # / REJECTION_WINDOW 30, each + 3 scrape intervals of 5 s.
-        "latency[circuit_fire_after_kill]": 23.0,
-        "latency[circuit_resolve_after_restore]": 35.0,
-        "latency[staleness_fire_after_feed_kill]": 60.0,
-        "latency[staleness_resolve_after_restore]": 45.0,
-        "latency[rejections_fire_after_publish]": 45.0,
-        "latency[rejections_resolve_after_abandon]": 45.0,
-        # Retired:
-        #   reached[rule.transition] (6)  a transition that never happened
-        #     reads math.inf, so its latency gate above fails
-        #   timeline_in_order, latency_nonnegative[key] (6)
-        #     test_monitor_unit.py::TestBenchRun::
-        #     test_alerts_fire_and_resolve_in_injection_order
-        #   final_firing, rejected, other_failures, scrapes
-        #     test_monitor_unit.py::TestBenchRun::
-        #     test_workload_fails_only_on_the_revoked_document
-        #   idle_text_identical, idle_json_identical
-        #     obs/test_metrics.py::TestExposition::test_idle_scrapes_byte_identical
-        #   consistency_drift  none: the registry's access-seconds sum and the
-        #     harness's own clock reads around proxy.handle were two readers
-        #     of one sim clock, equal by construction (ROADMAP 9(b))
-    },
     "profile": {
         "stitch_rate": 1.0,
         "attribution_error": 0.01,  # ATTRIBUTION_TOLERANCE
@@ -271,8 +247,6 @@ PINNED_GATES = {
         #   spans[name] (18)  ::test_expected_span_families_present
         #   traces_profiled, rootless_traces, category[name] (6), hottest
         #     ::test_attribution_closes_and_covers_categories
-        #   fast_burn_lifecycle, latency_objective_reported
-        #     ::test_burn_alert_walked_full_lifecycle
         #   rejection[check.element_hash|consistency|freshness]
         #     ::test_rejection_census_matches_probes
         #   the pipeline comparison's seven: see bench-security above

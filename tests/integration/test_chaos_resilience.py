@@ -223,5 +223,5 @@ class TestReplicaCrash:
             span for span in ring.named("session.failover") if not span.is_error
         ]
         assert len(failovers) > 0
-        quarantined = health.quarantined_addresses()
-        assert any(SERVICES_HOST in address for address in quarantined)
+        dead = testbed.object_server.contact_address(published.oid_hex)
+        assert health.is_quarantined(str(dead))

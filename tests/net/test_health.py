@@ -87,49 +87,48 @@ class TestCircuit:
 
 
 class TestFullLifecycle:
-    """One breaker walked through every state, with the quarantine
-    eviction listing and the monitor's ``states()`` read at each step."""
+    """One breaker walked through every state, read through ``state_of``
+    and ``is_quarantined`` at each step and the binder's ``order`` once
+    it opens."""
 
     def test_closed_open_half_open_closed(self, clock):
         tracker = ReplicaHealthTracker(
             clock=clock, failure_threshold=3, quarantine_seconds=30.0
         )
 
-        # closed: below threshold, available to the binder, no eviction.
+        # closed: below threshold, not quarantined.
         tracker.record_failure(ADDR)
         tracker.record_failure(ADDR)
         assert tracker.state_of(ADDR) is CircuitState.CLOSED
-        assert tracker.quarantined_addresses() == []
-        assert tracker.states() == {ADDR: CircuitState.CLOSED}
+        assert not tracker.is_quarantined(ADDR)
 
-        # closed -> open: the threshold failure trips the breaker; the
-        # address lands in the eviction sweep and sinks in the ordering.
+        # closed -> open: the threshold failure trips the breaker and the
+        # address sinks in the ordering.
         tracker.record_failure(ADDR)
         assert tracker.state_of(ADDR) is CircuitState.OPEN
+        assert tracker.is_quarantined(ADDR)
         assert tracker.quarantines == 1
-        assert tracker.quarantined_addresses() == [ADDR]
         assert tracker.order([ADDR, OTHER]) == [OTHER, ADDR]
-        assert tracker.states() == {ADDR: CircuitState.OPEN, OTHER: CircuitState.CLOSED}
 
         # open -> half-open: expiry is lazy (applied on read), so the
-        # monitor's scrape-time read is what surfaces the transition; the
-        # probe candidate leaves the eviction listing.
+        # stored record stays open until a read surfaces the transition,
+        # and the probe candidate is no longer quarantined.
         clock.advance(31.0)
-        assert tracker.states()[ADDR] is CircuitState.HALF_OPEN
+        assert tracker.record(ADDR).state is CircuitState.OPEN
+        assert tracker.state_of(ADDR) is CircuitState.HALF_OPEN
         assert tracker.record(ADDR).state is CircuitState.HALF_OPEN
-        assert tracker.quarantined_addresses() == []
         assert not tracker.is_quarantined(ADDR)
 
         # half-open -> closed: the probe succeeded.
         tracker.record_success(ADDR)
-        assert tracker.states()[ADDR] is CircuitState.CLOSED
+        assert tracker.state_of(ADDR) is CircuitState.CLOSED
         assert tracker.record(ADDR).consecutive_failures == 0
         # Cumulative: closing does not undo the count; only reset() does.
         assert tracker.quarantines == 1
         tracker.reset()
         assert tracker.quarantines == 0
 
-    def test_half_open_probe_failure_reenters_eviction_sweep(self, clock):
+    def test_half_open_probe_failure_reopens(self, clock):
         tracker = ReplicaHealthTracker(
             clock=clock, failure_threshold=3, quarantine_seconds=30.0
         )
@@ -138,8 +137,8 @@ class TestFullLifecycle:
         clock.advance(31.0)
         assert tracker.state_of(ADDR) is CircuitState.HALF_OPEN
         tracker.record_failure(ADDR)  # one failed probe re-opens
-        assert tracker.quarantined_addresses() == [ADDR]
-        assert tracker.states() == {ADDR: CircuitState.OPEN}
+        assert tracker.state_of(ADDR) is CircuitState.OPEN
+        assert tracker.is_quarantined(ADDR)
         assert tracker.quarantines == 2
 
     def test_two_trackers_keep_separate_state(self, clock):
@@ -148,8 +147,8 @@ class TestFullLifecycle:
         for _ in range(3):
             one.record_failure(ADDR)
         two.record_success(ADDR)
-        assert (one.states(), two.states()) == (
-            {ADDR: CircuitState.OPEN}, {ADDR: CircuitState.CLOSED}
+        assert (one.state_of(ADDR), two.state_of(ADDR)) == (
+            CircuitState.OPEN, CircuitState.CLOSED
         )
         # Each tracker counts only its own quarantines.
         assert (one.quarantines, two.quarantines) == (1, 0)
@@ -168,12 +167,6 @@ class TestOrdering:
     def test_fewer_consecutive_failures_first(self, tracker):
         tracker.record_failure(ADDR)  # 1 failure, below threshold
         assert tracker.order([ADDR, OTHER]) == [OTHER, ADDR]
-
-    def test_quarantined_addresses_listing(self, tracker):
-        for _ in range(3):
-            tracker.record_failure(ADDR)
-        tracker.record_failure(OTHER)
-        assert tracker.quarantined_addresses() == [ADDR]
 
     def test_reset(self, tracker):
         for _ in range(3):

@@ -1,8 +1,8 @@
 """The ``metrics`` keyword census. The stack keeps no metrics store:
-alert rules read component state and SLO objectives count spans
-(DESIGN §4f). A ``metrics`` parameter in ``src/repro`` exists only
-because ``perf/world.py`` still passes ``metrics=`` to that constructor
-(ROADMAP 1(a) drops them), and its body never reads it."""
+timings are spans (DESIGN §4d). A ``metrics`` parameter in
+``src/repro`` exists only because ``perf/world.py`` still passes
+``metrics=`` to that constructor (ROADMAP 1(a) drops them), and its
+body never reads it."""
 
 from __future__ import annotations
 

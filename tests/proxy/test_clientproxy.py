@@ -14,7 +14,7 @@ from repro.crypto.verifycache import VerificationCache
 from repro.globedoc.urls import HybridUrl
 from repro.net.address import Endpoint
 from repro.net.message import Request, Response
-from repro.obs import AvailabilityObjective, RingBufferSink, Tracer
+from repro.obs import RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
 from repro.proxy.pipeline import PipelineConfig
 from repro.util.encoding import to_wire
@@ -105,30 +105,34 @@ class TestPassthrough:
         assert response.status == 502 and len(response.content) < 1024
 
 
-#: outcome -> (URL, or an element of the published page; status; the
-#: availability objective's (good, total) after the one request).
+#: outcome -> (URL, or an element of the published page; status;
+#: (``proxy.handle`` spans with status 200, ``proxy.handle`` spans)
+#: after the one request).
 OUTCOMES = {
-    "bad_url": ("ftp://weird", 400, (0.0, 0.0)),
-    "ok": ("index.html", 200, (1.0, 1.0)),
-    "rejected": ("ghost.html", 403, (0.0, 1.0)),  # not in the integrity certificate
-    "not_found": ("globe://ghost.example/index.html", 404, (0.0, 1.0)),
-    "bad_gateway": ("http://nowhere.example/x", 502, (0.0, 0.0)),
-    "passthrough": ("http://ginger.cs.vu.nl/vu.nl/research/index.html", 200, (0.0, 0.0)),
+    "bad_url": ("ftp://weird", 400, (0, 0)),
+    "ok": ("index.html", 200, (1, 1)),
+    "rejected": ("ghost.html", 403, (0, 1)),  # not in the integrity certificate
+    "not_found": ("globe://ghost.example/index.html", 404, (0, 1)),
+    "bad_gateway": ("http://nowhere.example/x", 502, (0, 0)),
+    "passthrough": ("http://ginger.cs.vu.nl/vu.nl/research/index.html", 200, (0, 0)),
 }
 
 
 @pytest.mark.parametrize("outcome", OUTCOMES)
 def test_status_maps_to_one_outcome(testbed, published, outcome):
-    """The availability SLO counts GlobeDoc accesses only, off the
-    ``proxy.handle`` span's status: a 200 is good, a 403 or 404 bad, and
-    plain HTTP (served or 502) or an unparseable URL is not an access."""
+    """Only a GlobeDoc access opens a ``proxy.handle`` span, and the
+    span carries the response's status: a 200 served, a 403 or 404
+    rejected, while plain HTTP (served or 502) or an unparseable URL
+    opens none."""
     target, status, counts = OUTCOMES[outcome]
-    objective = AvailabilityObjective("avail", target=0.9)
-    tracer = Tracer(clock=testbed.clock, sinks=(objective,))
+    ring = RingBufferSink()
+    tracer = Tracer(clock=testbed.clock, sinks=(ring,))
     proxy = testbed.client_stack("canardo.inria.fr", tracer=tracer).proxy
     url = target if "://" in target else published.url(target)
     assert proxy.handle(url).status == status
-    assert objective.counts() == counts
+    handled = ring.named("proxy.handle")
+    served = [span for span in handled if span.attributes.get("status") == 200]
+    assert (len(served), len(handled)) == counts
 
 
 class TestIdentityDisplay:
