@@ -9,17 +9,27 @@ bytes, including certificate and key payloads, reproducing the paper's
 "about 2KB of extra information"). A frame that fails the codec's
 checks — a flipped bit, a truncation — is a :class:`TransportError`:
 retryable link noise, never a verdict on the replica.
+
+A *batch* is one request frame carrying several calls to one endpoint:
+op :data:`BATCH_OP`, ``args`` ``{"calls": [{"op", "args"}, ...]}``. Its
+answer is one success response whose value lists one *slot* per call,
+in call order — a response frame's fields without ``kind``
+(:meth:`Response.to_slot`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import EncodingError, RpcError, TransportError
 from repro.util.encoding import from_wire, to_wire
 
-__all__ = ["Request", "Response"]
+__all__ = ["Request", "Response", "BATCH_OP"]
+
+#: The reserved op of a batch request; no handler may be registered
+#: under it, so a batch nested in a batch is an unknown operation.
+BATCH_OP = "rpc.batch"
 
 
 @dataclass(frozen=True)
@@ -56,6 +66,30 @@ class Request:
         if not isinstance(op, str) or not isinstance(args, dict):
             raise TransportError("malformed request frame: op or args mistyped")
         return cls(op=op, args=dict(args), ctx=ctx if isinstance(ctx, dict) else None)
+
+    @classmethod
+    def batch(cls, calls: Sequence[Tuple[str, Mapping[str, Any]]], ctx=None) -> "Request":
+        """One request carrying every ``(op, args)`` of *calls*, in order."""
+        entries = [{"op": op, "args": dict(args)} for op, args in calls]
+        return cls(op=BATCH_OP, args={"calls": entries}, ctx=ctx)
+
+    def batch_calls(self) -> List[Tuple[str, Mapping[str, Any], Optional[RpcError]]]:
+        """``(op, args, refusal)`` of each call of this batch request, in
+        order: *refusal* is set for an entry that is not ``{"op": str,
+        "args": dict}``. A ``calls`` that is not a list is a
+        :class:`RpcError`."""
+        calls = self.args.get("calls")
+        if not isinstance(calls, list):
+            raise RpcError("malformed batch: calls is not a list")
+        return [_batch_call(entry) for entry in calls]
+
+
+def _batch_call(entry: Any) -> Tuple[str, Mapping[str, Any], Optional[RpcError]]:
+    if isinstance(entry, dict):
+        op, args = entry.get("op"), entry.get("args", {})
+        if isinstance(op, str) and isinstance(args, dict):
+            return op, args, None
+    return "<malformed>", {}, RpcError("malformed batch entry: op or args mistyped")
 
 
 @dataclass(frozen=True)
@@ -99,13 +133,25 @@ class Response:
             raise TransportError(f"undecodable response frame: {exc}") from exc
         if not isinstance(decoded, dict) or decoded.get("kind") != "response":
             raise TransportError("malformed response frame")
-        if not isinstance(decoded.get("ok"), bool):
-            raise TransportError("malformed response frame: ok absent or mistyped")
+        return cls.from_slot(decoded)
+
+    def to_slot(self) -> dict:
+        """This response as one slot of a batch answer."""
+        if self.ok:
+            return {"ok": True, "value": self.value}
+        return {"ok": False, "error": self.error, "error_type": self.error_type}
+
+    @classmethod
+    def from_slot(cls, slot: Any) -> "Response":
+        """A decoded response frame or batch slot: a mapping whose ``ok``
+        is a ``bool``; ``error`` and ``error_type`` are read as text."""
+        if not isinstance(slot, dict) or not isinstance(slot.get("ok"), bool):
+            raise TransportError("malformed response: ok absent or mistyped")
         return cls(
-            ok=decoded["ok"],
-            value=decoded.get("value"),
-            error=str(decoded.get("error", "")),
-            error_type=str(decoded.get("error_type", "")),
+            ok=slot["ok"],
+            value=slot.get("value"),
+            error=str(slot.get("error", "")),
+            error_type=str(slot.get("error_type", "")),
         )
 
     def unwrap(self) -> Any:

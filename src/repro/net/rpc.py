@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 import repro.errors as _errors
 from repro.errors import RpcError, TransportError
 from repro.net.address import ContactAddress, Endpoint
-from repro.net.message import Request, Response
+from repro.net.message import BATCH_OP, Request, Response
 from repro.net.transport import Transport
 from repro.obs import NOOP_TRACER
 
@@ -56,8 +56,9 @@ def rpc_method(op: str) -> Callable[[Handler], Handler]:
 class RpcServer:
     """Dispatches decoded requests to registered operation handlers.
 
-    ``tracer`` (optional) records one ``server.handle`` span per
-    incoming frame — the server half of the access-pipeline trace.
+    ``tracer`` (optional) records one ``server.handle`` span per call —
+    per frame, or per entry of a batch frame — the server half of the
+    access-pipeline trace.
     """
 
     def __init__(self, name: str = "rpc", tracer=None) -> None:
@@ -66,6 +67,8 @@ class RpcServer:
         self._ops: Dict[str, Handler] = {}
 
     def register(self, op: str, handler: Handler) -> None:
+        if op == BATCH_OP:
+            raise RpcError(f"operation {op!r} is reserved for batch frames")
         if op in self._ops:
             raise RpcError(f"operation {op!r} already registered on {self.name}")
         self._ops[op] = handler
@@ -90,35 +93,49 @@ class RpcServer:
         ``server.handle`` span is still marked with the error, so traces
         show server-side failures that the wire reports as mere failure
         responses.
+
+        A batch frame (:data:`~repro.net.message.BATCH_OP`) is answered
+        with one slot per call, in order. Each call is dispatched — and
+        spanned, under the frame's trace context — exactly as if it had
+        come alone, so a malformed entry, an unknown op (a nested batch
+        is one) or a raising handler fails its own slot only.
         """
         try:
             request = Request.from_bytes(frame)
         except Exception as exc:
-            # Parse happens outside the span (there is no trace context
-            # to adopt from an undecodable frame); record the failure as
-            # a plain error-marked span so traces still show it.
-            with self.tracer.span("server.handle", server=self.name) as span:
-                span.set_attribute("op", "<malformed>")
-                span.mark_error(exc)
-            return Response.failure(
-                TransportError(f"bad request frame: {exc}")
-            ).to_bytes()
-        with self.tracer.span_from(
-            request.ctx, "server.handle", server=self.name
-        ) as span:
-            span.set_attribute("op", request.op)
-            handler = self._ops.get(request.op)
-            if handler is None:
-                unknown = RpcError(f"unknown operation {request.op!r}")
-                span.mark_error(unknown)
-                return Response.failure(unknown).to_bytes()
+            # There is no trace context to adopt from an undecodable
+            # frame: the failure is recorded on a plain root span.
+            refused = TransportError(f"bad request frame: {exc}")
+            return self._answer(None, "<malformed>", {}, refused).to_bytes()
+        if request.op != BATCH_OP:
+            return self._answer(request.ctx, request.op, request.args).to_bytes()
+        try:
+            calls = request.batch_calls()
+        except RpcError as refused:
+            return self._answer(request.ctx, BATCH_OP, {}, refused).to_bytes()
+        slots = [self._answer(request.ctx, *call).to_slot() for call in calls]
+        return Response.success(slots).to_bytes()
+
+    def _answer(
+        self, ctx, op: str, args: Mapping[str, Any], refused: Optional[Exception] = None
+    ) -> Response:
+        """One call's response, under its own ``server.handle`` span;
+        *refused* is the failure of a call that is not dispatched."""
+        with self.tracer.span_from(ctx, "server.handle", server=self.name) as span:
+            span.set_attribute("op", op)
+            handler = self._ops.get(op)
+            if refused is None and handler is None:
+                refused = RpcError(f"unknown operation {op!r}")
+            if refused is not None:
+                span.mark_error(refused)
+                return Response.failure(refused)
             try:
-                value = handler(**dict(request.args))
+                value = handler(**args)
             except Exception as exc:
-                logger.debug("handler %s failed: %s", request.op, exc)
+                logger.debug("handler %s failed: %s", op, exc)
                 span.mark_error(exc)
-                return Response.failure(exc).to_bytes()
-            return Response.success(value).to_bytes()
+                return Response.failure(exc)
+            return Response.success(value)
 
 
 @dataclass(frozen=True)
@@ -216,7 +233,9 @@ class RpcClient:
         (``request_many`` — the simulated WAN charges max-of-parallel,
         the TCP transport pipelines the window down one pooled
         connection per server), each window of calls travels together
-        under one ``rpc.call_many`` span. Wrapper transports without
+        under one ``rpc.call_many`` span, as one frame per endpoint: a
+        lone call is its ordinary request frame, two or more are one
+        batch frame answered by one response. Wrapper transports without
         batch support (fault injection, MITM) degrade to sequential
         :meth:`call` — same outcomes, serial cost.
 
@@ -224,7 +243,8 @@ class RpcClient:
         target included — are captured in the outcome's ``error``
         (rehydrated to the proper :mod:`repro.errors` type), never
         raised, on either path: the other calls of the window still
-        travel.
+        travel. A batch answer that is not one well-formed slot per
+        call fails every call of its frame with a ``TransportError``.
         """
         calls = list(calls)
         if window < 1:
@@ -236,22 +256,32 @@ class RpcClient:
         for start in range(0, len(calls), window):
             chunk = calls[start : start + window]
             with self.tracer.span("rpc.call_many", calls=len(chunk)) as span:
-                # Every request in the window shares the call_many span
-                # as its remote parent — the window *is* the causal unit.
+                # Every call in the window shares the call_many span as
+                # its remote parent — the window *is* the causal unit.
                 ctx = self.tracer.context()
                 window_outcomes: List[Optional[BatchOutcome]] = [None] * len(chunk)
-                prepared = []
+                groups: Dict[Endpoint, List[int]] = {}
                 for slot, call in enumerate(chunk):
                     try:
                         endpoint = _endpoint_of(call.target)
                     except RpcError as exc:
                         window_outcomes[slot] = BatchOutcome(call=call, error=exc)
                         continue
-                    wire = Request(op=call.op, args=dict(call.args), ctx=ctx).to_bytes()
-                    prepared.append((slot, call, endpoint, wire))
-                raw = request_many([(ep, wire) for _, _, ep, wire in prepared])
-                for (slot, call, _, _), frame in zip(prepared, raw):
-                    window_outcomes[slot] = self._decode_outcome(call, frame)
+                    groups.setdefault(endpoint, []).append(slot)
+                frames = []
+                for endpoint, slots in groups.items():
+                    members = [(chunk[slot].op, chunk[slot].args) for slot in slots]
+                    if len(members) == 1:
+                        ((op, args),) = members
+                        request = Request(op=op, args=dict(args), ctx=ctx)
+                    else:
+                        request = Request.batch(members, ctx=ctx)
+                    frames.append((endpoint, request.to_bytes()))
+                raw = request_many(frames)
+                for slots, frame in zip(groups.values(), raw):
+                    answers = _decode_answers(frame, len(slots))
+                    for slot, answer in zip(slots, answers):
+                        window_outcomes[slot] = _outcome(chunk[slot], answer)
                 errors = sum(not outcome.ok for outcome in window_outcomes)
                 outcomes.extend(window_outcomes)
                 span.set_attribute("errors", errors)
@@ -265,16 +295,31 @@ class RpcClient:
             return BatchOutcome(call=call, error=exc)
         return BatchOutcome(call=call, value=value)
 
-    def _decode_outcome(self, call: BatchCall, frame) -> BatchOutcome:
-        """Turn one raw transport slot into a :class:`BatchOutcome`."""
-        if isinstance(frame, Exception):
-            return BatchOutcome(call=call, error=frame)
-        try:
-            response = Response.from_bytes(frame)
-        except Exception as exc:
-            return BatchOutcome(
-                call=call, error=TransportError(f"bad response frame: {exc}")
-            )
-        if response.ok:
-            return BatchOutcome(call=call, value=response.value)
-        return BatchOutcome(call=call, error=_remote_error(response))
+
+def _decode_answers(frame, count: int) -> list:
+    """The *count* answers one raw transport slot carries, each a
+    :class:`Response` or an exception: a failure response of a batch
+    answers every call in it, and a frame that does not decode — or a
+    batch answer that is not *count* slots — fails every call with a
+    ``TransportError``."""
+    if isinstance(frame, Exception):
+        return [frame] * count
+    try:
+        response = Response.from_bytes(frame)
+        if count == 1:
+            return [response]
+        if not response.ok:
+            return [response] * count
+        if not isinstance(response.value, list) or len(response.value) != count:
+            raise TransportError(f"batch answer is not a list of {count} slots")
+        return [Response.from_slot(slot) for slot in response.value]
+    except Exception as exc:
+        return [TransportError(f"bad response frame: {exc}")] * count
+
+
+def _outcome(call: BatchCall, answer) -> BatchOutcome:
+    if isinstance(answer, Exception):
+        return BatchOutcome(call=call, error=answer)
+    if answer.ok:
+        return BatchOutcome(call=call, value=answer.value)
+    return BatchOutcome(call=call, error=_remote_error(answer))

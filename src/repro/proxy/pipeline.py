@@ -7,9 +7,10 @@ fetches depend on each other's *bytes*, only on their verification
 order. This module splits the two concerns:
 
 * **Prefetch** — :class:`AccessScheduler` computes the RPCs a batch of
-  URLs will need, issues them in waves through ``call_many``
-  (max-of-parallel under the simulated clock, one pipelined exchange
-  per server over TCP), and parks the raw results in a
+  URLs will need, issues them in waves through ``call_many`` (each
+  window one batch frame per server; max-of-parallel across servers
+  under the simulated clock, one pipelined exchange per server over
+  TCP), and parks the raw results in a
   :class:`PrefetchingRpcClient` table keyed by (endpoint, op, args) —
   never more coarsely than the args' canonical encoding.
 * **Replay** — the *unchanged* sequential code then runs: its RPCs pop
@@ -28,7 +29,8 @@ successful transports' bytes, never verdicts — tampered data is parked
 just like genuine data and then fails the same check it always failed,
 raising the same :class:`~repro.errors.SecurityError` subclass. A
 prefetch *failure* is simply not parked, so the replay re-issues the
-call and the retry/failover machinery sees it first-hand.
+call and the retry/failover machinery sees it first-hand — including
+every call of a batch frame whose answer is not one slot per call.
 
 Request coalescing has two layers: identical URLs in one batch share a
 single replay (waiters get the leader's response object), and

@@ -34,7 +34,8 @@ import base64
 import json
 import math
 import zlib
-from typing import Any, List
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, List, Optional
 
 from repro.errors import CryptoError, EncodingError
 from repro.util.tally import TALLY
@@ -152,6 +153,74 @@ _BYTES_KEY_TEXT = f'"{_BYTES_TAG}":'.encode("ascii")
 _WORD = 4  # bytes in the header-length prefix and in the CRC32 trailer
 
 
+class _FrameCodec:
+    """A JSON encoder and decoder built once, with the hook state of the
+    frame in hand. ``json.dumps``/``json.loads`` given a hook build both
+    — encoder, scanner — anew on every call.
+
+    A codec is in one caller's hands at a time (:func:`_take`), which
+    returns it to :data:`_IDLE` with its state cleared: no frame or
+    attachment outlives the call that held it."""
+
+    def __init__(self) -> None:
+        self.attachments: List[bytes] = []
+        self.frame: Optional[memoryview] = None
+        self.offset = self.end = 0
+        #: The encoder's cycle check: emptied after every call, since an
+        #: encoder that raised mid-value leaves its entries behind.
+        self.markers: dict = {}
+        # What ``json.dumps(value, sort_keys=True, separators=(",", ":"),
+        # allow_nan=False, default=...)`` builds per call, built once.
+        chunks = c_make_encoder(
+            self.markers, self.detach, encode_basestring_ascii,
+            None, ":", ",", True, False, False,
+        )
+        self.encode = lambda value: "".join(chunks(value, 0))
+        self.decode = json.JSONDecoder(object_hook=self.attach).decode
+
+    def detach(self, leaf: Any) -> Any:
+        """The encoder's ``default``: it meets each ``bytes`` in text order."""
+        if isinstance(leaf, memoryview):  # len() counts items, not bytes
+            leaf = leaf.tobytes()
+        elif not isinstance(leaf, (bytes, bytearray)):
+            raise EncodingError(f"type {type(leaf).__name__} is not encodable")
+        self.attachments.append(leaf)
+        return {_ATTACHMENT_TAG: len(leaf)}
+
+    def attach(self, mapping: dict) -> Any:
+        """The parser's ``object_hook``: it sees every JSON object as it
+        closes, so placeholders arrive in text order."""
+        if _RESERVED_KEYS.isdisjoint(mapping):
+            return mapping
+        length = mapping.get(_ATTACHMENT_TAG)
+        if len(mapping) != 1 or type(length) is not int or length < 0:
+            raise EncodingError("malformed attachment placeholder")
+        if length > self.end - self.offset:
+            raise EncodingError("attachment length runs past the frame")
+        start = self.offset
+        self.offset += length
+        return bytes(self.frame[start : self.offset])
+
+    def release(self) -> None:
+        self.attachments.clear()
+        self.frame = None
+        self.markers.clear()
+        _IDLE.append(self)
+
+
+#: Codecs not in any caller's hands. ``list.pop`` and ``list.append``
+#: are atomic, so the pool never holds more codecs than threads were
+#: ever inside the codec at once, and a nested call just takes another.
+_IDLE: List[_FrameCodec] = []
+
+
+def _take() -> _FrameCodec:
+    try:
+        return _IDLE.pop()
+    except IndexError:
+        return _FrameCodec()
+
+
 def to_wire(value: Any) -> bytes:
     """Frame a message for transmission (layout in the module docstring).
 
@@ -159,30 +228,23 @@ def to_wire(value: Any) -> bytes:
     base64, no JSON escaping. The JSON encoder itself walks the value —
     keys sorted — and hands over each ``bytes`` it meets, so attachment
     order is the header's text order whatever the insertion order."""
-    attachments: List[bytes] = []
-
-    def detach(leaf: Any) -> Any:
-        if isinstance(leaf, memoryview):  # len() counts items, not bytes
-            leaf = leaf.tobytes()
-        elif not isinstance(leaf, (bytes, bytearray)):
-            raise EncodingError(f"type {type(leaf).__name__} is not encodable")
-        attachments.append(leaf)
-        return {_ATTACHMENT_TAG: len(leaf)}
-
+    codec = _take()
     try:
-        header = json.dumps(
-            value, sort_keys=True, separators=(",", ":"), allow_nan=False, default=detach
-        ).encode("ascii")
-    except (TypeError, ValueError) as exc:  # unsortable or non-JSON keys, NaN/Inf, cycles
-        raise EncodingError(f"value is not encodable: {exc}") from exc
-    # The encoder walks the mappings, so reserved keys are looked for in
-    # its output. A quote inside a JSON string is escaped: ``"__att__":``
-    # can only be text where a mapping key is (or, for a key holding a
-    # quote, ends in) ``__att__``. One per placeholder is ours; any more
-    # is a user key, refused — as is the rare key that merely ends so.
-    if header.count(_ATTACHMENT_KEY_TEXT) != len(attachments) or _BYTES_KEY_TEXT in header:
-        raise EncodingError(f"reserved key {_ATTACHMENT_TAG!r} or {_BYTES_TAG!r} in mapping")
-    parts = [len(header).to_bytes(_WORD, "big"), header, *attachments]
+        try:
+            header = codec.encode(value).encode("ascii")
+        except (TypeError, ValueError) as exc:  # unsortable or non-JSON keys, NaN/Inf, cycles
+            raise EncodingError(f"value is not encodable: {exc}") from exc
+        attachments = codec.attachments
+        # The encoder walks the mappings, so reserved keys are looked for in
+        # its output. A quote inside a JSON string is escaped: ``"__att__":``
+        # can only be text where a mapping key is (or, for a key holding a
+        # quote, ends in) ``__att__``. One per placeholder is ours; any more
+        # is a user key, refused — as is the rare key that merely ends so.
+        if header.count(_ATTACHMENT_KEY_TEXT) != len(attachments) or _BYTES_KEY_TEXT in header:
+            raise EncodingError(f"reserved key {_ATTACHMENT_TAG!r} or {_BYTES_TAG!r} in mapping")
+        parts = [len(header).to_bytes(_WORD, "big"), header, *attachments]
+    finally:
+        codec.release()
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -206,28 +268,17 @@ def from_wire(data: bytes) -> Any:
     offset = _WORD + int.from_bytes(frame[:_WORD], "big")
     if offset > end:
         raise EncodingError("header length runs past the frame")
-    header = frame[_WORD:offset]
-
-    def attach(mapping: dict) -> Any:
-        """The parser's ``object_hook``: it sees every JSON object as it
-        closes, so placeholders arrive in text order."""
-        nonlocal offset
-        if _RESERVED_KEYS.isdisjoint(mapping):
-            return mapping
-        length = mapping.get(_ATTACHMENT_TAG)
-        if len(mapping) != 1 or type(length) is not int or length < 0:
-            raise EncodingError("malformed attachment placeholder")
-        if length > end - offset:
-            raise EncodingError("attachment length runs past the frame")
-        start, offset = offset, offset + length
-        return bytes(frame[start:offset])
-
+    codec = _take()
+    codec.frame, codec.offset, codec.end = frame, offset, end
     try:
-        value = json.loads(str(header, "utf-8"), object_hook=attach)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge int, depth
-        raise EncodingError(f"invalid frame header: {exc}") from exc
-    if offset != end:
-        raise EncodingError(f"{end - offset} unclaimed bytes after the last attachment")
+        try:
+            value = codec.decode(str(frame[_WORD:offset], "utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge int, depth
+            raise EncodingError(f"invalid frame header: {exc}") from exc
+        if codec.offset != end:
+            raise EncodingError(f"{end - codec.offset} unclaimed bytes after the last attachment")
+    finally:
+        codec.release()
     return value
 
 

@@ -12,7 +12,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.net.address import ContactAddress, Endpoint
-from repro.net.message import Request, Response
+from repro.net.message import BATCH_OP, Request, Response
 from repro.net.rpc import BatchCall, RpcClient, RpcServer, rpc_method
 from repro.net.transport import LoopbackTransport
 
@@ -112,14 +112,20 @@ class TestTransportErrors:
 
 
 class BatchingTransport(LoopbackTransport):
-    """Loopback plus ``request_many``, recording each wave's size."""
+    """Loopback plus ``request_many``, recording each wave's frame count
+    and the calls each frame carries."""
 
     def __init__(self):
         super().__init__()
         self.batches = []
+        self.calls_per_frame = []
 
     def request_many(self, batch):
         self.batches.append(len(batch))
+        for _, frame in batch:
+            request = Request.from_bytes(frame)
+            batched = request.op == BATCH_OP
+            self.calls_per_frame.append(len(request.args["calls"]) if batched else 1)
         results = []
         for endpoint, frame in batch:
             try:
@@ -156,7 +162,34 @@ class TestCallMany:
             BatchCall(endpoint, "calc.add", {"a": i, "b": 0}) for i in range(7)
         ]
         client.call_many(calls, window=3)
-        assert transport.batches == [3, 3, 1]
+        # One frame per window: its calls all go to one endpoint.
+        assert transport.batches == [1, 1, 1]
+        assert transport.calls_per_frame == [3, 3, 1]
+
+    def test_a_window_is_one_frame_per_endpoint(self, batch_wired):
+        client, endpoint, transport = batch_wired
+        other = Endpoint(host="h2", service="calc")
+        server = RpcServer(name="calc2")
+        server.register_object(Calculator())
+        transport.register(other, server.handle_frame)
+        calls = [
+            BatchCall(endpoint if i % 3 else other, "calc.add", {"a": i, "b": 1})
+            for i in range(6)
+        ]
+        outcomes = client.call_many(calls)
+        assert [o.value for o in outcomes] == [i + 1 for i in range(6)]
+        assert transport.batches == [2]
+        # In order of each endpoint's first call: h2's two, h1's four.
+        assert transport.calls_per_frame == [2, 4]
+
+    def test_a_lone_call_is_the_plain_request_frame(self, batch_wired):
+        client, endpoint, transport = batch_wired
+        sent = []
+        handler = transport._handlers[endpoint]
+        transport.register(endpoint, lambda frame: sent.append(frame) or handler(frame))
+        client.call_many([BatchCall(endpoint, "calc.add", {"a": 1, "b": 2})])
+        client.call(endpoint, "calc.add", a=1, b=2)
+        assert sent[0] == sent[1] == Request(op="calc.add", args={"a": 1, "b": 2}).to_bytes()
 
     def test_window_must_be_positive(self, batch_wired):
         client, endpoint, _ = batch_wired
@@ -217,7 +250,9 @@ class TestCallMany:
         assert [o.value for o in outcomes] == [3, None, 7]
         assert isinstance(outcomes[1].error, RpcError)
         assert "invalid RPC target" in str(outcomes[1].error)
-        assert client.transport.stats.requests == 2
+        # The two valid calls share one batch frame when the transport
+        # carries windows; the sequential fallback sends each alone.
+        assert client.transport.stats.requests == (1 if fixture == "batch_wired" else 2)
         assert client.call_many([BatchCall(None, "calc.add")])[0].ok is False
 
     def test_contact_address_targets(self, batch_wired):

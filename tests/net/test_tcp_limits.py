@@ -107,3 +107,44 @@ class TestFrameLimits:
                 for r in results[1:]
             )
             assert transport.pooled_connections == 0
+
+
+class TestOversizedWindow:
+    def test_a_window_answer_over_the_cap_is_fetched_call_by_call(self, monkeypatch):
+        """Each element fits a frame; the fetch window's one answer —
+        key, certificate and every element — does not. The server cannot
+        send it, so the window's calls fail and park nothing, and the
+        replay fetches and verifies each call on its own."""
+        from repro.deployment import ZONE_PATHS, Deployment
+        from repro.naming.zone import ZoneKeys
+        from repro.proxy.pipeline import PipelineConfig
+        from repro.sim.clock import RealClock
+        from tests.conftest import fast_keys
+
+        host, client, site = "server-host", "client-host", "root/local"
+        elements = {f"part{i}.bin": bytes([i]) * (16 * 1024) for i in range(4)}
+        with TcpEndpointServer() as listener:
+            transport = TcpTransport(directory={host: listener.address})
+            world = Deployment(
+                RealClock(),
+                lambda endpoint, handler: listener.register(endpoint.service, handler),
+                lambda name: transport,
+                host,
+                {host: site, client: site},
+                zone_keys={zone: ZoneKeys(zone, fast_keys()) for zone in ZONE_PATHS},
+            )
+            # Published whole, before the cap comes down.
+            published = world.publish(world.document_owner("vu.nl/big", elements))
+            monkeypatch.setattr(tcpnet, "_MAX_FRAME", 48 * 1024)
+            stack = world.client_stack(client, pipeline=PipelineConfig())
+            try:
+                responses = stack.proxy.handle_many([published.url(n) for n in elements])
+            finally:
+                transport.close()
+        assert [(r.status, r.content) for r in responses] == [
+            (200, content) for content in elements.values()
+        ]
+        counters = stack.scheduler.counters
+        # Parked: the name and the location. Replayed from the wire: the
+        # key, the certificate and the four elements.
+        assert (counters.prefetched, counters.prefetch_misses) == (2, 2 + len(elements))

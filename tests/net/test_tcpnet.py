@@ -189,7 +189,7 @@ class TestRequestManyTcp:
         )
         assert [o.value for o in outcomes] == [f"echo: {i}" for i in range(6)]
         assert transport.pooled_connections == 1
-        assert transport.stats.requests == 6
+        assert transport.stats.requests == 1  # one batch frame carries all six
         transport.close()
 
     def test_failed_slot_holds_exception(self, tcp_server):

@@ -49,15 +49,18 @@ class FlakyTransport(LoopbackTransport):
 
 class BatchingTransport(LoopbackTransport):
     """Loopback plus ``request_many``; slots in ``fail_round_one`` get a
-    TransportError on the first round only."""
+    TransportError on the first round only. ``frames`` counts each
+    round's frames."""
 
     def __init__(self):
         super().__init__()
         self.fail_round_one = set()
         self.rounds = 0
+        self.frames = []
 
     def request_many(self, batch):
         self.rounds += 1
+        self.frames.append(len(batch))
         results = []
         for i, (endpoint, frame) in enumerate(batch):
             if self.rounds == 1 and i in self.fail_round_one:
@@ -233,7 +236,9 @@ class TestRetryPropagation:
 
     def test_batched_retry_rounds_share_the_trace(self, clock):
         transport = BatchingTransport()
-        transport.fail_round_one = {1}
+        # The window's three calls travel as one batch frame, and round
+        # one loses it: every call is retried, again as one frame.
+        transport.fail_round_one = {0}
         client, tracer, client_ring, server_ring = wire(transport, clock)
         retrying = RetryingRpcClient(
             client, policy=self.policy(), clock=clock, tracer=tracer
@@ -248,10 +253,11 @@ class TestRetryPropagation:
 
         attempts = client_ring.named("rpc.attempt")
         assert [s.attributes["attempt"] for s in attempts] == [1, 2]
-        assert [s.attributes["calls"] for s in attempts] == [3, 1]
+        assert [s.attributes["calls"] for s in attempts] == [3, 3]
+        assert transport.frames == [1, 1]
         assert all(s.attributes["op"] == "<batch>" for s in attempts)
         assert all(s.trace_id == root.trace_id for s in attempts)
-        # 2 server handles in round one + 1 in round two, all stitched.
+        # The three calls' server handles, all from round two, all stitched.
         handles = server_ring.named("server.handle")
         assert len(handles) == 3
         assert all(s.trace_id == root.trace_id for s in handles)
@@ -274,6 +280,7 @@ class TestWindowedPipelining:
 
         windows = client_ring.named("rpc.call_many")
         assert [s.attributes["calls"] for s in windows] == [2, 2, 1]
+        assert transport.frames == [1, 1, 1]  # each window is one frame
         assert all(s.trace_id == root.trace_id for s in windows)
         # Every server span names the window that carried it — the
         # window is the causal unit of a pipelined batch.
@@ -283,6 +290,28 @@ class TestWindowedPipelining:
             by_window.setdefault(handle.remote_parent, 0)
             by_window[handle.remote_parent] += 1
         assert by_window == {w.ref: w.attributes["calls"] for w in windows}
+
+    def test_each_batched_call_has_its_own_server_span(self, clock):
+        transport = BatchingTransport()
+        client, tracer, client_ring, server_ring = wire(transport, clock)
+        calls = [BatchCall(ENDPOINT, "globedoc.get", {"key": "a"})]
+        calls += [BatchCall(ENDPOINT, "globedoc.tampered")]
+        calls += [BatchCall(ENDPOINT, "globedoc.missing")]
+        with tracer.span("pipeline.schedule"):
+            outcomes = client.call_many(calls)
+        assert outcomes[0].value == "value-a"
+        assert isinstance(outcomes[1].error, AuthenticityError)
+        assert transport.frames == [1]
+
+        (window,) = client_ring.named("rpc.call_many")
+        handles = server_ring.named("server.handle")
+        assert [s.attributes["op"] for s in handles] == [call.op for call in calls]
+        assert [s.is_error for s in handles] == [False, True, True]
+        assert all(s.remote_parent == window.ref for s in handles)
+        assert all(s.trace_id == window.trace_id for s in handles)
+        traces = stitched(client_ring, server_ring)
+        assert len(traces) == 1
+        assert traces[0].stitch_rate == 1.0
 
     def test_contact_address_targets_propagate_too(self, clock):
         transport = BatchingTransport()

@@ -13,11 +13,11 @@ from repro.crypto.identity import TrustStore
 from repro.crypto.verifycache import VerificationCache
 from repro.globedoc.urls import HybridUrl
 from repro.net.address import Endpoint
-from repro.net.message import Request, Response
+from repro.net.message import BATCH_OP, Request, Response
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
 from repro.proxy.pipeline import PipelineConfig
-from repro.util.encoding import to_wire
+from repro.util.encoding import from_wire, to_wire
 from tests.proxy.conftest import ELEMENTS
 
 
@@ -211,27 +211,40 @@ class TestMalformedReplicaAnswers:
         name = f"vu.nl/probe{next(self.probe_ids)}"
         published = testbed.publish(testbed.document_owner(name, ELEMENTS))
 
-        def deploy(case: str, reply: bytes = None) -> None:
+        def deploy(case: str, reply: bytes = None) -> list:
             """``reply``, if given, is the whole frame the case's op is
-            answered with, in place of its malformed answer."""
+            answered with, in place of its malformed answer. In a batch
+            answer the reply's fields (all but ``kind``) are that op's
+            slot; the returned list gains an entry per batch forged."""
             op, forge = MALFORMED_ANSWERS[case]
             if reply is None:
                 answer = forge(published.document.integrity.to_dict())
                 reply = Response.success(answer).to_bytes()
+            forged_slot = {k: v for k, v in from_wire(reply).items() if k != "kind"}
+            batches_forged = []
             replica = MaliciousReplica(
                 host=self.CLIENT, document=published.document, behavior=HonestBehavior()
             )
             honest = replica.rpc_server().handle_frame
 
             def handle_frame(frame: bytes) -> bytes:
-                if Request.from_bytes(frame).op == op:
+                request = Request.from_bytes(frame)
+                if request.op == op:
                     return reply
-                return honest(frame)
+                if request.op != BATCH_OP:
+                    return honest(frame)
+                slots = Response.from_bytes(honest(frame)).value
+                calls = request.args["calls"]
+                batches_forged.append([call["op"] for call in calls])
+                return Response.success(
+                    [forged_slot if call["op"] == op else slot for call, slot in zip(calls, slots)]
+                ).to_bytes()
 
             testbed.network.register(Endpoint(self.CLIENT, "objectserver"), handle_frame)
             testbed.location_service.tree.insert(
                 published.oid_hex, "root/europe/inria", replica.contact_address()
             )
+            return batches_forged
 
         def stack(ring=None, **kwargs):
             # A non-empty trust store makes the session fetch identity
@@ -262,19 +275,24 @@ class TestMalformedReplicaAnswers:
     @pytest.mark.parametrize("case", list(MALFORMED_ANSWERS))
     def test_rejected_through_the_pipeline(self, world, case):
         published, deploy, stack = world
-        deploy(case)
+        batches_forged = deploy(case)
         proxy = stack(max_rebinds=0, pipeline=PipelineConfig()).proxy
         responses = proxy.handle_many(
             [published.url("index.html"), published.url("img/logo.png")]
         )
         for response in responses:
             self.assert_rejected(response)
+        # The forge rode in its op's slot of the fetch wave's one frame.
+        assert len(batches_forged) == 1
+        assert MALFORMED_ANSWERS[case][0] in batches_forged[0]
 
     def test_integer_public_key_prefetched_without_allocating(self, world):
         """The pipeline decodes a prefetched key to batch-verify its
         certificate: an integer there must not become ``bytes(10**8)``."""
         published, deploy, stack = world
-        deploy("public_key_an_integer", reply=Response.success(10**8).to_bytes())
+        batches_forged = deploy(
+            "public_key_an_integer", reply=Response.success(10**8).to_bytes()
+        )
         proxy = stack(
             max_rebinds=0,
             pipeline=PipelineConfig(),
@@ -291,6 +309,7 @@ class TestMalformedReplicaAnswers:
         for response in responses:
             self.assert_rejected(response)
         assert peak < 16 * 2**20
+        assert batches_forged
 
     @pytest.mark.parametrize("case", ["public_key_not_bytes", "element_without_content"])
     def test_response_frame_without_ok_is_the_same_failure_both_ways(self, world, case):
