@@ -28,9 +28,10 @@ proxy does not replay verdicts for certificates it should re-examine.
 Both an entry count and a byte budget bound the cache (LRU eviction).
 
 The cache is thread-safe: table reads and writes are serialized by an
-internal lock (the concurrent TCP pipeline shares one cache across
-request threads), but the RSA operation itself runs *outside* the lock
-— concurrent misses may both pay the RSA cost, never corrupt the table.
+internal lock (callers may share one cache across threads; the access
+pipeline itself runs on the calling thread), but the RSA operation
+runs *outside* the lock — concurrent misses may both pay the RSA cost,
+never corrupt the table.
 """
 
 from __future__ import annotations

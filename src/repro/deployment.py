@@ -380,25 +380,29 @@ class Deployment:
         ``revocation_cursor_dir`` persists the checker's cursor (head +
         verified statements) so a restarted client resumes with no
         fail-open window.
-        ``pipeline`` (off by default) wraps the RPC
+        ``pipeline`` (off by default) wraps the plain RPC
         client in a :class:`~repro.proxy.pipeline.PrefetchingRpcClient`
         and installs an :class:`~repro.proxy.pipeline.AccessScheduler`
         on the proxy, enabling the batched access pipeline behind
         ``proxy.handle_many``: a cold batch is three ``call_many`` waves
         (names, locations, then keys, certificates and elements), each
         replayed through the sequential code on the calling thread.
+        The client stack is ``RpcClient`` → ``PrefetchingRpcClient`` →
+        ``RetryingRpcClient``: a prefetch is one attempt, and only the
+        replay's calls are retried and recorded by ``health``, once
+        each, as ``handle``'s are.
         """
         if transport is None:
             transport = self.transport_for(host_name)
         rpc = RpcClient(transport, tracer=tracer)
-        if retry_policy is not None:
-            rpc = RetryingRpcClient(
-                rpc, retry_policy, clock=self.clock, health=health, tracer=tracer
-            )
         prefetcher = None
         if pipeline is not None:
             prefetcher = PrefetchingRpcClient(rpc, tracer=tracer)
             rpc = prefetcher
+        if retry_policy is not None:
+            rpc = RetryingRpcClient(
+                rpc, retry_policy, clock=self.clock, health=health, tracer=tracer
+            )
         resolver = SecureResolver(
             rpc, self.naming_endpoint, self.naming.root_key, clock=self.clock,
             iterative=self.iterative_naming,

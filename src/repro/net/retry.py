@@ -29,10 +29,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional
 
 from repro.errors import RpcError, SecurityError, TransportError
-from repro.net.rpc import BatchCall, BatchOutcome, DEFAULT_WINDOW
 from repro.obs import NOOP_TRACER
 from repro.sim.clock import Clock, RealClock
 
@@ -124,6 +123,12 @@ class RetryingRpcClient:
     resolvers, location clients and LRs take it unchanged. An optional
     :class:`~repro.net.health.ReplicaHealthTracker` observes every
     attempt's outcome per target, feeding the binder's address ordering.
+
+    It has no batch path. On a pipelined stack it wraps the
+    :class:`~repro.proxy.pipeline.PrefetchingRpcClient`: a prefetch wave
+    is one attempt beneath it, and each call the replay makes passes
+    through here once, parked or not, so a batch's retries, backoff and
+    health records are those of the sequential accesses.
     """
 
     def __init__(
@@ -184,66 +189,6 @@ class RetryingRpcClient:
             self._wait(delay)
             self.counters.retries += 1
             self.counters.backoff_seconds += delay
-
-    def call_many(
-        self, calls: Sequence[BatchCall], window: int = DEFAULT_WINDOW
-    ) -> List[BatchOutcome]:
-        """Pipelined batch with round-based retries.
-
-        Round 1 issues every call through the inner client's
-        ``call_many``; failed slots that are retryable (idempotent op,
-        operational error, attempts remaining) go into the
-        next round after *one* shared backoff wait — the max of the
-        per-call delays, since the waits would overlap in flight just
-        like the calls do. Security errors fail closed per slot and are
-        never re-issued; every slot's outcome feeds the health tracker
-        exactly as single calls do.
-        """
-        policy = self.policy
-        calls = list(calls)
-        results: List[Optional[BatchOutcome]] = [None] * len(calls)
-        pending = list(enumerate(calls))
-        attempt = 0
-        while pending:
-            attempt += 1
-            with self.tracer.span(
-                "rpc.attempt", op="<batch>", calls=len(pending), attempt=attempt
-            ) as span:
-                outcomes = self.inner.call_many(
-                    [call for _, call in pending], window=window
-                )
-                next_pending = []
-                round_delay = 0.0
-                for (index, call), outcome in zip(pending, outcomes):
-                    if outcome.ok:
-                        self._note_success(call.target)
-                        results[index] = outcome
-                        continue
-                    error = outcome.error
-                    if isinstance(error, SecurityError):
-                        # Fail closed, never retried (see call()).
-                        self._note_failure(call.target)
-                        results[index] = outcome
-                        continue
-                    if not isinstance(error, (TransportError, RpcError)):
-                        results[index] = outcome
-                        continue
-                    self._note_failure(call.target)
-                    if is_idempotent(call.op) and attempt < policy.max_attempts:
-                        next_pending.append((index, call))
-                        round_delay = max(round_delay, policy.delay_for(attempt, self._rng))
-                    else:
-                        self.counters.giveups += 1
-                        results[index] = outcome
-                span.set_attribute("retrying", len(next_pending))
-                if next_pending:
-                    span.set_attribute("backoff_s", round_delay)
-            pending = next_pending
-            if pending:
-                self._wait(round_delay)
-                self.counters.retries += len(pending)
-                self.counters.backoff_seconds += round_delay
-        return [outcome for outcome in results if outcome is not None]
 
     # ------------------------------------------------------------------
 

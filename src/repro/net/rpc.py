@@ -29,7 +29,7 @@ __all__ = [
     "DEFAULT_WINDOW",
 ]
 
-#: Default cap on RPCs a pipelined batch keeps in flight at once.
+#: Cap on the RPCs a pipelined batch keeps in flight at once.
 DEFAULT_WINDOW = 8
 
 logger = logging.getLogger(__name__)
@@ -152,11 +152,9 @@ class BatchOutcome:
     """Result slot of one :class:`BatchCall`: a value or an exception.
 
     Batched calls never raise per-call — a failed call's outcome carries
-    the rehydrated exception so the caller (retry layer, scheduler)
-    decides what to do with each slot.
+    the rehydrated exception, and the prefetcher parks only the values.
     """
 
-    call: BatchCall
     value: Any = None
     error: Optional[Exception] = None
 
@@ -224,10 +222,9 @@ class RpcClient:
     # Pipelined batches
     # ------------------------------------------------------------------
 
-    def call_many(
-        self, calls: Sequence[BatchCall], window: int = DEFAULT_WINDOW
-    ) -> List[BatchOutcome]:
-        """Issue a batch of calls, at most *window* in flight at once.
+    def call_many(self, calls: Sequence[BatchCall]) -> List[BatchOutcome]:
+        """Issue a batch of calls, at most :data:`DEFAULT_WINDOW` in
+        flight at once.
 
         When the transport can carry a window as one exchange
         (``request_many`` — the simulated WAN charges max-of-parallel,
@@ -247,14 +244,12 @@ class RpcClient:
         call fails every call of its frame with a ``TransportError``.
         """
         calls = list(calls)
-        if window < 1:
-            raise RpcError(f"pipeline window must be >= 1, got {window}")
         request_many = getattr(self.transport, "request_many", None)
         if request_many is None:
             return [self._call_outcome(call) for call in calls]
         outcomes: List[BatchOutcome] = []
-        for start in range(0, len(calls), window):
-            chunk = calls[start : start + window]
+        for start in range(0, len(calls), DEFAULT_WINDOW):
+            chunk = calls[start : start + DEFAULT_WINDOW]
             with self.tracer.span("rpc.call_many", calls=len(chunk)) as span:
                 # Every call in the window shares the call_many span as
                 # its remote parent — the window *is* the causal unit.
@@ -265,7 +260,7 @@ class RpcClient:
                     try:
                         endpoint = _endpoint_of(call.target)
                     except RpcError as exc:
-                        window_outcomes[slot] = BatchOutcome(call=call, error=exc)
+                        window_outcomes[slot] = BatchOutcome(error=exc)
                         continue
                     groups.setdefault(endpoint, []).append(slot)
                 frames = []
@@ -281,7 +276,7 @@ class RpcClient:
                 for slots, frame in zip(groups.values(), raw):
                     answers = _decode_answers(frame, len(slots))
                     for slot, answer in zip(slots, answers):
-                        window_outcomes[slot] = _outcome(chunk[slot], answer)
+                        window_outcomes[slot] = _outcome(answer)
                 errors = sum(not outcome.ok for outcome in window_outcomes)
                 outcomes.extend(window_outcomes)
                 span.set_attribute("errors", errors)
@@ -292,8 +287,8 @@ class RpcClient:
         try:
             value = self.call(call.target, call.op, **dict(call.args))
         except Exception as exc:
-            return BatchOutcome(call=call, error=exc)
-        return BatchOutcome(call=call, value=value)
+            return BatchOutcome(error=exc)
+        return BatchOutcome(value=value)
 
 
 def _decode_answers(frame, count: int) -> list:
@@ -317,9 +312,9 @@ def _decode_answers(frame, count: int) -> list:
         return [TransportError(f"bad response frame: {exc}")] * count
 
 
-def _outcome(call: BatchCall, answer) -> BatchOutcome:
+def _outcome(answer) -> BatchOutcome:
     if isinstance(answer, Exception):
-        return BatchOutcome(call=call, error=answer)
+        return BatchOutcome(error=answer)
     if answer.ok:
-        return BatchOutcome(call=call, value=answer.value)
-    return BatchOutcome(call=call, error=_remote_error(answer))
+        return BatchOutcome(value=answer.value)
+    return BatchOutcome(error=_remote_error(answer))

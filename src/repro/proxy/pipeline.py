@@ -20,9 +20,11 @@ order. This module splits the two concerns:
 A cold batch is three waves. Binding (§2.1) has two phases, and each is
 a wave followed by its replay: every name the resolver must ask for,
 replayed through ``binder.resolve_oid``; then every uncached location
-lookup, replayed through ``binder.candidates``. The third wave fetches
-the keys, certificates and elements, replayed per request through
-:meth:`GlobeDocProxy.handle`. Every call runs on the calling thread.
+lookup, replayed through ``binder.candidates``; a plan whose bind call
+failed to park is left to the per-request replay. The third wave
+fetches the keys, certificates and elements, replayed per request
+through :meth:`GlobeDocProxy.handle`. Every call runs on the calling
+thread.
 
 Security semantics are preserved by construction: the table stores only
 successful transports' bytes, never verdicts — tampered data is parked
@@ -30,7 +32,10 @@ just like genuine data and then fails the same check it always failed,
 raising the same :class:`~repro.errors.SecurityError` subclass. A
 prefetch *failure* is simply not parked, so the replay re-issues the
 call and the retry/failover machinery sees it first-hand — including
-every call of a batch frame whose answer is not one slot per call.
+every call of a batch frame whose answer is not one slot per call. A
+wave is one attempt: the retry layer, when the stack has one, wraps
+the prefetcher, so only the replay retries, once per call, as the
+sequential proxy does.
 
 Request coalescing has two layers: identical URLs in one batch share a
 single replay (waiters get the leader's response object), and
@@ -47,9 +52,10 @@ from repro.crypto.keys import PublicKey
 from repro.errors import UrlError
 from repro.globedoc.integrity import IntegrityCertificate
 from repro.globedoc.urls import HybridUrl
-from repro.net.rpc import BatchCall, DEFAULT_WINDOW
+from repro.net.rpc import BatchCall
 from repro.net.address import ContactAddress
 from repro.obs import NOOP_TRACER
+from repro.server.localrep import ProxyLR
 from repro.util.encoding import canonical_bytes, wire_bytes
 
 __all__ = [
@@ -91,9 +97,9 @@ class PrefetchingRpcClient:
     """An RPC client that serves parked prefetch results before the wire.
 
     Drop-in for :class:`~repro.net.rpc.RpcClient` (``call`` +
-    ``transport``; ``counters`` and ``call_many`` forward to the inner
-    client, typically a :class:`~repro.net.retry.RetryingRpcClient`).
-    :meth:`prefetch` issues a wave of calls in parallel and parks each
+    ``transport``) over the plain client, beneath the retry layer when
+    the stack has one. :meth:`prefetch` issues a wave of calls through
+    the inner ``call_many`` — one attempt each — and parks each
     *successful* raw result under its call key; a later identical
     :meth:`call` pops the parked value at zero network cost. Entries are
     consumed exactly once (pop-on-use) and the scheduler clears the
@@ -116,12 +122,6 @@ class PrefetchingRpcClient:
     def transport(self):
         return self.inner.transport
 
-    @property
-    def counters(self):
-        """The retry counters of the inner client (duck-typed, may be
-        absent when the inner client is a plain ``RpcClient``)."""
-        return getattr(self.inner, "counters", None)
-
     def call(self, target, op: str, **args: Any) -> Any:
         key = self._call_key(target, op, args)
         with self._lock:
@@ -135,45 +135,43 @@ class PrefetchingRpcClient:
         self.counters_pipeline.prefetch_misses += 1
         return self.inner.call(target, op, **args)
 
-    def call_many(self, calls, window: int = DEFAULT_WINDOW):
-        return self.inner.call_many(calls, window=window)
-
     # -- Prefetch table ----------------------------------------------------
 
-    def prefetch(self, calls: Sequence[BatchCall]) -> int:
-        """Issue *calls* in parallel; park the successes. Returns parks.
+    def prefetch(self, calls: Sequence[BatchCall]) -> List[bool]:
+        """Issue *calls* in parallel; park the successes. Returns, per
+        call, whether its answer was parked.
 
         Duplicate calls (same key) within the wave collapse to a single
         RPC — the coalescing half of the pipeline — and park a single
         result, because duplicate *requests* share a single replay too.
         """
+        keys = [self._call_key(call.target, call.op, call.args) for call in calls]
         unique: Dict[tuple, BatchCall] = {}
-        for call in calls:
-            key = self._call_key(call.target, call.op, call.args)
+        for key, call in zip(keys, calls):
             if key in unique:
                 self.counters_pipeline.coalesced_calls += 1
             else:
                 unique[key] = call
         if not unique:
-            return 0
+            return []
         self.counters_pipeline.waves += 1
         with self.tracer.span("pipeline.prefetch", calls=len(unique)) as span:
             outcomes = self.inner.call_many(list(unique.values()))
-            parked = 0
+            parked = set()
             with self._lock:
                 for key, outcome in zip(unique, outcomes):
                     if outcome.ok:
                         self._table.setdefault(key, []).append(outcome.value)
-                        parked += 1
-            self.counters_pipeline.prefetched += parked
-            span.set_attribute("parked", parked)
-            span.set_attribute("failed", len(outcomes) - parked)
-        return parked
+                        parked.add(key)
+            self.counters_pipeline.prefetched += len(parked)
+            span.set_attribute("parked", len(parked))
+            span.set_attribute("failed", len(outcomes) - len(parked))
+        return [key in parked for key in keys]
 
-    def peek(self, target, op: str, **args: Any) -> Optional[Any]:
+    def peek(self, call: BatchCall) -> Optional[Any]:
         """A parked value without consuming it (verify-phase preview)."""
         with self._lock:
-            parked = self._table.get(self._call_key(target, op, args))
+            parked = self._table.get(self._call_key(call.target, call.op, call.args))
             return parked[0] if parked else None
 
     def clear(self) -> None:
@@ -210,7 +208,7 @@ class _ObjectPlan:
         "elements",
         "session",
         "establish_needed",
-        "error",
+        "failed",
     )
 
     def __init__(self, url: HybridUrl, session) -> None:
@@ -220,7 +218,9 @@ class _ObjectPlan:
         self.elements: List[str] = []
         self.session = session
         self.establish_needed = True
-        self.error: Optional[Exception] = None
+        #: Left to the per-request replay, which meets the failure
+        #: first-hand.
+        self.failed = False
 
 
 class AccessScheduler:
@@ -338,26 +338,35 @@ class AccessScheduler:
         replay: Callable[[_ObjectPlan], None],
     ) -> None:
         """Prefetch the call *call_for* names for each plan as one wave,
-        then *replay* each plan; a raise of either marks that plan failed
-        (the per-request replay meets the same error first-hand)."""
-        plans = [plan for plan in plans if plan.error is None]
-        calls: List[BatchCall] = []
+        then *replay* each plan whose call was parked or that needed
+        none; a raise of either marks that plan failed.
+
+        A plan whose prefetch failed is not replayed here: the
+        per-request replay meets that failure first-hand, with the one
+        retry budget ``handle`` would spend on it. Parking is read for
+        every plan before any replay, since duplicate calls share one
+        parked answer that the first replay consumes.
+        """
+        pending: List[Tuple[_ObjectPlan, Optional[BatchCall]]] = []
         for plan in plans:
-            try:
-                call = call_for(plan)
-            except Exception as exc:
-                plan.error = exc
+            if plan.failed:
                 continue
-            if call is not None:
-                calls.append(call)
-        if calls:
-            self.prefetcher.prefetch(calls)
-        for plan in plans:
-            if plan.error is None:
+            try:
+                pending.append((plan, call_for(plan)))
+            except Exception:
+                plan.failed = True
+        parked = iter(
+            self.prefetcher.prefetch([call for _plan, call in pending if call is not None])
+        )
+        for plan, call in pending:
+            if call is not None and not next(parked):
+                plan.failed = True
+        for plan, _call in pending:
+            if not plan.failed:
                 try:
                     replay(plan)
-                except Exception as exc:
-                    plan.error = exc
+                except Exception:
+                    plan.failed = True
 
     # ------------------------------------------------------------------
     # Phase 2: one wave of session + element fetches
@@ -370,19 +379,14 @@ class AccessScheduler:
         calls: List[BatchCall] = []
         seen_elements = set()
         for plan in plans:
-            if plan.error is not None or plan.oid is None or not plan.addresses:
+            if plan.failed or plan.oid is None or not plan.addresses:
                 continue
             address = plan.addresses[0]
-            base = {"replica_id": address.replica_id}
             if plan.establish_needed:
-                calls.append(BatchCall(address, "globedoc.get_public_key", base))
+                calls.append(ProxyLR.pending_call(address, "get_public_key"))
                 if identity_needed:
-                    calls.append(
-                        BatchCall(address, "globedoc.get_identity_certificates", base)
-                    )
-                calls.append(
-                    BatchCall(address, "globedoc.get_integrity_certificate", base)
-                )
+                    calls.append(ProxyLR.pending_call(address, "get_identity_certificates"))
+                calls.append(ProxyLR.pending_call(address, "get_integrity_certificate"))
             cache = proxy.content_cache
             for element in plan.elements:
                 if (plan.oid.hex, element) in seen_elements:
@@ -390,15 +394,8 @@ class AccessScheduler:
                 seen_elements.add((plan.oid.hex, element))
                 if cache is not None and cache.contains(plan.oid.hex, element):
                     continue  # replay serves it from the content cache
-                calls.append(
-                    BatchCall(
-                        plan.addresses[0],
-                        "globedoc.get_element",
-                        dict(base, name=element),
-                    )
-                )
-        if calls:
-            self.prefetcher.prefetch(calls)
+                calls.append(ProxyLR.pending_call(address, "get_element", name=element))
+        self.prefetcher.prefetch(calls)
 
     # ------------------------------------------------------------------
     # Phase 3: batched verification of prefetched certificates
@@ -410,20 +407,12 @@ class AccessScheduler:
             return
         pairs = []
         for plan in plans:
-            if (
-                plan.error is not None
-                or not plan.establish_needed
-                or not plan.addresses
-            ):
+            if plan.failed or not plan.establish_needed or not plan.addresses:
                 continue
             address = plan.addresses[0]
-            der = self.prefetcher.peek(
-                address, "globedoc.get_public_key", replica_id=address.replica_id
-            )
+            der = self.prefetcher.peek(ProxyLR.pending_call(address, "get_public_key"))
             raw = self.prefetcher.peek(
-                address,
-                "globedoc.get_integrity_certificate",
-                replica_id=address.replica_id,
+                ProxyLR.pending_call(address, "get_integrity_certificate")
             )
             if der is None or raw is None:
                 continue

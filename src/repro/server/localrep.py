@@ -11,7 +11,7 @@ transparency.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional
+from typing import Any, List
 
 from repro.crypto.identity import IdentityCertificate
 from repro.crypto.keys import PublicKey
@@ -20,7 +20,7 @@ from repro.globedoc.document import DocumentState
 from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import IntegrityCertificate
 from repro.net.address import ContactAddress
-from repro.net.rpc import RpcClient
+from repro.net.rpc import BatchCall, RpcClient
 from repro.util.encoding import DECODE_ERRORS, wire_bytes
 
 __all__ = ["ReplicaLR", "ProxyLR"]
@@ -93,38 +93,46 @@ class ProxyLR:
         self.client = client
         self.address = address
 
-    def _call(self, op: str, **args: Any) -> Any:
-        return self.client.call(
-            self.address, op, replica_id=self.address.replica_id, **args
+    @staticmethod
+    def pending_call(address: ContactAddress, method: str, **args: Any) -> BatchCall:
+        """The call the LR at *address* sends for its *method* — the one
+        place a replica call is built, so a prefetch of it is the call
+        the LR makes."""
+        return BatchCall(
+            address, f"globedoc.{method}", dict(args, replica_id=address.replica_id)
         )
 
+    def _call(self, method: str, **args: Any) -> Any:
+        call = self.pending_call(self.address, method, **args)
+        return self.client.call(call.target, call.op, **call.args)
+
     def get_public_key(self) -> PublicKey:
-        der = self._call("globedoc.get_public_key")
+        der = self._call("get_public_key")
         try:
             return PublicKey(der=wire_bytes(der))
         except DECODE_ERRORS as exc:
             raise _malformed("get_public_key", exc) from exc
 
     def get_identity_certificates(self) -> List[IdentityCertificate]:
-        raw = self._call("globedoc.get_identity_certificates")
+        raw = self._call("get_identity_certificates")
         try:
             return [IdentityCertificate.from_dict(c) for c in raw]
         except DECODE_ERRORS as exc:
             raise _malformed("get_identity_certificates", exc) from exc
 
     def get_integrity_certificate(self) -> IntegrityCertificate:
-        raw = self._call("globedoc.get_integrity_certificate")
+        raw = self._call("get_integrity_certificate")
         try:
             return IntegrityCertificate.from_dict(raw)
         except DECODE_ERRORS as exc:
             raise _malformed("get_integrity_certificate", exc) from exc
 
     def get_element(self, name: str) -> PageElement:
-        raw = self._call("globedoc.get_element", name=name)
+        raw = self._call("get_element", name=name)
         try:
             return PageElement.from_dict(raw)
         except DECODE_ERRORS as exc:
             raise _malformed("get_element", exc) from exc
 
     def list_elements(self) -> List[str]:
-        return list(self._call("globedoc.list_elements"))
+        return list(self._call("list_elements"))

@@ -203,142 +203,3 @@ class TestClientSeededJitter:
         assert len(delays) == len(self.BASE)
         for delay, base in zip(delays, self.BASE):
             assert base * (1 - self.JITTER) <= delay <= base * (1 + self.JITTER)
-
-
-class ScriptedBatchClient:
-    """Inner client whose ``call_many`` fails scripted (round, op) slots."""
-
-    def __init__(self, fail_rounds):
-        # fail_rounds: {round_number: {op: exception}} — op slots that
-        # fail in that round; everything else succeeds with its op name.
-        self.fail_rounds = fail_rounds
-        self.rounds = 0
-        self.seen = []  # ops per round
-        self.transport = object()
-
-    def call_many(self, calls, window=8):
-        from repro.net.rpc import BatchOutcome
-
-        self.rounds += 1
-        self.seen.append([call.op for call in calls])
-        failures = self.fail_rounds.get(self.rounds, {})
-        outcomes = []
-        for call in calls:
-            error = failures.get(call.op)
-            if error is not None:
-                outcomes.append(BatchOutcome(call=call, error=error))
-            else:
-                outcomes.append(BatchOutcome(call=call, value=call.op))
-        return outcomes
-
-
-def batch(op, **args):
-    from repro.net.rpc import BatchCall
-
-    return BatchCall(TARGET, op, args)
-
-
-class TestCallManyRetries:
-    def test_only_failed_slots_reissued(self):
-        inner = ScriptedBatchClient(
-            {1: {"globedoc.get_element": TransportError("drop")}}
-        )
-        client = RetryingRpcClient(
-            inner,
-            RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0),
-            clock=SimClock(),
-        )
-        outcomes = client.call_many(
-            [batch("globedoc.get_public_key"), batch("globedoc.get_element")]
-        )
-        assert [o.value for o in outcomes] == [
-            "globedoc.get_public_key",
-            "globedoc.get_element",
-        ]
-        assert inner.seen == [
-            ["globedoc.get_public_key", "globedoc.get_element"],
-            ["globedoc.get_element"],
-        ]
-        assert client.counters.retries == 1
-
-    def test_round_backoff_advances_clock_once(self):
-        clock = SimClock()
-        inner = ScriptedBatchClient(
-            {
-                1: {
-                    "globedoc.get_element": TransportError("a"),
-                    "globedoc.get_public_key": TransportError("b"),
-                }
-            }
-        )
-        client = RetryingRpcClient(
-            inner,
-            RetryPolicy(max_attempts=2, base_delay=0.5, jitter=0.0),
-            clock=clock,
-        )
-        client.call_many(
-            [batch("globedoc.get_public_key"), batch("globedoc.get_element")]
-        )
-        # One shared wait per round (the waits overlap like the calls),
-        # not one per failed slot.
-        assert clock.now() == pytest.approx(0.5)
-
-    def test_security_error_never_reissued(self):
-        inner = ScriptedBatchClient(
-            {1: {"globedoc.get_element": AuthenticityError("tampered")}}
-        )
-        client = RetryingRpcClient(
-            inner,
-            RetryPolicy(max_attempts=5, base_delay=0.01, jitter=0.0),
-            clock=SimClock(),
-        )
-        outcomes = client.call_many([batch("globedoc.get_element")])
-        assert inner.rounds == 1  # failed closed, no retry round
-        assert isinstance(outcomes[0].error, AuthenticityError)
-
-    def test_non_idempotent_not_reissued(self):
-        inner = ScriptedBatchClient({1: {"admin.execute": TransportError("x")}})
-        client = RetryingRpcClient(
-            inner,
-            RetryPolicy(max_attempts=4, base_delay=0.01, jitter=0.0),
-            clock=SimClock(),
-        )
-        outcomes = client.call_many([batch("admin.execute")])
-        assert inner.rounds == 1
-        assert isinstance(outcomes[0].error, TransportError)
-        assert client.counters.giveups == 1
-
-    def test_attempts_exhausted_gives_up(self):
-        inner = ScriptedBatchClient(
-            {
-                1: {"globedoc.get_element": TransportError("1")},
-                2: {"globedoc.get_element": TransportError("2")},
-            }
-        )
-        client = RetryingRpcClient(
-            inner,
-            RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0),
-            clock=SimClock(),
-        )
-        outcomes = client.call_many([batch("globedoc.get_element")])
-        assert inner.rounds == 2
-        assert isinstance(outcomes[0].error, TransportError)
-        assert client.counters.giveups == 1
-
-    def test_health_tracker_sees_batch_outcomes(self):
-        health = ReplicaHealthTracker(clock=SimClock())
-        inner = ScriptedBatchClient(
-            {1: {"globedoc.get_element": TransportError("x")}}
-        )
-        client = RetryingRpcClient(
-            inner,
-            RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0),
-            clock=SimClock(),
-            health=health,
-        )
-        client.call_many(
-            [batch("globedoc.get_public_key"), batch("globedoc.get_element")]
-        )
-        record = health.record(str(TARGET))
-        assert record.total_failures >= 1
-        assert record.total_successes >= 2

@@ -154,17 +154,18 @@ class TestCallMany:
         outcomes = client.call_many(calls)
         assert [o.value for o in outcomes] == [10, 11, 12, 13, 14]
         assert all(o.ok for o in outcomes)
-        assert [o.call for o in outcomes] == calls
 
     def test_windowing_chunks_the_batch(self, batch_wired):
         client, endpoint, transport = batch_wired
         calls = [
-            BatchCall(endpoint, "calc.add", {"a": i, "b": 0}) for i in range(7)
+            BatchCall(endpoint, "calc.add", {"a": i, "b": 0}) for i in range(10)
         ]
-        client.call_many(calls, window=3)
-        # One frame per window: its calls all go to one endpoint.
-        assert transport.batches == [1, 1, 1]
-        assert transport.calls_per_frame == [3, 3, 1]
+        outcomes = client.call_many(calls)
+        assert [o.value for o in outcomes] == list(range(10))
+        # Windows of DEFAULT_WINDOW (8) calls, one frame per window: its
+        # calls all go to one endpoint.
+        assert transport.batches == [1, 1]
+        assert transport.calls_per_frame == [8, 2]
 
     def test_a_window_is_one_frame_per_endpoint(self, batch_wired):
         client, endpoint, transport = batch_wired
@@ -190,11 +191,6 @@ class TestCallMany:
         client.call_many([BatchCall(endpoint, "calc.add", {"a": 1, "b": 2})])
         client.call(endpoint, "calc.add", a=1, b=2)
         assert sent[0] == sent[1] == Request(op="calc.add", args={"a": 1, "b": 2}).to_bytes()
-
-    def test_window_must_be_positive(self, batch_wired):
-        client, endpoint, _ = batch_wired
-        with pytest.raises(RpcError, match="window"):
-            client.call_many([BatchCall(endpoint, "calc.add", {"a": 1, "b": 1})], window=0)
 
     def test_remote_errors_rehydrate_per_slot(self, batch_wired):
         client, endpoint, _ = batch_wired

@@ -14,10 +14,11 @@ import pytest
 from repro.errors import AuthenticityError, TransportError
 from repro.net.address import ContactAddress, Endpoint
 from repro.net.message import Request, Response
-from repro.net.rpc import BatchCall, RpcClient, RpcServer, rpc_method
+from repro.net.rpc import DEFAULT_WINDOW, BatchCall, RpcClient, RpcServer, rpc_method
 from repro.net.retry import RetryingRpcClient, RetryPolicy
 from repro.net.transport import LoopbackTransport
 from repro.obs import RingBufferSink, TraceAssembler, Tracer
+from repro.proxy.pipeline import PrefetchingRpcClient
 from repro.sim.clock import SimClock
 
 
@@ -49,14 +50,22 @@ class FlakyTransport(LoopbackTransport):
 
 class BatchingTransport(LoopbackTransport):
     """Loopback plus ``request_many``; slots in ``fail_round_one`` get a
-    TransportError on the first round only. ``frames`` counts each
+    TransportError on the first round only, and the next
+    ``lose_requests`` single requests are lost. ``frames`` counts each
     round's frames."""
 
     def __init__(self):
         super().__init__()
         self.fail_round_one = set()
+        self.lose_requests = 0
         self.rounds = 0
         self.frames = []
+
+    def request(self, endpoint, frame):
+        if self.lose_requests > 0:
+            self.lose_requests -= 1
+            raise TransportError("injected fault")
+        return super().request(endpoint, frame)
 
     def request_many(self, batch):
         self.rounds += 1
@@ -67,7 +76,7 @@ class BatchingTransport(LoopbackTransport):
                 results.append(TransportError("injected fault"))
                 continue
             try:
-                results.append(self.request(endpoint, frame))
+                results.append(super().request(endpoint, frame))
             except Exception as exc:
                 results.append(exc)
         return results
@@ -234,30 +243,36 @@ class TestRetryPropagation:
         assert attempts[0].error_type == "AuthenticityError"
         assert retrying.counters.retries == 0
 
-    def test_batched_retry_rounds_share_the_trace(self, clock):
+    def test_pipelined_batch_retries_share_the_trace(self, clock):
+        """A pipelined batch on a retrying stack (plain client, then the
+        prefetcher, then the retry layer): the wave is one attempt and
+        loses its frame, so the replay re-issues every call through the
+        retry layer, which retries the one whose request is lost too.
+        Every attempt sits in the batch's one trace."""
         transport = BatchingTransport()
-        # The window's three calls travel as one batch frame, and round
-        # one loses it: every call is retried, again as one frame.
-        transport.fail_round_one = {0}
+        transport.fail_round_one = {0}  # the wave's one batch frame
         client, tracer, client_ring, server_ring = wire(transport, clock)
+        prefetcher = PrefetchingRpcClient(client, tracer=tracer)
         retrying = RetryingRpcClient(
-            client, policy=self.policy(), clock=clock, tracer=tracer
+            prefetcher, policy=self.policy(), clock=clock, tracer=tracer
         )
-        calls = [
-            BatchCall(ENDPOINT, "globedoc.get", {"key": str(i)})
-            for i in range(3)
-        ]
+        keys = [str(i) for i in range(3)]
         with tracer.span("pipeline.schedule") as root:
-            outcomes = retrying.call_many(calls)
-        assert [o.value for o in outcomes] == ["value-0", "value-1", "value-2"]
+            assert prefetcher.prefetch(
+                [BatchCall(ENDPOINT, "globedoc.get", {"key": key}) for key in keys]
+            ) == [False, False, False]
+            transport.lose_requests = 1
+            values = [retrying.call(ENDPOINT, "globedoc.get", key=key) for key in keys]
+        assert values == ["value-0", "value-1", "value-2"]
 
+        assert transport.frames == [1]
+        assert len(client_ring.named("rpc.call_many")) == 1
         attempts = client_ring.named("rpc.attempt")
-        assert [s.attributes["attempt"] for s in attempts] == [1, 2]
-        assert [s.attributes["calls"] for s in attempts] == [3, 3]
-        assert transport.frames == [1, 1]
-        assert all(s.attributes["op"] == "<batch>" for s in attempts)
+        assert [s.attributes["attempt"] for s in attempts] == [1, 2, 1, 1]
+        assert attempts[0].attributes["backoff_s"] == pytest.approx(0.1)
+        assert retrying.counters.retries == 1
         assert all(s.trace_id == root.trace_id for s in attempts)
-        # The three calls' server handles, all from round two, all stitched.
+        # The replay's three calls reached the server, all stitched.
         handles = server_ring.named("server.handle")
         assert len(handles) == 3
         assert all(s.trace_id == root.trace_id for s in handles)
@@ -272,15 +287,15 @@ class TestWindowedPipelining:
         client, tracer, client_ring, server_ring = wire(transport, clock)
         calls = [
             BatchCall(ENDPOINT, "globedoc.get", {"key": str(i)})
-            for i in range(5)
+            for i in range(DEFAULT_WINDOW + 2)
         ]
         with tracer.span("pipeline.schedule") as root:
-            outcomes = client.call_many(calls, window=2)
+            outcomes = client.call_many(calls)
         assert all(o.ok for o in outcomes)
 
         windows = client_ring.named("rpc.call_many")
-        assert [s.attributes["calls"] for s in windows] == [2, 2, 1]
-        assert transport.frames == [1, 1, 1]  # each window is one frame
+        assert [s.attributes["calls"] for s in windows] == [DEFAULT_WINDOW, 2]
+        assert transport.frames == [1, 1]  # each window is one frame
         assert all(s.trace_id == root.trace_id for s in windows)
         # Every server span names the window that carried it — the
         # window is the causal unit of a pipelined batch.

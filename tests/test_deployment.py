@@ -18,6 +18,8 @@ from repro.globedoc.urls import HybridUrl
 from repro.harness.experiment import Testbed
 from repro.naming.zone import ZoneKeys
 from repro.net.message import Request
+from repro.net.retry import RetryingRpcClient, RetryPolicy
+from repro.net.rpc import RpcClient
 from repro.net.tcpnet import TcpEndpointServer, TcpTransport
 from repro.net.topology import paper_testbed
 from repro.net.transport import LoopbackTransport
@@ -227,6 +229,22 @@ class TestColdAccessRequests:
         fetch = self.BIND_AND_FETCH[1:]
         assert self.sent(tap) == ["naming.resolve"] * 2 + ["location.lookup"] * 2 + fetch * 2
 
+    def test_pipelined_cold_batch_replays_from_the_prefetch(self, zone_keys):
+        """Every call the replay of a cold two-object, two-element batch
+        makes was parked by a wave — name, location, key, certificate
+        twice, four elements: were the waves to build a call otherwise
+        than the replay does, it would miss and go to the wire again."""
+        with world("loopback", zone_keys) as deployment:
+            published = [
+                deployment.publish(deployment.document_owner(name, ELEMENTS))
+                for name in ("vu.nl/hit1", "vu.nl/hit2")
+            ]
+            stack = deployment.client_stack(CLIENT, pipeline=PipelineConfig())
+            urls = [pub.url(name) for pub in published for name in ("index.html", "logo.bin")]
+            assert all(response.ok for response in stack.proxy.handle_many(urls))
+        counters = stack.scheduler.counters
+        assert (counters.prefetch_hits, counters.prefetch_misses) == (12, 0)
+
     def test_unknown_oid_is_one_lookup(self, zone_keys):
         with world("loopback", zone_keys) as deployment:
             tap = Tap(deployment.transport_for(CLIENT))
@@ -280,6 +298,20 @@ class TestPipelinedBatchIsOneTrace:
         (schedule,) = ring.named("pipeline.schedule")
         assert len(ring.named("bind.resolve")) == 6  # bind phase + replay
         assert {span.trace_id for span in ring.spans} == {schedule.trace_id}
+
+
+class TestClientWiring:
+    def test_the_retry_layer_wraps_the_prefetcher(self, zone_keys):
+        """A prefetch wave is one attempt through the plain client; only
+        the replay's calls pass the retry layer (and its health
+        tracker), as ``handle``'s do."""
+        with world("loopback", zone_keys) as deployment:
+            stack = deployment.client_stack(
+                CLIENT, retry_policy=RetryPolicy(), pipeline=PipelineConfig()
+            )
+        assert type(stack.rpc) is RetryingRpcClient
+        assert stack.rpc.inner is stack.scheduler.prefetcher
+        assert type(stack.scheduler.prefetcher.inner) is RpcClient
 
 
 class TestFreshProxy:
