@@ -217,10 +217,6 @@ class MaliciousReplica:
         self.requests_served += 1
         return self.behavior.element(self.state, name).to_dict()
 
-    @rpc_method("globedoc.list_elements")
-    def rpc_list_elements(self, replica_id: str) -> list:
-        return self.state.element_names
-
     def rpc_server(self) -> RpcServer:
         server = RpcServer(name=f"malicious@{self.host}")
         server.register_object(self)

@@ -87,7 +87,6 @@ class GeminiCache:
         self.clock = clock if clock is not None else RealClock()
         self._files: Dict[str, bytes] = {}
         self._tampered: Dict[str, bytes] = {}
-        self.sign_count = 0
 
     @property
     def endpoint(self) -> Endpoint:
@@ -119,7 +118,6 @@ class GeminiCache:
         }
         with self.clock.compute():
             envelope = SignedEnvelope.create(self.keys, payload)
-        self.sign_count += 1
         return {"envelope": envelope.to_dict(), "cache_key_der": self.keys.public.der}
 
     def rpc_server(self) -> RpcServer:

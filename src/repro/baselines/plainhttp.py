@@ -29,7 +29,6 @@ class StaticHttpServer:
         self.service = service
         self._files: Dict[str, bytes] = {}
         self.request_count = 0
-        self.bytes_served = 0
 
     @property
     def endpoint(self) -> Endpoint:
@@ -57,7 +56,6 @@ class StaticHttpServer:
         content = self._files.get(normalized)
         if content is None:
             return {"status": 404, "body": b"not found", "content_type": "text/plain"}
-        self.bytes_served += len(content)
         return {
             "status": 200,
             "body": content,

@@ -112,7 +112,6 @@ class SslServer:
         self.clock = clock if clock is not None else RealClock()
         self._files: Dict[str, bytes] = {}
         self._sessions: Dict[str, TlsSession] = {}
-        self.handshake_count = 0
         self.request_count = 0
 
     @property
@@ -149,7 +148,6 @@ class SslServer:
         with self.clock.compute(native=True):
             premaster = self.keys.decrypt(bytes(encrypted_premaster))
             self._sessions[str(session_id)] = TlsSession.derive(str(session_id), premaster)
-        self.handshake_count += 1
         return {"established": True}
 
     @rpc_method("ssl.get")

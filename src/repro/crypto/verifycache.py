@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.crypto.hashes import SHA256
@@ -71,17 +71,6 @@ class VerifyCacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
 
     def snapshot(self) -> Tuple[int, int]:
         return (self.hits, self.misses)
@@ -163,7 +152,6 @@ class VerificationCache:
                 and now > entry.expires_at
             ):
                 self._evict(cache_key)
-                self.stats.invalidations += 1
                 self.stats.misses += 1
                 return False
             self._entries.move_to_end(cache_key)
@@ -194,7 +182,6 @@ class VerificationCache:
                 or self._bytes + nbytes > self.max_bytes
             ):
                 self._evict(next(iter(self._entries)))
-                self.stats.evictions += 1
             self._entries[cache_key] = _Entry(nbytes=nbytes, expires_at=expires_at)
             self._bytes += nbytes
 
@@ -241,20 +228,6 @@ class VerificationCache:
             ]
             for cache_key in doomed:
                 self._evict(cache_key)
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
-
-    def invalidate_expired(self, now: float) -> int:
-        """Drop every entry whose certificate expiry has passed."""
-        with self._lock:
-            doomed = [
-                cache_key
-                for cache_key, entry in self._entries.items()
-                if entry.expires_at is not None and now > entry.expires_at
-            ]
-            for cache_key in doomed:
-                self._evict(cache_key)
-            self.stats.invalidations += len(doomed)
             return len(doomed)
 
     def _evict(self, cache_key: tuple) -> None:
@@ -278,6 +251,5 @@ class VerificationCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"VerificationCache({len(self._entries)} entries, "
-            f"{self._bytes}B, hit_rate={self.stats.hit_rate:.2f})"
+            f"VerificationCache({len(self._entries)} entries, {self._bytes}B)"
         )

@@ -111,7 +111,3 @@ class GlobeDocInterface(Protocol):
     def get_element(self, name: str) -> PageElement:
         """Retrieve one page element by name."""
         ...
-
-    def list_elements(self) -> List[str]:
-        """Element names this replica claims to hold."""
-        ...

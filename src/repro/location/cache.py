@@ -34,24 +34,19 @@ class AddressCache:
         self.ttl = ttl
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, Tuple[float, List[ContactAddress]]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, oid_hex: str) -> Optional[List[ContactAddress]]:
         entry = self._entries.get(oid_hex)
         if entry is None:
-            self.misses += 1
             return None
         expires, addresses = entry
         if self.clock.now() >= expires:
             del self._entries[oid_hex]
-            self.misses += 1
             return None
-        self.hits += 1
         return list(addresses)
 
     def __contains__(self, oid_hex: str) -> bool:
-        """Whether *oid_hex* has a live entry; counts no hit or miss."""
+        """Whether *oid_hex* has a live entry."""
         entry = self._entries.get(oid_hex)
         return entry is not None and self.clock.now() < entry[0]
 
@@ -76,8 +71,3 @@ class AddressCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

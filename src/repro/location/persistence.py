@@ -6,9 +6,10 @@ records carry no signatures to re-check. What a restart must not lose
 is *availability*: a location tree that comes back empty strands every
 OID until replicas re-register, which under dynamic replication can be
 never (the coordinator only issues deltas). The journal therefore
-captures every accepted ``insert``/``delete``/``move`` and recovery
-reduces them to the final address set, guarded by the storage layer's
-frame checksums (the same integrity story as any routing table).
+captures every accepted ``insert`` and ``delete`` (a migration is a
+delete then an insert) and recovery reduces them to the final address
+set, guarded by the storage layer's frame checksums (the same integrity
+story as any routing table).
 """
 
 from __future__ import annotations
@@ -64,23 +65,6 @@ class DurableLocationStore:
                 pass
             if not addresses:
                 self._entries.pop(key, None)
-        elif op == "move":
-            self._reduce(
-                {
-                    "op": "delete",
-                    "oid": record["oid"],
-                    "site": record["from_site"],
-                    "address": record["address"],
-                }
-            )
-            self._reduce(
-                {
-                    "op": "insert",
-                    "oid": record["oid"],
-                    "site": record["to_site"],
-                    "address": record["address"],
-                }
-            )
         else:
             raise RecoveryIntegrityError(
                 f"location journal holds an unknown operation {op!r}"

@@ -4,8 +4,9 @@ The server walks the domain tree on behalf of the querying proxy and
 reports, along with the addresses, the number of tree nodes the search
 visited — the search cost (the paper argues expanding-ring search
 scales where DNS-style flat records do not). Besides lookup, the
-interface supports the insertion, deletion and move of contact-address
-mappings used by the replication coordinator.
+interface supports the insertion and deletion of contact-address
+mappings used by the replication coordinator; a migration is a delete
+then an insert.
 """
 
 from __future__ import annotations
@@ -113,25 +114,6 @@ class LocationService:
         if self.journal is not None:
             self.journal(
                 {"op": "delete", "oid": oid, "site": site, "address": dict(address)}
-            )
-        return result
-
-    @rpc_method("location.move")
-    def move(
-        self, oid: str, address: Mapping[str, Any], from_site: str, to_site: str
-    ) -> int:
-        result = self.tree.move(
-            oid, ContactAddress.from_dict(address), from_site, to_site
-        )
-        if self.journal is not None:
-            self.journal(
-                {
-                    "op": "move",
-                    "oid": oid,
-                    "address": dict(address),
-                    "from_site": from_site,
-                    "to_site": to_site,
-                }
             )
         return result
 

@@ -150,18 +150,6 @@ class DomainTree:
             child, node = node, node.parent
         return touched
 
-    def move(
-        self,
-        oid_hex: str,
-        address: ContactAddress,
-        from_site: str,
-        to_site: str,
-    ) -> int:
-        """Relocate an address between sites (replica migration)."""
-        touched = self.delete(oid_hex, from_site, address)
-        touched += self.insert(oid_hex, to_site, address)
-        return touched
-
     def _subtree_has(self, node: DomainNode, oid_hex: str) -> bool:
         if node.is_site:
             return bool(node.addresses.get(oid_hex))

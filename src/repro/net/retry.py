@@ -44,12 +44,15 @@ __all__ = [
 ]
 
 #: Operations safe to re-issue: pure reads of replicated/signed state.
-#: Everything else (``admin.*``, ``location.insert/delete/move``,
-#: ``ssl.*`` channel setup, …) is conservatively treated as mutating.
+#: Everything else (``admin.*``, ``location.insert``/``location.delete``,
+#: ``revocation.publish``, ``versioning.publish_delta``, ``ssl.*``
+#: channel setup, …) is conservatively treated as mutating.
 IDEMPOTENT_PREFIXES = (
     "globedoc.",
     "naming.",
     "location.lookup",
+    "revocation.fetch",
+    "versioning.fetch",
     "http.get",
     "gemini.get",
 )
@@ -107,13 +110,7 @@ class RetryCounters:
     """Cumulative resilience accounting one retrying client exposes."""
 
     retries: int = 0
-    giveups: int = 0
     backoff_seconds: float = 0.0
-
-    def reset(self) -> None:
-        self.retries = 0
-        self.giveups = 0
-        self.backoff_seconds = 0.0
 
 
 class RetryingRpcClient:
@@ -177,7 +174,6 @@ class RetryingRpcClient:
                     span.mark_error(exc)
                     self._note_failure(target)
                     if not retryable or attempt >= policy.max_attempts:
-                        self.counters.giveups += 1
                         raise
                     delay = policy.delay_for(attempt, self._rng)
                     span.set_attribute("backoff_s", delay)

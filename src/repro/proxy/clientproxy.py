@@ -106,7 +106,6 @@ class GlobeDocProxy:
         self._sessions: Dict[str, SecureSession] = {}
         self._session_created: Dict[str, float] = {}
         self.request_count = 0
-        self.failure_count = 0
         #: Optional :class:`~repro.proxy.pipeline.AccessScheduler`; when
         #: installed, :meth:`handle_many` prefetches batches in parallel.
         self.scheduler = None
@@ -170,7 +169,6 @@ class GlobeDocProxy:
             )
 
     def _failure_response(self, span, exc: Exception) -> ProxyResponse:
-        self.failure_count += 1
         if isinstance(exc, SecurityError):
             # §3.3: failed checks render the Security Check Failed page.
             span.set_attribute("status", 403)
@@ -236,7 +234,6 @@ class GlobeDocProxy:
         except (ReproError, *DECODE_ERRORS) as exc:
             # The origin is as untrusted as a replica: an answer that
             # does not decode is a bad gateway, not an exception.
-            self.failure_count += 1
             return ProxyResponse(status=502, content=NOT_FOUND_HTML % str(exc).encode())
         return response
 

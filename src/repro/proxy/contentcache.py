@@ -42,8 +42,9 @@ class ContentCache:
     ``max_bytes`` bounds total cached content; eviction is LRU. The
     effective lifetime of an entry is ``min(cached_at + ttl,
     certificate expires_at)`` — the owner's freshness constraint always
-    wins. Table operations are serialized by an internal lock so the
-    concurrent pipeline can share one cache across request threads.
+    wins. Table operations are serialized by an internal lock, so
+    callers may share one cache across threads; the access pipeline
+    itself, batched or not, runs on the calling thread.
 
     Lookups and inserts run in *clock*'s ``compute()`` region (as
     :class:`~repro.proxy.checks.SecurityChecker`'s checks do), so on a

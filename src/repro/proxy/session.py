@@ -73,7 +73,6 @@ class SecureSession:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._verified: Optional[VerifiedBinding] = None
         self.rebind_count = 0
-        self.failovers = 0
 
     # ------------------------------------------------------------------
     # Secure binding (steps 4–9 of Fig. 3)
@@ -137,7 +136,6 @@ class SecureSession:
         # Mandatory re-verification: nothing learned from the failed
         # replica may be trusted for the new one.
         self._verified = None
-        self.failovers += 1
 
     def _establish_once(self) -> VerifiedBinding:
         lr = self.bound.lr

@@ -58,7 +58,6 @@ class ManagedDocument:
     #: site -> the contact address registered for its replica
     addresses: Dict[str, ContactAddress] = field(default_factory=dict)
     placements: int = 0
-    removals: int = 0
 
     @property
     def oid(self) -> ObjectId:
@@ -153,7 +152,6 @@ class ReplicationCoordinator:
         self.location.unregister_replica(managed.oid, site, address)
         self._ports[site].admin.destroy_replica(address.replica_id)
         del managed.addresses[site]
-        managed.removals += 1
 
     # ------------------------------------------------------------------
     # Updates

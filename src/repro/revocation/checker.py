@@ -30,7 +30,7 @@ starts rejecting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import (
@@ -52,14 +52,7 @@ class RevocationCheckerStats:
     """Running counters of one checker (feed-overhead accounting)."""
 
     refreshes: int = 0
-    refresh_failures: int = 0
-    statements_ingested: int = 0
     statements_recovered: int = 0
-    invalid_dropped: int = 0
-    verify_purged: int = 0
-    content_purged: int = 0
-    rejections: int = 0
-    head_regressions: int = 0
 
 
 class RevocationChecker:
@@ -194,7 +187,6 @@ class RevocationChecker:
             )
             head = int(answer["head"])
             if head < self._head:
-                self.stats.head_regressions += 1
                 raise FeedRegressionError(
                     f"revocation feed head regressed from {self._head} to {head}: "
                     "the feed lost statements (restart without its log, or a "
@@ -224,13 +216,11 @@ class RevocationChecker:
             # A malformed, forged or corrupted statement must not revoke
             # anything — and must not crash the sync that carries
             # genuine ones.
-            self.stats.invalid_dropped += 1
             return False
         known = self._by_oid.setdefault(statement.oid_hex, [])
         if any(s.serial == statement.serial for s in known):
             return False
         known.append(statement)
-        self.stats.statements_ingested += 1
         self._journal({"op": "ingest", "statement": statement.to_dict()})
         self._purge_caches(statement)
         return True
@@ -239,18 +229,14 @@ class RevocationChecker:
         """First-sight purge: forget every cached artifact the statement
         condemns before the next lookup can replay it."""
         if self.verification_cache is not None:
-            self.stats.verify_purged += self.verification_cache.invalidate_key(
-                statement.issuer_key
-            )
+            self.verification_cache.invalidate_key(statement.issuer_key)
         if self.content_cache is not None:
             if statement.scope in (SCOPE_KEY, SCOPE_WRITER):
                 # Writer scope also purges the whole object: a revoked
                 # writer's deltas may be merged into any cached element.
-                self.stats.content_purged += self.content_cache.invalidate_object(
-                    statement.oid_hex
-                )
+                self.content_cache.invalidate_object(statement.oid_hex)
             elif statement.element is not None:
-                self.stats.content_purged += self.content_cache.invalidate_element(
+                self.content_cache.invalidate_element(
                     statement.oid_hex, statement.element
                 )
 
@@ -261,7 +247,6 @@ class RevocationChecker:
         try:
             self.refresh()
         except NetworkError as exc:
-            self.stats.refresh_failures += 1
             staleness = self.staleness
             if staleness is None or staleness > self.max_staleness:
                 raise RevocationStalenessError(
@@ -305,14 +290,12 @@ class RevocationChecker:
     ) -> None:
         for statement in self._by_oid.get(oid.hex, ()):  # newest need not win: any hit rejects
             if statement.scope == SCOPE_KEY:
-                self.stats.rejections += 1
                 raise RevokedKeyError(
                     f"object key for OID {oid.hex[:12]}… was revoked at "
                     f"{statement.issued_at} (serial {statement.serial}: "
                     f"{statement.reason})"
                 )
             if element_name is not None and statement.covers(element_name, cert_version):
-                self.stats.rejections += 1
                 raise RevokedElementError(
                     f"element {element_name!r} of OID {oid.hex[:12]}… was "
                     f"revoked at {statement.issued_at} through certificate "

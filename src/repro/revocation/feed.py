@@ -56,7 +56,6 @@ class RevocationFeed:
         self._log: List[RevocationStatement] = []
         self._by_key: Dict[Tuple[str, int], RevocationStatement] = {}
         self._max_serial: Dict[str, int] = {}
-        self.rejected = 0
         #: Statements reloaded (and re-verified) from the durable store.
         self.recovered = 0
         if store is not None:
@@ -99,7 +98,6 @@ class RevocationFeed:
             if canonical_bytes(existing.to_dict()) != canonical_bytes(
                 statement.to_dict()
             ):
-                self.rejected += 1
                 raise ReproError(
                     f"conflicting re-publish for {statement.oid_hex[:12]}… "
                     f"serial {statement.serial}: payload differs from the "
@@ -108,7 +106,6 @@ class RevocationFeed:
             return False
         last = self._max_serial.get(statement.oid_hex, 0)
         if statement.serial <= last:
-            self.rejected += 1
             raise ReproError(
                 f"revocation serial {statement.serial} is not monotone for "
                 f"{statement.oid_hex[:12]}… (last published: {last})"

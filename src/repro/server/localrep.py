@@ -41,7 +41,6 @@ class ReplicaLR:
     def __init__(self, state: DocumentState) -> None:
         self.state = state
         self.serve_count = 0
-        self.bytes_served = 0
 
     # -- GlobeDocInterface -------------------------------------------------
 
@@ -59,11 +58,7 @@ class ReplicaLR:
     def get_element(self, name: str) -> PageElement:
         element = self.state.element(name)
         self.serve_count += 1
-        self.bytes_served += element.size
         return element
-
-    def list_elements(self) -> List[str]:
-        return self.state.element_names
 
     # -- State updates (owner/coordinator push) ----------------------------
 
@@ -133,6 +128,3 @@ class ProxyLR:
             return PageElement.from_dict(raw)
         except DECODE_ERRORS as exc:
             raise _malformed("get_element", exc) from exc
-
-    def list_elements(self) -> List[str]:
-        return list(self._call("list_elements"))

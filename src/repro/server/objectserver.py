@@ -43,7 +43,6 @@ from repro.server.persistence import (
 from repro.sim.clock import Clock, RealClock
 from repro.storage.store import DurableStore
 from repro.versioning.delta import SignedDelta
-from repro.versioning.frontier import FrontierCertificate
 from repro.versioning.grant import WriterGrant
 from repro.versioning.store import VersionedObjectStore, gossip_once
 
@@ -358,10 +357,6 @@ class ObjectServer:
     def rpc_get_element(self, replica_id: str, name: str) -> dict:
         return self._lr(replica_id).get_element(name).to_dict()
 
-    @rpc_method("globedoc.list_elements")
-    def rpc_list_elements(self, replica_id: str) -> list:
-        return self._lr(replica_id).list_elements()
-
     # ------------------------------------------------------------------
     # RPC revocation feed (self-authenticating surface)
     # ------------------------------------------------------------------
@@ -418,15 +413,6 @@ class ObjectServer:
             "heads": self.versioning.heads(oid_hex),
             "delta_count": self.versioning.delta_count(oid_hex),
         }
-
-    @rpc_method("versioning.publish_frontier")
-    def rpc_versioning_publish_frontier(
-        self, oid_hex: str, cert: Mapping[str, Any]
-    ) -> dict:
-        added = self.versioning.put_frontier_cert(
-            oid_hex, FrontierCertificate.from_dict(cert)
-        )
-        return {"added": added}
 
     @rpc_method("versioning.fetch")
     def rpc_versioning_fetch(

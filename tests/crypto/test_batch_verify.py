@@ -192,4 +192,4 @@ class TestCacheInterplay:
         assert verify_batch([item], cache=cache, now=0.0) == [None]
         assert verify_batch([item], cache=cache, now=20.0) == [None]
         assert rsa_counter["ops"] == 2
-        assert cache.stats.invalidations == 1
+        assert cache.stats.hits == 0

@@ -78,4 +78,4 @@ class TestInterfaceConformance:
         lr = ReplicaLR(owner.publish(validity=60).state())
         assert isinstance(lr, GlobeDocInterface)
         assert lr.get_public_key() == owner.public_key
-        assert lr.list_elements() == ["index.html"]
+        assert lr.get_element("index.html").name == "index.html"

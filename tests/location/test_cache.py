@@ -53,14 +53,6 @@ class TestCache:
         assert cache.get("b") is not None
         assert len(cache) == 2
 
-    def test_hit_rate(self):
-        cache = AddressCache(clock=SimClock(0.0))
-        cache.put("a", [addr("a")])
-        cache.get("a")
-        cache.get("miss")
-        assert cache.hit_rate == pytest.approx(0.5)
-        assert cache.hits == 1 and cache.misses == 1
-
     def test_returns_copy(self):
         cache = AddressCache(clock=SimClock(0.0))
         cache.put("a", [addr("a")])

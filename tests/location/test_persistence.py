@@ -2,7 +2,7 @@
 
 The location tree is untrusted-hint infrastructure — no signatures to
 re-check — so these tests pin the *availability* contract: every
-accepted insert/delete/move is journaled, the reduced address set comes
+accepted insert and delete is journaled, the reduced address set comes
 back after a restart, and replay does not re-journal itself.
 """
 
@@ -77,16 +77,12 @@ class TestRecovery:
         store2.close()
 
     def test_move_survives_restart(self, tmp_path):
-        """A replica migration journals as one move; recovery lands the
-        address at the destination site only."""
+        """A replica migration journals as a delete then an insert;
+        recovery lands the address at the destination site only."""
         service, store = bound_store(tmp_path)
         service.insert(OID, "root/europe/vu", address("ginger").to_dict())
-        service.move(
-            OID,
-            address("ginger").to_dict(),
-            from_site="root/europe/vu",
-            to_site="root/europe/inria",
-        )
+        service.delete(OID, "root/europe/vu", address("ginger").to_dict())
+        service.insert(OID, "root/europe/inria", address("ginger").to_dict())
         store.close()
 
         restarted, store2 = bound_store(tmp_path)
@@ -131,6 +127,28 @@ class TestFailClosed:
         store2 = DurableLocationStore(os.path.join(str(tmp_path), "location"), sync=False)
         with pytest.raises(RecoveryIntegrityError, match="unknown operation"):
             store2.bind(build_service())
+        store2.close()
+
+    def test_retired_move_frame_refused(self, tmp_path):
+        """``move`` left the vocabulary with ``location.move``: a journal
+        that still holds one fails closed rather than replaying it as a
+        delete plus an insert."""
+        directory = os.path.join(str(tmp_path), "location")
+        store = DurableLocationStore(directory, sync=False)
+        store.store.append(
+            {"op": "insert", "oid": OID, "site": "root/europe/vu",
+             "address": address("ginger").to_dict()}
+        )
+        store.store.append(
+            {"op": "move", "oid": OID, "address": address("ginger").to_dict(),
+             "from_site": "root/europe/vu", "to_site": "root/europe/inria"}
+        )
+        store.close()
+
+        store2 = DurableLocationStore(directory, sync=False)
+        with pytest.raises(RecoveryIntegrityError, match="unknown operation 'move'"):
+            store2.bind(build_service())
+        assert store2.recovered_addresses == 0
         store2.close()
 
     def test_record_for_missing_site_refused(self, tmp_path):

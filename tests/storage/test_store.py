@@ -261,7 +261,7 @@ class TestJournalRoundTrip:
         "world/objectserver/feed": {"publish"},
         "world/objectserver/versioning": {"register", "grant", "delta", "frontier"},
         "world/naming": {"record"},
-        "world/location": {"insert", "delete", "move"},
+        "world/location": {"insert", "delete"},
         "cursor": {"ingest", "head"},
     }
 
@@ -300,13 +300,14 @@ class TestJournalRoundTrip:
         doomed = owner("vu.nl/doomed", {"index.html": b"gone"})
         testbed.publish(doomed)
         assert server.revoke_entity(doomed.public_key)
-        # Location: an address moved away and back, one inserted and deleted.
+        # Location: an address moved away and back, each move a delete
+        # then an insert.
         address = published.replica_addresses[testbed.site].to_dict()
         elsewhere = testbed.host_sites["canardo.inria.fr"]
-        testbed.location_service.move(alice.oid.hex, address, testbed.site, elsewhere)
-        testbed.location_service.move(alice.oid.hex, address, elsewhere, testbed.site)
-        testbed.location_service.insert(alice.oid.hex, elsewhere, address)
-        testbed.location_service.delete(alice.oid.hex, elsewhere, address)
+        location = testbed.location_service
+        for source, target in ((testbed.site, elsewhere), (elsewhere, testbed.site)):
+            location.delete(alice.oid.hex, source, address)
+            location.insert(alice.oid.hex, target, address)
         # The feed (publish) and a client cursor (ingest, head).
         server.revocation_feed.publish(
             RevocationStatement.revoke_element(
