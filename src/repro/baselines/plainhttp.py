@@ -28,7 +28,6 @@ class StaticHttpServer:
         self.host = host
         self.service = service
         self._files: Dict[str, bytes] = {}
-        self.request_count = 0
 
     @property
     def endpoint(self) -> Endpoint:
@@ -51,7 +50,6 @@ class StaticHttpServer:
     @rpc_method("http.get")
     def rpc_get(self, path: str) -> dict:
         """GET *path*: 200 with body, or 404."""
-        self.request_count += 1
         normalized = "/" + str(path).lstrip("/")
         content = self._files.get(normalized)
         if content is None:

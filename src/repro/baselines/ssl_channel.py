@@ -112,7 +112,6 @@ class SslServer:
         self.clock = clock if clock is not None else RealClock()
         self._files: Dict[str, bytes] = {}
         self._sessions: Dict[str, TlsSession] = {}
-        self.request_count = 0
 
     @property
     def endpoint(self) -> Endpoint:
@@ -155,7 +154,6 @@ class SslServer:
         session = self._sessions.get(str(session_id))
         if session is None:
             raise CryptoError(f"no TLS session {session_id!r}")
-        self.request_count += 1
         normalized = "/" + str(path).lstrip("/")
         content = self._files.get(normalized)
         if content is None:

@@ -84,28 +84,21 @@ class Certificate:
         expected_type: Optional[str] = None,
         cache: Optional["VerificationCache"] = None,
     ) -> Mapping[str, Any]:
-        """Check signature, type, and validity window; return the body.
+        """Check type, validity window, then signature; return the body.
 
         With a *cache*, the RSA verification is memoized (cache entries
         expire with the certificate's ``not_after``); the type and
-        validity-window checks always run.
+        validity-window checks always run, and run first, so a
+        certificate outside its window costs no RSA operation and leaves
+        no cache entry.
         Raises :class:`~repro.errors.CertificateError` on any failure.
         """
         if expected_type is not None and self.cert_type != expected_type:
             raise CertificateError(
                 f"certificate type {self.cert_type!r} != expected {expected_type!r}"
             )
-        try:
-            self.envelope.verify(
-                key,
-                cache=cache,
-                now=clock.now() if clock is not None else None,
-                expires_at=self.not_after,
-            )
-        except Exception as exc:
-            raise CertificateError(f"certificate signature invalid: {exc}") from exc
-        if clock is not None:
-            now = clock.now()
+        now = clock.now() if clock is not None else None
+        if now is not None:
             if self.not_before is not None and now < self.not_before:
                 raise CertificateError(
                     f"certificate not yet valid (now={now}, not_before={self.not_before})"
@@ -114,6 +107,10 @@ class Certificate:
                 raise CertificateError(
                     f"certificate expired (now={now}, not_after={self.not_after})"
                 )
+        try:
+            self.envelope.verify(key, cache=cache, now=now, expires_at=self.not_after)
+        except Exception as exc:
+            raise CertificateError(f"certificate signature invalid: {exc}") from exc
         return self.body
 
     def to_dict(self) -> dict:

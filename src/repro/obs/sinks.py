@@ -124,13 +124,11 @@ class JsonlSink:
             self._fh = target
             self._owns_fh = False
         self._closed = False
-        self.written = 0
 
     def on_span(self, span: Span) -> None:
         if self._closed:
             raise ValueError("JsonlSink is closed")
         self._fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-        self.written += 1
 
     def flush(self) -> None:
         """Push buffered lines to the underlying file."""

@@ -2,13 +2,25 @@
 
 The paper secures its command interface with TLS plus a keystore of
 client public keys. We model the same trust relationship with *signed
-commands*: the requester signs ``(op, args, issued_at, nonce)`` with its
-private key; the server checks the key against the keystore, the
-signature, a freshness window, and a nonce replay set. This gives the
-property the experiments need — only keystore entities can create
-replicas, and each entity manages only its own replicas — without
-modelling the full TLS handshake (the TLS cost model lives with the SSL
-baseline, where it is actually measured).
+commands*: the requester signs ``(op, args_digest, issued_at, nonce,
+requester key)`` with its private key; the server checks the key against
+the keystore, the signature, a freshness window, and a nonce replay set.
+This gives the property the experiments need — only keystore entities
+can create replicas, and each entity manages only its own replicas —
+without modelling the full TLS handshake (the TLS cost model lives with
+the SSL baseline, where it is actually measured).
+
+``args_digest`` is the :data:`~repro.crypto.hashes.SUITE` digest of the
+args' frame (:func:`~repro.util.encoding.to_wire`), the encoding that
+carries a document's element bytes raw: signing a 2 MiB replica frames
+and hashes its bytes once instead of base64-encoding, escaping and
+hashing them as 2.8 MB of JSON text. The server re-frames the args it
+decoded — the very value it then acts on — and checks the signature
+against that digest, so every argument byte is signed; what an honest
+frame decodes to frames again to the same bytes, so an honest command
+always verifies. Args that decode but do not frame again (a forged
+header's ``1e400`` decodes to ``inf``) are denied. There is no second,
+undigested form (DESIGN.md, beside the S8 row).
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from repro.errors import AccessDenied, EncodingError, SignatureError
 from repro.net.rpc import RpcClient
 from repro.server.keystore import Keystore
 from repro.sim.clock import Clock
-from repro.util.encoding import wire_bytes
+from repro.util.encoding import to_wire, wire_bytes
 
 __all__ = ["AdminCommand", "AdminVerifier", "AdminClient", "FRESHNESS_WINDOW"]
 
@@ -49,7 +61,7 @@ class AdminCommand:
     ) -> dict:
         return {
             "op": op,
-            "args": dict(args),
+            "args_digest": hashes.digest(to_wire(dict(args))),
             "issued_at": issued_at,
             "nonce": nonce,
             "requester_key_der": key_der,
@@ -118,16 +130,16 @@ class AdminVerifier:
         """Return (requester key, keystore label) or raise AccessDenied."""
         key = PublicKey(der=command.requester_key_der)
         label = self.keystore.label_of(key)  # AccessDenied if not authorised
-        payload = AdminCommand._payload(
-            command.op,
-            command.args,
-            command.issued_at,
-            command.nonce,
-            command.requester_key_der,
-        )
         try:
+            payload = AdminCommand._payload(
+                command.op,
+                command.args,
+                command.issued_at,
+                command.nonce,
+                command.requester_key_der,
+            )
             verify_payload(key, command.signature, payload)
-        except SignatureError as exc:
+        except (EncodingError, SignatureError) as exc:
             raise AccessDenied(f"admin command signature invalid: {exc}") from exc
         now = self.clock.now()
         if abs(now - command.issued_at) > FRESHNESS_WINDOW:

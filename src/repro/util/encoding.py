@@ -22,10 +22,14 @@ with every ``bytes`` value replaced, in traversal order (dict keys
 sorted), by the reserved placeholder ``{"__att__": <length>}``; the
 attachments follow raw, concatenated in that order; the trailer is the
 CRC32 of everything before it. Equal values give equal frames, on every
-transport. The checksum is what makes link noise a *transport* fault: a
-flipped content byte would otherwise decode cleanly and surface as a
-failed hash check — a security rejection of an honest replica instead
-of a retry.
+transport, and what a frame decodes to frames again to the same bytes.
+That is load-bearing: the frame is also the pre-image of a signed admin
+command's args digest (:mod:`repro.server.admin`), which the server
+recomputes over the args it decoded, so a frame that differed for equal
+values would deny an honest command. The checksum is what makes link
+noise a *transport* fault: a flipped content byte would otherwise decode
+cleanly and surface as a failed hash check — a security rejection of an
+honest replica instead of a retry.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ class TestServer:
     def test_counters(self, wired):
         server, client = wired
         served = client.get("index.html") + client.get("img/a.png")
-        assert server.request_count == 2
+        assert client.rpc.transport.stats.requests == 2
         assert len(served) == len(b"<html>home</html>") + 3
 
     def test_get_many(self, wired):

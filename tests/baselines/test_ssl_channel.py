@@ -73,7 +73,6 @@ class TestChannel:
         body = client.get("index.html")
         assert body == b"<html>secret home</html>"
         assert sent == ["ssl.hello", "ssl.key_exchange", "ssl.get"]
-        assert server.request_count == 1
 
     def test_per_request_handshakes(self, wired):
         _, client, sent = wired

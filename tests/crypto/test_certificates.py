@@ -8,6 +8,7 @@ from repro.crypto.certificates import Certificate
 from repro.crypto.signing import SignedEnvelope
 from repro.errors import CertificateError
 from repro.sim.clock import SimClock
+from repro.util.tally import TALLY
 
 
 @pytest.fixture
@@ -46,6 +47,22 @@ class TestIssueVerify:
         cert.verify(shared_keys.public, expected_type="test/type")
         with pytest.raises(CertificateError, match="type"):
             cert.verify(shared_keys.public, expected_type="other/type")
+
+    @pytest.mark.parametrize(
+        "now, reason", [(201.0, "expired"), (99.0, "not yet valid")]
+    )
+    def test_window_is_checked_before_the_signature(self, cert, shared_keys, now, reason):
+        """A certificate outside its window is refused before the RSA
+        verify: no ``rsa.verify`` is tallied and no cache entry is made."""
+        from repro.crypto.verifycache import VerificationCache
+
+        cache = VerificationCache()
+        bits = shared_keys.public.bit_size
+        before = TALLY["rsa.verify", bits]
+        with pytest.raises(CertificateError, match=reason):
+            cert.verify(shared_keys.public, clock=SimClock(now), cache=cache)
+        assert TALLY["rsa.verify", bits] == before
+        assert len(cache) == 0 and cache.stats.snapshot() == (0, 0)
 
     def test_empty_window_rejected_at_issue(self, shared_keys):
         with pytest.raises(CertificateError):

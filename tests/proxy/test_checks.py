@@ -206,5 +206,6 @@ class TestVerificationFastPath:
         clock.advance(601)
         with pytest.raises(CertificateError, match="expired"):
             cert.verify(object_keys.public, clock=clock, cache=cache)
-        # The stale verdict was refused, not replayed: the lookup missed.
-        assert cache.stats.snapshot() == (1, 2)
+        # The window is checked before the cache is consulted: the stale
+        # verdict is neither replayed nor looked up.
+        assert cache.stats.snapshot() == (1, 1)

@@ -96,6 +96,17 @@ class TestCanonicalRoundTrip:
             assert shuffled == value  # semantic equality…
             assert canonical_bytes(shuffled) == canonical_bytes(value)  # …and byte
 
+    def test_frame_is_idempotent(self, seed):
+        """The admin signature digests the frame of the args, and the
+        server re-frames the args it decoded: a decoded frame, or the same
+        value in another insertion order, must frame to the same bytes."""
+        rng = make_rng(seed)
+        for _ in range(DOCS_PER_SEED):
+            value = random_value(rng)
+            frame = to_wire(value)
+            assert to_wire(from_wire(frame)) == frame
+            assert to_wire(reordered(value, rng)) == frame
+
     def test_digest_stability_within_run(self, seed):
         """Hashing the canonical form twice gives the same digest — the
         signature-verification precondition."""
@@ -105,6 +116,35 @@ class TestCanonicalRoundTrip:
             first = hashlib.sha1(canonical_bytes(value)).hexdigest()
             again = hashlib.sha1(canonical_bytes(reordered(value, rng))).hexdigest()
             assert first == again
+
+
+#: Values at the edges of what a frame carries: signed zero, the
+#: smallest subnormal and a huge float, ints beyond 2**53, non-ASCII keys,
+#: empty containers, and bytes-like leaves that decode as ``bytes``.
+EDGE_VALUES = {
+    "negative_zero": -0.0,
+    "smallest_subnormal": 5e-324,
+    "huge_float": 1e308,
+    "int_2_62": 2**62,
+    "int_minus_2_62": -(2**62),
+    "non_ascii_keys": {"ключ": 1, "漢字": [2], "é": {"🙂": None}},
+    "empty_dict": {},
+    "empty_list": [],
+    "empty_str": "",
+    "empty_bytes": b"",
+    "nested_empties": {"a": {}, "b": [], "c": [[]], "d": [{}]},
+    "bytearray": bytearray(b"\x00\xffab"),
+    "memoryview": memoryview(b"\x00\xffcd"),
+    "mixed_leaves": {"ba": bytearray(b"x"), "mv": memoryview(b"yz"), "b": b"", "n": [-0.0, 5e-324]},
+}
+
+
+@pytest.mark.parametrize("name", EDGE_VALUES)
+def test_edge_value_frame_is_idempotent(name):
+    value = EDGE_VALUES[name]
+    frame = to_wire(value)
+    assert to_wire(from_wire(frame)) == frame
+    assert to_wire(reordered(value, make_rng(0))) == frame
 
 
 class TestCorpusDigest:
