@@ -49,19 +49,22 @@ def deploy(testbed, published, behavior):
     return replica
 
 
-def probe(testbed, published, element="index.html", genuine=None):
-    stack = testbed.client_stack(ATTACK_HOST)
+def probe(testbed, published, element="index.html", genuine=None, max_rebinds=3):
+    stack = testbed.client_stack(ATTACK_HOST, max_rebinds=max_rebinds)
     return run_attack_probe(stack.proxy, published.url(element), genuine)
 
 
 def main() -> None:
     rows = []
     genuine_v2 = b"<html>story v2 corrected</html>"
+    # Attacks 1-4 lie about one element: probed without failover, so each
+    # row shows the check that rejects the lie. With rebinds the proxy
+    # escapes to the genuine VU replica instead (DESIGN §4c).
 
     # 1. Content tampering (authenticity).
     testbed, owner, v1, published = fresh_world()
     deploy(testbed, published, TamperBehavior("index.html", b"<script>evil</script>"))
-    result = probe(testbed, published, genuine=genuine_v2)
+    result = probe(testbed, published, genuine=genuine_v2, max_rebinds=0)
     rows.append(["tampered element", "authenticity (hash)", result.outcome.value,
                  result.failure_type or "-"])
 
@@ -69,21 +72,21 @@ def main() -> None:
     testbed, owner, v1, published = fresh_world()
     deploy(testbed, published, StaleReplayBehavior(v1))
     testbed.clock.advance(121.0)
-    result = probe(testbed, published, genuine=genuine_v2)
+    result = probe(testbed, published, genuine=genuine_v2, max_rebinds=0)
     rows.append(["stale version replay", "freshness (expiry)", result.outcome.value,
                  result.failure_type or "-"])
 
     # 3. Element swap (consistency, name check).
     testbed, owner, v1, published = fresh_world()
     deploy(testbed, published, ElementSwapBehavior("index.html", "retraction.html"))
-    result = probe(testbed, published, genuine=genuine_v2)
+    result = probe(testbed, published, genuine=genuine_v2, max_rebinds=0)
     rows.append(["element swap", "consistency (name)", result.outcome.value,
                  result.failure_type or "-"])
 
     # 4. Renamed element swap (consistency defeated, hash catches it).
     testbed, owner, v1, published = fresh_world()
     deploy(testbed, published, ElementSwapRenamedBehavior("index.html", "retraction.html"))
-    result = probe(testbed, published, genuine=genuine_v2)
+    result = probe(testbed, published, genuine=genuine_v2, max_rebinds=0)
     rows.append(["renamed element swap", "authenticity (hash)", result.outcome.value,
                  result.failure_type or "-"])
 

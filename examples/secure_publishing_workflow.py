@@ -5,7 +5,10 @@ A conventional multi-page site (pages + images + inter-page links)
 is imported into GlobeDoc: one object per page, site-absolute links
 rewritten to ``globe://`` hybrid URLs (possible only after the OIDs
 exist), identity certificates from a CA the users trust, and the whole
-site browsed — following links — from another continent.
+site browsed — following links — from another continent. Then the site
+lives on: the same proxy passes a plain ``http://`` URL through, the
+``vu.nl`` zone rolls its key over (resolution fails closed until the
+parent re-delegates), and the owner revokes one element of one page.
 
 Run: ``python examples/secure_publishing_workflow.py``
 """
@@ -13,10 +16,13 @@ Run: ``python examples/secure_publishing_workflow.py``
 from __future__ import annotations
 
 from repro.crypto.identity import CertificateAuthority, TrustStore
+from repro.crypto.keys import KeyPair
 from repro.globedoc.element import PageElement
 from repro.globedoc.links import extract_links, rewrite_links
 from repro.globedoc.urls import HybridUrl
 from repro.harness.experiment import Testbed
+from repro.naming.zone import ZoneKeys
+from repro.revocation.statement import RevocationStatement
 from repro.workloads.generator import WebsiteSpec, make_website
 
 
@@ -61,7 +67,9 @@ def main() -> None:
     # -- 5. Browse from Ithaca, following links ---------------------------
     store = TrustStore()
     store.add_ca(ca)
-    stack = testbed.client_stack("ensamble02.cornell.edu", trust_store=store)
+    stack = testbed.client_stack(
+        "ensamble02.cornell.edu", trust_store=store, revocation_max_staleness=60.0
+    )
 
     visited = set()
     frontier = [published[0].url("index.html")]
@@ -84,6 +92,37 @@ def main() -> None:
 
     print(f"\nCrawled {len(visited)} verified URLs across "
           f"{stack.proxy.session_count} secure object bindings.")
+
+    # -- 6. A plain Web URL passes through the same proxy, unverified ----
+    plain = stack.proxy.handle(f"http://ginger.cs.vu.nl/{published[0].name}/index.html")
+    print(f"\nPlain http:// pass-through: {plain.status}, {len(plain.content)} B, no checks")
+
+    # -- 7. Zone key rollover: fail closed until the parent re-delegates -
+    home = published[0].url("index.html")
+    testbed.vu_zone.rotate_keys(ZoneKeys(zone="nl/vu", keys=KeyPair.generate(1024)))
+    stack.resolver.flush_cache()
+    stack.proxy.drop_all_sessions()
+    gap = stack.proxy.handle(home)
+    testbed.nl_zone.redelegate(testbed.vu_zone)
+    stack.resolver.flush_cache()
+    rolled = stack.proxy.handle(home)
+    assert gap.status == 404 and rolled.ok, (gap.status, rolled.status)
+    print(f"Zone key rollover: {gap.status} until re-delegated, then {rolled.status}")
+
+    # -- 8. The owner revokes one element; the rest of the page stays ----
+    owner, page = owners[0], published[0]
+    image = next(name for name in owner.element_names() if name != "index.html")
+    testbed.object_server.revocation_feed.publish(
+        RevocationStatement.revoke_element(
+            owner.keys, owner.oid, image, cert_version=page.document.version, serial=1,
+            issued_at=testbed.clock.now(),
+        )
+    )
+    testbed.clock.advance(61.0)  # past the client's revocation staleness
+    revoked, kept = stack.proxy.handle(page.url(image)), stack.proxy.handle(home)
+    assert revoked.security_failure == "RevokedElementError" and kept.ok
+    print(f"Revoked {image}: {revoked.status} ({revoked.security_failure}); "
+          f"index.html still {kept.status}")
 
 
 if __name__ == "__main__":

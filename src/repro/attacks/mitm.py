@@ -72,11 +72,3 @@ class MitmTransport:
 
         return rewrite
 
-    @staticmethod
-    def response_replayer(canned: bytes) -> FrameRewriter:
-        """Rewriter that replaces every response with a canned frame."""
-
-        def rewrite(endpoint: Endpoint, frame: bytes) -> bytes:
-            return canned
-
-        return rewrite

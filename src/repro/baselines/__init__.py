@@ -13,7 +13,7 @@
 
 from repro.baselines.plainhttp import StaticHttpServer, PlainHttpClient
 from repro.baselines.ssl_channel import SslServer, SslClient, TlsSession
-from repro.baselines.gemini import GeminiCache, GeminiClient, GeminiAuditor
+from repro.baselines.gemini import GeminiCache, GeminiClient
 
 __all__ = [
     "StaticHttpServer",
@@ -23,5 +23,4 @@ __all__ = [
     "TlsSession",
     "GeminiCache",
     "GeminiClient",
-    "GeminiAuditor",
 ]

@@ -13,8 +13,8 @@ The implementation captures both halves of that contrast:
   row counts it;
 * semantics — a cheating cache *succeeds* at serving bogus content to
   the client (the client only verifies the cache's signature), and is
-  only exposed later when :class:`GeminiAuditor` replays receipts
-  against the origin.
+  only exposed later, when the signed receipts (:class:`Receipt`) the
+  client keeps are audited against the origin's content.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.net.rpc import RpcClient, RpcServer, rpc_method
 from repro.sim.clock import Clock, RealClock
 from repro.util.encoding import wire_bytes
 
-__all__ = ["GeminiCache", "GeminiClient", "GeminiAuditor", "Receipt"]
+__all__ = ["GeminiCache", "GeminiClient", "Receipt"]
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,6 @@ class Receipt:
     def served_at(self) -> float:
         return float(self.envelope.payload["served_at"])
 
-    def to_dict(self) -> dict:
-        return {
-            "envelope": self.envelope.to_dict(),
-            "cache_key_der": self.cache_key_der,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "Receipt":
         return cls(
@@ -69,9 +63,9 @@ class Receipt:
 class GeminiCache:
     """An untrusted cache that signs every response it serves.
 
-    ``tamper_with`` lets the attack tests flip it into a cheating cache
-    that serves modified bytes — *signed*, because a Gemini cache
-    cannot avoid signing; that signature is what later convicts it.
+    Filled with bytes the origin never published, it is a cheating cache
+    that serves them *signed*, because a Gemini cache cannot avoid
+    signing; that signature is what later convicts it.
     """
 
     def __init__(
@@ -86,7 +80,6 @@ class GeminiCache:
         self.keys = keys if keys is not None else KeyPair.generate()
         self.clock = clock if clock is not None else RealClock()
         self._files: Dict[str, bytes] = {}
-        self._tampered: Dict[str, bytes] = {}
 
     @property
     def endpoint(self) -> Endpoint:
@@ -101,14 +94,10 @@ class GeminiCache:
         for path, content in files.items():
             self._files["/" + path.lstrip("/")] = bytes(content)
 
-    def tamper_with(self, path: str, bogus: bytes) -> None:
-        """Turn malicious for *path*: serve *bogus* instead."""
-        self._tampered["/" + path.lstrip("/")] = bytes(bogus)
-
     @rpc_method("gemini.get")
     def rpc_get(self, path: str) -> dict:
         normalized = "/" + str(path).lstrip("/")
-        content = self._tampered.get(normalized, self._files.get(normalized))
+        content = self._files.get(normalized)
         if content is None:
             raise ReproError(f"cache miss for {path!r}")
         payload = {
@@ -161,26 +150,3 @@ class GeminiClient:
         return receipt.content
 
 
-class GeminiAuditor:
-    """After-the-fact auditing: replay receipts against origin content.
-
-    Returns the receipts that convict the cache — content it signed that
-    the publisher never produced. This is the "caught red-handed"
-    mechanism; detection is eventual, not preventive.
-    """
-
-    def __init__(self, origin_files: Mapping[str, bytes]) -> None:
-        self.origin = {"/" + p.lstrip("/"): bytes(c) for p, c in origin_files.items()}
-
-    def audit(self, receipts: List[Receipt], cache_key: PublicKey) -> List[Receipt]:
-        convictions = []
-        for receipt in receipts:
-            # Only signed receipts are admissible evidence.
-            try:
-                receipt.envelope.verify(cache_key)
-            except SignatureError:
-                continue
-            genuine = self.origin.get(receipt.path)
-            if genuine is None or genuine != receipt.content:
-                convictions.append(receipt)
-        return convictions

@@ -10,7 +10,7 @@ machinery.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.errors import ReproError
 from repro.globedoc.element import guess_content_type
@@ -38,10 +38,6 @@ class StaticHttpServer:
         if not path:
             raise ReproError("path must be non-empty")
         self._files["/" + path.lstrip("/")] = bytes(content)
-
-    def put_files(self, files: Mapping[str, bytes]) -> None:
-        for path, content in files.items():
-            self.put_file(path, content)
 
     @property
     def file_count(self) -> int:

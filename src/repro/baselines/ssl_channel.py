@@ -128,10 +128,6 @@ class SslServer:
             raise ReproError("path must be non-empty")
         self._files["/" + path.lstrip("/")] = bytes(content)
 
-    def put_files(self, files) -> None:
-        for path, content in files.items():
-            self.put_file(path, content)
-
     # ------------------------------------------------------------------
     # RPC surface
     # ------------------------------------------------------------------

@@ -96,9 +96,6 @@ class MerkleTree:
     def height(self) -> int:
         return len(self._levels) - 1
 
-    def leaf_hash(self, index: int) -> bytes:
-        return self._levels[0][index]
-
     def proof(self, index: int) -> MerkleProof:
         """Authentication path proving leaf *index* is under :attr:`root`."""
         if not 0 <= index < self.leaf_count:
@@ -117,28 +114,3 @@ class MerkleTree:
             leaf_index=index, leaf_count=self.leaf_count, path=tuple(path)
         )
 
-    def verify(self, leaf: bytes, proof: MerkleProof, root: bytes) -> bool:
-        """Check that *leaf* authenticates to *root* via *proof*."""
-        current = self._hash_leaf(bytes(leaf))
-        for sibling, sibling_is_left in proof.path:
-            if sibling_is_left:
-                current = self._hash_node(sibling, current)
-            else:
-                current = self._hash_node(current, sibling)
-        return current == root
-
-    @classmethod
-    def verify_detached(
-        cls,
-        leaf: bytes,
-        proof: MerkleProof,
-        root: bytes,
-    ) -> bool:
-        """Verify without holding the tree (the client-side operation)."""
-        current = hashes.digest(_LEAF_PREFIX, bytes(leaf))
-        for sibling, sibling_is_left in proof.path:
-            if sibling_is_left:
-                current = hashes.digest(_NODE_PREFIX, sibling, current)
-            else:
-                current = hashes.digest(_NODE_PREFIX, current, sibling)
-        return current == root

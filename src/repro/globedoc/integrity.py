@@ -19,7 +19,6 @@ from repro.errors import (
     AuthenticityError,
     CertificateError,
     ConsistencyError,
-    FreshnessError,
 )
 from repro.globedoc.element import PageElement
 from repro.sim.clock import Clock
@@ -195,37 +194,6 @@ class IntegrityCertificate:
             raise AuthenticityError(
                 f"integrity certificate signature invalid: {exc}"
             ) from exc
-
-    def check_element(
-        self,
-        requested_name: str,
-        element: PageElement,
-        clock: Clock,
-    ) -> ElementEntry:
-        """Run the consistency, authenticity, and freshness checks on a
-        retrieved element (assumes :meth:`verify_signature` already ran).
-
-        Order follows §3.2.2: name consistency first (is this the element
-        I asked for, and is it part of the object?), then content hash,
-        then validity interval against the retrieval time.
-        """
-        if element.name != requested_name:
-            raise ConsistencyError(
-                f"server returned element {element.name!r} for request {requested_name!r}"
-            )
-        entry = self.entry_for(requested_name)
-        if element.content_hash() != entry.content_hash:
-            raise AuthenticityError(
-                f"content hash mismatch for element {requested_name!r} "
-                "(element was tampered with or is not owner-created)"
-            )
-        now = clock.now()
-        if now > entry.expires_at:
-            raise FreshnessError(
-                f"element {requested_name!r} expired at {entry.expires_at} "
-                f"(retrieved at {now})"
-            )
-        return entry
 
     def to_dict(self) -> dict:
         return self.certificate.to_dict()

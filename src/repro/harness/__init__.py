@@ -23,7 +23,7 @@ Run ``python -m repro.harness <target>``; see :mod:`repro.harness.__main__`.
 
 from repro.harness.experiment import Testbed, ClientStack, PublishedObject
 from repro.harness.fig4 import Fig4Row, run_fig4
-from repro.harness.fig567 import Fig567Row, run_fig567, run_fig567_for_client
+from repro.harness.fig567 import Fig567Row, run_fig567_for_client
 from repro.harness.table1 import table1_rows
 from repro.harness.report import render_table
 
@@ -34,7 +34,6 @@ __all__ = [
     "Fig4Row",
     "run_fig4",
     "Fig567Row",
-    "run_fig567",
     "run_fig567_for_client",
     "table1_rows",
     "render_table",

@@ -20,7 +20,7 @@ Scheme fidelity notes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.baselines.plainhttp import PlainHttpClient
 from repro.errors import ReproError
@@ -31,7 +31,7 @@ from repro.util.stats import summarize
 from repro.workloads.generator import make_document_owner
 from repro.workloads.sizes import ObjectSpec, fig567_objects
 
-__all__ = ["Fig567Row", "run_fig567", "run_fig567_for_client", "SCHEMES"]
+__all__ = ["Fig567Row", "run_fig567_for_client", "SCHEMES"]
 
 SCHEMES = ("globedoc", "http", "ssl")
 
@@ -100,24 +100,16 @@ def run_fig567_for_client(
     repeats: int = 3,
     schemes: Sequence[str] = SCHEMES,
     seed: int = 0,
-    testbed: Optional[Testbed] = None,
-    published_cache: Optional[Dict[str, object]] = None,
 ) -> List[Fig567Row]:
     """One figure's data: every object × scheme for one client."""
     host = CLIENT_HOSTS.get(client_label)
     if host is None:
         raise ReproError(f"unknown client label {client_label!r}")
-    if testbed is None:
-        testbed = Testbed()
-    published_cache = published_cache if published_cache is not None else {}
+    testbed = Testbed()
 
     rows: List[Fig567Row] = []
     for spec in fig567_objects():
-        published = published_cache.get(spec.name)
-        if published is None:
-            owner = make_document_owner(spec, seed=seed, clock=testbed.clock)
-            published = testbed.publish(owner)
-            published_cache[spec.name] = published
+        published = testbed.publish(make_document_owner(spec, seed=seed, clock=testbed.clock))
         for scheme in schemes:
             retrieve = _RETRIEVERS.get(scheme)
             if retrieve is None:
@@ -138,25 +130,3 @@ def run_fig567_for_client(
     return rows
 
 
-def run_fig567(
-    repeats: int = 3,
-    clients: Optional[Sequence[str]] = None,
-    schemes: Sequence[str] = SCHEMES,
-    seed: int = 0,
-) -> List[Fig567Row]:
-    """Regenerate Figures 5, 6 and 7 (all clients on one shared testbed)."""
-    testbed = Testbed()
-    published_cache: Dict[str, object] = {}
-    rows: List[Fig567Row] = []
-    for client_label in clients if clients is not None else FIGURE_OF_CLIENT:
-        rows.extend(
-            run_fig567_for_client(
-                client_label,
-                repeats=repeats,
-                schemes=schemes,
-                seed=seed,
-                testbed=testbed,
-                published_cache=published_cache,
-            )
-        )
-    return rows

@@ -15,12 +15,7 @@ from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import NameNotFound, NamingError
 from repro.naming.records import OidRecord, normalize_name, split_name
 
-__all__ = ["Zone", "ZoneKeys", "zone_of_labels"]
-
-
-def zone_of_labels(labels: List[str]) -> str:
-    """Join hierarchy labels into a zone path (``["nl","vu"]`` → ``"nl/vu"``)."""
-    return "/".join(labels)
+__all__ = ["Zone", "ZoneKeys"]
 
 
 @dataclass

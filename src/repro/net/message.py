@@ -154,8 +154,3 @@ class Response:
             error_type=str(slot.get("error_type", "")),
         )
 
-    def unwrap(self) -> Any:
-        """Return the value or raise the transported error."""
-        if self.ok:
-            return self.value
-        raise RpcError(f"{self.error_type or 'RemoteError'}: {self.error}")

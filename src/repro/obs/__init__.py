@@ -8,7 +8,7 @@ near-zero-cost way to report *where an access spends its time* and
   nested, attributed, clock-charged timing records;
 * :data:`~repro.obs.span.NOOP_TRACER` — the disabled default every
   instrumented component falls back to;
-* sinks (:mod:`repro.obs.sinks`) — ring buffer, JSONL export, and the
+* sinks (:mod:`repro.obs.sinks`) — the ring buffer and the
   aggregating :class:`~repro.obs.sinks.SpanStats`;
 * traces (:mod:`repro.obs.trace`) — the
   :class:`~repro.obs.trace.TraceAssembler` stitching per-process span
@@ -24,7 +24,7 @@ and the causal-tracing design.
 """
 
 from repro.obs.span import NOOP_TRACER, NoopSpan, NoopTracer, Span, Tracer
-from repro.obs.sinks import JsonlSink, RingBufferSink, SpanSink, SpanStats
+from repro.obs.sinks import RingBufferSink, SpanSink, SpanStats
 from repro.obs.trace import AssembledTrace, TraceAssembler
 from repro.obs.profile import (
     DEFAULT_CATEGORIES,
@@ -52,7 +52,6 @@ __all__ = [
     "NOOP_TRACER",
     "SpanSink",
     "RingBufferSink",
-    "JsonlSink",
     "SpanStats",
     "MetricsRegistry",
     "AssembledTrace",

@@ -1,11 +1,9 @@
 """Span sinks: where closed spans go.
 
-Three collectors cover the observability needs of the harness and tests:
+Two collectors cover the observability needs of the harness and tests:
 
 * :class:`RingBufferSink` — the last N spans, for post-mortem queries
   ("which span rejected that access?", "what were the slowest spans?");
-* :class:`JsonlSink` — streams every span as one JSON line, the
-  interchange format for offline analysis;
 * :class:`SpanStats` — constant-ish-memory aggregation per span name:
   count, error count, total/mean and p50/p95 durations — the input of
   the trace profile's per-phase breakdown.
@@ -16,16 +14,15 @@ tracer as each span closes (children before parents).
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, IO, List, Optional, Protocol, Union
+from typing import Dict, List, Optional, Protocol
 
 from repro.obs.span import Span
 from repro.util.stats import percentile
 
-__all__ = ["SpanSink", "RingBufferSink", "JsonlSink", "SpanStats", "NameStats"]
+__all__ = ["SpanSink", "RingBufferSink", "SpanStats", "NameStats"]
 
 
 class SpanSink(Protocol):
@@ -106,54 +103,6 @@ class RingBufferSink:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
-
-
-class JsonlSink:
-    """Writes each span as one JSON line to a path or open file object.
-
-    Use as a context manager (``with JsonlSink(path) as sink: ...``) or
-    call :meth:`close` explicitly; both flush. A handle passed in by the
-    caller is flushed but never closed — its lifetime is the caller's.
-    """
-
-    def __init__(self, target: Union[str, IO[str]]) -> None:
-        if isinstance(target, str):
-            self._fh: IO[str] = open(target, "w", encoding="utf-8")
-            self._owns_fh = True
-        else:
-            self._fh = target
-            self._owns_fh = False
-        self._closed = False
-
-    def on_span(self, span: Span) -> None:
-        if self._closed:
-            raise ValueError("JsonlSink is closed")
-        self._fh.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")
-
-    def flush(self) -> None:
-        """Push buffered lines to the underlying file."""
-        if not self._closed:
-            self._fh.flush()
-
-    def close(self) -> None:
-        """Flush, then close an owned handle. Idempotent."""
-        if self._closed:
-            return
-        self._fh.flush()
-        if self._owns_fh:
-            self._fh.close()
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
 
 @dataclass

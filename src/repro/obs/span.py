@@ -45,19 +45,12 @@ __all__ = [
     "NoopTracer",
     "NoopSpan",
     "NOOP_TRACER",
-    "SPAN_SCHEMA",
     "parse_context",
 ]
 
 #: Span statuses. Errors carry the raising exception's class name.
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
-
-#: Version of the serialised span record (``Span.to_dict``). Bumped when
-#: the JSONL interchange shape changes; consumers should ignore records
-#: with a schema newer than they understand rather than mis-parse them.
-#: v2 added ``trace_id`` / ``origin`` / ``remote_parent``.
-SPAN_SCHEMA = 2
 
 #: Wire keys of one propagated trace context (kept short: the context
 #: rides in every RPC envelope).
@@ -145,38 +138,11 @@ class Span:
         """The wire trace context naming this span as the parent."""
         return {CTX_TRACE: self.trace_id, CTX_SPAN: self.ref}
 
-    def to_dict(self) -> dict:
-        """A JSON-serialisable rendering (attributes coerced to str when
-        not natively representable)."""
-        return {
-            "schema": SPAN_SCHEMA,
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "trace_id": self.trace_id,
-            "origin": self.origin,
-            "remote_parent": self.remote_parent,
-            "start": self.start,
-            "end": self.end,
-            "duration_s": self.duration,
-            "status": self.status,
-            "error_type": self.error_type,
-            "attributes": {k: _jsonable(v) for k, v in self.attributes.items()},
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Span({self.name!r}, {self.duration * 1e3:.3f}ms, {self.status}"
             f"{', ' + self.error_type if self.error_type else ''})"
         )
-
-
-def _jsonable(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (bytes, bytearray)):
-        return bytes(value).hex()
-    return str(value)
 
 
 class _SpanContext:

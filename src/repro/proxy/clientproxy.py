@@ -241,10 +241,6 @@ class GlobeDocProxy:
     # Session management
     # ------------------------------------------------------------------
 
-    def drop_session(self, object_key: str) -> None:
-        self._sessions.pop(object_key, None)
-        self._session_created.pop(object_key, None)
-
     def drop_all_sessions(self) -> None:
         self._sessions.clear()
         self._session_created.clear()

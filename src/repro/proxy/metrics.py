@@ -35,6 +35,9 @@ SPAN_PHASES: Dict[str, str] = {
     "client_processing": "client_processing",
     "bind.resolve": "resolve_name",
     "bind.locate": "find_replica",
+    # A failover binding the next replica (and, once the known addresses
+    # run out, the widened location lookup that finds it).
+    "bind.rebind": "rebind",
     "rpc.call/globedoc.get_public_key": "get_public_key",
     "rpc.call/globedoc.get_identity_certificates": "get_identity_proofs",
     "rpc.call/globedoc.get_integrity_certificate": "get_integrity_certificate",

@@ -88,11 +88,6 @@ class PipelineCounters:
     coalesced_responses: int = 0
     waves: int = 0
 
-    def reset(self) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
-
-
 class PrefetchingRpcClient:
     """An RPC client that serves parked prefetch results before the wire.
 

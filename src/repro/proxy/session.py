@@ -171,7 +171,9 @@ class SecureSession:
         violation — the caller renders the "Security Check Failed" page.
         A transport failure mid-fetch triggers the same failover path as
         a bad binding: rebind, *re-verify the full binding* against the
-        new replica, and re-fetch the element there.
+        new replica, and re-fetch the element there. So does a failed
+        element check, except that a binding reused from an earlier
+        access is first re-verified once against the same replica.
         """
         with self.tracer.span("session.fetch", element=element_name):
             return self._fetch_once(element_name)
@@ -196,18 +198,32 @@ class SecureSession:
                     ),
                 )
         while True:
+            # A binding kept from an earlier access may hold a certificate
+            # the owner has since replaced: re-verify it once before
+            # blaming the replica.
+            reused = self._verified is not None and self.cache_binding
             verified = self.establish()
             try:
                 element = self.bound.lr.get_element(element_name)
-                break
             except (TransportError, RpcError, ReplicaError) as exc:
                 # The replica died (or was torn down) between binding
                 # and element fetch: fail over and re-run the whole
                 # verification pipeline against the replacement.
                 self._failover(exc)
-        if not self.cache_binding:
-            self._verified = None
-        entry = self.checker.check_element(verified.integrity, element_name, element)
+                continue
+            if not self.cache_binding:
+                self._verified = None
+            try:
+                entry = self.checker.check_element(verified.integrity, element_name, element)
+                break
+            except RevocationError:
+                raise
+            except SecurityError as exc:
+                # A lying element is escaped like a lying key: via another
+                # replica, never by trusting this one again.
+                self._verified = None
+                if not reused:
+                    self._failover(exc)
         # Element-scope revocation: now the certificate version is known,
         # so a statement condemning an older row lets a re-issued
         # (version-bumped) certificate through.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.crypto import hashes
 from repro.crypto.keys import KeyPair, PublicKey
@@ -124,7 +124,9 @@ class AdminVerifier:
     def __init__(self, keystore: Keystore, clock: Clock) -> None:
         self.keystore = keystore
         self.clock = clock
-        self._seen_nonces: Set[str] = set()
+        #: Nonce → the time after which the freshness check alone refuses
+        #: its command; a nonce is held only until then.
+        self._seen_nonces: Dict[str, float] = {}
 
     def verify(self, command: AdminCommand) -> Tuple[PublicKey, str]:
         """Return (requester key, keystore label) or raise AccessDenied."""
@@ -147,9 +149,12 @@ class AdminVerifier:
                 f"admin command outside freshness window "
                 f"(issued_at={command.issued_at}, now={now})"
             )
+        self._seen_nonces = {
+            nonce: expiry for nonce, expiry in self._seen_nonces.items() if expiry >= now
+        }
         if command.nonce in self._seen_nonces:
             raise AccessDenied("admin command nonce replayed")
-        self._seen_nonces.add(command.nonce)
+        self._seen_nonces[command.nonce] = command.issued_at + FRESHNESS_WINDOW
         return key, label
 
 

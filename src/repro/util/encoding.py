@@ -157,6 +157,17 @@ _BYTES_KEY_TEXT = f'"{_BYTES_TAG}":'.encode("ascii")
 _WORD = 4  # bytes in the header-length prefix and in the CRC32 trailer
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text[:32]} does not fit a finite float")
+    return value
+
+
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 class _FrameCodec:
     """A JSON encoder and decoder built once, with the hook state of the
     frame in hand. ``json.dumps``/``json.loads`` given a hook build both
@@ -180,7 +191,14 @@ class _FrameCodec:
             None, ":", ",", True, False, False,
         )
         self.encode = lambda value: "".join(chunks(value, 0))
-        self.decode = json.JSONDecoder(object_hook=self.attach).decode
+        # The encoder refuses NaN and infinities, so the decoder does too:
+        # ``NaN``/``Infinity`` literals and a literal like ``1e400``, which
+        # parses as ``inf``, would decode to a value that never frames again.
+        self.decode = json.JSONDecoder(
+            object_hook=self.attach,
+            parse_float=_finite_float,
+            parse_constant=_refuse_constant,
+        ).decode
 
     def detach(self, leaf: Any) -> Any:
         """The encoder's ``default``: it meets each ``bytes`` in text order."""

@@ -44,17 +44,4 @@ __all__ = [
     "VersionedObjectStore",
     "gossip_once",
     "DocumentWriter",
-    "VersionedReader",
-    "VersionedAccess",
 ]
-
-
-def __getattr__(name):
-    # The reader pulls in repro.proxy.checks, which itself imports this
-    # package's submodules; loading it lazily keeps either import order
-    # working.
-    if name in ("VersionedReader", "VersionedAccess"):
-        from repro.versioning import client
-
-        return getattr(client, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

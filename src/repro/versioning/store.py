@@ -307,9 +307,6 @@ class VersionedObjectStore:
     # Serving (wire bundles)
     # ------------------------------------------------------------------
 
-    def has_object(self, oid_hex: str) -> bool:
-        return oid_hex in self._objects
-
     def delta_count(self, oid_hex: str) -> int:
         return len(self._require(oid_hex).dag)
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks.adversary import AttackOutcome
 from repro.attacks.malicious_server import MaliciousReplica
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.harness.experiment import Testbed
 from repro.net.address import Endpoint
+from repro.obs import RingBufferSink, Tracer
 from tests.conftest import fast_keys
 
 ELEMENTS = {
@@ -62,3 +64,25 @@ def paris_stack(testbed, victim):
     """A client at the attacker's site — its expanding-ring lookup finds
     the malicious replica before the genuine Amsterdam one."""
     return testbed.client_stack(EVIL_HOST)
+
+
+@pytest.fixture
+def rejecting_stack(testbed, victim):
+    """A Paris client that never fails over, so a caught lie shows as the
+    rejection itself."""
+    return testbed.client_stack(EVIL_HOST, max_rebinds=0)
+
+
+def escaping_stack(testbed):
+    """A Paris client with the default rebinds, and the sink its spans
+    land in: a caught lie is escaped through a failover."""
+    ring = RingBufferSink()
+    tracer = Tracer(clock=testbed.clock, sinks=(ring,), origin="attack")
+    return testbed.client_stack(EVIL_HOST, tracer=tracer), ring
+
+
+def assert_escaped(probe, ring, cause: str) -> None:
+    """The genuine bytes, through one failover caused by *cause*."""
+    assert probe.outcome is AttackOutcome.SERVED_GENUINE
+    (failover,) = ring.named("session.failover")
+    assert failover.attributes["cause"] == cause

@@ -12,24 +12,30 @@ from repro.attacks.malicious_server import (
     ElementSwapBehavior,
     ElementSwapRenamedBehavior,
 )
-from tests.attacks.conftest import ELEMENTS
+from tests.attacks.conftest import ELEMENTS, assert_escaped, escaping_stack
 
 
 class TestElementSwap:
     def test_naive_swap_detected_by_name_check(
-        self, deploy_malicious, paris_stack, victim
+        self, deploy_malicious, rejecting_stack, victim
     ):
         """Serving retraction.html verbatim for index.html trips the
         consistency (name) check."""
         deploy_malicious(ElementSwapBehavior("index.html", "retraction.html"))
         probe = run_attack_probe(
-            paris_stack.proxy, victim.url("index.html"), ELEMENTS["index.html"]
+            rejecting_stack.proxy, victim.url("index.html"), ELEMENTS["index.html"]
         )
         assert probe.outcome is AttackOutcome.DETECTED
         assert probe.failure_type == "ConsistencyError"
 
+    def test_naive_swap_escaped_with_rebinds(self, deploy_malicious, testbed, victim):
+        deploy_malicious(ElementSwapBehavior("index.html", "retraction.html"))
+        stack, ring = escaping_stack(testbed)
+        probe = run_attack_probe(stack.proxy, victim.url("index.html"), ELEMENTS["index.html"])
+        assert_escaped(probe, ring, "ConsistencyError")
+
     def test_renamed_swap_detected_by_hash_check(
-        self, deploy_malicious, paris_stack, victim
+        self, deploy_malicious, rejecting_stack, victim
     ):
         """A smarter attacker relabels the swapped element with the
         requested name — the name check passes, but the per-element hash
@@ -37,10 +43,16 @@ class TestElementSwap:
         load-bearing."""
         deploy_malicious(ElementSwapRenamedBehavior("index.html", "retraction.html"))
         probe = run_attack_probe(
-            paris_stack.proxy, victim.url("index.html"), ELEMENTS["index.html"]
+            rejecting_stack.proxy, victim.url("index.html"), ELEMENTS["index.html"]
         )
         assert probe.outcome is AttackOutcome.DETECTED
         assert probe.failure_type == "AuthenticityError"
+
+    def test_renamed_swap_escaped_with_rebinds(self, deploy_malicious, testbed, victim):
+        deploy_malicious(ElementSwapRenamedBehavior("index.html", "retraction.html"))
+        stack, ring = escaping_stack(testbed)
+        probe = run_attack_probe(stack.proxy, victim.url("index.html"), ELEMENTS["index.html"])
+        assert_escaped(probe, ring, "AuthenticityError")
 
     def test_swap_target_itself_still_served(
         self, deploy_malicious, paris_stack, victim

@@ -52,8 +52,6 @@ class TestMitm:
     def test_replayed_frame_degrades_to_error_not_content(self, testbed, victim):
         """Replacing responses with canned garbage causes failures, never
         acceptance of attacker content."""
-        stack, _ = mitm_client(
-            testbed, MitmTransport.response_replayer(b"\x00garbage")
-        )
+        stack, _ = mitm_client(testbed, lambda endpoint, frame: b"\x00garbage")
         response = stack.proxy.handle(victim.url("index.html"))
         assert not response.ok

@@ -13,6 +13,7 @@ from repro.attacks.adversary import AttackOutcome, run_attack_probe
 from repro.attacks.malicious_server import StaleReplayBehavior
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
+from tests.attacks.conftest import assert_escaped, escaping_stack
 from tests.conftest import fast_keys
 
 
@@ -48,12 +49,26 @@ class TestStaleReplay:
         owner, v1, published = stale_setup
         deploy_malicious_for(published, StaleReplayBehavior(v1))
         testbed.clock.advance(301.0)  # v1's interval lapses; v2 still valid
-        stack = testbed.client_stack("canardo.inria.fr")
+        stack = testbed.client_stack("canardo.inria.fr", max_rebinds=0)
         probe = run_attack_probe(
             stack.proxy, published.url("index.html"), b"<html>corrected story v2</html>"
         )
         assert probe.outcome is AttackOutcome.DETECTED
         assert probe.failure_type == "FreshnessError"
+
+    def test_stale_version_escaped_with_rebinds(
+        self, testbed, stale_setup, deploy_malicious_for
+    ):
+        """Once v1 lapses, the replay costs one failover to the replica
+        serving v2."""
+        owner, v1, published = stale_setup
+        deploy_malicious_for(published, StaleReplayBehavior(v1))
+        testbed.clock.advance(301.0)
+        stack, ring = escaping_stack(testbed)
+        probe = run_attack_probe(
+            stack.proxy, published.url("index.html"), b"<html>corrected story v2</html>"
+        )
+        assert_escaped(probe, ring, "FreshnessError")
 
     def test_genuine_replica_still_fresh_after_v1_expiry(
         self, testbed, stale_setup

@@ -8,18 +8,26 @@ from __future__ import annotations
 
 from repro.attacks.adversary import AttackOutcome, run_attack_probe
 from repro.attacks.malicious_server import HonestBehavior, TamperBehavior
-from tests.attacks.conftest import ELEMENTS
+from tests.attacks.conftest import ELEMENTS, assert_escaped, escaping_stack
 
 
 class TestTamperDetection:
-    def test_tampered_element_detected(self, deploy_malicious, paris_stack, victim):
+    def test_tampered_element_detected(self, deploy_malicious, rejecting_stack, victim):
         deploy_malicious(TamperBehavior("index.html", payload=b"<script>evil</script>"))
         probe = run_attack_probe(
-            paris_stack.proxy, victim.url("index.html"), ELEMENTS["index.html"]
+            rejecting_stack.proxy, victim.url("index.html"), ELEMENTS["index.html"]
         )
         assert probe.outcome is AttackOutcome.DETECTED
         assert probe.failure_type == "AuthenticityError"
         assert b"Security Check Failed" in probe.response.content
+
+    def test_tampered_element_escaped_with_rebinds(self, deploy_malicious, testbed, victim):
+        """With rebinds the caught tamper costs one failover to the
+        genuine VU replica, not the document."""
+        deploy_malicious(TamperBehavior("index.html", payload=b"<script>evil</script>"))
+        stack, ring = escaping_stack(testbed)
+        probe = run_attack_probe(stack.proxy, victim.url("index.html"), ELEMENTS["index.html"])
+        assert_escaped(probe, ring, "AuthenticityError")
 
     def test_untampered_element_from_same_replica_ok(
         self, deploy_malicious, paris_stack, victim

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.gemini import GeminiAuditor, GeminiCache, GeminiClient
-from repro.errors import AuthenticityError, RpcError
+from repro.baselines.gemini import GeminiCache, GeminiClient, Receipt
+from repro.crypto.signing import SignedEnvelope
+from repro.errors import AuthenticityError, RpcError, SignatureError
 from repro.net.rpc import RpcClient
 from repro.net.transport import LoopbackTransport
 from repro.sim.clock import SimClock
@@ -13,6 +14,18 @@ from repro.util.tally import TALLY
 from tests.conftest import fast_keys
 
 ORIGIN = {"index.html": b"<html>publisher content</html>", "a.png": b"PNG"}
+BOGUS = {"index.html": b"<html>ads injected</html>"}
+
+
+def convicting(receipts, cache_key):
+    """The audit: receipts signed by the cache (admissible evidence) for
+    content the publisher never produced."""
+    evidence = []
+    for receipt in receipts:
+        receipt.envelope.verify(cache_key)  # SignatureError: inadmissible
+        if ORIGIN.get(receipt.path.lstrip("/")) != receipt.content:
+            evidence.append(receipt)
+    return evidence
 
 
 def rsa_signs() -> int:
@@ -58,8 +71,7 @@ class TestHonestCache:
         cache, client = wired
         client.get("index.html")
         client.get("a.png")
-        auditor = GeminiAuditor(ORIGIN)
-        assert auditor.audit(client.receipts, cache.public_key) == []
+        assert convicting(client.receipts, cache.public_key) == []
 
 
 class TestCheatingCache:
@@ -67,7 +79,7 @@ class TestCheatingCache:
         """The design gap: the client verifies only the cache signature,
         so tampered content is ACCEPTED at serve time."""
         cache, client = wired
-        cache.tamper_with("index.html", b"<html>ads injected</html>")
+        cache.fill(BOGUS)
         body = client.get("index.html")
         assert body == b"<html>ads injected</html>"  # attack succeeds now…
 
@@ -75,11 +87,10 @@ class TestCheatingCache:
         """…but the signed receipt convicts the cache later ('caught
         red-handed')."""
         cache, client = wired
-        cache.tamper_with("index.html", b"<html>ads injected</html>")
+        cache.fill(BOGUS)
         client.get("index.html")
         client.get("a.png")  # honest response
-        auditor = GeminiAuditor(ORIGIN)
-        convictions = auditor.audit(client.receipts, cache.public_key)
+        convictions = convicting(client.receipts, cache.public_key)
         assert len(convictions) == 1
         assert convictions[0].path == "/index.html"
         assert convictions[0].content == b"<html>ads injected</html>"
@@ -90,9 +101,6 @@ class TestCheatingCache:
         cache, client = wired
         client.get("index.html")
         receipt = client.receipts[0]
-        from repro.baselines.gemini import Receipt
-        from repro.crypto.signing import SignedEnvelope
-
         forged = Receipt(
             envelope=SignedEnvelope(
                 payload={**dict(receipt.envelope.payload), "content": b"framed"},
@@ -100,8 +108,8 @@ class TestCheatingCache:
             ),
             cache_key_der=receipt.cache_key_der,
         )
-        auditor = GeminiAuditor(ORIGIN)
-        assert auditor.audit([forged], cache.public_key) == []
+        with pytest.raises(SignatureError):
+            convicting([forged], cache.public_key)
 
     def test_wrong_cache_key_rejected_by_client(self, clock):
         cache = GeminiCache(host="squid", keys=fast_keys(), clock=clock)

@@ -14,7 +14,8 @@ from repro.net.transport import LoopbackTransport
 @pytest.fixture
 def wired():
     server = StaticHttpServer(host="apache")
-    server.put_files({"index.html": b"<html>home</html>", "img/a.png": b"PNG"})
+    server.put_file("index.html", b"<html>home</html>")
+    server.put_file("img/a.png", b"PNG")
     transport = LoopbackTransport()
     transport.register(server.endpoint, server.rpc_server().handle_frame)
     client = PlainHttpClient(RpcClient(transport), server.endpoint)

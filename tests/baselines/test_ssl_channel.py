@@ -22,7 +22,7 @@ from tests.conftest import fast_keys
 def wired():
     """The server, a client, and the op of every frame the client sent."""
     server = SslServer(host="apache", keys=fast_keys())
-    server.put_files({"index.html": b"<html>secret home</html>"})
+    server.put_file("index.html", b"<html>secret home</html>")
     transport = LoopbackTransport()
     handle = server.rpc_server().handle_frame
     sent = []

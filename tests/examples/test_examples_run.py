@@ -14,7 +14,8 @@ EXPECTED_MARKERS = {
     "quickstart.py": b"security overhead",
     "flash_crowd_cdn.py": b"replica pushed",
     "attack_detection.py": b"Attacks that slipped wrong bytes past the proxy: 0",
-    "secure_publishing_workflow.py": b"Crawled",
+    "secure_publishing_workflow.py": b"index.html still 200",
+    "multi_writer_document.py": b"the reader refuses the state: RevokedWriterError",
 }
 
 

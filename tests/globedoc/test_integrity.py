@@ -13,8 +13,14 @@ from repro.errors import (
 from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import ElementEntry, IntegrityCertificate
 from repro.globedoc.oid import ObjectId
+from repro.proxy.checks import SecurityChecker
 from repro.sim.clock import SimClock
 from tests.conftest import EPOCH
+
+
+def check(cert, name, element, now):
+    """The proxy's element check of *element*, requested as *name*, at *now*."""
+    return SecurityChecker(SimClock(now)).check_element(cert, name, element)
 
 
 @pytest.fixture
@@ -116,30 +122,30 @@ class TestElementChecks:
     """The §3.2.2 client checks, one by one."""
 
     def test_genuine_element_passes(self, cert, elements):
-        entry = cert.check_element("index.html", elements[0], SimClock(EPOCH + 10))
+        entry = check(cert, "index.html", elements[0], EPOCH + 10)
         assert entry.name == "index.html"
 
     def test_tampered_content_fails_authenticity(self, cert, elements):
         tampered = elements[0].with_content(b"<html>evil</html>")
         with pytest.raises(AuthenticityError):
-            cert.check_element("index.html", tampered, SimClock(EPOCH + 10))
+            check(cert, "index.html", tampered, EPOCH + 10)
 
     def test_expired_fails_freshness(self, cert, elements):
         with pytest.raises(FreshnessError):
-            cert.check_element("index.html", elements[0], SimClock(EPOCH + 3601))
+            check(cert, "index.html", elements[0], EPOCH + 3601)
 
     def test_exactly_at_expiry_passes(self, cert, elements):
-        cert.check_element("index.html", elements[0], SimClock(EPOCH + 3600))
+        check(cert, "index.html", elements[0], EPOCH + 3600)
 
     def test_swapped_name_fails_consistency(self, cert, elements):
         # Server returns img/a.png for a request of index.html.
         with pytest.raises(ConsistencyError):
-            cert.check_element("index.html", elements[1], SimClock(EPOCH + 10))
+            check(cert, "index.html", elements[1], EPOCH + 10)
 
     def test_unknown_element_fails_consistency(self, cert):
         foreign = PageElement("not-in-cert.html", b"data")
         with pytest.raises(ConsistencyError):
-            cert.check_element("not-in-cert.html", foreign, SimClock(EPOCH + 10))
+            check(cert, "not-in-cert.html", foreign, EPOCH + 10)
 
     def test_entry_for_unknown_raises(self, cert):
         with pytest.raises(ConsistencyError):

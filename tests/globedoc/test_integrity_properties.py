@@ -1,6 +1,6 @@
 """Property-based tests on the integrity certificate: for arbitrary
 documents, the §3.2.1 guarantees hold against arbitrary single-element
-tampering."""
+tampering, as the proxy's element check enforces them."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import AuthenticityError, ConsistencyError, FreshnessError
 from repro.globedoc.element import PageElement
 from repro.globedoc.integrity import IntegrityCertificate
+from repro.proxy.checks import SecurityChecker
 from repro.sim.clock import SimClock
 
 # One shared key pair: these properties are about hashing/table logic,
@@ -39,7 +40,7 @@ class TestProperties:
         cert.verify_signature(_KEYS.public)
         clock = SimClock(0.0)
         for element in elements:
-            entry = cert.check_element(element.name, element, clock)
+            entry = SecurityChecker(clock).check_element(cert, element.name, element)
             assert entry.content_hash == element.content_hash()
 
     @given(_documents, st.data())
@@ -50,7 +51,7 @@ class TestProperties:
         mutation = data.draw(st.binary(min_size=1, max_size=8))
         tampered = victim.with_content(victim.content + mutation)
         with pytest.raises(AuthenticityError):
-            cert.check_element(victim.name, tampered, SimClock(0.0))
+            SecurityChecker(SimClock(0.0)).check_element(cert, victim.name, tampered)
 
     @given(_documents, st.data())
     @settings(max_examples=40, deadline=None)
@@ -69,20 +70,20 @@ class TestProperties:
         )
         clock = SimClock(0.0)
         with pytest.raises((ConsistencyError, AuthenticityError)):
-            cert.check_element(a.name, b, clock)
+            SecurityChecker(clock).check_element(cert, a.name, b)
         renamed = PageElement(a.name, b.content)
         with pytest.raises(AuthenticityError):
-            cert.check_element(a.name, renamed, clock)
+            SecurityChecker(clock).check_element(cert, a.name, renamed)
 
     @given(_documents, st.floats(min_value=0.1, max_value=1e6))
     @settings(max_examples=30, deadline=None)
     def test_freshness_boundary_exact(self, elements_map, validity):
         elements, cert = build(elements_map, expires_at=validity)
         element = elements[0]
-        cert.check_element(element.name, element, SimClock(validity))  # inclusive
+        SecurityChecker(SimClock(validity)).check_element(cert, element.name, element)  # inclusive
         with pytest.raises(FreshnessError):
-            cert.check_element(
-                element.name, element, SimClock(validity * (1 + 1e-9) + 1e-6)
+            SecurityChecker(SimClock(validity * (1 + 1e-9) + 1e-6)).check_element(
+                cert, element.name, element
             )
 
     @given(_documents)
@@ -93,4 +94,4 @@ class TestProperties:
         restored.verify_signature(_KEYS.public)
         clock = SimClock(0.0)
         for element in elements:
-            restored.check_element(element.name, element, clock)
+            SecurityChecker(clock).check_element(restored, element.name, element)

@@ -43,11 +43,14 @@ class TestFullBrowsingFlow:
         )
         admin.update_replica(doc2)
 
-        # A *fresh* proxy sees v2 (the old one still holds the v1 binding
-        # with its valid certificate — TTL semantics).
-        fresh = testbed.client_stack("canardo.inria.fr")
-        second = fresh.proxy.handle(published.url("index.html"))
+        # The returning proxy's v1 binding fails v2's element check; it
+        # re-verifies against the same replica and serves v2, as a fresh
+        # proxy does.
+        second = stack.proxy.handle(published.url("index.html"))
         assert second.ok and second.content == b"<html>post v2</html>"
+        fresh = testbed.client_stack("canardo.inria.fr")
+        third = fresh.proxy.handle(published.url("index.html"))
+        assert third.ok and third.content == b"<html>post v2</html>"
 
     def test_navigation_across_linked_documents(self, testbed):
         """Absolute GlobeDoc hyperlinks: browse one document, follow a

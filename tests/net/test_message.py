@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import AuthenticityError, RpcError, TransportError
+from repro.errors import AuthenticityError, TransportError
 from repro.globedoc.element import PageElement
 from repro.net.message import Request, Response
 
@@ -77,18 +77,17 @@ class TestResponse:
         resp = Response.success({"value": [1, 2, 3]})
         restored = Response.from_bytes(resp.to_bytes())
         assert restored.ok
-        assert restored.unwrap() == {"value": [1, 2, 3]}
+        assert restored.value == {"value": [1, 2, 3]}
 
     def test_failure_roundtrip(self):
         resp = Response.failure(AuthenticityError("hash mismatch"))
         restored = Response.from_bytes(resp.to_bytes())
         assert not restored.ok
         assert restored.error_type == "AuthenticityError"
-        with pytest.raises(RpcError, match="hash mismatch"):
-            restored.unwrap()
+        assert "hash mismatch" in restored.error
 
     def test_none_value(self):
-        assert Response.from_bytes(Response.success(None).to_bytes()).unwrap() is None
+        assert Response.from_bytes(Response.success(None).to_bytes()).value is None
 
     def test_malformed_rejected(self):
         with pytest.raises(TransportError):

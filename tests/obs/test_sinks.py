@@ -1,13 +1,10 @@
-"""Sink behaviour: ring buffer retention, JSONL export, aggregation."""
+"""Sink behaviour: ring buffer retention, aggregation."""
 
 from __future__ import annotations
 
-import io
-import json
-
 import pytest
 
-from repro.obs import JsonlSink, RingBufferSink, SpanStats, Tracer
+from repro.obs import RingBufferSink, SpanStats, Tracer
 from repro.sim.clock import SimClock
 
 
@@ -123,53 +120,6 @@ class TestRingBufferSink:
             ring.on_span(span)
         assert ring.seen == 4
         assert ring.dropped == 1  # plenty of room after the clear
-
-
-class TestJsonlSink:
-    def test_writes_one_parseable_line_per_span(self):
-        buffer = io.StringIO()
-        sink = JsonlSink(buffer)
-        spans = make_spans([0.25, 0.75], error_on={1})
-        for span in spans:
-            sink.on_span(span)
-        lines = buffer.getvalue().strip().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
-        assert first["name"] == "work"
-        assert first["duration_s"] == 0.25
-        assert second["status"] == "error"
-        assert second["error_type"] == "ValueError"
-
-    def test_path_target_and_context_manager(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        with JsonlSink(str(path)) as sink:
-            for span in make_spans([0.5]):
-                sink.on_span(span)
-        assert sink.closed
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(records) == 1
-        assert records[0]["duration_s"] == 0.5
-
-    def test_flush_makes_lines_visible_before_close(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        sink = JsonlSink(str(path))
-        for span in make_spans([0.5]):
-            sink.on_span(span)
-        sink.flush()
-        assert len(path.read_text().splitlines()) == 1
-        sink.close()
-
-    def test_close_is_idempotent_and_leaves_caller_handles_open(self):
-        buffer = io.StringIO()
-        sink = JsonlSink(buffer)
-        for span in make_spans([0.5]):
-            sink.on_span(span)
-        sink.close()
-        sink.close()  # idempotent
-        assert sink.closed
-        assert not buffer.closed  # caller-owned handle stays usable
-        with pytest.raises(ValueError):
-            sink.on_span(make_spans([0.1])[0])
 
 
 class TestSpanStats:

@@ -115,20 +115,6 @@ class TestNesting:
         assert len(set(ids)) == 5
 
 
-class TestToDict:
-    def test_jsonable_rendering(self, tracer, clock, ring):
-        with tracer.span("work", raw=b"\x01\x02", obj=object()) as span:
-            clock.advance(1.0)
-            span.mark_error(ValueError("boom"))
-        d = ring.spans[0].to_dict()
-        assert d["name"] == "work"
-        assert d["duration_s"] == 1.0
-        assert d["status"] == "error"
-        assert d["error_type"] == "ValueError"
-        assert d["attributes"]["raw"] == "0102"
-        assert isinstance(d["attributes"]["obj"], str)
-
-
 class TestTraceContext:
     def test_root_mints_trace_id_children_inherit(self, clock, ring):
         tracer = Tracer(clock=clock, sinks=(ring,), origin="proxy-a")
@@ -178,19 +164,6 @@ class TestTraceContext:
             {"trace": 1, "span": "t:1"}, {"trace": "t", "span": 1},
         ):
             assert parse_context(garbage) is None
-
-
-class TestSchema:
-    def test_to_dict_carries_schema_and_v2_fields(self, tracer, clock, ring):
-        from repro.obs.span import SPAN_SCHEMA
-
-        with tracer.span("work"):
-            clock.advance(0.5)
-        d = ring.spans[0].to_dict()
-        assert d["schema"] == SPAN_SCHEMA
-        assert SPAN_SCHEMA >= 2  # v2 added the propagation fields
-        for key in ("trace_id", "origin", "remote_parent"):
-            assert key in d
 
 
 class TestNoopTracer:

@@ -134,6 +134,32 @@ class TestCommandSecurity:
         with pytest.raises(AccessDenied, match="replay"):
             verifier.verify(cmd)
 
+    def test_replay_set_holds_only_in_window_nonces(self, setup, clock):
+        """A nonce is forgotten once its command is past the freshness
+        window, where the freshness check alone refuses the replay."""
+        server, owner, _, _, _, _ = setup
+        verifier = AdminVerifier(server.keystore, clock)
+        commands = []
+        for _ in range(50):
+            commands.append(AdminCommand.create(owner.keys, "list_replicas", {}, clock))
+            verifier.verify(commands[-1])
+            clock.advance(300.0)
+        assert len(verifier._seen_nonces) <= 2
+        with pytest.raises(AccessDenied, match="freshness"):
+            verifier.verify(commands[0])
+
+    def test_replay_inside_the_window_after_pruning_rejected(self, setup, clock):
+        server, owner, _, _, _, _ = setup
+        verifier = AdminVerifier(server.keystore, clock)
+        old = AdminCommand.create(owner.keys, "list_replicas", {}, clock)
+        verifier.verify(old)
+        clock.advance(FRESHNESS_WINDOW + 1)
+        cmd = AdminCommand.create(owner.keys, "list_replicas", {}, clock)
+        verifier.verify(cmd)  # prunes the first nonce
+        clock.advance(FRESHNESS_WINDOW)
+        with pytest.raises(AccessDenied, match="replay"):
+            verifier.verify(cmd)
+
     def test_malformed_command_rejected(self):
         with pytest.raises(AccessDenied):
             AdminCommand.from_dict({"op": "x"})

@@ -1,13 +1,19 @@
 """Every module of ``src/repro`` is run by something that is not a test:
 the harness CLI, a bench, the composition root, a ``perf/`` workload or an
 example. A module only tests import is a capability nothing measures; it
-goes, or it is named here with the reason it stays.
+goes, or it is named whole in ``tests/reach_census.py``'s ``EXCEPTIONS``
+with the reason it stays.
 
 The same holds inside a module. Every ``@rpc_method`` op has a sender
 outside the tests, and every counter ``src/repro`` bumps is read outside
 them; a counter only a test reads is named in ``WRITE_ONLY`` with the
 reason it stays. A counter is a (defining class, attribute) pair, so a
-same-named attribute of another class does not cover it."""
+same-named attribute of another class does not cover it.
+
+And every function: ``python -m tests.reach_census`` runs the runners
+and fails on any ``def`` of ``src/repro`` none of them enters, unless it
+is a ``@property`` or dunder of fewer than 3 lines, or is named in its
+``EXCEPTIONS`` (by ``module:qualname``) with the reason it stays."""
 
 import ast
 import functools
@@ -15,14 +21,13 @@ import pathlib
 
 import repro
 from repro.harness import kernel
+from tests.reach_census import EXCEPTIONS
 
 SRC = pathlib.Path(repro.__file__).parent.parent
 REPO = SRC.parent
-UNREACHED = {
-    # The reference suite the conformance tests compare the attack
-    # matrix against.
-    "repro.attacks.scenarios",
-}
+#: The modules no runner imports: those named whole, with their reasons,
+#: in the reachability census's exception list.
+UNREACHED = {name for name in EXCEPTIONS if ":" not in name}
 #: Counters ``src/repro`` bumps that nothing outside the tests reads, as
 #: (defining class, attribute), each with the reason it stays.
 WRITE_ONLY = {
