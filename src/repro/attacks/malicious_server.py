@@ -21,9 +21,8 @@ object), and each is caught by a specific check.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol
+from typing import Protocol
 
-from repro.crypto.identity import IdentityCertificate
 from repro.crypto.keys import PublicKey
 from repro.errors import ConsistencyError
 from repro.globedoc.document import DocumentState

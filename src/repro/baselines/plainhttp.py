@@ -10,7 +10,7 @@ machinery.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ReproError
 from repro.globedoc.element import guess_content_type

@@ -23,7 +23,7 @@ import hmac
 import os
 from dataclasses import dataclass
 from hashlib import sha1 as _sha1
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 

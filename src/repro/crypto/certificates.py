@@ -86,7 +86,9 @@ class Certificate:
     ) -> Mapping[str, Any]:
         """Check type, validity window, then signature; return the body.
 
-        With a *cache*, the RSA verification is memoized (cache entries
+        The signature is checked over the envelope's signed bytes, for a
+        decoded certificate the bytes it arrived as. With a *cache*, the
+        RSA verification is memoized (cache entries
         expire with the certificate's ``not_after``); the type and
         validity-window checks always run, and run first, so a
         certificate outside its window costs no RSA operation and leaves
@@ -123,11 +125,23 @@ class Certificate:
         """Inverse of :meth:`to_dict`; validates the payload's shape.
 
         Only ``data["envelope"]`` is read: a key beside it is unsigned
-        (records written when the fields were also stored outside the
-        envelope carry four) and ignored.
+        and ignored.
         """
+        return cls._decoded(SignedEnvelope.from_dict, data)
+
+    def to_payload_dict(self) -> dict:
+        """The payload form, which signed deltas keep (DESIGN.md §6)."""
+        return {"envelope": self.envelope.to_payload_dict()}
+
+    @classmethod
+    def from_payload_dict(cls, data: Mapping[str, Any]) -> "Certificate":
+        """Inverse of :meth:`to_payload_dict`, checked as :meth:`from_dict`."""
+        return cls._decoded(SignedEnvelope.from_payload_dict, data)
+
+    @classmethod
+    def _decoded(cls, decode, data: Mapping[str, Any]) -> "Certificate":
         try:
-            envelope = SignedEnvelope.from_dict(data["envelope"])
+            envelope = decode(data["envelope"])
             payload = envelope.payload
             well_formed = (
                 isinstance(payload["type"], str)

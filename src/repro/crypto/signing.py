@@ -6,12 +6,19 @@ signature made by owner tooling on one host verifies bit-exactly on any
 other. :class:`SignedEnvelope` bundles a payload with its signature for
 transport.
 
-Fast path: an envelope's payload is immutable once signed, so its
-canonical encoding is computed at most once per instance and memoized —
-repeated verifications stop re-serializing the same bytes.
-Verification can additionally consult a
+What travels is what was signed: the wire and at-rest form carries the
+canonical bytes the signer signed, and decoding parses those bytes, so a
+verifier checks the signature over the bytes it received and never
+re-encodes a payload. Only a signer encodes. Verification can
+additionally consult a
 :class:`~repro.crypto.verifycache.VerificationCache` to replay a
 previously successful RSA check without re-running the RSA operation.
+
+Signed deltas keep an older *payload form*, the payload as a nested
+mapping (:meth:`SignedEnvelope.to_payload_dict`); a verifier of that form
+re-encodes the payload, once per instance (the encoding is memoized),
+and an intern pool hands a re-parsed delta the instance it already
+encoded.
 """
 
 from __future__ import annotations
@@ -23,16 +30,16 @@ from typing import Any, Mapping, Optional
 from repro.crypto import hashes
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.verifycache import KEY_DIGEST, VerificationCache
-from repro.errors import SignatureError
-from repro.util.encoding import canonical_bytes, to_wire
+from repro.errors import EncodingError, SignatureError
+from repro.util.encoding import canonical_bytes, from_canonical_bytes, to_wire, wire_bytes
 
 __all__ = ["sign_payload", "verify_payload", "SignedEnvelope"]
 
-#: Bound on the parsed-envelope intern pool (LRU).
+#: Bound on the payload-form intern pool (LRU).
 _INTERN_MAX = 1024
 
-#: Parsed-envelope intern pool: signature -> envelope.
-#: Hits are guarded by full payload equality in ``from_dict``.
+#: Payload-form intern pool: signature -> envelope.
+#: Hits are guarded by full payload equality in ``from_payload_dict``.
 _intern_pool: "OrderedDict[tuple, SignedEnvelope]" = OrderedDict()
 
 
@@ -83,9 +90,11 @@ class SignedEnvelope:
     This is the unit stored on untrusted object servers: the server can
     forward it but cannot alter the payload without breaking the
     signature. The payload must be treated as immutable after
-    construction — the canonical encoding is memoized on first use.
-    On the wire it carries the ``"suite"`` tag of
-    :data:`~repro.crypto.hashes.SUITE`, which :meth:`from_dict` checks.
+    construction. :attr:`signed_bytes` are the bytes the signer signed
+    or, for a decoded envelope, the bytes that were received; only an
+    envelope built from a payload alone (the payload form, or a forgery
+    in a test) encodes them, once. On the wire it carries the ``"suite"``
+    tag of :data:`~repro.crypto.hashes.SUITE`, which the decoders check.
     """
 
     payload: Mapping[str, Any]
@@ -96,15 +105,19 @@ class SignedEnvelope:
         """Sign *payload* and wrap it."""
         frozen = dict(payload)
         data = canonical_bytes(frozen)
-        envelope = cls(payload=frozen, signature=signer.sign(data))
-        # The bytes just signed are the bytes any verifier will encode;
-        # seed the memo so owner-side code never re-serializes either.
-        envelope.__dict__["_signed_bytes"] = data
+        return cls._holding(frozen, signer.sign(data), data)
+
+    @classmethod
+    def _holding(cls, payload: dict, signature: bytes, signed: bytes) -> "SignedEnvelope":
+        """An envelope whose signed bytes are already in hand."""
+        envelope = cls(payload=payload, signature=signature)
+        envelope.__dict__["_signed_bytes"] = signed
         return envelope
 
     @property
     def signed_bytes(self) -> bytes:
-        """The canonical encoding of the payload (memoized)."""
+        """The bytes the signature covers: as signed or received, else
+        the canonical encoding of the payload (memoized)."""
         data = self.__dict__.get("_signed_bytes")
         if data is None:
             data = canonical_bytes(self.payload)
@@ -154,9 +167,9 @@ class SignedEnvelope:
         return self.payload
 
     def to_dict(self) -> dict:
-        """Wire representation (canonically encodable)."""
+        """Wire and at-rest form: the signed bytes as a raw bytes leaf."""
         return {
-            "payload": dict(self.payload),
+            "signed": self.signed_bytes,
             "signature": self.signature,
             "suite": hashes.SUITE.name,
         }
@@ -166,26 +179,45 @@ class SignedEnvelope:
         """Inverse of :meth:`to_dict`; validates structure and the suite
         tag (anything but ``SUITE.name`` is malformed, never obeyed).
 
-        Parsed envelopes are *interned*: re-parsing the same signed
-        structure (same signature, byte-for-byte equal payload) returns
-        the previously built instance, so its memoized canonical
-        encoding and payload digests survive round trips through the
-        wire format. The full payload equality guard means a tampered
-        payload can never alias a cached one — it simply constructs a
-        fresh (and soon to fail) envelope.
+        The received ``signed`` bytes become :attr:`signed_bytes`, what
+        verification checks and the cache digests; the payload is parsed
+        out of them by :func:`~repro.util.encoding.from_canonical_bytes`,
+        and anything it refuses, or a payload that is not a mapping, is
+        :class:`~repro.errors.EncodingError`.
         """
-        try:
-            payload = data["payload"]
-            signature = data["signature"]
-            suite_name = data["suite"]
-        except (KeyError, TypeError) as exc:
-            raise SignatureError(f"malformed signed envelope: {exc}") from exc
-        if not isinstance(payload, Mapping) or not isinstance(signature, bytes):
-            raise SignatureError("malformed signed envelope fields")
-        if suite_name != hashes.SUITE.name:
-            raise SignatureError(
-                f"malformed signed envelope: hash suite is not {hashes.SUITE.name}"
+        signed, signature = cls._fields(data, "signed")
+        signed = wire_bytes(signed)
+        payload = from_canonical_bytes(signed)
+        if not isinstance(payload, dict):
+            raise EncodingError(
+                f"signed payload is a {type(payload).__name__}, not a mapping"
             )
+        return cls._holding(payload, signature, signed)
+
+    def to_payload_dict(self) -> dict:
+        """The payload form, which signed deltas keep: the payload as a
+        nested mapping."""
+        return {
+            "payload": dict(self.payload),
+            "signature": self.signature,
+            "suite": hashes.SUITE.name,
+        }
+
+    @classmethod
+    def from_payload_dict(cls, data: Mapping[str, Any]) -> "SignedEnvelope":
+        """Inverse of :meth:`to_payload_dict`.
+
+        Parsed envelopes are *interned*: re-parsing the same signed
+        structure (same signature, equal payload) returns the previously
+        built instance, so its memoized canonical encoding and payload
+        digests survive round trips through the wire format. The full
+        payload equality guard means a tampered payload can never alias
+        a cached one — it simply constructs a fresh (and soon to fail)
+        envelope.
+        """
+        payload, signature = cls._fields(data, "payload")
+        if not isinstance(payload, Mapping):
+            raise SignatureError("malformed signed envelope fields")
         cached = _intern_pool.get(signature)
         if cached is not None and cached.payload == payload:
             _intern_pool.move_to_end(signature)
@@ -197,8 +229,26 @@ class SignedEnvelope:
         return envelope
 
     @staticmethod
+    def _fields(data: Mapping[str, Any], carrier: str) -> tuple:
+        """*data*'s *carrier* field and signature, its suite checked."""
+        try:
+            carried = data[carrier]
+            signature = data["signature"]
+            suite_name = data["suite"]
+        except (KeyError, TypeError) as exc:
+            raise SignatureError(f"malformed signed envelope: {exc}") from exc
+        if not isinstance(signature, bytes):
+            raise SignatureError("malformed signed envelope fields")
+        if suite_name != hashes.SUITE.name:
+            raise SignatureError(
+                f"malformed signed envelope: hash suite is not {hashes.SUITE.name}"
+            )
+        return carried, signature
+
+    @staticmethod
     def clear_intern_pool() -> None:
-        """Drop all interned envelopes (test isolation, cold benchmarks)."""
+        """Drop all interned payload-form envelopes (test isolation, cold
+        benchmarks)."""
         _intern_pool.clear()
 
     @property

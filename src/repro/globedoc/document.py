@@ -11,7 +11,7 @@ transparency property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.crypto.identity import IdentityCertificate
 from repro.crypto.keys import PublicKey

@@ -8,9 +8,8 @@ factor); per-primitive wall-clock costs live in ``perf/``.
 * **pipeline** — a document published on the Amsterdam primary,
   accessed repeatedly from Paris with binding caching off (every access
   re-fetches and re-checks the integrity certificate — the paper's
-  worst case). The *baseline* run disables every fast-path layer (no
-  :class:`VerificationCache`, envelope intern pool cleared before each
-  access) so it measures the pre-fast-path code path; the *fastpath*
+  worst case). The *baseline* run has no :class:`VerificationCache`,
+  so it measures the pre-fast-path code path; the *fastpath*
   run shares one cache across accesses, so access 0 pays in full and
   the rest replay memoized verdicts.
 * **concurrency** — the same batch of accesses through the sequential
@@ -38,7 +37,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.keys import KeyPair
-from repro.crypto.signing import SignedEnvelope
 from repro.crypto.verifycache import VerificationCache
 from repro.errors import ReproError
 from repro.globedoc.element import PageElement
@@ -91,7 +89,6 @@ def _run_accesses(
     testbed: Testbed,
     url: str,
     verification_cache: Optional[VerificationCache],
-    clear_intern_per_access: bool,
 ) -> Tuple[List[Dict[str, float]], Dict[str, float]]:
     """One client stack, :data:`PIPELINE_ACCESSES` sequential fetches.
 
@@ -108,8 +105,6 @@ def _run_accesses(
     )
     rows: List[Dict[str, float]] = []
     for _ in range(PIPELINE_ACCESSES):
-        if clear_intern_per_access:
-            SignedEnvelope.clear_intern_pool()
         response, metrics = testbed.measured_access(stack.proxy, url, sink)
         if not response.ok:
             raise ReproError(
@@ -152,30 +147,23 @@ def run_pipeline_bench(seed: int = 0) -> Dict[str, object]:
     client's modelled compute (scaled by the Table-1 CPU factor),
     exactly what the figure experiments measure.
     """
-    # Baseline: the pre-fast-path code path. No verification cache, and
-    # the envelope intern pool is cleared before every access so each
-    # access re-parses and re-encodes from scratch.
+    # Baseline: the pre-fast-path code path. No verification cache, so
+    # each access parses and verifies its certificate from scratch.
     testbed = Testbed()
     obj = _publish_bench_object(testbed, seed=seed)
     url = obj.url("image.png")
-    SignedEnvelope.clear_intern_pool()
     baseline_rows, baseline_counters = _run_accesses(
-        testbed, url, verification_cache=None, clear_intern_per_access=True
+        testbed, url, verification_cache=None
     )
 
-    # Fast path: one shared VerificationCache; the intern pool persists,
-    # so access 0 is the cold miss and the rest run warm.
+    # Fast path: one shared VerificationCache, so access 0 is the cold
+    # miss and the rest run warm.
     testbed = Testbed()
     obj = _publish_bench_object(testbed, seed=seed)
     url = obj.url("image.png")
-    SignedEnvelope.clear_intern_pool()
     fastpath_rows, fastpath_counters = _run_accesses(
-        testbed,
-        url,
-        verification_cache=VerificationCache(),
-        clear_intern_per_access=False,
+        testbed, url, verification_cache=VerificationCache()
     )
-    SignedEnvelope.clear_intern_pool()
 
     baseline = _summarize_run(baseline_rows, baseline_counters)
     fastpath = _summarize_run(fastpath_rows, fastpath_counters)

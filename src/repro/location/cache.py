@@ -9,7 +9,7 @@ binds.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.net.address import ContactAddress
 from repro.sim.clock import Clock, RealClock

@@ -11,7 +11,7 @@ the invariants the property tests exercise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import LocationError, ObjectNotFound
 from repro.net.address import ContactAddress

@@ -12,8 +12,7 @@ users for their own chaos testing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.errors import TransportError
 from repro.net.address import Endpoint

@@ -27,7 +27,7 @@ Calibration (documented substitutions, see DESIGN.md §2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.net.simnet import HostProfile, LinkSpec, SimNetwork

@@ -7,7 +7,7 @@ servers and proxies are transport-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Protocol, runtime_checkable
 
 from repro.errors import TransportError

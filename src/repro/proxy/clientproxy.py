@@ -14,7 +14,7 @@ speaks HTTP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import (
@@ -28,8 +28,6 @@ from repro.errors import (
     UrlError,
 )
 from repro.globedoc.urls import HybridUrl
-from repro.location.service import LocationClient
-from repro.naming.service import SecureResolver
 from repro.net.address import Endpoint
 from repro.net.rpc import RpcClient
 from repro.obs import NOOP_TRACER

@@ -29,11 +29,10 @@ store was tampered with at rest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ReproError
 from repro.revocation.statement import RevocationStatement
-from repro.util.encoding import canonical_bytes
 
 __all__ = ["RevocationFeed"]
 
@@ -95,8 +94,9 @@ class RevocationFeed:
             # payload under a published (OID, serial) is an attempt to
             # shadow the genuine statement (and would corrupt WAL replay,
             # which relies on publish being deterministic).
-            if canonical_bytes(existing.to_dict()) != canonical_bytes(
-                statement.to_dict()
+            if (
+                existing.certificate.envelope.signed_bytes
+                != statement.certificate.envelope.signed_bytes
             ):
                 raise ReproError(
                     f"conflicting re-publish for {statement.oid_hex[:12]}… "

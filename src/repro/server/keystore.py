@@ -18,7 +18,7 @@ removed, keeping :meth:`revoke` idempotent.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.crypto.keys import PublicKey
 from repro.errors import AccessDenied

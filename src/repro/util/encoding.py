@@ -4,10 +4,13 @@
 Digital signatures are computed over *bytes*, so every structure that is
 ever signed (integrity certificates, identity certificates, name-service
 resource records) must serialise to exactly the same byte string on every
-host and every Python version. We use *canonical JSON*: UTF-8, sorted
+host and every Python version. We use *canonical JSON*: ASCII, sorted
 keys, no insignificant whitespace, and ``bytes`` values wrapped in a
 tagged base64 envelope so the mapping is invertible. OIDs and delta ids
-are this form too.
+are this form too. Only a signer encodes: a signed record travels as the
+bytes its signer signed (:class:`~repro.crypto.signing.SignedEnvelope`),
+and a verifier parses what it received with :func:`from_canonical_bytes`,
+which refuses anything :func:`canonical_bytes` never writes.
 
 **Framed** (:func:`to_wire` / :func:`from_wire`): the one frame codec, of
 RPC messages (:mod:`repro.net.message`) and of journal records at rest
@@ -103,20 +106,6 @@ def _tag(value: Any) -> Any:
     raise EncodingError(f"type {type(value).__name__} is not canonically encodable")
 
 
-def _untag(value: Any) -> Any:
-    """Inverse of :func:`_tag`."""
-    if isinstance(value, list):
-        return [_untag(v) for v in value]
-    if isinstance(value, dict):
-        if set(value.keys()) == {_BYTES_TAG}:
-            raw = value[_BYTES_TAG]
-            if not isinstance(raw, str):
-                raise EncodingError("bytes envelope payload must be a string")
-            return b64decode(raw)
-        return {k: _untag(v) for k, v in value.items()}
-    return value
-
-
 def canonical_json(value: Any) -> str:
     """Serialise *value* to canonical JSON text.
 
@@ -134,16 +123,32 @@ def canonical_bytes(value: Any) -> bytes:
     return data
 
 
+def _untag_object(mapping: dict) -> Any:
+    """The signed-form parser's ``object_hook``: the inverse of
+    :func:`_tag` for one JSON object, refusing the reserved key anywhere
+    but alone in a bytes envelope."""
+    if _BYTES_TAG not in mapping:
+        return mapping
+    raw = mapping[_BYTES_TAG]
+    if len(mapping) != 1:
+        raise EncodingError(f"reserved key {_BYTES_TAG!r} in mapping")
+    if not isinstance(raw, str):
+        raise EncodingError("bytes envelope payload must be a string")
+    return b64decode(raw)
+
+
 def from_canonical_bytes(data: bytes) -> Any:
     """Parse bytes produced by :func:`canonical_bytes` back into a value.
 
-    No product path reads this form back; it is the inverse the signing
-    codec's round-trip tests hold :func:`canonical_bytes` to."""
+    The parser of every signed record a verifier receives, so strict: the
+    text must be ASCII, and ``NaN``/``Infinity``, a literal that parses
+    as an infinity (``1e400``), a reserved key beside others and a bytes
+    envelope that is not valid base64 text are :class:`EncodingError`,
+    like anything else that does not parse."""
     try:
-        parsed = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _decode_canonical(data.decode("ascii"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise EncodingError(f"invalid canonical payload: {exc}") from exc
-    return _untag(parsed)
 
 
 # Placeholder for one raw attachment in a frame header; like
@@ -166,6 +171,14 @@ def _finite_float(text: str) -> float:
 
 def _refuse_constant(name: str) -> float:
     raise ValueError(f"{name} is not a JSON number")
+
+
+#: :func:`from_canonical_bytes`'s parser, built once (it holds no state).
+_decode_canonical = json.JSONDecoder(
+    object_hook=_untag_object,
+    parse_float=_finite_float,
+    parse_constant=_refuse_constant,
+).decode
 
 
 class _FrameCodec:

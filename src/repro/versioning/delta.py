@@ -263,11 +263,13 @@ class SignedDelta:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return self.certificate.to_dict()
+        """The certificate's payload form, not its signed form (why:
+        DESIGN.md §6)."""
+        return self.certificate.to_payload_dict()
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SignedDelta":
-        return cls(Certificate.from_dict(data))
+        return cls(Certificate.from_payload_dict(data))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,7 +10,7 @@ realistic bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

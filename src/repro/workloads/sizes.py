@@ -15,7 +15,7 @@ for the third 1005KB."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import WorkloadError

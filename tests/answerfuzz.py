@@ -1,6 +1,8 @@
 """Strategies for fuzzing an untrusted service's answers: JSON-shaped
-values of any form, and mutations of a genuine answer (a field dropped,
-retyped or replaced at any depth)."""
+values of any form, mutations of a genuine answer (a field dropped,
+retyped or replaced at any depth), and mutations of one of its signed
+records' ``signed`` bytes (flipped, cut short, retyped, or re-encoded
+without a field the payload needs, never re-signed)."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ import os
 
 from hypothesis import settings
 from hypothesis import strategies as st
+
+from repro.util.encoding import canonical_bytes, from_canonical_bytes
 
 # Small inside tier-1; a requested profile (conftest's ``deep``) governs.
 budget = (
@@ -74,4 +78,45 @@ def mutation(draw, genuine):
         holder[key] = _retyped(holder[key])
     else:
         holder[key] = draw(json_values)
+    return answer
+
+
+def _signed_holders(node):
+    """Every mapping in *node* that carries a ``signed`` bytes leaf."""
+    if isinstance(node, dict):
+        if isinstance(node.get("signed"), bytes):
+            yield node
+        children = node.values()
+    elif isinstance(node, list):
+        children = node
+    else:
+        return
+    for child in children:
+        yield from _signed_holders(child)
+
+
+def _without(signed: bytes, field: str) -> bytes:
+    payload = from_canonical_bytes(signed)
+    payload.pop(field, None)
+    return canonical_bytes(payload)
+
+
+@st.composite
+def signed_mutation(draw, genuine):
+    """*genuine* with one signed record's ``signed`` bytes attacked."""
+    answer = copy.deepcopy(genuine)
+    holder = draw(st.sampled_from(list(_signed_holders(answer))))
+    signed = holder["signed"]
+    how = draw(st.sampled_from(["flip", "truncate", "retype", "no_type", "no_body"]))
+    if how == "flip":
+        at = draw(st.integers(0, len(signed) - 1))
+        bit = draw(st.integers(0, 7))
+        holder["signed"] = signed[:at] + bytes([signed[at] ^ (1 << bit)]) + signed[at + 1 :]
+    elif how == "truncate":
+        holder["signed"] = signed[: draw(st.integers(0, len(signed) - 1))]
+    elif how == "retype":
+        not_bytes = json_values.filter(lambda value: not isinstance(value, bytes))
+        holder["signed"] = draw(st.one_of(not_bytes, st.just(signed.decode("ascii"))))
+    else:
+        holder["signed"] = _without(signed, how[len("no_"):])
     return answer

@@ -20,6 +20,7 @@ from repro.crypto.signing import SignedEnvelope
 from repro.globedoc.element import PageElement
 from repro.globedoc.owner import DocumentOwner
 from repro.sim.clock import SimClock
+from repro.util.encoding import canonical_bytes, from_canonical_bytes
 
 #: Readable test epoch: 2005-01-01-ish.
 EPOCH = 1_100_000_000.0
@@ -50,6 +51,17 @@ def sha256_suite(monkeypatch):
     change of hash edits (``SUITE = SHA1``), flipped for the test."""
     monkeypatch.setattr(hashes, "SUITE", hashes.SHA256)
     return hashes.SHA256
+
+
+def forge_signed(certificate: dict, edit) -> dict:
+    """A copy of *certificate*'s wire form (``{"envelope": {"signed",
+    "signature", "suite"}}``) whose signed bytes hold the payload as
+    ``edit(payload)`` left it, re-encoded but not re-signed: what a
+    tamperer without the key can send."""
+    envelope = certificate["envelope"]
+    payload = from_canonical_bytes(envelope["signed"])
+    edit(payload)
+    return {**certificate, "envelope": {**envelope, "signed": canonical_bytes(payload)}}
 
 
 def fast_keys() -> KeyPair:

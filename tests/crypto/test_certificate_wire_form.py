@@ -1,5 +1,7 @@
 """Every certificate-backed type ships and stores its signed envelope
-once: no field of the signed payload is repeated beside it."""
+once: no field of the signed payload is repeated beside it. All but the
+signed delta travel as the bytes their signer signed; the delta keeps
+the payload form (DESIGN.md §6)."""
 
 from __future__ import annotations
 
@@ -85,12 +87,21 @@ def test_signed_fields_travel_once(build, shared_keys, other_keys):
     # tree below with the attachments as its bytes leaves.
     frame = to_wire(wire)
     travelled = list(_subvalues(from_wire(frame)))
-    body = from_canonical_bytes(canonical_bytes(dict(certificate.body)))
-    assert travelled.count(body) == 1
     attached = [v for v in travelled if isinstance(v, bytes)]
-    signed = [v for v in _subvalues(body) if isinstance(v, bytes)]
-    for leaf in signed:
-        assert attached.count(leaf) == signed.count(leaf), "a signed bytes field is attached twice"
+    if build is _delta:
+        body = from_canonical_bytes(canonical_bytes(dict(certificate.body)))
+        assert travelled.count(body) == 1
+        signed = [v for v in _subvalues(body) if isinstance(v, bytes)]
+        for leaf in signed:
+            assert attached.count(leaf) == signed.count(leaf), "a signed bytes field is attached twice"
+    else:
+        # The signed bytes are one raw leaf, the payload nowhere else.
+        envelope = certificate.envelope
+        assert set(wire["envelope"]) == {"signed", "signature", "suite"}
+        assert attached == [envelope.signature, envelope.signed_bytes]
+        assert type(value).from_dict(from_wire(frame)).certificate.envelope.signed_bytes == (
+            envelope.signed_bytes
+        )
     # ... and nothing rides in the frame beside header, attachments, trailer.
     header_length = int.from_bytes(frame[:4], "big")
     assert len(frame) == 4 + header_length + sum(map(len, attached)) + 4

@@ -81,3 +81,31 @@ class TestSignedEnvelope:
         env = SignedEnvelope.create(shared_keys, {"m": 1})
         # Signature (128 B for RSA-1024) plus payload plus framing.
         assert env.wire_size > 128
+
+
+#: Signed bytes :func:`~repro.util.encoding.canonical_bytes` never writes.
+NEVER_ENCODED = {
+    "nan": b'{"x":NaN}',
+    "infinity_literal": b'{"x":Infinity}',
+    "overflowing_literal": b'{"x":1e400}',
+    "reserved_key_beside_another": b'{"__b64__":"AA==","y":1}',
+    "bytes_tag_not_a_string": b'{"x":{"__b64__":42}}',
+    "bytes_tag_not_base64": b'{"x":{"__b64__":"not!!base64"}}',
+    "not_ascii": '{"x":"é"}'.encode("utf-8"),
+    "payload_a_list": b"[1,2]",
+    "payload_a_string": b'"x"',
+}
+
+
+@pytest.mark.parametrize("signed", list(NEVER_ENCODED.values()), ids=list(NEVER_ENCODED))
+def test_signed_form_decoder_refuses_what_the_encoder_never_writes(signed):
+    """The decoder of every received signed record parses strictly: a
+    value the signing codec cannot write is an ``EncodingError``, never a
+    payload carried on (``1e400`` would read as ``inf``)."""
+    from repro.crypto import hashes
+    from repro.errors import EncodingError
+
+    with pytest.raises(EncodingError):
+        SignedEnvelope.from_dict(
+            {"signed": signed, "signature": b"\x00" * 8, "suite": hashes.SUITE.name}
+        )

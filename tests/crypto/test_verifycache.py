@@ -170,7 +170,8 @@ class TestStats:
 
 
 class TestEnvelopeFastPath:
-    """The cache as envelopes use it, including the intern pool."""
+    """The cache as envelopes use it, including the intern pool, which
+    serves the payload form only."""
 
     def test_envelope_verify_with_cache(self, shared_keys):
         cache = VerificationCache()
@@ -181,17 +182,17 @@ class TestEnvelopeFastPath:
 
     def test_reparsed_envelope_is_interned(self, shared_keys):
         env = SignedEnvelope.create(shared_keys, {"msg": "hello"})
-        wire = env.to_dict()
-        first = SignedEnvelope.from_dict(wire)
-        second = SignedEnvelope.from_dict(wire)
+        wire = env.to_payload_dict()
+        first = SignedEnvelope.from_payload_dict(wire)
+        second = SignedEnvelope.from_payload_dict(wire)
         assert second is first
 
     def test_tampered_wire_never_aliases_interned_instance(self, shared_keys):
         env = SignedEnvelope.create(shared_keys, {"msg": "hello"})
-        wire = env.to_dict()
-        good = SignedEnvelope.from_dict(wire)
+        wire = env.to_payload_dict()
+        good = SignedEnvelope.from_payload_dict(wire)
         evil_wire = dict(wire, payload={"msg": "evil"})
-        evil = SignedEnvelope.from_dict(evil_wire)
+        evil = SignedEnvelope.from_payload_dict(evil_wire)
         assert evil is not good
         with pytest.raises(SignatureError):
             evil.verify(shared_keys.public, cache=VerificationCache())
@@ -199,10 +200,19 @@ class TestEnvelopeFastPath:
     def test_interned_warm_verify_hits_across_reparses(self, shared_keys):
         cache = VerificationCache()
         env = SignedEnvelope.create(shared_keys, {"msg": "hello"})
-        wire = env.to_dict()
+        wire = env.to_payload_dict()
         for _ in range(3):
-            SignedEnvelope.from_dict(wire).verify(shared_keys.public, cache=cache)
+            SignedEnvelope.from_payload_dict(wire).verify(shared_keys.public, cache=cache)
         assert cache.stats.hits == 2 and cache.stats.misses == 1
+
+    def test_signed_form_never_consults_the_pool(self, shared_keys):
+        from repro.crypto import signing
+
+        env = SignedEnvelope.create(shared_keys, {"msg": "hello"})
+        first = SignedEnvelope.from_dict(env.to_dict())
+        assert first.signed_bytes == env.signed_bytes
+        assert SignedEnvelope.from_dict(env.to_dict()) is not first
+        assert not signing._intern_pool
 
     def test_intern_pool_is_bounded(self, shared_keys):
         from repro.crypto import signing
@@ -210,16 +220,16 @@ class TestEnvelopeFastPath:
         wires = []
         for i in range(5):
             env = SignedEnvelope.create(shared_keys, {"i": i})
-            wires.append(env.to_dict())
+            wires.append(env.to_payload_dict())
         old_max = signing._INTERN_MAX
         signing._INTERN_MAX = 2
         try:
             SignedEnvelope.clear_intern_pool()
-            parsed = [SignedEnvelope.from_dict(w) for w in wires]
+            parsed = [SignedEnvelope.from_payload_dict(w) for w in wires]
             assert len(signing._intern_pool) == 2
             # The two most recent survive; older ones re-parse fresh.
-            assert SignedEnvelope.from_dict(wires[-1]) is parsed[-1]
-            assert SignedEnvelope.from_dict(wires[0]) is not parsed[0]
+            assert SignedEnvelope.from_payload_dict(wires[-1]) is parsed[-1]
+            assert SignedEnvelope.from_payload_dict(wires[0]) is not parsed[0]
         finally:
             signing._INTERN_MAX = old_max
             SignedEnvelope.clear_intern_pool()

@@ -2,9 +2,10 @@
 the resolver returns the genuine OID or raises a typed naming error,
 and the proxy answers with a response — never an exception.
 
-Answers are drawn two ways: JSON-shaped values of any form, and
+Answers are drawn three ways: JSON-shaped values of any form,
 mutations of a genuine answer (a field dropped, retyped or replaced at
-any depth). Each is served by a stub naming service both whole
+any depth), and a genuine answer with one signed record's ``signed``
+bytes attacked. Each is served by a stub naming service both whole
 (``naming.resolve``) and cut into per-zone steps (``naming.resolve_step``).
 """
 
@@ -19,7 +20,7 @@ from repro.errors import NamingError
 from repro.naming.zone import ZoneKeys
 from repro.net.transport import LoopbackTransport
 from repro.sim.clock import SimClock
-from tests.answerfuzz import budget, json_values, mutation
+from tests.answerfuzz import budget, json_values, mutation, signed_mutation
 from tests.conftest import EPOCH, fast_keys
 from tests.naming.stubservice import StubNameService, stub_resolver
 
@@ -95,6 +96,12 @@ class TestResolverFuzz:
         answer = data.draw(mutation(world[2]))
         _resolves_genuinely_or_refuses(world, answer, iterative)
 
+    @given(data=st.data())
+    @budget
+    def test_mutated_signed_record(self, world, iterative, data):
+        answer = data.draw(signed_mutation(world[2]))
+        _resolves_genuinely_or_refuses(world, answer, iterative)
+
     def test_genuine_answer_resolves(self, world, iterative):
         deployment, published, genuine, _ = world
         resolver = stub_resolver(genuine, deployment.naming.root_key, deployment.clock, iterative)
@@ -106,7 +113,9 @@ class TestProxyFuzz:
     @given(data=st.data())
     @budget
     def test_proxy_never_raises(self, world, iterative, data):
-        answer = data.draw(st.one_of(json_values, _shaped, mutation(world[2])))
+        answer = data.draw(
+            st.one_of(json_values, _shaped, mutation(world[2]), signed_mutation(world[2]))
+        )
         _proxy_answers(world, answer, iterative)
 
     def test_genuine_answer_is_served(self, world, iterative):

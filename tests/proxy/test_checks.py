@@ -16,7 +16,7 @@ from repro.globedoc.oid import ObjectId
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.checks import SecurityChecker
 from repro.proxy.metrics import AccessMetrics
-from tests.conftest import EPOCH, fast_keys
+from tests.conftest import EPOCH, fast_keys, forge_signed
 
 
 @pytest.fixture
@@ -182,8 +182,10 @@ class TestVerificationFastPath:
         the warm cache of the genuine one."""
         checker = self.make_checker(clock)
         checker.check_certificate(object_keys.public, integrity, oid)
-        wire = integrity.to_dict()
-        wire["envelope"]["payload"]["body"]["entries"][0]["content_hash"] = b"\x00" * 20
+        wire = forge_signed(
+            integrity.to_dict(),
+            lambda payload: payload["body"]["entries"][0].update(content_hash=b"\x00" * 20),
+        )
         forged = IntegrityCertificate.from_dict(wire)
         with pytest.raises(AuthenticityError):
             checker.check_certificate(object_keys.public, forged, oid)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import itertools
 import tracemalloc
 
@@ -12,12 +11,14 @@ from repro.attacks.malicious_server import HonestBehavior, MaliciousReplica
 from repro.crypto.identity import TrustStore
 from repro.crypto.verifycache import VerificationCache
 from repro.globedoc.urls import HybridUrl
+from repro.naming.dnssec import DelegationRecord
 from repro.net.address import Endpoint
 from repro.net.message import BATCH_OP, Request, Response
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
 from repro.proxy.pipeline import PipelineConfig
 from repro.util.encoding import from_wire, to_wire
+from tests.conftest import forge_signed
 from tests.proxy.conftest import ELEMENTS
 
 
@@ -164,9 +165,37 @@ EVIL = b"EVIL-PAYLOAD"
 
 
 def _string_bound(certificate: dict) -> dict:
-    forged = copy.deepcopy(certificate)
-    forged["envelope"]["payload"]["not_before"] = "EVIL-PAYLOAD"
-    return forged
+    return forge_signed(certificate, lambda payload: payload.update(not_before="EVIL-PAYLOAD"))
+
+
+def _signed(edit):
+    """A forge that serves the genuine certificate with its signed bytes
+    replaced by ``edit(signed bytes)``, the signature left as it was."""
+
+    def forge(certificate, owner_keys):
+        envelope = certificate["envelope"]
+        return {**certificate, "envelope": {**envelope, "signed": edit(envelope["signed"])}}
+
+    return forge
+
+
+def _flip_oid_digit(signed: bytes) -> bytes:
+    """One byte of the signed OID changed: still canonical JSON, so only
+    the signature check can tell."""
+    at = signed.index(b'"oid":"') + len(b'"oid":"')
+    return signed[:at] + (b"1" if signed[at : at + 1] == b"0" else b"0") + signed[at + 1 :]
+
+
+def _without(field: str):
+    return lambda certificate, owner_keys: forge_signed(
+        certificate, lambda payload: payload.pop(field)
+    )
+
+
+def _another_type(certificate, owner_keys) -> dict:
+    """A record of another type, validly signed by the object key itself:
+    only its type tells it from an integrity certificate."""
+    return DelegationRecord.issue(owner_keys, "nl/vu", owner_keys.public).to_dict()
 
 
 #: An integer where a bytes field belongs: ``bytes(HUGE)`` would be an
@@ -174,24 +203,56 @@ def _string_bound(certificate: dict) -> dict:
 HUGE = 50_000_000
 
 
-#: id -> (op, what the genuine certificate becomes / the canned answer).
+#: id -> (op, forge(genuine certificate, object keys) -> the canned answer).
 MALFORMED_ANSWERS = {
-    "public_key_an_integer": ("globedoc.get_public_key", lambda cert: HUGE),
+    "public_key_an_integer": ("globedoc.get_public_key", lambda cert, keys: HUGE),
     "element_content_an_integer": (
-        "globedoc.get_element", lambda cert: {"name": "index.html", "content": HUGE},
+        "globedoc.get_element", lambda cert, keys: {"name": "index.html", "content": HUGE},
     ),
-    "public_key_not_bytes": ("globedoc.get_public_key", lambda cert: "EVIL-PAYLOAD"),
+    "public_key_not_bytes": ("globedoc.get_public_key", lambda cert, keys: "EVIL-PAYLOAD"),
     "identity_without_envelope": (
-        "globedoc.get_identity_certificates", lambda cert: [{"body": EVIL}],
+        "globedoc.get_identity_certificates", lambda cert, keys: [{"body": EVIL}],
     ),
-    "certificate_string_bound": ("globedoc.get_integrity_certificate", _string_bound),
+    "certificate_string_bound": (
+        "globedoc.get_integrity_certificate", lambda cert, keys: _string_bound(cert),
+    ),
     "certificate_without_envelope": (
-        "globedoc.get_integrity_certificate", lambda cert: {"body": EVIL},
+        "globedoc.get_integrity_certificate", lambda cert, keys: {"body": EVIL},
     ),
     "element_without_content": (
-        "globedoc.get_element", lambda cert: {"name": 5, "evil": EVIL},
+        "globedoc.get_element", lambda cert, keys: {"name": 5, "evil": EVIL},
     ),
+    # The signed leaf, attacked: what the certificate's signed bytes can be
+    # made to say without the key.
+    "certificate_signed_byte_flipped": (
+        "globedoc.get_integrity_certificate", _signed(_flip_oid_digit),
+    ),
+    "certificate_signed_truncated": (
+        "globedoc.get_integrity_certificate", _signed(lambda signed: signed[:-7]),
+    ),
+    "certificate_signed_not_bytes": (
+        "globedoc.get_integrity_certificate", _signed(lambda signed: signed.decode()),
+    ),
+    "certificate_signed_without_type": ("globedoc.get_integrity_certificate", _without("type")),
+    "certificate_signed_without_body": ("globedoc.get_integrity_certificate", _without("body")),
+    "certificate_signed_nan_bound": (
+        "globedoc.get_integrity_certificate",
+        _signed(lambda signed: signed.replace(b'"not_after":null', b'"not_after":NaN')),
+    ),
+    "certificate_signed_infinite_bound": (
+        "globedoc.get_integrity_certificate",
+        _signed(lambda signed: signed.replace(b'"not_after":null', b'"not_after":1e400')),
+    ),
+    "certificate_signed_reserved_key": (
+        "globedoc.get_integrity_certificate",
+        _signed(lambda signed: signed.replace(b'{"body":', b'{"__b64__":"AA==","body":')),
+    ),
+    "certificate_of_another_type": ("globedoc.get_integrity_certificate", _another_type),
 }
+
+#: Cases that decode to a well-formed certificate, which its signature
+#: check refuses rather than its decoder.
+SIGNATURE_REFUSED = {"certificate_signed_byte_flipped"}
 
 
 class TestMalformedReplicaAnswers:
@@ -217,7 +278,7 @@ class TestMalformedReplicaAnswers:
             slot; the returned list gains an entry per batch forged."""
             op, forge = MALFORMED_ANSWERS[case]
             if reply is None:
-                answer = forge(published.document.integrity.to_dict())
+                answer = forge(published.document.integrity.to_dict(), published.owner.keys)
                 reply = Response.success(answer).to_bytes()
             forged_slot = {k: v for k, v in from_wire(reply).items() if k != "kind"}
             batches_forged = []
@@ -258,10 +319,12 @@ class TestMalformedReplicaAnswers:
         return published, deploy, stack
 
     @staticmethod
-    def assert_rejected(response):
+    def assert_rejected(response, case=None):
         assert response.status == 403
         assert response.security_failure == "AuthenticityError"
-        assert b"malformed" in response.content and EVIL not in response.content
+        if case not in SIGNATURE_REFUSED:
+            assert b"malformed" in response.content
+        assert EVIL not in response.content
         assert not any(genuine in response.content for genuine in ELEMENTS.values())
 
     @pytest.mark.parametrize("case", list(MALFORMED_ANSWERS))
@@ -269,7 +332,7 @@ class TestMalformedReplicaAnswers:
         published, deploy, stack = world
         deploy(case)
         proxy = stack(max_rebinds=0).proxy  # fail closed: no way around it
-        self.assert_rejected(proxy.handle(published.url("index.html")))
+        self.assert_rejected(proxy.handle(published.url("index.html")), case)
 
     @pytest.mark.parametrize("case", list(MALFORMED_ANSWERS))
     def test_rejected_through_the_pipeline(self, world, case):
@@ -280,7 +343,7 @@ class TestMalformedReplicaAnswers:
             [published.url("index.html"), published.url("img/logo.png")]
         )
         for response in responses:
-            self.assert_rejected(response)
+            self.assert_rejected(response, case)
         # The forge rode in its op's slot of the fetch wave's one frame.
         assert len(batches_forged) == 1
         assert MALFORMED_ANSWERS[case][0] in batches_forged[0]
@@ -342,6 +405,19 @@ class TestMalformedReplicaAnswers:
         failovers = [span for span in ring.spans if span.name == "session.failover"]
         assert len(failovers) == 1
         assert failovers[0].attributes["cause"] == "AuthenticityError"
+
+    @pytest.mark.parametrize(
+        "case", [c for c in MALFORMED_ANSWERS if c.startswith("certificate_")]
+    )
+    def test_pipeline_fails_over_to_an_honest_replica(self, world, case):
+        """``handle_many`` escapes a bad certificate as ``handle`` does."""
+        published, deploy, stack = world
+        deploy(case)
+        urls = [published.url("index.html"), published.url("img/logo.png")]
+        responses = stack(pipeline=PipelineConfig()).proxy.handle_many(urls)
+        assert [(r.status, r.content) for r in responses] == [
+            (200, ELEMENTS["index.html"]), (200, ELEMENTS["img/logo.png"]),
+        ]
 
     @pytest.mark.parametrize(
         "case", [c for c in MALFORMED_ANSWERS if c.startswith("element_")]

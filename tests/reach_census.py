@@ -98,9 +98,6 @@ EXCEPTIONS: dict[str, str] = {
     "repro.attacks.scenarios": SCENARIOS,
     **dict.fromkeys(
         (
-            "repro.util.encoding:from_canonical_bytes",
-            "repro.util.encoding:_untag",
-            "repro.util.encoding:b64decode",
             "repro.crypto.keys:KeyPair.to_pem",
             "repro.globedoc.oid:ObjectId.from_hex",
         ),

@@ -231,7 +231,7 @@ class TestUntrustedFeed:
 
     @pytest.mark.parametrize(
         "damage",
-        [{"suite": "sha256"}, {"payload": None}],
+        [{"suite": "sha256"}, {"signed": None}],
         ids=["foreign_suite_tag", "no_payload"],
     )
     def test_undecodable_statement_dropped_alone(

@@ -29,7 +29,7 @@ from repro.revocation.statement import RevocationStatement
 from repro.storage.store import WAL_NAME, DurableStore
 from repro.storage.wal import FRAME_HEADER, WriteAheadLog
 from repro.util.encoding import from_wire, to_wire
-from tests.conftest import EPOCH, fast_keys
+from tests.conftest import EPOCH, fast_keys, forge_signed
 
 MAX_STALENESS = 60.0
 
@@ -113,7 +113,9 @@ class TestFeedPersistence:
             data = fh.read()
         (length,) = FRAME_HEADER.unpack_from(data, 0)
         record = from_wire(data[FRAME_HEADER.size : FRAME_HEADER.size + length])
-        record["statement"]["envelope"]["payload"]["body"]["serial"] = 99  # shadow a future serial
+        record["statement"] = forge_signed(  # shadow a future serial
+            record["statement"], lambda payload: payload["body"].update(serial=99)
+        )
         frame = to_wire(record)
         with open(wal_path, "wb") as fh:
             fh.write(FRAME_HEADER.pack(len(frame)))
@@ -253,8 +255,10 @@ class TestCheckerCursor:
                 records = wal.take_records()
                 for record in records:
                     if record.get("op") == "ingest":
-                        body = record["statement"]["envelope"]["payload"]["body"]
-                        body["reason"] = "rewritten at rest"
+                        record["statement"] = forge_signed(
+                            record["statement"],
+                            lambda payload: payload["body"].update(reason="rewritten at rest"),
+                        )
                 wal.rewrite(records)  # CRC-valid: only signatures can tell
 
             with pytest.raises(RecoveryIntegrityError, match="failing recovery closed.*signature invalid"):

@@ -9,6 +9,7 @@ from repro.globedoc.element import PageElement
 from repro.revocation.statement import RevocationStatement
 from repro.server.admin import AdminCommand
 from repro.server.objectserver import ObjectServer
+from repro.util.encoding import from_canonical_bytes
 from tests.conftest import fast_keys
 
 
@@ -94,7 +95,7 @@ class TestDataSurface:
         element = server.rpc_get_element(rid, "a.png")
         assert bytes(element["content"]) == b"img"
         cert = server.rpc_get_integrity_certificate(rid)
-        assert cert["envelope"]["payload"]["type"] == "globedoc/integrity"
+        assert from_canonical_bytes(cert["envelope"]["signed"])["type"] == "globedoc/integrity"
 
     def test_serve_counters(self, server, signed_doc):
         owner, doc = signed_doc

@@ -19,7 +19,8 @@ from repro.server.persistence import ServerStateStore
 from repro.revocation.statement import RevocationStatement
 from repro.storage.store import WAL_NAME
 from repro.storage.wal import WriteAheadLog
-from tests.conftest import EPOCH, fast_keys
+from repro.util.encoding import from_canonical_bytes
+from tests.conftest import EPOCH, fast_keys, forge_signed
 
 
 def make_server(tmp_path, clock):
@@ -198,7 +199,7 @@ class TestRecovery:
                 for item in list(value.values()):
                     add_outer_fields(item)
                 if "envelope" in value:
-                    payload = value["envelope"]["payload"]
+                    payload = from_canonical_bytes(value["envelope"]["signed"])
                     value.update(
                         cert_type=payload["type"],
                         body=payload["body"],
@@ -309,10 +310,10 @@ class TestFailClosed:
         server.close()
 
         def retarget(record):
-            statement_dict = record.get("statement")
-            if statement_dict:
-                statement_dict["envelope"]["payload"]["body"]["reason"] = (
-                    "haha benign actually"
+            if record.get("statement"):
+                record["statement"] = forge_signed(
+                    record["statement"],
+                    lambda payload: payload["body"].update(reason="haha benign actually"),
                 )
 
         rewrite_wal(os.path.join(str(tmp_path), "feed", WAL_NAME), retarget)

@@ -171,11 +171,14 @@ class TestOneWorldThreeTransports:
 
     @pytest.mark.parametrize("kind", TRANSPORTS)
     def test_no_frame_re_encodes_bytes(self, observed, kind):
-        """Keys, signatures, hashes and content all cross as attachments:
-        the signing codec's base64 tag appears in no RPC frame."""
+        """Keys, signatures, hashes, content and signed records all cross
+        as attachments: the signing codec's base64 tag appears in no RPC
+        frame's header. (Inside a signed record's attached bytes it is
+        what the signer signed.)"""
         frames = observed[kind]["frames"]
         assert len(frames) >= 2 * 8  # the cold bind alone is five calls
-        assert not [f for f in frames if b"__b64__" in f]
+        headers = [f[4 : 4 + int.from_bytes(f[:4], "big")] for f in frames]
+        assert not [h for h in headers if b"__b64__" in h]
         assert any(ELEMENTS["logo.bin"] in f for f in frames)
 
 

@@ -341,3 +341,53 @@ def test_every_counter_is_read_outside_the_tests():
     assert len(bumped) > 20  # the walk really found the counters
     assert ("VerifyCacheStats", "hits") in bumped  # and resolved ``self.stats.hits``
     assert bumped - read_counters(bumped) == set(WRITE_ONLY)
+
+
+def _annotation_names(node):
+    """Names a (possibly quoted) annotation refers to."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                yield from _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+
+
+def _unused_imports(tree):
+    """The names *tree* imports and never reads, nor exports in ``__all__``."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            used.update(_annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used.update(_annotation_names(node.returns))
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """No linter is installed, so this is the unused-import rule: every
+    name a ``src/repro`` module imports is read in it or exported by its
+    ``__all__``."""
+    unused = [
+        f"{path.relative_to(SRC)}:{line}: {name}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []

@@ -8,7 +8,7 @@ from repro.errors import AuthenticityError, CertificateError, SecurityError
 from repro.globedoc.oid import ObjectId
 from repro.versioning import WriterGrant
 
-from tests.conftest import fast_keys
+from tests.conftest import fast_keys, forge_signed
 
 
 class TestIssue:
@@ -64,7 +64,8 @@ class TestVerify:
         grant = WriterGrant.issue(
             owner_keys, oid, "alice", fast_keys().public, granted_at=clock.now()
         )
-        data = grant.to_dict()
-        data["envelope"]["payload"]["body"]["writer_id"] = "mallory"
+        data = forge_signed(
+            grant.to_dict(), lambda payload: payload["body"].update(writer_id="mallory")
+        )
         with pytest.raises(SecurityError):
             WriterGrant.from_dict(data).verify(owner_keys.public, oid, clock=clock)
