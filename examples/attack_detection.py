@@ -111,6 +111,16 @@ def main() -> None:
     rows.append(["man-in-the-middle", "authenticity (hash)", result.outcome.value,
                  result.failure_type or "-"])
 
+    # 7. Content tampering again, against a deployable stack's client,
+    # which reads the key, the certificate and the element in one
+    # globedoc.bind exchange: the same check rejects the same lie.
+    testbed, owner, v1, published = fresh_world()
+    testbed.fig3_walk = False
+    deploy(testbed, published, TamperBehavior("index.html", b"<script>evil</script>"))
+    result = probe(testbed, published, genuine=genuine_v2, max_rebinds=0)
+    rows.append(["tampered element, one bind", "authenticity (hash)", result.outcome.value,
+                 result.failure_type or "-"])
+
     print("GlobeDoc adversary matrix (all replicas/infrastructure untrusted)\n")
     print(render_table(["Attack", "Defence (check)", "Outcome", "Error"], rows))
 

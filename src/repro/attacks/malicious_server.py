@@ -31,6 +31,7 @@ from repro.globedoc.integrity import IntegrityCertificate
 from repro.net.address import Endpoint
 from repro.net.rpc import RpcServer, rpc_method
 from repro.globedoc.owner import SignedDocument
+from repro.server.localrep import bind_answer
 
 __all__ = [
     "ReplicaBehavior",
@@ -215,6 +216,23 @@ class MaliciousReplica:
     def rpc_get_element(self, replica_id: str, name: str) -> dict:
         self.requests_served += 1
         return self.behavior.element(self.state, name).to_dict()
+
+    @rpc_method("globedoc.bind")
+    def rpc_bind(self, replica_id: str, name: str) -> dict:
+        """The bundled answer, composed of the behaviour's key,
+        certificate and element: it lies in one exchange exactly as it
+        lies in the separate calls."""
+        self.requests_served += 1
+        try:
+            element = self.behavior.element(self.state, name)
+        except ConsistencyError:
+            element = None
+        return bind_answer(
+            self.behavior.public_key(self.state),
+            self.state.identity_certs,
+            self.behavior.integrity(self.state),
+            element,
+        )
 
     def rpc_server(self) -> RpcServer:
         server = RpcServer(name=f"malicious@{self.host}")

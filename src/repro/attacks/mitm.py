@@ -48,8 +48,8 @@ class MitmTransport:
     @staticmethod
     def content_injector(payload: bytes) -> FrameRewriter:
         """Rewriter that appends *payload* to any element/file content in
-        a successful response (works on GlobeDoc elements and plain-HTTP
-        bodies alike)."""
+        a successful response (works on GlobeDoc elements, alone or in a
+        ``globedoc.bind`` answer, and plain-HTTP bodies alike)."""
 
         def rewrite(endpoint: Endpoint, frame: bytes) -> bytes:
             try:
@@ -62,6 +62,11 @@ class MitmTransport:
             changed = False
             if isinstance(value.get("content"), bytes):  # GlobeDoc element
                 value["content"] = value["content"] + payload
+                changed = True
+            element = value.get("element")
+            if isinstance(element, dict) and isinstance(element.get("content"), bytes):
+                # The element inside a bundled ``globedoc.bind`` answer.
+                value["element"] = {**element, "content": element["content"] + payload}
                 changed = True
             if isinstance(value.get("body"), bytes):  # plain HTTP body
                 value["body"] = value["body"] + payload

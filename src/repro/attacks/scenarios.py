@@ -208,13 +208,20 @@ def deploy_foreign_suite_tag(world: World) -> None:
     # Relabel the integrity certificate's hash suite on the wire. The
     # tag is checked against the one suite, never obeyed: the
     # certificate is malformed before any hash or signature runs.
+    def retag(certificate: dict) -> dict:
+        return {**certificate, "envelope": {**certificate["envelope"], "suite": "sha256"}}
+
     def rewrite(endpoint: Endpoint, frame: bytes) -> bytes:
         response = Response.from_bytes(frame)
         value = response.value if response.ok else None
-        if not isinstance(value, dict) or "envelope" not in value:
+        if not isinstance(value, dict):
             return frame
-        retagged = {**value, "envelope": {**value["envelope"], "suite": "sha256"}}
-        return Response.success(retagged).to_bytes()
+        if "envelope" in value:
+            return Response.success(retag(value)).to_bytes()
+        if isinstance(value.get("certificate"), dict):  # a globedoc.bind answer
+            retagged = {**value, "certificate": retag(value["certificate"])}
+            return Response.success(retagged).to_bytes()
+        return frame
 
     world.stack.transport.rewrite = rewrite
 

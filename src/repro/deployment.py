@@ -99,8 +99,10 @@ class Deployment:
     ``owner_host`` (default: *host*). ``clock_for(host)`` (default:
     *clock*) is the clock a host's object server and client checkers run
     on and charge their work to.
-    Client stacks resolve a name with one signed answer;
-    ``iterative_naming=True`` makes them walk the zones instead.
+    Client stacks resolve a name with one signed answer and read a
+    replica with one ``globedoc.bind``; ``fig3_walk=True`` makes them
+    walk Fig. 3 instead: the zones one step each, then the key, the
+    certificate and the element one call each.
     """
 
     def __init__(
@@ -117,7 +119,7 @@ class Deployment:
         storage_sync: bool = True,
         zone_keys: Optional[Dict[str, object]] = None,
         clock_for: Optional[Callable[[str], Clock]] = None,
-        iterative_naming: bool = False,
+        fig3_walk: bool = False,
     ) -> None:
         self.clock = clock
         self.register = register
@@ -146,11 +148,12 @@ class Deployment:
         #: band; only the *published records* go through the durable
         #: store. Map of zone path (:data:`ZONE_PATHS`) → ZoneKeys.
         keys = zone_keys if zone_keys is not None else {}
-        #: True: client resolvers walk the zones one
-        #: ``naming.resolve_step`` at a time (the paper's Fig. 3 path)
-        #: instead of asking for the whole signed chain in one
-        #: ``naming.resolve``.
-        self.iterative_naming = iterative_naming
+        #: True: client stacks take the paper's Fig. 3 path — resolvers
+        #: walk the zones one ``naming.resolve_step`` at a time instead
+        #: of asking for the whole signed chain in one ``naming.resolve``,
+        #: and LRs fetch key, certificate and element one call each
+        #: instead of in one ``globedoc.bind``. Read per ``client_stack``.
+        self.fig3_walk = fig3_walk
 
         def durable(store_class, name: str, service):
             if data_dir is None:
@@ -385,7 +388,7 @@ class Deployment:
         and installs an :class:`~repro.proxy.pipeline.AccessScheduler`
         on the proxy, enabling the batched access pipeline behind
         ``proxy.handle_many``: a cold batch is three ``call_many`` waves
-        (names, locations, then keys, certificates and elements), each
+        (names, locations, then each object's bind and elements), each
         replayed through the sequential code on the calling thread.
         The client stack is ``RpcClient`` → ``PrefetchingRpcClient`` →
         ``RetryingRpcClient``: a prefetch is one attempt, and only the
@@ -405,7 +408,7 @@ class Deployment:
             )
         resolver = SecureResolver(
             rpc, self.naming_endpoint, self.naming.root_key, clock=self.clock,
-            iterative=self.iterative_naming,
+            iterative=self.fig3_walk,
         )
         location = LocationClient(
             rpc,
@@ -414,7 +417,10 @@ class Deployment:
             clock=self.clock,
             cache_ttl=location_ttl,
         )
-        binder = Binder(resolver, location, rpc, health=health, tracer=tracer)
+        binder = Binder(
+            resolver, location, rpc, health=health, tracer=tracer,
+            fig3_walk=self.fig3_walk,
+        )
         revocation = None
         if revocation_max_staleness is not None:
             cursor_store = None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from repro.crypto import hashes
-from repro.errors import ReproError
+from repro.errors import EncodingError
 from repro.util.encoding import wire_bytes
 
 __all__ = ["PageElement", "validate_element_name", "guess_content_type"]
@@ -42,19 +42,21 @@ def validate_element_name(name: str) -> str:
     Names are non-empty relative paths without ``.``/``..`` segments,
     backslashes, or control characters — the consistency check (§3.2.2)
     compares names byte-for-byte, so ambiguous spellings are rejected at
-    creation time.
+    creation time. A refused name is an :class:`EncodingError`, so a
+    decoder of an untrusted answer (``PageElement.from_dict``) refuses it
+    as the malformed value it is.
     """
     if not isinstance(name, str) or not name:
-        raise ReproError("element name must be a non-empty string")
+        raise EncodingError("element name must be a non-empty string")
     if len(name) > _MAX_NAME_LENGTH:
-        raise ReproError(f"element name longer than {_MAX_NAME_LENGTH} chars")
+        raise EncodingError(f"element name longer than {_MAX_NAME_LENGTH} chars")
     if name.startswith("/") or "\\" in name:
-        raise ReproError(f"element name must be a relative path: {name!r}")
+        raise EncodingError(f"element name must be a relative path: {name!r}")
     if any(ord(ch) < 0x20 for ch in name):
-        raise ReproError("element name contains control characters")
+        raise EncodingError("element name contains control characters")
     parts = name.split("/")
     if any(part in ("", ".", "..") for part in parts):
-        raise ReproError(f"element name contains empty or dot segments: {name!r}")
+        raise EncodingError(f"element name contains empty or dot segments: {name!r}")
     return name
 
 

@@ -73,7 +73,7 @@ class Testbed(Deployment):
             zone_keys=zone_keys,
             clock_for=self.network.host,
             # Fig. 3's per-zone walk: one naming round trip per zone.
-            iterative_naming=True,
+            fig3_walk=True,
         )
         # The Fig. 5–7 baselines, on the same host as the object server.
         self.http_server = StaticHttpServer(host=SERVICES_HOST)

@@ -55,6 +55,7 @@ class Binder:
         rpc: RpcClient,
         health: Optional[ReplicaHealthTracker] = None,
         tracer=None,
+        fig3_walk: bool = False,
     ) -> None:
         self.resolver = resolver
         self.location = location
@@ -63,6 +64,9 @@ class Binder:
         #: are ordered after every healthy alternative at bind time.
         self.health = health
         self.tracer = tracer if tracer is not None else NOOP_TRACER
+        #: The LRs installed read a replica one call per part, as in
+        #: Fig. 3, instead of in one ``globedoc.bind`` exchange.
+        self.fig3_walk = fig3_walk
 
     def note_replica_failure(self, bound: BoundObject) -> None:
         """Charge a session-observed failure (security violation or
@@ -151,6 +155,10 @@ class Binder:
             return list(addresses)
         return self.health.order(addresses)
 
+    def lr_at(self, address: ContactAddress) -> ProxyLR:
+        """The forwarding LR this binder installs for *address*."""
+        return ProxyLR(self.rpc, address, fig3_walk=self.fig3_walk)
+
     def _install(
         self, oid: ObjectId, addresses: List[ContactAddress], index: int
     ) -> BoundObject:
@@ -158,5 +166,5 @@ class Binder:
             oid=oid,
             addresses=list(addresses),
             address_index=index,
-            lr=ProxyLR(self.rpc, addresses[index]),
+            lr=self.lr_at(addresses[index]),
         )

@@ -42,6 +42,10 @@ SPAN_PHASES: Dict[str, str] = {
     "rpc.call/globedoc.get_identity_certificates": "get_identity_proofs",
     "rpc.call/globedoc.get_integrity_certificate": "get_integrity_certificate",
     "rpc.call/globedoc.get_element": "get_page_element",
+    # Key, certificate and element in one exchange (a deployable stack's
+    # cold access); not a security phase, as its bytes are mostly the
+    # element's.
+    "rpc.call/globedoc.bind": "bind_replica",
     "rpc.call/versioning.fetch": "fetch_bundle",
     "check.public_key": "verify_public_key",
     "check.identity": "verify_identity_proofs",

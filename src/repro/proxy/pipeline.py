@@ -22,9 +22,10 @@ a wave followed by its replay: every name the resolver must ask for,
 replayed through ``binder.resolve_oid``; then every uncached location
 lookup, replayed through ``binder.candidates``; a plan whose bind call
 failed to park is left to the per-request replay. The third wave
-fetches the keys, certificates and elements, replayed per request
-through :meth:`GlobeDocProxy.handle`. Every call runs on the calling
-thread.
+fetches what each object's replica is asked for — one ``globedoc.bind``
+(key, certificate and element) for a binding, then the other elements —
+replayed per request through :meth:`GlobeDocProxy.handle`. Every call
+runs on the calling thread.
 
 Security semantics are preserved by construction: the table stores only
 successful transports' bytes, never verdicts — tampered data is parked
@@ -48,15 +49,12 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.keys import PublicKey
 from repro.errors import UrlError
-from repro.globedoc.integrity import IntegrityCertificate
 from repro.globedoc.urls import HybridUrl
 from repro.net.rpc import BatchCall
 from repro.net.address import ContactAddress
 from repro.obs import NOOP_TRACER
-from repro.server.localrep import ProxyLR
-from repro.util.encoding import canonical_bytes, wire_bytes
+from repro.util.encoding import canonical_bytes
 
 __all__ = [
     "PipelineConfig",
@@ -203,6 +201,7 @@ class _ObjectPlan:
         "elements",
         "session",
         "establish_needed",
+        "fetched",
         "failed",
     )
 
@@ -213,6 +212,8 @@ class _ObjectPlan:
         self.elements: List[str] = []
         self.session = session
         self.establish_needed = True
+        #: The elements the fetch wave asked for, in replay order.
+        self.fetched: List[str] = []
         #: Left to the per-request replay, which meets the failure
         #: first-hand.
         self.failed = False
@@ -368,28 +369,27 @@ class AccessScheduler:
     # ------------------------------------------------------------------
 
     def _fetch_phase(self, plans: List[_ObjectPlan]) -> None:
+        """One wave of every call the replay will make of a replica: per
+        plan, the elements the content cache will not serve, through the
+        LR the binder installs — a binding first when the plan needs one
+        and the replay fetches anything at all."""
         proxy = self.proxy
-        checker = proxy.checker
-        identity_needed = len(checker.trust_store) > 0 or proxy.require_identity
+        identity_needed = len(proxy.checker.trust_store) > 0 or proxy.require_identity
+        cache = proxy.content_cache
         calls: List[BatchCall] = []
         seen_elements = set()
         for plan in plans:
             if plan.failed or plan.oid is None or not plan.addresses:
                 continue
-            address = plan.addresses[0]
-            if plan.establish_needed:
-                calls.append(ProxyLR.pending_call(address, "get_public_key"))
-                if identity_needed:
-                    calls.append(ProxyLR.pending_call(address, "get_identity_certificates"))
-                calls.append(ProxyLR.pending_call(address, "get_integrity_certificate"))
-            cache = proxy.content_cache
             for element in plan.elements:
                 if (plan.oid.hex, element) in seen_elements:
                     continue
                 seen_elements.add((plan.oid.hex, element))
                 if cache is not None and cache.contains(plan.oid.hex, element):
                     continue  # replay serves it from the content cache
-                calls.append(ProxyLR.pending_call(address, "get_element", name=element))
+                plan.fetched.append(element)
+            lr = proxy.binder.lr_at(plan.addresses[0])
+            calls.extend(lr.fetch_calls(plan.fetched, plan.establish_needed, identity_needed))
         self.prefetcher.prefetch(calls)
 
     # ------------------------------------------------------------------
@@ -402,22 +402,16 @@ class AccessScheduler:
             return
         pairs = []
         for plan in plans:
-            if plan.failed or not plan.establish_needed or not plan.addresses:
+            if plan.failed or not plan.establish_needed or not plan.fetched:
                 continue
-            address = plan.addresses[0]
-            der = self.prefetcher.peek(ProxyLR.pending_call(address, "get_public_key"))
-            raw = self.prefetcher.peek(
-                ProxyLR.pending_call(address, "get_integrity_certificate")
-            )
-            if der is None or raw is None:
-                continue
+            lr = self.proxy.binder.lr_at(plan.addresses[0])
             try:
-                key = PublicKey(der=wire_bytes(der))
-                integrity = IntegrityCertificate.from_dict(raw)
+                pair = lr.parked_binding(self.prefetcher.peek, plan.fetched[0])
             except Exception:
                 # Malformed prefetched data: let the replay's real check
                 # reject it with the proper error in the proper context.
                 continue
-            pairs.append((key, integrity))
+            if pair is not None:
+                pairs.append(pair)
         if pairs:
             checker.prewarm_certificates(pairs)

@@ -3,9 +3,12 @@
 Implements the full flow of Fig. 3 on top of a bound object: fetch and
 verify the public key (steps 4–5), optional identity proofs (6–7), the
 integrity certificate (8–9), then per-element retrieval with the hash /
-freshness / consistency checks (10–13). The verified binding is cached
-so subsequent element fetches skip the (~2 KB) key+certificate exchange
-— the knob the certificate-cache ablation turns off.
+freshness / consistency checks (10–13). The session reads each part
+from the LR, which brings them in one ``globedoc.bind`` exchange or,
+on the Fig. 3 walk, one call per part; the checks run in this order
+either way. The verified binding is cached so subsequent element
+fetches skip the (~2 KB) key+certificate exchange — the knob the
+certificate-cache ablation turns off.
 """
 
 from __future__ import annotations
@@ -78,8 +81,10 @@ class SecureSession:
     # Secure binding (steps 4–9 of Fig. 3)
     # ------------------------------------------------------------------
 
-    def establish(self) -> VerifiedBinding:
-        """Fetch + verify key, identity proofs, and integrity certificate.
+    def establish(self, element_name: Optional[str] = None) -> VerifiedBinding:
+        """Fetch + verify key, identity proofs, and integrity certificate,
+        for a binding that serves *element_name* next (the LR may bring
+        that element in the same exchange).
 
         On a key/OID mismatch (malicious or wrong replica, possibly via
         a lying location service) *and* on an operational failure past
@@ -96,7 +101,7 @@ class SecureSession:
         ) as span:
             while True:
                 try:
-                    verified = self._establish_once()
+                    verified = self._establish_once(element_name)
                     break
                 except RevocationError:
                     # Revocation condemns the *object*, not the replica:
@@ -137,9 +142,11 @@ class SecureSession:
         # replica may be trusted for the new one.
         self._verified = None
 
-    def _establish_once(self) -> VerifiedBinding:
+    def _establish_once(self, element_name: Optional[str]) -> VerifiedBinding:
         lr = self.bound.lr
-        key = self.checker.check_public_key(self.bound.oid, lr.get_public_key())
+        key = self.checker.check_public_key(
+            self.bound.oid, lr.get_public_key(element_name)
+        )
         # Seventh check, key scope — before paying for certificate
         # verification: a revoked key makes the rest of the pipeline moot.
         self.checker.check_revocation(self.bound.oid)
@@ -202,7 +209,7 @@ class SecureSession:
             # the owner has since replaced: re-verify it once before
             # blaming the replica.
             reused = self._verified is not None and self.cache_binding
-            verified = self.establish()
+            verified = self.establish(element_name)
             try:
                 element = self.bound.lr.get_element(element_name)
             except (TransportError, RpcError, ReplicaError) as exc:

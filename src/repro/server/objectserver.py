@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.crypto.keys import PublicKey
-from repro.errors import AccessDenied, ReplicaError, ServerError
+from repro.errors import AccessDenied, ConsistencyError, ReplicaError, ServerError
 from repro.globedoc.owner import SignedDocument
 from repro.net.address import ContactAddress, Endpoint
 from repro.net.rpc import RpcServer, rpc_method
@@ -31,7 +31,7 @@ from repro.revocation.feed import RevocationFeed
 from repro.revocation.statement import SCOPE_KEY, RevocationStatement
 from repro.server.admin import AdminCommand, AdminVerifier
 from repro.server.keystore import Keystore
-from repro.server.localrep import ReplicaLR
+from repro.server.localrep import ReplicaLR, bind_answer
 from repro.server.persistence import (
     ServerStateStore,
     authorize_record,
@@ -356,6 +356,22 @@ class ObjectServer:
     @rpc_method("globedoc.get_element")
     def rpc_get_element(self, replica_id: str, name: str) -> dict:
         return self._lr(replica_id).get_element(name).to_dict()
+
+    @rpc_method("globedoc.bind")
+    def rpc_bind(self, replica_id: str, name: str) -> dict:
+        """Key, identity certificates, certificate and element *name* in
+        one answer: a cold access's reads of this replica, bundled."""
+        lr = self._lr(replica_id)
+        try:
+            element = lr.get_element(name)
+        except ConsistencyError:
+            element = None  # the client's own get_element hears why
+        return bind_answer(
+            lr.get_public_key(),
+            lr.get_identity_certificates(),
+            lr.get_integrity_certificate(),
+            element,
+        )
 
     # ------------------------------------------------------------------
     # RPC revocation feed (self-authenticating surface)

@@ -120,3 +120,10 @@ def signed_mutation(draw, genuine):
     else:
         holder["signed"] = _without(signed, how[len("no_"):])
     return answer
+
+
+def replica_answers(genuine):
+    """An answer in place of a replica's *genuine* one (a ``globedoc.bind``
+    answer, say): any value, *genuine* mutated at any depth, or one of its
+    signed records' bytes attacked."""
+    return st.one_of(json_values, mutation(genuine), signed_mutation(genuine))

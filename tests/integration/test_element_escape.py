@@ -4,7 +4,8 @@ A bound session whose element check fails drops its binding. When that
 binding came from an earlier access it is re-verified once against the
 same replica (the owner may have pushed a new certificate); otherwise, or
 when the re-check fails too, the session fails over like a lying key
-does. Both paths, on ``handle`` and on ``handle_many``.
+does. Both paths, on ``handle`` and on ``handle_many``, with the replica
+read one call per part (the Fig. 3 walk) and in one ``globedoc.bind``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,17 @@ def traced_stack(testbed, mode: str, **kwargs):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_returning_client_reads_the_updated_document(mode):
+    returning_client_reads_the_update(Testbed(), mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_returning_client_reads_the_updated_document_through_one_bind(mode):
     testbed = Testbed()
+    testbed.fig3_walk = False
+    returning_client_reads_the_update(testbed, mode)
+
+
+def returning_client_reads_the_update(testbed, mode: str) -> None:
     owner = DocumentOwner("vu.nl/blog", keys=fast_keys(), clock=testbed.clock)
     owner.put_element(PageElement("index.html", b"<html>post v1</html>"))
     published = testbed.publish(owner, validity=3600.0)
@@ -76,11 +87,13 @@ def test_returning_client_reads_the_updated_document(mode):
     assert ring.named("session.failover") == []
 
 
-def liar_world(behavior_of):
+def liar_world(behavior_of, walk: bool = True):
     """The genuine document at VU, and a liar at the client's own site
     (found first by the expanding ring) serving the genuine key and
-    certificate but a bad element."""
+    certificate but a bad element — one call each on the Fig. 3 *walk*,
+    else together in one ``globedoc.bind``."""
     testbed = Testbed()
+    testbed.fig3_walk = walk
     owner = DocumentOwner("vu.nl/news", keys=fast_keys(), clock=testbed.clock)
     owner.put_element(PageElement("index.html", b"<html>story v1</html>"))
     owner.put_element(PageElement("retraction.html", b"<html>retraction</html>"))
@@ -106,8 +119,18 @@ LIARS = {
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("liar_name", sorted(LIARS))
 def test_element_liar_is_escaped_through_one_failover(liar_name, mode):
+    element_liar_is_escaped(liar_name, mode, walk=True)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("liar_name", sorted(LIARS))
+def test_element_liar_in_a_bind_is_escaped_through_one_failover(liar_name, mode):
+    element_liar_is_escaped(liar_name, mode, walk=False)
+
+
+def element_liar_is_escaped(liar_name: str, mode: str, walk: bool) -> None:
     behavior_of, failed_check = LIARS[liar_name]
-    testbed, published, liar = liar_world(behavior_of)
+    testbed, published, liar = liar_world(behavior_of, walk)
     health = ReplicaHealthTracker(clock=testbed.clock)
     stack, ring = traced_stack(testbed, mode, health=health)
 

@@ -233,7 +233,7 @@ def deployments():
         loopback = LoopbackTransport()
         deployment = Deployment(
             SimClock(EPOCH), loopback.register, lambda host, t=loopback: t,
-            HOST, {HOST: SITE}, zone_keys=keys, iterative_naming=iterative,
+            HOST, {HOST: SITE}, zone_keys=keys, fig3_walk=iterative,
         )
         published = deployment.publish(
             deployment.document_owner("vu.nl/doc", {"index.html": b"<html>hi</html>"})

@@ -419,13 +419,14 @@ def tagged_world():
 
 
 def _retagging_access(world, loopback, published, tag):
-    """One proxy access with every certificate answer retagged."""
+    """One proxy access with every certificate answer retagged, alone or
+    inside a ``globedoc.bind`` answer."""
     from repro.attacks.mitm import MitmTransport
 
     def rewrite(endpoint, frame):
         response = Response.from_bytes(frame)
         value = response.value if response.ok else None
-        if isinstance(value, dict) and "envelope" in value:
+        if isinstance(value, dict) and ("envelope" in value or "certificate" in value):
             return Response.success(_retagged(value, tag)).to_bytes()
         return frame
 

@@ -111,10 +111,11 @@ class TestFrameLimits:
 
 class TestOversizedWindow:
     def test_a_window_answer_over_the_cap_is_fetched_call_by_call(self, monkeypatch):
-        """Each element fits a frame; the fetch window's one answer —
-        key, certificate and every element — does not. The server cannot
-        send it, so the window's calls fail and park nothing, and the
-        replay fetches and verifies each call on its own."""
+        """Each element fits a frame; the fetch window's one answer — the
+        bind (key, certificate, first element) and every other element —
+        does not. The server cannot send it, so the window's calls fail
+        and park nothing, and the replay fetches and verifies each call
+        on its own."""
         from repro.deployment import ZONE_PATHS, Deployment
         from repro.naming.zone import ZoneKeys
         from repro.proxy.pipeline import PipelineConfig
@@ -146,5 +147,6 @@ class TestOversizedWindow:
         ]
         counters = stack.scheduler.counters
         # Parked: the name and the location. Replayed from the wire: the
-        # key, the certificate and the four elements.
-        assert (counters.prefetched, counters.prefetch_misses) == (2, 2 + len(elements))
+        # bind (key, certificate and the first element) and the other
+        # three elements.
+        assert (counters.prefetched, counters.prefetch_misses) == (2, len(elements))

@@ -39,7 +39,7 @@ def world():
     return testbed, testbed.publish(owner)
 
 
-def traced_stack(testbed, with_cache: bool):
+def traced_stack(testbed, with_cache: bool, walk: bool = True):
     ring = RingBufferSink()
     tracer = Tracer(clock=testbed.clock, sinks=(ring,))
     cache = (
@@ -47,17 +47,26 @@ def traced_stack(testbed, with_cache: bool):
         if with_cache
         else None
     )
-    return testbed.client_stack(HOST, content_cache=cache, tracer=tracer), ring
+    testbed.fig3_walk = walk
+    try:
+        return testbed.client_stack(HOST, content_cache=cache, tracer=tracer), ring
+    finally:
+        testbed.fig3_walk = True
 
 
 class TestConservation:
-    @pytest.mark.parametrize("with_cache", [False, True], ids=["no-cache", "cache"])
-    def test_derived_total_equals_the_root_span(self, world, with_cache):
+    @pytest.mark.parametrize(
+        "with_cache, walk",
+        [(False, True), (True, True), (False, False)],
+        ids=["no-cache", "cache", "one-bind"],
+    )
+    def test_derived_total_equals_the_root_span(self, world, with_cache, walk):
         """Under a SimClock time only advances inside network transfers
         and compute regions, every one of which sits under a span the
-        phase table names — so nothing is lost and nothing counted twice."""
+        phase table names — so nothing is lost and nothing counted twice.
+        That holds for a cold access bundled in one ``globedoc.bind`` too."""
         testbed, published = world
-        stack, ring = traced_stack(testbed, with_cache)
+        stack, ring = traced_stack(testbed, with_cache, walk)
         for access in ("cold", "warm"):  # warm: a cache hit when caching
             ring.clear()
             assert stack.proxy.handle(published.url("index.html")).ok
@@ -65,6 +74,8 @@ class TestConservation:
             metrics = AccessMetrics.from_spans(ring.spans)
             assert root.duration > 0
             assert metrics.total == pytest.approx(root.duration, rel=0.01), access
+            if access == "cold":
+                assert (metrics.phase_time("bind_replica") > 0) == (not walk)
         hit = with_cache
         assert (metrics.phase_time("get_page_element") == 0.0) == hit
 

@@ -10,6 +10,7 @@ import pytest
 from repro.attacks.malicious_server import HonestBehavior, MaliciousReplica
 from repro.crypto.identity import TrustStore
 from repro.crypto.verifycache import VerificationCache
+from repro.globedoc.element import PageElement
 from repro.globedoc.urls import HybridUrl
 from repro.naming.dnssec import DelegationRecord
 from repro.net.address import Endpoint
@@ -222,6 +223,9 @@ MALFORMED_ANSWERS = {
     "element_without_content": (
         "globedoc.get_element", lambda cert, keys: {"name": 5, "evil": EVIL},
     ),
+    "element_name_not_a_relative_path": (
+        "globedoc.get_element", lambda cert, keys: {"name": "/etc/passwd", "content": EVIL},
+    ),
     # The signed leaf, attacked: what the certificate's signed bytes can be
     # made to say without the key.
     "certificate_signed_byte_flipped": (
@@ -250,9 +254,71 @@ MALFORMED_ANSWERS = {
     "certificate_of_another_type": ("globedoc.get_integrity_certificate", _another_type),
 }
 
+
+
+def _in_bind(**forges):
+    """A forge of a whole ``globedoc.bind`` answer: the genuine parts,
+    each part named in *forges* replaced by what its forge makes."""
+
+    def forge(certificate, owner_keys):
+        answer = {
+            "key": owner_keys.public.der,
+            "identity_certificates": [],
+            "certificate": certificate,
+            "element": PageElement("index.html", ELEMENTS["index.html"]).to_dict(),
+        }
+        answer.update({part: make(certificate, owner_keys) for part, make in forges.items()})
+        return answer
+
+    return forge
+
+
+def _bind_without(part: str):
+    return lambda certificate, owner_keys: {
+        key: value for key, value in _in_bind()(certificate, owner_keys).items() if key != part
+    }
+
+
+#: The bundled answer (the stack reads the replica in one exchange): its
+#: shape, each of its parts, and every certificate forge above inside it.
+MALFORMED_ANSWERS.update(
+    {
+        "bind_not_a_mapping": ("globedoc.bind", lambda cert, keys: [EVIL]),
+        "bind_without_element": ("globedoc.bind", _bind_without("element")),
+        "bind_without_key": ("globedoc.bind", _bind_without("key")),
+        "bind_with_an_extra_part": (
+            "globedoc.bind", lambda cert, keys: {**_in_bind()(cert, keys), "evil": EVIL},
+        ),
+        "bind_key_not_bytes": ("globedoc.bind", _in_bind(key=lambda cert, keys: "EVIL-PAYLOAD")),
+        "bind_key_an_integer": ("globedoc.bind", _in_bind(key=lambda cert, keys: HUGE)),
+        "bind_identity_without_envelope": (
+            "globedoc.bind",
+            _in_bind(identity_certificates=lambda cert, keys: [{"body": EVIL}]),
+        ),
+        "element_in_bind_without_content": (
+            "globedoc.bind", _in_bind(element=lambda cert, keys: {"name": 5, "evil": EVIL}),
+        ),
+        "element_in_bind_content_an_integer": (
+            "globedoc.bind",
+            _in_bind(element=lambda cert, keys: {"name": "index.html", "content": HUGE}),
+        ),
+        "element_in_bind_name_not_a_relative_path": (
+            "globedoc.bind",
+            _in_bind(element=lambda cert, keys: {"name": "a\\b", "content": EVIL}),
+        ),
+        **{
+            "certificate_in_bind_" + case[len("certificate_"):]: (
+                "globedoc.bind", _in_bind(certificate=forge),
+            )
+            for case, (op, forge) in MALFORMED_ANSWERS.items()
+            if case.startswith("certificate_")
+        },
+    }
+)
+
 #: Cases that decode to a well-formed certificate, which its signature
 #: check refuses rather than its decoder.
-SIGNATURE_REFUSED = {"certificate_signed_byte_flipped"}
+SIGNATURE_REFUSED = {"certificate_signed_byte_flipped", "certificate_in_bind_signed_byte_flipped"}
 
 
 class TestMalformedReplicaAnswers:
@@ -267,9 +333,12 @@ class TestMalformedReplicaAnswers:
         """A document of the test's own on ginger (so the attack replica
         is out of every other test's way), and ``deploy(case)``: a
         replica of it at the client's own site, found first, honest
-        except for one malformed answer."""
+        except for one malformed answer. A ``globedoc.bind`` case's
+        stacks read the replica in that one exchange, the others walk
+        Fig. 3."""
         name = f"vu.nl/probe{next(self.probe_ids)}"
         published = testbed.publish(testbed.document_owner(name, ELEMENTS))
+        walk = {"fig3_walk": True}
 
         def deploy(case: str, reply: bytes = None) -> list:
             """``reply``, if given, is the whole frame the case's op is
@@ -277,6 +346,7 @@ class TestMalformedReplicaAnswers:
             answer the reply's fields (all but ``kind``) are that op's
             slot; the returned list gains an entry per batch forged."""
             op, forge = MALFORMED_ANSWERS[case]
+            walk["fig3_walk"] = op != "globedoc.bind"
             if reply is None:
                 answer = forge(published.document.integrity.to_dict(), published.owner.keys)
                 reply = Response.success(answer).to_bytes()
@@ -312,9 +382,13 @@ class TestMalformedReplicaAnswers:
             store = TrustStore()
             store.add_ca(session_ca)
             tracer = Tracer(clock=testbed.clock, sinks=(ring,)) if ring is not None else None
-            return testbed.client_stack(
-                self.CLIENT, trust_store=store, tracer=tracer, **kwargs
-            )
+            testbed.fig3_walk = walk["fig3_walk"]
+            try:
+                return testbed.client_stack(
+                    self.CLIENT, trust_store=store, tracer=tracer, **kwargs
+                )
+            finally:
+                testbed.fig3_walk = True
 
         return published, deploy, stack
 
@@ -339,11 +413,16 @@ class TestMalformedReplicaAnswers:
         published, deploy, stack = world
         batches_forged = deploy(case)
         proxy = stack(max_rebinds=0, pipeline=PipelineConfig()).proxy
-        responses = proxy.handle_many(
+        index, logo = proxy.handle_many(
             [published.url("index.html"), published.url("img/logo.png")]
         )
-        for response in responses:
-            self.assert_rejected(response, case)
+        self.assert_rejected(index, case)
+        if case.startswith("element_in_bind_"):
+            # Only index.html came in the bind, beside a key and a
+            # certificate that verified; logo's own answer is honest.
+            assert (logo.status, logo.content) == (200, ELEMENTS["img/logo.png"])
+        else:
+            self.assert_rejected(logo, case)
         # The forge rode in its op's slot of the fetch wave's one frame.
         assert len(batches_forged) == 1
         assert MALFORMED_ANSWERS[case][0] in batches_forged[0]
@@ -373,7 +452,34 @@ class TestMalformedReplicaAnswers:
         assert peak < 16 * 2**20
         assert batches_forged
 
-    @pytest.mark.parametrize("case", ["public_key_not_bytes", "element_without_content"])
+    def test_integer_key_in_a_prefetched_bind_allocates_nothing(self, world):
+        """The same for the key inside a prefetched ``globedoc.bind``."""
+        published, deploy, stack = world
+        answer = _in_bind(key=lambda cert, keys: 10**8)(
+            published.document.integrity.to_dict(), published.owner.keys
+        )
+        batches_forged = deploy("bind_key_an_integer", reply=Response.success(answer).to_bytes())
+        proxy = stack(
+            max_rebinds=0,
+            pipeline=PipelineConfig(),
+            verification_cache=VerificationCache(),
+        ).proxy
+        tracemalloc.start()
+        try:
+            responses = proxy.handle_many(
+                [published.url("index.html"), published.url("img/logo.png")]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for response in responses:
+            self.assert_rejected(response)
+        assert peak < 16 * 2**20
+        assert batches_forged == [["globedoc.bind", "globedoc.get_element"]]
+
+    @pytest.mark.parametrize(
+        "case", ["public_key_not_bytes", "element_without_content", "bind_key_not_bytes"]
+    )
     def test_response_frame_without_ok_is_the_same_failure_both_ways(self, world, case):
         """A reply that is no response frame at all (at bind time, at
         fetch time) is a transport failure of that replica — the same
@@ -429,7 +535,15 @@ class TestMalformedReplicaAnswers:
         deploy(case)
         self.assert_rejected(stack().proxy.handle(published.url("index.html")))
 
-    @pytest.mark.parametrize("case", ["public_key_an_integer", "element_content_an_integer"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "public_key_an_integer",
+            "element_content_an_integer",
+            "bind_key_an_integer",
+            "element_in_bind_content_an_integer",
+        ],
+    )
     def test_integer_in_a_bytes_field_allocates_nothing(self, world, case):
         """``bytes(50_000_000)`` is 50 MB of zeros: the rejection must
         cost no more memory than the frame that carried the integer."""

@@ -83,3 +83,63 @@ class TestReplicaLR:
         replica.update_state(owner.publish(validity=60).state())
         assert replica.get_element("index.html").content == b"v2"
         assert replica.version == 2
+
+
+class CountingClient(RpcClient):
+    def __init__(self, transport) -> None:
+        super().__init__(transport)
+        self.ops = []
+
+    def call(self, target, op, **args):
+        self.ops.append(op)
+        return super().call(target, op, **args)
+
+
+class TestOneBindExchange:
+    """A bundled ProxyLR reads every part of a cold access from one
+    ``globedoc.bind`` answer, each part once, with the replica LR's
+    values."""
+
+    @pytest.fixture
+    def bundled(self, both_lrs):
+        owner, replica, proxy = both_lrs
+        client = CountingClient(proxy.client.transport)
+        return owner, replica, ProxyLR(client, proxy.address), client
+
+    def test_every_part_from_one_call(self, bundled):
+        owner, replica, lr, client = bundled
+        assert lr.get_public_key("index.html") == owner.public_key
+        identity = lr.get_identity_certificates()
+        assert identity[0].subject_name == replica.get_identity_certificates()[0].subject_name
+        assert lr.get_integrity_certificate().entries == replica.get_integrity_certificate().entries
+        assert lr.get_element("index.html").content == b"hello"
+        assert client.ops == ["globedoc.bind"]
+        # Each part is handed out once: the next reads are calls.
+        lr.get_integrity_certificate()
+        lr.get_element("index.html")
+        assert client.ops[1:] == ["globedoc.get_integrity_certificate", "globedoc.get_element"]
+
+    def test_another_element_is_its_own_call(self, bundled):
+        _, _, lr, client = bundled
+        lr.get_public_key("index.html")
+        assert lr.get_element("a.png").content == b"img"
+        assert client.ops == ["globedoc.bind", "globedoc.get_element"]
+
+    def test_missing_element_is_refused_by_its_own_call(self, bundled):
+        """The bind answers ``element: None``; the LR then asks with
+        ``get_element``, and the replica's refusal reaches the caller."""
+        _, _, lr, client = bundled
+        lr.get_public_key("ghost.html")
+        lr.get_integrity_certificate()
+        with pytest.raises(ConsistencyError):
+            lr.get_element("ghost.html")
+        assert client.ops == ["globedoc.bind", "globedoc.get_element"]
+
+    def test_a_new_key_read_drops_what_was_parked(self, bundled):
+        _, _, lr, client = bundled
+        lr.get_public_key("index.html")
+        lr.get_public_key()  # no element named: the walk's call
+        lr.get_element("index.html")
+        assert client.ops == [
+            "globedoc.bind", "globedoc.get_public_key", "globedoc.get_element",
+        ]

@@ -17,7 +17,7 @@ from repro.globedoc.oid import ObjectId
 from repro.globedoc.urls import HybridUrl
 from repro.harness.experiment import Testbed
 from repro.naming.zone import ZoneKeys
-from repro.net.message import Request
+from repro.net.message import BATCH_OP, Request
 from repro.net.retry import RetryingRpcClient, RetryPolicy
 from repro.net.rpc import RpcClient
 from repro.net.tcpnet import TcpEndpointServer, TcpTransport
@@ -77,6 +77,29 @@ class Tap:
         answer = self.inner.request(endpoint, frame)
         self.frames += [frame, answer]
         return answer
+
+
+class WaveTap:
+    """The client's transport, keeping the ops of every frame of every
+    pipelined exchange: one list of frames per ``request_many``, one
+    list of ops per frame."""
+
+    def __init__(self, inner) -> None:
+        self.inner, self.stats, self.waves = inner, inner.stats, []
+
+    def request(self, endpoint, frame: bytes) -> bytes:
+        return self.inner.request(endpoint, frame)
+
+    def request_many(self, frames):
+        wave = []
+        for _endpoint, frame in frames:
+            request = Request.from_bytes(frame)
+            if request.op == BATCH_OP:
+                wave.append([op for op, _args, _error in request.batch_calls()])
+            else:
+                wave.append([request.op])
+        self.waves.append(wave)
+        return self.inner.request_many(frames)
 
 
 def observe(kind: str, zone_keys, owner_keys) -> dict:
@@ -183,12 +206,14 @@ class TestOneWorldThreeTransports:
 
 
 class TestColdAccessRequests:
-    """A cold access asks the naming service once on a deployable stack
-    (one signed answer: chain + record) and once per zone on the paper's
-    testbed, which keeps the Fig. 3 walk. A failed access sends nothing
-    after it fails."""
+    """A cold access asks the naming service once and the replica once on
+    a deployable stack (one signed answer: chain + record; one
+    ``globedoc.bind``: key, certificate and element), and once per zone
+    and once per part on the paper's testbed, which keeps the Fig. 3
+    walk. A failed access sends nothing after it fails."""
 
-    BIND_AND_FETCH = [
+    BUNDLED = ["location.lookup", "globedoc.bind"]
+    WALK = [
         "location.lookup",
         "globedoc.get_public_key",
         "globedoc.get_integrity_certificate",
@@ -208,14 +233,14 @@ class TestColdAccessRequests:
         assert stack.proxy.handle(published.url("index.html")).ok
         return cls.sent(tap)
 
-    def test_loopback_deployment_is_five_requests(self, zone_keys):
+    def test_loopback_deployment_is_three_requests(self, zone_keys):
         with world("loopback", zone_keys) as deployment:
             ops = self.cold_ops(deployment)
-        assert ops == ["naming.resolve"] + self.BIND_AND_FETCH
+        assert ops == ["naming.resolve"] + self.BUNDLED
 
     def test_testbed_is_seven_requests(self, zone_keys):
         ops = self.cold_ops(Testbed(zone_keys=zone_keys))
-        assert ops == ["naming.resolve_step"] * len(ZONE_PATHS) + self.BIND_AND_FETCH
+        assert ops == ["naming.resolve_step"] * len(ZONE_PATHS) + self.WALK
 
     def test_pipelined_cold_batch_is_three_waves(self, zone_keys):
         """Two cold objects through ``handle_many``: every name lookup,
@@ -229,14 +254,15 @@ class TestColdAccessRequests:
             tap = Tap(deployment.transport_for(CLIENT))
             stack = deployment.client_stack(CLIENT, transport=tap, pipeline=PipelineConfig())
             assert all(response.ok for response in stack.proxy.handle_many(urls))
-        fetch = self.BIND_AND_FETCH[1:]
-        assert self.sent(tap) == ["naming.resolve"] * 2 + ["location.lookup"] * 2 + fetch * 2
+        assert self.sent(tap) == (
+            ["naming.resolve"] * 2 + ["location.lookup"] * 2 + ["globedoc.bind"] * 2
+        )
 
     def test_pipelined_cold_batch_replays_from_the_prefetch(self, zone_keys):
         """Every call the replay of a cold two-object, two-element batch
-        makes was parked by a wave — name, location, key, certificate
-        twice, four elements: were the waves to build a call otherwise
-        than the replay does, it would miss and go to the wire again."""
+        makes was parked by a wave — name, location, bind twice, the two
+        other elements: were the waves to build a call otherwise than
+        the replay does, it would miss and go to the wire again."""
         with world("loopback", zone_keys) as deployment:
             published = [
                 deployment.publish(deployment.document_owner(name, ELEMENTS))
@@ -246,7 +272,61 @@ class TestColdAccessRequests:
             urls = [pub.url(name) for pub in published for name in ("index.html", "logo.bin")]
             assert all(response.ok for response in stack.proxy.handle_many(urls))
         counters = stack.scheduler.counters
-        assert (counters.prefetch_hits, counters.prefetch_misses) == (12, 0)
+        assert (counters.prefetch_hits, counters.prefetch_misses) == (8, 0)
+
+    @pytest.mark.parametrize(
+        "walk, fetch_frames",
+        [
+            (False, [["globedoc.bind"] + ["globedoc.get_element"] * 7]),
+            (
+                True,
+                [
+                    ["globedoc.get_public_key", "globedoc.get_integrity_certificate"]
+                    + ["globedoc.get_element"] * 6,
+                    ["globedoc.get_element"] * 2,
+                ],
+            ),
+        ],
+        ids=["bundled", "fig3_walk"],
+    )
+    def test_pipelined_page_fetch_wave(self, zone_keys, walk, fetch_frames):
+        """A cold 8-element page: the fetch wave is one frame of 8 calls
+        with the bundle, and 10 calls in two windows (8, then 2) on the
+        walk, the paper's testbed."""
+        testbed = Testbed(zone_keys=zone_keys)
+        testbed.fig3_walk = walk
+        page = {f"e{i}.html": b"<p>%d</p>" % i for i in range(8)}
+        published = testbed.publish(testbed.document_owner("vu.nl/page8", page))
+        tap = WaveTap(testbed.transport_for(CLIENT))
+        stack = testbed.client_stack(CLIENT, transport=tap, pipeline=PipelineConfig())
+        responses = stack.proxy.handle_many([published.url(name) for name in page])
+        assert [response.content for response in responses] == list(page.values())
+        names, locations, *fetch = tap.waves  # an exchange per window
+        assert (names, locations) == ([["naming.resolve" + "_step" * walk]], [["location.lookup"]])
+        assert fetch == [[frame] for frame in fetch_frames]
+
+    def test_cached_page_prefetches_nothing(self, zone_keys):
+        """Regression: a plan that had to establish a binding prefetched
+        the key and the certificate even when the content cache served
+        every element, so the replay never established and nothing
+        consumed either answer."""
+        from repro.proxy.contentcache import ContentCache
+
+        with world("loopback", zone_keys) as deployment:
+            published = deployment.publish(deployment.document_owner("vu.nl/cached", ELEMENTS))
+            tap = Tap(deployment.transport_for(CLIENT))
+            stack = deployment.client_stack(
+                CLIENT,
+                transport=tap,
+                content_cache=ContentCache(clock=deployment.clock),
+                pipeline=PipelineConfig(),
+            )
+            urls = [published.url("index.html"), published.url("style.css")]
+            assert all(response.ok for response in stack.proxy.handle_many(urls))
+            stack.proxy.drop_all_sessions()
+            warm = len(tap.frames)
+            assert all(response.ok for response in stack.proxy.handle_many(urls))
+        assert [op for op in self.sent(tap, warm) if op.startswith("globedoc.")] == []
 
     def test_unknown_oid_is_one_lookup(self, zone_keys):
         with world("loopback", zone_keys) as deployment:
