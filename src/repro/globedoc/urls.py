@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urlsplit, urlunsplit
 
-from repro.errors import UrlError
+from repro.errors import EncodingError, UrlError
 from repro.globedoc.element import validate_element_name
 from repro.globedoc.oid import ObjectId
 
@@ -32,6 +32,15 @@ GLOBE_PREFIX = "globe"
 
 #: Host marker for the OID form of a hybrid URL.
 OID_MARKER = "oid"
+
+
+def _element_name(name: str, url: str) -> str:
+    """The element name *url* spells as *name*, validated: a refused
+    name makes the whole URL malformed."""
+    try:
+        return validate_element_name(name)
+    except EncodingError as exc:
+        raise UrlError(f"invalid element name in hybrid URL {url!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,7 @@ class HybridUrl:
                 oid = ObjectId.from_hex(segments[0])
             except Exception as exc:
                 raise UrlError(f"invalid OID in hybrid URL {url!r}: {exc}") from exc
-            element = validate_element_name(segments[1])
+            element = _element_name(segments[1], url)
             return cls(raw=url, element_name=element, object_name=None, oid=oid)
         # Name form: host plus all-but-last path segments form the object
         # name; the last segment(s) after the final object boundary name
@@ -93,7 +102,7 @@ class HybridUrl:
             element = path
         if not element:
             element = "index.html"
-        element = validate_element_name(element)
+        element = _element_name(element, url)
         return cls(raw=url, element_name=element, object_name=object_name, oid=None)
 
     @classmethod

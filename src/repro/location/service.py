@@ -12,7 +12,7 @@ then an insert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional, TypeVar
+from typing import Any, Callable, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.errors import LocationError, ReproError
 from repro.globedoc.oid import ObjectId
@@ -74,9 +74,15 @@ class LocationService:
     # RPC interface
     # ------------------------------------------------------------------
 
-    @rpc_method("location.lookup")
-    def lookup(self, oid: str, origin_site: str) -> dict:
+    def _found(self, oid: str, origin_site: str) -> Tuple[str, Tuple[ContactAddress, ...], int]:
+        """*oid*, and the addresses and search cost of its lookup from
+        *origin_site*."""
         addresses, visited = self.tree.lookup(oid, origin_site)
+        return oid, tuple(addresses), visited
+
+    @rpc_method("location.lookup", basis=_found)
+    def lookup(self, oid: str, addresses: Tuple[ContactAddress, ...], visited: int) -> dict:
+        """The answer to ``lookup(oid, origin_site)``."""
         return {
             "oid": oid,
             "addresses": [a.to_dict() for a in addresses],

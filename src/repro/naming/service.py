@@ -99,9 +99,9 @@ class NameService:
     # RPC interface
     # ------------------------------------------------------------------
 
-    @rpc_method("naming.resolve")
-    def resolve_with_proof(self, name: str) -> dict:
-        """Walk the chain for *name*; return delegations + signed record."""
+    def _proof(self, name: str) -> Tuple[Tuple[DelegationRecord, ...], SignedOidRecord]:
+        """Walk the chain for *name*: its delegation records, root
+        first, and the signed record they lead to."""
         name = normalize_name(name)
         chain: List[DelegationRecord] = []
         zone = self.root
@@ -111,7 +111,14 @@ class NameService:
                 break
             chain.append(zone.delegation_record(child_path))
             zone = self._zones[child_path]
-        signed = zone.signed_lookup(name)  # raises NameNotFound
+        return tuple(chain), zone.signed_lookup(name)  # raises NameNotFound
+
+    @rpc_method("naming.resolve", basis=_proof)
+    def resolve_with_proof(
+        self, chain: Tuple[DelegationRecord, ...], signed: SignedOidRecord
+    ) -> dict:
+        """The proof for a name (``resolve_with_proof(name)``):
+        delegations + signed record."""
         return {
             "chain": [link.to_dict() for link in chain],
             "record": signed.to_dict(),

@@ -210,23 +210,28 @@ class SecureSession:
             # blaming the replica.
             reused = self._verified is not None and self.cache_binding
             verified = self.establish(element_name)
+            element = None
             try:
                 element = self.bound.lr.get_element(element_name)
+                if not self.cache_binding:
+                    self._verified = None
+                entry = self.checker.check_element(verified.integrity, element_name, element)
+                break
             except (TransportError, RpcError, ReplicaError) as exc:
                 # The replica died (or was torn down) between binding
                 # and element fetch: fail over and re-run the whole
                 # verification pipeline against the replacement.
                 self._failover(exc)
-                continue
-            if not self.cache_binding:
-                self._verified = None
-            try:
-                entry = self.checker.check_element(verified.integrity, element_name, element)
-                break
             except RevocationError:
                 raise
             except SecurityError as exc:
-                # A lying element is escaped like a lying key: via another
+                # An element the certificate does not list is refused by
+                # every replica alike: the refusal goes out, and the
+                # binding stays.
+                if element is None and element_name not in verified.integrity.entries:
+                    raise
+                # A lying element — one that does not decode, or does not
+                # check — is escaped like a lying key: via another
                 # replica, never by trusting this one again.
                 self._verified = None
                 if not reused:

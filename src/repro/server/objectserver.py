@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.crypto.keys import PublicKey
 from repro.errors import AccessDenied, ConsistencyError, ReplicaError, ServerError
+from repro.globedoc.element import PageElement
 from repro.globedoc.owner import SignedDocument
 from repro.net.address import ContactAddress, Endpoint
 from repro.net.rpc import RpcServer, rpc_method
@@ -353,25 +354,35 @@ class ObjectServer:
     def rpc_get_integrity_certificate(self, replica_id: str) -> dict:
         return self._lr(replica_id).get_integrity_certificate().to_dict()
 
-    @rpc_method("globedoc.get_element")
-    def rpc_get_element(self, replica_id: str, name: str) -> dict:
-        return self._lr(replica_id).get_element(name).to_dict()
+    def _element(self, replica_id: str, name: str) -> Tuple[PageElement]:
+        return (self._lr(replica_id).get_element(name),)
 
-    @rpc_method("globedoc.bind")
-    def rpc_bind(self, replica_id: str, name: str) -> dict:
-        """Key, identity certificates, certificate and element *name* in
-        one answer: a cold access's reads of this replica, bundled."""
+    @rpc_method("globedoc.get_element", basis=_element)
+    def rpc_get_element(self, element: PageElement) -> dict:
+        """The answer to ``rpc_get_element(replica_id, name)``."""
+        return element.to_dict()
+
+    def _binding(self, replica_id: str, name: str) -> tuple:
+        """Key, identity certificates, certificate and element *name*
+        (None when the replica holds no such element)."""
         lr = self._lr(replica_id)
         try:
             element = lr.get_element(name)
         except ConsistencyError:
             element = None  # the client's own get_element hears why
-        return bind_answer(
+        return (
             lr.get_public_key(),
-            lr.get_identity_certificates(),
+            tuple(lr.get_identity_certificates()),
             lr.get_integrity_certificate(),
             element,
         )
+
+    @rpc_method("globedoc.bind", basis=_binding)
+    def rpc_bind(self, key, identity_certificates, integrity, element) -> dict:
+        """``rpc_bind(replica_id, name)``: key, identity certificates,
+        certificate and element *name* in one answer: a cold access's
+        reads of this replica, bundled."""
+        return bind_answer(key, identity_certificates, integrity, element)
 
     # ------------------------------------------------------------------
     # RPC revocation feed (self-authenticating surface)

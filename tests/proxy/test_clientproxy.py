@@ -14,6 +14,7 @@ from repro.globedoc.element import PageElement
 from repro.globedoc.urls import HybridUrl
 from repro.naming.dnssec import DelegationRecord
 from repro.net.address import Endpoint
+from repro.net.health import ReplicaHealthTracker
 from repro.net.message import BATCH_OP, Request, Response
 from repro.obs import RingBufferSink, Tracer
 from repro.proxy.metrics import AccessMetrics
@@ -55,8 +56,37 @@ class TestGlobedocRequests:
         assert response.status in (403, 404)
         assert not response.ok
 
+    def test_unknown_element_keeps_the_binding(self, testbed, published, monkeypatch):
+        """An element the certificate does not list is refused by every
+        replica alike: no lie to escape, so repeated requests for it
+        neither fail over nor count against the honest replica."""
+        ring = RingBufferSink()
+        health = ReplicaHealthTracker(clock=testbed.clock)
+        noted = []
+        monkeypatch.setattr(health, "record_failure", noted.append)
+        proxy = testbed.client_stack(
+            "canardo.inria.fr", health=health, tracer=Tracer(clock=testbed.clock, sinks=(ring,))
+        ).proxy
+        assert proxy.handle(published.url("index.html")).ok
+        for _ in range(health.failure_threshold + 1):
+            assert not proxy.handle(published.url("ghost.html")).ok
+        assert proxy.handle(published.url("img/logo.png")).ok
+        assert ring.named("session.failover") == ring.named("bind.rebind") == []
+        assert len(ring.named("session.establish")) == 1
+        assert noted == []
+
     def test_malformed_url_is_400(self, stack):
         assert stack.proxy.handle("ftp://weird").status == 400
+
+    @pytest.mark.parametrize(
+        "url", ["globe://vu.nl/a%5Cb\\c", "globe://vu.nl/x!/../y", f"globe://oid/{'ab' * 20}/a/"]
+    )
+    def test_refused_element_name_is_400(self, testbed, url):
+        """A name ``validate_element_name`` refuses makes the URL
+        malformed, through ``handle`` and ``handle_many`` alike."""
+        stack = testbed.client_stack("canardo.inria.fr", pipeline=PipelineConfig())
+        assert stack.proxy.handle(url).status == 400
+        assert [r.status for r in stack.proxy.handle_many([url, url])] == [400, 400]
 
     def test_request_counters(self, stack, published):
         proxy = stack.fresh_proxy()
@@ -417,12 +447,10 @@ class TestMalformedReplicaAnswers:
             [published.url("index.html"), published.url("img/logo.png")]
         )
         self.assert_rejected(index, case)
-        if case.startswith("element_in_bind_"):
-            # Only index.html came in the bind, beside a key and a
-            # certificate that verified; logo's own answer is honest.
-            assert (logo.status, logo.content) == (200, ELEMENTS["img/logo.png"])
-        else:
-            self.assert_rejected(logo, case)
+        # An element_in_bind_ case: index.html's bad element drops the
+        # binding as a failed check does, so logo binds afresh, and the
+        # replica forges that bind answer too.
+        self.assert_rejected(logo, case)
         # The forge rode in its op's slot of the fetch wave's one frame.
         assert len(batches_forged) == 1
         assert MALFORMED_ANSWERS[case][0] in batches_forged[0]
@@ -530,10 +558,26 @@ class TestMalformedReplicaAnswers:
     )
     def test_malformed_element_is_not_retried_elsewhere(self, world, case):
         """Exactly as for a tampered element: a verified binding that
-        then serves a bad element is a violation, not an outage."""
+        then serves a bad element is a violation, not an outage — with
+        no rebinds, the access is refused."""
         published, deploy, stack = world
         deploy(case)
-        self.assert_rejected(stack().proxy.handle(published.url("index.html")))
+        proxy = stack(max_rebinds=0).proxy
+        self.assert_rejected(proxy.handle(published.url("index.html")))
+
+    @pytest.mark.parametrize(
+        "case", [c for c in MALFORMED_ANSWERS if c.startswith("element_")]
+    )
+    def test_malformed_element_escaped_with_rebinds(self, world, case):
+        """...and, as for a tampered element, escaped via the genuine
+        replica on ginger through one failover naming the violation."""
+        published, deploy, stack = world
+        deploy(case)
+        ring = RingBufferSink()
+        response = stack(ring=ring).proxy.handle(published.url("index.html"))
+        assert (response.status, response.content) == (200, ELEMENTS["index.html"])
+        failovers = [span for span in ring.spans if span.name == "session.failover"]
+        assert [span.attributes["cause"] for span in failovers] == ["AuthenticityError"]
 
     @pytest.mark.parametrize(
         "case",

@@ -22,6 +22,7 @@ ROOT = pathlib.Path(repro.__file__).parent
 #: Module → {"Class.attribute": the ``threading`` object it holds}.
 KEPT = {
     "crypto/verifycache.py": {"VerificationCache._lock": "RLock"},
+    "net/rpc.py": {"_AnswerMemo._lock": "Lock"},  # kept answers, per server
     "net/tcpnet.py": {
         "TcpEndpointServer._lock": "Lock",  # the service table handlers read
         "TcpEndpointServer._thread": "Thread",  # the accept loop
